@@ -397,7 +397,9 @@ def _command_tune(args: argparse.Namespace) -> int:
               f"{stats.failures} degraded)")
         print(f"robustness         : {stats.resumed} resumed from journal, "
               f"{stats.timeouts} watchdog timeouts, {stats.non_finite} non-finite results, "
-              f"{stats.guard_events} guard events")
+              f"{stats.guard_events} guard events, "
+              f"{stats.journal_commits} journal commits + {stats.spill_segments} spill segments "
+              f"for {stats.executed} evaluations")
         if engine.checkpoints is not None:
             total = stats.warm_hits + stats.warm_misses
             print(f"warm start         : {stats.warm_hits}/{total} trials warm-started, "

@@ -12,7 +12,9 @@ the storage half of that idea:
   ``(configuration key, budget fraction)``, with an optional write-through
   **spill directory** that makes checkpoints durable (required when warm
   starting is combined with journal resume — replayed trials never
-  execute, so only the spill can repopulate their checkpoints);
+  execute, so only the spill can repopulate their checkpoints).  The
+  spill's unit is the **segment**: one file per commit — a whole rung
+  from ``run_batch``, one entry for a lone :meth:`CheckpointStore.put`;
 - :func:`attach_checkpoints` / :func:`detach_checkpoints` — transport of
   captured fold states on an
   :class:`~repro.bandit.base.EvaluationResult`, mirroring the telemetry
@@ -30,6 +32,7 @@ serial == parallel bitwise invariant intact among warm-start runs.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 import pickle
 import tempfile
@@ -64,8 +67,15 @@ CHECKPOINT_ATTR = "_checkpoints"
 #: result reaches the cache or the journal.
 PLAN_CACHE_ATTR = "_plan_cache_delta"
 
-#: Spill-file suffix.
-_SPILL_SUFFIX = ".ckpt"
+#: Spill-segment suffix.  A segment is ``pickle(directory)`` followed by one
+#: pickle per entry; ``directory`` lists ``((digest, budget), offset)`` with
+#: offsets counted from its own end, so a scan reads only the directory and
+#: a load seeks straight to its entry.
+_SEGMENT_SUFFIX = ".seg"
+
+#: One-entry-per-file spills (``<digest>_<budget>.ckpt``, a bare pickle) of
+#: versions before segments: still read, never written.
+_LEGACY_SUFFIX = ".ckpt"
 
 
 def _normalise_budget(budget_fraction: float) -> float:
@@ -161,23 +171,23 @@ class CheckpointStore:
         still deterministic, but a smaller reuse win; size the store to
         the rung width to avoid this).
     spill_dir:
-        Optional directory receiving a write-through pickle of every
-        stored entry.  Existing spill files are indexed at construction,
-        so a fresh store over an old directory resumes with every
-        previously persisted checkpoint available — the property journal
-        resume relies on.
+        Optional directory receiving a write-through segment file per
+        commit.  Existing segments (and per-entry files left by older
+        versions) are indexed at construction, so a fresh store over an
+        old directory resumes with every previously persisted checkpoint
+        available — the property journal resume relies on.
 
     Notes
     -----
     The store is thread-safe (all operations hold an internal
-    :class:`threading.RLock`), and spill files are written atomically —
-    pickled to a temporary file in the same directory, then
-    :func:`os.replace`'d into place — so two engines concurrently storing
-    the same ``(digest, budget)`` key can never leave a torn checkpoint on
-    disk: readers see either the old complete file or the new complete
-    file, and the last writer wins.  Both properties are load-bearing for
-    the multi-tenant service daemon (:mod:`repro.serve`), which shares one
-    store across concurrently-running jobs.
+    :class:`threading.RLock`), and segments are published atomically —
+    temp file in the same directory, data fsync'd, :func:`os.replace`'d
+    to a name no other commit ever uses, directory fsync'd — so neither
+    a crash nor a concurrent writer can expose a torn segment, and the
+    later of two commits storing the same key wins.  Staged entries live
+    in the caller's batch, not in the store.  All of it is load-bearing
+    for the multi-tenant service daemon (:mod:`repro.serve`), which
+    shares one store across concurrently-running jobs.
     """
 
     def __init__(
@@ -191,8 +201,12 @@ class CheckpointStore:
         self.spill_dir = Path(spill_dir) if spill_dir is not None else None
         self._lock = threading.RLock()
         self._entries: "OrderedDict[Tuple, List[Optional[FoldCheckpoint]]]" = OrderedDict()
-        #: ``config digest -> {budget: spill path}`` for everything on disk.
-        self._spill_index: Dict[str, Dict[float, Path]] = {}
+        #: ``config digest -> {budget: (file, offset of the entry's pickle)}``
+        #: for everything on disk.
+        self._spill_index: Dict[str, Dict[float, Tuple[Path, int]]] = {}
+        #: Sequence number of the newest segment seen or written; segment
+        #: names lead with it so a name sort is a commit-order sort.
+        self._last_segment = 0
         #: ``config digest -> sorted budgets`` across memory and spill.
         self._budgets: Dict[str, List[float]] = {}
         self.stores = 0
@@ -216,17 +230,27 @@ class CheckpointStore:
     # -- internals ------------------------------------------------------------
 
     def _scan_spill(self) -> None:
-        for path in sorted(self.spill_dir.glob(f"*{_SPILL_SUFFIX}")):
-            parts = path.stem.rsplit("_", 1)
-            if len(parts) != 2:
-                continue
-            digest, raw_budget = parts
+        """Index legacy files, then segments in commit order: newest wins."""
+        for path in sorted(self.spill_dir.glob(f"*{_LEGACY_SUFFIX}")):
+            digest, _, raw_budget = path.stem.rpartition("_")
             try:
-                budget = float(raw_budget)
+                self._index(digest, float(raw_budget), path, 0)
             except ValueError:
                 continue
-            self._spill_index.setdefault(digest, {})[budget] = path
-            self._register_budget(digest, budget)
+        for path in sorted(self.spill_dir.glob(f"*{_SEGMENT_SUFFIX}")):
+            try:
+                with path.open("rb") as handle:
+                    directory = pickle.load(handle)
+                    base = handle.tell()
+                self._last_segment = max(self._last_segment, int(path.name.split("-")[0]))
+            except (OSError, pickle.UnpicklingError, EOFError, ValueError):
+                continue
+            for (digest, budget), offset in directory:
+                self._index(digest, budget, path, base + offset)
+
+    def _index(self, digest: str, budget: float, path: Path, offset: int) -> None:
+        self._spill_index.setdefault(digest, {})[budget] = (path, offset)
+        self._register_budget(digest, budget)
 
     def _register_budget(self, digest: str, budget: float) -> None:
         budgets = self._budgets.setdefault(digest, [])
@@ -234,27 +258,31 @@ class CheckpointStore:
             budgets.append(budget)
             budgets.sort()
 
-    def _spill_path(self, digest: str, budget: float) -> Path:
-        return self.spill_dir / f"{digest}_{budget:.12f}{_SPILL_SUFFIX}"
+    def _write_segment(self, batch: list) -> None:
+        """Publish one segment holding ``batch`` and index its entries.
 
-    def _spill_write(self, path: Path, fold_states: List[Optional[FoldCheckpoint]]) -> None:
-        """Atomically persist one entry: pickle to a temp file, then rename.
-
-        ``os.replace`` is atomic on POSIX within one filesystem, so a
-        concurrent writer of the same key — or a crash mid-write — can
-        never expose a torn pickle at the final path.  The parent
-        directory is fsync'd after the rename so the publish also
-        survives power-loss reordering.
+        Temp file, data fsync, rename, directory fsync: the name is
+        durable only after its contents are, and never exposes a torn file.
         """
-        fault_point("checkpoint.spill.pre_write", path=str(path))
+        keys = [key for key, _ in batch]
+        blobs = [pickle.dumps(states, protocol=pickle.HIGHEST_PROTOCOL) for _, states in batch]
+        offsets = list(itertools.accumulate(map(len, blobs), initial=0))
+        directory = pickle.dumps(list(zip(keys, offsets)), protocol=pickle.HIGHEST_PROTOCOL)
+        fault_point("checkpoint.segment.pre_write", path=str(self.spill_dir))
+        # mkstemp's random infix keeps names unique across stores sharing
+        # the directory (another process, a resumed run).
         fd, tmp_name = tempfile.mkstemp(
-            dir=str(self.spill_dir), prefix=path.stem + ".", suffix=".tmp"
+            dir=str(self.spill_dir), prefix=f"{self._last_segment + 1:08d}-", suffix=".tmp"
         )
+        path = Path(tmp_name[: -len(".tmp")] + _SEGMENT_SUFFIX)
         try:
             with os.fdopen(fd, "wb") as handle:
-                pickle.dump(fold_states, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                handle.write(directory)
+                handle.writelines(blobs)
                 handle.flush()
-                fault_point("checkpoint.spill.pre_replace", handle=handle)
+                fault_point("checkpoint.segment.pre_fsync", handle=handle)
+                os.fsync(handle.fileno())
+                fault_point("checkpoint.segment.pre_replace", handle=handle)
             os.replace(tmp_name, str(path))
         except BaseException:
             try:
@@ -262,9 +290,12 @@ class CheckpointStore:
             except OSError:
                 pass
             raise
-        fault_point("checkpoint.spill.post_replace", path=str(path))
+        fault_point("checkpoint.segment.post_replace", path=str(path))
         fsync_dir(self.spill_dir)
-        fault_point("checkpoint.spill.post_dirsync", path=str(path))
+        fault_point("checkpoint.segment.post_dirsync", path=str(path))
+        self._last_segment += 1
+        for (digest, budget), offset in zip(keys, offsets):
+            self._index(digest, budget, path, len(directory) + offset)
 
     # -- protocol --------------------------------------------------------------
 
@@ -273,41 +304,57 @@ class CheckpointStore:
         config_key: Tuple,
         budget_fraction: float,
         fold_states: List[Optional[FoldCheckpoint]],
+        batch: Optional[list] = None,
     ) -> None:
-        """Store one evaluation's per-fold states (write-through to spill)."""
+        """Store one evaluation's per-fold states (write-through to spill).
+
+        With ``batch`` (a list the caller owns; the engine always passes
+        one) the entry is only staged there, invisible to every reader
+        until :meth:`commit` publishes the whole batch as one segment.
+        """
         if not fold_states or all(state is None for state in fold_states):
             return
         fault_point("checkpoint.put.pre")
-        budget = _normalise_budget(budget_fraction)
-        digest = _config_digest(config_key)
-        key = (digest, budget)
+        entry = ((_config_digest(config_key), _normalise_budget(budget_fraction)), fold_states)
+        if batch is None:
+            self.commit([entry])
+        else:
+            batch.append(entry)
+
+    def commit(self, batch: list) -> bool:
+        """Publish staged entries: one spill segment, then the memory map.
+
+        Returns whether a segment was written.  A failed write (disk
+        full, permissions) degrades the batch to memory-only rather than
+        failing its trials: nothing is indexed, so readers never see a
+        phantom path, and durability resumes with the next commit.
+        """
+        if not batch:
+            return False
         with self._lock:
-            self._entries[key] = fold_states
-            self._entries.move_to_end(key)
-            self._register_budget(digest, budget)
-            self.stores += 1
-            if self.spill_dir is not None:
-                path = self._spill_path(digest, budget)
+            spilled = self.spill_dir is not None
+            if spilled:
                 try:
-                    self._spill_write(path, fold_states)
+                    self._write_segment(batch)
                 except OSError:
-                    # Disk full (ENOSPC) or similar: degrade to memory-only
-                    # for this entry rather than failing the trial.  The
-                    # spill index is left untouched so readers never see a
-                    # phantom path; durability resumes on the next put once
-                    # the disk recovers.
                     self.spill_errors += 1
-                else:
-                    self._spill_index.setdefault(digest, {})[budget] = path
-            if len(self._entries) > self.max_entries:
-                evicted_key, _ = self._entries.popitem(last=False)
-                if self.spill_dir is None:
-                    # Without a spill the budget is genuinely gone; keep the
-                    # budget index honest so best_source never dangles.
-                    evicted_digest, evicted_budget = evicted_key
-                    budgets = self._budgets.get(evicted_digest, [])
-                    if evicted_budget in budgets:
-                        budgets.remove(evicted_budget)
+                    spilled = False
+            for key, fold_states in batch:
+                self._remember(key, fold_states)
+                self._register_budget(*key)
+                self.stores += 1
+            return spilled
+
+    def _remember(self, key: Tuple, fold_states) -> None:
+        """Insert into the memory map as most recent, evicting the oldest."""
+        self._entries[key] = fold_states
+        self._entries.move_to_end(key)
+        if len(self._entries) > self.max_entries:
+            (digest, budget), _ = self._entries.popitem(last=False)
+            if self.spill_dir is None and budget in self._budgets.get(digest, []):
+                # Without a spill the budget is genuinely gone; keep the
+                # budget index honest so best_source never dangles.
+                self._budgets[digest].remove(budget)
 
     def get(
         self, config_key: Tuple, budget_fraction: float
@@ -321,20 +368,19 @@ class CheckpointStore:
             if states is not None:
                 self._entries.move_to_end(key)
                 return states
-            path = self._spill_index.get(digest, {}).get(budget)
-            if path is None:
+            located = self._spill_index.get(digest, {}).get(budget)
+            if located is None:
                 return None
+            path, offset = located
             fault_point("checkpoint.load.pre", path=str(path))
             try:
                 with path.open("rb") as handle:
+                    handle.seek(offset)
                     states = pickle.load(handle)
             except (OSError, pickle.UnpicklingError, EOFError):
                 return None
             self.spill_loads += 1
-            self._entries[key] = states
-            self._entries.move_to_end(key)
-            if len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
+            self._remember(key, states)
             return states
 
     def best_source(
@@ -356,7 +402,7 @@ class CheckpointStore:
             return None
 
     def clear(self) -> None:
-        """Drop the in-memory entries (spill files are left untouched)."""
+        """Drop the in-memory entries (spill segments are left untouched)."""
         with self._lock:
             self._entries.clear()
             if self.spill_dir is None:

@@ -19,9 +19,10 @@
    ``mu + alpha*beta*sigma`` ranking and instead flows through the same
    retry-then-degrade path;
 5. optionally write-ahead-logs every executed outcome to a
-   :class:`~repro.engine.journal.RunJournal` and, on the next ``bind``,
-   replays the journal so an interrupted run resumes from its last
-   durable trial and reproduces the uninterrupted result bit for bit.
+   :class:`~repro.engine.journal.RunJournal` (one durable commit per
+   rung of ``run_batch``) and, on the next ``bind``, replays the journal
+   so an interrupted run resumes from its last durable rung and
+   reproduces the uninterrupted result bit for bit.
 
 Two consumption styles are offered: :meth:`TrialEngine.run_batch` for
 synchronous rung-at-a-time searchers (SHA / HyperBand / BOHB), returning
@@ -91,7 +92,7 @@ FAILURE_SCORE = -1e30
 
 #: Version of the :meth:`EngineStats.as_dict` payload; bump when counters
 #: are added/renamed so BENCH_engine.json stays comparable across PRs.
-STATS_SCHEMA_VERSION = 5
+STATS_SCHEMA_VERSION = 6
 
 
 @dataclass
@@ -137,6 +138,11 @@ class EngineStats:
         Rung-level mega-batching activity: trials whose folds were fused
         across trial boundaries into shared lanes, and the fold count
         that ran fused.  0 under per-trial execution.
+    journal_commits, spill_segments:
+        Journal write+fsync groups and checkpoint spill segments
+        published.  ``run_batch`` commits once per rung, so ``executed /
+        journal_commits`` is the records-per-fsync a run is getting
+        (1.0 under plain ``submit``/``wait_one``).
     """
 
     submitted: int = 0
@@ -156,6 +162,8 @@ class EngineStats:
     plan_cache_misses: int = 0
     megabatch_trials: int = 0
     megabatch_folds: int = 0
+    journal_commits: int = 0
+    spill_segments: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -184,6 +192,8 @@ class EngineStats:
             "plan_cache_misses": self.plan_cache_misses,
             "megabatch_trials": self.megabatch_trials,
             "megabatch_folds": self.megabatch_folds,
+            "journal_commits": self.journal_commits,
+            "spill_segments": self.spill_segments,
             "hit_rate": self.hit_rate,
         }
 
@@ -341,6 +351,10 @@ class TrialEngine:
         self._in_flight: Dict[int, TrialRequest] = {}
         self._followers: Dict[Tuple, List[TrialRequest]] = {}
         self._primary_key: Dict[int, Tuple] = {}
+        #: ``(checkpoint entries, journal lines)`` staged by the rung
+        #: :meth:`run_batch` is collecting (``None`` outside it): pending
+        #: state is the engine's, never the possibly shared store's.
+        self._rung: Optional[Tuple[List, List[str]]] = None
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -700,17 +714,22 @@ class TrialEngine:
     ) -> None:
         """Journal then queue the terminal outcome, release followers, cache it.
 
-        The journal append happens *before* the outcome enters the ready
-        queue — the write-ahead ordering that guarantees any result a
-        searcher has observed is recoverable after a crash.  The
-        telemetry payload (already detached from the result, so neither
-        the cache nor the journal ever sees it) is recorded here, once
-        per executed trial; followers get their own cache-hit spans.
+        The checkpoint and journal record are staged and committed
+        *before* the outcome can reach the searcher — right here, or with
+        the rest of the rung :meth:`run_batch` is collecting — the
+        write-ahead ordering that guarantees any result a searcher has
+        observed is recoverable after a crash.  The telemetry payload
+        (already detached from the result, so neither the cache nor the
+        journal ever sees it) is recorded here, once per executed trial;
+        followers get their own cache-hit spans.
         """
         attempts = request.attempt + 1
+        staged = self._rung or ([], [])
         fold_states = detach_checkpoints(result)
         if fold_states is not None and self.checkpoints is not None and not failed:
-            self.checkpoints.put(request.resolved_key(), request.budget_fraction, fold_states)
+            self.checkpoints.put(
+                request.resolved_key(), request.budget_fraction, fold_states, batch=staged[0]
+            )
             self.stats.checkpoints_stored += 1
             self._inc("engine.checkpoints_stored")
         guard_count = len(getattr(result, "guard_events", []) or [])
@@ -722,7 +741,9 @@ class TrialEngine:
         )
         if self.journal is not None and self._journal_open:
             fault_point("engine.settle.pre_journal")
-            outcome.journal_seq = self.journal.append(outcome)
+            outcome.journal_seq = self.journal.append(outcome, batch=staged[1])
+        if self._rung is None:
+            self._commit(staged)
         fault_point("engine.settle.pre_commit")
         self._ready.append(outcome)
         self._emit_trial(outcome, payload=payload)
@@ -739,6 +760,19 @@ class TrialEngine:
         if not failed and self.cache is not None:
             fault_point("engine.cache.pre_insert")
             self.cache.put(*cache_key[:3], result, *cache_key[3:])
+
+    def _commit(self, staged: Tuple[List, List[str]]) -> None:
+        """Make staged work durable: the checkpoint segment, then the journal
+        — so a durable record implies its checkpoint is loadable (a crash in
+        between leaves a segment whose trials re-execute bitwise on resume)."""
+        checkpoints, lines = staged
+        if checkpoints and self.checkpoints.commit(checkpoints):
+            self.stats.spill_segments += 1
+            self._inc("engine.spill_segments")
+        if lines:
+            self.journal.commit(lines)
+            self.stats.journal_commits += 1
+            self._inc("engine.journal_commits")
 
     def _note_megabatch(self, request: TrialRequest, mega: Dict) -> None:
         """Account one rung-level mega-batch (serial flush or worker fusion).
@@ -782,37 +816,49 @@ class TrialEngine:
         (shape-matched fold lanes stacked across trials).  Fusion changes
         scheduling only: results, cache keys and journal records are
         bitwise-identical to per-trial execution.
+
+        The rung is also the unit of durable commit: outcomes settling in
+        here only stage, and one commit — a spill segment, then one
+        journal write + fsync — lands before they are returned (or before
+        an exception that cuts the rung short propagates, so whatever
+        stays claimable is durable too).  A crash loses at most this
+        rung, which re-executes bitwise on resume.
         """
-        submitted = [self.submit(request) for request in requests]
-        if submitted:
-            t0 = self.telemetry.clock() if self.telemetry is not None else 0.0
-            mega = self.executor.flush_batch()
-            if mega is not None and getattr(mega, "trials", 0):
-                attrs = mega.as_dict()
-                head = submitted[0]
-                self._note_megabatch(head, attrs)
-                if self.telemetry is not None:
-                    # rung > megabatch: one span for the fused fit, nested
-                    # under the searcher's open rung span.
-                    self.telemetry.tracer.emit(
-                        "megabatch",
-                        "megabatch",
-                        t0,
-                        self.telemetry.clock() - t0,
-                        attrs={
-                            **attrs,
-                            "bracket": head.bracket,
-                            "rung": head.iteration,
-                        },
-                    )
-        outcomes: Dict[int, TrialOutcome] = {}
-        wanted = {request.trial_id for request in submitted}
-        spillover: List[TrialOutcome] = []
-        while len(outcomes) < len(submitted):
-            outcome = self.wait_one()
-            if outcome.request.trial_id in wanted:
-                outcomes[outcome.request.trial_id] = outcome
-            else:  # outcome of an earlier async submission; keep it claimable
-                spillover.append(outcome)
-        self._ready.extendleft(reversed(spillover))
+        self._rung = staged = ([], [])
+        try:
+            submitted = [self.submit(request) for request in requests]
+            if submitted:
+                t0 = self.telemetry.clock() if self.telemetry is not None else 0.0
+                mega = self.executor.flush_batch()
+                if mega is not None and getattr(mega, "trials", 0):
+                    attrs = mega.as_dict()
+                    head = submitted[0]
+                    self._note_megabatch(head, attrs)
+                    if self.telemetry is not None:
+                        # rung > megabatch: one span for the fused fit, nested
+                        # under the searcher's open rung span.
+                        self.telemetry.tracer.emit(
+                            "megabatch",
+                            "megabatch",
+                            t0,
+                            self.telemetry.clock() - t0,
+                            attrs={
+                                **attrs,
+                                "bracket": head.bracket,
+                                "rung": head.iteration,
+                            },
+                        )
+            outcomes: Dict[int, TrialOutcome] = {}
+            wanted = {request.trial_id for request in submitted}
+            spillover: List[TrialOutcome] = []
+            while len(outcomes) < len(submitted):
+                outcome = self.wait_one()
+                if outcome.request.trial_id in wanted:
+                    outcomes[outcome.request.trial_id] = outcome
+                else:  # outcome of an earlier async submission; keep it claimable
+                    spillover.append(outcome)
+            self._ready.extendleft(reversed(spillover))
+        finally:
+            self._rung = None
+            self._commit(staged)
         return [outcomes[request.trial_id] for request in submitted]

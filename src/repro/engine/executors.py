@@ -207,10 +207,11 @@ def _fused_evaluate(evaluator, tasks):
 
 
 def _watchdog_worker_main(evaluator, conn, worker_id: int, heartbeat_interval: float) -> None:
-    """Worker process loop: recv task, evaluate, send result, heartbeat.
+    """Worker process loop: recv a batch, evaluate it, send one reply, heartbeat.
 
-    The duplex pipe carries tasks parent→worker and ``("hb",)`` /
-    ``("done", token, payload)`` messages worker→parent.  When
+    The duplex pipe carries batches — lists of task tuples — parent→worker
+    and ``("hb",)`` / ``("done", [(token, payload), ...])`` messages
+    worker→parent: one reply per batch, in task order.  When
     ``heartbeat_interval`` is positive a background thread emits
     heartbeats even while an evaluation is running, so the parent can tell
     a long evaluation (heartbeats flowing) from a process wedged in
@@ -233,6 +234,14 @@ def _watchdog_worker_main(evaluator, conn, worker_id: int, heartbeat_interval: f
             except (BrokenPipeError, OSError):
                 return
 
+    def _die_with_parent() -> None:
+        # A parent killed outright (SIGKILL, os._exit) never EOFs the pipe —
+        # siblings inherited its far end at fork — so watch the parent itself
+        # rather than block in recv (or a large send) forever.
+        mp_connection.wait([multiprocessing.parent_process().sentinel])
+        os._exit(1)
+
+    threading.Thread(target=_die_with_parent, daemon=True).start()
     if heartbeat_interval > 0:
         beater = threading.Thread(target=_beat, daemon=True)
         beater.start()
@@ -240,29 +249,26 @@ def _watchdog_worker_main(evaluator, conn, worker_id: int, heartbeat_interval: f
         shutting_down = False
         while not shutting_down:
             try:
-                task = conn.recv()
+                tasks = conn.recv()
             except (EOFError, OSError):
                 break
-            if task is None:
+            if tasks is None:
                 break
             fault_point("executor.worker.post_recv")
-            # Pipelined pools land a rung's tasks on the pipe back to back;
-            # drain whatever already arrived so shape-matched trials fuse
-            # into rung-level mega-batch lanes.  Supervised pools dispatch
-            # one task per worker at a time, so the drain finds nothing and
-            # behaviour is unchanged.
-            tasks = [task]
+            # A dealt rung is one batch, so this drain finds nothing; elastic
+            # pools send one task per message back to back — pick up whatever
+            # already arrived so their shape-matched trials fuse as well.
+            tasks = list(tasks)
             try:
                 while conn.poll():
                     extra = conn.recv()
                     if extra is None:
                         shutting_down = True
                         break
-                    tasks.append(extra)
+                    tasks.extend(extra)
             except (EOFError, OSError):
                 shutting_down = True
             fused = _fused_evaluate(evaluator, tasks) if len(tasks) > 1 else None
-            payloads = None
             if fused is not None:
                 payloads, mega = fused
                 sidecar = payloads[0][2].__dict__.get(PAYLOAD_ATTR)
@@ -271,22 +277,21 @@ def _watchdog_worker_main(evaluator, conn, worker_id: int, heartbeat_interval: f
                     # trial's sidecar; the engine pops it before the
                     # result is cached or journaled.
                     sidecar["megabatch"] = mega.as_dict()
-            for position, task in enumerate(tasks):
-                token, trial_id, config, budget_fraction, seed, telemetry, warm, capture = task
-                if payloads is not None:
-                    payload = payloads[position]
-                else:
-                    payload = _safe_evaluate(
+            else:
+                payloads = [
+                    _safe_evaluate(
                         evaluator, trial_id, config, budget_fraction, seed,
                         telemetry, warm, capture,
                     )
-                try:
-                    fault_point("executor.worker.pre_send")
-                    with send_lock:
-                        conn.send(("done", token, payload))
-                except (BrokenPipeError, OSError):
-                    shutting_down = True
-                    break
+                    for _token, trial_id, config, budget_fraction, seed, telemetry, warm, capture
+                    in tasks
+                ]
+            try:
+                fault_point("executor.worker.pre_send")
+                with send_lock:
+                    conn.send(("done", [(task[0], out) for task, out in zip(tasks, payloads)]))
+            except (BrokenPipeError, OSError):
+                break
     finally:
         stop.set()
 
@@ -454,10 +459,10 @@ class _WorkerHandle:
         self.conn = conn
         #: ``(token, trial_id, task)`` of dispatched-but-unfinished trials,
         #: in dispatch order.  Watchdog-supervised pools keep at most one
-        #: entry; pipelined pools queue several so the worker never idles
-        #: waiting for a parent round-trip between trials.  The full task
-        #: tuple is kept so a straggling trial can be resubmitted verbatim
-        #: to another worker.
+        #: entry; pipelined pools queue a rung's whole share so the worker
+        #: never idles waiting for a parent round-trip between trials.  The
+        #: full task tuple is kept so a straggling trial can be resubmitted
+        #: verbatim to another worker.
         self.tasks: Deque[Tuple[int, int, Tuple]] = deque()
         self.deadline: Optional[float] = None
         self.last_heartbeat = time.monotonic()
@@ -556,12 +561,14 @@ class ParallelExecutor(TrialExecutor):
 
     When **no watchdog is configured** (``trial_timeout`` and
     ``heartbeat_timeout`` both ``None``, ``speculate`` off) the pool runs
-    *pipelined*: tasks are queued onto the least-loaded worker immediately
-    instead of waiting for an idle one, workers skip the heartbeat thread
-    entirely, and ``wait_one`` blocks on the pipes instead of polling.
-    This removes the per-trial parent round-trip and the heartbeat chatter
-    that used to make small-trial workloads *slower* at two workers than
-    one; with a watchdog (or speculation) the stricter
+    *pipelined*: workers skip the heartbeat thread entirely and
+    ``wait_one`` blocks on the pipes instead of polling.  A fixed-size
+    pipelined pool also moves a **rung as one message per worker**:
+    submissions are held until :meth:`flush_batch` (or the next
+    :meth:`wait_one`) deals them out, each worker runs its share as one
+    fused mega-batch and answers with one message.  Elastic pools
+    dispatch at submit time (that is what triggers their growth), and
+    with a watchdog (or speculation) the stricter
     dispatch-one-collect-one cycle is kept so per-trial deadlines stay
     meaningful.
     """
@@ -632,6 +639,8 @@ class ParallelExecutor(TrialExecutor):
         #: workers can be kept fed with queued tasks and pipes waited on
         #: without polling.
         self._pipelined = trial_timeout is None and heartbeat_timeout is None and not speculate
+        #: Fixed pipelined pools hold submissions until the next flush/wait.
+        self._hold = self._pipelined and not self._elastic
         if start_method is None and "fork" in multiprocessing.get_all_start_methods():
             start_method = "fork"
         self._context = multiprocessing.get_context(start_method)
@@ -838,14 +847,14 @@ class ParallelExecutor(TrialExecutor):
     # -- submission ------------------------------------------------------------
 
     def submit(self, request) -> None:
-        """Dispatch to a worker, or queue until one frees up.
+        """Hold for the next deal, dispatch to a worker, or queue until one frees up.
 
-        Pipelined pools (no watchdog) queue onto the least-loaded live
-        worker immediately — a rung's whole batch lands on the worker
-        pipes up front, so workers run trial after trial back-to-back.
-        Watchdog-supervised pools dispatch one task per worker at a time
-        to keep per-trial deadlines meaningful.  Elastic pools grow by
-        one worker when a submission finds every worker busy.
+        Fixed pipelined pools (no watchdog) only hold the task: the
+        rung's whole batch is dealt out by :meth:`flush_batch`, or by the
+        next :meth:`wait_one`.  Watchdog-supervised pools dispatch one
+        task per worker at a time to keep per-trial deadlines meaningful.
+        Elastic pools dispatch at once and grow by one worker when a
+        submission finds every worker busy.
         """
         self._ensure_workers()
         token = self._next_token
@@ -860,6 +869,9 @@ class ParallelExecutor(TrialExecutor):
             getattr(request, "warm_states", None),
             getattr(request, "capture", False),
         )
+        if self._hold:
+            self._backlog.append(task)
+            return
         handle = self._free_worker()
         if handle is None and self._elastic:
             active = self._active()
@@ -867,15 +879,37 @@ class ParallelExecutor(TrialExecutor):
                 self.resize(active + 1)
                 handle = self._free_worker()
         if handle is not None:
-            self._dispatch(handle, task)
+            self._dispatch(handle, [task])
             return
         self._backlog.append(task)
+
+    def flush_batch(self):
+        """Deal the held tasks out as one balanced message per live worker.
+
+        Each task goes to the least-loaded worker (lowest id on ties): N
+        tasks over W idle workers split ceil(N/W)/floor(N/W), a lone async
+        submission lands on an idle one; with no live worker they stay held
+        until the pump respawns one.  Returns ``None``: workers fuse, and
+        their summaries ride home on telemetry sidecars.
+        """
+        if not self._hold or not self._backlog:
+            return None
+        workers = [h for h in self._workers.values() if not h.retiring and h.process.is_alive()]
+        shares: Dict[int, list] = {h.worker_id: [] for h in workers}
+        while self._backlog and workers:
+            handle = min(workers, key=lambda h: len(h.tasks) + len(shares[h.worker_id]))
+            shares[handle.worker_id].append(self._backlog.popleft())
+        for handle in workers:
+            if shares[handle.worker_id]:
+                self._dispatch(handle, shares[handle.worker_id])
+        return None
 
     def _free_worker(self) -> Optional[_WorkerHandle]:
         """The worker the next task should land on, or ``None`` if all busy.
 
-        Pipelined pools treat any live non-retiring worker as free (tasks
-        queue); supervised pools require a genuinely idle worker.
+        Pipelined (elastic) pools treat any live non-retiring worker as
+        free (tasks queue); supervised pools require a genuinely idle
+        worker.
         """
         candidates = [
             h
@@ -895,28 +929,26 @@ class ParallelExecutor(TrialExecutor):
             return best
         return candidates[0]
 
-    def _dispatch(self, handle: _WorkerHandle, task: Tuple) -> None:
+    def _dispatch(self, handle: _WorkerHandle, tasks: list) -> None:
+        """Send ``tasks`` to one worker as a single message."""
         now = time.monotonic()
-        handle.tasks.append((task[0], task[1], task))
-        if len(handle.tasks) == 1:
+        if handle.idle:
             handle.started = now
             if self.trial_timeout:
                 handle.deadline = now + self.trial_timeout
+        handle.tasks.extend((task[0], task[1], task) for task in tasks)
         handle.last_heartbeat = now
         try:
             fault_point("executor.pool.pre_send")
-            handle.conn.send(task)
+            handle.conn.send(tasks)
         except (BrokenPipeError, OSError):
             self._retire(handle, f"{WORKER_DIED_PREFIX}: worker pipe closed before dispatch")
 
     def _feed_backlog(self, handle: _WorkerHandle) -> None:
-        if handle.retiring:
-            return
-        if self._pipelined:
-            while self._backlog:
-                self._dispatch(handle, self._backlog.popleft())
-        elif self._backlog:
-            self._dispatch(handle, self._backlog.popleft())
+        if handle.retiring or self._hold or not self._backlog:
+            return  # held tasks wait for the next deal
+        count = len(self._backlog) if self._pipelined else 1
+        self._dispatch(handle, [self._backlog.popleft() for _ in range(count)])
 
     def _feed_idle(self) -> None:
         """Feed backlog tasks to every idle worker (post-join rebalance)."""
@@ -947,6 +979,7 @@ class ParallelExecutor(TrialExecutor):
                 return self._completed.popleft()
             if not self.pending():
                 raise RuntimeError("wait_one called with no pending trials")
+            self.flush_batch()  # async callers never flush themselves
             # Without a watchdog there is nothing to periodically check:
             # block on the pipes (a dead worker's EOF wakes the wait too).
             self._pump(None if self._pipelined else self.poll_interval)
@@ -988,8 +1021,11 @@ class ParallelExecutor(TrialExecutor):
             if kind == "hb":
                 handle.last_heartbeat = time.monotonic()
             elif kind == "done":
-                _, token, payload = message
-                if handle.tasks and handle.tasks[0][0] == token:
+                for token, payload in message[1]:
+                    if not (handle.tasks and handle.tasks[0][0] == token):
+                        # A completion the watchdog already resolved as a
+                        # failure; drop it — the retry owns the trial.
+                        continue
                     now = time.monotonic()
                     _, trial_id, _task = handle.tasks.popleft()
                     if handle.started is not None and not self._pipelined:
@@ -1018,8 +1054,6 @@ class ParallelExecutor(TrialExecutor):
                         self.resize(self.min_workers or 1)
                         if handle.worker_id not in self._workers:
                             return
-                # A mismatched token is a completion the watchdog already
-                # resolved as a failure; drop it — the retry owns the trial.
 
     def _settle_completion(self, trial_id: int, token: int, payload: Tuple) -> None:
         """Record one finished copy; resolve its speculation group if any.
@@ -1126,7 +1160,7 @@ class ParallelExecutor(TrialExecutor):
             spec_task = (spec_token,) + task[1:]
             self._spec_groups[trial_id] = {token: 0, spec_token: 1}
             self.speculations += 1
-            self._dispatch(idle, spec_task)
+            self._dispatch(idle, [spec_task])
 
     def _retire(self, handle: _WorkerHandle, error: str) -> None:
         """One worker leaves involuntarily; its trials fail; the pool rejoins.

@@ -9,10 +9,12 @@ with the classic write-ahead-log recipe:
   (root seed, optional metadata such as the searcher name and a
   :func:`space_fingerprint` of the search space);
 - every *executed* terminal :class:`~repro.engine.protocol.TrialOutcome`
-  — successes and degraded failures alike — is appended as one JSON line
-  and ``fsync``'d **before** it becomes visible to the searcher, so a
-  crash at any instant leaves a valid prefix on disk (possibly plus one
-  torn final line, which :meth:`RunJournal.read` tolerates and drops).
+  — successes and degraded failures alike — becomes one JSON line, and
+  lines reach the disk in **commits** (a whole rung from ``run_batch``,
+  one record otherwise): one ``write`` and one ``fsync``, finished
+  **before** any of the commit's outcomes becomes visible to the
+  searcher, so a crash at any instant leaves a valid prefix on disk
+  (possibly plus one torn line, which :meth:`RunJournal.read` drops).
 
 Because the engine derives every trial's seed purely from
 ``(root_seed, config, budget, attempt)`` — see
@@ -192,7 +194,7 @@ class RunJournal:
     path:
         Journal file location; created (with parents) on first open.
     fsync:
-        Force each record to stable storage before it is considered
+        Force each commit to stable storage before it is considered
         durable (default).  ``False`` trades crash safety for speed —
         useful for benchmarking the journaling overhead itself.
 
@@ -298,9 +300,18 @@ class RunJournal:
                 "metadata": dict(metadata or {}),
             }
             self._handle = self.path.open("w")
-            self._write_line(self.header, site="journal.header")
+            self._write(json.dumps(self.header, separators=(",", ":")) + "\n", "journal.header")
             return []
         self._handle = self.path.open("a")
+        # Cut a torn tail off (and end a last record that lost its newline):
+        # a record appended straight after it would be glued onto it —
+        # unreadable itself, and hiding every later record from the next replay.
+        raw = self.path.read_bytes()
+        good = b"\n".join(raw.split(b"\n")[: 1 + len(entries)])
+        if raw != good + b"\n":
+            self._handle.truncate(len(good))
+            self._handle.write("\n")
+            self._handle.flush()
         return entries
 
     def check_identity(
@@ -328,23 +339,35 @@ class RunJournal:
                     f"recorded {stored[key]!r}, run has {value!r}"
                 )
 
-    def append(self, outcome: TrialOutcome) -> int:
-        """Durably log one executed terminal outcome (success or degraded).
+    def append(self, outcome: TrialOutcome, batch: Optional[List[str]] = None) -> int:
+        """Log one executed terminal outcome (success or degraded).
 
-        Called by the engine *before* the outcome is released to the
-        searcher — the write-ahead ordering that makes every observed
-        result recoverable.  Returns the record's 1-based sequence
-        number, which the telemetry layer stamps onto trial spans.
+        Without ``batch`` the record is durable on return.  With one (a
+        list the caller owns; the engine always passes one) its line is
+        only staged, and the caller must :meth:`commit` the batch *before*
+        releasing any staged outcome to the searcher — the write-ahead
+        ordering that makes every observed result recoverable.  Returns
+        the record's 1-based sequence number, which the telemetry layer
+        stamps onto trial spans.
         """
         if self._handle is None:
             raise JournalError("journal not open; call open() before append()")
-        self._write_line(_entry_to_dict(outcome), site="journal.append")
+        line = json.dumps(_entry_to_dict(outcome), separators=(",", ":")) + "\n"
         self.last_seq += 1
+        if batch is None:
+            self.commit([line])
+        else:
+            batch.append(line)
         return self.last_seq
 
-    def _write_line(self, record: Dict[str, Any], site: str = "journal.append") -> None:
+    def commit(self, lines: List[str]) -> None:
+        """Make staged record lines durable: one write, one fsync."""
+        if lines:
+            self._write("".join(lines), "journal.commit")
+
+    def _write(self, text: str, site: str) -> None:
         fault_point(site + ".pre_write", handle=self._handle)
-        self._handle.write(json.dumps(record, separators=(",", ":")) + "\n")
+        self._handle.write(text)
         self._handle.flush()
         if self.fsync:
             fault_point(site + ".pre_fsync", handle=self._handle)

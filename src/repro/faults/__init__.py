@@ -4,7 +4,7 @@ Rate-based chaos (:mod:`repro.engine.chaos`) samples the failure space;
 this package enumerates it.  Three layers:
 
 - :mod:`repro.faults.points` — the **fault-point API**: named,
-  hierarchical instrumentation sites (``fault_point("journal.append.pre_fsync")``)
+  hierarchical instrumentation sites (``fault_point("journal.commit.pre_fsync")``)
   threaded through every crash-critical path of the engine and the serve
   daemon.  Zero-cost when disarmed; when armed, each site counts its hits
   per run and consults the active schedule.

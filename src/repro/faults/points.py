@@ -5,7 +5,7 @@ want to be able to *enumerate* rather than sample::
 
     from ..faults.points import fault_point
     ...
-    fault_point("journal.append.pre_fsync", handle=self._handle)
+    fault_point("journal.commit.pre_fsync", handle=self._handle)
     os.fsync(self._handle.fileno())
 
 Disarmed (the default, and the only state production code ever sees) the
@@ -17,7 +17,7 @@ and, when a :class:`~repro.faults.schedule.FaultSchedule` maps
 shear bytes off the file being written, or sleep.
 
 Site names are hierarchical dot-paths (``layer.operation.phase``), e.g.
-``checkpoint.spill.pre_replace`` or ``serve.dedup.pre_subscribe``; the
+``checkpoint.segment.pre_replace`` or ``serve.dedup.pre_subscribe``; the
 full catalog lives in ``docs/ROBUSTNESS.md``.  Two context keywords are
 understood by actions: ``handle`` (an open writable file object — the
 truncate action shears its tail) and ``path`` (a filesystem path used

@@ -167,7 +167,7 @@ class FaultSchedule:
         return self._by_key.get((site, hit))
 
     def describe(self) -> str:
-        """Compact human-readable form, e.g. ``journal.append.pre_fsync#3=crash``."""
+        """Compact human-readable form, e.g. ``journal.commit.pre_fsync#3=crash``."""
         if not self.triggers:
             return "<empty schedule>"
         return " + ".join(f"{t.site}#{t.hit}={t.action}" for t in self.triggers)

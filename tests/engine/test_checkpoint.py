@@ -164,9 +164,17 @@ class TestSpill:
         spill = tmp_path / "ck"
         store = CheckpointStore(spill_dir=spill)
         store.put(KEY_A, 0.25, states(0))
-        path = next(spill.glob("*.ckpt"))
+        path = next(spill.glob("*.seg"))
         path.write_bytes(b"not a pickle")
         fresh = CheckpointStore(spill_dir=spill)
+        assert fresh.get(KEY_A, 0.25) is None
+
+    def test_entry_corrupted_after_indexing_is_ignored(self, tmp_path):
+        spill = tmp_path / "ck"
+        CheckpointStore(spill_dir=spill).put(KEY_A, 0.25, states(0))
+        fresh = CheckpointStore(spill_dir=spill)  # directory read, entry not yet
+        path = next(spill.glob("*.seg"))
+        path.write_bytes(path.read_bytes()[:-20])
         assert fresh.get(KEY_A, 0.25) is None
 
     def test_foreign_files_in_spill_dir_are_skipped(self, tmp_path):
@@ -196,8 +204,94 @@ class TestClear:
         same_states(got, states(4))
 
 
+class TestSegments:
+    """One spill segment per commit; staged entries are the caller's, not the store's."""
+
+    def test_batch_commits_as_one_segment(self, tmp_path):
+        spill = tmp_path / "ck"
+        store = CheckpointStore(spill_dir=spill)
+        batch = []
+        for seed in range(5):
+            store.put(KEY_A, 0.1 * (seed + 1), states(seed), batch=batch)
+        # Staged only: no file, nothing in memory, no donor on offer.
+        assert list(spill.iterdir()) == [] and len(store) == 0
+        assert store.best_source(KEY_A, 0.9) is None
+        assert store.commit(batch) is True
+        assert len(list(spill.glob("*.seg"))) == 1 and store.stores == 5
+        fresh = CheckpointStore(spill_dir=spill)
+        for seed in range(5):
+            same_states(fresh.get(KEY_A, 0.1 * (seed + 1)), states(seed))
+        assert fresh.spill_loads == 5
+
+    def test_empty_commit_writes_nothing(self, tmp_path):
+        store = CheckpointStore(spill_dir=tmp_path / "ck")
+        assert store.commit([]) is False
+        assert list((tmp_path / "ck").iterdir()) == []
+
+    def test_memory_only_store_commits_without_a_segment(self):
+        store = CheckpointStore()
+        batch = []
+        store.put(KEY_A, 0.25, states(1), batch=batch)
+        assert store.get(KEY_A, 0.25) is None
+        assert store.commit(batch) is False
+        same_states(store.get(KEY_A, 0.25), states(1))
+
+    def test_segment_names_stay_unique_and_ordered_across_reopens(self, tmp_path):
+        spill = tmp_path / "ck"
+        for generation in range(3):  # each reopen models a resumed run
+            store = CheckpointStore(spill_dir=spill)
+            store.put(KEY_A, 0.25, states(generation))
+            store.put(KEY_B, 0.5, states(10 + generation))
+        names = sorted(path.name for path in spill.glob("*.seg"))
+        assert len(names) == 6
+        assert [int(name.split("-")[0]) for name in names] == [1, 2, 3, 4, 5, 6]
+        fresh = CheckpointStore(spill_dir=spill)
+        same_states(fresh.get(KEY_A, 0.25), states(2))  # newest segment wins
+        same_states(fresh.get(KEY_B, 0.5), states(12))
+
+    def test_two_stores_over_one_directory_never_collide(self, tmp_path):
+        spill = tmp_path / "ck"
+        first, second = CheckpointStore(spill_dir=spill), CheckpointStore(spill_dir=spill)
+        first.put(KEY_A, 0.25, states(1))
+        second.put(KEY_B, 0.25, states(2))  # same sequence number, distinct name
+        assert len(list(spill.glob("*.seg"))) == 2
+        fresh = CheckpointStore(spill_dir=spill)
+        same_states(fresh.get(KEY_A, 0.25), states(1))
+        same_states(fresh.get(KEY_B, 0.25), states(2))
+
+
+class TestLegacySpill:
+    """Per-entry ``.ckpt`` files of older versions are indexed, never ignored.
+
+    Skipping them would silently cold-start the trials of a resumed warm
+    run whose donors they hold, breaking the bitwise resume contract.
+    """
+
+    @staticmethod
+    def _legacy_file(spill, key, budget, fold_states):
+        from repro.engine.checkpoint import _config_digest
+
+        spill.mkdir(parents=True, exist_ok=True)
+        path = spill / f"{_config_digest(key)}_{budget:.12f}.ckpt"
+        path.write_bytes(pickle.dumps(fold_states, protocol=pickle.HIGHEST_PROTOCOL))
+
+    def test_legacy_entries_serve_as_donors(self, tmp_path):
+        spill = tmp_path / "ck"
+        self._legacy_file(spill, KEY_A, 0.25, states(3))
+        store = CheckpointStore(spill_dir=spill)
+        budget, got = store.best_source(KEY_A, 0.9)
+        assert budget == 0.25
+        same_states(got, states(3))
+
+    def test_segment_overrides_legacy_entry_of_the_same_key(self, tmp_path):
+        spill = tmp_path / "ck"
+        self._legacy_file(spill, KEY_A, 0.25, states(3))
+        CheckpointStore(spill_dir=spill).put(KEY_A, 0.25, states(4))
+        same_states(CheckpointStore(spill_dir=spill).get(KEY_A, 0.25), states(4))
+
+
 class TestAtomicSpill:
-    """Spill files are written temp-then-rename: never torn, never partial."""
+    """Segments are written temp-then-rename: never torn, never partial."""
 
     def test_no_tmp_files_left_after_puts(self, tmp_path):
         store = CheckpointStore(spill_dir=tmp_path / "ck")
@@ -205,12 +299,12 @@ class TestAtomicSpill:
             store.put(KEY_A, 0.1 * (seed + 1), states(seed))
         leftovers = list((tmp_path / "ck").glob("*.tmp"))
         assert leftovers == []
-        assert len(list((tmp_path / "ck").glob("*.ckpt"))) == 5
+        assert len(list((tmp_path / "ck").glob("*.seg"))) == 5
 
     def test_overwrite_is_atomic_replace(self, tmp_path):
         store = CheckpointStore(spill_dir=tmp_path / "ck")
         store.put(KEY_A, 0.25, states(1))
-        store.put(KEY_A, 0.25, states(2))  # same key+budget -> same file
+        store.put(KEY_A, 0.25, states(2))  # same key+budget -> the later segment wins
         fresh = CheckpointStore(spill_dir=tmp_path / "ck")
         _, got = fresh.best_source(KEY_A, 0.9)
         same_states(got, states(2))
@@ -218,15 +312,15 @@ class TestAtomicSpill:
     def test_interrupted_write_leaves_previous_spill_intact(self, tmp_path, monkeypatch):
         store = CheckpointStore(spill_dir=tmp_path / "ck")
         store.put(KEY_A, 0.25, states(7))
-        original_dump = pickle.dump
+        import os
 
-        def exploding_dump(obj, handle, **kwargs):
-            raise RuntimeError("disk full")
+        def exploding_fsync(fd):
+            raise RuntimeError("interrupted")
 
-        monkeypatch.setattr(pickle, "dump", exploding_dump)
+        monkeypatch.setattr(os, "fsync", exploding_fsync)
         with pytest.raises(RuntimeError):
             store.put(KEY_A, 0.25, states(8))
-        monkeypatch.setattr(pickle, "dump", original_dump)
+        monkeypatch.undo()
         assert list((tmp_path / "ck").glob("*.tmp")) == []
         fresh = CheckpointStore(spill_dir=tmp_path / "ck")
         _, got = fresh.best_source(KEY_A, 0.9)
@@ -268,10 +362,8 @@ class TestSpillFailure:
         store = CheckpointStore(spill_dir=tmp_path / "ck")
         monkeypatch.setattr(
             CheckpointStore,
-            "_spill_write",
-            lambda self, path, fold_states: (_ for _ in ()).throw(
-                OSError(28, "No space left on device")
-            ),
+            "_write_segment",
+            lambda self, batch: (_ for _ in ()).throw(OSError(28, "No space left on device")),
         )
         return store
 
@@ -293,15 +385,15 @@ class TestSpillFailure:
 
     def test_durability_resumes_after_recovery(self, tmp_path, monkeypatch):
         store = CheckpointStore(spill_dir=tmp_path / "ck")
-        original = CheckpointStore._spill_write
+        original = CheckpointStore._write_segment
         broken = {"on": True}
 
-        def flaky(self, path, fold_states):
+        def flaky(self, batch):
             if broken["on"]:
                 raise OSError(28, "No space left on device")
-            original(self, path, fold_states)
+            original(self, batch)
 
-        monkeypatch.setattr(CheckpointStore, "_spill_write", flaky)
+        monkeypatch.setattr(CheckpointStore, "_write_segment", flaky)
         store.put((("a", 1),), 0.25, states(1))
         assert store.spill_errors == 1
         broken["on"] = False

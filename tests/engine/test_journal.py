@@ -104,6 +104,36 @@ class TestTornTail:
             assert [e.config for e in replayed] == [{"q": 1}]
             assert journal.dropped_records == 1
             journal.append(_outcome({"q": 3}, trial_id=1))
+        # The torn fragment was cut off before appending: the new record is
+        # not glued onto it, so a second resume sees both records.
+        _, entries, dropped = RunJournal.read(path)
+        assert [e.config for e in entries] == [{"q": 1}, {"q": 3}] and dropped == 0
+
+    def test_last_record_without_its_newline_is_kept_and_terminated(self, tmp_path):
+        path = tmp_path / "run.wal"
+        with RunJournal(path) as journal:
+            journal.open(root_seed=0)
+            journal.append(_outcome({"q": 1}))
+        path.write_bytes(path.read_bytes()[:-1])  # crash between record and newline
+        with RunJournal(path) as journal:
+            assert [e.config for e in journal.open(root_seed=0)] == [{"q": 1}]
+            journal.append(_outcome({"q": 2}, trial_id=1))
+        _, entries, dropped = RunJournal.read(path)
+        assert [e.config for e in entries] == [{"q": 1}, {"q": 2}] and dropped == 0
+
+    def test_batch_is_staged_until_commit_then_one_write(self, tmp_path):
+        path = tmp_path / "run.wal"
+        with RunJournal(path) as journal:
+            journal.open(root_seed=0)
+            size = path.stat().st_size
+            batch = []
+            seqs = [journal.append(_outcome({"q": q}, trial_id=q), batch=batch) for q in range(3)]
+            assert seqs == [1, 2, 3] and path.stat().st_size == size  # staged only
+            journal.commit(batch)
+            assert journal.append(_outcome({"q": 9}, trial_id=3)) == 4  # immediate
+        _, entries, dropped = RunJournal.read(path)
+        assert [e.config["q"] for e in entries] == [0, 1, 2, 9] and dropped == 0
+        assert [e.seq for e in entries] == [1, 2, 3, 4]
 
 
 class TestRejection:

@@ -8,7 +8,9 @@ truncating the journal to a durable prefix (what any crash leaves behind)
 and, in the chaos tier, SIGKILL-ing a live process mid-search.
 """
 
+import itertools
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -17,19 +19,21 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.bandit import ASHA, HyperBand, SuccessiveHalving
 from repro.bandit.base import EvaluationResult
 from repro.engine import (
     FAILURE_SCORE,
+    CheckpointStore,
     JournalError,
     ParallelExecutor,
     RunJournal,
     SerialExecutor,
     TrialEngine,
 )
+from repro.engine.checkpoint import FoldCheckpoint, attach_checkpoints
 from repro.space import Categorical, SearchSpace
 
 
@@ -148,6 +152,117 @@ class TestKillAndResume:
         assert engine.stats.executed == 0  # even the failure was not re-run
         assert engine.stats.failures == 0
         assert _fingerprint(resumed) == _fingerprint(reference)
+
+
+class WarmQualityEvaluator:
+    """Synthetic warm-start evaluator: the donor's *content* moves the score.
+
+    Each evaluation captures a checkpoint that encodes its (config,
+    budget); a warm evaluation adds the donor's value to its score.  A
+    resume that lost, skipped or mixed up a checkpoint therefore changes
+    scores and fails the bitwise comparison.
+    """
+
+    def evaluate(self, config, budget_fraction, rng, warm_states=None, capture_checkpoints=False):
+        score = config["q"] / 10.0 + 0.01 * float(rng.standard_normal())
+        if warm_states is not None:
+            score += 0.001 * float(warm_states[0].coefs[0][0, 0])
+        result = EvaluationResult(mean=score, std=0.0, score=score, gamma=100 * budget_fraction)
+        if capture_checkpoints:
+            value = config["q"] + budget_fraction
+            attach_checkpoints(result, [FoldCheckpoint([[[value]]], [[0.0]])])
+        return result
+
+
+def _run_warm(run_dir):
+    """HyperBand, journaled and warm-started, over ``run_dir`` (resumes if present)."""
+    engine = TrialEngine(
+        executor=SerialExecutor(),
+        cache=False,  # every submission either replays or executes
+        journal=str(run_dir / "run.wal"),
+        checkpoints=CheckpointStore(spill_dir=run_dir / "ckpt"),
+        retry_backoff=0.0,
+    )
+    with engine:
+        searcher = HyperBand(SPACE, WarmQualityEvaluator(), random_state=11, engine=engine)
+        result = searcher.fit(configurations=SPACE.grid())
+    return result, engine.stats
+
+
+class TestGroupCommitResume:
+    """Any state a crash inside a rung's commit can leave resumes bitwise.
+
+    A rung commits as: publish its checkpoint segment, then one journal
+    write + fsync.  So a crash leaves either (a) no segment and none of
+    the rung's records, or (b) the segment and any byte-prefix of the
+    rung's records — a torn final line included.  Earlier rungs are
+    intact in both.
+    """
+
+    @pytest.fixture(scope="class")
+    def reference(self, tmp_path_factory):
+        run_dir = tmp_path_factory.mktemp("group-commit-reference")
+        result, stats = _run_warm(run_dir)
+        assert stats.warm_hits > 0, "the property needs warm-started trials"
+        _, entries, _ = RunJournal.read(run_dir / "run.wal")
+        rungs = []  # record count of each commit, in order
+        for entry in entries:
+            tag = (entry.bracket, entry.iteration)
+            if rungs and rungs[-1][0] == tag:
+                rungs[-1][1] += 1
+            else:
+                rungs.append([tag, 1])
+        counts = [count for _, count in rungs]
+        segments = sorted((run_dir / "ckpt").glob("*.seg"))
+        assert stats.journal_commits == stats.spill_segments == len(counts) == len(segments)
+        return run_dir, result, counts
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        rung=st.integers(min_value=0, max_value=63),
+        segment_published=st.booleans(),
+        fraction=st.floats(min_value=0.0, max_value=1.0),
+    )
+    @example(rung=9, segment_published=True, fraction=1.0)  # nothing lost
+    @example(rung=9, segment_published=True, fraction=0.75)  # lost record has a twin
+    def test_crash_inside_any_commit_resumes_bitwise(
+        self, reference, tmp_path_factory, rung, segment_published, fraction
+    ):
+        reference_dir, expected, counts = reference
+        rung %= len(counts)
+        run_dir = tmp_path_factory.mktemp("group-commit") / "run"
+        shutil.copytree(reference_dir, run_dir)
+
+        wal = run_dir / "run.wal"
+        lines = wal.read_bytes().splitlines(True)
+        first = 1 + sum(counts[:rung])  # header + every earlier rung
+        before = b"".join(lines[:first])
+        commit = b"".join(lines[first : first + counts[rung]])
+        cut = round(fraction * len(commit)) if segment_published else 0
+        wal.write_bytes(before + commit[:cut])
+        segments = sorted((run_dir / "ckpt").glob("*.seg"))
+        for lost in segments[rung + 1 if segment_published else rung :]:
+            lost.unlink()
+
+        resumed, stats = _run_warm(run_dir)
+        assert _fingerprint(resumed) == _fingerprint(expected)
+        assert resumed.best_config == expected.best_config
+        assert resumed.best_score == expected.best_score
+        assert stats.resumed + stats.executed == len(expected.trials)
+        # Records of the torn commit that survive: every byte landed, bar
+        # perhaps the newline (open() terminates such a record, it is whole).
+        ends = itertools.accumulate(len(line) for line in commit.splitlines(True))
+        kept = sum(end - 1 <= cut for end in ends)
+        # Nothing but the records the crash took from the journal re-executes
+        # -- and not even all of those: one whose (config, budget) an earlier
+        # bracket journaled replays from that twin, and a crash after the last
+        # rung's commit landed in full took nothing at all.
+        assert stats.executed <= sum(counts[rung:]) - kept
+        # The torn fragment was cut off, not appended onto: the journal the
+        # resume leaves behind replays in full, with nothing dropped.
+        _, entries, dropped = RunJournal.read(wal)
+        assert dropped == 0
+        assert len(entries) == sum(counts[:rung]) + kept + stats.executed
 
 
 class TestResumeGuards:

@@ -182,3 +182,44 @@ class TestArenaLattice:
                 keep_failed=False,
             )
             assert outcome.passed, f"{plan.describe()}: {outcome.detail}"
+
+
+class TestRungProtocolLattice:
+    """The rung's transport and durable commit are enumerable crash points."""
+
+    COMMIT_SITES = [
+        "checkpoint.segment.pre_write",
+        "checkpoint.segment.pre_fsync",
+        "checkpoint.segment.pre_replace",
+        "checkpoint.segment.post_replace",
+        "checkpoint.segment.post_dirsync",
+        "journal.commit.pre_write",
+        "journal.commit.pre_fsync",
+        "journal.commit.post_fsync",
+    ]
+
+    def test_census_counts_one_commit_per_rung(self, hb_reference, hb_par_reference):
+        for reference in (hb_reference, hb_par_reference):
+            commits = {reference.census.get(site, 0) for site in self.COMMIT_SITES}
+            assert len(commits) == 1 and commits != {0}, reference.census
+            # ... far fewer than the records they make durable.
+            assert commits.pop() < reference.census["checkpoint.put.pre"]
+        # Dealing sends each of the two workers at most one message per rung.
+        rungs = hb_par_reference.census["journal.commit.pre_write"]
+        assert 0 < hb_par_reference.census["executor.pool.pre_send"] <= 2 * rungs
+
+    def test_crashing_the_parallel_rung_protocol_resumes_bitwise(
+        self, hb_par_reference, base_dir
+    ):
+        plans = single_fault_plans(
+            hb_par_reference,
+            sites=self.COMMIT_SITES + ["executor.pool.pre_send"],
+            max_hits_per_site=2,
+        )
+        assert len(plans) == 2 * (len(self.COMMIT_SITES) + 1)
+        for plan in plans:
+            outcome = run_plan(
+                "hb-par", plan, hb_par_reference.fingerprint, base_dir,
+                keep_failed=False,
+            )
+            assert outcome.passed, f"{plan.describe()}: {outcome.detail}"

@@ -52,7 +52,7 @@ class TestFaultAction:
 
 class TestFaultSchedule:
     def test_trigger_payload_round_trip(self):
-        trigger = FaultTrigger("journal.append.pre_fsync", 3, FaultAction.parse("truncate:8"))
+        trigger = FaultTrigger("journal.commit.pre_fsync", 3, FaultAction.parse("truncate:8"))
         assert FaultTrigger.from_payload(trigger.to_payload()) == trigger
 
     def test_action_for(self):

@@ -297,6 +297,9 @@ _ARENA_RUN_SCRIPT = textwrap.dedent(
     space = SearchSpace([
         Categorical("learning_rate_init", [1e-3, 3e-3, 1e-2, 3e-2]),
         Categorical("alpha", [1e-4, 1e-2]),
+        # 16 configurations = four rungs: the journal commits per rung, so
+        # the kill needs whole rungs left to run after the first commit.
+        Categorical("momentum", [0.5, 0.9]),
     ])
     evaluator = vanilla_evaluator(
         X, y, MLPModelFactory(task="classification", max_iter=30),
@@ -318,13 +321,17 @@ def scenario_arena_sigkill():
     """SIGKILL a run holding shared-memory segments; resume reaps and finishes.
 
     The run publishes its dataset into the ``/dev/shm`` arena, so a kill
-    mid-run leaks named segments with a dead owner pid.  The resumed leg
-    must (1) reap those orphans before publishing its own, (2) replay the
+    mid-run orphans named segments with a dead owner pid.  The workers
+    exit with their parent, which lets Python's resource tracker unlink
+    those orphans on its own moments later, so the scenario also plants
+    one segment under the dead pid that no tracker knows about: only the
+    successor's ``reap_stale()`` can remove it.  The resumed leg must
+    (1) reap every orphan before publishing its own, (2) replay the
     journal to the bitwise reference, and (3) unlink everything on clean
     shutdown — zero arena segments with a dead owner survive the scenario.
     """
     from repro.engine import list_segments
-    from repro.engine.arena import _owner_pid, _pid_alive
+    from repro.engine.arena import _SHM_DIR, _owner_pid, _pid_alive
 
     def dead_owner_segments():
         return [name for name in list_segments()
@@ -360,8 +367,8 @@ def scenario_arena_sigkill():
                 return len(entries)
 
             while time.monotonic() < deadline:
-                published = any(s.startswith(prefix) for s in list_segments())
-                if published and durable_entries() >= 3:
+                held = [s for s in list_segments() if s.startswith(prefix)]
+                if held and durable_entries() >= 3:
                     armed = True
                     break
                 if child.poll() is not None:
@@ -372,22 +379,27 @@ def scenario_arena_sigkill():
         finally:
             child.wait(timeout=30)
 
-        leaked = [s for s in dead_owner_segments() if s.startswith(prefix)]
-        assert leaked, "SIGKILL mid-run left no orphan segments to reap"
-
         _, entries, _ = RunJournal.read(wal)
         assert len(entries) >= 3, "kill was not mid-run"
 
-        proc = subprocess.run(
-            [sys.executable, "-c", _ARENA_RUN_SCRIPT, str(wal)],
-            env=env, capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, f"resume leg failed:\n{proc.stderr[-2000:]}"
-        resumed = json.loads(proc.stdout.splitlines()[-1])
-        assert resumed == reference, "arena SIGKILL resume diverged"
-        remaining = dead_owner_segments()
-        assert not remaining, f"leaked arena segments survived resume: {remaining}"
-        return (f"killed holding {len(leaked)} shm segments at "
-                f"{len(entries)}/{len(reference)} trials; resume reaped all, bitwise")
+        planted = prefix + "chaos-orphan"
+        (Path(_SHM_DIR) / planted).write_bytes(bytes(64))
+        assert planted in dead_owner_segments(), "planted orphan not seen as dead-owner"
+
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", _ARENA_RUN_SCRIPT, str(wal)],
+                env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, f"resume leg failed:\n{proc.stderr[-2000:]}"
+            resumed = json.loads(proc.stdout.splitlines()[-1])
+            assert resumed == reference, "arena SIGKILL resume diverged"
+            remaining = dead_owner_segments()
+            assert not remaining, f"leaked arena segments survived resume: {remaining}"
+        finally:
+            (Path(_SHM_DIR) / planted).unlink(missing_ok=True)
+        return (f"killed holding {len(held)} shm segments at "
+                f"{len(entries)}/{len(reference)} trials; resume reaped the planted "
+                f"orphan and the rest, bitwise")
 
 
 def scenario_torn_journal():

@@ -50,12 +50,17 @@ from repro.faults.explore import (  # noqa: E402
 from repro.faults.workloads import WORKLOAD_NAMES  # noqa: E402
 
 
+#: Site prefixes of the hb-par workload that only ever fire in the parent.
+HB_PAR_PARENT_LAYERS = ("arena.", "journal.", "checkpoint.", "executor.pool.")
+
+
 def _parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--workload", action="append", choices=sorted(WORKLOAD_NAMES), default=None,
         help="workload(s) to explore (default: hb, hb-par and serve; the "
-             "hb-par sweep is restricted to arena.* sites unless --site is given)",
+             "hb-par sweep is restricted to parent-process sites unless --site "
+             "is given)",
     )
     parser.add_argument(
         "--census-only", action="store_true",
@@ -130,10 +135,11 @@ def main(argv=None) -> int:
                 # processes (executor.worker.*, executor.pre_megabatch); a
                 # crash scheduled there re-fires in every respawned worker
                 # at the same hit index — a crash loop, not a resumable
-                # schedule.  Sweep only the parent-resident arena sites by
-                # default; --site overrides.
-                sites = [site for site in reference.sites if site.startswith("arena.")]
-                print(f"   (sweep restricted to {len(sites)} arena.* sites; "
+                # schedule.  Sweep only the layers that live in the parent
+                # (the data plane, the rung's transport and its durable
+                # commit) by default; --site overrides.
+                sites = [s for s in reference.sites if s.startswith(HB_PAR_PARENT_LAYERS)]
+                print(f"   (sweep restricted to {len(sites)} parent-process sites; "
                       f"pass --site to override)")
             plans = single_fault_plans(
                 reference,

@@ -2,23 +2,28 @@
 # Full verification ladder:
 #   1. tier-1 test suite (fast; chaos + telemetry + kernels tests
 #      deselected by pyproject addopts)
-#   2. guard tier (data-integrity layer + corrupted-data chaos scenario)
-#   3. kernels tier (exhaustive batched-kernel property sweeps + the
+#   2. bench smoke (bench/test_smoke.py: every bench/ workload once at
+#      --quick size, untraced and traced — read-only use of bench/; a
+#      change that breaks a name bench/layers.py patches, e.g.
+#      RunJournal.append or ParallelExecutor.submit, fails here before
+#      the benchmark does)
+#   3. guard tier (data-integrity layer + corrupted-data chaos scenario)
+#   4. kernels tier (exhaustive batched-kernel property sweeps + the
 #      fold-loop and rung-level mega-batch microbench gates)
-#   4. telemetry tier (trace-file tests + tracing/profiling overhead bench)
-#   5. serve tier (service-daemon end-to-end tests + two-tenant burst
+#   5. telemetry tier (trace-file tests + tracing/profiling overhead bench)
+#   6. serve tier (service-daemon end-to-end tests + two-tenant burst
 #      bench smoke)
-#   6. elastic tier (elastic pool / speculative execution tests)
-#   7. chaos-marked pytest tier (process kills, SIGKILL resume)
-#   8. fault-injection harness smoke (tools/chaos_suite.py --quick,
+#   7. elastic tier (elastic pool / speculative execution tests)
+#   8. chaos-marked pytest tier (process kills, SIGKILL resume)
+#   9. fault-injection harness smoke (tools/chaos_suite.py --quick,
 #      per-scenario wall-clock printed by the harness itself)
-#   9. crashx tier (faults-marked explorer tests + a bounded
+#  10. crashx tier (faults-marked explorer tests + a bounded
 #      crash-schedule sweep over the toy and HB+ workloads; the full
 #      sweep that regenerates CRASHX_report.json is
 #      `python tools/crashx.py --pairwise 40 --jobs 2 --out CRASHX_report.json`)
-#  10. obs tier (obs-marked observability tests + the SIGKILL
+#  11. obs tier (obs-marked observability tests + the SIGKILL
 #      flight-recorder chaos scenario + the obs overhead bench smoke)
-#  11. bench regression gate (tools/bench_regress.py re-judges every
+#  12. bench regression gate (tools/bench_regress.py re-judges every
 #      committed BENCH_*.json against its targets)
 #
 # Usage: bash tools/run_checks.sh
@@ -28,6 +33,10 @@ export PYTHONPATH=src
 
 echo "== tier-1: pytest -x -q =="
 python -m pytest -x -q
+
+echo
+echo "== bench smoke: pytest bench/test_smoke.py =="
+python -m pytest bench/test_smoke.py -q
 
 echo
 echo "== guard tier: pytest tests/guard + corrupted-data scenario =="
