@@ -33,12 +33,20 @@ def _identity_derivative(activated: np.ndarray) -> np.ndarray:
 
 
 def logistic(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic sigmoid ``1 / (1 + exp(-z))``."""
-    out = np.empty_like(z, dtype=float)
-    positive = z >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
-    exp_z = np.exp(z[~positive])
-    out[~positive] = exp_z / (1.0 + exp_z)
+    """Numerically stable logistic sigmoid ``1 / (1 + exp(-z))``.
+
+    One branch-free pass: with ``e = exp(-|z|)`` (never overflows) the
+    value is ``1 / (1 + e)`` where ``z >= 0`` and ``e / (1 + e)`` elsewhere
+    — per element the arithmetic of the two-branch form, bit for bit.
+    """
+    z = np.asarray(z, dtype=float)
+    e = np.empty_like(z)
+    np.abs(z, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(z >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out
 
 
@@ -65,10 +73,10 @@ def _relu_derivative(activated: np.ndarray) -> np.ndarray:
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max-subtraction for numerical stability."""
-    shifted = z - z.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
+    """Softmax over the last axis with max-subtraction for numerical stability."""
+    exp = np.exp(z - z.max(axis=-1, keepdims=True))
+    exp /= exp.sum(axis=-1, keepdims=True)
+    return exp
 
 
 #: name -> (forward, derivative-from-output)

@@ -37,6 +37,13 @@ stays in Python with per-fold scalars, exactly mirroring
 ``_BaseMLP._fit_stochastic``; a fold that stops is compacted out of the
 lane and the survivors keep training.
 
+The tensor arithmetic itself is not re-implemented here: a lane step is
+one call to :func:`repro.learners.mlp._loss_and_gradients`, the same
+rank-generic forward / head-loss / backward core that ``.fit`` runs on
+2-D operands for ``sgd``, ``adam`` and the L-BFGS objective.  This
+module owns only what stacking adds: lane formation, the ``(A, 1, 1)``
+per-fold factor columns and the per-fold control flow.
+
 Rung-level mega-batches
 -----------------------
 :func:`fit_mlp_trials` extends the same lanes **across every trial in a
@@ -63,13 +70,13 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..telemetry.profiling import profiled
-from .activations import get_activation, softmax
 from .base import check_X_y
-from .losses import _EPS, _MAX_RESIDUAL
+from .losses import squared_loss
 from .mlp import (
     DIVERGENCE_LOSS_CAP,
     _BaseMLP,
-    _Z_CLIP,
+    _forward_pass,
+    _loss_and_gradients,
     resolve_initial_parameters,
     warm_start_matches,
 )
@@ -394,17 +401,20 @@ def _fit_sequential(plan: _FoldPlan) -> None:
 # -- lane optimisers ----------------------------------------------------------
 
 
-def _per_fold_factor(values: List, ndim: int):
-    """A scalar while every fold agrees, else an ``(A, 1, ...)`` column.
+def _per_fold_factor(values: List):
+    """A scalar while every fold agrees, else an ``(A, 1, 1)`` column.
 
     Broadcasting the column applies each fold's scalar to its slice with
     the same elementwise arithmetic as the scalar it replaces, keeping
     heterogeneous lanes bitwise-equal to the per-fold reference loop.
+    Every lane tensor is 3-D (intercepts are ``(A, 1, d)``), so one
+    column serves all of them; callers rebuild it only when a value
+    changes or the lane compacts, not per step.
     """
     first = values[0]
     if all(value == first for value in values):
         return first
-    return np.asarray(values, dtype=float).reshape((len(values),) + (1,) * (ndim - 1))
+    return np.asarray(values, dtype=float).reshape(-1, 1, 1)
 
 
 class _LaneSGD:
@@ -429,23 +439,26 @@ class _LaneSGD:
         self.momenta = [plan.model.momentum for plan in members]
         self._velocities = [np.zeros_like(p) for p in params]
         self._t = 0
+        self._refresh_factors()
+
+    def _refresh_factors(self) -> None:
+        self._rate_init = _per_fold_factor(self.rate_inits)
+        self._rate = _per_fold_factor(self.rates)
+        self._momentum = _per_fold_factor(self.momenta)
 
     def compact(self, keep: List[int]) -> None:
         self._velocities = [v[keep] for v in self._velocities]
         self.rates = [self.rates[i] for i in keep]
         self.rate_inits = [self.rate_inits[i] for i in keep]
         self.momenta = [self.momenta[i] for i in keep]
-
-    def _rate_factor(self, ndim: int):
-        if self.schedule == "invscaling":
-            self.rates = [init / (self._t**self.power_t) for init in self.rate_inits]
-        return _per_fold_factor(self.rates, ndim)
+        self._refresh_factors()
 
     def update(self, grads: List[np.ndarray]) -> None:
         self._t += 1
+        if self.schedule == "invscaling":
+            self._rate = self._rate_init / (self._t**self.power_t)
+        lr, momentum = self._rate, self._momentum
         for param, grad, velocity in zip(self.params, grads, self._velocities):
-            lr = self._rate_factor(param.ndim)
-            momentum = _per_fold_factor(self.momenta, param.ndim)
             velocity *= momentum
             velocity -= lr * grad
             if self.nesterov:
@@ -456,6 +469,7 @@ class _LaneSGD:
     def notify_no_improvement(self, position: int) -> None:
         if self.schedule == "adaptive":
             self.rates[position] = max(self.rates[position] / 5.0, 1e-6)
+            self._rate = _per_fold_factor(self.rates)
 
     def should_stop(self, position: int, tol: float = 1e-6) -> bool:
         return self.schedule == "adaptive" and self.rates[position] <= tol
@@ -466,15 +480,16 @@ class _LaneAdam:
 
     Every active fold in a lane has taken the same number of steps, so
     the bias-correction terms are shared; the per-fold step size is the
-    exact python-float chain of the per-fold optimizer (``init * sqrt /
-    denom``), one scalar while all folds share a ``learning_rate_init``
-    and a broadcast column otherwise.
+    float chain of the per-fold optimizer (``init * sqrt / denom``)
+    applied to one scalar while all folds share a ``learning_rate_init``
+    and to a broadcast column otherwise.
     """
 
     def __init__(self, params: List[np.ndarray], members: List[_FoldPlan]) -> None:
         template = AdamOptimizer([], learning_rate_init=members[0].model.learning_rate_init)
         self.params = params
         self.rate_inits = [plan.model.learning_rate_init for plan in members]
+        self._rate_init = _per_fold_factor(self.rate_inits)
         self.beta_1 = template.beta_1
         self.beta_2 = template.beta_2
         self.epsilon = template.epsilon
@@ -486,14 +501,12 @@ class _LaneAdam:
         self._ms = [m[keep] for m in self._ms]
         self._vs = [v[keep] for v in self._vs]
         self.rate_inits = [self.rate_inits[i] for i in keep]
+        self._rate_init = _per_fold_factor(self.rate_inits)
 
     def update(self, grads: List[np.ndarray]) -> None:
         self._t += 1
-        scale = np.sqrt(1.0 - self.beta_2**self._t)
-        denom = 1.0 - self.beta_1**self._t
-        steps = [init * scale / denom for init in self.rate_inits]
+        step = self._rate_init * np.sqrt(1.0 - self.beta_2**self._t) / (1.0 - self.beta_1**self._t)
         for param, grad, m, v in zip(self.params, grads, self._ms, self._vs):
-            step = _per_fold_factor(steps, param.ndim)
             m *= self.beta_1
             m += (1.0 - self.beta_1) * grad
             v *= self.beta_2
@@ -576,8 +589,12 @@ def _fit_lane(members: List[_FoldPlan]) -> None:
 
     n_layers = len(reference.coefs_)
     coefs = [np.stack([p.model.coefs_[l] for p in members]) for l in range(n_layers)]
-    intercepts = [np.stack([p.model.intercepts_[l] for p in members]) for l in range(n_layers)]
+    # Intercepts ride as (A, 1, d) so they broadcast over the row axis.
+    intercepts = [
+        np.stack([p.model.intercepts_[l] for p in members])[:, None, :] for l in range(n_layers)
+    ]
     params = [*coefs, *intercepts]
+    grads = [np.empty_like(p) for p in params]
     width = len(members)
     if reference.solver == "sgd":
         optimizer = _LaneSGD(params, members)
@@ -590,25 +607,10 @@ def _fit_lane(members: List[_FoldPlan]) -> None:
     for state in states:
         state.plan.model.n_iter_ = 0
 
-    hidden_fn, hidden_derivative = get_activation(reference.activation)
-    output_activation = reference._output_activation()
+    kernel = reference._kernel()
     alphas = [plan.model.alpha for plan in members]
+    ridges: Dict[int, Any] = {}  # batch rows -> alpha / rows factor; reset on compaction
     adaptive = reference.learning_rate == "adaptive"
-
-    def _forward_stack(batch: np.ndarray) -> List[np.ndarray]:
-        activations = [batch]
-        for layer in range(n_layers):
-            z = np.matmul(activations[-1], coefs[layer]) + intercepts[layer][:, None, :]
-            z = np.clip(z, -_Z_CLIP, _Z_CLIP)
-            if layer < n_layers - 1:
-                activations.append(hidden_fn(z))
-            elif output_activation == "softmax":
-                flat = z.reshape(-1, z.shape[-1])
-                activations.append(softmax(flat).reshape(z.shape))
-            else:
-                out_fn, _ = get_activation(output_activation)
-                activations.append(out_fn(z))
-        return activations
 
     lane_rows = np.arange(width)[:, None]
 
@@ -629,27 +631,15 @@ def _fit_lane(members: List[_FoldPlan]) -> None:
             Xb = Xs[lane_rows, idx]
             yb = ys[lane_rows, idx]
 
-            activations = _forward_stack(Xb)
-            out = activations[-1]
-            losses = _lane_losses(output_activation, yb, out, coefs, alphas, batch_n)
+            ridge = ridges.get(batch_n)
+            if ridge is None:
+                ridge = ridges[batch_n] = _per_fold_factor([a / batch_n for a in alphas])
+            losses = _loss_and_gradients(Xb, yb, coefs, intercepts, alphas, ridge, kernel, grads)
             for i in range(width):
                 accumulated[i] += losses[i] * batch_n
+            optimizer.update(grads)
 
-            delta = (out - yb) / batch_n
-            ridge = _per_fold_factor([a / batch_n for a in alphas], 3)
-            coef_grads: List[Optional[np.ndarray]] = [None] * n_layers
-            intercept_grads: List[Optional[np.ndarray]] = [None] * n_layers
-            for layer in range(n_layers - 1, -1, -1):
-                grad = np.matmul(activations[layer].transpose(0, 2, 1), delta)
-                grad += ridge * coefs[layer]
-                coef_grads[layer] = grad
-                intercept_grads[layer] = delta.sum(axis=1)
-                if layer > 0:
-                    delta = np.matmul(delta, coefs[layer].transpose(0, 2, 1))
-                    delta *= hidden_derivative(activations[layer])
-            optimizer.update([*coef_grads, *intercept_grads])
-
-        val_out = _forward_stack(Xv)[-1] if has_val else None
+        val_out = _forward_pass(Xv, coefs, intercepts, kernel)[-1] if has_val else None
 
         finished: List[int] = []
         for i, state in enumerate(states):
@@ -660,10 +650,9 @@ def _fit_lane(members: List[_FoldPlan]) -> None:
 
             if not np.isfinite(epoch_loss) or epoch_loss > DIVERGENCE_LOSS_CAP:
                 model.diverged_ = True
-                model.coefs_ = [epoch_start[l][i].copy() for l in range(n_layers)]
-                model.intercepts_ = [
-                    epoch_start[n_layers + l][i].copy() for l in range(n_layers)
-                ]
+                model.coefs_, model.intercepts_ = _fold_parameters(
+                    epoch_start[:n_layers], epoch_start[n_layers:], i
+                )
                 model.loss_ = float("inf")
                 finished.append(i)
                 continue
@@ -673,10 +662,7 @@ def _fit_lane(members: List[_FoldPlan]) -> None:
                 model.validation_scores_.append(val_score)
                 if val_score > state.best_val_score + state.tol:
                     state.best_val_score = val_score
-                    state.best_params = (
-                        [coefs[l][i].copy() for l in range(n_layers)],
-                        [intercepts[l][i].copy() for l in range(n_layers)],
-                    )
+                    state.best_params = _fold_parameters(coefs, intercepts, i)
                     state.no_improvement = 0
                 else:
                     state.no_improvement += 1
@@ -697,7 +683,7 @@ def _fit_lane(members: List[_FoldPlan]) -> None:
             finished_set = set(finished)
             for i in finished:
                 if not states[i].plan.model.diverged_:
-                    _finalize_fold(states[i], coefs, intercepts, i, n_layers)
+                    _finalize_fold(states[i], coefs, intercepts, i)
             keep = [i for i in range(len(states)) if i not in finished_set]
             if not keep:
                 return
@@ -711,66 +697,32 @@ def _fit_lane(members: List[_FoldPlan]) -> None:
             coefs = [c[keep] for c in coefs]
             intercepts = [b[keep] for b in intercepts]
             params = [*coefs, *intercepts]
+            grads = [np.empty_like(p) for p in params]
+            ridges.clear()
             optimizer.params = params
             optimizer.compact(keep)
             lane_rows = np.arange(len(states))[:, None]
 
     for i, state in enumerate(states):
-        _finalize_fold(state, coefs, intercepts, i, n_layers)
+        _finalize_fold(state, coefs, intercepts, i)
 
 
-def _lane_losses(
-    output_activation: str,
-    yb: np.ndarray,
-    out: np.ndarray,
-    coefs: List[np.ndarray],
-    alphas: Sequence[float],
-    batch_n: int,
-) -> List[float]:
-    """Per-fold regularised batch losses from one stacked forward pass.
-
-    Replicates ``_BaseMLP._backprop``'s loss arithmetic — the head loss
-    from :mod:`.losses` plus the L2 penalty (scaled by each fold's own
-    ``alpha``) — with the elementwise work and the per-slice reductions
-    done once on the ``(A, B, k)`` stack.  A same-shape slice reduction
-    (``sum(axis=(1, 2))``) is bitwise identical to the per-fold 2-D
-    ``.sum()``, so each returned float equals the sequential path's
-    exactly.
-    """
-    width = yb.shape[0]
-    if output_activation == "softmax":
-        sums = (yb * np.log(np.clip(out, _EPS, 1.0 - _EPS))).sum(axis=(1, 2))
-        data = [float(-sums[i] / batch_n) for i in range(width)]
-    elif output_activation == "logistic":
-        prob = np.clip(out, _EPS, 1.0 - _EPS)
-        per_sample = yb * np.log(prob) + (1.0 - yb) * np.log(1.0 - prob)
-        sums = per_sample.sum(axis=(1, 2))
-        data = [float(-sums[i] / batch_n) for i in range(width)]
-    else:
-        diff = np.clip(out - yb, -_MAX_RESIDUAL, _MAX_RESIDUAL)
-        sums = (diff**2).sum(axis=(1, 2))
-        data = [float(sums[i] / (2.0 * batch_n)) for i in range(width)]
-    layer_sums = [(W**2).sum(axis=(1, 2)) for W in coefs]
-    return [
-        data[i] + (alphas[i] / (2.0 * batch_n)) * sum(float(s[i]) for s in layer_sums)
-        for i in range(width)
-    ]
+def _fold_parameters(
+    coefs: List[np.ndarray], intercepts: List[np.ndarray], position: int
+) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    """Copy one fold's ``(coefs, intercepts)`` out of the lane stacks."""
+    return [c[position].copy() for c in coefs], [b[position, 0].copy() for b in intercepts]
 
 
 def _finalize_fold(
-    state: _FoldState,
-    coefs: List[np.ndarray],
-    intercepts: List[np.ndarray],
-    position: int,
-    n_layers: int,
+    state: _FoldState, coefs: List[np.ndarray], intercepts: List[np.ndarray], position: int
 ) -> None:
     """Write the trained lane slice back onto the fold's estimator."""
     model = state.plan.model
     if state.best_params is not None:
         model.coefs_, model.intercepts_ = state.best_params
     else:
-        model.coefs_ = [coefs[l][position].copy() for l in range(n_layers)]
-        model.intercepts_ = [intercepts[l][position].copy() for l in range(n_layers)]
+        model.coefs_, model.intercepts_ = _fold_parameters(coefs, intercepts, position)
     model.loss_ = model.loss_curve_[-1] if model.loss_curve_ else np.inf
 
 
@@ -780,8 +732,6 @@ def _validation_score_slice(model, proba: np.ndarray, y_val: np.ndarray) -> floa
     Mirrors ``MLPClassifier._validation_score`` / ``MLPRegressor._validation_score``
     without re-running the forward pass per fold.
     """
-    from .losses import squared_loss
-
     if hasattr(model, "classes_"):
         if len(model.classes_) == 2:
             predicted = (proba[:, 0] >= 0.5).astype(float)

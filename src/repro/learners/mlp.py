@@ -27,7 +27,7 @@ import scipy.optimize
 from ..telemetry.profiling import profiled
 from .activations import get_activation, softmax
 from .base import BaseEstimator, check_X_y
-from .losses import binary_log_loss, log_loss, squared_loss
+from .losses import _EPS, _MAX_RESIDUAL, squared_loss
 from .preprocessing import LabelEncoder, one_hot
 from .solvers import make_optimizer
 
@@ -44,13 +44,85 @@ __all__ = [
 #: ``diverged_`` is set so guarded evaluators can record the event.
 DIVERGENCE_LOSS_CAP = 1e12
 
-#: Pre-activation clamp in :meth:`_BaseMLP._forward`; keeps exploded
+#: Pre-activation clamp in :func:`_forward_pass`; keeps exploded
 #: weights from pushing ``inf`` through identity/relu heads while being
 #: far beyond any numerically healthy pre-activation.  Chosen so a clamped
 #: identity output still overshoots :data:`DIVERGENCE_LOSS_CAP` when
 #: squared (``(1e8)^2 / 2 >> 1e12``), keeping regressor divergence
 #: detectable.
 _Z_CLIP = 1e8
+
+
+# -- the fit kernel -----------------------------------------------------------
+#
+# One forward pass and one loss/backward pass serve ``.fit`` (sgd, adam and
+# the L-BFGS objective), ``fit_mlp_folds`` and ``fit_mlp_trials``.  Both are
+# rank-generic: 2-D operands are one fold, 3-D ``(A, ...)`` operands a lane
+# stack (intercepts ``(A, 1, d)``, per-fold scalars as ``(A, 1, 1)`` columns),
+# and slice ``i`` of a stacked result is bitwise the 2-D result for fold ``i``.
+
+
+def _forward_pass(X, coefs, intercepts, kernel) -> List[np.ndarray]:
+    """Return the list of layer activations, input included."""
+    hidden_fn, _, out_fn, _ = kernel
+    activations = [X]
+    last = len(coefs) - 1
+    for layer, (coef, intercept) in enumerate(zip(coefs, intercepts)):
+        z = np.matmul(activations[-1], coef)
+        z += intercept
+        # Exploded weights push inf through identity/relu heads; the
+        # clamp keeps the forward pass bounded without affecting healthy
+        # magnitudes.  NaN deliberately passes through: it reaches the
+        # loss, where divergence detection rolls the fit back.
+        z.clip(-_Z_CLIP, _Z_CLIP, out=z)
+        activations.append(out_fn(z) if layer == last else hidden_fn(z))
+    return activations
+
+
+def _loss_and_gradients(X, y, coefs, intercepts, alphas, ridge, kernel, grads) -> List[float]:
+    """Regularised mean loss per fold; gradients are written into ``grads``.
+
+    ``alphas`` holds one L2 strength per fold and ``ridge`` is
+    ``alpha / n`` as a scalar or per-fold column; ``grads`` lists one
+    buffer per coefficient tensor, then one per intercept.  For all three
+    heads (softmax + CE, logistic + BCE, identity + half-MSE) the output
+    delta collapses to ``(prediction - target) / n``.
+    """
+    _, hidden_derivative, _, head = kernel
+    activations = _forward_pass(X, coefs, intercepts, kernel)
+    out = activations[-1]
+    n_samples = y.shape[-2]
+    delta = out - y
+
+    # Head losses of :mod:`.losses`, reduced per fold.
+    if head == "identity":
+        diff = delta.clip(-_MAX_RESIDUAL, _MAX_RESIDUAL)
+        data = np.square(diff, out=diff).sum(axis=(-2, -1)) / (2.0 * n_samples)
+    else:
+        prob = out.clip(_EPS, 1.0 - _EPS)
+        per_sample = y * np.log(prob)
+        if head == "logistic":
+            per_sample += (1.0 - y) * np.log(1.0 - prob)
+        data = -per_sample.sum(axis=(-2, -1)) / n_samples
+    # L2 penalty on weights only (biases excluded), as in scikit-learn;
+    # finished in Python floats so every path rounds identically.
+    squares = [(coef**2).sum(axis=(-2, -1)).reshape(-1).tolist() for coef in coefs]
+    losses = [
+        loss + (alpha / (2.0 * n_samples)) * sum(fold_squares)
+        for loss, alpha, fold_squares in zip(data.reshape(-1).tolist(), alphas, zip(*squares))
+    ]
+
+    n_layers = len(coefs)
+    delta /= n_samples
+    for layer in range(n_layers - 1, -1, -1):
+        grad = np.matmul(activations[layer].swapaxes(-1, -2), delta, out=grads[layer])
+        grad += ridge * coefs[layer]
+        bias_grad = grads[n_layers + layer]
+        delta.sum(axis=-2, out=bias_grad, keepdims=bias_grad.ndim == delta.ndim)
+        if layer > 0:
+            delta = np.matmul(delta, coefs[layer].swapaxes(-1, -2))
+            delta *= hidden_derivative(activations[layer])
+    return losses
 
 
 def _init_coefficients(
@@ -161,9 +233,6 @@ class _BaseMLP(BaseEstimator):
     def _output_activation(self) -> str:
         raise NotImplementedError
 
-    def _loss(self, y_true: np.ndarray, y_out: np.ndarray) -> float:
-        raise NotImplementedError
-
     def _encode_targets(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -205,56 +274,31 @@ class _BaseMLP(BaseEstimator):
 
     # -- forward / backward -----------------------------------------------
 
+    def _kernel(self) -> tuple:
+        """``(hidden_fn, hidden_derivative, out_fn, head)``; fit loops look it up once."""
+        head = self._output_activation()
+        out_fn = softmax if head == "softmax" else get_activation(head)[0]
+        return (*get_activation(self.activation), out_fn, head)
+
     def _forward(self, X: np.ndarray) -> List[np.ndarray]:
         """Return the list of layer activations, input included."""
-        hidden_fn, _ = get_activation(self.activation)
-        activations = [X]
-        n_layers = len(self.coefs_)
-        for i, (coef, intercept) in enumerate(zip(self.coefs_, self.intercepts_)):
-            z = activations[-1] @ coef + intercept
-            # Exploded weights push inf through identity/relu heads; the
-            # clamp keeps the forward pass bounded without affecting healthy
-            # magnitudes.  NaN deliberately passes through: it reaches the
-            # loss, where divergence detection rolls the fit back.
-            z = np.clip(z, -_Z_CLIP, _Z_CLIP)
-            if i < n_layers - 1:
-                activations.append(hidden_fn(z))
-            elif self._output_activation() == "softmax":
-                activations.append(softmax(z))
-            else:
-                out_fn, _ = get_activation(self._output_activation())
-                activations.append(out_fn(z))
-        return activations
+        return _forward_pass(X, self.coefs_, self.intercepts_, self._kernel())
 
     def _backprop(
-        self, X: np.ndarray, y: np.ndarray
+        self, X: np.ndarray, y: np.ndarray, kernel: Optional[tuple] = None, grads=None
     ) -> Tuple[float, List[np.ndarray], List[np.ndarray]]:
         """Loss plus gradients w.r.t. every coefficient and intercept.
 
-        For all three output heads (softmax + CE, logistic + BCE, identity +
-        half-MSE) the output delta collapses to ``(prediction - target) / n``.
+        Fit loops pass their per-fit ``kernel`` and reusable ``grads`` buffers.
         """
-        n_samples = X.shape[0]
-        activations = self._forward(X)
-        _, hidden_derivative = get_activation(self.activation)
-
-        loss = self._loss(y, activations[-1])
-        # L2 penalty on weights only (biases excluded), as in scikit-learn.
-        loss += (self.alpha / (2.0 * n_samples)) * sum(
-            float((coef**2).sum()) for coef in self.coefs_
+        n_coefs = len(self.coefs_)
+        if grads is None:
+            grads = [np.empty_like(p) for p in (*self.coefs_, *self.intercepts_)]
+        ridge = self.alpha / X.shape[0]
+        (loss,) = _loss_and_gradients(
+            X, y, self.coefs_, self.intercepts_, (self.alpha,), ridge, kernel or self._kernel(), grads
         )
-
-        coef_grads = [np.empty_like(coef) for coef in self.coefs_]
-        intercept_grads = [np.empty_like(b) for b in self.intercepts_]
-
-        delta = (activations[-1] - y) / n_samples
-        for layer in range(len(self.coefs_) - 1, -1, -1):
-            coef_grads[layer] = activations[layer].T @ delta
-            coef_grads[layer] += (self.alpha / n_samples) * self.coefs_[layer]
-            intercept_grads[layer] = delta.sum(axis=0)
-            if layer > 0:
-                delta = (delta @ self.coefs_[layer].T) * hidden_derivative(activations[layer])
-        return loss, coef_grads, intercept_grads
+        return loss, grads[:n_coefs], grads[n_coefs:]
 
     # -- fitting ----------------------------------------------------------
 
@@ -297,26 +341,28 @@ class _BaseMLP(BaseEstimator):
         return self
 
     def _fit_lbfgs(self, X: np.ndarray, y: np.ndarray) -> None:
-        shapes = [coef.shape for coef in self.coefs_] + [b.shape for b in self.intercepts_]
-        sizes = [int(np.prod(shape)) for shape in shapes]
-        offsets = np.cumsum([0, *sizes])
+        params = [*self.coefs_, *self.intercepts_]
         n_coefs = len(self.coefs_)
+        x0 = np.concatenate([p.ravel() for p in params])
+        # Parameters and gradients live in two flat vectors for the whole
+        # fit, the per-layer arrays being views of them: an evaluation
+        # copies scipy's iterate in and returns the gradient already packed
+        # (scipy copies it before the next evaluation overwrites it).
+        theta, grad = x0.copy(), np.empty_like(x0)
+        bounds = np.cumsum([0, *(p.size for p in params)])
 
-        def unpack(flat: np.ndarray) -> None:
-            for i in range(n_coefs):
-                self.coefs_[i] = flat[offsets[i] : offsets[i + 1]].reshape(shapes[i])
-            for i in range(n_coefs):
-                j = n_coefs + i
-                self.intercepts_[i] = flat[offsets[j] : offsets[j + 1]].reshape(shapes[j])
+        def views(flat: np.ndarray) -> List[np.ndarray]:
+            return [flat[lo:hi].reshape(p.shape) for lo, hi, p in zip(bounds, bounds[1:], params)]
+
+        unpacked, grads, kernel = views(theta), views(grad), self._kernel()
+        self.coefs_, self.intercepts_ = unpacked[:n_coefs], unpacked[n_coefs:]
 
         def objective(flat: np.ndarray) -> Tuple[float, np.ndarray]:
-            unpack(flat)
-            loss, coef_grads, intercept_grads = self._backprop(X, y)
-            grad = np.concatenate([g.ravel() for g in (*coef_grads, *intercept_grads)])
+            theta[:] = flat
+            loss, _, _ = self._backprop(X, y, kernel, grads)
             self.loss_curve_.append(loss)
             return loss, grad
 
-        x0 = np.concatenate([a.ravel() for a in (*self.coefs_, *self.intercepts_)])
         result = scipy.optimize.minimize(
             objective,
             x0,
@@ -331,7 +377,7 @@ class _BaseMLP(BaseEstimator):
             # a non-finite optimum; the caller can see it via ``diverged_``.
             self.diverged_ = True
             final, loss = x0, np.inf
-        unpack(final)
+        theta[:] = final
         self.loss_ = loss
         self.n_iter_ = int(result.nit)
 
@@ -366,6 +412,9 @@ class _BaseMLP(BaseEstimator):
         n_samples = X_train.shape[0]
         batch_size = self._resolve_batch_size(n_samples)
         n_coefs = len(self.coefs_)
+        # The optimizer updates ``params`` in place, so ``coefs_`` /
+        # ``intercepts_`` track it without re-binding.
+        kernel, grads = self._kernel(), [np.empty_like(p) for p in params]
 
         best_loss = np.inf
         best_val_score = -np.inf
@@ -382,13 +431,9 @@ class _BaseMLP(BaseEstimator):
             accumulated_loss = 0.0
             for start in range(0, n_samples, batch_size):
                 batch = order[start : start + batch_size]
-                loss, coef_grads, intercept_grads = self._backprop(X_train[batch], y_train[batch])
+                loss, _, _ = self._backprop(X_train[batch], y_train[batch], kernel, grads)
                 accumulated_loss += loss * len(batch)
-                grads = [*coef_grads, *intercept_grads]
                 optimizer.update(grads)
-                # The optimizer may have rebound arrays; re-sync references.
-                self.coefs_ = optimizer.params[:n_coefs]
-                self.intercepts_ = optimizer.params[n_coefs:]
             epoch_loss = accumulated_loss / n_samples
             self.loss_curve_.append(epoch_loss)
             self.n_iter_ += 1
@@ -471,11 +516,6 @@ class MLPClassifier(_BaseMLP):
     def _output_activation(self) -> str:
         return "logistic" if len(self.classes_) == 2 else "softmax"
 
-    def _loss(self, y_true: np.ndarray, y_out: np.ndarray) -> float:
-        if len(self.classes_) == 2:
-            return binary_log_loss(y_true, y_out)
-        return log_loss(y_true, y_out)
-
     def _validation_score(self, X_val: np.ndarray, y_val: np.ndarray) -> float:
         proba = self._forward(X_val)[-1]
         if len(self.classes_) == 2:
@@ -516,9 +556,6 @@ class MLPRegressor(_BaseMLP):
 
     def _output_activation(self) -> str:
         return "identity"
-
-    def _loss(self, y_true: np.ndarray, y_out: np.ndarray) -> float:
-        return squared_loss(y_true, y_out)
 
     def _validation_score(self, X_val: np.ndarray, y_val: np.ndarray) -> float:
         prediction = self._forward(X_val)[-1]

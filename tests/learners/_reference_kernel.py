@@ -1,0 +1,147 @@
+"""Test-only oracle: the pre-PR-16 fit kernel, kept verbatim.
+
+The lean kernel in ``repro.learners`` (branch-free ``logistic``, one
+rank-generic forward/backward/loss core under ``.fit``, ``fit_mlp_folds``
+and ``fit_mlp_trials``) is required to be *bitwise* equal to the code it
+replaced.  This module is that replaced code — the mask-based
+``logistic`` and the bodies of ``_BaseMLP._forward`` / ``_backprop`` with
+the activations and head losses they called — copied without edits other
+than ``self.`` attributes becoming fields of :class:`ReferenceNet`.  It
+must never import the kernel under test; do not "tidy" it.
+"""
+
+from typing import List, Tuple
+
+import numpy as np
+
+_EPS = 1e-10
+_MAX_RESIDUAL = 1e150
+_Z_CLIP = 1e8
+
+
+def logistic(z: np.ndarray) -> np.ndarray:
+    """Numerically stable logistic sigmoid ``1 / (1 + exp(-z))``."""
+    out = np.empty_like(z, dtype=float)
+    positive = z >= 0
+    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
+    exp_z = np.exp(z[~positive])
+    out[~positive] = exp_z / (1.0 + exp_z)
+    return out
+
+
+def softmax(z: np.ndarray) -> np.ndarray:
+    shifted = z - z.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    return exp / exp.sum(axis=1, keepdims=True)
+
+
+ACTIVATIONS = {
+    "identity": (lambda z: z, lambda activated: np.ones_like(activated)),
+    "logistic": (logistic, lambda activated: activated * (1.0 - activated)),
+    "tanh": (lambda z: np.tanh(z), lambda activated: 1.0 - activated**2),
+    "relu": (lambda z: np.maximum(z, 0.0), lambda activated: (activated > 0).astype(float)),
+}
+
+
+def log_loss(y_true: np.ndarray, y_prob: np.ndarray) -> float:
+    y_prob = np.clip(y_prob, _EPS, 1.0 - _EPS)
+    return float(-(y_true * np.log(y_prob)).sum() / y_true.shape[0])
+
+
+def binary_log_loss(y_true: np.ndarray, y_prob: np.ndarray) -> float:
+    y_prob = np.clip(y_prob, _EPS, 1.0 - _EPS)
+    per_sample = y_true * np.log(y_prob) + (1.0 - y_true) * np.log(1.0 - y_prob)
+    return float(-per_sample.sum() / y_true.shape[0])
+
+
+def squared_loss(y_true: np.ndarray, y_pred: np.ndarray) -> float:
+    diff = np.clip(y_pred - y_true, -_MAX_RESIDUAL, _MAX_RESIDUAL)
+    return float((diff**2).sum() / (2.0 * y_true.shape[0]))
+
+
+HEAD_LOSSES = {"softmax": log_loss, "logistic": binary_log_loss, "identity": squared_loss}
+
+
+class ReferenceNet:
+    """One network's parameters plus the hyperparameters the kernel reads."""
+
+    def __init__(self, coefs, intercepts, activation: str, output_activation: str, alpha: float):
+        self.coefs_ = coefs
+        self.intercepts_ = intercepts
+        self.activation = activation
+        self.output_activation = output_activation
+        self.alpha = alpha
+
+    def _forward(self, X: np.ndarray) -> List[np.ndarray]:
+        hidden_fn, _ = ACTIVATIONS[self.activation]
+        activations = [X]
+        n_layers = len(self.coefs_)
+        for i, (coef, intercept) in enumerate(zip(self.coefs_, self.intercepts_)):
+            z = activations[-1] @ coef + intercept
+            z = np.clip(z, -_Z_CLIP, _Z_CLIP)
+            if i < n_layers - 1:
+                activations.append(hidden_fn(z))
+            elif self.output_activation == "softmax":
+                activations.append(softmax(z))
+            else:
+                out_fn, _ = ACTIVATIONS[self.output_activation]
+                activations.append(out_fn(z))
+        return activations
+
+    def _backprop(
+        self, X: np.ndarray, y: np.ndarray
+    ) -> Tuple[float, List[np.ndarray], List[np.ndarray]]:
+        n_samples = X.shape[0]
+        activations = self._forward(X)
+        _, hidden_derivative = ACTIVATIONS[self.activation]
+
+        loss = HEAD_LOSSES[self.output_activation](y, activations[-1])
+        loss += (self.alpha / (2.0 * n_samples)) * sum(
+            float((coef**2).sum()) for coef in self.coefs_
+        )
+
+        coef_grads = [np.empty_like(coef) for coef in self.coefs_]
+        intercept_grads = [np.empty_like(b) for b in self.intercepts_]
+
+        delta = (activations[-1] - y) / n_samples
+        for layer in range(len(self.coefs_) - 1, -1, -1):
+            coef_grads[layer] = activations[layer].T @ delta
+            coef_grads[layer] += (self.alpha / n_samples) * self.coefs_[layer]
+            intercept_grads[layer] = delta.sum(axis=0)
+            if layer > 0:
+                delta = (delta @ self.coefs_[layer].T) * hidden_derivative(activations[layer])
+        return loss, coef_grads, intercept_grads
+
+
+class OracleKernelMixin:
+    """Mix into an MLP estimator to drive its ``fit`` with the oracle kernel.
+
+    ``class Oracle(OracleKernelMixin, MLPClassifier)`` keeps the estimator's
+    training loops but computes every forward pass, loss and gradient with
+    :class:`ReferenceNet`, so ``Oracle(...).fit`` is the pre-PR-16 fit.
+    """
+
+    def _reference_net(self) -> ReferenceNet:
+        return ReferenceNet(
+            self.coefs_, self.intercepts_, self.activation, self._output_activation(), self.alpha
+        )
+
+    def _forward(self, X):
+        return self._reference_net()._forward(X)
+
+    def _backprop(self, X, y, kernel=None, grads=None):
+        loss, coef_grads, intercept_grads = self._reference_net()._backprop(X, y)
+        if grads is not None:
+            for buffer, grad in zip(grads, (*coef_grads, *intercept_grads)):
+                buffer[...] = grad
+        return loss, coef_grads, intercept_grads
+
+
+def assert_same_bits(actual, expected, tag: str = "") -> None:
+    """Bitwise equality of two float arrays, any NaN matching any NaN."""
+    actual, expected = np.asarray(actual, dtype=float), np.asarray(expected, dtype=float)
+    assert actual.shape == expected.shape, f"{tag}: shape {actual.shape} != {expected.shape}"
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(actual), nan), f"{tag}: NaN positions differ"
+    same = np.where(nan, 0.0, actual).view(np.int64) == np.where(nan, 0.0, expected).view(np.int64)
+    assert same.all(), f"{tag}: {int((~same).sum())} of {same.size} elements differ"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.learners.activations import (
     ACTIVATIONS,
@@ -14,6 +15,9 @@ from repro.learners.activations import (
     softmax,
     tanh,
 )
+
+from ._reference_kernel import assert_same_bits
+from ._reference_kernel import logistic as reference_logistic
 
 FINITE_FLOATS = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -103,3 +107,52 @@ class TestProperties:
         out = softmax(np.array(rows))
         np.testing.assert_allclose(out.sum(axis=1), np.ones(len(rows)), atol=1e-9)
         assert (out >= 0).all()
+
+
+#: Any float the clamped forward pass can hand ``logistic`` (|z| <= 1e8),
+#: plus the values it cannot but callers can: signed zeros, infinities,
+#: subnormals and NaN.
+KERNEL_FLOATS = st.one_of(
+    st.floats(min_value=-1e8, max_value=1e8, allow_subnormal=True),
+    st.floats(min_value=-40.0, max_value=40.0),
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e8, -1e8]),
+)
+KERNEL_ARRAYS = hnp.arrays(
+    np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=9), elements=KERNEL_FLOATS
+)
+
+
+class TestLogisticContract:
+    """``logistic`` is public API: the lean body keeps the old one's reach."""
+
+    def test_accepts_integers_lists_scalars_and_empty(self):
+        expected = [0.5, 1.0 / (1.0 + np.exp(-1.0)), np.exp(-2.0) / (1.0 + np.exp(-2.0))]
+        np.testing.assert_array_equal(logistic(np.array([0, 1, -2])), expected)
+        np.testing.assert_array_equal(logistic([0, 1, -2]), expected)
+        assert logistic(0) == 0.5 and np.shape(logistic(np.float64(3.0))) == ()
+        assert logistic(np.empty((0, 4))).shape == (0, 4)
+        assert logistic(np.array([], dtype=int)).dtype == float
+
+    def test_does_not_write_into_its_input(self):
+        z = np.array([[-3.0, -0.0, 0.0, 7.5]])
+        before = z.copy()
+        out = logistic(z)
+        assert out is not z and not np.shares_memory(out, z)
+        assert_same_bits(z, before)
+
+    def test_finite_input_raises_no_fp_warning(self):
+        z = np.array([-1e308, -1e8, -745.2, -1.0, -5e-324, 0.0, 5e-324, 1.0, 745.2, 1e8, 1e308])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            out = logistic(z)
+        assert np.isfinite(out).all() and (np.diff(out) >= 0).all()
+
+    @given(z=KERNEL_ARRAYS)
+    @settings(max_examples=100, deadline=None)
+    def test_bitwise_equal_to_the_mask_based_form(self, z):
+        assert_same_bits(logistic(z), reference_logistic(z))
+
+    @pytest.mark.kernels
+    @given(z=KERNEL_ARRAYS)
+    @settings(max_examples=3000, deadline=None)
+    def test_bitwise_equal_to_the_mask_based_form_exhaustive(self, z):
+        assert_same_bits(logistic(z), reference_logistic(z))

@@ -7,7 +7,9 @@ for random mixes of per-trial numeric hyperparameters sharing one
 architecture (the case lanes fuse across trials), warm-started lanes,
 and arbitrary partitions of a rung's trials into separate mega-batches —
 the exact regrouping a mid-rung worker resize induces.  They run in the
-``kernels`` tier (``pytest -m kernels``), outside tier-1.
+``kernels`` tier (``pytest -m kernels``), outside tier-1 — except a
+bounded draw of the three-path property (``.fit`` == ``fit_mlp_folds`` ==
+``fit_mlp_trials``, L-BFGS included), which tier-1 keeps.
 """
 
 import numpy as np
@@ -20,10 +22,9 @@ from repro.learners.batched import fit_mlp_folds, fit_mlp_trials
 
 from .test_batched import assert_models_identical, make_data
 
-pytestmark = pytest.mark.kernels
-
 HIDDEN = st.sampled_from([(4,), (8,), (6, 4)])
 SOLVERS = st.sampled_from(["sgd", "adam"])
+ALL_SOLVERS = st.sampled_from(["lbfgs", "sgd", "adam"])
 ACTIVATIONS = st.sampled_from(["relu", "tanh", "logistic"])
 LR_INITS = st.sampled_from([1e-3, 3e-3, 1e-2, 3e-2])
 ALPHAS = st.sampled_from([1e-5, 1e-4, 1e-2, 1.0])
@@ -70,40 +71,55 @@ def _assert_trials_identical(trials_a, trials_b, tag):
             assert_models_identical(model_a, model_b, f"{tag}: trial {t} fold {f}")
 
 
-class TestMegaBatchSweep:
-    @given(
-        hidden=HIDDEN,
-        solver=SOLVERS,
-        activation=ACTIVATIONS,
-        n_trials=st.integers(min_value=2, max_value=4),
-        n_folds=st.integers(min_value=2, max_value=4),
-        seed=st.integers(min_value=0, max_value=10_000),
+THREE_PATH_CASE = dict(
+    hidden=HIDDEN,
+    solver=ALL_SOLVERS,
+    activation=ACTIVATIONS,
+    n_trials=st.integers(min_value=2, max_value=4),
+    n_folds=st.integers(min_value=2, max_value=4),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+
+
+def _check_three_paths_identical(hidden, solver, activation, n_trials, n_folds, seed):
+    rng = np.random.default_rng(seed)
+    kwargs = _trial_kwargs(rng, n_trials, hidden, solver, activation)
+    seq, per_trial, mega = _build_jobs(
+        MLPClassifier, "bin", kwargs, n_folds, n=90, d=5, k=2, seed=seed
     )
-    @settings(max_examples=40, deadline=None)
-    def test_mega_equals_per_trial_equals_sequential(
-        self, hidden, solver, activation, n_trials, n_folds, seed
-    ):
-        rng = np.random.default_rng(seed)
-        kwargs = _trial_kwargs(rng, n_trials, hidden, solver, activation)
-        seq, per_trial, mega = _build_jobs(
-            MLPClassifier, "bin", kwargs, n_folds, n=90, d=5, k=2, seed=seed
-        )
-        for jobs in seq:
-            for model, Xf, yf in jobs:
-                model.fit(Xf, yf)
-        for jobs in per_trial:
-            fit_mlp_folds(jobs)
-        per_trial_stats, stats = fit_mlp_trials(mega)
-        _assert_trials_identical(mega, seq, "mega vs sequential")
-        _assert_trials_identical(mega, per_trial, "mega vs per-trial")
-        assert stats.trials == n_trials
-        assert stats.folds == n_trials * n_folds
-        assert sum(s.folds for s in per_trial_stats) == stats.folds
-        # Shared architecture + shared fold shapes: every lane fuses
-        # across trials, so occupancy is total whenever lanes stack.
-        if stats.batched_folds:
-            assert stats.fused_folds == stats.batched_folds
-            assert stats.occupancy == 1.0
+    for jobs in seq:
+        for model, Xf, yf in jobs:
+            model.fit(Xf, yf)
+    for jobs in per_trial:
+        fit_mlp_folds(jobs)
+    per_trial_stats, stats = fit_mlp_trials(mega)
+    _assert_trials_identical(mega, seq, "mega vs sequential")
+    _assert_trials_identical(mega, per_trial, "mega vs per-trial")
+    assert stats.trials == n_trials
+    assert stats.folds == n_trials * n_folds
+    assert sum(s.folds for s in per_trial_stats) == stats.folds
+    # Shared architecture + shared fold shapes: every lane fuses
+    # across trials, so occupancy is total whenever lanes stack
+    # (L-BFGS lanes never stack).
+    assert bool(stats.batched_folds) == (solver != "lbfgs")
+    if stats.batched_folds:
+        assert stats.fused_folds == stats.batched_folds
+        assert stats.occupancy == 1.0
+
+
+class TestThreePathsBounded:
+    @given(**THREE_PATH_CASE)
+    @settings(max_examples=12, deadline=None)
+    def test_mega_equals_per_trial_equals_sequential(self, **case):
+        _check_three_paths_identical(**case)
+
+
+@pytest.mark.kernels
+class TestMegaBatchSweep:
+    @given(**THREE_PATH_CASE)
+    @settings(max_examples=60, deadline=None)
+    def test_mega_equals_per_trial_equals_sequential(self, **case):
+        _check_three_paths_identical(**case)
 
     @given(
         solver=SOLVERS,
@@ -132,6 +148,7 @@ class TestMegaBatchSweep:
         _assert_trials_identical(mega, per_trial, "mega vs per-trial")
 
 
+@pytest.mark.kernels
 class TestWarmStartedLanes:
     @given(
         hidden=HIDDEN,
@@ -192,6 +209,7 @@ class TestWarmStartedLanes:
         assert stats.warm_folds == len(warm_cells)
 
 
+@pytest.mark.kernels
 class TestMidRungResize:
     @given(
         hidden=HIDDEN,

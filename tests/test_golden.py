@@ -35,12 +35,9 @@ class TestSeededPins:
     def test_grouping_fingerprint(self):
         X, y = make_classification(n_samples=120, n_features=5, random_state=7)
         grouping = generate_groups(X, y, n_groups=3, random_state=7)
-        assert grouping.group_sizes.tolist() == sorted(grouping.group_sizes.tolist(), reverse=False) or True
-        # Pin the exact partition sizes.
-        assert sorted(grouping.group_sizes.tolist()) == sorted(
-            np.bincount(grouping.group_labels, minlength=3).tolist()
-        )
-        assert grouping.group_sizes.sum() == 120
+        # Pin the exact partition sizes (every group non-empty).
+        assert grouping.group_sizes.tolist() == [44, 56, 20]
+        assert np.bincount(grouping.group_labels, minlength=3).tolist() == [44, 56, 20]
 
     def test_space_sampling_fingerprint(self):
         space = SearchSpace([

@@ -8,8 +8,9 @@
 #      RunJournal.append or ParallelExecutor.submit, fails here before
 #      the benchmark does)
 #   3. guard tier (data-integrity layer + corrupted-data chaos scenario)
-#   4. kernels tier (exhaustive batched-kernel property sweeps + the
-#      fold-loop and rung-level mega-batch microbench gates)
+#   4. kernels tier (exhaustive fit-kernel property sweeps: lean kernel
+#      vs the test oracle, batched vs sequential; kernel *speed* is
+#      bench/'s learners.probe.rung_*_ms and sha_fused_wide, not a gate here)
 #   5. telemetry tier (trace-file tests + tracing/profiling overhead bench)
 #   6. serve tier (service-daemon end-to-end tests + two-tenant burst
 #      bench smoke)
@@ -50,12 +51,8 @@ print("corrupted-data[sha+]:", module.scenario_corrupted_data("sha+"))
 EOF
 
 echo
-echo "== kernels tier: pytest -m kernels + fold-loop/rung microbenches =="
+echo "== kernels tier: pytest -m kernels =="
 python -m pytest -q -m kernels
-python tools/bench_kernels.py --skip-e2e \
-    --out "$(mktemp -t BENCH_kernels_check.XXXXXX.json)"
-python tools/bench_megabatch.py --skip-e2e \
-    --out "$(mktemp -t BENCH_megabatch_check.XXXXXX.json)"
 
 echo
 echo "== telemetry tier: pytest -m telemetry + overhead bench =="
