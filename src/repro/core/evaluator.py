@@ -14,6 +14,14 @@ the ablation experiments toggle):
 - ``score_params``: the halving metric — the vanilla mean or the paper's
   variance- and size-aware score of Equation 3.
 
+There is one evaluation procedure, :meth:`SubsetCVEvaluator.evaluate_many`:
+plan every trial of a rung (subset, folds, model seeds), fit what can be
+stacked in one :func:`~repro.learners.batched.fit_mlp_trials` call, then
+score trial by trial — fitting fold by fold there whatever the lanes do
+not take (non-MLP models, L-BFGS, single folds).  ``evaluate`` is that
+call at width one.  Which folds stack is decided by what the code can
+observe (model type, solver, lane width), not by an option.
+
 Factory helpers :func:`vanilla_evaluator` and :func:`grouped_evaluator`
 build the two configurations the paper compares.
 """
@@ -21,7 +29,6 @@ build the two configurations the paper compares.
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from contextlib import nullcontext
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -30,12 +37,12 @@ import numpy as np
 from ..bandit.base import EvaluationResult
 from ..engine.arena import ArenaRef, SharedArena
 from ..engine.arena import attach as arena_attach
-from ..engine.checkpoint import FoldCheckpoint, attach_checkpoints, attach_plan_cache_delta
+from ..engine.checkpoint import FoldCheckpoint, attach_checkpoints
 from ..guard import DataReport, GuardLog, validate_dataset
 from ..telemetry.collect import current_collector, install_collector
 from ..telemetry.profiling import profiled
 from ..learners import MLPClassifier, MLPRegressor
-from ..learners.batched import MegaBatchStats, batchable_model, fit_mlp_folds, fit_mlp_trials
+from ..learners.batched import MegaBatchStats, batchable_model, fit_mlp_trials
 from ..metrics import accuracy_score, f1_score, r2_score
 from ..model_selection import KFold, StratifiedKFold, random_subsample, stratified_subsample
 from .folds import GeneralSpecialFolds
@@ -56,9 +63,6 @@ __all__ = [
 #: far above the engine's trial-level FAILURE_SCORE sentinel, so a partially
 #: failed evaluation still ranks below healthy ones but above total failures.
 FOLD_FLOOR = -1e6
-
-#: Entries kept in the per-evaluator subset/fold plan memo (LRU).
-_PLAN_CACHE_LIMIT = 32
 
 
 def make_scorer(metric: str) -> Callable:
@@ -168,25 +172,6 @@ class SubsetCVEvaluator:
         Pre-computed :class:`~repro.guard.DataReport` when the caller (e.g.
         :func:`grouped_evaluator`) already validated ``X, y``; skips the
         construction-time validation.
-    batched:
-        Whether to train a trial's fold models through the batched lane
-        kernels (:func:`repro.learners.batched.fit_mlp_folds`) when every
-        fold is batchable (MLP with an sgd/adam solver).  Bitwise-identical
-        to the per-fold loop; ``False`` forces the sequential reference
-        path.
-    memoize_plans:
-        Cache the drawn subset and fold partition per
-        ``(budget fraction, rng state)``.  Both are pure functions of that
-        pair, so repeated evaluations of the same trial seed (e.g. a warm
-        re-evaluation at a budget already planned cold) skip the
-        subsample/split work; the memo replays the consumed rng stream and
-        any guard events, keeping results bitwise-identical.
-    plan_cache_size:
-        LRU capacity of the plan memo (default 32 entries).  Hits and
-        misses are counted on :attr:`plan_cache_hits` /
-        :attr:`plan_cache_misses` and ride each result back to the engine,
-        which surfaces run totals in
-        :class:`~repro.engine.EngineStats`.
     """
 
     def __init__(
@@ -208,9 +193,6 @@ class SubsetCVEvaluator:
         clock: Optional[Callable[[], float]] = None,
         guard_policy: Optional[str] = None,
         data_report: Optional[DataReport] = None,
-        batched: bool = True,
-        memoize_plans: bool = True,
-        plan_cache_size: int = _PLAN_CACHE_LIMIT,
     ) -> None:
         for axis, value in (("sampling", sampling), ("folding", folding)):
             if value not in ("random", "stratified", "grouped"):
@@ -244,14 +226,6 @@ class SubsetCVEvaluator:
         self.score_params = score_params if score_params is not None else ScoreParams(use_variance=False)
         self.min_subset = min_subset
         self.clock = clock if clock is not None else time.perf_counter
-        self.batched = batched
-        self.memoize_plans = memoize_plans
-        if plan_cache_size < 1:
-            raise ValueError(f"plan_cache_size must be >= 1, got {plan_cache_size}")
-        self.plan_cache_size = int(plan_cache_size)
-        self.plan_cache_hits = 0
-        self.plan_cache_misses = 0
-        self._plan_cache: "OrderedDict[Tuple, Tuple]" = OrderedDict()
         #: ``{"X": ArenaRef, "y": ArenaRef}`` once :meth:`share_memory`
         #: published the dataset; ``None`` keeps plain pickle transport.
         self._arena_refs: Optional[Dict[str, ArenaRef]] = None
@@ -294,7 +268,6 @@ class SubsetCVEvaluator:
         """
         state = dict(self.__dict__)
         state.pop("scorer", None)
-        state.pop("_plan_cache", None)
         refs = state.get("_arena_refs")
         if refs:
             state["X"] = refs["X"]
@@ -305,7 +278,6 @@ class SubsetCVEvaluator:
         """Restore attributes, rebuild the scorer, attach any arena refs."""
         self.__dict__.update(state)
         self.scorer = make_scorer(self.metric)
-        self._plan_cache = OrderedDict()
         self.__dict__.setdefault("_arena_refs", None)
         if isinstance(self.X, ArenaRef):
             self.X = arena_attach(self.X)
@@ -324,11 +296,8 @@ class SubsetCVEvaluator:
     ) -> EvaluationResult:
         """Score ``config`` on a ``budget_fraction`` subset of the data.
 
-        The evaluation runs in three phases — plan (subset, folds and every
-        model seed, drawn in the exact order the per-fold reference loop
-        consumed them), fit (batched lane kernels when every fold qualifies,
-        the sequential loop otherwise) and score — so batching changes the
-        execution strategy without moving a single rng draw.
+        A width-1 :meth:`evaluate_many` call with the ambient collector as
+        the spec's collector — there is one plan -> fit -> score pipeline.
 
         ``warm_states`` optionally carries one
         :class:`~repro.engine.checkpoint.FoldCheckpoint` (or ``None``) per
@@ -338,92 +307,44 @@ class SubsetCVEvaluator:
         parameters are attached to the returned result for the engine's
         :class:`~repro.engine.checkpoint.CheckpointStore`.
         """
-        if not 0.0 < budget_fraction <= 1.0:
-            raise ValueError(f"budget_fraction must be in (0, 1], got {budget_fraction}")
-        start = self.clock()
-        cache_hits0, cache_misses0 = self.plan_cache_hits, self.plan_cache_misses
-        guard = GuardLog(self.guard_policy) if self.guard_active else None
-        subset, folds = self._subset_and_folds(budget_fraction, rng, guard)
-        collector = current_collector()
-        seeds, models, warm_map = self._plan_models(config, folds, rng, warm_states)
-
-        # Fit phase: one batched call when every model fold qualifies.
-        batch_fitted = False
-        if self._batch_eligible(models):
-            jobs, warm = self._fold_jobs(folds, models, warm_map)
-            span = (
-                collector.span("fit_batch", folds=len(jobs))
-                if collector is not None
-                else nullcontext(None)
-            )
-            try:
-                with span as record:
-                    stats = fit_mlp_folds(jobs, warm=warm or None)
-                    if record is not None:
-                        record["attrs"].update(stats.as_dict())
-                batch_fitted = True
-                self._count_batch_stats(collector, stats)
-            except Exception as exc:  # noqa: BLE001 - guarded runs degrade
-                if guard is None:
-                    raise
-                guard.record(
-                    "learner.batch_fallback",
-                    f"batched fit raised {type(exc).__name__}: {exc}; "
-                    "re-fitting folds sequentially",
-                    error=type(exc).__name__,
-                )
-                # The lane may have left partial state behind; rebuild the
-                # models from their planned seeds and let the score phase
-                # degrade broken folds one at a time like the reference path.
-                models = {
-                    index: self.model_factory(config, random_state=seed)
-                    for index, seed in enumerate(seeds)
-                    if seed is not None
-                }
-
-        fold_scores = self._score_trial(folds, models, warm_map, batch_fitted, guard, collector)
-        result = self._assemble_result(
-            subset, folds, models, fold_scores, guard, self.clock() - start, capture_checkpoints
-        )
-        attach_plan_cache_delta(
-            result,
-            self.plan_cache_hits - cache_hits0,
-            self.plan_cache_misses - cache_misses0,
-        )
-        return result
+        spec = (config, budget_fraction, rng, warm_states, capture_checkpoints, current_collector())
+        return self.evaluate_many([spec])[0][0]
 
     def evaluate_many(
         self,
         specs: List[Tuple],
     ) -> Tuple[List[EvaluationResult], MegaBatchStats]:
-        """Evaluate several trials of one rung as a single mega-batch.
+        """Evaluate the trials of one rung (any width, down to one).
 
         Each spec is ``(config, budget_fraction, rng, warm_states,
-        capture_checkpoints, collector)`` — one trial exactly as
-        :meth:`evaluate` takes it, plus an optional
+        capture_checkpoints, collector)`` — one trial as :meth:`evaluate`
+        takes it, plus an optional
         :class:`~repro.telemetry.TrialCollector` that is installed around
         every phase touching that trial (the phases of different trials
         interleave, so a single ambient collector cannot attribute work).
 
-        All trials are planned first (each consuming only its own rng),
-        then every batch-eligible trial's folds are fused into rung-level
-        lanes via :func:`~repro.learners.batched.fit_mlp_trials` —
-        bitwise-identical per fold to the per-trial path — and finally
-        each trial is scored.  Ineligible trials (non-MLP, lbfgs, single
-        fold) fit sequentially inside their own score phase, exactly as
-        :meth:`evaluate` would.
+        Three phases, none of which moves an rng draw relative to a
+        fold-by-fold loop.  *Plan*: every trial draws its subset, folds
+        and model seeds, consuming only its own rng.  *Fit*: the folds of
+        every trial whose models all qualify (MLP, sgd/adam, at least two
+        folds) go to :func:`~repro.learners.batched.fit_mlp_trials` in one
+        call, which stacks shape-matched folds into lanes — bitwise-equal
+        per fold to ``model.fit``.  *Score*: each trial is scored; trials
+        the fit phase skipped (non-MLP, lbfgs, single fold) fit fold by
+        fold here.
 
-        Raises on *any* error instead of degrading: the caller falls back
-        to per-trial :meth:`evaluate` calls, whose per-trial guard
-        semantics are the contract.  Returns the per-trial results (spec
-        order) and the aggregate :class:`MegaBatchStats`.
+        A fit-phase error propagates — the executor then re-runs each
+        task alone — except in a single-trial call under an active guard
+        policy, where it is recorded as ``learner.batch_fallback`` and
+        the trial degrades fold by fold in its score phase.  Returns the
+        per-trial results (spec order) and the fit phase's
+        :class:`MegaBatchStats`.
         """
         plans: List[Dict[str, Any]] = []
         for config, budget_fraction, rng, warm_states, capture, collector in specs:
             if not 0.0 < budget_fraction <= 1.0:
                 raise ValueError(f"budget_fraction must be in (0, 1], got {budget_fraction}")
             start = self.clock()
-            cache_hits0, cache_misses0 = self.plan_cache_hits, self.plan_cache_misses
             guard = GuardLog(self.guard_policy) if self.guard_active else None
             with install_collector(collector):
                 subset, folds = self._subset_and_folds(budget_fraction, rng, guard)
@@ -442,10 +363,6 @@ class SubsetCVEvaluator:
                     "own": self.clock() - start,
                     "fit_share": 0.0,
                     "batch_fitted": False,
-                    "cache_delta": (
-                        self.plan_cache_hits - cache_hits0,
-                        self.plan_cache_misses - cache_misses0,
-                    ),
                 }
             )
 
@@ -459,14 +376,29 @@ class SubsetCVEvaluator:
                 trial_jobs.append(jobs)
                 warms.append(warm or None)
             fit_start = self.clock()
-            per_trial_stats, mega = fit_mlp_trials(trial_jobs, warms)
-            fit_elapsed = self.clock() - fit_start
-            total_folds = sum(stats.folds for stats in per_trial_stats) or 1
-            for plan, stats in zip(fused, per_trial_stats):
-                plan["batch_fitted"] = True
-                plan["fit_share"] = fit_elapsed * stats.folds / total_folds
-                with install_collector(plan["collector"]) as collector:
-                    self._count_batch_stats(collector, stats)
+            try:
+                per_trial_stats, mega = fit_mlp_trials(trial_jobs, warms)
+            except Exception as exc:  # noqa: BLE001 - a guarded lone trial degrades
+                if len(plans) > 1 or plans[0]["guard"] is None:
+                    raise
+                plan = plans[0]
+                plan["guard"].record(
+                    "learner.batch_fallback",
+                    f"batched fit raised {type(exc).__name__}: {exc}; "
+                    "re-fitting folds sequentially",
+                    error=type(exc).__name__,
+                )
+                # The lane may have left partial state behind; rebuild the
+                # models from their planned seeds and let the score phase
+                # degrade broken folds one at a time.
+                plan["models"] = self._build_models(plan["config"], plan["seeds"])
+            else:
+                fit_elapsed = self.clock() - fit_start
+                total_folds = sum(stats.folds for stats in per_trial_stats) or 1
+                for plan, stats in zip(fused, per_trial_stats):
+                    plan["batch_fitted"] = True
+                    plan["fit_share"] = fit_elapsed * stats.folds / total_folds
+                    self._count_batch_stats(plan["collector"], stats)
 
         results = []
         for plan in plans:
@@ -481,17 +413,17 @@ class SubsetCVEvaluator:
                     collector,
                 )
             cost = plan["own"] + plan["fit_share"] + (self.clock() - score_start)
-            result = self._assemble_result(
-                plan["subset"],
-                plan["folds"],
-                plan["models"],
-                fold_scores,
-                plan["guard"],
-                cost,
-                plan["capture"],
+            results.append(
+                self._assemble_result(
+                    plan["subset"],
+                    plan["folds"],
+                    plan["models"],
+                    fold_scores,
+                    plan["guard"],
+                    cost,
+                    plan["capture"],
+                )
             )
-            attach_plan_cache_delta(result, *plan["cache_delta"])
-            results.append(result)
         return results, mega
 
     # -- internals -------------------------------------------------------------
@@ -516,11 +448,7 @@ class SubsetCVEvaluator:
                 seeds.append(None)
             else:
                 seeds.append(int(rng.integers(2**31)))
-        models = {
-            index: self.model_factory(config, random_state=seed)
-            for index, seed in enumerate(seeds)
-            if seed is not None
-        }
+        models = self._build_models(config, seeds)
         warm_map: Dict[int, Any] = {}
         if warm_states:
             for index, model in models.items():
@@ -532,13 +460,17 @@ class SubsetCVEvaluator:
                     warm_map[index] = warm_states[index]
         return seeds, models, warm_map
 
+    def _build_models(self, config: Dict[str, Any], seeds: List[Optional[int]]) -> Dict[int, Any]:
+        """One unfitted model per fold that drew a seed, keyed by fold index."""
+        return {
+            index: self.model_factory(config, random_state=seed)
+            for index, seed in enumerate(seeds)
+            if seed is not None
+        }
+
     def _batch_eligible(self, models: Dict[int, Any]) -> bool:
         """Whether a trial's folds can go through the lane kernels."""
-        return (
-            self.batched
-            and len(models) >= 2
-            and all(batchable_model(model) for model in models.values())
-        )
+        return len(models) >= 2 and all(batchable_model(model) for model in models.values())
 
     def _fold_jobs(
         self,
@@ -638,52 +570,13 @@ class SubsetCVEvaluator:
         rng: np.random.Generator,
         guard: Optional[GuardLog],
     ) -> Tuple[np.ndarray, List[Tuple[np.ndarray, np.ndarray]]]:
-        """Draw the budget subset and its fold partition, memoized.
-
-        Both are pure functions of ``(budget fraction, rng state)``: the
-        subset consumes the subsample draw and the partition consumes the
-        splitter-seed draw.  A memo hit replays the stored rng end state and
-        guard events instead of redoing the clustering/stratification work,
-        so the caller observes a bitwise-identical rng stream either way.
-        """
+        """Draw the budget subset (one rng draw) and its fold partition (one more)."""
         n_total = len(self.y)
         floor = max(self.min_subset, 2 * self._n_folds())
         n_subset = int(round(budget_fraction * n_total))
         n_subset = min(n_total, max(floor, n_subset))
-        cache_key = None
-        if self.memoize_plans:
-            cache_key = (round(float(budget_fraction), 12), repr(rng.bit_generator.state))
-            hit = self._plan_cache.get(cache_key)
-            if hit is not None:
-                subset, folds, events, end_state = hit
-                rng.bit_generator.state = end_state
-                if guard is not None:
-                    guard.extend(events)
-                self._plan_cache.move_to_end(cache_key)
-                self.plan_cache_hits += 1
-                collector = current_collector()
-                if collector is not None:
-                    collector.inc("evaluator.plan_cache_hits")
-                return subset, folds
-            self.plan_cache_misses += 1
-            collector = current_collector()
-            if collector is not None:
-                collector.inc("evaluator.plan_cache_misses")
-        probe = GuardLog(self.guard_policy) if guard is not None else None
         subset = self._draw_subset(n_subset, rng)
-        folds = list(self._folds(subset, rng, probe))
-        if probe is not None:
-            guard.extend(probe.events)
-        if cache_key is not None:
-            self._plan_cache[cache_key] = (
-                subset,
-                folds,
-                list(probe.events) if probe is not None else [],
-                rng.bit_generator.state,
-            )
-            while len(self._plan_cache) > self.plan_cache_size:
-                self._plan_cache.popitem(last=False)
-        return subset, folds
+        return subset, list(self._folds(subset, rng, guard))
 
     def _score_fold(
         self,
@@ -813,68 +706,6 @@ class SubsetCVEvaluator:
         for train_rel, val_rel in relative:
             yield subset[train_rel], subset[val_rel]
 
-    def _fit_and_score(
-        self,
-        config: Dict[str, Any],
-        train_idx: np.ndarray,
-        val_idx: np.ndarray,
-        rng: np.random.Generator,
-        guard: Optional[GuardLog] = None,
-    ) -> float:
-        """Sequential single-fold reference: create, fit and score one model.
-
-        :meth:`evaluate` no longer calls this (the plan/fit/score phases
-        above supersede it) but it remains the executable specification the
-        batched kernels are equivalence-tested against.
-        """
-        X_train, y_train = self.X[train_idx], self.y[train_idx]
-        X_val, y_val = self.X[val_idx], self.y[val_idx]
-        if self.task == "classification" and len(np.unique(y_train)) < 2:
-            if guard is not None:
-                guard.record(
-                    "folds.single_class_train",
-                    "training fold holds a single class; scored a constant predictor",
-                    n_train=int(len(train_idx)),
-                )
-            model = _ConstantClassifier(y_train[0])
-        else:
-            model = self.model_factory(config, random_state=int(rng.integers(2**31)))
-            collector = current_collector()
-            span = (
-                collector.span("fit", n_train=int(len(train_idx)))
-                if collector is not None
-                else nullcontext(None)
-            )
-            with span:
-                if guard is None:
-                    model.fit(X_train, y_train)
-                else:
-                    try:
-                        model.fit(X_train, y_train)
-                    except Exception as exc:  # noqa: BLE001 - any fit failure degrades
-                        guard.record(
-                            "learner.fit_error",
-                            f"fit raised {type(exc).__name__}: {exc}",
-                            error=type(exc).__name__,
-                            floor=FOLD_FLOOR,
-                        )
-                        return FOLD_FLOOR
-                    if getattr(model, "diverged_", False):
-                        guard.record(
-                            "learner.diverged",
-                            "fit aborted on exploding loss; parameters rolled back "
-                            "to the last finite state",
-                        )
-        score = float(self.scorer(model, X_val, y_val))
-        if guard is not None and not np.isfinite(score):
-            guard.record(
-                "scoring.nonfinite_fold",
-                f"fold scored {score!r}; clamped to the fold floor",
-                floor=FOLD_FLOOR,
-            )
-            score = FOLD_FLOOR
-        return score
-
     def fit_full(self, config: Dict[str, Any], random_state: Optional[int] = None):
         """Train a model with ``config`` on the entire training set."""
         model = self.model_factory(config, random_state=random_state)
@@ -892,8 +723,6 @@ def vanilla_evaluator(
     min_subset: int = 30,
     clock: Optional[Callable[[], float]] = None,
     guard_policy: Optional[str] = None,
-    batched: bool = True,
-    memoize_plans: bool = True,
 ) -> SubsetCVEvaluator:
     """The baseline evaluator: stratified subsets, stratified k-fold, mean."""
     return SubsetCVEvaluator(
@@ -909,8 +738,6 @@ def vanilla_evaluator(
         min_subset=min_subset,
         clock=clock,
         guard_policy=guard_policy,
-        batched=batched,
-        memoize_plans=memoize_plans,
     )
 
 
@@ -932,8 +759,6 @@ def grouped_evaluator(
     grouping: Optional[InstanceGrouping] = None,
     clock: Optional[Callable[[], float]] = None,
     guard_policy: Optional[str] = None,
-    batched: bool = True,
-    memoize_plans: bool = True,
 ) -> SubsetCVEvaluator:
     """The paper's enhanced evaluator (grouped sampling/folds, Eq. 3 score).
 
@@ -990,8 +815,6 @@ def grouped_evaluator(
         clock=clock,
         guard_policy=guard_policy,
         data_report=data_report,
-        batched=batched,
-        memoize_plans=memoize_plans,
     )
     if data_report is not None:
         evaluator.setup_guard_events = setup_guard.as_dicts()

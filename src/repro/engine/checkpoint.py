@@ -48,24 +48,14 @@ from .durability import fsync_dir
 
 __all__ = [
     "CHECKPOINT_ATTR",
-    "PLAN_CACHE_ATTR",
     "CheckpointStore",
     "FoldCheckpoint",
     "attach_checkpoints",
     "detach_checkpoints",
-    "attach_plan_cache_delta",
-    "detach_plan_cache_delta",
 ]
 
 #: Attribute name carrying captured fold states on an EvaluationResult.
 CHECKPOINT_ATTR = "_checkpoints"
-
-#: Attribute name carrying one evaluation's plan-memo ``(hits, misses)``
-#: delta on an EvaluationResult.  Same sidecar pattern as checkpoints and
-#: telemetry payloads: rides ``__dict__`` over the worker pipe, and the
-#: engine strips it in ``_settle`` (into EngineStats counters) before the
-#: result reaches the cache or the journal.
-PLAN_CACHE_ATTR = "_plan_cache_delta"
 
 #: Spill-segment suffix.  A segment is ``pickle(directory)`` followed by one
 #: pickle per entry; ``directory`` lists ``((digest, budget), offset)`` with
@@ -143,19 +133,6 @@ def detach_checkpoints(result) -> Optional[List[Optional[FoldCheckpoint]]]:
     if result is None:
         return None
     return result.__dict__.pop(CHECKPOINT_ATTR, None)
-
-
-def attach_plan_cache_delta(result, hits: int, misses: int) -> None:
-    """Hang one evaluation's plan-memo hit/miss delta onto its result."""
-    if hits or misses:
-        result.__dict__[PLAN_CACHE_ATTR] = (int(hits), int(misses))
-
-
-def detach_plan_cache_delta(result) -> Optional[Tuple[int, int]]:
-    """Remove and return the plan-memo delta, if the evaluator attached one."""
-    if result is None or not hasattr(result, "__dict__"):
-        return None
-    return result.__dict__.pop(PLAN_CACHE_ATTR, None)
 
 
 class CheckpointStore:

@@ -49,7 +49,7 @@ from ..obs import flightrec as _flightrec
 from ..telemetry import Telemetry
 from ..telemetry.collect import detach_payload
 from .cache import EvaluationCache
-from .checkpoint import CheckpointStore, detach_checkpoints, detach_plan_cache_delta
+from .checkpoint import CheckpointStore, detach_checkpoints
 from .executors import (
     SerialExecutor,
     TIMEOUT_ERROR_PREFIX,
@@ -91,8 +91,8 @@ def backoff_delay(base: float, attempt: int, maximum: float, seed: int) -> float
 FAILURE_SCORE = -1e30
 
 #: Version of the :meth:`EngineStats.as_dict` payload; bump when counters
-#: are added/renamed so BENCH_engine.json stays comparable across PRs.
-STATS_SCHEMA_VERSION = 6
+#: are added, renamed or removed so ``/stats`` consumers can pin on it.
+STATS_SCHEMA_VERSION = 7
 
 
 @dataclass
@@ -129,11 +129,6 @@ class EngineStats:
         (both stay 0 without a store).
     checkpoints_stored:
         Evaluations whose captured fold states entered the store.
-    plan_cache_hits, plan_cache_misses:
-        Evaluator plan-memoization outcomes (subset + fold construction
-        replayed from the LRU cache vs. recomputed), accumulated from the
-        per-result deltas each evaluation carries home; both stay 0 when
-        the evaluator does not memoize plans.
     megabatch_trials, megabatch_folds:
         Rung-level mega-batching activity: trials whose folds were fused
         across trial boundaries into shared lanes, and the fold count
@@ -158,8 +153,6 @@ class EngineStats:
     warm_hits: int = 0
     warm_misses: int = 0
     checkpoints_stored: int = 0
-    plan_cache_hits: int = 0
-    plan_cache_misses: int = 0
     megabatch_trials: int = 0
     megabatch_folds: int = 0
     journal_commits: int = 0
@@ -188,8 +181,6 @@ class EngineStats:
             "warm_hits": self.warm_hits,
             "warm_misses": self.warm_misses,
             "checkpoints_stored": self.checkpoints_stored,
-            "plan_cache_hits": self.plan_cache_hits,
-            "plan_cache_misses": self.plan_cache_misses,
             "megabatch_trials": self.megabatch_trials,
             "megabatch_folds": self.megabatch_folds,
             "journal_commits": self.journal_commits,
@@ -626,21 +617,12 @@ class TrialEngine:
             trial_id, ok, result, error = self.executor.wait_one()
             request = self._in_flight.pop(trial_id)
             payload = detach_payload(result) if ok else None
-            if ok:
-                delta = detach_plan_cache_delta(result)
-                if delta is not None:
-                    self.stats.plan_cache_hits += delta[0]
-                    self.stats.plan_cache_misses += delta[1]
-                    if delta[0]:
-                        self._inc("engine.plan_cache_hits", delta[0])
-                    if delta[1]:
-                        self._inc("engine.plan_cache_misses", delta[1])
-                if payload is not None:
-                    mega = payload.pop("megabatch", None)
-                    if mega:
-                        # Worker-side fusion: the first fused trial carries
-                        # the rung's mega-batch summary on its sidecar.
-                        self._note_megabatch(request, mega)
+            if payload is not None:
+                mega = payload.pop("megabatch", None)
+                if mega:
+                    # Worker-side fusion: the first fused trial carries
+                    # the rung's mega-batch summary on its sidecar.
+                    self._note_megabatch(request, mega)
             if ok and not _result_is_finite(result):
                 self.stats.non_finite += 1
                 self._inc("engine.non_finite")

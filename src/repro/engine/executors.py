@@ -54,7 +54,7 @@ import threading
 import time
 from collections import deque
 from multiprocessing import connection as mp_connection
-from typing import Any, Deque, Dict, Optional, Tuple
+from typing import Deque, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -66,7 +66,7 @@ from ..telemetry.collect import (
     PAYLOAD_ATTR,
     TrialCollector,
     attach_payload,
-    trial_collection,
+    install_collector,
 )
 
 __all__ = [
@@ -112,98 +112,104 @@ def current_worker_connection():
     return _WORKER_CONN
 
 
-def _safe_evaluate(
-    evaluator,
-    trial_id: int,
-    config: Dict[str, Any],
-    budget_fraction: float,
-    seed: int,
-    telemetry: int = 0,
-    warm_states=None,
-    capture: bool = False,
-) -> Tuple[int, bool, Optional[EvaluationResult], Optional[str]]:
-    """Run one evaluation under a fresh seeded generator, capturing errors.
+def _task(token: int, request) -> Tuple:
+    """The tuple a request travels as: executor token first, then what to run."""
+    return (
+        token,
+        request.trial_id,
+        request.config,
+        request.budget_fraction,
+        request.seed,
+        getattr(request, "telemetry", 0),
+        getattr(request, "warm_states", None),
+        getattr(request, "capture", False),
+    )
 
-    A non-zero ``telemetry`` bitmask installs a per-trial collector for
-    the evaluation (fold/fit spans, counters, profiled timings) and
-    attaches its payload to the result, which carries it back over the
-    executor pipe; the engine detaches it before the result is cached or
-    journaled.  ``warm_states``/``capture`` forward the engine's warm-start
-    protocol to the evaluator; both are passed only when set, so evaluators
-    predating the warm-start keywords keep working cold.
+
+def _rung_wide(evaluator) -> bool:
+    """Whether the evaluator's *class* defines ``evaluate_many``.
+
+    Resolved on the class, never through ``__getattr__`` delegation:
+    wrapper evaluators (chaos injectors, test doubles) that override
+    ``evaluate`` and proxy every other attribute to the wrapped instance
+    must run through their own ``evaluate``, one task at a time.
     """
-    try:
-        rng = np.random.default_rng(seed)
-        kwargs = {}
-        if warm_states is not None:
-            kwargs["warm_states"] = warm_states
-        if capture:
-            kwargs["capture_checkpoints"] = True
-        if telemetry:
+    return getattr(type(evaluator), "evaluate_many", None) is not None
+
+
+def _evaluate_tasks(evaluator, tasks):
+    """Evaluate task tuples; exceptions come back as failed completions.
+
+    Returns ``(payloads, mega)``: per-task ``(trial_id, ok, result,
+    error)`` in task order, plus the call's
+    :class:`~repro.learners.batched.MegaBatchStats` when two or more
+    tasks went through one ``evaluate_many`` call (else ``None``).
+
+    Every task runs under a generator rebuilt from its own seed.  A
+    non-zero telemetry bitmask gives the task a collector (fold/fit
+    spans, counters, profiled timings) whose payload rides home on the
+    result, stamped with the worker it ran on; the engine detaches it
+    before the result is cached or journaled.  A :func:`_rung_wide`
+    evaluator gets one call at whatever width arrived; if that raises
+    at width > 1 every task is re-run alone through this same function
+    (bitwise the same results — seeds are per task), which is what keeps
+    guard degradation and error reporting per trial.  Any other
+    evaluator is looped over its ``evaluate``, passed the warm-start
+    keywords only when set so evaluators predating them keep working.
+    """
+    alone = len(tasks) == 1
+    rung_wide = _rung_wide(evaluator)
+    if alone or rung_wide:
+        if not alone:
+            fault_point("executor.pre_megabatch", tasks=len(tasks))
+        try:
             t0 = time.monotonic()
-            with trial_collection(telemetry) as collector:
-                result = evaluator.evaluate(config, budget_fraction, rng, **kwargs)
-                collector.observe("trial.execute_s", time.monotonic() - t0)
-            attach_payload(result, collector)
-            if _WORKER_ID is not None:
-                # Stamp where the evaluation physically ran; rides the same
-                # sidecar and is stripped with it before caching/journaling,
-                # so stored results stay byte-identical to an untraced run.
-                payload = result.__dict__.get(PAYLOAD_ATTR)
-                if payload is not None:
-                    payload["origin"] = {"pid": os.getpid(), "worker": _WORKER_ID}
-        else:
-            result = evaluator.evaluate(config, budget_fraction, rng, **kwargs)
-        return trial_id, True, result, None
-    except Exception as exc:  # noqa: BLE001 — fault tolerance is the point
-        return trial_id, False, None, f"{type(exc).__name__}: {exc}"
-
-
-def _fused_evaluate(evaluator, tasks):
-    """Evaluate several queued tasks as one rung-level mega-batch.
-
-    Returns ``(payloads, mega)`` — per-task ``(trial_id, ok, result,
-    error)`` tuples in task order plus the aggregate
-    :class:`~repro.learners.batched.MegaBatchStats` — or ``None`` when
-    fusion is unavailable (the evaluator has no ``evaluate_many``) or the
-    fused call raised; the caller then falls back to per-task
-    :func:`_safe_evaluate`, which produces bitwise-identical results
-    because every task carries its own seed and the evaluator's plan
-    memoization replays rng state on hit.
-
-    ``evaluate_many`` is resolved on the evaluator's *class*, never
-    through ``__getattr__`` delegation: wrapper evaluators (chaos
-    injectors, test doubles) that override ``evaluate`` and proxy every
-    other attribute to the wrapped instance must not be silently
-    bypassed by the fused path.
-    """
-    if getattr(type(evaluator), "evaluate_many", None) is None:
-        return None
-    evaluate_many = evaluator.evaluate_many
-    specs = []
-    collectors = []
-    for task in tasks:
-        _token, _trial_id, config, budget_fraction, seed, telemetry, warm, capture = task
-        collector = TrialCollector(flags=telemetry) if telemetry else None
-        collectors.append(collector)
-        specs.append(
-            (config, budget_fraction, np.random.default_rng(seed), warm, bool(capture), collector)
-        )
-    fault_point("executor.pre_megabatch", tasks=len(tasks))
-    try:
-        results, mega = evaluate_many(specs)
-    except Exception:  # noqa: BLE001 — per-task fallback is bitwise identical
-        return None
-    payloads = []
-    for task, result, collector in zip(tasks, results, collectors):
-        if collector is not None:
-            collector.observe("trial.execute_s", float(result.cost))
-        attach_payload(result, collector)
-        payload_dict = result.__dict__.get(PAYLOAD_ATTR)
-        if payload_dict is not None and _WORKER_ID is not None:
-            payload_dict["origin"] = {"pid": os.getpid(), "worker": _WORKER_ID}
-        payloads.append((task[1], True, result, None))
-    return payloads, mega
+            specs = [
+                (
+                    config,
+                    budget_fraction,
+                    np.random.default_rng(seed),
+                    warm,
+                    bool(capture),
+                    TrialCollector(flags=telemetry) if telemetry else None,
+                )
+                for _, _, config, budget_fraction, seed, telemetry, warm, capture in tasks
+            ]
+            mega = None
+            if rung_wide:
+                results, mega = evaluator.evaluate_many(specs)
+            else:
+                config, budget_fraction, rng, warm, capture, collector = specs[0]
+                kwargs = {}
+                if warm is not None:
+                    kwargs["warm_states"] = warm
+                if capture:
+                    kwargs["capture_checkpoints"] = True
+                with install_collector(collector):
+                    results = [evaluator.evaluate(config, budget_fraction, rng, **kwargs)]
+            elapsed = time.monotonic() - t0
+            for spec, result in zip(specs, results):
+                collector = spec[5]
+                if collector is None:
+                    continue
+                # A lone trial owns the call's wall time; in a wider call the
+                # evaluator's apportioned cost is the only per-trial figure.
+                collector.observe("trial.execute_s", elapsed if alone else float(result.cost))
+                attach_payload(result, collector)
+                sidecar = result.__dict__.get(PAYLOAD_ATTR)
+                if sidecar is not None and _WORKER_ID is not None:
+                    # Stamp where the evaluation physically ran; rides the same
+                    # sidecar and is stripped with it before caching/journaling,
+                    # so stored results stay byte-identical to an untraced run.
+                    sidecar["origin"] = {"pid": os.getpid(), "worker": _WORKER_ID}
+            payloads = [(task[1], True, result, None) for task, result in zip(tasks, results)]
+            return payloads, (None if alone else mega)
+        except Exception as exc:  # noqa: BLE001 — fault tolerance is the point
+            if alone:
+                return [(tasks[0][1], False, None, f"{type(exc).__name__}: {exc}")], None
+            # Retried below, one task at a time; leave a trace of why.
+            _flightrec.note("executor.rung_retry", error=type(exc).__name__, tasks=len(tasks))
+    return [_evaluate_tasks(evaluator, [task])[0][0] for task in tasks], None
 
 
 def _watchdog_worker_main(evaluator, conn, worker_id: int, heartbeat_interval: float) -> None:
@@ -268,24 +274,14 @@ def _watchdog_worker_main(evaluator, conn, worker_id: int, heartbeat_interval: f
                     tasks.extend(extra)
             except (EOFError, OSError):
                 shutting_down = True
-            fused = _fused_evaluate(evaluator, tasks) if len(tasks) > 1 else None
-            if fused is not None:
-                payloads, mega = fused
+            payloads, mega = _evaluate_tasks(evaluator, tasks)
+            if mega is not None and mega.trials:
                 sidecar = payloads[0][2].__dict__.get(PAYLOAD_ATTR)
-                if sidecar is not None and mega.trials:
+                if sidecar is not None:
                     # The mega-batch summary rides home on the first
                     # trial's sidecar; the engine pops it before the
                     # result is cached or journaled.
                     sidecar["megabatch"] = mega.as_dict()
-            else:
-                payloads = [
-                    _safe_evaluate(
-                        evaluator, trial_id, config, budget_fraction, seed,
-                        telemetry, warm, capture,
-                    )
-                    for _token, trial_id, config, budget_fraction, seed, telemetry, warm, capture
-                    in tasks
-                ]
             try:
                 fault_point("executor.worker.pre_send")
                 with send_lock:
@@ -325,17 +321,15 @@ class TrialExecutor:
         raise NotImplementedError
 
     def flush_batch(self):
-        """Fuse queued submissions into one rung-level mega-batch, if able.
+        """Run what :meth:`submit` queued as one rung, if the executor can.
 
         The engine calls this once per :meth:`~repro.engine.core.TrialEngine.run_batch`
-        after submitting the whole rung.  Executors that can co-schedule
-        the queued trials — the serial executor fusing them through the
-        evaluator's ``evaluate_many`` — do so and return the aggregate
+        after submitting the whole rung.  The serial executor evaluates
+        the queue in one ``evaluate_many`` call and returns its
         :class:`~repro.learners.batched.MegaBatchStats`; the default
-        no-op returns ``None`` and trials run one by one as before.
-        Fusion never changes results: the mega-batched kernels are
-        bitwise-identical to the per-trial path, and any fusion error
-        falls back to per-trial execution.
+        no-op returns ``None`` and trials run one by one.  Only
+        scheduling changes: results are bitwise those of one-by-one
+        execution.
         """
         return None
 
@@ -382,57 +376,32 @@ class SerialExecutor(TrialExecutor):
         self._queue.append(request)
 
     def flush_batch(self):
-        """Fuse the queued rung through the evaluator's ``evaluate_many``.
+        """Evaluate the queued rung in one ``evaluate_many`` call.
 
-        Converts every queued request into a mega-batch spec (the request
-        seed recreates the exact rng the per-trial path would use) and
-        runs them in one fused call; completions queue up for
-        :meth:`wait_one` in request order.  Skipped — returning ``None``
-        with the queue untouched, so per-trial execution proceeds
-        bitwise-identically — when fewer than two requests are queued,
-        the evaluator cannot fuse, or the fused call raised.
+        Completions queue up for :meth:`wait_one` in request order.
+        Returns ``None`` with the queue untouched — :meth:`wait_one` then
+        runs the requests one by one, bitwise-identically — when fewer
+        than two requests are queued or the evaluator only has
+        ``evaluate``.
         """
-        if len(self._queue) < 2:
+        if len(self._queue) < 2 or not _rung_wide(self._evaluator):
             return None
-        tasks = [
-            (
-                0,
-                request.trial_id,
-                request.config,
-                request.budget_fraction,
-                request.seed,
-                getattr(request, "telemetry", 0),
-                getattr(request, "warm_states", None),
-                getattr(request, "capture", False),
-            )
-            for request in self._queue
-        ]
-        fused = _fused_evaluate(self._evaluator, tasks)
-        if fused is None:
-            return None
-        payloads, mega = fused
+        payloads, mega = _evaluate_tasks(
+            self._evaluator, [_task(0, request) for request in self._queue]
+        )
         self._queue.clear()
         self._completed.extend(payloads)
         return mega
 
     def wait_one(self) -> Tuple[int, bool, Optional[EvaluationResult], Optional[str]]:
-        """Return the next fused completion, else execute the oldest request."""
+        """Return the next flushed completion, else execute the oldest request."""
         if self._completed:
             return self._completed.popleft()
         if not self._queue:
             raise RuntimeError("wait_one called with no pending trials")
         request = self._queue.popleft()
         fault_point("executor.serial.pre_execute")
-        return _safe_evaluate(
-            self._evaluator,
-            request.trial_id,
-            request.config,
-            request.budget_fraction,
-            request.seed,
-            getattr(request, "telemetry", 0),
-            getattr(request, "warm_states", None),
-            getattr(request, "capture", False),
-        )
+        return _evaluate_tasks(self._evaluator, [_task(0, request)])[0][0]
 
     def pending(self) -> int:
         """Queued requests plus fused completions awaiting pickup."""
@@ -859,16 +828,7 @@ class ParallelExecutor(TrialExecutor):
         self._ensure_workers()
         token = self._next_token
         self._next_token += 1
-        task = (
-            token,
-            request.trial_id,
-            request.config,
-            request.budget_fraction,
-            request.seed,
-            getattr(request, "telemetry", 0),
-            getattr(request, "warm_states", None),
-            getattr(request, "capture", False),
-        )
+        task = _task(token, request)
         if self._hold:
             self._backlog.append(task)
             return

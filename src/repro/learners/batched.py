@@ -1,9 +1,9 @@
-"""Batched fold kernels: train every CV fold of a trial simultaneously.
+"""Batched fold kernels: train every CV fold of a rung simultaneously.
 
-The evaluator's hot path trains ``k_gen + k_spe`` MLPs per trial, one per
-fold, in a Python loop.  For the paper's small networks the sequential
-loop is dominated by per-call numpy overhead, not by FLOPs — so this
-module advances **all folds at once**: fold data is stacked into
+The evaluator trains ``k_gen + k_spe`` MLPs per trial, one per fold.
+For the paper's small networks a fold-by-fold loop is dominated by
+per-call numpy overhead, not by FLOPs — so this module advances **all
+folds at once**: fold data is stacked into
 ``(F, N, D)`` tensors, per-fold parameters into ``(F, d_in, d_out)``
 tensors per layer, and one ``np.matmul`` per layer moves every fold one
 step forward.
@@ -44,10 +44,12 @@ rank-generic forward / head-loss / backward core that ``.fit`` runs on
 module owns only what stacking adds: lane formation, the ``(A, 1, 1)``
 per-fold factor columns and the per-fold control flow.
 
-Rung-level mega-batches
------------------------
-:func:`fit_mlp_trials` extends the same lanes **across every trial in a
-rung**: the lane key captures everything *structural* about a fold's
+One entry point, any width
+--------------------------
+:func:`fit_mlp_trials` forms those lanes **across every trial in a
+rung** (:func:`fit_mlp_folds` is the same call for a single trial, kept
+under its name for callers outside ``src/``): the lane key captures
+everything *structural* about a fold's
 training loop (architecture, row count, solver family, activations,
 schedule shape, batch size, epoch budget), while the purely *numeric*
 per-fold hyperparameters — ``alpha``, ``learning_rate_init``,
@@ -60,7 +62,12 @@ models.  Fold results never depend on lane grouping, which is what
 keeps cache keys, journal records and incumbent fingerprints untouched.
 
 Only the stochastic solvers (``sgd`` / ``adam``) are batchable; L-BFGS
-is full-batch scipy and keeps the per-fold loop.
+is full-batch scipy and keeps the per-fold loop.  A lane of one fold
+gains nothing from stacking and finishes through the model's own
+``_fit_stochastic`` (:func:`_run_lane`): routing it through a width-1
+``_fit_lane`` instead is bitwise-equal but measured 5-12 % slower
+(docs/PERFORMANCE.md), so both training loops stay, chosen by lane
+width.
 """
 
 from __future__ import annotations
@@ -192,53 +199,12 @@ class _FoldPlan:
         self.lane_key = lane_key
 
 
-@profiled("mlp.fit_batched")
 def fit_mlp_folds(
     jobs: Sequence[Tuple[Any, np.ndarray, np.ndarray]],
     warm: Optional[Dict[int, Tuple[Sequence[np.ndarray], Sequence[np.ndarray]]]] = None,
 ) -> BatchedFitStats:
-    """Fit one MLP per fold, batching folds of identical shape.
-
-    Parameters
-    ----------
-    jobs:
-        ``(model, X_train, y_train)`` per fold, in fold order.  Every
-        model must satisfy :func:`batchable_model` and share one
-        hyperparameter configuration (they are the per-fold clones of a
-        single trial); each is fitted in place exactly as ``model.fit``
-        would have.
-    warm:
-        Optional ``fold_index -> (coefs, intercepts)`` warm starts; a
-        fold whose donated shapes mismatch its architecture falls back
-        to cold initialisation, like :meth:`_BaseMLP.fit`.
-
-    Returns
-    -------
-    BatchedFitStats
-        Dispatch counters (lanes formed, folds batched vs sequential).
-    """
-    stats = BatchedFitStats()
-    stats.folds = len(jobs)
-    plans: List[_FoldPlan] = []
-    for index, (model, X, y) in enumerate(jobs):
-        coefs_init = intercepts_init = None
-        if warm is not None and index in warm:
-            coefs_init, intercepts_init = warm[index]
-        plan = _prepare_fold(model, X, y, coefs_init, intercepts_init)
-        if warm_start_matches(plan.layer_units, coefs_init, intercepts_init):
-            stats.warm_folds += 1
-        plans.append(plan)
-
-    lanes: Dict[Tuple, List[_FoldPlan]] = {}
-    for plan in plans:
-        lanes.setdefault(plan.lane_key, []).append(plan)
-    stats.lanes = len(lanes)
-    for members in lanes.values():
-        if _run_lane(members):
-            stats.batched_folds += len(members)
-        else:
-            stats.sequential_folds += len(members)
-    return stats
+    """Fit one trial's folds: :func:`fit_mlp_trials` at width one."""
+    return fit_mlp_trials([jobs], [warm])[0][0]
 
 
 @profiled("mlp.fit_megabatch")
@@ -246,24 +212,28 @@ def fit_mlp_trials(
     trial_jobs: Sequence[Sequence[Tuple[Any, np.ndarray, np.ndarray]]],
     warms: Optional[Sequence[Optional[Dict[int, Tuple[Sequence[np.ndarray], Sequence[np.ndarray]]]]]] = None,
 ) -> Tuple[List[BatchedFitStats], MegaBatchStats]:
-    """Fit every fold of every trial in one rung-level mega-batch.
+    """Fit every fold of every trial of a rung (any width, down to one).
 
     Parameters
     ----------
     trial_jobs:
         One entry per trial, each a sequence of ``(model, X_train,
-        y_train)`` fold jobs exactly as :func:`fit_mlp_folds` takes
-        them.  Models from *different* trials may carry different
-        hyperparameter configurations.
+        y_train)`` fold jobs in fold order.  Every model must satisfy
+        :func:`batchable_model` and is fitted in place exactly as
+        ``model.fit`` would have; models from *different* trials may
+        carry different hyperparameter configurations.
     warms:
-        Optional per-trial warm-start dicts, aligned with
-        ``trial_jobs`` (``None`` entries for cold trials).
+        Optional per-trial warm starts aligned with ``trial_jobs``
+        (``None`` entries for cold trials): a dict ``fold_index ->
+        (coefs, intercepts)``.  A fold whose donated shapes mismatch its
+        architecture falls back to cold initialisation, like
+        :meth:`_BaseMLP.fit`.
 
     Returns
     -------
     (per_trial_stats, mega_stats)
-        One :class:`BatchedFitStats` per trial (identical semantics to
-        the per-trial entry point) plus an aggregate
+        One :class:`BatchedFitStats` per trial (lanes it took part in,
+        folds stacked vs fitted alone) plus an aggregate
         :class:`MegaBatchStats` describing the fusion.
 
     Every fold is trained bitwise-identically to ``model.fit`` run on

@@ -56,7 +56,7 @@ _Z_CLIP = 1e8
 # -- the fit kernel -----------------------------------------------------------
 #
 # One forward pass and one loss/backward pass serve ``.fit`` (sgd, adam and
-# the L-BFGS objective), ``fit_mlp_folds`` and ``fit_mlp_trials``.  Both are
+# the L-BFGS objective) and ``fit_mlp_trials``.  Both are
 # rank-generic: 2-D operands are one fold, 3-D ``(A, ...)`` operands a lane
 # stack (intercepts ``(A, 1, d)``, per-fold scalars as ``(A, 1, 1)`` columns),
 # and slice ``i`` of a stacked result is bitwise the 2-D result for fold ``i``.

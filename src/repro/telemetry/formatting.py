@@ -1,7 +1,7 @@
-"""Shared number formatting for CLI summaries and bench reports.
+"""Shared number formatting for CLI summaries and trace reports.
 
 One place to format rates, overheads and durations so the CLI's engine
-summary and ``tools/bench_engine.py`` print the same shapes — previously
+summary and ``tools/trace_view.py`` print the same shapes — previously
 each call site interpolated raw floats with ad-hoc precision.
 """
 

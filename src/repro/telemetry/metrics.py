@@ -33,7 +33,7 @@ from typing import Any, Dict, List, Optional
 __all__ = ["METRICS_SCHEMA_VERSION", "HistogramSummary", "MetricsRegistry"]
 
 #: Version of the :meth:`MetricsRegistry.as_dict` payload; bump when the
-#: shape changes so BENCH_telemetry.json stays comparable across PRs.
+#: shape changes so trace-file readers can pin on it.
 METRICS_SCHEMA_VERSION = 1
 
 

@@ -1,17 +1,14 @@
-"""Evaluator-level batched-path equivalence and plan memoization.
+"""Checkpoint capture and warm reuse through ``SubsetCVEvaluator.evaluate``.
 
-``SubsetCVEvaluator.evaluate`` dispatches all batchable folds of a trial
-through :func:`repro.learners.batched.fit_mlp_folds`; these tests pin
-that the switch is invisible — scores, guard events and the caller's rng
-stream are bit-identical to the sequential reference path — and that the
-per-``(budget, rng-state)`` plan memo replays subsets, folds and guard
-events exactly.
+(The any-width equivalence of the plan -> fit -> score pipeline with a
+fold-by-fold oracle, warm states and captured checkpoints included, is
+``TestEvaluateManyOracle`` in ``test_evaluator_properties.py``.)
 """
 
 import numpy as np
 import pytest
 
-from repro.core import MLPModelFactory, grouped_evaluator, vanilla_evaluator
+from repro.core import MLPModelFactory, vanilla_evaluator
 from repro.engine.checkpoint import detach_checkpoints
 
 
@@ -28,68 +25,6 @@ def factory():
     return MLPModelFactory(
         task="classification", hidden_layer_sizes=(8,), solver="adam", max_iter=15
     )
-
-
-def run(make, data, factory, seed, **kwargs):
-    """One evaluation plus a probe of the caller's rng stream position."""
-    X, y = data
-    evaluator = make(X, y, factory, **kwargs)
-    rng = np.random.default_rng(seed)
-    result = evaluator.evaluate({"alpha": 1e-4}, 0.3, rng)
-    return result, int(rng.integers(2**31))
-
-
-class TestBatchedPathEquivalence:
-    @pytest.mark.parametrize("guard", [None, "repair"])
-    @pytest.mark.parametrize("make", [vanilla_evaluator, grouped_evaluator])
-    def test_batched_equals_sequential(self, data, factory, make, guard):
-        kwargs = {"guard_policy": guard}
-        if make is grouped_evaluator:
-            kwargs["random_state"] = 7
-        batched, probe_b = run(make, data, factory, 42, batched=True, **kwargs)
-        sequential, probe_s = run(
-            make, data, factory, 42, batched=False, memoize_plans=False, **kwargs
-        )
-        assert batched.fold_scores == sequential.fold_scores
-        assert batched.mean == sequential.mean
-        assert batched.std == sequential.std
-        assert batched.score == sequential.score
-        assert batched.gamma == sequential.gamma
-        assert batched.guard_events == sequential.guard_events
-        assert probe_b == probe_s  # caller's rng stream is untouched
-
-
-class TestPlanMemo:
-    def test_memo_hit_replays_bitwise(self, data, factory):
-        X, y = data
-        evaluator = vanilla_evaluator(X, y, factory)
-        r1 = np.random.default_rng(5)
-        first = evaluator.evaluate({}, 0.25, r1)
-        probe1 = int(r1.integers(2**31))
-        r2 = np.random.default_rng(5)
-        second = evaluator.evaluate({}, 0.25, r2)
-        probe2 = int(r2.integers(2**31))
-        assert first.fold_scores == second.fold_scores
-        assert probe1 == probe2
-        assert len(evaluator._plan_cache) == 1
-
-    def test_memo_can_be_disabled(self, data, factory):
-        X, y = data
-        evaluator = vanilla_evaluator(X, y, factory, memoize_plans=False)
-        evaluator.evaluate({}, 0.25, np.random.default_rng(5))
-        assert len(evaluator._plan_cache) == 0
-
-    def test_memo_survives_pickling_as_empty(self, data, factory):
-        import pickle
-
-        X, y = data
-        evaluator = vanilla_evaluator(X, y, factory)
-        evaluator.evaluate({}, 0.25, np.random.default_rng(5))
-        clone = pickle.loads(pickle.dumps(evaluator))
-        assert len(clone._plan_cache) == 0  # memo is a local cache, not state
-        result = clone.evaluate({}, 0.25, np.random.default_rng(5))
-        reference = evaluator.evaluate({}, 0.25, np.random.default_rng(5))
-        assert result.fold_scores == reference.fold_scores
 
 
 class TestCheckpointCaptureAndWarm:

@@ -6,14 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
+    FOLD_FLOOR,
     MLPModelFactory,
     ScoreParams,
     SubsetCVEvaluator,
     generate_groups,
     grouped_evaluator,
+    ucb_score,
     vanilla_evaluator,
 )
 from repro.datasets import make_classification
+from repro.engine.checkpoint import detach_checkpoints
+from repro.guard import GuardLog
 
 CONFIG = {"hidden_layer_sizes": (4,), "activation": "relu"}
 
@@ -69,6 +73,162 @@ class TestEvaluatorProperties:
         result = evaluator.evaluate(CONFIG, budget, np.random.default_rng(1))
         expected = alpha * beta_weight(result.gamma, 10.0) * result.std
         assert result.score - result.mean == pytest.approx(expected, abs=1e-9)
+
+
+def oracle_evaluate(evaluator, config, budget, seed, warm_states=None):
+    """Fold-by-fold reference for one trial: plan, then ``.fit`` + score per fold.
+
+    Returns what a result must carry — ``(fold_scores, mean, std, score,
+    gamma, guard events as (kind, context), per-fold (coefs, intercepts))``.
+    """
+    rng = np.random.default_rng(seed)
+    guard = GuardLog(evaluator.guard_policy) if evaluator.guard_active else None
+    subset, folds = evaluator._subset_and_folds(budget, rng, guard)
+    _, models, warm_map = evaluator._plan_models(config, folds, rng, warm_states)
+    fold_scores = []
+    for index, (train, val) in enumerate(folds):
+        model = models.get(index)
+        if model is None:  # single-class training fold: constant predictor
+            if guard is not None:
+                guard.record("folds.single_class_train", n_train=int(len(train)))
+            predictions = np.full(len(val), evaluator.y[train][0])
+            fold_scores.append(float(np.mean(predictions == evaluator.y[val])))
+            continue
+        warm = warm_map.get(index)
+        kwargs = (
+            {"coefs_init": warm.coefs, "intercepts_init": warm.intercepts} if warm else {}
+        )
+        model.fit(evaluator.X[train], evaluator.y[train], **kwargs)
+        if guard is not None and model.diverged_:
+            guard.record("learner.diverged")
+        fold_scores.append(float(evaluator.scorer(model, evaluator.X[val], evaluator.y[val])))
+    gamma = 100.0 * len(subset) / len(evaluator.y)
+    mean, std = float(np.mean(fold_scores)), float(np.std(fold_scores))
+    return (
+        fold_scores,
+        mean,
+        std,
+        ucb_score(mean, std, gamma, evaluator.score_params),
+        gamma,
+        [(e.kind, e.context) for e in guard.events] if guard else [],
+        [
+            (models[i].coefs_, models[i].intercepts_) if i in models else None
+            for i in range(len(folds))
+        ],
+    )
+
+
+def observed(result):
+    """The same tuple, read off an :class:`EvaluationResult`."""
+    checkpoints = detach_checkpoints(result)
+    return (
+        result.fold_scores,
+        result.mean,
+        result.std,
+        result.score,
+        result.gamma,
+        [(e["kind"], e.get("context", {})) for e in result.guard_events],
+        [None if c is None else (c.coefs, c.intercepts) for c in checkpoints],
+    )
+
+
+def assert_same_trial(got, want):
+    assert got[:6] == want[:6]
+    assert len(got[6]) == len(want[6])
+    for fold_got, fold_want in zip(got[6], want[6]):
+        assert (fold_got is None) == (fold_want is None)
+        if fold_got is not None:
+            for arrays_got, arrays_want in zip(fold_got, fold_want):
+                assert all(np.array_equal(a, b) for a, b in zip(arrays_got, arrays_want))
+
+
+class TestEvaluateManyOracle:
+    """``evaluate_many`` — any width, order and partition — equals the oracle."""
+
+    @staticmethod
+    def _evaluator(make, guard, solver):
+        X, y = make_classification(n_samples=140, n_features=5, random_state=3)
+        factory = MLPModelFactory(task="classification", solver=solver, max_iter=5)
+        kwargs = {"random_state": 1} if make is grouped_evaluator else {"n_splits": 3}
+        return make(X, y, factory, guard_policy=guard, **kwargs)
+
+    @given(
+        make=st.sampled_from([vanilla_evaluator, grouped_evaluator]),
+        guard=st.sampled_from([None, "repair"]),
+        solver=st.sampled_from(["sgd", "adam", "lbfgs"]),
+        trials=st.lists(
+            st.tuples(
+                st.sampled_from([(4,), (6,)]),
+                st.sampled_from([1e-4, 1e-1]),
+                st.sampled_from([0.3, 0.6]),
+                st.integers(min_value=0, max_value=10_000),
+                st.booleans(),  # warm-started from a lower-budget donor?
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_any_width_order_and_partition_equals_per_fold_oracle(
+        self, make, guard, solver, trials, data
+    ):
+        evaluator = self._evaluator(make, guard, solver)
+        specs, expected = [], []
+        for hidden, alpha, budget, seed, warm in trials:
+            config = {"hidden_layer_sizes": hidden, "alpha": alpha}
+            warm_states = None
+            if warm:
+                donor = evaluator.evaluate(
+                    config, 0.2, np.random.default_rng(seed + 1), capture_checkpoints=True
+                )
+                warm_states = detach_checkpoints(donor)
+            specs.append((config, budget, seed, warm_states))
+            expected.append(oracle_evaluate(evaluator, config, budget, seed, warm_states))
+
+        order = data.draw(st.permutations(range(len(specs))))
+        cuts = data.draw(st.sets(st.integers(min_value=1, max_value=len(specs))))
+        bounds = [0, *sorted(cuts - {len(specs)}), len(specs)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            chunk = order[lo:hi]
+            results, _ = evaluator.evaluate_many(
+                [
+                    (config, budget, np.random.default_rng(seed), warm_states, True, None)
+                    for config, budget, seed, warm_states in (specs[i] for i in chunk)
+                ]
+            )
+            for i, result in zip(chunk, results):
+                assert_same_trial(observed(result), expected[i])
+
+    def test_lane_fit_error_degrades_a_lone_guarded_trial(self, monkeypatch):
+        """``learner.batch_fallback``: once, and the scores are still the oracle's."""
+        import repro.core.evaluator as evaluator_module
+
+        real = evaluator_module.fit_mlp_trials
+
+        def fit_then_raise(trial_jobs, warms):
+            real(trial_jobs, warms)  # leave fitted state behind, like a lane dying late
+            raise RuntimeError("injected lane failure")
+
+        monkeypatch.setattr(evaluator_module, "fit_mlp_trials", fit_then_raise)
+        config = {"hidden_layer_sizes": (4,)}
+        guarded = self._evaluator(vanilla_evaluator, "repair", "adam")
+        result = guarded.evaluate(config, 0.5, np.random.default_rng(7), capture_checkpoints=True)
+        kinds = [event["kind"] for event in result.guard_events]
+        assert kinds == ["learner.batch_fallback"]
+        result.guard_events = []
+        assert_same_trial(observed(result), oracle_evaluate(guarded, config, 0.5, 7))
+        assert FOLD_FLOOR not in result.fold_scores
+
+        # Wider calls and unguarded evaluators raise; the executor re-runs
+        # each task alone, which is the case above.
+        two = [(config, 0.5, np.random.default_rng(s), None, False, None) for s in (7, 8)]
+        with pytest.raises(RuntimeError, match="injected lane failure"):
+            guarded.evaluate_many(two)
+        with pytest.raises(RuntimeError, match="injected lane failure"):
+            self._evaluator(vanilla_evaluator, None, "adam").evaluate(
+                config, 0.5, np.random.default_rng(7)
+            )
 
 
 class TestFailureInjection:
@@ -177,8 +337,6 @@ class TestGuardedEvaluation:
         assert len(result.fold_scores) == 2
 
     def test_fit_error_floors_the_fold(self):
-        from repro.core import FOLD_FLOOR
-
         class ExplodingModel:
             def fit(self, X, y):
                 raise RuntimeError("injected fit failure")

@@ -257,12 +257,24 @@ class TestAshaEngineMode:
 class TestInjectableClock:
     def test_costs_are_deterministic_with_fake_clock(self, tiny_problem):
         X, y, _, factory = tiny_problem
-        evaluator = vanilla_evaluator(X, y, factory, clock=CountingClock())
-        result = evaluator.evaluate(
-            {"hidden_layer_sizes": (8,), "alpha": 1e-4}, 0.5, np.random.default_rng(0)
+        clock = CountingClock()
+        evaluator = vanilla_evaluator(X, y, factory, clock=clock)
+        config = {"hidden_layer_sizes": (8,), "alpha": 1e-4}
+        # The clock is injectable so that costs are reproducible: the same
+        # spec costs the same whole number of ticks every time it runs.
+        costs = [
+            evaluator.evaluate(config, 0.5, np.random.default_rng(0)).cost for _ in range(2)
+        ]
+        assert costs[0] == costs[1] > 0.0
+        assert costs[0] == int(costs[0])
+        # A rung's costs apportion its wall clock: they never add up to more
+        # ticks than the call consumed.
+        before = clock.ticks
+        results, _ = evaluator.evaluate_many(
+            [(config, 0.5, np.random.default_rng(seed), None, False, None) for seed in range(3)]
         )
-        # start tick 1, end tick 2 -> cost is exactly one tick.
-        assert result.cost == 1.0
+        assert all(result.cost > 0.0 for result in results)
+        assert sum(result.cost for result in results) <= clock.ticks - before
 
     def test_engine_trajectory_costs_without_sleeping(self, tiny_problem):
         X, y, space, factory = tiny_problem

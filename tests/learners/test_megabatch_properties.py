@@ -1,15 +1,15 @@
 """Property-based equivalence sweep for rung-level mega-batching.
 
-``test_batched_properties.py`` proves the *per-trial* batched path is
-bitwise-equal to the sequential per-fold loop.  These sweeps prove the
-*cross-trial* mega-batch (``fit_mlp_trials``) is bitwise-equal to both,
-for random mixes of per-trial numeric hyperparameters sharing one
-architecture (the case lanes fuse across trials), warm-started lanes,
-and arbitrary partitions of a rung's trials into separate mega-batches —
-the exact regrouping a mid-rung worker resize induces.  They run in the
-``kernels`` tier (``pytest -m kernels``), outside tier-1 — except a
-bounded draw of the three-path property (``.fit`` == ``fit_mlp_folds`` ==
-``fit_mlp_trials``, L-BFGS included), which tier-1 keeps.
+These sweeps prove ``fit_mlp_trials`` at any width — one trial
+(``test_batched_properties.py`` covers that width in depth) up to a
+rung — is bitwise-equal to ``.fit`` run fold by fold, for random mixes
+of per-trial numeric hyperparameters sharing one architecture (the case
+lanes fuse across trials), warm-started lanes, and arbitrary partitions
+of a rung's trials into separate mega-batches — the exact regrouping a
+mid-rung worker resize induces.  They run in the ``kernels`` tier
+(``pytest -m kernels``), outside tier-1 — except a bounded draw of the
+``.fit`` == ``fit_mlp_trials`` property (L-BFGS included), which tier-1
+keeps.
 """
 
 import numpy as np
@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.learners import MLPClassifier, MLPRegressor
-from repro.learners.batched import fit_mlp_folds, fit_mlp_trials
+from repro.learners.batched import fit_mlp_trials
 
 from .test_batched import assert_models_identical, make_data
 
@@ -48,7 +48,7 @@ def _trial_kwargs(rng, n_trials, hidden, solver, activation):
     return out
 
 
-def _build_jobs(cls, task, per_trial_kwargs, n_folds, n, d, k, seed, copies=3):
+def _build_jobs(cls, task, per_trial_kwargs, n_folds, n, d, k, seed, copies):
     """``copies`` identical nested job lists (same seeds, same fold data)."""
     X, y = make_data(task, n, d, k, seed)
     rng = np.random.default_rng(seed * 77 + 13)
@@ -71,55 +71,52 @@ def _assert_trials_identical(trials_a, trials_b, tag):
             assert_models_identical(model_a, model_b, f"{tag}: trial {t} fold {f}")
 
 
-THREE_PATH_CASE = dict(
+EQUIVALENCE_CASE = dict(
     hidden=HIDDEN,
     solver=ALL_SOLVERS,
     activation=ACTIVATIONS,
-    n_trials=st.integers(min_value=2, max_value=4),
+    n_trials=st.integers(min_value=1, max_value=4),  # 1: the per-trial call
     n_folds=st.integers(min_value=2, max_value=4),
     seed=st.integers(min_value=0, max_value=10_000),
 )
 
 
-def _check_three_paths_identical(hidden, solver, activation, n_trials, n_folds, seed):
+def _check_trials_equal_sequential_fit(hidden, solver, activation, n_trials, n_folds, seed):
     rng = np.random.default_rng(seed)
     kwargs = _trial_kwargs(rng, n_trials, hidden, solver, activation)
-    seq, per_trial, mega = _build_jobs(
-        MLPClassifier, "bin", kwargs, n_folds, n=90, d=5, k=2, seed=seed
+    seq, mega = _build_jobs(
+        MLPClassifier, "bin", kwargs, n_folds, n=90, d=5, k=2, seed=seed, copies=2
     )
     for jobs in seq:
         for model, Xf, yf in jobs:
             model.fit(Xf, yf)
-    for jobs in per_trial:
-        fit_mlp_folds(jobs)
     per_trial_stats, stats = fit_mlp_trials(mega)
     _assert_trials_identical(mega, seq, "mega vs sequential")
-    _assert_trials_identical(mega, per_trial, "mega vs per-trial")
     assert stats.trials == n_trials
     assert stats.folds == n_trials * n_folds
     assert sum(s.folds for s in per_trial_stats) == stats.folds
-    # Shared architecture + shared fold shapes: every lane fuses
-    # across trials, so occupancy is total whenever lanes stack
-    # (L-BFGS lanes never stack).
+    # Shared architecture + shared fold shapes: every lane stacks (and,
+    # past one trial, fuses across trials), so occupancy is total
+    # whenever lanes stack (L-BFGS lanes never do).
     assert bool(stats.batched_folds) == (solver != "lbfgs")
     if stats.batched_folds:
-        assert stats.fused_folds == stats.batched_folds
+        assert stats.fused_folds == (stats.batched_folds if n_trials > 1 else 0)
         assert stats.occupancy == 1.0
 
 
 class TestThreePathsBounded:
-    @given(**THREE_PATH_CASE)
+    @given(**EQUIVALENCE_CASE)
     @settings(max_examples=12, deadline=None)
     def test_mega_equals_per_trial_equals_sequential(self, **case):
-        _check_three_paths_identical(**case)
+        _check_trials_equal_sequential_fit(**case)
 
 
 @pytest.mark.kernels
 class TestMegaBatchSweep:
-    @given(**THREE_PATH_CASE)
+    @given(**EQUIVALENCE_CASE)
     @settings(max_examples=60, deadline=None)
     def test_mega_equals_per_trial_equals_sequential(self, **case):
-        _check_three_paths_identical(**case)
+        _check_trials_equal_sequential_fit(**case)
 
     @given(
         solver=SOLVERS,
@@ -130,22 +127,19 @@ class TestMegaBatchSweep:
     @settings(max_examples=25, deadline=None)
     def test_regressor_divergence_bookkeeping_matches(self, solver, lr_init, n_trials, seed):
         # Large lr_init provokes divergence in some draws; flags and NaN
-        # loss curves must agree bit for bit across all three paths.
+        # loss curves must agree bit for bit.
         kwargs = [
             dict(hidden_layer_sizes=(6,), solver=solver, learning_rate_init=lr_init, max_iter=10)
             for _ in range(n_trials)
         ]
-        seq, per_trial, mega = _build_jobs(
-            MLPRegressor, "reg", kwargs, 3, n=80, d=5, k=0, seed=seed
+        seq, mega = _build_jobs(
+            MLPRegressor, "reg", kwargs, 3, n=80, d=5, k=0, seed=seed, copies=2
         )
         for jobs in seq:
             for model, Xf, yf in jobs:
                 model.fit(Xf, yf)
-        for jobs in per_trial:
-            fit_mlp_folds(jobs)
         fit_mlp_trials(mega)
         _assert_trials_identical(mega, seq, "mega vs sequential")
-        _assert_trials_identical(mega, per_trial, "mega vs per-trial")
 
 
 @pytest.mark.kernels
@@ -169,8 +163,8 @@ class TestWarmStartedLanes:
             )
             for t in range(n_trials)
         ]
-        donor_jobs, seq, per_trial, mega = _build_jobs(
-            MLPClassifier, "bin", kwargs, n_folds, n=90, d=5, k=2, seed=seed, copies=4
+        donor_jobs, seq, mega = _build_jobs(
+            MLPClassifier, "bin", kwargs, n_folds, n=90, d=5, k=2, seed=seed, copies=3
         )
         # Donors: shorter fits of the same architectures provide states.
         donors = {}
@@ -201,11 +195,8 @@ class TestWarmStartedLanes:
                     model.fit(Xf, yf, coefs_init=coefs, intercepts_init=intercepts)
                 else:
                     model.fit(Xf, yf)
-        for t, jobs in enumerate(per_trial):
-            fit_mlp_folds(jobs, warm=warms[t])
         _, stats = fit_mlp_trials(mega, warms=warms)
         _assert_trials_identical(mega, seq, "warm mega vs sequential")
-        _assert_trials_identical(mega, per_trial, "warm mega vs per-trial")
         assert stats.warm_folds == len(warm_cells)
 
 

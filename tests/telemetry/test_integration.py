@@ -206,10 +206,14 @@ class TestFullTracedRun:
         return trace, telemetry, outcome.result
 
     @staticmethod
-    def _span_chains(trace):
+    def _spans(trace):
         _, records, dropped = TraceSink.read(trace)
         assert dropped == 0
-        spans = {r["id"]: r for r in records if r.get("type") == "span"}
+        return {r["id"]: r for r in records if r.get("type") == "span"}
+
+    @classmethod
+    def _span_chains(cls, trace):
+        spans = cls._spans(trace)
 
         def chain(span):
             names = []
@@ -226,24 +230,40 @@ class TestFullTracedRun:
         chains = self._span_chains(trace)
         assert ("run", "bracket", "rung", "trial") in {c[:4] for c in chains if len(c) >= 4}
         assert ("run", "bracket", "rung", "trial", "fold") in chains
-        # batched kernels fit all folds in one span under the trial
-        assert ("run", "bracket", "rung", "trial", "fit_batch") in chains
+        assert ("run", "bracket", "rung", "megabatch") in chains
         # every span roots at the single run span
         assert all(c[0] == "run" for c in chains)
+        # The fit phase is reported once per rung, not per trial: a rung that
+        # executed two or more trials (every one here is stackable) has one
+        # megabatch span; narrower rungs have trial > fold spans only.
+        spans = self._spans(trace)
+        children = {}
+        for span in spans.values():
+            children.setdefault(span.get("parent"), []).append(span)
+        rungs = [span for span in spans.values() if span["kind"] == "rung"]
+        assert rungs
+        for rung in rungs:
+            below = children.get(rung["id"], [])
+            executed = [
+                s for s in below if s["kind"] == "trial" and not s["attrs"]["cache_hit"]
+            ]
+            fused = [s for s in below if s["kind"] == "megabatch"]
+            assert len(fused) == (1 if len(executed) >= 2 else 0)
+            for trial in executed:
+                assert {s["kind"] for s in children.get(trial["id"], [])} == {"fold"}
 
     def test_sequential_path_keeps_per_fold_fit_spans(self, tmp_path):
-        # With batching off the legacy trace shape — a fit span nested in
-        # every fold — and the mlp.fit profile hook must both survive.
+        # What the lanes cannot stack (here: L-BFGS) fits fold by fold — a
+        # fit span nested in every fold — and the mlp.fit profile hook fires.
         X, y = make_classification(n_samples=120, n_features=5, random_state=0)
         space = SearchSpace([Categorical("alpha", [1e-4, 1e-2])])
-        factory = MLPModelFactory(task="classification", max_iter=3)
+        factory = MLPModelFactory(task="classification", max_iter=3, solver="lbfgs")
         trace = tmp_path / "seq.trace.jsonl"
         telemetry = Telemetry(trace=trace, profile=True)
         with TrialEngine(executor=SerialExecutor()) as engine:
             optimize(
                 X, y, space, method="hb+", model_factory=factory,
                 random_state=3, refit=False, engine=engine, telemetry=telemetry,
-                evaluator_kwargs={"batched": False},
             )
         telemetry.close()
         chains = self._span_chains(trace)

@@ -11,9 +11,10 @@
 #   4. kernels tier (exhaustive fit-kernel property sweeps: lean kernel
 #      vs the test oracle, batched vs sequential; kernel *speed* is
 #      bench/'s learners.probe.rung_*_ms and sha_fused_wide, not a gate here)
-#   5. telemetry tier (trace-file tests + tracing/profiling overhead bench)
-#   6. serve tier (service-daemon end-to-end tests + two-tenant burst
-#      bench smoke)
+#   5. telemetry tier (trace-file tests; tracing overhead is bench/'s
+#      telemetry.emit_ms on serve_two_tenant)
+#   6. serve tier (service-daemon end-to-end tests; latency is bench/'s
+#      serve.job_overhead_ms / serve.submit_ms)
 #   7. elastic tier (elastic pool / speculative execution tests)
 #   8. chaos-marked pytest tier (process kills, SIGKILL resume)
 #   9. fault-injection harness smoke (tools/chaos_suite.py --quick,
@@ -23,9 +24,7 @@
 #      sweep that regenerates CRASHX_report.json is
 #      `python tools/crashx.py --pairwise 40 --jobs 2 --out CRASHX_report.json`)
 #  11. obs tier (obs-marked observability tests + the SIGKILL
-#      flight-recorder chaos scenario + the obs overhead bench smoke)
-#  12. bench regression gate (tools/bench_regress.py re-judges every
-#      committed BENCH_*.json against its targets)
+#      flight-recorder chaos scenario)
 #
 # Usage: bash tools/run_checks.sh
 set -euo pipefail
@@ -55,15 +54,12 @@ echo "== kernels tier: pytest -m kernels =="
 python -m pytest -q -m kernels
 
 echo
-echo "== telemetry tier: pytest -m telemetry + overhead bench =="
+echo "== telemetry tier: pytest -m telemetry =="
 python -m pytest -q -m telemetry
-python tools/bench_engine.py --only telemetry --n-samples 400 --max-iter 8 \
-    --telemetry-out "$(mktemp -t BENCH_telemetry_check.XXXXXX.json)"
 
 echo
-echo "== serve tier: pytest -m serve + burst bench smoke =="
+echo "== serve tier: pytest -m serve =="
 python -m pytest -q -m serve
-python tools/bench_serve.py --quick
 
 echo
 echo "== elastic tier: pytest -m elastic =="
@@ -85,14 +81,9 @@ python tools/crashx.py --workload toy --workload hb --workload hb-par \
     --max-hits-per-site 2 --jobs 2
 
 echo
-echo "== obs tier: pytest -m obs + SIGKILL flight-recorder scenario + bench smoke =="
+echo "== obs tier: pytest -m obs + SIGKILL flight-recorder scenario =="
 python -m pytest -q -m obs
 python tools/chaos_suite.py --only serve-sigkill-flightrec
-python tools/bench_obs.py --quick
-
-echo
-echo "== bench regression gate: tools/bench_regress.py =="
-python tools/bench_regress.py
 
 echo
 echo "all checks passed"
