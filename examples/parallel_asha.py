@@ -1,16 +1,17 @@
-"""Parallel HPO: real engine-backed execution vs simulated worker scaling.
+"""Parallel HPO: real parallel execution vs estimated worker scaling.
 
-ASHA (Li et al., 2018) removes SHA's synchronisation barriers.  This
-example runs it in both of the package's execution modes:
+ASHA (Li et al., 2018) removes SHA's synchronisation barriers.  Every
+search runs on a :class:`repro.engine.TrialEngine`; this example shows
+the two questions it answers:
 
-1. **Real execution** through :class:`repro.engine.TrialEngine`: trials
-   are dispatched to a ``SerialExecutor`` or a process-pool
-   ``ParallelExecutor``; per-trial derived seeds keep every evaluation
-   reproducible, the engine memoizes repeated (config, budget) pairs, and
-   ``measured_makespan_`` is actual wall-clock time.
-2. **Simulation** (no engine): ``n_workers`` *virtual* workers advance an
-   event clock by each evaluation's measured cost — useful to ask "how
-   long would this search take on N machines?" without owning them.
+1. **Real execution**: trials are dispatched to a ``SerialExecutor`` or a
+   process-pool ``ParallelExecutor``; per-trial derived seeds keep every
+   evaluation reproducible, the engine memoizes repeated (config, budget)
+   pairs, and ``measured_makespan_`` is actual wall-clock time.
+2. **Estimated scaling** (default engine): ``n_workers`` trials are kept
+   in flight and ``simulated_makespan_`` list-schedules the measured
+   evaluation costs onto ``n_workers`` machines — useful to ask "how long
+   would this search take on N machines?" without owning them.
 
 PASHA's progressive rung unlocking is shown alongside: it spends less
 total budget when cheap budgets already rank configurations consistently.
@@ -67,9 +68,9 @@ def main() -> None:
             print(f"{label:<22}{accuracy:>14.4f}{asha.measured_makespan_:>14.2f}"
                   f"{engine.stats.cache_hits:>12}")
 
-    # -- simulated worker scaling ------------------------------------------
-    print("\nsimulated ASHA (virtual workers over an event clock)")
-    header = f"{'searcher':<10}{'workers':>8}{'best cfg acc':>14}{'work (s)':>10}{'makespan (s)':>14}"
+    # -- estimated worker scaling (default engine) -------------------------
+    print("\nASHA worker scaling (list-schedule estimate over measured costs)")
+    header = f"{'searcher':<10}{'workers':>8}{'best cfg acc':>14}{'work (s)':>10}{'est. span (s)':>14}"
     print(header)
     print("-" * len(header))
     for n_workers in (1, 4, 8):

@@ -1,11 +1,12 @@
 """Bandit-based hyperparameter-optimization substrate.
 
-Faithful single-process implementations of the methods the paper compares:
-random search, Successive Halving (SHA), HyperBand (HB), BOHB and a
-simulated-asynchronous ASHA.  All of them evaluate configurations through
-the :class:`~repro.bandit.base.ConfigurationEvaluator` protocol — swapping
-in the grouped evaluator from :mod:`repro.core` yields the paper's enhanced
-SHA+/HB+/BOHB+ variants.
+Faithful implementations of the methods the paper compares: random search,
+Successive Halving (SHA), HyperBand (HB), BOHB and an asynchronous ASHA.
+All of them evaluate configurations through the
+:class:`~repro.bandit.base.ConfigurationEvaluator` protocol — swapping in
+the grouped evaluator from :mod:`repro.core` yields the paper's enhanced
+SHA+/HB+/BOHB+ variants — and all of them run their evaluations on a
+:class:`~repro.engine.TrialEngine` (the serial default unless one is passed).
 """
 
 from .asha import ASHA

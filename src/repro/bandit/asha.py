@@ -1,23 +1,16 @@
 """ASHA — Asynchronous Successive Halving (Li et al., 2018).
 
-Two execution modes share one scheduler (greedy promotion of any
-configuration in the top ``1/eta`` of its rung, bottom-rung backfill
-otherwise):
+One scheduler (greedy promotion of any configuration in the top ``1/eta``
+of its rung, bottom-rung backfill otherwise) keeps up to ``n_workers``
+trials in flight on the searcher's :class:`~repro.engine.TrialEngine`.  On
+the default serial engine completions arrive in submission order, so the
+run is deterministic and ``simulated_makespan_`` — a greedy list-scheduling
+estimate over the measured costs — answers "how long on ``n_workers``
+machines".  With a :class:`~repro.engine.ParallelExecutor` the asynchrony
+is *real*: scheduler decisions react to genuine completion order and
+``measured_makespan_`` reports actual wall-clock time.
 
-- **Simulated** (default, no engine): the historical single-process mode.
-  ``n_workers`` virtual workers pull jobs, each job's duration is the
-  measured wall-clock cost of its evaluation, and worker clocks advance
-  through an event queue — promotion behaviour and the simulated makespan
-  are faithful even though evaluations actually run serially.
-- **Engine-backed** (``engine=`` given): jobs are submitted to a
-  :class:`~repro.engine.TrialEngine`, keeping up to ``n_workers`` trials
-  in flight.  With a :class:`~repro.engine.ParallelExecutor` the
-  asynchrony is *real*: scheduler decisions react to genuine completion
-  order, ``measured_makespan_`` reports actual wall-clock time, and
-  ``simulated_makespan_`` falls back to a greedy list-scheduling estimate
-  over the measured costs.
-
-A journal-backed engine makes engine-mode ASHA crash-resumable
+A journal-backed engine makes ASHA crash-resumable
 (:meth:`~repro.bandit.base.BaseSearcher.resume`): replayed completions are
 delivered in submission order, so the resumed prefix reproduces the
 promotion decisions of a run whose completions arrived in submission
@@ -38,6 +31,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..space import config_key
 from .base import BaseSearcher, SearchResult
+from ..engine.protocol import TrialRequest  # after .base: the engine imports it
 
 __all__ = ["ASHA"]
 
@@ -51,7 +45,7 @@ class _Rung:
 
 
 class _Scheduler:
-    """ASHA's promote-else-grow job source, shared by both execution modes."""
+    """ASHA's promote-else-grow job source."""
 
     def __init__(self, pool: List[Dict[str, Any]], eta: float, max_rung: int) -> None:
         self.pool = pool
@@ -94,21 +88,20 @@ class _Scheduler:
 
 
 class ASHA(BaseSearcher):
-    """Asynchronous successive halving (simulated or engine-backed).
+    """Asynchronous successive halving.
 
     Parameters
     ----------
     space, evaluator, random_state, engine:
-        See :class:`~repro.bandit.base.BaseSearcher`.  Without an engine
-        the asynchrony is simulated; with one, up to ``n_workers`` trials
-        are kept in flight on the engine's executor.
+        See :class:`~repro.bandit.base.BaseSearcher`.  Up to ``n_workers``
+        trials are kept in flight on the engine's executor.
     eta:
         Promotion rate: a configuration is promoted when it ranks in the
         top ``1/eta`` of completions at its rung.
     min_budget_fraction:
         Rung-0 instance fraction; rung ``k`` uses ``min * eta**k``.
     n_workers:
-        Number of (virtual or in-flight) parallel workers.
+        Number of trials kept in flight.
     max_started:
         Cap on distinct configurations started at rung 0 when :meth:`fit`
         receives no explicit candidates.
@@ -116,12 +109,12 @@ class ASHA(BaseSearcher):
     Attributes
     ----------
     simulated_makespan_:
-        Event-queue makespan in simulated mode; greedy list-scheduling
-        estimate over measured costs in engine mode.
+        Greedy ``n_workers``-machine list-scheduling estimate over the
+        measured evaluation costs.
     measured_makespan_:
-        Actual wall-clock seconds of the dispatch loop (equals the serial
-        evaluation time in simulated mode; genuinely smaller when an
-        engine with a parallel executor overlaps trials).
+        Actual wall-clock seconds of the dispatch loop (the serial
+        evaluation time on the default engine; genuinely smaller when a
+        parallel executor overlaps trials).
     """
 
     method_name = "ASHA"
@@ -174,66 +167,6 @@ class ASHA(BaseSearcher):
         configurations: Optional[Sequence[Dict[str, Any]]] = None,
         n_configurations: Optional[int] = None,
     ) -> SearchResult:
-        """Run the asynchronous search (simulated or engine-backed)."""
-        self._reset()
-        start = time.perf_counter()
-        pool = self._resolve_pool(configurations, n_configurations)
-        scheduler = _Scheduler(pool, self.eta, self.max_rung)
-        if self.engine is None:
-            best = self._run_simulated(scheduler)
-        else:
-            best = self._run_engine(scheduler)
-        self.measured_makespan_ = time.perf_counter() - start
-        assert best is not None  # the pool is never empty
-        return SearchResult(
-            best_config=best[2],
-            best_score=best[3],
-            trials=list(self._trials),
-            wall_time=time.perf_counter() - start,
-            method=self.method_name,
-        )
-
-    # -- simulated mode (historical behaviour) ---------------------------------
-
-    def _run_simulated(self, scheduler: _Scheduler):
-        """Event-driven simulation: evaluations run eagerly (the real cost is
-        measured at dispatch) but their scores only become visible to the
-        scheduler at the job's simulated completion time, which is what
-        makes the promotion decisions genuinely asynchronous."""
-        best = None  # (budget, rung, config, score)
-        pending: List[Tuple[float, int, int, int, float]] = []  # (finish, seq, config_id, rung, score)
-        free_workers = self.n_workers
-        clock = 0.0
-        sequence = 0
-        while True:
-            job = scheduler.next_job() if free_workers > 0 else None
-            if job is not None:
-                config_id, rung_index = job
-                config = scheduler.configs_by_id[config_id]
-                trial = self._evaluate(config, self._budget_at(rung_index), iteration=rung_index)
-                duration = max(trial.result.cost, 1e-9)
-                heapq.heappush(
-                    pending, (clock + duration, sequence, config_id, rung_index, trial.result.score)
-                )
-                sequence += 1
-                free_workers -= 1
-                candidate = (self._budget_at(rung_index), rung_index, config, trial.result.score)
-                if best is None or (candidate[0], candidate[3]) > (best[0], best[3]):
-                    best = candidate
-                continue
-            if not pending:
-                break  # nothing running, nothing schedulable: done
-            finish, _, config_id, rung_index, score = heapq.heappop(pending)
-            clock = max(clock, finish)
-            scheduler.complete(config_id, rung_index, score)
-            free_workers += 1
-
-        self.simulated_makespan_ = clock
-        return best
-
-    # -- engine mode (real dispatch) -------------------------------------------
-
-    def _run_engine(self, scheduler: _Scheduler):
         """Keep up to ``n_workers`` trials in flight on the engine.
 
         Scheduling decisions consume *actual* completion order, so with a
@@ -242,9 +175,11 @@ class ASHA(BaseSearcher):
         reproducible; only the promotion schedule may differ between
         executors, exactly as in a real asynchronous deployment.
         """
-        from ..engine.protocol import TrialRequest  # local import avoids a cycle
-
-        best = None
+        self._reset()
+        start = time.perf_counter()
+        pool = self._resolve_pool(configurations, n_configurations)
+        scheduler = _Scheduler(pool, self.eta, self.max_rung)
+        best = None  # (budget, rung, config, score)
         in_flight: Dict[int, Tuple[int, int]] = {}  # trial_id -> (config_id, rung)
         durations: List[float] = []
         while True:
@@ -273,7 +208,15 @@ class ASHA(BaseSearcher):
                 best = candidate
 
         self.simulated_makespan_ = self._list_schedule_makespan(durations)
-        return best
+        self.measured_makespan_ = time.perf_counter() - start
+        assert best is not None  # the pool is never empty
+        return SearchResult(
+            best_config=best[2],
+            best_score=best[3],
+            trials=list(self._trials),
+            wall_time=time.perf_counter() - start,
+            method=self.method_name,
+        )
 
     def _list_schedule_makespan(self, durations: List[float]) -> float:
         """Greedy ``n_workers``-machine makespan estimate over observed costs."""

@@ -160,24 +160,27 @@ class BaseSearcher:
         Evaluation strategy (vanilla or grouped); this is the paper's
         plug-in point.
     random_state:
-        Seed for configuration sampling and subset draws.
+        Seed for configuration sampling, and the root every trial's own
+        seed (subset draw, folds, model init) is derived from.
     engine:
-        Optional :class:`~repro.engine.TrialEngine`.  Without one
-        (default), evaluations run inline against the searcher's shared
-        random stream — the historical behaviour, bit-for-bit.  With one,
-        evaluations are routed through the engine: each trial gets a seed
-        derived from ``(random_state, config, budget)``, enabling
-        memoization, retries and parallel executors while keeping results
-        independent of worker count and completion order.
+        The :class:`~repro.engine.TrialEngine` every evaluation runs on;
+        ``None`` (default) means a plain ``TrialEngine()`` — serial
+        executor, memoization on, one retry.  There is no engine-less
+        path: each trial gets a seed derived from ``(random_state, config,
+        budget)``, so results are bitwise independent of executor, worker
+        count, completion order and resumption; an evaluator that raises
+        yields a degraded trial (``FAILURE_SCORE``, counted in
+        ``engine.stats.failures``, text in ``outcome.error``) instead of
+        aborting the search; and a ``(config, budget)`` pair repeated
+        across Hyperband brackets is served from the engine's cache.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry`.  When set, every
         ``fit()`` is wrapped in a ``run`` span, rung batches get ``rung``
-        spans, and each evaluation is recorded as a ``trial`` span with
-        its fold/fit children and metrics — through the engine when one
-        is attached (the engine inherits this telemetry if it has none of
-        its own), or inline otherwise.  Recording never touches the
-        search's random streams, so results stay bit-for-bit identical
-        to an uninstrumented run.
+        spans, and the engine records each evaluation as a ``trial`` span
+        with its fold/fit children and metrics (the engine inherits this
+        telemetry if it has none of its own).  Recording never touches
+        the search's random streams, so results stay bit-for-bit
+        identical to an uninstrumented run.
     """
 
     method_name = "base"
@@ -198,15 +201,27 @@ class BaseSearcher:
         self._rng = np.random.default_rng(random_state)
         self._trials: List[Trial] = []
 
+    @property
+    def engine(self):
+        """The :class:`~repro.engine.TrialEngine` this searcher runs on."""
+        return self._engine
+
+    @engine.setter
+    def engine(self, value) -> None:
+        if value is None:  # "no engine" means the default one, never no engine
+            from ..engine.core import TrialEngine  # local import avoids a cycle
+
+            value = TrialEngine()
+        self._engine = value
+
     def _reset(self) -> None:
         self._rng = np.random.default_rng(self.random_state)
         self._trials = []
-        if self.engine is not None:
-            self.engine.bind(
-                self.evaluator,
-                root_seed=self.random_state,
-                metadata=self._run_identity(),
-            )
+        self.engine.bind(
+            self.evaluator,
+            root_seed=self.random_state,
+            metadata=self._run_identity(),
+        )
 
     def _sync_telemetry(self) -> None:
         """Reconcile searcher- and engine-attached telemetry (either way).
@@ -216,10 +231,9 @@ class BaseSearcher:
         telemetry=...)``); whichever side has one shares it with the
         other so spans and metrics land in a single place.
         """
-        engine_telemetry = getattr(self.engine, "telemetry", None)
         if self.telemetry is None:
-            self.telemetry = engine_telemetry
-        elif self.engine is not None and engine_telemetry is None:
+            self.telemetry = self.engine.telemetry
+        elif self.engine.telemetry is None:
             self.engine.telemetry = self.telemetry
 
     def _span(self, name: str, **attrs):
@@ -262,7 +276,7 @@ class BaseSearcher:
         identical to the uninterrupted run's.  Pass the same candidate
         arguments the original run used.
         """
-        if self.engine is None or self.engine.journal is None:
+        if self.engine.journal is None:
             raise RuntimeError(
                 "resume() requires an engine with a journal; pass "
                 "engine=TrialEngine(..., journal=path)"
@@ -276,37 +290,8 @@ class BaseSearcher:
         iteration: int = 0,
         bracket: int = 0,
     ) -> Trial:
-        """Run the evaluator (directly or via the engine) and record the trial."""
-        if self.engine is not None:
-            return self._evaluate_batch([config], budget_fraction, iteration, bracket)[0]
-        if self.telemetry is not None:
-            with self.telemetry.trial(
-                trial_id=len(self._trials),
-                budget_fraction=budget_fraction,
-                iteration=iteration,
-                bracket=bracket,
-            ) as record:
-                result = self.evaluator.evaluate(config, budget_fraction, self._rng)
-                record["attrs"].update(
-                    score=float(result.score),
-                    gamma=float(result.gamma),
-                    cost=float(result.cost),
-                )
-                record["ann"].extend(
-                    event.as_dict() if hasattr(event, "as_dict") else dict(event)
-                    for event in (result.guard_events or [])
-                )
-        else:
-            result = self.evaluator.evaluate(config, budget_fraction, self._rng)
-        trial = Trial(
-            config=config,
-            budget_fraction=budget_fraction,
-            result=result,
-            iteration=iteration,
-            bracket=bracket,
-        )
-        self._trials.append(trial)
-        return trial
+        """Evaluate one configuration: a rung of one."""
+        return self._evaluate_batch([config], budget_fraction, iteration, bracket)[0]
 
     def _evaluate_batch(
         self,
@@ -315,15 +300,15 @@ class BaseSearcher:
         iteration: int = 0,
         bracket: int = 0,
     ) -> List[Trial]:
-        """Evaluate a rung's worth of configurations, engine-batched if possible.
+        """Evaluate a rung's worth of configurations on the engine.
 
-        Without an engine this degrades to the serial loop (identical to
-        calling :meth:`_evaluate` per configuration).  With one, the whole
-        batch is submitted at once so a parallel executor can overlap the
-        evaluations; outcomes come back in request order, so recorded
-        trials keep the exact ordering of the serial path.  Either way
-        the batch is wrapped in a ``rung`` span when telemetry is on.
+        The whole batch is submitted at once so a parallel executor can
+        overlap the evaluations; outcomes come back in request order, so
+        recorded trials keep the same ordering under every executor.  The
+        batch is wrapped in a ``rung`` span when telemetry is on.
         """
+        from ..engine.protocol import TrialRequest  # local import avoids a cycle
+
         with self._span(
             "rung",
             budget_fraction=budget_fraction,
@@ -331,13 +316,6 @@ class BaseSearcher:
             bracket=bracket,
             n_configs=len(configs),
         ):
-            if self.engine is None:
-                return [
-                    self._evaluate(config, budget_fraction, iteration, bracket)
-                    for config in configs
-                ]
-            from ..engine.protocol import TrialRequest  # local import avoids a cycle
-
             requests = [
                 TrialRequest(
                     config=config,
@@ -398,7 +376,6 @@ class BaseSearcher:
             "run",
             searcher=self.method_name,
             root_seed=self.random_state,
-            engine=self.engine is not None,
         ) as span:
             result = self._fit(configurations, n_configurations)
             if span is not None:

@@ -7,8 +7,8 @@ at the two highest active rungs disagrees — i.e. more budget is spent only
 when the cheap budgets have not yet stabilised the leaderboard.
 
 This implementation follows the published stopping rule (soft rank
-stability of the top ``1/eta`` configurations) on top of this package's
-simulated-asynchronous ASHA machinery.
+stability of the top ``1/eta`` configurations) on top of ASHA's
+promote-else-grow scheduling, one trial at a time.
 """
 
 from __future__ import annotations

@@ -12,10 +12,11 @@ Subcommands::
 
 ``tune`` runs any registered method (``sha+``, ``bohb``, ...) on a registry
 dataset, prints the chosen configuration with its train/test scores and can
-persist the full search record as JSON.  The execution-engine flags
-``--n-workers``, ``--cache/--no-cache`` and ``--max-retries`` route
-evaluations through :class:`repro.engine.TrialEngine` (a process pool when
-``--n-workers > 1``), and the run summary then reports the cache hit rate.
+persist the full search record as JSON.  Every run goes through
+:class:`repro.engine.TrialEngine` — ``--n-workers``, ``--cache/--no-cache``
+and ``--max-retries`` configure it (a process pool when ``--n-workers >
+1``; the chosen configuration and all scores are the same at any worker
+count) — and the run summary reports the cache hit rate.
 
 Robustness flags: ``--journal PATH`` write-ahead-logs every evaluation so
 a crashed run can be continued with ``--resume`` (replaying the durable
@@ -52,10 +53,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 from typing import List, Optional
 
 from .core import METHODS, MLPModelFactory, make_scorer, optimize
 from .datasets import dataset_info_table, list_datasets, load_dataset
+from .engine import ParallelExecutor, SerialExecutor, TrialEngine
 from .experiments import paper_search_space
 from .results import save_result
 from .telemetry.formatting import format_percent
@@ -96,11 +99,10 @@ def build_parser() -> argparse.ArgumentParser:
                                   "running-median deadline on an idle worker and keep the "
                                   "first finite result (bit-identical either way; implies "
                                   "the parallel executor)")
-    tune_parser.add_argument("--cache", action=argparse.BooleanOptionalAction, default=None,
-                             help="memoize repeated (config, budget) evaluations "
-                                  "(default: on whenever the engine is active)")
-    tune_parser.add_argument("--max-retries", type=int, default=None,
-                             help="retries per failed trial before degrading it (engine default: 1)")
+    tune_parser.add_argument("--cache", action=argparse.BooleanOptionalAction, default=True,
+                             help="memoize repeated (config, budget) evaluations (default: on)")
+    tune_parser.add_argument("--max-retries", type=int, default=1,
+                             help="retries per failed trial before degrading it (default: 1)")
     tune_parser.add_argument("--journal", default=None, metavar="PATH",
                              help="write-ahead log of every evaluation; enables crash-safe resume")
     tune_parser.add_argument("--resume", action="store_true",
@@ -112,8 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
                                   "parallel executor)")
     tune_parser.add_argument("--warm-start", action="store_true",
                              help="resume each promoted configuration's training from its "
-                                  "lower-rung checkpoint instead of re-initialising "
-                                  "(activates the engine)")
+                                  "lower-rung checkpoint instead of re-initialising")
     tune_parser.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                              help="spill directory making warm-start checkpoints durable; "
                                   "required with --journal, implies --warm-start")
@@ -257,32 +258,18 @@ def _command_datasets(args: argparse.Namespace) -> int:
 
 
 def _build_engine(args: argparse.Namespace):
-    """Engine from the CLI flags, or ``None`` when none were requested.
+    """Engine from the CLI flags (a plain ``repro tune`` gets the serial one).
 
-    The engine only activates when a flag deviates from the no-engine
-    default, so a plain ``repro tune`` keeps the historical inline
-    (shared-random-stream) execution bit for bit.  ``--trial-timeout``
-    needs a preemptable evaluation, so it selects the (watchdog-equipped)
-    parallel executor even at one worker.
+    ``--trial-timeout`` needs a preemptable evaluation, so it selects the
+    (watchdog-equipped) parallel executor even at one worker.
     """
     warm_start = args.warm_start or args.checkpoint_dir is not None
     elastic = args.min_workers is not None or args.max_workers is not None
-    engine_flags = (
-        args.n_workers > 1 or args.cache is not None or args.max_retries is not None
-        or args.journal is not None or args.trial_timeout is not None or warm_start
-        or elastic or args.speculate
-    )
     if args.resume and args.journal is None:
         raise SystemExit("--resume requires --journal")
     if warm_start and args.journal is not None and args.checkpoint_dir is None:
         raise SystemExit("--warm-start with --journal requires --checkpoint-dir "
                          "(journal replay can only re-warm from durable checkpoints)")
-    if not engine_flags:
-        return None
-    from pathlib import Path
-
-    from .engine import ParallelExecutor, SerialExecutor, TrialEngine
-
     if args.journal is not None:
         journal_path = Path(args.journal)
         if journal_path.exists() and journal_path.stat().st_size > 0 and not args.resume:
@@ -313,8 +300,8 @@ def _build_engine(args: argparse.Namespace):
         checkpoints = True
     return TrialEngine(
         executor=executor,
-        cache=True if args.cache is None else args.cache,
-        max_retries=1 if args.max_retries is None else args.max_retries,
+        cache=args.cache,
+        max_retries=args.max_retries,
         journal=args.journal,
         checkpoints=checkpoints,
     )
@@ -345,25 +332,24 @@ def _command_tune(args: argparse.Namespace) -> int:
     factory = MLPModelFactory(task=task, max_iter=args.max_iter)
     engine = _build_engine(args)
     telemetry = _build_telemetry(args)
-    if engine is not None:
-        extras = []
-        if args.trial_timeout is not None:
-            extras.append(f"trial_timeout {args.trial_timeout}s")
-        if args.min_workers is not None or args.max_workers is not None:
-            extras.append(f"elastic {args.min_workers or 1}-{args.max_workers or 'auto'}")
-        if args.speculate:
-            extras.append("speculation on")
-        if args.journal is not None:
-            extras.append(f"journal {args.journal}" + (" (resuming)" if args.resume else ""))
-        if engine.checkpoints is not None:
-            extras.append(
-                "warm-start "
-                + (f"spill {args.checkpoint_dir}" if args.checkpoint_dir else "in-memory")
-            )
-        print(f"engine: {type(engine.executor).__name__} x{args.n_workers} workers, "
-              f"cache {'on' if engine.cache is not None else 'off'}, "
-              f"max_retries {engine.max_retries}"
-              + ("".join(f", {extra}" for extra in extras)))
+    extras = []
+    if args.trial_timeout is not None:
+        extras.append(f"trial_timeout {args.trial_timeout}s")
+    if args.min_workers is not None or args.max_workers is not None:
+        extras.append(f"elastic {args.min_workers or 1}-{args.max_workers or 'auto'}")
+    if args.speculate:
+        extras.append("speculation on")
+    if args.journal is not None:
+        extras.append(f"journal {args.journal}" + (" (resuming)" if args.resume else ""))
+    if engine.checkpoints is not None:
+        extras.append(
+            "warm-start "
+            + (f"spill {args.checkpoint_dir}" if args.checkpoint_dir else "in-memory")
+        )
+    print(f"engine: {type(engine.executor).__name__} x{args.n_workers} workers, "
+          f"cache {'on' if engine.cache is not None else 'off'}, "
+          f"max_retries {engine.max_retries}"
+          + ("".join(f", {extra}" for extra in extras)))
     print(f"tuning {dataset.name} ({dataset.n_train} rows) with {args.method} "
           f"over {space.n_configurations} configurations ...")
     outcome = optimize(
@@ -389,23 +375,22 @@ def _command_tune(args: argparse.Namespace) -> int:
     print(f"train {dataset.metric}      : {outcome.train_score:.4f}")
     print(f"test {dataset.metric}       : {test_score:.4f}")
     print(f"search wall time   : {outcome.result.wall_time:.1f}s over {outcome.result.n_trials} trials")
-    if engine is not None:
-        stats = engine.stats
-        print(f"cache hit rate     : {format_percent(stats.hit_rate)} "
-              f"({stats.cache_hits}/{stats.cache_hits + stats.cache_misses} lookups, "
-              f"{stats.executed} evaluations run, {stats.retries} retries, "
-              f"{stats.failures} degraded)")
-        print(f"robustness         : {stats.resumed} resumed from journal, "
-              f"{stats.timeouts} watchdog timeouts, {stats.non_finite} non-finite results, "
-              f"{stats.guard_events} guard events, "
-              f"{stats.journal_commits} journal commits + {stats.spill_segments} spill segments "
-              f"for {stats.executed} evaluations")
-        if engine.checkpoints is not None:
-            total = stats.warm_hits + stats.warm_misses
-            print(f"warm start         : {stats.warm_hits}/{total} trials warm-started, "
-                  f"{stats.checkpoints_stored} checkpoints stored"
-                  + (f", spilled to {args.checkpoint_dir}" if args.checkpoint_dir else ""))
-        engine.shutdown()
+    stats = engine.stats
+    print(f"cache hit rate     : {format_percent(stats.hit_rate)} "
+          f"({stats.cache_hits}/{stats.cache_hits + stats.cache_misses} lookups, "
+          f"{stats.executed} evaluations run, {stats.retries} retries, "
+          f"{stats.failures} degraded)")
+    print(f"robustness         : {stats.resumed} resumed from journal, "
+          f"{stats.timeouts} watchdog timeouts, {stats.non_finite} non-finite results, "
+          f"{stats.guard_events} guard events, "
+          f"{stats.journal_commits} journal commits + {stats.spill_segments} spill segments "
+          f"for {stats.executed} evaluations")
+    if engine.checkpoints is not None:
+        total = stats.warm_hits + stats.warm_misses
+        print(f"warm start         : {stats.warm_hits}/{total} trials warm-started, "
+              f"{stats.checkpoints_stored} checkpoints stored"
+              + (f", spilled to {args.checkpoint_dir}" if args.checkpoint_dir else ""))
+    engine.shutdown()
     if telemetry is not None:
         telemetry.close()
         if args.trace:

@@ -95,27 +95,26 @@ def make_searcher(
     evaluator_kwargs, searcher_kwargs:
         Extra keyword arguments for the evaluator factory / searcher class.
     engine:
-        Optional :class:`~repro.engine.TrialEngine` routing every
-        evaluation through a pluggable executor with memoization and
-        retries; works with any method since all searchers evaluate
-        through the same seam.
+        The :class:`~repro.engine.TrialEngine` the search runs on (parallel
+        executor, journal, shared cache, ...); ``None`` means the default
+        serial engine (see :class:`~repro.bandit.base.BaseSearcher`).
+        Works with any method since all searchers evaluate through the
+        same seam.
     guard:
         Data-integrity guard policy (``"strict"``, ``"repair"``,
         ``"warn"``, ``"off"`` or ``None``); forwarded to the evaluator
         factory as ``guard_policy``.  See :mod:`repro.guard`.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` recording run/rung/
-        trial spans and metrics for this search.  Shared with ``engine``
-        when one is given (see
-        :meth:`~repro.bandit.base.BaseSearcher._sync_telemetry`).
+        trial spans and metrics for this search.  Shared with the engine
+        (see :meth:`~repro.bandit.base.BaseSearcher._sync_telemetry`).
     warm_start:
         Opt in to cross-rung warm starting: every evaluation's per-fold
         trained parameters are checkpointed, and a promoted configuration
         resumes training from its lower-rung checkpoint instead of a fresh
-        Glorot initialisation.  Builds a default
-        :class:`~repro.engine.TrialEngine` when ``engine`` is ``None``;
-        an explicit engine must carry its own ``checkpoints=`` store (this
-        flag then only validates the combination).
+        Glorot initialisation.  Gives the engine a
+        :class:`~repro.engine.checkpoint.CheckpointStore` unless it
+        already carries one.
     checkpoint_dir:
         Spill directory making the checkpoints durable (required when the
         engine journals; see
@@ -128,19 +127,6 @@ def make_searcher(
     searcher_cls, enhanced = METHODS[key]
     if model_factory is None:
         model_factory = MLPModelFactory(task=task, max_iter=30)
-    if checkpoint_dir is not None:
-        warm_start = True
-    if warm_start:
-        if engine is None:
-            from ..engine import TrialEngine
-
-            engine = TrialEngine(checkpoints=checkpoint_dir if checkpoint_dir is not None else True)
-        elif engine.checkpoints is None:
-            engine.checkpoints = (
-                CheckpointStore(spill_dir=checkpoint_dir)
-                if checkpoint_dir is not None
-                else CheckpointStore()
-            )
     evaluator_kwargs = dict(evaluator_kwargs or {})
     if guard is not None:
         evaluator_kwargs.setdefault("guard_policy", guard)
@@ -151,8 +137,9 @@ def make_searcher(
     else:
         evaluator = vanilla_evaluator(X, y, model_factory, metric=metric, task=task, **evaluator_kwargs)
     searcher = searcher_cls(space, evaluator, random_state=random_state, **(searcher_kwargs or {}))
-    if engine is not None:
-        searcher.engine = engine
+    searcher.engine = engine  # not every searcher class takes engine=; None -> default
+    if (warm_start or checkpoint_dir is not None) and searcher.engine.checkpoints is None:
+        searcher.engine.checkpoints = CheckpointStore(spill_dir=checkpoint_dir)
     if telemetry is not None:
         searcher.telemetry = telemetry
     searcher.method_name = _display_name(key)

@@ -398,7 +398,7 @@ class SubsetCVEvaluator:
                 for plan, stats in zip(fused, per_trial_stats):
                     plan["batch_fitted"] = True
                     plan["fit_share"] = fit_elapsed * stats.folds / total_folds
-                    self._count_batch_stats(plan["collector"], stats)
+                    self._count_batch_stats(plan["collector"], stats, plan["fit_share"])
 
         results = []
         for plan in plans:
@@ -489,13 +489,17 @@ class SubsetCVEvaluator:
         return jobs, warm
 
     @staticmethod
-    def _count_batch_stats(collector, stats) -> None:
+    def _count_batch_stats(collector, stats, fit_share: float) -> None:
         """Fold one trial's lane-dispatch counters into its collector."""
         if collector is None:
             return
         collector.inc("evaluator.batched_folds", stats.batched_folds)
         if stats.warm_folds:
             collector.inc("evaluator.warm_folds", stats.warm_folds)
+        if collector.wants_profile:  # the row MLP.fit reports for un-fused folds
+            collector.inc("profile.mlp.fit.calls", stats.folds)
+            for _ in range(stats.folds):
+                collector.observe("profile.mlp.fit.s", fit_share / stats.folds)
 
     def _score_trial(
         self,

@@ -558,8 +558,6 @@ class ParallelExecutor(TrialExecutor):
         straggler_min_samples: int = 3,
         transport: str = "auto",
     ) -> None:
-        import os
-
         if transport not in ("auto", "arena", "pickle"):
             raise ValueError(
                 f"transport must be 'auto', 'arena' or 'pickle', got {transport!r}"

@@ -76,7 +76,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..telemetry.profiling import profiled
 from .base import check_X_y
 from .losses import squared_loss
 from .mlp import (
@@ -207,7 +206,6 @@ def fit_mlp_folds(
     return fit_mlp_trials([jobs], [warm])[0][0]
 
 
-@profiled("mlp.fit_megabatch")
 def fit_mlp_trials(
     trial_jobs: Sequence[Sequence[Tuple[Any, np.ndarray, np.ndarray]]],
     warms: Optional[Sequence[Optional[Dict[int, Tuple[Sequence[np.ndarray], Sequence[np.ndarray]]]]]] = None,

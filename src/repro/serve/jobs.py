@@ -14,8 +14,8 @@ optimization; this module turns it into actual work:
   :class:`~repro.engine.cache.EvaluationCache` (cross-tenant reuse),
   per-job :class:`~repro.telemetry.Telemetry` whose trial callback drives
   the live progress counter and the cooperative cancel check.
-- :func:`run_job_local` — the same spec run through ``optimize()``
-  directly with a fresh engine; used by benches, tests and the chaos
+- :func:`run_job_local` — the same spec run through plain
+  ``optimize()``; used by benches, tests and the chaos
   suite as the bitwise reference twin of a daemon job.
 - :func:`incumbent_fingerprint` — a stable digest of a search result
   (best configuration, best score and every trial's scores; wall time
@@ -38,7 +38,7 @@ from typing import Any, Dict, Optional
 
 from ..core import MLPModelFactory, optimize
 from ..datasets import load_dataset
-from ..engine import SerialExecutor, TrialEngine
+from ..engine import TrialEngine
 from ..experiments import paper_search_space
 from ..faults.points import fault_point
 from ..obs import flightrec as _flightrec
@@ -131,23 +131,13 @@ def _incumbent_summary(outcome, spec: JobSpec) -> Dict[str, Any]:
 def run_job_local(spec: JobSpec, engine: Optional[TrialEngine] = None):
     """Run one spec through ``optimize()`` directly — the reference twin.
 
-    Builds a fresh serial engine (private cache, no journal) unless one
-    is supplied, so the result is exactly what a standalone user calling
-    :func:`repro.optimize` with the same arguments would get.  Returns
-    the :class:`~repro.core.enhanced.OptimizationOutcome`.
+    This *is* ``optimize(**optimize_inputs(spec))`` plus the spec's
+    ``warm_start`` (on the default engine unless one is supplied): exactly
+    what a standalone user calling :func:`repro.optimize` with the same
+    arguments gets.  Returns the
+    :class:`~repro.core.enhanced.OptimizationOutcome`.
     """
-    owns_engine = engine is None
-    if engine is None:
-        engine = TrialEngine(
-            executor=SerialExecutor(),
-            cache=True,
-            checkpoints=True if spec.warm_start else None,
-        )
-    try:
-        return optimize(**optimize_inputs(spec), engine=engine)
-    finally:
-        if owns_engine:
-            engine.shutdown()
+    return optimize(**optimize_inputs(spec), engine=engine, warm_start=spec.warm_start)
 
 
 def execute_job(
@@ -193,7 +183,6 @@ def execute_job(
         context=trace_context,
     )
     engine = TrialEngine(
-        executor=SerialExecutor(),
         cache=shared.cache_for(context),
         journal=str(journal_path),
         checkpoints=shared.checkpoints_for(context) if spec.warm_start else None,

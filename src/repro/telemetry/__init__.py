@@ -30,8 +30,7 @@ outputs and on everything persisted.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 from pathlib import Path
 
 from .collect import (
@@ -43,7 +42,6 @@ from .collect import (
     current_collector,
     detach_payload,
     install_collector,
-    trial_collection,
 )
 from .export import merge_chrome_traces, to_chrome_trace
 from .formatting import format_count, format_overhead, format_percent, format_seconds
@@ -61,7 +59,6 @@ __all__ = [
     "HistogramSummary",
     "METRICS_SCHEMA_VERSION",
     "TrialCollector",
-    "trial_collection",
     "install_collector",
     "current_collector",
     "attach_payload",
@@ -100,7 +97,8 @@ class Telemetry:
         the trace file header, claiming every span in the file for one
         cross-process trace (serve job id, CLI run digest).
     clock, cpu_clock:
-        Injectable clocks shared by the tracer and inline collection.
+        Injectable clocks for the tracer; the engine stamps trials with
+        ``clock`` too.
 
     Notes
     -----
@@ -130,7 +128,6 @@ class Telemetry:
         self.profile = profile
         self.on_trial = on_trial
         self.clock = clock
-        self.cpu_clock = cpu_clock
         self.trials_seen = 0
         self._closed = False
 
@@ -150,33 +147,6 @@ class Telemetry:
         """Open a structural span (run/bracket/rung) — tracer passthrough."""
         return self.tracer.span(name, kind, **attrs)
 
-    @contextmanager
-    def trial(self, **attrs: Any) -> Iterator[Dict[str, Any]]:
-        """Collect and record one inline (engine-less) evaluation.
-
-        Installs a trial collector for the block, times it, then records
-        the trial span (with any fold/fit children the evaluator
-        produced) and merges the collector's metrics.  Yields a mutable
-        record: update ``record["attrs"]`` with facts discovered during
-        the evaluation (score, gamma, cost) and append guard-event dicts
-        to ``record["ann"]``.
-        """
-        record: Dict[str, Any] = {"attrs": dict(attrs), "ann": []}
-        t0 = self.clock()
-        cpu0 = self.cpu_clock()
-        with trial_collection(self.collection_flags) as collector:
-            try:
-                yield record
-            finally:
-                self.emit_trial(
-                    t0,
-                    self.clock() - t0,
-                    attrs=record["attrs"],
-                    cpu_dur=self.cpu_clock() - cpu0,
-                    annotations=record["ann"],
-                    payload=collector.payload() if collector is not None else None,
-                )
-
     def emit_trial(
         self,
         t0: float,
@@ -189,9 +159,8 @@ class Telemetry:
     ) -> None:
         """Record one finished trial: metrics merge + trial span + children.
 
-        This is the single funnel for both execution paths — the engine
-        calls it per settled outcome (payload detached from the result),
-        the inline path reaches it through :meth:`trial`.
+        The engine calls it per settled outcome, with the collector
+        payload detached from the result.
         """
         self.registry.merge_payload(payload)
         self.tracer.emit(

@@ -5,9 +5,9 @@ executor pipes already carry exactly one object per trial: the
 :class:`~repro.bandit.base.EvaluationResult`.  So collection works like
 this:
 
-1. The executor wraps each evaluation in :func:`trial_collection`, which
-   installs a process-local :class:`TrialCollector` discoverable via
-   :func:`current_collector`.
+1. The executor gives each evaluation a :class:`TrialCollector`, which
+   :func:`install_collector` makes discoverable via
+   :func:`current_collector` around every phase touching that trial.
 2. Instrumented code (evaluator folds, ``@profiled`` functions, chaos
    injection) records spans/counters/timings into that collector with no
    knowledge of where it runs.
@@ -37,7 +37,6 @@ __all__ = [
     "COLLECT_METRICS",
     "TrialCollector",
     "current_collector",
-    "trial_collection",
     "install_collector",
     "attach_payload",
     "detach_payload",
@@ -185,26 +184,6 @@ def current_collector() -> Optional[TrialCollector]:
 
 
 @contextmanager
-def trial_collection(flags: int) -> Iterator[Optional[TrialCollector]]:
-    """Install a fresh :class:`TrialCollector` for the duration of the block.
-
-    Yields ``None`` (and installs nothing) when ``flags`` is zero, so the
-    executors can pass the engine's mask straight through.  Nesting is
-    not supported and not needed: one evaluation, one collector.
-    """
-    if not flags:
-        yield None
-        return
-    collector = TrialCollector(flags=flags)
-    previous = getattr(_local, "collector", None)
-    _local.collector = collector
-    try:
-        yield collector
-    finally:
-        _local.collector = previous
-
-
-@contextmanager
 def install_collector(collector: Optional[TrialCollector]) -> Iterator[Optional[TrialCollector]]:
     """Install an *existing* collector for the duration of the block.
 
@@ -212,8 +191,7 @@ def install_collector(collector: Optional[TrialCollector]) -> Iterator[Optional[
     fit all folds fused, score all), so each trial's collector is
     created once and re-installed around every phase that touches that
     trial — counters and spans accumulate across installs into the same
-    payload.  ``None`` installs nothing, mirroring
-    :func:`trial_collection` with zero flags.
+    payload.  ``None`` (telemetry off) installs nothing.
     """
     if collector is None:
         yield None

@@ -1,4 +1,4 @@
-"""Tests for the simulated-asynchronous ASHA."""
+"""Tests for ASHA on the default (serial) engine."""
 
 import numpy as np
 import pytest

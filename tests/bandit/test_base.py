@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.bandit import EvaluationResult, SearchResult, Trial, top_k_indices
+from repro.bandit import EvaluationResult, SearchResult, SuccessiveHalving, Trial, top_k_indices
 from repro.bandit.base import BaseSearcher
+from repro.engine import FAILURE_SCORE
+from repro.telemetry import Telemetry
 from repro.space import Categorical, SearchSpace
 
 
@@ -82,10 +84,27 @@ class TestBaseSearcher:
 
     def test_evaluate_records_trial(self, tiny_space, synthetic_evaluator_factory):
         searcher = BaseSearcher(tiny_space, synthetic_evaluator_factory(lambda c: c["a"] / 10))
+        searcher._reset()  # what every _fit does first: binds the engine
         trial = searcher._evaluate({"a": 3, "b": "x"}, 0.25, iteration=2)
         assert trial.budget_fraction == 0.25
         assert trial.iteration == 2
         assert searcher._trials == [trial]
+
+    def test_raising_evaluator_degrades_instead_of_aborting(self, tiny_space):
+        # No engine passed: the default engine turns errors into sentinel trials.
+        class Broken:
+            def evaluate(self, config, budget_fraction, rng):
+                raise RuntimeError("boom")
+
+        errors = []
+        telemetry = Telemetry(on_trial=lambda _, attrs: errors.append(attrs.get("error")))
+        searcher = SuccessiveHalving(tiny_space, Broken(), random_state=0, telemetry=telemetry)
+        searcher.engine.retry_backoff = 0.0
+        result = searcher.fit(configurations=tiny_space.grid())
+        assert result.n_trials > 0
+        assert all(t.result.score == FAILURE_SCORE for t in result.trials)
+        assert searcher.engine.stats.failures == result.n_trials
+        assert errors == ["RuntimeError: boom"] * result.n_trials
 
     def test_fit_is_abstract(self, tiny_space, synthetic_evaluator_factory):
         searcher = BaseSearcher(tiny_space, synthetic_evaluator_factory(lambda c: 0.5))

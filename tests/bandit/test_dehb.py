@@ -30,6 +30,7 @@ class TestDehbSearch:
         space = SearchSpace([Float("x", 0.0, 1.0), Float("y", -5.0, 5.0)])
         evaluator = synthetic_evaluator_factory(lambda c: -abs(c["x"] - 0.3), noise=0.0)
         dehb = DEHB(space, evaluator, random_state=0)
+        dehb._reset()  # what _fit does first: binds the engine
         # Warm the population, then ask for DE proposals directly.
         rng = np.random.default_rng(0)
         for _ in range(8):
@@ -49,6 +50,7 @@ class TestDehbSearch:
     def test_backfills_parents_from_other_budgets(self, quality_space, synthetic_evaluator_factory):
         evaluator = synthetic_evaluator_factory(lambda c: c["q"] / 100, noise=0.0)
         dehb = DEHB(quality_space, evaluator, random_state=0)
+        dehb._reset()  # what _fit does first: binds the engine
         rng = np.random.default_rng(0)
         for _ in range(6):
             trial = dehb._evaluate(quality_space.sample(rng), 1.0)

@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from repro import optimize
 from repro.serve import (
     JobRegistry,
     JobSpec,
@@ -18,6 +19,7 @@ from repro.serve import (
     SharedEngineState,
     execute_job,
     incumbent_fingerprint,
+    optimize_inputs,
     run_job_local,
 )
 from repro.results import load_result
@@ -196,6 +198,8 @@ class TestRestartRecovery:
     def test_interrupted_job_resumes_bitwise(self, tmp_path):
         spec = JobSpec(tenant="alice", **FAST)
         reference_fp = incumbent_fingerprint(run_job_local(spec).result)
+        # run_job_local is plain optimize(): no engine passed, same search.
+        assert incumbent_fingerprint(optimize(**optimize_inputs(spec)).result) == reference_fp
 
         # Produce a full journal in a scratch root, then fabricate a
         # crashed daemon: the job marked running, only half its journal

@@ -1,4 +1,4 @@
-"""TrialCollector / trial_collection / payload transport / @profiled units."""
+"""TrialCollector / install_collector / payload transport / @profiled units."""
 
 import pickle
 
@@ -10,8 +10,8 @@ from repro.telemetry import (
     attach_payload,
     current_collector,
     detach_payload,
+    install_collector,
     profiled,
-    trial_collection,
 )
 
 
@@ -24,19 +24,19 @@ class Result:
 
 class TestTrialCollection:
     def test_zero_flags_installs_nothing(self):
-        with trial_collection(0) as collector:
+        with install_collector(None) as collector:
             assert collector is None
             assert current_collector() is None
 
     def test_install_and_restore(self):
         assert current_collector() is None
-        with trial_collection(COLLECT_METRICS) as collector:
+        with install_collector(TrialCollector(flags=COLLECT_METRICS)) as collector:
             assert current_collector() is collector
         assert current_collector() is None
 
     def test_restores_previous_on_exception(self):
         try:
-            with trial_collection(COLLECT_METRICS):
+            with install_collector(TrialCollector(flags=COLLECT_METRICS)):
                 raise RuntimeError("boom")
         except RuntimeError:
             pass
@@ -143,7 +143,7 @@ class TestProfiled:
         def g():
             return 1
 
-        with trial_collection(COLLECT_METRICS) as collector:
+        with install_collector(TrialCollector(flags=COLLECT_METRICS)) as collector:
             assert g() == 1
         assert collector.payload() is None
 
@@ -152,7 +152,7 @@ class TestProfiled:
         def h():
             return "ok"
 
-        with trial_collection(COLLECT_METRICS | COLLECT_PROFILE) as collector:
+        with install_collector(TrialCollector(flags=COLLECT_METRICS | COLLECT_PROFILE)) as collector:
             h()
             h()
         payload = collector.payload()
@@ -165,7 +165,7 @@ class TestProfiled:
         def boom():
             raise ValueError("x")
 
-        with trial_collection(COLLECT_PROFILE) as collector:
+        with install_collector(TrialCollector(flags=COLLECT_PROFILE)) as collector:
             try:
                 boom()
             except ValueError:

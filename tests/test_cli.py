@@ -28,8 +28,8 @@ class TestParser:
     def test_engine_flag_defaults(self):
         args = build_parser().parse_args(["tune", "--dataset", "australian"])
         assert args.n_workers == 1
-        assert args.cache is None
-        assert args.max_retries is None
+        assert args.cache is True
+        assert args.max_retries == 1
 
     def test_engine_flags_parse(self):
         args = build_parser().parse_args([
@@ -68,6 +68,27 @@ class TestTuneCommand:
         payload = json.loads(out_file.read_text())
         assert payload["method"] == "SHA"
         assert payload["trials"]
+
+    def test_default_run_equals_two_worker_run(self, capsys):
+        # One execution path: a plain tune is the engine at one worker.
+        base = [
+            "tune", "--dataset", "australian", "--method", "hb+",
+            "--scale", "0.25", "--max-iter", "5", "--seed", "1",
+        ]
+
+        def summary(argv):
+            assert main(argv) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[0].startswith("engine: ")
+            assert any(line.startswith("cache hit rate") for line in lines)
+            return [
+                line for line in lines
+                if line.startswith(("best configuration", "train ", "test "))
+            ]
+
+        plain = summary(base)
+        assert len(plain) == 3
+        assert summary(base + ["--n-workers", "2"]) == plain
 
     def test_model_based_method_runs_without_pool(self, capsys):
         code = main([
@@ -166,9 +187,11 @@ class TestTelemetryFlags:
         assert "telemetry metrics" in printed
 
     def test_profile_flag_reports_hot_paths(self, capsys):
-        assert main(self.BASE + ["--profile"]) == 0
-        printed = capsys.readouterr().out
-        assert "profile.mlp.fit" in printed
+        for workers in ([], ["--n-workers", "2"]):  # the fused fit kernel, in and out of process
+            assert main(self.BASE + ["--profile"] + workers) == 0
+            printed = capsys.readouterr().out
+            assert "profile.mlp.fit.calls" in printed
+            assert "profile.mlp.fit.s" in printed
 
     def test_no_flags_prints_no_telemetry_lines(self, capsys):
         assert main(self.BASE) == 0

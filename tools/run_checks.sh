@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Full verification ladder:
 #   1. tier-1 test suite (fast; chaos + telemetry + kernels tests
-#      deselected by pyproject addopts)
+#      deselected by pyproject addopts).  Every search in it runs on a
+#      TrialEngine (engine=None is the serial default; no inline path):
+#      tests/engine/test_engine.py pins no-engine == serial == parallel.
 #   2. bench smoke (bench/test_smoke.py: every bench/ workload once at
 #      --quick size, untraced and traced — read-only use of bench/; a
 #      change that breaks a name bench/layers.py patches, e.g.
