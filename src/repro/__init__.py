@@ -36,53 +36,33 @@ Quickstart::
     print(outcome.best_config, outcome.model.score(ds.X_test, ds.y_test))
 """
 
-from .bandit import (
-    ASHA,
-    BOHB,
-    PASHA,
-    BaseSearcher,
-    EvaluationResult,
-    HyperBand,
-    RandomSearch,
-    SearchResult,
-    SuccessiveHalving,
-    Trial,
+from ._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".bandit": [
+            "ASHA", "BOHB", "PASHA", "BaseSearcher", "EvaluationResult", "HyperBand",
+            "RandomSearch", "SearchResult", "SuccessiveHalving", "Trial",
+        ],
+        ".core": [
+            "GeneralSpecialFolds", "InstanceGrouping", "MLPModelFactory", "OptimizationOutcome",
+            "ScoreParams", "SubsetCVEvaluator", "beta_weight", "generate_groups",
+            "grouped_evaluator", "make_searcher", "optimize", "ucb_score", "vanilla_evaluator",
+        ],
+        ".engine": [
+            "EvaluationCache", "ParallelExecutor", "SerialExecutor", "TrialEngine",
+            "TrialOutcome", "TrialRequest",
+        ],
+        ".guard": [
+            "GUARD_POLICIES", "DataReport", "GuardError", "GuardEvent", "GuardLog",
+            "GuardWarning", "validate_dataset",
+        ],
+        ".results": ["load_result", "result_from_dict", "result_to_dict", "save_result"],
+        ".space": ["Categorical", "Float", "Integer", "SearchSpace"],
+        ".telemetry": ["MetricsRegistry", "Telemetry", "TraceSink", "Tracer", "profiled"],
+    },
 )
-from .core import (
-    GeneralSpecialFolds,
-    InstanceGrouping,
-    MLPModelFactory,
-    OptimizationOutcome,
-    ScoreParams,
-    SubsetCVEvaluator,
-    beta_weight,
-    generate_groups,
-    grouped_evaluator,
-    make_searcher,
-    optimize,
-    ucb_score,
-    vanilla_evaluator,
-)
-from .engine import (
-    EvaluationCache,
-    ParallelExecutor,
-    SerialExecutor,
-    TrialEngine,
-    TrialOutcome,
-    TrialRequest,
-)
-from .guard import (
-    GUARD_POLICIES,
-    DataReport,
-    GuardError,
-    GuardEvent,
-    GuardLog,
-    GuardWarning,
-    validate_dataset,
-)
-from .results import load_result, result_from_dict, result_to_dict, save_result
-from .space import Categorical, Float, Integer, SearchSpace
-from .telemetry import MetricsRegistry, Telemetry, TraceSink, Tracer, profiled
 
 __version__ = "1.0.0"
 

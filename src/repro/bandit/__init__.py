@@ -9,23 +9,26 @@ SHA+/HB+/BOHB+ variants — and all of them run their evaluations on a
 :class:`~repro.engine.TrialEngine` (the serial default unless one is passed).
 """
 
-from .asha import ASHA
-from .base import (
-    BaseSearcher,
-    ConfigurationEvaluator,
-    EvaluationResult,
-    SearchResult,
-    Trial,
-    top_k_indices,
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".asha": ["ASHA"],
+        ".base": [
+            "BaseSearcher", "ConfigurationEvaluator", "EvaluationResult", "SearchResult",
+            "Trial", "top_k_indices",
+        ],
+        ".bohb": ["BOHB", "DensityEstimator"],
+        ".dehb": ["DEHB"],
+        ".hyperband": ["HyperBand"],
+        ".pasha": ["PASHA"],
+        ".random_search": ["RandomSearch"],
+        ".smac": ["SMACSearch", "expected_improvement"],
+        ".successive_halving": ["SuccessiveHalving"],
+        ".tpe": ["TPESearch"],
+    },
 )
-from .bohb import BOHB, DensityEstimator
-from .dehb import DEHB
-from .hyperband import HyperBand
-from .pasha import PASHA
-from .random_search import RandomSearch
-from .smac import SMACSearch, expected_improvement
-from .successive_halving import SuccessiveHalving
-from .tpe import TPESearch
 
 __all__ = [
     "ASHA",

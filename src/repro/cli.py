@@ -56,14 +56,36 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .core import METHODS, MLPModelFactory, make_scorer, optimize
 from .datasets import dataset_info_table, list_datasets, load_dataset
-from .engine import ParallelExecutor, SerialExecutor, TrialEngine
-from .experiments import paper_search_space
-from .results import save_result
-from .telemetry.formatting import format_percent
 
 __all__ = ["main", "build_parser"]
+
+
+def _methods():
+    from .core import METHODS
+
+    return METHODS
+
+
+class _MethodChoices:
+    """``--method`` choices, read from :data:`repro.core.METHODS` on first use.
+
+    Building the parser must not import the search stack: ``--help``,
+    ``datasets`` and ``jobs`` never look at a method name.
+    """
+
+    def __iter__(self):
+        return iter(sorted(_methods()))
+
+    def __contains__(self, method) -> bool:
+        return method in _methods()
+
+
+def _add_method_flag(parser: argparse.ArgumentParser) -> None:
+    # ``add_argument(choices=...)`` would iterate the choices (to check the
+    # metavar), so they are attached afterwards: only help and parsing of
+    # *this* subcommand read them.
+    parser.add_argument("--method", default="sha+").choices = _MethodChoices()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     tune_parser = subparsers.add_parser("tune", help="run HPO on one dataset")
     tune_parser.add_argument("--dataset", required=True, choices=list_datasets())
-    tune_parser.add_argument("--method", default="sha+", choices=sorted(METHODS))
+    _add_method_flag(tune_parser)
     tune_parser.add_argument("--hps", type=int, default=2,
                              help="number of Table III hyperparameters (1-8)")
     tune_parser.add_argument("--scale", type=float, default=0.5)
@@ -171,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
                                help="daemon address, e.g. http://127.0.0.1:8123")
     submit_parser.add_argument("--tenant", required=True)
     submit_parser.add_argument("--dataset", required=True, choices=list_datasets())
-    submit_parser.add_argument("--method", default="sha+", choices=sorted(METHODS))
+    _add_method_flag(submit_parser)
     submit_parser.add_argument("--hps", type=int, default=2)
     submit_parser.add_argument("--scale", type=float, default=0.35)
     submit_parser.add_argument("--seed", type=int, default=0)
@@ -263,6 +285,8 @@ def _build_engine(args: argparse.Namespace):
     ``--trial-timeout`` needs a preemptable evaluation, so it selects the
     (watchdog-equipped) parallel executor even at one worker.
     """
+    from .engine import ParallelExecutor, SerialExecutor, TrialEngine
+
     warm_start = args.warm_start or args.checkpoint_dir is not None
     elastic = args.min_workers is not None or args.max_workers is not None
     if args.resume and args.journal is None:
@@ -326,6 +350,11 @@ def _build_telemetry(args: argparse.Namespace):
 
 
 def _command_tune(args: argparse.Namespace) -> int:
+    from .core import MLPModelFactory, make_scorer, optimize
+    from .experiments import paper_search_space
+    from .results import save_result
+    from .telemetry.formatting import format_percent
+
     dataset = load_dataset(args.dataset, scale=args.scale, random_state=args.seed)
     task = "regression" if dataset.task == "regression" else "classification"
     space = paper_search_space(args.hps)

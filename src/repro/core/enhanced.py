@@ -18,42 +18,32 @@ from typing import Any, Dict, Optional, Sequence
 
 import numpy as np
 
-from ..bandit import (
-    ASHA,
-    BOHB,
-    DEHB,
-    PASHA,
-    BaseSearcher,
-    HyperBand,
-    RandomSearch,
-    SearchResult,
-    SMACSearch,
-    SuccessiveHalving,
-    TPESearch,
-)
+from .. import bandit
+from ..bandit.base import BaseSearcher, SearchResult
 from ..engine.checkpoint import CheckpointStore
 from ..space import SearchSpace
 from .evaluator import MLPModelFactory, SubsetCVEvaluator, grouped_evaluator, vanilla_evaluator
 
 __all__ = ["METHODS", "make_searcher", "optimize", "OptimizationOutcome"]
 
-#: method name -> (searcher class, uses enhanced evaluator)
+#: method name -> (searcher class in :mod:`repro.bandit`, uses enhanced evaluator).
+#: Classes are named, not held: a search imports only the searcher it runs.
 METHODS = {
-    "random": (RandomSearch, False),
-    "sha": (SuccessiveHalving, False),
-    "sha+": (SuccessiveHalving, True),
-    "hb": (HyperBand, False),
-    "hb+": (HyperBand, True),
-    "bohb": (BOHB, False),
-    "bohb+": (BOHB, True),
-    "asha": (ASHA, False),
-    "asha+": (ASHA, True),
-    "pasha": (PASHA, False),
-    "pasha+": (PASHA, True),
-    "dehb": (DEHB, False),
-    "dehb+": (DEHB, True),
-    "tpe": (TPESearch, False),
-    "smac": (SMACSearch, False),
+    "random": ("RandomSearch", False),
+    "sha": ("SuccessiveHalving", False),
+    "sha+": ("SuccessiveHalving", True),
+    "hb": ("HyperBand", False),
+    "hb+": ("HyperBand", True),
+    "bohb": ("BOHB", False),
+    "bohb+": ("BOHB", True),
+    "asha": ("ASHA", False),
+    "asha+": ("ASHA", True),
+    "pasha": ("PASHA", False),
+    "pasha+": ("PASHA", True),
+    "dehb": ("DEHB", False),
+    "dehb+": ("DEHB", True),
+    "tpe": ("TPESearch", False),
+    "smac": ("SMACSearch", False),
 }
 
 
@@ -124,7 +114,7 @@ def make_searcher(
     key = method.lower()
     if key not in METHODS:
         raise ValueError(f"Unknown method {method!r}; available: {sorted(METHODS)}")
-    searcher_cls, enhanced = METHODS[key]
+    searcher_name, enhanced = METHODS[key]
     if model_factory is None:
         model_factory = MLPModelFactory(task=task, max_iter=30)
     evaluator_kwargs = dict(evaluator_kwargs or {})
@@ -136,7 +126,9 @@ def make_searcher(
         )
     else:
         evaluator = vanilla_evaluator(X, y, model_factory, metric=metric, task=task, **evaluator_kwargs)
-    searcher = searcher_cls(space, evaluator, random_state=random_state, **(searcher_kwargs or {}))
+    searcher = getattr(bandit, searcher_name)(
+        space, evaluator, random_state=random_state, **(searcher_kwargs or {})
+    )
     searcher.engine = engine  # not every searcher class takes engine=; None -> default
     if (warm_start or checkpoint_dir is not None) and searcher.engine.checkpoints is None:
         searcher.engine.checkpoints = CheckpointStore(spill_dir=checkpoint_dir)

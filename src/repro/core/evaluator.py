@@ -41,7 +41,7 @@ from ..engine.checkpoint import FoldCheckpoint, attach_checkpoints
 from ..guard import DataReport, GuardLog, validate_dataset
 from ..telemetry.collect import current_collector, install_collector
 from ..telemetry.profiling import profiled
-from ..learners import MLPClassifier, MLPRegressor
+from ..learners.mlp import MLPClassifier, MLPRegressor
 from ..learners.batched import MegaBatchStats, batchable_model, fit_mlp_trials
 from ..metrics import accuracy_score, f1_score, r2_score
 from ..model_selection import KFold, StratifiedKFold, random_subsample, stratified_subsample

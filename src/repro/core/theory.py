@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import binom
 
 __all__ = [
     "binomial_pmf",
@@ -37,6 +36,8 @@ def binomial_pmf(n: int, p: float) -> np.ndarray:
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
+    from scipy.stats import binom
+
     return binom.pmf(np.arange(n + 1), n, p)
 
 
@@ -66,9 +67,7 @@ def grouped_sampling_pmf(n: int, p: float, eps: float) -> np.ndarray:
     if eps < 0 or p - eps < 0 or p + eps > 1:
         raise ValueError(f"eps={eps} must keep both group rates in [0, 1]")
     half = n // 2
-    low = binom.pmf(np.arange(half + 1), half, p - eps)
-    high = binom.pmf(np.arange(half + 1), half, p + eps)
-    return np.convolve(low, high)
+    return np.convolve(binomial_pmf(half, p - eps), binomial_pmf(half, p + eps))
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ worker deaths and corrupted scores so those guarantees stay exercised::
     print(engine.stats.hit_rate)                 # memoization at work
 """
 
+from .._lazy import lazy_exports
 from .arena import (
     ArenaError,
     ArenaIntegrityError,
@@ -37,7 +38,6 @@ from .arena import (
     reap_stale,
 )
 from .cache import EvaluationCache
-from .chaos import ChaosError, ChaosExecutor, ChaosPolicy, DataCorruption
 from .checkpoint import CheckpointStore, FoldCheckpoint
 from .core import FAILURE_SCORE, STATS_SCHEMA_VERSION, EngineStats, TrialEngine, backoff_delay
 from .executors import (
@@ -49,6 +49,11 @@ from .executors import (
 )
 from .journal import JOURNAL_VERSION, JournalEntry, JournalError, RunJournal, space_fingerprint
 from .protocol import TrialOutcome, TrialRequest, derive_seed
+
+# The fault injector is test and chaos-suite equipment: no search loads it.
+__getattr__, __dir__ = lazy_exports(
+    __name__, {".chaos": ["ChaosError", "ChaosExecutor", "ChaosPolicy", "DataCorruption"]}
+)
 
 __all__ = [
     "ArenaError",

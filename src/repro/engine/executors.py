@@ -58,6 +58,12 @@ from typing import Deque, Dict, Optional, Tuple
 
 import numpy as np
 
+# numpy imports ``numpy.ma`` on the first plain ``np.unique`` (the fold
+# splitters call it).  A parent that only dispatches never makes that call,
+# so every forked worker would pay the 10 ms once per pool lifetime: load
+# it here, before any fork.
+import numpy.ma  # noqa: F401
+
 from ..bandit.base import EvaluationResult
 from ..faults.points import fault_point
 from ..obs import flightrec as _flightrec

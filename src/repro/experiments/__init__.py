@@ -1,29 +1,27 @@
 """Experiment runners regenerating every table and figure of the paper."""
 
-from .crossval import (
-    CV_EXPERIMENT_DATASETS,
-    CVVariantResult,
-    build_cv_evaluator,
-    run_cv_experiment,
-)
-from .hpo import (
-    TABLE4_METHODS,
-    MethodRunStats,
-    format_table4_rows,
-    run_config_scaling,
-    run_hpo_methods,
-)
-from .report import format_series, format_table, mean_std
-from .reliability import format_win_rate_matrix, win_rate, win_rate_matrix
-from .run_all import run_all
-from .significance import PairedComparison, holm_correction, paired_t_test, wilcoxon_test
-from .trajectory import AnytimeCurve, align_curves, anytime_curve, area_under_curve
-from .spaces import (
-    PAPER_HYPERPARAMETERS,
-    cv_experiment_space,
-    model_complexity_space,
-    paper_search_space,
-    search_space_table,
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".crossval": [
+            "CV_EXPERIMENT_DATASETS", "CVVariantResult", "build_cv_evaluator", "run_cv_experiment",
+        ],
+        ".hpo": [
+            "TABLE4_METHODS", "MethodRunStats", "format_table4_rows", "run_config_scaling",
+            "run_hpo_methods",
+        ],
+        ".report": ["format_series", "format_table", "mean_std"],
+        ".reliability": ["format_win_rate_matrix", "win_rate", "win_rate_matrix"],
+        ".run_all": ["run_all"],
+        ".significance": ["PairedComparison", "holm_correction", "paired_t_test", "wilcoxon_test"],
+        ".trajectory": ["AnytimeCurve", "align_curves", "anytime_curve", "area_under_curve"],
+        ".spaces": [
+            "PAPER_HYPERPARAMETERS", "cv_experiment_space", "model_complexity_space",
+            "paper_search_space", "search_space_table",
+        ],
+    },
 )
 
 __all__ = [

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 import numpy as np
-from scipy import stats
 
 __all__ = ["PairedComparison", "paired_t_test", "wilcoxon_test", "holm_correction"]
 
@@ -71,7 +70,9 @@ def paired_t_test(candidate: Sequence[float], baseline: Sequence[float]) -> Pair
             mean_difference=float(differences.mean()),
             n=len(candidate),
         )
-    result = stats.ttest_rel(candidate, baseline)
+    from scipy.stats import ttest_rel
+
+    result = ttest_rel(candidate, baseline)
     return PairedComparison(
         statistic=float(result.statistic),
         p_value=float(result.pvalue),
@@ -86,7 +87,9 @@ def wilcoxon_test(candidate: Sequence[float], baseline: Sequence[float]) -> Pair
     differences = candidate - baseline
     if np.allclose(differences, 0.0):
         return PairedComparison(statistic=0.0, p_value=1.0, mean_difference=0.0, n=len(candidate))
-    result = stats.wilcoxon(candidate, baseline)
+    from scipy.stats import wilcoxon
+
+    result = wilcoxon(candidate, baseline)
     return PairedComparison(
         statistic=float(result.statistic),
         p_value=float(result.pvalue),

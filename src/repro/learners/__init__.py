@@ -5,24 +5,30 @@ classifier / regressor covering the full Table III hyperparameter space,
 plus the preprocessing helpers they depend on.
 """
 
-from .activations import ACTIVATIONS, get_activation, logistic, relu, softmax, tanh
-from .base import BaseEstimator, check_array, check_X_y, clone
-from .batched import (
-    BatchedFitStats,
-    MegaBatchStats,
-    batchable_model,
-    fit_mlp_folds,
-    fit_mlp_trials,
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".activations": ["ACTIVATIONS", "get_activation", "logistic", "relu", "softmax", "tanh"],
+        ".base": ["BaseEstimator", "check_array", "check_X_y", "clone"],
+        ".batched": [
+            "BatchedFitStats", "MegaBatchStats", "batchable_model", "fit_mlp_folds",
+            "fit_mlp_trials",
+        ],
+        ".boosting": ["GradientBoostingClassifier", "GradientBoostingRegressor"],
+        ".forest": ["RandomForestClassifier", "RandomForestRegressor"],
+        ".linear": ["LogisticRegression", "Ridge"],
+        ".losses": ["binary_log_loss", "log_loss", "squared_loss"],
+        ".mlp": [
+            "MLPClassifier", "MLPRegressor", "resolve_initial_parameters", "warm_start_matches",
+        ],
+        ".naive_bayes": ["GaussianNB"],
+        ".preprocessing": ["LabelEncoder", "StandardScaler", "one_hot"],
+        ".solvers": ["AdamOptimizer", "SGDOptimizer", "make_optimizer"],
+        ".tree": ["DecisionTreeClassifier", "DecisionTreeRegressor"],
+    },
 )
-from .boosting import GradientBoostingClassifier, GradientBoostingRegressor
-from .forest import RandomForestClassifier, RandomForestRegressor
-from .linear import LogisticRegression, Ridge
-from .losses import binary_log_loss, log_loss, squared_loss
-from .mlp import MLPClassifier, MLPRegressor, resolve_initial_parameters, warm_start_matches
-from .naive_bayes import GaussianNB
-from .preprocessing import LabelEncoder, StandardScaler, one_hot
-from .solvers import AdamOptimizer, SGDOptimizer, make_optimizer
-from .tree import DecisionTreeClassifier, DecisionTreeRegressor
 
 __all__ = [
     "ACTIVATIONS",

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-import scipy.optimize
 
 from .activations import logistic, softmax
 from .base import BaseEstimator, check_X_y
@@ -50,6 +49,8 @@ class LogisticRegression(BaseEstimator):
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "LogisticRegression":
         """Fit the model by minimizing regularized cross-entropy."""
+        import scipy.optimize  # on first fit, like the MLP's L-BFGS
+
         if self.C <= 0:
             raise ValueError(f"C must be positive, got {self.C}")
         X, y = check_X_y(X, y)

@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-import scipy.optimize
 
 from ..telemetry.profiling import profiled
 from .activations import get_activation, softmax
@@ -341,6 +340,8 @@ class _BaseMLP(BaseEstimator):
         return self
 
     def _fit_lbfgs(self, X: np.ndarray, y: np.ndarray) -> None:
+        import scipy.optimize  # on first use: half a second an adam/sgd search never owes
+
         params = [*self.coefs_, *self.intercepts_]
         n_coefs = len(self.coefs_)
         x0 = np.concatenate([p.ravel() for p in params])

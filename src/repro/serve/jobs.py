@@ -34,7 +34,7 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from ..core import MLPModelFactory, optimize
 from ..datasets import load_dataset
@@ -146,6 +146,7 @@ def execute_job(
     shared: SharedEngineState,
     cancel_event: Optional[threading.Event] = None,
     live=None,
+    on_settled: Optional[Callable[[], None]] = None,
 ) -> JobRecord:
     """Run one dispatched job to a terminal state (daemon-side path).
 
@@ -163,7 +164,10 @@ def execute_job(
     spans hang under.  ``live``, when given, is the daemon's live-job
     table (see :class:`~repro.serve.server.LiveJobs`): the job registers
     its record+telemetry for the duration so ``/metrics`` can export
-    trial progress and rung occupancy mid-flight.
+    trial progress and rung occupancy mid-flight.  ``on_settled``, when
+    given, runs once the job's work is over and everything it held is
+    released, *before* the terminal state is published (the daemon frees
+    the tenant's quota slot there).
     """
     spec = record.spec
     context = eval_context(spec)
@@ -204,36 +208,32 @@ def execute_job(
                     **optimize_inputs(spec), engine=engine, telemetry=telemetry
                 )
     except JobCancelled:
-        registry.mark_finished(
-            record,
-            "cancelled",
-            error="cancelled by request",
-            engine_stats=engine.stats.as_dict(),
-            metrics=telemetry.registry,
-        )
+        state, fields = "cancelled", {"error": "cancelled by request"}
     except Exception as exc:  # job isolation: one bad job must not kill the daemon
-        registry.mark_finished(
-            record,
-            "failed",
-            error=f"{type(exc).__name__}: {exc}",
-            engine_stats=engine.stats.as_dict(),
-            metrics=telemetry.registry,
-        )
+        state, fields = "failed", {"error": f"{type(exc).__name__}: {exc}"}
     else:
-        fault_point("serve.job.pre_result_write")
-        save_result(outcome.result, registry.result_path(record.job_id))
-        fault_point("serve.job.pre_mark_finished")
-        registry.mark_finished(
-            record,
-            "done",
-            incumbent=_incumbent_summary(outcome, spec),
-            engine_stats=engine.stats.as_dict(),
-            metrics=telemetry.registry,
-        )
+        state, fields = "done", {}
     finally:
         if live is not None:
             live.unregister(record.job_id)
         engine.shutdown()
         telemetry.close()
-        _flightrec.note("job.finish", job=record.job_id, state=record.state)
+        if on_settled is not None:
+            on_settled()
+    if state == "done":
+        fault_point("serve.job.pre_result_write")
+        save_result(outcome.result, registry.result_path(record.job_id))
+        fields["incumbent"] = _incumbent_summary(outcome, spec)
+        fault_point("serve.job.pre_mark_finished")
+    # The terminal state is the last thing a job writes: whoever has seen it
+    # finds the live table, the journal, the trace file and the tenant's
+    # quota slot already settled (an idle daemon scrapes byte-identically).
+    registry.mark_finished(
+        record,
+        state,
+        engine_stats=engine.stats.as_dict(),
+        metrics=telemetry.registry,
+        **fields,
+    )
+    _flightrec.note("job.finish", job=record.job_id, state=record.state)
     return record

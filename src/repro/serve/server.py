@@ -111,7 +111,7 @@ class _ServeHTTPServer(ThreadingHTTPServer):
 
     def process_request_thread(self, request, client_address) -> None:
         daemon = self.daemon_ref
-        if not daemon._acquire_connection():
+        if not daemon._acquire_connection(request):
             body = b'{"error": "connection limit reached"}'
             try:
                 request.sendall(
@@ -128,7 +128,7 @@ class _ServeHTTPServer(ThreadingHTTPServer):
         try:
             super().process_request_thread(request, client_address)
         finally:
-            daemon._release_connection()
+            daemon._release_connection(request)
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -149,6 +149,16 @@ class _Handler(BaseHTTPRequestHandler):
         """Route access logs through the daemon's verbosity switch."""
         if self.daemon.verbose:
             super().log_message(format, *args)
+
+    def end_headers(self) -> None:
+        """Give the connection's slot back before its *last* response goes out.
+
+        Whoever has read that response may already be reconnecting; the
+        count they meet must not still include the connection they left.
+        """
+        if self.close_connection:
+            self.daemon._release_connection(self.request)
+        super().end_headers()
 
     def _send_json(self, status: int, payload: Dict[str, Any], headers: Optional[Dict[str, str]] = None) -> None:
         body = json.dumps(payload).encode("utf-8")
@@ -355,7 +365,7 @@ class ServeDaemon:
         self.max_connections = max_connections
         self.connections_rejected = 0
         self.connections_peak = 0
-        self._active_connections = 0
+        self._connections: set = set()  # open sockets holding a slot
         self._conn_lock = threading.Lock()
         self._httpd = _ServeHTTPServer((host, port), _Handler, daemon_ref=self)
         self.host, self.port = self._httpd.server_address[:2]
@@ -493,18 +503,23 @@ class ServeDaemon:
 
     # -- connection budget -----------------------------------------------------
 
-    def _acquire_connection(self) -> bool:
+    @property
+    def _active_connections(self) -> int:
+        return len(self._connections)
+
+    def _acquire_connection(self, request) -> bool:
         with self._conn_lock:
-            if self._active_connections >= self.max_connections:
+            if len(self._connections) >= self.max_connections:
                 self.connections_rejected += 1
                 return False
-            self._active_connections += 1
-            self.connections_peak = max(self.connections_peak, self._active_connections)
+            self._connections.add(request)
+            self.connections_peak = max(self.connections_peak, len(self._connections))
             return True
 
-    def _release_connection(self) -> None:
+    def _release_connection(self, request) -> None:
+        """Free ``request``'s slot (idempotent: the handler may have already)."""
         with self._conn_lock:
-            self._active_connections -= 1
+            self._connections.discard(request)
 
     # -- dedup resolution ------------------------------------------------------
 
@@ -589,7 +604,9 @@ class ServeDaemon:
 
         On timeout the remaining jobs are simply left where they are —
         queued records and journals are durable, so the next daemon over
-        the same root resumes them.
+        the same root resumes them.  "Empty" is the scheduler's view: a job
+        frees its slot just before it publishes its terminal record, so
+        follow with :meth:`stop`, which joins the worker writing it.
         """
         self.draining = True
         return self.scheduler.wait_drained(timeout=timeout)
@@ -656,8 +673,17 @@ class ServeDaemon:
             if record is None:
                 return
             event = self._cancel_event(record.job_id)
+            held = [record]
+
+            def release_slot() -> None:
+                # Once: before the terminal state is published (a client that
+                # has seen it must find ``running`` settled), or on the way out.
+                if held:
+                    self.scheduler.task_done(held.pop())
+
             try:
                 if event.is_set():
+                    release_slot()
                     self.registry.mark_finished(
                         record, "cancelled", error="cancelled before start"
                     )
@@ -669,6 +695,7 @@ class ServeDaemon:
                         self.shared,
                         cancel_event=event,
                         live=self.live_jobs,
+                        on_settled=release_slot,
                     )
                     fault_point("serve.dispatch.post")
             finally:
@@ -678,7 +705,7 @@ class ServeDaemon:
                     self._resolve_followers(record)
                 except Exception:  # noqa: BLE001 — a follower must never kill a worker
                     pass
-                self.scheduler.task_done(record)
+                release_slot()
 
     # -- introspection ---------------------------------------------------------
 

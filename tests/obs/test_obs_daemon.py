@@ -62,6 +62,13 @@ class TestMetricsEndpoint:
         second = scrape(daemon)[1]
         assert first == second
 
+    def test_sequential_scrapes_never_overlap_in_the_connection_count(self, daemon):
+        """A connection gives its slot back before its last response goes out."""
+        for _ in range(30):
+            parsed = parse_prometheus(scrape(daemon)[1])
+            kinds = {labels["kind"]: value for labels, value in parsed["repro_serve_connections"]}
+            assert kinds["active"] == 1.0 and kinds["peak"] == 1.0
+
     def test_concurrent_scrapes_never_block_dispatch(self, daemon, client):
         """Hammer /metrics from several threads during a 2-tenant burst.
 

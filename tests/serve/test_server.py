@@ -68,6 +68,30 @@ class TestLifecycle:
         assert incumbent_fingerprint(daemon_result) == incumbent_fingerprint(reference.result)
         assert final["incumbent"]["fingerprint"] == incumbent_fingerprint(reference.result)
 
+    def test_terminal_state_is_the_last_thing_a_job_writes(self, tmp_path):
+        """Whoever sees ``done`` finds live table, trace file and quota slot settled."""
+        from repro.serve.server import LiveJobs
+
+        live, settled, seen = LiveJobs(), [], {}
+
+        class Registry(JobRegistry):
+            def mark_finished(self, record, state, **fields):
+                seen["live"] = live.snapshot()
+                seen["settled"] = list(settled)
+                seen["trace"] = self.trace_path(record.job_id).read_text()
+                return super().mark_finished(record, state, **fields)
+
+        registry = Registry(tmp_path / "serve")
+        record = registry.create(JobSpec(tenant="alice", trace=True, **FAST))
+        execute_job(
+            record, registry, SharedEngineState(tmp_path / "serve"),
+            live=live, on_settled=lambda: settled.append(True),
+        )  # fmt: skip
+        assert record.state == "done"
+        assert seen["live"] == [] and seen["settled"] == [True]
+        # Closed before the state was published: nothing was written after.
+        assert seen["trace"] == registry.trace_path(record.job_id).read_text() != ""
+
     def test_bad_spec_is_400(self, client):
         with pytest.raises(ServeError) as excinfo:
             client.submit(tenant="alice", dataset="not-a-dataset")

@@ -4,6 +4,8 @@
 #      deselected by pyproject addopts).  Every search in it runs on a
 #      TrialEngine (engine=None is the serial default; no inline path):
 #      tests/engine/test_engine.py pins no-engine == serial == parallel.
+#      The cold-start budget (tests/test_import_budget.py: which modules a
+#      fresh interpreter loads) is part of this tier, not one of its own.
 #   2. bench smoke (bench/test_smoke.py: every bench/ workload once at
 #      --quick size, untraced and traced — read-only use of bench/; a
 #      change that breaks a name bench/layers.py patches, e.g.
