@@ -14,9 +14,11 @@ When something kills the process, the ring is what the post-mortem reads:
   explicitly via the hooks in :func:`install`;
 - processes that cannot (SIGKILL, power cut) are covered by the optional
   *spill*: every ``spill_every`` events — and always on ``sticky``
-  events like a job dispatch — the ring is snapshotted to
-  ``flightrec-<pid>-live.json``, so the file that survives an abrupt
-  kill names what was in flight.
+  events like a job dispatch — the events recorded since the previous
+  spill are appended, one JSON line each, to
+  ``flightrec-<pid>-live.jsonl``, so the file that survives an abrupt
+  kill names what was in flight;
+- :func:`load` reads either file back into the same payload dict.
 
 The module-global install mirrors :mod:`repro.faults.points`: disarmed,
 :func:`note` is a ``None`` check and returns; armed, it appends to the
@@ -34,6 +36,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+import threading
 import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
@@ -46,6 +49,7 @@ __all__ = [
     "installed",
     "note",
     "dump_now",
+    "load",
 ]
 
 #: Version stamped into every dump file; bump when the schema changes.
@@ -53,6 +57,11 @@ FLIGHTREC_SCHEMA_VERSION = 1
 
 #: Default ring capacity (events retained).
 DEFAULT_CAPACITY = 512
+
+#: The live file is rewritten down to the ring once it holds this many
+#: times ``capacity`` event lines: it never grows without bound, and
+#: rewriting costs a third of what appending did since the last rewrite.
+_COMPACT_FACTOR = 4
 
 
 class FlightRecorder:
@@ -68,7 +77,7 @@ class FlightRecorder:
         which is what the engine-embedded recorder does until a daemon
         or CLI gives it a home.
     spill_every:
-        Snapshot the ring to ``flightrec-<pid>-live.json`` every N
+        Append the new events to ``flightrec-<pid>-live.jsonl`` every N
         recorded events (0 disables periodic spilling).  Sticky events
         (``note(..., sticky=True)``) always spill immediately.
     clock:
@@ -91,6 +100,15 @@ class FlightRecorder:
         self._ring: List[Optional[Dict[str, Any]]] = [None] * capacity
         self._seq = 0
         self.dumps_written = 0
+        # Live-file state, guarded by ``_spill_lock`` (``record`` never takes
+        # it): the process the lock and descriptor belong to, the append
+        # descriptor, the event lines the file holds and the sequence
+        # number spilled up to.
+        self._spill_lock = threading.Lock()
+        self._live_pid = os.getpid()
+        self._live_fd: Optional[int] = None
+        self._live_lines = 0
+        self._spilled = 0
 
     # -- recording -------------------------------------------------------------
 
@@ -161,12 +179,81 @@ class FlightRecorder:
         return path
 
     def _spill(self) -> None:
-        """Snapshot the ring to the live file (best-effort, atomic)."""
-        path = self.dump_dir / f"flightrec-{os.getpid()}-live.json"
+        """Append the events recorded since the last spill to the live file.
+
+        One ``os.write`` of one JSON line per new event on an ``O_APPEND``
+        descriptor, so a spill costs what the new events cost and a kill
+        can tear only the last line.  The first spill of a process and
+        every spill that finds the file ``_COMPACT_FACTOR`` rings long
+        write header + ring to a temp file and rename it over the live
+        one instead, so the file always holds at least the last
+        ``capacity`` events.  Best-effort: write errors are swallowed.
+        """
+        pid = os.getpid()
+        if pid != self._live_pid:
+            # A forked child's first spill: the lock may have been copied
+            # mid-hold, and the descriptor is the parent's file.
+            self._spill_lock = threading.Lock()
+            self._live_pid = pid
+            self._live_fd = None
+        with self._spill_lock:
+            seq = self._seq
+            try:
+                if (
+                    self._live_fd is None
+                    or self._live_lines + seq - self._spilled
+                    >= _COMPACT_FACTOR * self.capacity
+                ):
+                    self._rewrite_live(pid, seq)
+                else:
+                    lines = self._lines(self._spilled, seq)
+                    os.write(self._live_fd, "".join(lines).encode("utf-8"))
+                    self._live_lines += len(lines)
+                self._spilled = seq
+            except OSError:
+                pass
+
+    def _lines(self, start: int, stop: int) -> List[str]:
+        """Events ``start..stop-1`` still in the ring, one JSON line each."""
+        lines = []
+        for seq in range(max(start, stop - self.capacity), stop):
+            event = self._ring[seq % self.capacity]
+            if event is not None and event["seq"] == seq:
+                lines.append(json.dumps(event) + "\n")
+        return lines
+
+    def _rewrite_live(self, pid: int, seq: int) -> None:
+        """Replace the live file with header + ring; keep appending to it."""
+        path = self.dump_dir / f"flightrec-{pid}-live.jsonl"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        header = {
+            "schema_version": FLIGHTREC_SCHEMA_VERSION,
+            "pid": pid,
+            "reason": "live",
+            "created_unix": round(time.time(), 3),
+            "capacity": self.capacity,
+        }
+        lines = self._lines(0, seq)
+        tmp = path.with_name(path.name + f".{pid}.tmp")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_APPEND, 0o644)
         try:
-            self._write_atomic(path, self.payload("live"))
+            os.write(fd, (json.dumps(header) + "\n" + "".join(lines)).encode("utf-8"))
+            os.replace(tmp, path)
         except OSError:
-            pass
+            os.close(fd)
+            raise
+        # The descriptor follows the rename: it is the live file's now.
+        if self._live_fd is not None:
+            os.close(self._live_fd)
+        self._live_fd = fd
+        self._live_lines = len(lines)
+
+    def close(self) -> None:
+        """Release the live file's descriptor (a later spill reopens it)."""
+        with self._spill_lock:
+            if self._live_fd is not None:
+                os.close(self._live_fd)
+            self._live_fd = None
 
     @staticmethod
     def _write_atomic(path: Path, payload: Dict[str, Any]) -> None:
@@ -174,6 +261,33 @@ class FlightRecorder:
         tmp = path.with_name(path.name + f".{os.getpid()}.tmp")
         tmp.write_text(json.dumps(payload, indent=1, sort_keys=False) + "\n")
         os.replace(tmp, path)
+
+
+def load(path: Union[str, Path]) -> Dict[str, Any]:
+    """Read a crash dump or a live spill back into the dump payload dict.
+
+    A crash dump is one JSON document and is returned as written.  A live
+    spill is a header line followed by one event per line; its events come
+    back in ``seq`` order under the same keys a dump has.  A kill can only
+    tear the last line of a live spill, so reading stops at the first
+    line that does not parse and everything before it is trusted.
+    """
+    text = Path(path).read_text()
+    lines = text.split("\n")
+    try:
+        payload = json.loads(lines[0])
+    except json.JSONDecodeError:
+        return json.loads(text)
+    events = []
+    for line in lines[1:]:
+        try:
+            events.append(json.loads(line))
+        except json.JSONDecodeError:
+            break
+    payload["events_recorded"] = events[-1]["seq"] + 1 if events else 0
+    payload["events_retained"] = len(events)
+    payload["events"] = events
+    return payload
 
 
 #: The installed recorder, or ``None`` (the common case — zero cost).
@@ -262,6 +376,8 @@ def install(
         )
     elif dump_dir is not None:
         recorder.dump_dir = Path(dump_dir)
+    if _recorder is not None and _recorder is not recorder:
+        _recorder.close()
     _recorder = recorder
     if hook_exceptions and _previous_excepthook is None:
         _previous_excepthook = sys.excepthook
@@ -277,6 +393,8 @@ def uninstall() -> Optional[FlightRecorder]:
     global _recorder
     previous = _recorder
     _recorder = None
+    if previous is not None:
+        previous.close()
     try:
         from ..faults import points as _points
 

@@ -225,9 +225,16 @@ class ServeClient:
         """``GET /jobs`` — newest-first summaries of every known job."""
         return self._request("GET", "/jobs").get("jobs", [])
 
-    def job(self, job_id: str) -> Dict[str, Any]:
-        """``GET /jobs/<id>`` — the full record of one job."""
-        return self._request("GET", f"/jobs/{job_id}")
+    def job(self, job_id: str, wait: Optional[float] = None) -> Dict[str, Any]:
+        """``GET /jobs/<id>`` — the full record of one job.
+
+        With ``wait`` (seconds) the daemon holds the request until the job
+        is terminal or the wait elapses (it clamps long waits), then
+        answers with the record as it stands — one request instead of a
+        polling loop.  Keep ``wait`` under the read ``timeout``.
+        """
+        query = "" if wait is None else f"?wait={wait:.3f}"
+        return self._request("GET", f"/jobs/{job_id}{query}")
 
     def cancel(self, job_id: str) -> Dict[str, Any]:
         """``DELETE /jobs/<id>`` — cooperative cancel."""
@@ -236,13 +243,17 @@ class ServeClient:
     # -- conveniences ----------------------------------------------------------
 
     def wait(self, job_id: str, timeout: float = 300.0, poll: float = 0.05) -> Dict[str, Any]:
-        """Poll until the job reaches a terminal state; return its record.
+        """Long-poll until the job reaches a terminal state; return its record.
 
+        Each request asks the daemon to hold it for what is left of
+        ``timeout``, capped at half the read ``timeout``; ``poll`` is the
+        pause before the next request when one comes back non-terminal.
         Raises :class:`TimeoutError` when ``timeout`` elapses first.
         """
         deadline = time.monotonic() + timeout
         while True:
-            record = self.job(job_id)
+            remaining = max(0.0, deadline - time.monotonic())
+            record = self.job(job_id, wait=min(remaining, self.timeout / 2))
             if record.get("state") in TERMINAL_STATES:
                 return record
             if time.monotonic() >= deadline:
@@ -252,18 +263,18 @@ class ServeClient:
             time.sleep(poll)
 
     def wait_all(self, job_ids: List[str], timeout: float = 600.0, poll: float = 0.05) -> Dict[str, Dict[str, Any]]:
-        """Wait for many jobs; returns ``{job_id: final record}``."""
+        """Wait for many jobs; returns ``{job_id: final record}``.
+
+        One :meth:`wait` per job, in the order given, all under the one
+        ``timeout``.
+        """
         deadline = time.monotonic() + timeout
         done: Dict[str, Dict[str, Any]] = {}
-        remaining = list(job_ids)
-        while remaining:
-            for job_id in list(remaining):
-                record = self.job(job_id)
-                if record.get("state") in TERMINAL_STATES:
-                    done[job_id] = record
-                    remaining.remove(job_id)
-            if remaining:
-                if time.monotonic() >= deadline:
-                    raise TimeoutError(f"{len(remaining)} job(s) unfinished after {timeout:.1f}s")
-                time.sleep(poll)
+        for job_id in job_ids:
+            try:
+                done[job_id] = self.wait(job_id, max(0.0, deadline - time.monotonic()), poll)
+            except TimeoutError:
+                raise TimeoutError(
+                    f"{len(job_ids) - len(done)} job(s) unfinished after {timeout:.1f}s"
+                ) from None
         return done

@@ -210,6 +210,9 @@ class JobRegistry:
         self._lock = threading.RLock()
         self._records: Dict[str, JobRecord] = {}
         self._tenants: Dict[str, TenantStats] = {}
+        # Long-polling readers park here (its own lock, never ``_lock``).
+        self._finished = threading.Condition()
+        self._waiters_released = False
         #: Corrupt record files moved aside by :meth:`load_all` since start.
         self.quarantined = 0
 
@@ -336,7 +339,15 @@ class JobRegistry:
         engine_stats: Optional[Dict[str, Any]] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        """running -> done/failed/cancelled, with tenant accounting (persisted)."""
+        """running -> done/failed/cancelled, with tenant accounting (persisted).
+
+        Ordering: the in-memory record flips first, then :meth:`persist`
+        makes it durable, then :meth:`wait_finished` waiters are notified.
+        A plain read between the first two steps can therefore see a
+        terminal record that is not on disk yet (a kill there recovers the
+        job as ``running`` and its journal replays it bitwise); a waiter
+        woken by this call always finds the terminal record on disk.
+        """
         with self._lock:
             record.state = state
             record.finished_at = self.clock()
@@ -360,7 +371,28 @@ class JobRegistry:
                 stats.job_seconds += record.duration
             if metrics is not None:
                 stats.metrics.merge(metrics)
-        self.persist(record)
+        try:
+            self.persist(record)
+        finally:
+            with self._finished:
+                self._finished.notify_all()
+
+    def wait_finished(self, record: JobRecord, timeout: float) -> bool:
+        """Park until ``record`` is terminal; ``False`` when ``timeout`` elapses first.
+
+        Returns at once for a terminal record and after
+        :meth:`release_waiters`.  Holds no registry lock while parked.
+        """
+        with self._finished:
+            return self._finished.wait_for(
+                lambda: record.terminal or self._waiters_released, timeout
+            )
+
+    def release_waiters(self) -> None:
+        """Wake every parked waiter and park no more (drain/stop)."""
+        with self._finished:
+            self._waiters_released = True
+            self._finished.notify_all()
 
     # -- recovery --------------------------------------------------------------
 

@@ -5,7 +5,9 @@ already provide into a long-lived multi-tenant server:
 
 - a stdlib :class:`~http.server.ThreadingHTTPServer` speaking the small
   JSON protocol (``POST /jobs``, ``GET /jobs``, ``GET /jobs/<id>``,
-  ``DELETE /jobs/<id>``, ``GET /healthz``, ``GET /stats``);
+  ``DELETE /jobs/<id>``, ``GET /healthz``, ``GET /stats``), where
+  ``GET /jobs/<id>?wait=<seconds>`` long-polls: it answers when the job
+  reaches a terminal state or the wait elapses, whichever is first;
 - a pool of worker threads pulling jobs from the
   :class:`~repro.serve.scheduler.FairShareScheduler` (weighted
   round-robin, per-tenant quotas, 429 backpressure when the bounded
@@ -37,6 +39,7 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
+from urllib.parse import parse_qs
 
 from ..faults.points import fault_point
 from ..obs import flightrec as _flightrec
@@ -52,6 +55,11 @@ __all__ = ["ServeDaemon", "Degraded", "LiveJobs", "STATS_SCHEMA_VERSION"]
 #: Version of the ``/stats`` JSON shape (see docs/SERVICE.md); bump on
 #: any breaking change so scrapers can evolve safely.
 STATS_SCHEMA_VERSION = 1
+
+#: Longest a ``GET /jobs/<id>?wait=`` request is held, whatever it asks
+#: for: under half the client's default read timeout, so a parked request
+#: is never mistaken for a dead daemon.
+MAX_WAIT_S = 10.0
 
 
 class LiveJobs:
@@ -137,6 +145,9 @@ class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
     timeout = 60.0
+    #: TCP_NODELAY on every accepted socket: a response is one small write,
+    #: and Nagle would hold its tail for the client's delayed ACK (~40 ms).
+    disable_nagle_algorithm = True
 
     # -- plumbing --------------------------------------------------------------
 
@@ -150,33 +161,34 @@ class _Handler(BaseHTTPRequestHandler):
         if self.daemon.verbose:
             super().log_message(format, *args)
 
-    def end_headers(self) -> None:
+    def end_headers(self, body: bytes = b"") -> None:
         """Give the connection's slot back before its *last* response goes out.
 
         Whoever has read that response may already be reconnecting; the
         count they meet must not still include the connection they left.
+        ``body`` leaves in the same write as the head.
         """
         if self.close_connection:
             self.daemon._release_connection(self.request)
-        super().end_headers()
+        if self.request_version == "HTTP/0.9":  # a bare body, no head
+            self.wfile.write(body)
+            return
+        self._headers_buffer.append(b"\r\n" + body)
+        self.flush_headers()
 
-    def _send_json(self, status: int, payload: Dict[str, Any], headers: Optional[Dict[str, str]] = None) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_text(self, status: int, body: str, content_type: str) -> None:
+    def _send_text(
+        self, status: int, body: str, content_type: str, headers: Optional[Dict[str, str]] = None
+    ) -> None:
         data = body.encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
+        self.end_headers(data)
+
+    def _send_json(self, status: int, payload: Dict[str, Any], headers: Optional[Dict[str, str]] = None) -> None:
+        self._send_text(status, json.dumps(payload), "application/json", headers)
 
     def _read_body(self) -> bytes:
         """Consume the request body (always, even on error paths).
@@ -200,8 +212,9 @@ class _Handler(BaseHTTPRequestHandler):
     # -- routes ----------------------------------------------------------------
 
     def do_GET(self) -> None:  # noqa: N802 - http.server naming convention
-        """``/healthz``, ``/metrics``, ``/stats``, ``/jobs`` and ``/jobs/<id>``."""
-        path = self.path.rstrip("/") or "/"
+        """``/healthz``, ``/metrics``, ``/stats``, ``/jobs`` and ``/jobs/<id>[?wait=s]``."""
+        path, _, query = self.path.partition("?")
+        path = path.rstrip("/") or "/"
         if path == "/healthz":
             self._send_json(200, self.daemon.health())
         elif path == "/readyz":
@@ -214,13 +227,27 @@ class _Handler(BaseHTTPRequestHandler):
         elif path == "/jobs":
             self._send_json(200, {"jobs": [r.summary() for r in self.daemon.registry.all()]})
         elif path.startswith("/jobs/"):
-            record = self.daemon.registry.get(path[len("/jobs/"):])
-            if record is None:
-                self._send_json(404, {"error": "unknown job"})
-            else:
-                self._send_json(200, record.to_dict())
+            self._get_job(path[len("/jobs/"):], parse_qs(query).get("wait"))
         else:
             self._send_json(404, {"error": f"no route {self.path!r}"})
+
+    def _get_job(self, job_id: str, wait: Optional[List[str]]) -> None:
+        """One job's record — after parking up to ``wait`` seconds for it to settle."""
+        registry = self.daemon.registry
+        record = registry.get(job_id)
+        if record is None:
+            self._send_json(404, {"error": "unknown job"})
+            return
+        if wait is not None:
+            try:
+                seconds = float(wait[-1])
+            except ValueError:
+                seconds = float("nan")
+            if not seconds >= 0:  # negative, or not a number at all
+                self._send_json(400, {"error": f"wait must be a number >= 0, got {wait[-1]!r}"})
+                return
+            registry.wait_finished(record, min(seconds, MAX_WAIT_S))
+        self._send_json(200, record.to_dict())
 
     def do_POST(self) -> None:  # noqa: N802
         """``POST /jobs`` — admit one job (202/400/429/503)."""
@@ -384,7 +411,7 @@ class ServeDaemon:
 
         Also arms the process-wide flight recorder with dumps under
         ``<root>/obs``: spilled every 32 events (and on every job
-        dispatch), so even a SIGKILL leaves a ``flightrec-<pid>-live.json``
+        dispatch), so even a SIGKILL leaves a ``flightrec-<pid>-live.jsonl``
         naming what was in flight.
         """
         _flightrec.install(dump_dir=self.obs_dir, spill_every=32)
@@ -602,6 +629,8 @@ class ServeDaemon:
     def drain(self, timeout: Optional[float] = 60.0) -> bool:
         """Stop admitting and wait for outstanding jobs; ``True`` when empty.
 
+        Long-polling readers are woken and no request parks from here on
+        (clients fall back to their ``poll`` pause between requests).
         On timeout the remaining jobs are simply left where they are —
         queued records and journals are durable, so the next daemon over
         the same root resumes them.  "Empty" is the scheduler's view: a job
@@ -609,6 +638,7 @@ class ServeDaemon:
         follow with :meth:`stop`, which joins the worker writing it.
         """
         self.draining = True
+        self.registry.release_waiters()
         return self.scheduler.wait_drained(timeout=timeout)
 
     def stop(self) -> None:
@@ -618,6 +648,7 @@ class ServeDaemon:
         durable on disk for the next start.
         """
         self.scheduler.close()
+        self.registry.release_waiters()
         self._httpd.shutdown()
         self._httpd.server_close()
         for thread in self._threads:

@@ -9,6 +9,7 @@ import os
 
 import pytest
 
+import repro
 from repro.serve import (
     JobRegistry,
     JobSpec,
@@ -132,4 +133,51 @@ class TestEndToEndRecovery:
             with ServeClient(daemon.address) as client:
                 final = client.wait(job_id, timeout=60)
         assert final["state"] == "done"
+        assert final["incumbent"]["fingerprint"] == reference
+
+    def test_kill_between_the_flip_and_the_persist_replays_bitwise(self, tmp_path):
+        """``mark_finished`` flips the record in memory, then persists it.
+
+        A kill in between (the ``job.json`` write of the third record
+        update: create, running, *finished*) leaves ``running`` on disk
+        with a complete journal: the next daemon replays it to the same
+        incumbent and runs nothing twice.
+        """
+        import subprocess
+        import sys
+
+        from repro.faults.points import ENV_VAR
+        from repro.faults.schedule import CRASH_EXIT_CODE, FaultSchedule
+
+        spec = JobSpec(tenant="alice", **FAST)
+        reference = incumbent_fingerprint(run_job_local(spec).result)
+        root = tmp_path / "serve"
+        script = (
+            "import sys\n"
+            f"sys.path.insert(0, {os.path.dirname(os.path.dirname(repro.__file__))!r})\n"
+            "from repro.serve import JobRegistry, JobSpec, SharedEngineState, execute_job\n"
+            f"registry = JobRegistry({str(root)!r})\n"
+            f"record = registry.create(JobSpec.from_dict({spec.to_dict()!r}))\n"
+            f"execute_job(record, registry, SharedEngineState({str(root)!r}))\n"
+            "sys.exit(f'survived the kill: {record.state}')\n"
+        )
+        schedule = FaultSchedule.single("registry.record.pre_write", 2, "crash")
+        env = dict(os.environ, **{ENV_VAR: json.dumps({"schedule": schedule.to_payload()})})
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == CRASH_EXIT_CODE, proc.stderr
+
+        (job_dir,) = (root / "jobs").iterdir()
+        assert json.loads((job_dir / "job.json").read_text())["state"] == "running"
+        assert (job_dir / "result.json").is_file()  # everything but the record was written
+
+        with ServeDaemon(root=root, port=0, n_workers=1) as daemon:
+            assert daemon.recovered_jobs == 1
+            with ServeClient(daemon.address) as client:
+                final = client.wait(job_dir.name, timeout=60)
+        assert final["state"] == "done"
+        assert final["resumed"] == 1
+        stats = final["engine_stats"]
+        assert stats["resumed"] == stats["submitted"] and stats["executed"] == 0
         assert final["incumbent"]["fingerprint"] == reference

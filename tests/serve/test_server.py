@@ -5,6 +5,11 @@ and run real MLP evaluations through the daemon.  Run with
 ``pytest -m serve``.
 """
 
+import http.client
+import json
+import socket
+import statistics
+import threading
 import time
 
 import pytest
@@ -23,6 +28,7 @@ from repro.serve import (
     run_job_local,
 )
 from repro.results import load_result
+from repro.serve.server import MAX_WAIT_S
 
 pytestmark = pytest.mark.serve
 
@@ -267,3 +273,237 @@ class TestRestartRecovery:
         with ServeDaemon(root=root, port=0, n_workers=1) as server:
             assert server.recovered_jobs == 0
             assert server.registry.get(accepted["job_id"]).state == "done"
+
+
+class TestHTTP:
+    def test_accepted_connection_has_nodelay(self, daemon, client):
+        client.healthz()  # the kept-alive connection now holds its slot
+        accepted = list(daemon._connections)
+        assert len(accepted) == 1
+        assert accepted[0].getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+    def test_keepalive_requests_do_not_stall_on_delayed_ack(self, client):
+        """Head and body in two Nagle'd sends cost 44 ms a request from the second on."""
+        elapsed = []
+        for _ in range(30):
+            start = time.perf_counter()
+            client.healthz()
+            elapsed.append(time.perf_counter() - start)
+        assert statistics.median(elapsed) < 0.010
+
+    def test_responses_are_well_formed_http11(self, daemon):
+        """Raw bytes of two kept-alive responses and a closing one."""
+        requests = (
+            b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+            b"GET /jobs/nope?wait=0 HTTP/1.1\r\nHost: x\r\n\r\n"
+            b"GET /metrics HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+        )
+        with socket.create_connection((daemon.host, daemon.port), timeout=30) as sock:
+            sock.sendall(requests)
+            raw = b""
+            while chunk := sock.recv(65536):  # until the daemon closes
+                raw += chunk
+        seen = []
+        while raw:
+            head, _, raw = raw.partition(b"\r\n\r\n")
+            status_line, *header_lines = head.decode("ascii").split("\r\n")
+            headers = dict(line.split(": ", 1) for line in header_lines)
+            length = int(headers["Content-Length"])
+            body, raw = raw[:length], raw[length:]
+            assert len(body) == length
+            seen.append((status_line, headers, body))
+        assert [status for status, _, _ in seen] == [
+            "HTTP/1.1 200 OK", "HTTP/1.1 404 Not Found", "HTTP/1.1 200 OK",
+        ]
+        assert json.loads(seen[0][2])["status"] == "ok"
+        assert json.loads(seen[1][2]) == {"error": "unknown job"}
+        assert seen[0][1]["Content-Type"] == "application/json"
+        assert seen[2][2].startswith(b"# HELP")
+
+    def test_versionless_request_gets_a_bare_body(self, daemon):
+        """``GET /healthz`` with no HTTP version is HTTP/0.9: no head to write."""
+        with socket.create_connection((daemon.host, daemon.port), timeout=30) as sock:
+            sock.sendall(b"GET /healthz\r\n\r\n")
+            raw = b""
+            while chunk := sock.recv(65536):
+                raw += chunk
+        assert json.loads(raw)["status"] == "ok"
+
+    def test_slot_is_released_before_the_last_response(self, daemon):
+        conn = http.client.HTTPConnection(daemon.host, daemon.port, timeout=30)
+        try:
+            conn.request("GET", "/healthz")
+            conn.getresponse().read()
+            assert daemon._active_connections == 1  # kept alive: still held
+            conn.request("GET", "/healthz", headers={"Connection": "close"})
+            conn.getresponse().read()
+            # Released in end_headers, i.e. before these bytes were sent.
+            assert daemon._active_connections == 0
+        finally:
+            conn.close()
+
+
+def _parked(daemon, count, deadline=10.0):
+    """Block until ``count`` long-polls are parked on the registry's condition."""
+    limit = time.monotonic() + deadline
+    while len(daemon.registry._finished._waiters) < count:
+        assert time.monotonic() < limit, "long-poll never parked"
+        time.sleep(0.002)
+
+
+class TestLongPoll:
+    @pytest.fixture()
+    def idle(self, tmp_path):
+        """A daemon whose HTTP side is up but whose one record never runs."""
+        server = ServeDaemon(root=tmp_path / "serve", port=0, n_workers=1)
+        record = server.registry.create(JobSpec(tenant="alice", **FAST))
+        http_thread = threading.Thread(target=server._httpd.serve_forever, daemon=True)
+        http_thread.start()
+        yield server, record
+        server.stop()
+        http_thread.join(timeout=30)
+        assert not http_thread.is_alive()
+
+    def test_terminal_job_returns_at_once(self, client):
+        accepted = client.submit(tenant="alice", **FAST)
+        client.wait(accepted["job_id"], timeout=60)
+        start = time.perf_counter()
+        record = client.job(accepted["job_id"], wait=5.0)
+        assert time.perf_counter() - start < 0.5
+        assert record["state"] == "done"
+
+    def test_elapsed_wait_returns_the_current_record(self, idle):
+        server, record = idle
+        with ServeClient(server.address) as c:
+            start = time.perf_counter()
+            got = c.job(record.job_id, wait=0.2)
+            elapsed = time.perf_counter() - start
+        assert got["state"] == "queued"
+        assert 0.2 <= elapsed < 1.0
+
+    def test_wakes_within_50ms_of_mark_finished(self, idle):
+        server, record = idle
+        result = {}
+
+        def poll():
+            with ServeClient(server.address) as c:
+                result["record"] = c.job(record.job_id, wait=10.0)
+                result["at"] = time.monotonic()
+
+        waiter = threading.Thread(target=poll)
+        waiter.start()
+        _parked(server, 1)
+        # Parked on the condition's own lock: the registry's is free.
+        assert server.registry._lock.acquire(blocking=False)
+        server.registry._lock.release()
+        assert server._active_connections == 1  # ... and it holds its slot
+        server.registry.mark_finished(record, "cancelled", error="test")
+        finished = time.monotonic()
+        waiter.join(timeout=30)
+        assert not waiter.is_alive()
+        assert result["record"]["state"] == "cancelled"
+        assert result["at"] - finished < 0.050
+        # Woken after persist: what the waiter saw is what is on disk.
+        on_disk = json.loads((server.registry.job_dir(record.job_id) / "job.json").read_text())
+        assert on_disk == result["record"]
+
+    def test_waiters_are_notified_only_after_persist(self, tmp_path):
+        order = []
+
+        class Registry(JobRegistry):
+            def persist(self, record):
+                order.append(("persist", record.state))
+                super().persist(record)
+
+        registry = Registry(tmp_path / "serve")
+        record = registry.create(JobSpec(tenant="alice", **FAST))
+        notify_all = registry._finished.notify_all
+        registry._finished.notify_all = lambda: (order.append(("notify", record.state)), notify_all())
+        registry.mark_finished(record, "failed", error="test")
+        assert order == [("persist", "failed"), ("notify", "failed")]
+
+    def test_unknown_job_is_404_with_or_without_wait(self, client):
+        for wait in (None, 0.0, 5.0):
+            with pytest.raises(ServeError) as excinfo:
+                client.job("doesnotexist", wait=wait)
+            assert excinfo.value.status == 404
+
+    @pytest.mark.parametrize("wait", ["abc", "-1", "nan", "-inf", "1s"])
+    def test_bad_wait_is_400(self, idle, wait):
+        server, record = idle
+        with ServeClient(server.address) as c:
+            with pytest.raises(ServeError) as excinfo:
+                c._request("GET", f"/jobs/{record.job_id}?wait={wait}")
+        assert excinfo.value.status == 400
+
+    def test_wait_above_the_clamp_is_clamped_not_rejected(self, idle, monkeypatch):
+        server, record = idle
+        asked = []
+        real = server.registry.wait_finished
+        monkeypatch.setattr(
+            server.registry, "wait_finished",
+            lambda rec, timeout: asked.append(timeout) or real(rec, 0.0),
+        )
+        with ServeClient(server.address) as c:
+            for wait in ("1e9", "inf", "3"):
+                assert c._request("GET", f"/jobs/{record.job_id}?wait={wait}")["state"] == "queued"
+        assert asked == [MAX_WAIT_S, MAX_WAIT_S, 3.0]
+        assert MAX_WAIT_S < ServeClient("x:1").timeout / 2
+
+    @pytest.mark.parametrize("release", ["drain", "stop"])
+    def test_drain_and_stop_wake_every_waiter(self, tmp_path, release):
+        server = ServeDaemon(root=tmp_path / "serve", port=0, n_workers=1).start()
+        try:
+            record = server.registry.create(JobSpec(tenant="alice", **FAST))  # never scheduled
+            states = []
+
+            def poll():
+                with ServeClient(server.address) as c:
+                    states.append(c.job(record.job_id, wait=10.0)["state"])
+
+            waiters = [threading.Thread(target=poll) for _ in range(3)]
+            for waiter in waiters:
+                waiter.start()
+            _parked(server, 3)
+            start = time.monotonic()
+            if release == "drain":
+                assert server.drain(timeout=5)
+            else:
+                server.stop()
+            for waiter in waiters:
+                waiter.join(timeout=30)
+                assert not waiter.is_alive()
+            assert time.monotonic() - start < 2.0
+            assert states == ["queued"] * 3
+        finally:
+            server.stop()
+
+    def test_client_wait_never_asks_past_its_deadline_or_half_its_read_timeout(self, idle):
+        server, record = idle
+        with ServeClient(server.address, timeout=1.0) as c:
+            asked = []
+            real = c.job
+            c.job = lambda job_id, wait=None: asked.append(wait) or real(job_id, wait=wait)
+            start = time.monotonic()
+            with pytest.raises(TimeoutError):
+                c.wait(record.job_id, timeout=1.2, poll=0.01)
+            elapsed = time.monotonic() - start
+        assert 1.2 <= elapsed < 2.5
+        assert max(asked) <= 0.5  # half the read timeout
+        assert len(asked) >= 3  # 0.5 + 0.5 + the remainder
+        spent = 0.0
+        for wait in asked:  # each request asks for no more than what is left
+            assert wait <= 1.2 - spent + 1e-6
+            spent += wait
+
+    def test_wait_all_is_one_request_per_job(self, client):
+        ids = [
+            client.submit(tenant="alice", **{**FAST, "seed": seed})["job_id"]
+            for seed in range(3)
+        ]
+        calls = []
+        real = client.job
+        client.job = lambda job_id, wait=None: calls.append(job_id) or real(job_id, wait=wait)
+        finals = client.wait_all(ids, timeout=120)
+        assert calls == ids
+        assert [finals[job_id]["state"] for job_id in ids] == ["done"] * 3

@@ -509,11 +509,14 @@ def scenario_serve_sigkill_flightrec():
     live snapshot must survive and name the in-flight jobs.
 
     SIGKILL is uncatchable, so the daemon cannot dump on the way down —
-    the post-mortem evidence is the ``flightrec-<pid>-live.json`` spill
-    the recorder force-writes at every sticky event (job dispatch).  A
-    job the client observed ``running`` must therefore appear as a
-    ``job.start`` event in the surviving snapshot.
+    the post-mortem evidence is the append-only
+    ``flightrec-<pid>-live.jsonl`` spill the recorder force-writes at
+    every sticky event (job dispatch), read back with ``flightrec.load``
+    (which drops a last line the kill tore).  A job the client observed
+    ``running`` must therefore appear as a ``job.start`` event in the
+    surviving file.
     """
+    from repro.obs import flightrec
     from repro.serve import ServeClient
 
     base = dict(dataset="australian", method="sha", hps=2, scale=0.5, max_iter=40)
@@ -543,9 +546,9 @@ def scenario_serve_sigkill_flightrec():
         finally:
             proc.wait(timeout=30)
 
-        spills = sorted((root / "obs").glob("flightrec-*-live.json"))
-        assert spills, f"no flight-recorder live snapshot under {root / 'obs'}"
-        payload = json.loads(spills[-1].read_text())
+        spills = sorted((root / "obs").glob("flightrec-*-live.jsonl"))
+        assert spills, f"no flight-recorder live spill under {root / 'obs'}"
+        payload = flightrec.load(spills[-1])
         assert payload.get("schema_version") == 1, f"bad spill schema: {payload.keys()}"
         started = {event.get("job") for event in payload.get("events", [])
                    if event.get("kind") == "job.start"}

@@ -17,8 +17,9 @@
 #      bench/'s learners.probe.rung_*_ms and sha_fused_wide, not a gate here)
 #   5. telemetry tier (trace-file tests; tracing overhead is bench/'s
 #      telemetry.emit_ms on serve_two_tenant)
-#   6. serve tier (service-daemon end-to-end tests; latency is bench/'s
-#      serve.job_overhead_ms / serve.submit_ms)
+#   6. serve tier (service-daemon end-to-end tests, incl. the idle
+#      keep-alive request bound and the long-poll semantics; latency is
+#      bench/'s serve.job_overhead_ms / serve.submit_ms)
 #   7. elastic tier (elastic pool / speculative execution tests)
 #   8. chaos-marked pytest tier (process kills, SIGKILL resume)
 #   9. fault-injection harness smoke (tools/chaos_suite.py --quick,
@@ -28,7 +29,8 @@
 #      sweep that regenerates CRASHX_report.json is
 #      `python tools/crashx.py --pairwise 40 --jobs 2 --out CRASHX_report.json`)
 #  11. obs tier (obs-marked observability tests + the SIGKILL
-#      flight-recorder chaos scenario)
+#      flight-recorder chaos scenario, which reads the append-only live
+#      spill back through flightrec.load)
 #
 # Usage: bash tools/run_checks.sh
 set -euo pipefail
