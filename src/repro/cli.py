@@ -110,17 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     tune_parser.add_argument("--save", default=None, help="write the search record as JSON")
     tune_parser.add_argument("--n-workers", type=_positive_int, default=1,
                              help="evaluation worker processes (>1 enables the parallel executor)")
-    tune_parser.add_argument("--min-workers", type=_positive_int, default=None, metavar="N",
-                             help="elastic pool floor: start here, grow on demand up to "
-                                  "--max-workers, shrink back at rung barriers "
-                                  "(implies the parallel executor)")
-    tune_parser.add_argument("--max-workers", type=_positive_int, default=None, metavar="N",
-                             help="elastic pool ceiling (implies the parallel executor)")
-    tune_parser.add_argument("--speculate", action="store_true",
-                             help="straggler mitigation: re-run a trial that exceeds the "
-                                  "running-median deadline on an idle worker and keep the "
-                                  "first finite result (bit-identical either way; implies "
-                                  "the parallel executor)")
     tune_parser.add_argument("--cache", action=argparse.BooleanOptionalAction, default=True,
                              help="memoize repeated (config, budget) evaluations (default: on)")
     tune_parser.add_argument("--max-retries", type=int, default=1,
@@ -288,7 +277,6 @@ def _build_engine(args: argparse.Namespace):
     from .engine import ParallelExecutor, SerialExecutor, TrialEngine
 
     warm_start = args.warm_start or args.checkpoint_dir is not None
-    elastic = args.min_workers is not None or args.max_workers is not None
     if args.resume and args.journal is None:
         raise SystemExit("--resume requires --journal")
     if warm_start and args.journal is not None and args.checkpoint_dir is None:
@@ -303,17 +291,8 @@ def _build_engine(args: argparse.Namespace):
             )
         if args.resume and not journal_path.exists():
             raise SystemExit(f"--resume: journal {journal_path} does not exist")
-    if (args.min_workers is not None and args.max_workers is not None
-            and args.max_workers < args.min_workers):
-        raise SystemExit("--max-workers must be >= --min-workers")
-    if args.n_workers > 1 or args.trial_timeout is not None or elastic or args.speculate:
-        executor = ParallelExecutor(
-            n_workers=args.n_workers,
-            trial_timeout=args.trial_timeout,
-            min_workers=args.min_workers,
-            max_workers=args.max_workers,
-            speculate=args.speculate,
-        )
+    if args.n_workers > 1 or args.trial_timeout is not None:
+        executor = ParallelExecutor(n_workers=args.n_workers, trial_timeout=args.trial_timeout)
     else:
         executor = SerialExecutor()
     if not warm_start:
@@ -364,10 +343,6 @@ def _command_tune(args: argparse.Namespace) -> int:
     extras = []
     if args.trial_timeout is not None:
         extras.append(f"trial_timeout {args.trial_timeout}s")
-    if args.min_workers is not None or args.max_workers is not None:
-        extras.append(f"elastic {args.min_workers or 1}-{args.max_workers or 'auto'}")
-    if args.speculate:
-        extras.append("speculation on")
     if args.journal is not None:
         extras.append(f"journal {args.journal}" + (" (resuming)" if args.resume else ""))
     if engine.checkpoints is not None:

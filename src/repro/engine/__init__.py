@@ -45,7 +45,6 @@ from .executors import (
     SerialExecutor,
     TrialExecutor,
     current_worker_connection,
-    current_worker_id,
 )
 from .journal import JOURNAL_VERSION, JournalEntry, JournalError, RunJournal, space_fingerprint
 from .protocol import TrialOutcome, TrialRequest, derive_seed
@@ -85,7 +84,6 @@ __all__ = [
     "TrialRequest",
     "backoff_delay",
     "current_worker_connection",
-    "current_worker_id",
     "derive_seed",
     "space_fingerprint",
 ]

@@ -22,7 +22,7 @@ Integrity and lifecycle are the hard part, not the mapping:
 - Attaching processes bypass multiprocessing's **resource tracker**: on
   Python < 3.13 ``SharedMemory(create=False)`` registers the segment,
   and the tracker would otherwise *unlink the parent's segment* when the
-  first worker exits (watchdog kill, elastic shrink).  The parent alone
+  first worker exits (a watchdog kill, say).  The parent alone
   owns unlinking, in :meth:`SharedArena.close`.
 - Publish, attach and unlink are :func:`~repro.faults.points.fault_point`
   sites (``arena.create`` / ``arena.attach`` / ``arena.unlink``), so the
@@ -178,8 +178,8 @@ class SharedArena:
         """Unlink every published segment (idempotent, never raises).
 
         Called from the executor's shutdown path — which runs on engine
-        close, after watchdog respawns, and on elastic drain alike — so
-        a clean process exit can never leak ``/dev/shm`` space.
+        close, whatever the watchdog respawned before — so a clean
+        process exit can never leak ``/dev/shm`` space.
         """
         for name, segment in list(self._segments.items()):
             fault_point("arena.unlink", key=name)

@@ -23,14 +23,6 @@ identical under any executor and worker count (chaos runs are themselves
 reproducible and journal-resumable), while each retry of a failing trial
 draws a fresh decision — exactly how transient faults behave.
 
-One fault class is deliberately *not* seed-driven: **slow workers**
-(``slow_workers``) pin extra latency to specific worker ids, modelling a
-degraded node rather than a degraded trial.  Slowness consumes no RNG
-draw and never changes scores, so a slow-worker-only policy is
-bitwise-transparent — which is exactly what makes it the right probe for
-straggler detection and speculative resubmission (the speculative copy
-lands on a *different* worker and genuinely runs faster).
-
 ``tools/chaos_suite.py`` drives these modes end to end and asserts the
 engine's invariants: the search completes, degraded trials carry the
 sentinel, and a journaled run resumed after a crash matches the unbroken
@@ -49,7 +41,7 @@ import numpy as np
 
 from ..bandit.base import EvaluationResult
 from ..telemetry.collect import current_collector
-from .executors import TrialExecutor, current_worker_connection, current_worker_id
+from .executors import TrialExecutor, current_worker_connection
 
 __all__ = ["ChaosError", "ChaosPolicy", "ChaosExecutor", "DataCorruption"]
 
@@ -128,9 +120,8 @@ class ChaosPolicy:
     Rates are checked in the order ``exit``, ``pipe_drop``, ``hang``,
     ``raise``, ``nan``, ``corrupt`` against a single uniform draw, so
     their sum is the total fault probability and must stay ``<= 1``.
-    A policy whose rates are all zero consumes **no** RNG draw, so a
-    slow-workers-only policy leaves trial results bitwise-identical to a
-    chaos-free run.
+    A policy whose rates are all zero consumes **no** RNG draw, so it
+    leaves trial results bitwise-identical to a chaos-free run.
 
     Attributes
     ----------
@@ -155,12 +146,6 @@ class ChaosPolicy:
     hang_seconds:
         Sleep duration of an injected hang; pick it larger than the
         executor's ``trial_timeout`` to exercise the watchdog.
-    slow_workers:
-        Worker ids that sleep ``slow_seconds`` before every evaluation —
-        a consistently degraded node.  Not seed-driven and score-neutral
-        (see module docstring); ignored under a serial executor.
-    slow_seconds:
-        Extra latency injected per evaluation on a slow worker.
     """
 
     exit_rate: float = 0.0
@@ -170,8 +155,6 @@ class ChaosPolicy:
     corrupt_rate: float = 0.0
     hang_seconds: float = 30.0
     pipe_drop_rate: float = 0.0
-    slow_workers: Tuple[int, ...] = ()
-    slow_seconds: float = 2.0
 
     def __post_init__(self) -> None:
         rates = (
@@ -180,9 +163,6 @@ class ChaosPolicy:
         )
         if any(rate < 0.0 for rate in rates) or sum(rates) > 1.0:
             raise ValueError(f"chaos rates must be >= 0 and sum to <= 1, got {rates}")
-        if self.slow_seconds < 0.0:
-            raise ValueError(f"slow_seconds must be >= 0, got {self.slow_seconds}")
-        self.slow_workers = tuple(self.slow_workers)
 
     @property
     def total_rate(self) -> float:
@@ -217,14 +197,7 @@ class _ChaosEvaluator:
         """
         policy = self._policy
         collector = current_collector()
-        if policy.slow_workers:
-            worker_id = current_worker_id()
-            if worker_id is not None and worker_id in policy.slow_workers:
-                if collector is not None:
-                    collector.inc("chaos.injected.slow")
-                time.sleep(policy.slow_seconds)
-        # All-zero policies draw nothing, keeping slow-worker-only chaos
-        # bitwise-transparent against a chaos-free run.
+        # All-zero policies draw nothing: bitwise a chaos-free run.
         if policy.total_rate <= 0.0:
             return self._evaluator.evaluate(config, budget_fraction, rng)
         draw = float(rng.random())
@@ -311,24 +284,14 @@ class ChaosExecutor(TrialExecutor):
         """Concurrency of the wrapped executor."""
         return self.inner.capacity
 
-    def resize(self, n: int) -> int:
-        """Forward an elastic resize to the wrapped executor.
-
-        Raises :class:`AttributeError` when the inner executor is not
-        elastic (e.g. :class:`~repro.engine.executors.SerialExecutor`) —
-        the same contract callers get without the wrapper.
-        """
-        return self.inner.resize(n)
-
     def __getattr__(self, name: str):
         """Expose the inner executor's extended surface through the wrapper.
 
-        The executor protocol methods are delegated explicitly above;
-        everything else — elastic counters (``joins``, ``leaves``),
-        speculation counters (``speculations``, ``speculation_wins``),
-        pool sizing attributes (``n_workers``, ``min_workers``,
-        ``max_workers``) — resolves against the inner executor so wrapping
-        never hides capability from pool-aware callers.
+        The executor protocol methods are delegated explicitly; everything
+        else — ``pool_stats`` (the engine reads it), the lifecycle counters
+        (``joins``, ``leaves``, ``respawns``), ``n_workers`` — resolves
+        against the inner executor so wrapping never hides the pool from
+        pool-aware callers.
         """
         if name.startswith("_") or "inner" not in self.__dict__:
             raise AttributeError(name)

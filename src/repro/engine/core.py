@@ -435,16 +435,13 @@ class TrialEngine:
             source = self.checkpoints.best_source(key, request.budget_fraction)
             if source is not None:
                 request.warm_source, request.warm_states = source
-                self.stats.warm_hits += 1
-                self._inc("engine.warm_hits")
+                self._count("warm_hits")
             else:
-                self.stats.warm_misses += 1
-                self._inc("engine.warm_misses")
-        self.stats.submitted += 1
+                self._count("warm_misses")
+        self._count("submitted")
         if self.telemetry is not None:
             request.telemetry = self.telemetry.collection_flags
             self._submit_time[request.trial_id] = self.telemetry.clock()
-            self._inc("engine.submitted")
         _flightrec.note(
             "trial.submit",
             trial=request.trial_id,
@@ -465,9 +462,19 @@ class TrialEngine:
     # -- telemetry -------------------------------------------------------------
 
     def _inc(self, name: str, value: int = 1) -> None:
-        """Mirror one counter into the telemetry registry (no-op when off)."""
+        """Bump a registry-only counter (no-op when telemetry is off)."""
         if self.telemetry is not None:
             self.telemetry.registry.inc(name, value)
+
+    def _count(self, name: str, n: int = 1) -> None:
+        """Bump ``stats.<name>`` and its ``engine.<name>`` registry mirror.
+
+        The one place either moves, so ``stats`` and ``/metrics`` cannot
+        drift apart; a zero ``n`` touches neither (no empty registry row).
+        """
+        if n:
+            setattr(self.stats, name, getattr(self.stats, name) + n)
+            self._inc(f"engine.{name}", n)
 
     def _emit_trial(self, outcome: TrialOutcome, payload: Optional[Dict] = None) -> None:
         """Record one settled outcome as a trial span plus merged metrics.
@@ -553,9 +560,8 @@ class TrialEngine:
             entry = self._replayed.get(cache_key)
             if entry is not None:
                 fault_point("engine.replay.pre_serve")
-                self.stats.resumed += 1
-                self.stats.guard_events += len(getattr(entry.result, "guard_events", []) or [])
-                self._inc("engine.resumed")
+                self._count("resumed")
+                self._count("guard_events", len(getattr(entry.result, "guard_events", []) or []))
                 outcome = TrialOutcome(
                     request=request,
                     result=entry.result,
@@ -571,8 +577,7 @@ class TrialEngine:
         if self.cache is not None:
             cached = self.cache.get(*cache_key)
             if cached is not None:
-                self.stats.cache_hits += 1
-                self._inc("engine.cache_hits")
+                self._count("cache_hits")
                 self._inc(f"engine.cache_hits.rung.{request.iteration}")
                 outcome = TrialOutcome(
                     request=request, result=cached, attempts=0, cache_hit=True
@@ -581,20 +586,17 @@ class TrialEngine:
                 self._emit_trial(outcome)
                 return request
             if cache_key in self._followers:
-                self.stats.cache_hits += 1
-                self._inc("engine.cache_hits")
+                self._count("cache_hits")
                 self._inc(f"engine.cache_hits.rung.{request.iteration}")
                 self._followers[cache_key].append(request)
                 return request
-            self.stats.cache_misses += 1
-            self._inc("engine.cache_misses")
+            self._count("cache_misses")
             self._followers[cache_key] = []
             self._primary_key[request.trial_id] = cache_key
         fault_point("engine.submit.pre_dispatch")
         self._in_flight[request.trial_id] = request
         self.executor.submit(request)
-        self.stats.executed += 1
-        self._inc("engine.executed")
+        self._count("executed")
         return request
 
     def pending(self) -> int:
@@ -624,8 +626,7 @@ class TrialEngine:
                     # the rung's mega-batch summary on its sidecar.
                     self._note_megabatch(request, mega)
             if ok and not _result_is_finite(result):
-                self.stats.non_finite += 1
-                self._inc("engine.non_finite")
+                self._count("non_finite")
                 if payload is not None and self.telemetry is not None:
                     # The result is discarded, but what happened inside it
                     # (chaos injections, profiled timings) still counts.
@@ -639,11 +640,9 @@ class TrialEngine:
                 self._settle(request, result, failed=False, error=None, payload=payload)
                 continue
             if error and error.startswith((TIMEOUT_ERROR_PREFIX, WORKER_HUNG_PREFIX)):
-                self.stats.timeouts += 1
-                self._inc("engine.timeouts")
+                self._count("timeouts")
             if request.attempt < self.max_retries:
-                self.stats.retries += 1
-                self._inc("engine.retries")
+                self._count("retries")
                 retry = TrialRequest(
                     config=request.config,
                     budget_fraction=request.budget_fraction,
@@ -665,11 +664,9 @@ class TrialEngine:
                     self._sleep(delay)
                 self._in_flight[retry.trial_id] = retry
                 self.executor.submit(retry)
-                self.stats.executed += 1
-                self._inc("engine.executed")
+                self._count("executed")
                 continue
-            self.stats.failures += 1
-            self._inc("engine.failures")
+            self._count("failures")
             sentinel = _sentinel_result(request.budget_fraction, self.failure_score)
             self._settle(request, sentinel, failed=True, error=error)
 
@@ -712,12 +709,8 @@ class TrialEngine:
             self.checkpoints.put(
                 request.resolved_key(), request.budget_fraction, fold_states, batch=staged[0]
             )
-            self.stats.checkpoints_stored += 1
-            self._inc("engine.checkpoints_stored")
-        guard_count = len(getattr(result, "guard_events", []) or [])
-        self.stats.guard_events += guard_count
-        if guard_count:
-            self._inc("engine.guard_events", guard_count)
+            self._count("checkpoints_stored")
+        self._count("guard_events", len(getattr(result, "guard_events", []) or []))
         outcome = TrialOutcome(
             request=request, result=result, attempts=attempts, failed=failed, error=error
         )
@@ -749,12 +742,10 @@ class TrialEngine:
         between leaves a segment whose trials re-execute bitwise on resume)."""
         checkpoints, lines = staged
         if checkpoints and self.checkpoints.commit(checkpoints):
-            self.stats.spill_segments += 1
-            self._inc("engine.spill_segments")
+            self._count("spill_segments")
         if lines:
             self.journal.commit(lines)
-            self.stats.journal_commits += 1
-            self._inc("engine.journal_commits")
+            self._count("journal_commits")
 
     def _note_megabatch(self, request: TrialRequest, mega: Dict) -> None:
         """Account one rung-level mega-batch (serial flush or worker fusion).
@@ -767,12 +758,8 @@ class TrialEngine:
         """
         trials = int(mega.get("trials", 0))
         fused_folds = int(mega.get("fused_folds", 0))
-        self.stats.megabatch_trials += trials
-        self.stats.megabatch_folds += fused_folds
-        if trials:
-            self._inc("engine.megabatch_trials", trials)
-        if fused_folds:
-            self._inc("engine.megabatch_folds", fused_folds)
+        self._count("megabatch_trials", trials)
+        self._count("megabatch_folds", fused_folds)
         if self.telemetry is not None:
             bracket = request.bracket if request.bracket is not None else 0
             rung = request.iteration if request.iteration is not None else 0

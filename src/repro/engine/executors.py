@@ -29,27 +29,24 @@ possible:
   detected the same way: respawn plus a failed completion, never a
   deadlock.
 
-The pool is **elastic**: :meth:`ParallelExecutor.resize` changes the
-target worker count mid-run, and every involuntary recovery — watchdog
-kill, worker death, speculative-loser cancellation — is expressed as the
-same *leave then join* sequence (:meth:`_leave` + :meth:`_ensure_workers`),
-so there is exactly one code path and one set of invariants for pool
-membership.  With ``speculate=True`` the pool also detects stragglers
-(per-trial deadline scaled from the running median of completed-trial
-durations) and resubmits the trial to an idle worker; the first finished
-copy wins and the loser's worker is cancelled through leave+join.
+Every involuntary recovery — watchdog kill, worker death — is the same
+*leave then join* sequence (:meth:`_leave` + :meth:`_ensure_workers`), so
+there is exactly one code path and one set of invariants for pool
+membership.
 
-Because seeds are derived per trial, none of this affects scores — a
-speculative copy re-runs the *same* seed, so whichever copy wins produces
-bit-identical results and serial==parallel holds for the rung-barrier
-searchers no matter how the pool is resized or which copies win.
+Dispatch has one rule — hold, deal, collect: :meth:`ParallelExecutor.submit`
+appends to one backlog, :meth:`ParallelExecutor._deal` is the only function
+that sends, and supervision changes a single quantity, the *lane depth*
+(how many tasks a worker may hold at once): 1 under a watchdog, a rung's
+balanced share otherwise.  Because seeds are derived per trial, none of
+this affects scores: serial==parallel holds for the rung-barrier searchers
+however a rung is dealt and whichever worker is respawned.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import statistics
 import threading
 import time
 from collections import deque
@@ -82,7 +79,6 @@ __all__ = [
     "TIMEOUT_ERROR_PREFIX",
     "WORKER_DIED_PREFIX",
     "WORKER_HUNG_PREFIX",
-    "current_worker_id",
     "current_worker_connection",
 ]
 
@@ -92,21 +88,11 @@ TIMEOUT_ERROR_PREFIX = "TrialTimeout"
 WORKER_DIED_PREFIX = "WorkerDied"
 WORKER_HUNG_PREFIX = "WorkerHung"
 
-#: Set inside worker processes so evaluators (and the chaos layer) can
-#: observe which worker they run on and reach its parent pipe.  ``None``
-#: in the parent process and under :class:`SerialExecutor`.
+#: Set inside worker processes: the id stamped on telemetry sidecars and
+#: the pipe the chaos layer reaches for.  ``None`` in the parent process
+#: and under :class:`SerialExecutor`.
 _WORKER_ID: Optional[int] = None
 _WORKER_CONN = None
-
-
-def current_worker_id() -> Optional[int]:
-    """Worker id of the calling process, or ``None`` outside a pool worker.
-
-    Chaos policies use this to make faults a property of the *worker*
-    (e.g. one consistently slow node) rather than of the trial seed, so
-    injected slowness never perturbs scores.
-    """
-    return _WORKER_ID
 
 
 def current_worker_connection():
@@ -258,8 +244,7 @@ def _watchdog_worker_main(evaluator, conn, worker_id: int, heartbeat_interval: f
         beater = threading.Thread(target=_beat, daemon=True)
         beater.start()
     try:
-        shutting_down = False
-        while not shutting_down:
+        while True:
             try:
                 tasks = conn.recv()
             except (EOFError, OSError):
@@ -267,19 +252,6 @@ def _watchdog_worker_main(evaluator, conn, worker_id: int, heartbeat_interval: f
             if tasks is None:
                 break
             fault_point("executor.worker.post_recv")
-            # A dealt rung is one batch, so this drain finds nothing; elastic
-            # pools send one task per message back to back — pick up whatever
-            # already arrived so their shape-matched trials fuse as well.
-            tasks = list(tasks)
-            try:
-                while conn.poll():
-                    extra = conn.recv()
-                    if extra is None:
-                        shutting_down = True
-                        break
-                    tasks.extend(extra)
-            except (EOFError, OSError):
-                shutting_down = True
             payloads, mega = _evaluate_tasks(evaluator, tasks)
             if mega is not None and mega.trials:
                 sidecar = payloads[0][2].__dict__.get(PAYLOAD_ATTR)
@@ -417,35 +389,18 @@ class SerialExecutor(TrialExecutor):
 class _WorkerHandle:
     """Parent-side view of one worker process: pipe, queued tasks, deadlines."""
 
-    __slots__ = (
-        "worker_id",
-        "process",
-        "conn",
-        "tasks",
-        "deadline",
-        "last_heartbeat",
-        "started",
-        "retiring",
-    )
+    __slots__ = ("worker_id", "process", "conn", "tasks", "deadline", "last_heartbeat")
 
     def __init__(self, worker_id: int, process, conn) -> None:
         self.worker_id = worker_id
         self.process = process
         self.conn = conn
-        #: ``(token, trial_id, task)`` of dispatched-but-unfinished trials,
-        #: in dispatch order.  Watchdog-supervised pools keep at most one
-        #: entry; pipelined pools queue a rung's whole share so the worker
-        #: never idles waiting for a parent round-trip between trials.  The
-        #: full task tuple is kept so a straggling trial can be resubmitted
-        #: verbatim to another worker.
-        self.tasks: Deque[Tuple[int, int, Tuple]] = deque()
+        #: ``(token, trial_id)`` of dispatched-but-unfinished trials, in
+        #: dispatch order: at most one entry under a watchdog, a rung's
+        #: whole share otherwise.
+        self.tasks: Deque[Tuple[int, int]] = deque()
         self.deadline: Optional[float] = None
         self.last_heartbeat = time.monotonic()
-        #: Dispatch time of the head task (straggler detection input).
-        self.started: Optional[float] = None
-        #: A retiring worker finishes its queued tasks, receives nothing
-        #: new, and leaves the pool when idle (elastic shrink).
-        self.retiring = False
 
     @property
     def idle(self) -> bool:
@@ -453,13 +408,12 @@ class _WorkerHandle:
 
 
 class ParallelExecutor(TrialExecutor):
-    """Watchdog-supervised elastic process pool shipping the evaluator once.
+    """Watchdog-supervised process pool shipping the evaluator once.
 
     Parameters
     ----------
     n_workers:
-        Initial worker process count; defaults to ``min_workers`` when
-        elastic bounds are given, else ``os.cpu_count()`` (min 1).
+        Worker process count; defaults to ``os.cpu_count()`` (min 1).
     start_method:
         ``multiprocessing`` start method.  Defaults to ``"fork"`` where
         available (Linux), which inherits the evaluator's data arrays
@@ -478,38 +432,11 @@ class ParallelExecutor(TrialExecutor):
     heartbeat_timeout:
         Declare a worker *hung* when no heartbeat has arrived for this
         many seconds while it runs a trial (the worker is killed and
-        respawned like a timeout).  ``None`` (default) disables the check;
-        heartbeats are then only used to keep liveness metadata fresh.
+        respawned like a timeout).  ``None`` (default) disables the check
+        and the workers' heartbeat threads with it.
     poll_interval:
         Parent-side supervision granularity: how often ``wait_one`` wakes
         to run watchdog checks while no completion is ready.
-    min_workers, max_workers:
-        Elastic bounds.  When either is given the pool resizes itself:
-        it grows by one worker (up to ``max_workers``) whenever a
-        submission finds no free worker, and shrinks (down to
-        ``min_workers``) whenever a worker goes idle with an empty
-        backlog — so rung barriers naturally breathe the pool in and out.
-        :meth:`resize` clamps into these bounds too.  Both default to
-        ``None`` (fixed-size pool, resizable only via :meth:`resize`).
-    speculate:
-        Enable straggler detection + speculative resubmission.  Forces the
-        supervised (non-pipelined) dispatch cycle so per-trial start times
-        are known.  A trial whose runtime exceeds
-        ``max(straggler_min_s, straggler_factor * median completed
-        duration)`` is duplicated onto an idle worker with the *same*
-        seed; the first finished copy wins (ties resolved deterministically
-        in favour of the lowest attempt index) and the loser's worker is
-        cancelled through the leave+join path.  Identical seeds make the
-        winner's result bitwise-independent of which copy won.
-    straggler_factor:
-        Multiple of the running median duration past which a trial counts
-        as straggling.
-    straggler_min_s:
-        Absolute floor for the straggler deadline, so sub-millisecond
-        medians do not cause speculation storms.
-    straggler_min_samples:
-        Completed-trial durations required before straggler detection
-        activates.
     transport:
         How the evaluator's dataset reaches workers.  ``"auto"``
         (default) publishes it once into a shared-memory arena
@@ -528,24 +455,25 @@ class ParallelExecutor(TrialExecutor):
     -----
     A crashed worker (``os._exit``, segfault, OOM-kill) never sinks the
     search: its in-flight trials are surfaced as failed completions — which
-    the engine retries or degrades — and the pool is rebalanced back to
-    its target size through the same :meth:`_leave` + :meth:`_ensure_workers`
-    sequence used by :meth:`resize`.  Supervision happens entirely in the
-    parent over per-worker duplex pipes; there is no shared queue a dying
-    worker could leave locked.
+    the engine retries or degrades — and the pool is brought back to
+    ``n_workers`` through :meth:`_leave` + :meth:`_ensure_workers`.
+    Supervision happens entirely in the parent over per-worker duplex
+    pipes; there is no shared queue a dying worker could leave locked.
 
-    When **no watchdog is configured** (``trial_timeout`` and
-    ``heartbeat_timeout`` both ``None``, ``speculate`` off) the pool runs
-    *pipelined*: workers skip the heartbeat thread entirely and
-    ``wait_one`` blocks on the pipes instead of polling.  A fixed-size
-    pipelined pool also moves a **rung as one message per worker**:
-    submissions are held until :meth:`flush_batch` (or the next
-    :meth:`wait_one`) deals them out, each worker runs its share as one
-    fused mega-batch and answers with one message.  Elastic pools
-    dispatch at submit time (that is what triggers their growth), and
-    with a watchdog (or speculation) the stricter
-    dispatch-one-collect-one cycle is kept so per-trial deadlines stay
-    meaningful.
+    Dispatch is hold, deal, collect.  :meth:`submit` appends to the
+    backlog and :meth:`_deal` moves it onto workers, each task to the
+    least-loaded live worker, up to the pool's *lane depth*:
+
+    - **no watchdog** (``trial_timeout`` and ``heartbeat_timeout`` both
+      ``None``): the depth is unbounded and the deal waits for
+      :meth:`flush_batch` (or the next :meth:`wait_one`), so a rung
+      travels as one message per worker, each worker runs its share as
+      one fused mega-batch and answers with one message; workers skip
+      the heartbeat thread and ``wait_one`` blocks on the pipes.
+    - **watchdog**: the depth is 1 — every idle worker gets one task, at
+      submit time and after every completion — so per-trial deadlines
+      stay meaningful, and ``wait_one`` wakes every ``poll_interval`` to
+      run the watchdog.
     """
 
     def __init__(
@@ -556,12 +484,6 @@ class ParallelExecutor(TrialExecutor):
         heartbeat_interval: float = 0.2,
         heartbeat_timeout: Optional[float] = None,
         poll_interval: float = 0.05,
-        min_workers: Optional[int] = None,
-        max_workers: Optional[int] = None,
-        speculate: bool = False,
-        straggler_factor: float = 4.0,
-        straggler_min_s: float = 0.25,
-        straggler_min_samples: int = 3,
         transport: str = "auto",
     ) -> None:
         if transport not in ("auto", "arena", "pickle"):
@@ -576,44 +498,19 @@ class ParallelExecutor(TrialExecutor):
             raise ValueError(f"heartbeat_timeout must be > 0 or None, got {heartbeat_timeout}")
         if heartbeat_interval <= 0:
             raise ValueError(f"heartbeat_interval must be > 0, got {heartbeat_interval}")
-        if min_workers is not None and min_workers < 1:
-            raise ValueError(f"min_workers must be >= 1, got {min_workers}")
-        if max_workers is not None and max_workers < (min_workers or 1):
-            raise ValueError(
-                f"max_workers must be >= min_workers, got {max_workers} < {min_workers or 1}"
-            )
-        if straggler_factor <= 1.0:
-            raise ValueError(f"straggler_factor must be > 1, got {straggler_factor}")
-        self.min_workers = min_workers
-        self.max_workers = max_workers
-        self._elastic = min_workers is not None or max_workers is not None
         if n_workers is None:
-            n_workers = min_workers if min_workers is not None else max(1, os.cpu_count() or 1)
-            if max_workers is not None:
-                n_workers = min(n_workers, max_workers)
-        if min_workers is not None and n_workers < min_workers:
-            raise ValueError(f"n_workers={n_workers} below min_workers={min_workers}")
-        if max_workers is not None and n_workers > max_workers:
-            raise ValueError(f"n_workers={n_workers} above max_workers={max_workers}")
+            n_workers = max(1, os.cpu_count() or 1)
         self.n_workers = n_workers
-        #: Concurrency the engine may rely on.  Elastic pools report their
-        #: upper bound so callers keep enough trials in flight to trigger
-        #: growth.
-        self.capacity = max_workers if self._elastic and max_workers else n_workers
+        self.capacity = n_workers
         self.trial_timeout = trial_timeout
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = heartbeat_timeout
         self.poll_interval = poll_interval
-        self.speculate = speculate
-        self.straggler_factor = straggler_factor
-        self.straggler_min_s = straggler_min_s
-        self.straggler_min_samples = straggler_min_samples
-        #: No per-trial deadline, no hang detection and no speculation ->
-        #: workers can be kept fed with queued tasks and pipes waited on
-        #: without polling.
-        self._pipelined = trial_timeout is None and heartbeat_timeout is None and not speculate
-        #: Fixed pipelined pools hold submissions until the next flush/wait.
-        self._hold = self._pipelined and not self._elastic
+        #: Tasks a worker may hold at once: 1 under a watchdog (deadlines are
+        #: per trial), ``None`` — a rung's whole share — without one.
+        self._lane_depth = (
+            1 if trial_timeout is not None or heartbeat_timeout is not None else None
+        )
         if start_method is None and "fork" in multiprocessing.get_all_start_methods():
             start_method = "fork"
         self._context = multiprocessing.get_context(start_method)
@@ -625,21 +522,12 @@ class ParallelExecutor(TrialExecutor):
         self._completed: Deque[Tuple[int, bool, Optional[EvaluationResult], Optional[str]]] = deque()
         self._next_token = 0
         self._next_worker_id = 0
-        #: Completed-trial wall-clock durations feeding the straggler
-        #: median (bounded window so the estimate tracks the workload).
-        self._durations: Deque[float] = deque(maxlen=64)
-        #: trial_id -> {token: attempt_index} for trials with more than
-        #: one live copy in flight (speculation groups).
-        self._spec_groups: Dict[int, Dict[int, int]] = {}
-        #: Lifetime counts of watchdog interventions (observability).
+        #: Lifetime counts of watchdog interventions and pool membership
+        #: changes (observability).
         self.respawns = 0
         self.timeouts = 0
-        #: Lifetime counts of elastic/speculative activity.
-        self.resizes = 0
         self.joins = 0
         self.leaves = 0
-        self.speculations = 0
-        self.speculation_wins = 0
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -702,43 +590,30 @@ class ParallelExecutor(TrialExecutor):
         self.joins += 1
         return handle
 
-    def _active(self) -> int:
-        """Workers counting toward the target size (excludes retiring)."""
-        return sum(1 for h in self._workers.values() if not h.retiring)
-
     def _ensure_workers(self) -> int:
-        """Join workers until the active pool matches ``n_workers``.
+        """Join workers until the pool holds ``n_workers``.
 
-        This is the single *join* path: initial spawn, watchdog respawn
-        and elastic growth all come through here.  Returns how many
-        workers joined.
+        This is the single *join* path: initial spawn and watchdog
+        respawn both come through here.  Returns how many workers joined.
         """
         if self._evaluator is None:
             raise RuntimeError("ParallelExecutor.submit called before bind()")
         spawned = 0
-        while self._active() < self.n_workers:
+        while len(self._workers) < self.n_workers:
             self._spawn_worker()
             spawned += 1
         return spawned
 
-    def _leave(self, handle: _WorkerHandle, graceful: bool) -> bool:
-        """The single *leave* path: remove one worker from the pool.
+    def _leave(self, handle: _WorkerHandle) -> bool:
+        """The single *leave* path: kill one worker and drop it from the pool.
 
-        ``graceful`` sends the shutdown sentinel and waits briefly before
-        killing; the involuntary paths (watchdog, death, speculation-loser
-        cancel) kill outright.  Returns ``False`` when the worker already
-        left (idempotence — a worker can be reported dead through several
-        paths and must only leave once).
+        Returns ``False`` when the worker already left (idempotence — a
+        worker can be reported dead through several paths and must only
+        leave once).
         """
         if self._workers.pop(handle.worker_id, None) is None:
             return False
         fault_point("executor.pool.pre_leave")
-        if graceful:
-            try:
-                handle.conn.send(None)
-            except (BrokenPipeError, OSError):
-                pass
-            handle.process.join(timeout=0.5)
         if handle.process.is_alive():
             handle.process.kill()
             handle.process.join(timeout=1.0)
@@ -749,158 +624,81 @@ class ParallelExecutor(TrialExecutor):
         self.leaves += 1
         return True
 
-    # -- elastic resize --------------------------------------------------------
-
-    def resize(self, n: int) -> int:
-        """Change the target worker count mid-run; returns the new target.
-
-        Growth joins workers immediately (and feeds them from the
-        backlog); shrinkage retires idle workers at once and marks busy
-        ones *retiring* — they finish their queued trials, receive
-        nothing new, and leave when idle.  Only scheduling changes:
-        per-trial seeds are derived from the trial, not the worker, so
-        results are unaffected by any resize sequence.  The requested
-        size is clamped into ``[min_workers, max_workers]``.
-        """
-        n = int(n)
-        if n < 1:
-            raise ValueError(f"resize target must be >= 1, got {n}")
-        if self.min_workers is not None:
-            n = max(n, self.min_workers)
-        if self.max_workers is not None:
-            n = min(n, self.max_workers)
-        if n == self.n_workers:
-            return self.n_workers
-        self.n_workers = n
-        if not self._elastic:
-            self.capacity = n
-        self.resizes += 1
-        if self._evaluator is None or not self._workers:
-            return self.n_workers
-        if self._active() < self.n_workers:
-            self._ensure_workers()
-            self._feed_idle()
-            return self.n_workers
-        surplus = self._active() - self.n_workers
-        # Newest workers leave first; idle ones immediately, busy ones
-        # once their queued trials drain.
-        for handle in sorted(self._workers.values(), key=lambda h: -h.worker_id):
-            if surplus <= 0:
-                break
-            if handle.retiring:
-                continue
-            if handle.idle:
-                self._leave(handle, graceful=True)
-            else:
-                handle.retiring = True
-            surplus -= 1
-        return self.n_workers
-
     def pool_stats(self) -> Dict[str, int]:
-        """Live pool gauges: target/alive/retiring sizes plus lifecycle counters.
+        """Live pool gauges: target/alive sizes plus lifecycle counters.
 
         Read by the engine's shutdown snapshot and the /metrics exporter;
-        every value is a plain attribute or an O(workers) scan, safe to
-        call from another thread between dispatches.
+        every value is a plain attribute, safe to call from another
+        thread between dispatches.
         """
         return {
             "workers": self.n_workers,
             "alive": len(self._workers),
-            "retiring": sum(1 for h in self._workers.values() if h.retiring),
             "respawns": self.respawns,
             "timeouts": self.timeouts,
-            "resizes": self.resizes,
             "joins": self.joins,
             "leaves": self.leaves,
-            "speculations": self.speculations,
-            "speculation_wins": self.speculation_wins,
             "arena": int(self._arena is not None),
         }
 
-    # -- submission ------------------------------------------------------------
+    # -- dispatch --------------------------------------------------------------
 
     def submit(self, request) -> None:
-        """Hold for the next deal, dispatch to a worker, or queue until one frees up.
+        """Append the request to the backlog for the next deal.
 
-        Fixed pipelined pools (no watchdog) only hold the task: the
-        rung's whole batch is dealt out by :meth:`flush_batch`, or by the
-        next :meth:`wait_one`.  Watchdog-supervised pools dispatch one
-        task per worker at a time to keep per-trial deadlines meaningful.
-        Elastic pools dispatch at once and grow by one worker when a
-        submission finds every worker busy.
+        Without a watchdog that is :meth:`flush_batch` (or the next
+        :meth:`wait_one`), which sees the rung whole; under one it is
+        now, so an idle worker starts at once.
         """
         self._ensure_workers()
-        token = self._next_token
+        self._backlog.append(_task(self._next_token, request))
         self._next_token += 1
-        task = _task(token, request)
-        if self._hold:
-            self._backlog.append(task)
-            return
-        handle = self._free_worker()
-        if handle is None and self._elastic:
-            active = self._active()
-            if self.max_workers is None or active < self.max_workers:
-                self.resize(active + 1)
-                handle = self._free_worker()
-        if handle is not None:
-            self._dispatch(handle, [task])
-            return
-        self._backlog.append(task)
+        if self._lane_depth is not None:
+            self._deal()
 
     def flush_batch(self):
-        """Deal the held tasks out as one balanced message per live worker.
+        """Deal the submitted rung out; see :meth:`_deal`.
 
-        Each task goes to the least-loaded worker (lowest id on ties): N
-        tasks over W idle workers split ceil(N/W)/floor(N/W), a lone async
-        submission lands on an idle one; with no live worker they stay held
-        until the pump respawns one.  Returns ``None``: workers fuse, and
-        their summaries ride home on telemetry sidecars.
+        Returns ``None``: workers fuse, and their summaries ride home on
+        telemetry sidecars.
         """
-        if not self._hold or not self._backlog:
-            return None
-        workers = [h for h in self._workers.values() if not h.retiring and h.process.is_alive()]
+        self._deal()
+        return None
+
+    def _deal(self) -> None:
+        """The one sender: move the backlog onto workers, up to the lane depth.
+
+        Each task goes to the least-loaded live worker (lowest id on
+        ties) with room in its lane, and every worker that gained tasks
+        gets them as a single message.  With unbounded depth N tasks over
+        W idle workers split ceil(N/W)/floor(N/W) and a lone async
+        submission lands on an idle one; at depth 1 every idle worker
+        gets one task.  What finds no room — every lane full, or no live
+        worker until the pump respawns one — stays in the backlog.
+        """
+        if not self._backlog:
+            return
+        workers = [h for h in self._workers.values() if h.process.is_alive()]
         shares: Dict[int, list] = {h.worker_id: [] for h in workers}
+
+        def load(h: _WorkerHandle) -> int:
+            return len(h.tasks) + len(shares[h.worker_id])
+
         while self._backlog and workers:
-            handle = min(workers, key=lambda h: len(h.tasks) + len(shares[h.worker_id]))
+            handle = min(workers, key=load)
+            if self._lane_depth is not None and load(handle) >= self._lane_depth:
+                break
             shares[handle.worker_id].append(self._backlog.popleft())
         for handle in workers:
             if shares[handle.worker_id]:
                 self._dispatch(handle, shares[handle.worker_id])
-        return None
-
-    def _free_worker(self) -> Optional[_WorkerHandle]:
-        """The worker the next task should land on, or ``None`` if all busy.
-
-        Pipelined (elastic) pools treat any live non-retiring worker as
-        free (tasks queue); supervised pools require a genuinely idle
-        worker.
-        """
-        candidates = [
-            h
-            for h in self._workers.values()
-            if not h.retiring and h.process.is_alive() and (self._pipelined or h.idle)
-        ]
-        if not candidates:
-            return None
-        if self._pipelined:
-            best = min(candidates, key=lambda h: len(h.tasks))
-            # A loaded "free" worker means the pool is saturated — let an
-            # elastic pool grow instead of queueing deeper.
-            if self._elastic and best.tasks:
-                active = self._active()
-                if self.max_workers is None or active < self.max_workers:
-                    return None
-            return best
-        return candidates[0]
 
     def _dispatch(self, handle: _WorkerHandle, tasks: list) -> None:
         """Send ``tasks`` to one worker as a single message."""
         now = time.monotonic()
-        if handle.idle:
-            handle.started = now
-            if self.trial_timeout:
-                handle.deadline = now + self.trial_timeout
-        handle.tasks.extend((task[0], task[1], task) for task in tasks)
+        if self.trial_timeout:
+            handle.deadline = now + self.trial_timeout  # lane depth is 1
+        handle.tasks.extend((task[0], task[1]) for task in tasks)
         handle.last_heartbeat = now
         try:
             fault_point("executor.pool.pre_send")
@@ -908,48 +706,27 @@ class ParallelExecutor(TrialExecutor):
         except (BrokenPipeError, OSError):
             self._retire(handle, f"{WORKER_DIED_PREFIX}: worker pipe closed before dispatch")
 
-    def _feed_backlog(self, handle: _WorkerHandle) -> None:
-        if handle.retiring or self._hold or not self._backlog:
-            return  # held tasks wait for the next deal
-        count = len(self._backlog) if self._pipelined else 1
-        self._dispatch(handle, [self._backlog.popleft() for _ in range(count)])
-
-    def _feed_idle(self) -> None:
-        """Feed backlog tasks to every idle worker (post-join rebalance)."""
-        for handle in list(self._workers.values()):
-            if not self._backlog:
-                return
-            if handle.idle and not handle.retiring and handle.process.is_alive():
-                self._feed_backlog(handle)
-
     # -- completion ------------------------------------------------------------
 
     def pending(self) -> int:
-        """In-flight trials plus queued tasks plus uncollected completions.
-
-        Distinct *trials*, not dispatched copies: a speculated trial with
-        two live copies still counts once, since exactly one completion
-        will surface.
-        """
-        in_flight = {
-            trial_id for handle in self._workers.values() for _, trial_id, _ in handle.tasks
-        }
-        return len(in_flight) + len(self._backlog) + len(self._completed)
+        """In-flight trials plus queued tasks plus uncollected completions."""
+        in_flight = sum(len(handle.tasks) for handle in self._workers.values())
+        return in_flight + len(self._backlog) + len(self._completed)
 
     def wait_one(self) -> Tuple[int, bool, Optional[EvaluationResult], Optional[str]]:
         """Next completion in any order; watchdog failures count as completions."""
-        while True:
-            if self._completed:
-                return self._completed.popleft()
+        while not self._completed:
             if not self.pending():
                 raise RuntimeError("wait_one called with no pending trials")
-            self.flush_batch()  # async callers never flush themselves
+            self._deal()  # async callers never flush themselves
             # Without a watchdog there is nothing to periodically check:
             # block on the pipes (a dead worker's EOF wakes the wait too).
-            self._pump(None if self._pipelined else self.poll_interval)
-            if self._completed:
-                return self._completed.popleft()
-            self._run_watchdog()
+            self._pump(None if self._lane_depth is None else self.poll_interval)
+            if not self._completed:
+                self._run_watchdog()
+        if self._lane_depth is not None:
+            self._deal()  # a completion or a respawn left a lane empty
+        return self._completed.popleft()
 
     def _pump(self, timeout: Optional[float]) -> None:
         """Drain every readable worker pipe, waiting up to ``timeout``."""
@@ -960,19 +737,12 @@ class ParallelExecutor(TrialExecutor):
             ready = mp_connection.wait(list(conns), timeout)
         except OSError:
             ready = []
-        # Drain in dispatch order (head token) so that when both copies of
-        # a speculated trial are ready in the same wake-up, the lowest
-        # attempt index deterministically wins.
-        ready_handles = [conns[conn] for conn in ready]
-        ready_handles.sort(key=lambda h: h.tasks[0][0] if h.tasks else float("inf"))
-        for handle in ready_handles:
-            self._drain(handle)
+        for conn in ready:
+            self._drain(conns[conn])
 
     def _drain(self, handle: _WorkerHandle) -> None:
         """Consume every queued message from one worker's pipe."""
-        while True:
-            if handle.worker_id not in self._workers:
-                return  # cancelled/retired while this pump iterated
+        while handle.worker_id in self._workers:
             try:
                 if not handle.conn.poll():
                     return
@@ -990,73 +760,9 @@ class ParallelExecutor(TrialExecutor):
                         # A completion the watchdog already resolved as a
                         # failure; drop it — the retry owns the trial.
                         continue
-                    now = time.monotonic()
-                    _, trial_id, _task = handle.tasks.popleft()
-                    if handle.started is not None and not self._pipelined:
-                        self._durations.append(now - handle.started)
-                    handle.started = now if handle.tasks else None
-                    handle.deadline = (
-                        now + self.trial_timeout
-                        if self.trial_timeout and handle.tasks
-                        else None
-                    )
-                    self._settle_completion(trial_id, token, payload)
-                    if handle.worker_id not in self._workers:
-                        return  # this worker left (elastic shrink below won't run)
-                    if handle.retiring and handle.idle:
-                        self._leave(handle, graceful=True)
-                        return
-                    self._feed_backlog(handle)
-                    if (
-                        self._elastic
-                        and not self._backlog
-                        and self._active() > (self.min_workers or 1)
-                        and all(h.idle for h in self._workers.values())
-                    ):
-                        # The rung drained: breathe the pool back down to
-                        # its floor (the next burst grows it again).
-                        self.resize(self.min_workers or 1)
-                        if handle.worker_id not in self._workers:
-                            return
-
-    def _settle_completion(self, trial_id: int, token: int, payload: Tuple) -> None:
-        """Record one finished copy; resolve its speculation group if any.
-
-        For speculated trials the first *successful* copy wins and every
-        other live copy is cancelled by retiring its worker through the
-        leave+join path.  A failed copy defers to outstanding copies and
-        only surfaces when it is the last one standing — so a straggler
-        that eventually errors cannot fail a trial whose speculative twin
-        succeeded.
-        """
-        group = self._spec_groups.get(trial_id)
-        if group is None:
-            self._completed.append(payload)
-            return
-        attempt = group.pop(token, None)
-        if attempt is None:
-            return  # copy already resolved; drop the duplicate result
-        ok = payload[1]
-        if not ok and group:
-            return  # a live copy may still succeed — let it try
-        del self._spec_groups[trial_id]
-        if ok and attempt > 0:
-            self.speculation_wins += 1
-        self._completed.append(payload)
-        # Cancel the losing copies: their workers leave (discarding the
-        # in-flight duplicate) and replacements join immediately.
-        for loser_token in list(group):
-            for other in list(self._workers.values()):
-                if any(t == loser_token for t, _, _ in other.tasks):
-                    fault_point("executor.pool.pre_cancel")
-                    other.tasks.clear()
-                    other.deadline = None
-                    other.started = None
-                    self._leave(other, graceful=False)
-                    break
-        if group and self._evaluator is not None:
-            self._ensure_workers()
-            self._feed_idle()
+                    handle.tasks.popleft()
+                    handle.deadline = None  # only ever set at lane depth 1
+                    self._completed.append(payload)
 
     def _run_watchdog(self) -> None:
         """Kill/respawn dead, overdue or silent workers; surface their trials."""
@@ -1091,59 +797,21 @@ class ParallelExecutor(TrialExecutor):
                     f"{WORKER_HUNG_PREFIX}: no heartbeat for over "
                     f"{self.heartbeat_timeout}s",
                 )
-        if self.speculate:
-            self._check_stragglers(now)
-
-    def _check_stragglers(self, now: float) -> None:
-        """Duplicate overdue trials onto idle workers (same seed, new token)."""
-        if len(self._durations) < self.straggler_min_samples:
-            return
-        threshold = max(
-            self.straggler_min_s, self.straggler_factor * statistics.median(self._durations)
-        )
-        for handle in list(self._workers.values()):
-            if handle.idle or handle.retiring or handle.started is None:
-                continue
-            token, trial_id, task = handle.tasks[0]
-            if trial_id in self._spec_groups:
-                continue  # already speculated
-            if now - handle.started <= threshold:
-                continue
-            idle = next(
-                (
-                    h
-                    for h in self._workers.values()
-                    if h.idle and not h.retiring and h.process.is_alive()
-                ),
-                None,
-            )
-            if idle is None:
-                return  # no spare capacity; try again next poll
-            spec_token = self._next_token
-            self._next_token += 1
-            spec_task = (spec_token,) + task[1:]
-            self._spec_groups[trial_id] = {token: 0, spec_token: 1}
-            self.speculations += 1
-            self._dispatch(idle, [spec_task])
 
     def _retire(self, handle: _WorkerHandle, error: str) -> None:
         """One worker leaves involuntarily; its trials fail; the pool rejoins.
 
         This *is* the leave+join path: the worker is removed via
         :meth:`_leave`, its in-flight trials surface as failed completions
-        (unless a speculative twin is still running), and
-        :meth:`_ensure_workers` brings the pool back to the current target
-        size — the same sequence :meth:`resize` uses, so watchdog recovery
-        and elastic scaling share one set of invariants.  Idempotent per
-        handle: a worker can be reported dead through several paths (pipe
-        EOF while draining, ``is_alive`` in the watchdog) and must only
-        leave once.
+        and :meth:`_ensure_workers` brings the pool back to ``n_workers``.
+        Idempotent per handle: a worker can be reported dead through
+        several paths (pipe EOF while draining, ``is_alive`` in the
+        watchdog) and must only leave once.
         """
         tasks = list(handle.tasks)
         handle.tasks.clear()
         handle.deadline = None
-        handle.started = None
-        if not self._leave(handle, graceful=False):
+        if not self._leave(handle):
             return
         recorder = _flightrec.installed()
         if recorder is not None:
@@ -1151,20 +819,12 @@ class ParallelExecutor(TrialExecutor):
                 "worker.retire",
                 worker=handle.worker_id,
                 error=error,
-                trials=[trial_id for _, trial_id, _ in tasks],
+                trials=[trial_id for _, trial_id in tasks],
             )
             recorder.dump("watchdog-kill")
-        for token, trial_id, _task in tasks:
-            group = self._spec_groups.get(trial_id)
-            if group is not None:
-                group.pop(token, None)
-                if group:
-                    continue  # the surviving copy owns the trial now
-                del self._spec_groups[trial_id]
-            self._completed.append((trial_id, False, None, error))
+        self._completed.extend((trial_id, False, None, error) for _, trial_id in tasks)
         if self._evaluator is not None:
             self.respawns += self._ensure_workers()
-            self._feed_idle()
 
     # -- teardown --------------------------------------------------------------
 
@@ -1188,8 +848,6 @@ class ParallelExecutor(TrialExecutor):
         self._workers.clear()
         self._backlog.clear()
         self._completed.clear()
-        self._durations.clear()
-        self._spec_groups.clear()
         if self._arena is not None:
             # Unpublish before unlinking so a later pickle of the same
             # evaluator (serial reuse, a different pool) carries real

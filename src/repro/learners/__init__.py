@@ -16,14 +16,12 @@ __getattr__, __dir__ = lazy_exports(
             "BatchedFitStats", "MegaBatchStats", "batchable_model", "fit_mlp_folds",
             "fit_mlp_trials",
         ],
-        ".boosting": ["GradientBoostingClassifier", "GradientBoostingRegressor"],
         ".forest": ["RandomForestClassifier", "RandomForestRegressor"],
         ".linear": ["LogisticRegression", "Ridge"],
         ".losses": ["binary_log_loss", "log_loss", "squared_loss"],
         ".mlp": [
             "MLPClassifier", "MLPRegressor", "resolve_initial_parameters", "warm_start_matches",
         ],
-        ".naive_bayes": ["GaussianNB"],
         ".preprocessing": ["LabelEncoder", "StandardScaler", "one_hot"],
         ".solvers": ["AdamOptimizer", "SGDOptimizer", "make_optimizer"],
         ".tree": ["DecisionTreeClassifier", "DecisionTreeRegressor"],
@@ -37,9 +35,6 @@ __all__ = [
     "BatchedFitStats",
     "DecisionTreeClassifier",
     "DecisionTreeRegressor",
-    "GaussianNB",
-    "GradientBoostingClassifier",
-    "GradientBoostingRegressor",
     "LabelEncoder",
     "LogisticRegression",
     "MLPClassifier",

@@ -1,7 +1,6 @@
 """Splitting and cross-validation substrate."""
 
 from .cross_validation import CrossValidationResult, cross_validate, fit_and_score
-from .extended import GroupKFold, LeaveOneOut, RepeatedKFold, RepeatedStratifiedKFold
 from .splitters import (
     KFold,
     StratifiedKFold,
@@ -12,11 +11,7 @@ from .splitters import (
 
 __all__ = [
     "CrossValidationResult",
-    "GroupKFold",
     "KFold",
-    "LeaveOneOut",
-    "RepeatedKFold",
-    "RepeatedStratifiedKFold",
     "StratifiedKFold",
     "cross_validate",
     "fit_and_score",

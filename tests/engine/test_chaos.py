@@ -152,46 +152,22 @@ class TestParallelChaos:
         assert result.best_score > FAILURE_SCORE
 
 
-class _StubElasticExecutor:
-    """Inner-executor stub exposing the elastic surface, no real workers."""
+class TestPoolForwarding:
+    """ChaosExecutor forwards the pool's observability surface.
 
-    capacity = 4
-    speculations = 3
-    speculation_wins = 2
-    joins = 5
-    leaves = 1
-
-    def __init__(self):
-        self.resize_calls = []
-
-    def resize(self, n):
-        self.resize_calls.append(n)
-        return n
-
-
-class TestElasticForwarding:
-    """ChaosExecutor must be transparent to the elastic pool API.
-
-    A chaos-wrapped elastic pool sits inside resize storms and
-    speculation scenarios; if the wrapper swallowed ``resize`` or the
-    speculation counters, those scenarios would silently test nothing.
+    The engine reads ``pool_stats`` through the wrapper; if it swallowed
+    the lookup, a chaos-wrapped pool would report no pool gauges at all.
     """
 
-    def test_resize_delegates_to_inner(self):
-        inner = _StubElasticExecutor()
+    def test_pool_stats_and_counters_pass_through(self):
+        inner = ParallelExecutor(n_workers=3)  # no submit: no processes
         chaos = ChaosExecutor(inner, ChaosPolicy())
-        assert chaos.resize(3) == 3
-        assert inner.resize_calls == [3]
-
-    def test_counters_and_capacity_pass_through(self):
-        chaos = ChaosExecutor(_StubElasticExecutor(), ChaosPolicy())
-        assert chaos.capacity == 4
-        assert chaos.speculations == 3
-        assert chaos.speculation_wins == 2
-        assert (chaos.joins, chaos.leaves) == (5, 1)
+        assert chaos.capacity == 3
+        assert chaos.pool_stats() == inner.pool_stats()
+        assert (chaos.joins, chaos.leaves, chaos.respawns) == (0, 0, 0)
 
     def test_missing_attributes_still_raise(self):
-        chaos = ChaosExecutor(_StubElasticExecutor(), ChaosPolicy())
+        chaos = ChaosExecutor(SerialExecutor(), ChaosPolicy())
         with pytest.raises(AttributeError):
             chaos.no_such_member
         with pytest.raises(AttributeError):

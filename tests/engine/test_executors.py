@@ -1,5 +1,8 @@
 """Executor protocol: FIFO serial reference and the process-pool executor."""
 
+import multiprocessing
+import os
+
 import pytest
 
 from repro.bandit.base import EvaluationResult
@@ -109,7 +112,7 @@ class TestParallelExecutor:
 
 
 class TestRungDealing:
-    """A fixed pipelined pool moves a rung as one message per worker."""
+    """Without a watchdog a rung moves as one message per worker; with one, task by task."""
 
     @pytest.fixture
     def sent(self, monkeypatch):
@@ -162,18 +165,18 @@ class TestRungDealing:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"n_workers": 2, "trial_timeout": 30.0}, {"min_workers": 1, "max_workers": 2}],
-        ids=["watchdog", "elastic"],
+        [{"trial_timeout": 30.0}, {"heartbeat_timeout": 30.0}],
+        ids=["watchdog", "heartbeat"],
     )
     def test_supervised_and_elastic_pools_send_one_task_at_a_time(self, sent, kwargs):
-        with ParallelExecutor(**kwargs) as executor:
+        with ParallelExecutor(n_workers=2, **kwargs) as executor:
             executor.bind(SeedEchoEvaluator())
-            for i in range(4):
+            for i in range(5):
                 executor.submit(_request(i, q=i, seed=i))
-            assert sent, "these pools dispatch at submit time"
-            for _ in range(4):
-                executor.wait_one()
-            assert all(len(tasks) == 1 for _, tasks in sent)
+            assert len(sent) == 2, "each idle worker starts at submit time, the rest queue"
+            seen = {executor.wait_one()[0] for _ in range(5)}
+            assert seen == set(range(5))
+            assert [len(tasks) for _, tasks in sent] == [1] * 5
 
     def test_asha_progresses_on_a_holding_pool(self):
         from repro.bandit import ASHA
@@ -189,7 +192,7 @@ class TestRungDealing:
 
 
 class TestSerialEqualsParallel:
-    """Dealing changes scheduling only: 2 workers reproduce serial bit for bit."""
+    """Dealing changes scheduling only: any worker count reproduces serial bit for bit."""
 
     @staticmethod
     def _search(executor):
@@ -221,15 +224,76 @@ class TestSerialEqualsParallel:
             for t in result.trials
         ]
 
+    @pytest.mark.parametrize("n_workers", [2, 3], ids=["even-deal", "uneven-deal"])
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
-    def test_fingerprints_match_under_both_start_methods(self, start_method):
-        import multiprocessing
-
+    def test_fingerprints_match_under_both_start_methods(self, start_method, n_workers):
         if start_method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"{start_method} start method unavailable on this platform")
         serial = self._search(SerialExecutor())
-        parallel = self._search(ParallelExecutor(n_workers=2, start_method=start_method))
+        parallel = self._search(ParallelExecutor(n_workers=n_workers, start_method=start_method))
         assert parallel == serial
+
+    @pytest.mark.chaos
+    def test_worker_killed_mid_rung_on_a_fused_evaluator_still_equals_serial(self, tmp_path):
+        """The dead worker's share comes back failed; resubmitted verbatim it is
+        re-dealt into different mega-batches, and the bits must not move."""
+        import numpy as np
+
+        from repro.core import MLPModelFactory, SubsetCVEvaluator, vanilla_evaluator
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("the dying evaluator is a local class: fork only")
+        marker = str(tmp_path / "died")
+
+        class DiesOnceMidRung(SubsetCVEvaluator):
+            """Kills the first pool worker that receives a fused share."""
+
+            def evaluate_many(self, specs):
+                if len(specs) > 1 and multiprocessing.parent_process() is not None:
+                    try:
+                        os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+                    except FileExistsError:
+                        pass
+                    else:
+                        os._exit(1)
+                return super().evaluate_many(specs)
+
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(120, 6))
+        y = (X @ rng.normal(size=6) > 0).astype(int)
+        evaluator = vanilla_evaluator(X, y, MLPModelFactory(task="classification", max_iter=5))
+        evaluator.__class__ = DiesOnceMidRung  # forked workers inherit it
+        requests = {
+            i: TrialRequest(
+                config={"learning_rate_init": 1e-3 * (1 + i % 3), "alpha": 1e-4},
+                budget_fraction=0.5, trial_id=i, seed=500 + i,
+            )
+            for i in range(7)
+        }
+
+        def run(executor):
+            scores, died = {}, 0
+            with executor:
+                executor.bind(evaluator)
+                for request in requests.values():
+                    executor.submit(request)
+                executor.flush_batch()
+                while executor.pending():
+                    trial_id, ok, result, error = executor.wait_one()
+                    if ok:
+                        scores[trial_id] = (result.score, tuple(result.fold_scores))
+                    else:
+                        assert error.startswith("WorkerDied"), error
+                        died += 1
+                        executor.submit(requests[trial_id])
+            return scores, died
+
+        reference, died = run(SerialExecutor())  # one rung-wide mega-batch
+        assert died == 0
+        pool = ParallelExecutor(n_workers=2, start_method="fork")
+        wounded, died = run(pool)
+        assert died in (3, 4) and pool.respawns == 1, "one worker's share died with it"
+        assert wounded == reference
 
 
 _CRASHING_PARENT = """

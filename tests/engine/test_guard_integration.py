@@ -116,6 +116,25 @@ class TestJournalPersistence:
         assert stats.guard_events == reference_events
         assert fingerprint(resumed) == fingerprint(reference)
 
+    def test_stats_and_registry_agree_on_a_first_and_on_a_resumed_run(self, tmp_path):
+        # /metrics reads the registry, `stats` the dataclass: an operator
+        # looking at a recovered run must see one number, not two.
+        from repro.telemetry import Telemetry
+
+        counted = []
+        for _ in ("first run", "resumed run"):
+            telemetry = Telemetry()
+            with TrialEngine(executor=SerialExecutor(), journal=str(tmp_path / "run.wal"),
+                             retry_backoff=0.0, telemetry=telemetry) as engine:
+                run_search(engine)
+            counters = telemetry.registry.counters()
+            mirrored = {name: counters.get(f"engine.{name}", 0)
+                        for name in ("guard_events", "resumed", "executed", "submitted")}
+            assert mirrored == {name: getattr(engine.stats, name) for name in mirrored}
+            counted.append(mirrored["guard_events"])
+        assert counted[0] == counted[1] > 0
+        assert mirrored["executed"] == 0 and mirrored["resumed"] > 0
+
     def test_results_without_guard_events_tolerated(self):
         # Old journals predate the field; the dataclass default fills it.
         result = EvaluationResult(mean=0.5, std=0.0, score=0.5, gamma=50.0)

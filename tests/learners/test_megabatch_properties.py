@@ -6,7 +6,7 @@ rung — is bitwise-equal to ``.fit`` run fold by fold, for random mixes
 of per-trial numeric hyperparameters sharing one architecture (the case
 lanes fuse across trials), warm-started lanes, and arbitrary partitions
 of a rung's trials into separate mega-batches — the exact regrouping a
-mid-rung worker resize induces.  They run in the ``kernels`` tier
+different worker count, or a dead worker's re-dealt share, induces.  They run in the ``kernels`` tier
 (``pytest -m kernels``), outside tier-1 — except a bounded draw of the
 ``.fit`` == ``fit_mlp_trials`` property (L-BFGS included), which tier-1
 keeps.
@@ -212,8 +212,8 @@ class TestMidRungResize:
     def test_partitioned_megabatches_equal_single_megabatch(
         self, hidden, solver, split_seed, seed
     ):
-        """A mid-rung worker resize regroups trials into different
-        mega-batches; any partition must give the same bits as one batch."""
+        """Another worker count, or a re-dealt share, regroups trials into
+        different mega-batches; any partition must give the same bits as one batch."""
         n_trials, n_folds = 4, 3
         rng = np.random.default_rng(seed)
         kwargs = _trial_kwargs(rng, n_trials, hidden, solver, "relu")

@@ -40,6 +40,31 @@ class TestParser:
         assert args.cache is False
         assert args.max_retries == 2
 
+    @pytest.mark.parametrize(
+        "flag", [["--min-workers", "1"], ["--max-workers", "3"], ["--speculate"]],
+        ids=lambda flag: flag[0],
+    )
+    def test_removed_pool_flags_are_unrecognized(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["tune", "--dataset", "australian", *flag])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+    def test_workers_and_trial_timeout_select_the_pool(self):
+        from repro.cli import _build_engine
+
+        def executor(*flags):
+            argv = ["tune", "--dataset", "australian", *flags]
+            return _build_engine(build_parser().parse_args(argv)).executor
+
+        assert type(executor()).__name__ == "SerialExecutor"
+        pool = executor("--n-workers", "3")
+        assert (type(pool).__name__, pool.n_workers, pool.trial_timeout) == (
+            "ParallelExecutor", 3, None)
+        pool = executor("--trial-timeout", "5")  # the watchdog needs a pool, even of one
+        assert (type(pool).__name__, pool.n_workers, pool.trial_timeout) == (
+            "ParallelExecutor", 1, 5.0)
+
     def test_rejects_nonpositive_workers(self):
         with pytest.raises(SystemExit):
             main(["tune", "--dataset", "australian", "--n-workers", "0"])

@@ -99,8 +99,7 @@ def test_hb_plus_search_with_adam_needs_no_heavy_scipy():
     # The searchers and learners an hb+ MLP search never touches stay unloaded.
     unused = {
         "repro.bandit.smac", "repro.bandit.tpe", "repro.bandit.dehb", "repro.bandit.pasha",
-        "repro.learners.forest", "repro.learners.boosting", "repro.learners.tree",
-        "repro.learners.naive_bayes", "repro.experiments.run_all",
+        "repro.learners.forest", "repro.learners.tree", "repro.experiments.run_all",
         "repro.experiments.significance", "repro.engine.chaos",
     }  # fmt: skip
     assert not unused & report["modules"]

@@ -77,7 +77,6 @@ from repro.engine import (
     RunJournal,
     SerialExecutor,
     TrialEngine,
-    TrialExecutor,
 )
 from repro.space import Categorical, SearchSpace
 
@@ -643,90 +642,6 @@ def scenario_corrupted_data(searcher_name):
             f"{diverged} divergence catches, serial==parallel")
 
 
-def _serial_reference(searcher_name):
-    """The chaos-free serial run the elastic scenarios compare against."""
-    with TrialEngine(executor=SerialExecutor(), retry_backoff=0.0) as engine:
-        return run_search(searcher_name, engine)
-
-
-def scenario_straggler_speculation(searcher_name):
-    """Slow workers + speculative re-execution must stay bitwise-serial.
-
-    Chaos pins a worker-id subset to sleep inside every evaluation (a
-    scheduling perturbation, not a seed draw), the executor's straggler
-    detector duplicates the overdue trial onto an idle worker with the
-    *same* derived seed, the first finite copy wins and the loser's
-    worker is cancelled through the leave+join path.  Because the copies
-    share the trial seed, the search result must equal the plain serial
-    run bit for bit no matter which copy wins.
-    """
-    reference = _serial_reference(searcher_name)
-    policy = ChaosPolicy(slow_workers=tuple(range(0, 12, 2)), slow_seconds=0.4)
-    inner = ParallelExecutor(n_workers=2, speculate=True, straggler_factor=3.0,
-                             straggler_min_s=0.12, poll_interval=0.02)
-    with TrialEngine(executor=ChaosExecutor(inner, policy), retry_backoff=0.0) as engine:
-        result = run_search(searcher_name, engine)
-        stats = engine.stats
-    assert stats.failures == 0, "slow workers must not fail trials"
-    assert inner.speculations > 0, "no straggler was ever speculated"
-    assert fingerprint(result) == fingerprint(reference), (
-        f"{searcher_name}: speculative run diverged from serial"
-    )
-    return (f"{inner.speculations} speculations ({inner.speculation_wins} wins), "
-            f"bitwise == serial")
-
-
-class _ResizeStormExecutor(TrialExecutor):
-    """Delegating wrapper that resizes the pool on every submission."""
-
-    def __init__(self, inner, schedule):
-        self.inner = inner
-        self._schedule = itertools.cycle(schedule)
-
-    @property
-    def capacity(self):
-        return self.inner.capacity
-
-    def bind(self, evaluator):
-        self.inner.bind(evaluator)
-
-    def submit(self, request):
-        self.inner.resize(next(self._schedule))
-        self.inner.submit(request)
-
-    def wait_one(self):
-        return self.inner.wait_one()
-
-    def pending(self):
-        return self.inner.pending()
-
-    def shutdown(self):
-        self.inner.shutdown()
-
-
-def scenario_resize_storm(searcher_name):
-    """Resize the elastic pool on every submit; the result must not move.
-
-    Per-trial seeds are derived from the trial, never the worker, so any
-    sequence of grows/shrinks — including shrinking under a full backlog
-    and growing past it again — may only change scheduling.  The storm
-    cycles 1..4 workers across every submission of the whole search.
-    """
-    reference = _serial_reference(searcher_name)
-    inner = ParallelExecutor(n_workers=2, min_workers=1, max_workers=4)
-    storm = _ResizeStormExecutor(inner, schedule=[1, 3, 2, 4])
-    with TrialEngine(executor=storm, retry_backoff=0.0) as engine:
-        result = run_search(searcher_name, engine)
-    assert inner.resizes > 0, "the storm never actually resized"
-    assert inner.leaves > 0, "no worker ever left the pool"
-    assert inner.joins > inner.n_workers, "no worker ever joined beyond the initial pool"
-    assert fingerprint(result) == fingerprint(reference), (
-        f"{searcher_name}: resize storm changed the result"
-    )
-    return (f"{inner.resizes} resizes ({inner.joins} joins / {inner.leaves} leaves), "
-            f"bitwise == serial")
-
-
 def scenario_pipe_drop():
     """Workers drop their result pipe mid-trial: respawn + retry, no hang."""
     policy = ChaosPolicy(pipe_drop_rate=0.2)
@@ -923,8 +838,6 @@ def build_scenarios(quick):
         ("worker-exit", scenario_worker_exit),
         ("pipe-drop", scenario_pipe_drop),
         ("hang-watchdog", scenario_hang_watchdog),
-        ("straggler-speculation[sha+]", lambda: scenario_straggler_speculation("sha+")),
-        ("resize-storm[sha+]", lambda: scenario_resize_storm("sha+")),
         ("corrupted-data[sha+]", lambda: scenario_corrupted_data("sha+")),
     ]
     if not quick:
@@ -937,10 +850,6 @@ def build_scenarios(quick):
         scenarios.append(("serve-sigkill", scenario_serve_sigkill))
         scenarios.append(("serve-sigkill-flightrec", scenario_serve_sigkill_flightrec))
         scenarios.extend([
-            ("straggler-speculation[hb+]", lambda: scenario_straggler_speculation("hb+")),
-            ("straggler-speculation[bohb+]", lambda: scenario_straggler_speculation("bohb+")),
-            ("resize-storm[hb+]", lambda: scenario_resize_storm("hb+")),
-            ("resize-storm[bohb+]", lambda: scenario_resize_storm("bohb+")),
             ("registry-corruption", scenario_registry_corruption),
             ("disk-full-degraded", scenario_disk_full_degraded),
             ("corrupted-data[hb+]", lambda: scenario_corrupted_data("hb+")),

@@ -20,15 +20,14 @@
 #   6. serve tier (service-daemon end-to-end tests, incl. the idle
 #      keep-alive request bound and the long-poll semantics; latency is
 #      bench/'s serve.job_overhead_ms / serve.submit_ms)
-#   7. elastic tier (elastic pool / speculative execution tests)
-#   8. chaos-marked pytest tier (process kills, SIGKILL resume)
-#   9. fault-injection harness smoke (tools/chaos_suite.py --quick,
+#   7. chaos-marked pytest tier (process kills, SIGKILL resume)
+#   8. fault-injection harness smoke (tools/chaos_suite.py --quick,
 #      per-scenario wall-clock printed by the harness itself)
-#  10. crashx tier (faults-marked explorer tests + a bounded
+#   9. crashx tier (faults-marked explorer tests + a bounded
 #      crash-schedule sweep over the toy and HB+ workloads; the full
 #      sweep that regenerates CRASHX_report.json is
 #      `python tools/crashx.py --pairwise 40 --jobs 2 --out CRASHX_report.json`)
-#  11. obs tier (obs-marked observability tests + the SIGKILL
+#  10. obs tier (obs-marked observability tests + the SIGKILL
 #      flight-recorder chaos scenario, which reads the append-only live
 #      spill back through flightrec.load)
 #
@@ -66,10 +65,6 @@ python -m pytest -q -m telemetry
 echo
 echo "== serve tier: pytest -m serve =="
 python -m pytest -q -m serve
-
-echo
-echo "== elastic tier: pytest -m elastic =="
-python -m pytest -q -m elastic
 
 echo
 echo "== chaos tier: pytest -m chaos =="
