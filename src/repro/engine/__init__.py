@@ -15,8 +15,8 @@ Durability comes from :class:`~repro.engine.journal.RunJournal`, a
 write-ahead log of every executed outcome: an interrupted run resumes
 from its last durable trial and — because seeds are derived rather than
 drawn from a shared stream — reproduces the uninterrupted result bit for
-bit.  :class:`~repro.engine.chaos.ChaosExecutor` injects failures, hangs,
-worker deaths and corrupted scores so those guarantees stay exercised::
+bit.  :mod:`repro.faults` schedules crashes, raises and hangs at named
+points of this package so those guarantees stay exercised::
 
     from repro.engine import TrialEngine, ParallelExecutor
 
@@ -27,7 +27,6 @@ worker deaths and corrupted scores so those guarantees stay exercised::
     print(engine.stats.hit_rate)                 # memoization at work
 """
 
-from .._lazy import lazy_exports
 from .arena import (
     ArenaError,
     ArenaIntegrityError,
@@ -40,19 +39,9 @@ from .arena import (
 from .cache import EvaluationCache
 from .checkpoint import CheckpointStore, FoldCheckpoint
 from .core import FAILURE_SCORE, STATS_SCHEMA_VERSION, EngineStats, TrialEngine, backoff_delay
-from .executors import (
-    ParallelExecutor,
-    SerialExecutor,
-    TrialExecutor,
-    current_worker_connection,
-)
+from .executors import ParallelExecutor, SerialExecutor, TrialExecutor
 from .journal import JOURNAL_VERSION, JournalEntry, JournalError, RunJournal, space_fingerprint
 from .protocol import TrialOutcome, TrialRequest, derive_seed
-
-# The fault injector is test and chaos-suite equipment: no search loads it.
-__getattr__, __dir__ = lazy_exports(
-    __name__, {".chaos": ["ChaosError", "ChaosExecutor", "ChaosPolicy", "DataCorruption"]}
-)
 
 __all__ = [
     "ArenaError",
@@ -62,11 +51,7 @@ __all__ = [
     "arena_available",
     "list_segments",
     "reap_stale",
-    "ChaosError",
-    "ChaosExecutor",
-    "ChaosPolicy",
     "CheckpointStore",
-    "DataCorruption",
     "EvaluationCache",
     "EngineStats",
     "FAILURE_SCORE",
@@ -83,7 +68,6 @@ __all__ = [
     "TrialOutcome",
     "TrialRequest",
     "backoff_delay",
-    "current_worker_connection",
     "derive_seed",
     "space_fingerprint",
 ]

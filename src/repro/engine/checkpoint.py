@@ -35,7 +35,6 @@ import hashlib
 import itertools
 import os
 import pickle
-import tempfile
 import threading
 from collections import OrderedDict
 from pathlib import Path
@@ -44,7 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..faults.points import fault_point
-from .durability import fsync_dir
+from .durability import atomic_publish
 
 __all__ = [
     "CHECKPOINT_ATTR",
@@ -157,14 +156,14 @@ class CheckpointStore:
     Notes
     -----
     The store is thread-safe (all operations hold an internal
-    :class:`threading.RLock`), and segments are published atomically —
-    temp file in the same directory, data fsync'd, :func:`os.replace`'d
-    to a name no other commit ever uses, directory fsync'd — so neither
-    a crash nor a concurrent writer can expose a torn segment, and the
-    later of two commits storing the same key wins.  Staged entries live
-    in the caller's batch, not in the store.  All of it is load-bearing
-    for the multi-tenant service daemon (:mod:`repro.serve`), which
-    shares one store across concurrently-running jobs.
+    :class:`threading.RLock`), and segments are published through
+    :func:`~repro.engine.durability.atomic_publish` to a name no other
+    commit ever uses, so neither a crash nor a concurrent writer can
+    expose a torn segment, and the later of two commits storing the same
+    key wins.  Staged entries live in the caller's batch, not in the
+    store.  All of it is load-bearing for the multi-tenant service daemon
+    (:mod:`repro.serve`), which shares one store across
+    concurrently-running jobs.
     """
 
     def __init__(
@@ -238,38 +237,25 @@ class CheckpointStore:
     def _write_segment(self, batch: list) -> None:
         """Publish one segment holding ``batch`` and index its entries.
 
-        Temp file, data fsync, rename, directory fsync: the name is
-        durable only after its contents are, and never exposes a torn file.
+        Through :func:`~repro.engine.durability.atomic_publish`: the name
+        is durable only after its contents are, and never exposes a torn
+        file.
         """
         keys = [key for key, _ in batch]
         blobs = [pickle.dumps(states, protocol=pickle.HIGHEST_PROTOCOL) for _, states in batch]
         offsets = list(itertools.accumulate(map(len, blobs), initial=0))
         directory = pickle.dumps(list(zip(keys, offsets)), protocol=pickle.HIGHEST_PROTOCOL)
-        fault_point("checkpoint.segment.pre_write", path=str(self.spill_dir))
-        # mkstemp's random infix keeps names unique across stores sharing
-        # the directory (another process, a resumed run).
-        fd, tmp_name = tempfile.mkstemp(
-            dir=str(self.spill_dir), prefix=f"{self._last_segment + 1:08d}-", suffix=".tmp"
+        # The random infix keeps names unique across stores sharing the
+        # directory (another process, a resumed run).
+        path = self.spill_dir / (
+            f"{self._last_segment + 1:08d}-{os.urandom(6).hex()}{_SEGMENT_SUFFIX}"
         )
-        path = Path(tmp_name[: -len(".tmp")] + _SEGMENT_SUFFIX)
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(directory)
-                handle.writelines(blobs)
-                handle.flush()
-                fault_point("checkpoint.segment.pre_fsync", handle=handle)
-                os.fsync(handle.fileno())
-                fault_point("checkpoint.segment.pre_replace", handle=handle)
-            os.replace(tmp_name, str(path))
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        fault_point("checkpoint.segment.post_replace", path=str(path))
-        fsync_dir(self.spill_dir)
-        fault_point("checkpoint.segment.post_dirsync", path=str(path))
+
+        def write(handle) -> None:
+            handle.write(directory)
+            handle.writelines(blobs)
+
+        atomic_publish(path, write, "checkpoint.segment")
         self._last_segment += 1
         for (digest, budget), offset in zip(keys, offsets):
             self._index(digest, budget, path, len(directory) + offset)

@@ -629,7 +629,7 @@ class TrialEngine:
                 self._count("non_finite")
                 if payload is not None and self.telemetry is not None:
                     # The result is discarded, but what happened inside it
-                    # (chaos injections, profiled timings) still counts.
+                    # (counters, profiled timings) still counts.
                     self.telemetry.registry.merge_payload(payload)
                     payload = None
                 ok, result, error = False, None, (

@@ -79,7 +79,6 @@ __all__ = [
     "TIMEOUT_ERROR_PREFIX",
     "WORKER_DIED_PREFIX",
     "WORKER_HUNG_PREFIX",
-    "current_worker_connection",
 ]
 
 #: Error-string prefixes the watchdog uses; the engine keys its
@@ -88,20 +87,9 @@ TIMEOUT_ERROR_PREFIX = "TrialTimeout"
 WORKER_DIED_PREFIX = "WorkerDied"
 WORKER_HUNG_PREFIX = "WorkerHung"
 
-#: Set inside worker processes: the id stamped on telemetry sidecars and
-#: the pipe the chaos layer reaches for.  ``None`` in the parent process
-#: and under :class:`SerialExecutor`.
+#: Set inside worker processes: the id stamped on telemetry sidecars.
+#: ``None`` in the parent process and under :class:`SerialExecutor`.
 _WORKER_ID: Optional[int] = None
-_WORKER_CONN = None
-
-
-def current_worker_connection():
-    """The worker's duplex pipe to the parent, or ``None`` in the parent.
-
-    Exposed for fault injection only: closing it mid-trial simulates a
-    dropped worker pipe, which the parent must survive as a worker death.
-    """
-    return _WORKER_CONN
 
 
 def _task(token: int, request) -> Tuple:
@@ -122,9 +110,9 @@ def _rung_wide(evaluator) -> bool:
     """Whether the evaluator's *class* defines ``evaluate_many``.
 
     Resolved on the class, never through ``__getattr__`` delegation:
-    wrapper evaluators (chaos injectors, test doubles) that override
-    ``evaluate`` and proxy every other attribute to the wrapped instance
-    must run through their own ``evaluate``, one task at a time.
+    wrapper evaluators (test doubles) that override ``evaluate`` and proxy
+    every other attribute to the wrapped instance must run through their
+    own ``evaluate``, one task at a time.
     """
     return getattr(type(evaluator), "evaluate_many", None) is not None
 
@@ -148,13 +136,16 @@ def _evaluate_tasks(evaluator, tasks):
     guard degradation and error reporting per trial.  Any other
     evaluator is looped over its ``evaluate``, passed the warm-start
     keywords only when set so evaluators predating them keep working.
+
+    Every evaluator call passes the ``executor.evaluate`` fault point
+    first: a raise there is a failed trial at width 1 and a rung retry
+    above it.
     """
     alone = len(tasks) == 1
     rung_wide = _rung_wide(evaluator)
     if alone or rung_wide:
-        if not alone:
-            fault_point("executor.pre_megabatch", tasks=len(tasks))
         try:
+            fault_point("executor.evaluate", tasks=len(tasks))
             t0 = time.monotonic()
             specs = [
                 (
@@ -217,9 +208,8 @@ def _watchdog_worker_main(evaluator, conn, worker_id: int, heartbeat_interval: f
     no hang detection, silencing the chatter entirely.  ``None`` is the
     shutdown sentinel; a closed pipe (parent gone) also ends the loop.
     """
-    global _WORKER_ID, _WORKER_CONN
+    global _WORKER_ID
     _WORKER_ID = worker_id
-    _WORKER_CONN = conn
     _flightrec.note("worker.start", worker=worker_id)
     stop = threading.Event()
     send_lock = threading.Lock()

@@ -1,7 +1,7 @@
 """repro.faults — deterministic failure injection (FoundationDB-style).
 
-Rate-based chaos (:mod:`repro.engine.chaos`) samples the failure space;
-this package enumerates it.  Three layers:
+The one fault mechanism of the repo: failures are enumerated, not
+sampled.  Three layers:
 
 - :mod:`repro.faults.points` — the **fault-point API**: named,
   hierarchical instrumentation sites (``fault_point("journal.commit.pre_fsync")``)
@@ -13,7 +13,10 @@ this package enumerates it.  Three layers:
   *crash* (``os._exit``), *ioerror* / *enospc* (raised), *truncate:N*
   (shear N bytes off the file being written, then crash — a torn-write
   simulator) or *delay:S*.  Schedules serialize to JSON and transport to
-  subprocesses via the ``REPRO_FAULTS`` environment variable.
+  subprocesses via the ``REPRO_FAULTS`` environment variable; a trigger
+  fires once per arming across every process it reaches, so a worker
+  killed at ``executor.evaluate`` is respawned once, under ``fork`` or
+  ``spawn``.
 - :mod:`repro.faults.explore` — the **ScheduleExplorer**: census a
   reference run's fault-point hits, then for every ``(site, k)`` run
   crash-at-hit-``k`` in a subprocess, restart/resume, and assert the

@@ -19,8 +19,9 @@ sampled property into an enumerated one:
    drop triggers, lower hit indices, shrink truncate amounts) to its
    shortest still-failing reproducer before it is reported.
 
-``tools/crashx.py`` is the CLI; ``CRASHX_report.json`` at the repo root
-is the committed coverage artifact of the full sweep.
+``tools/crashx.py`` is the CLI; its ``--out PATH`` writes the sweep's
+coverage report (``CRASHX_report.json`` by convention), which is not
+committed.
 """
 
 from __future__ import annotations
@@ -122,6 +123,7 @@ class WorkloadReference:
 def _child_env(
     schedule: Optional[FaultSchedule],
     census_path: Optional[Path],
+    run_dir: Path,
     flightrec_dir: Optional[Path] = None,
 ) -> Dict[str, str]:
     env = dict(os.environ)
@@ -129,6 +131,8 @@ def _child_env(
     spec: Dict[str, Any] = {}
     if schedule is not None and len(schedule):
         spec["schedule"] = schedule.to_payload()
+        # Every leg is a fresh arming; its claims live (and die) with the plan.
+        spec["claims"] = tempfile.mkdtemp(prefix="claims-", dir=str(run_dir))
     if census_path is not None:
         spec["census"] = str(census_path)
     if flightrec_dir is not None:
@@ -155,7 +159,7 @@ def run_leg(
     try:
         return subprocess.run(
             command,
-            env=_child_env(schedule, census_path, flightrec_dir),
+            env=_child_env(schedule, census_path, run_dir, flightrec_dir),
             capture_output=True,
             text=True,
             timeout=timeout,
@@ -497,7 +501,7 @@ def _with_leg(plan: CrashPlan, index: int, leg: FaultSchedule) -> CrashPlan:
 def summarize(
     reference: WorkloadReference, outcomes: Sequence[PlanOutcome]
 ) -> Dict[str, Any]:
-    """The per-workload section of ``CRASHX_report.json``."""
+    """The per-workload section of the ``--out`` coverage report."""
     failures = [o for o in outcomes if not o.passed]
     return {
         "workload": reference.workload,

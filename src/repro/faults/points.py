@@ -29,7 +29,21 @@ route the ScheduleExplorer uses for its subprocess legs — via the
 
     {"schedule": [{"site": "...", "hit": 3, "action": "crash"}],
      "census": "/path/to/census.jsonl",
+     "claims": "/dir/the/arming/process/owns",
      "flightrec": "/dir/for/flightrec-dumps"}
+
+:func:`arm` writes the variable back, so every child process — a forked
+pool worker inherits the controller itself, a spawned one re-arms from
+the environment — runs under the same arming.  Hit indices count per
+process, so siblings and respawned workers all reach the same
+``site#hit``; a scheduled trigger nevertheless fires **once per arming**:
+the first process to create the trigger's file in the ``claims``
+directory (``O_CREAT | O_EXCL``) fires it, every later arrival passes
+through.  A worker crashed at ``executor.evaluate#0`` is therefore
+respawned once, not in a loop.  Without a ``claims`` key, :func:`arm`
+creates a temporary directory and removes it on :func:`disarm` or exit;
+a process that crashes cannot, so harnesses that crash their children
+pass one they clean up (the explorer puts it in the plan's directory).
 
 The optional ``flightrec`` key arms a :mod:`repro.obs.flightrec` ring in
 the subprocess, so an injected crash leaves a ``flightrec-<pid>-*.json``
@@ -87,6 +101,12 @@ class FaultController:
         self._lock = threading.Lock()
         self._hits: Dict[str, int] = {}
         self._flushed = False
+        #: Directory where firings are claimed (set by :func:`arm`), and the
+        #: pid of the process that created it and removes it on disarm.
+        self._claims: Optional[str] = None
+        self._claims_owner: Optional[int] = None
+        #: Flight-recorder dump directory, passed on to child processes.
+        self._flightrec: Optional[str] = None
 
     def hit(self, site: str, context: Dict) -> None:
         """Record one arrival at ``site``; fire the scheduled action if any."""
@@ -96,6 +116,8 @@ class FaultController:
         action = None
         if self.schedule is not None:
             action = self.schedule.action_for(site, index)
+            if action is not None and not self._claim(site, index):
+                action = None  # another process of this arming fired it
         observer = _observer
         if observer is not None:
             # The observer runs BEFORE the action: crash actions exit via
@@ -104,6 +126,34 @@ class FaultController:
             observer(site, index, str(action) if action is not None else None)
         if action is not None:
             action.fire(site, index, context)
+
+    def _claim(self, site: str, hit: int) -> bool:
+        """Whether this process wins the one firing of ``site#hit``."""
+        if self._claims is None:
+            return True
+        try:
+            fd = os.open(
+                os.path.join(self._claims, f"{site}#{hit}"),
+                os.O_WRONLY | os.O_CREAT | os.O_EXCL,
+            )
+        except OSError:  # claimed already, or the arming was withdrawn
+            return False
+        os.close(fd)
+        return True
+
+    def to_env(self) -> str:
+        """The ``REPRO_FAULTS`` value that re-arms a child process like this one."""
+        spec: Dict = {}
+        if self.schedule is not None and len(self.schedule):
+            spec["schedule"] = self.schedule.to_payload()
+        for key, value in (
+            ("census", self.census_path),
+            ("claims", self._claims),
+            ("flightrec", self._flightrec),
+        ):
+            if value is not None:
+                spec[key] = str(value)
+        return json.dumps(spec, sort_keys=True)
 
     def snapshot(self) -> Dict[str, int]:
         """A copy of the per-site hit counts so far."""
@@ -150,18 +200,45 @@ def active_controller() -> Optional[FaultController]:
 
 
 def arm(controller: FaultController) -> FaultController:
-    """Install ``controller`` as the process-wide fault controller."""
+    """Install ``controller`` process-wide and export it to child processes.
+
+    A scheduled controller without a claims directory gets a fresh one,
+    owned by this process; ``REPRO_FAULTS`` then carries the arming to
+    every process started while it holds (see the module docstring).
+    """
     global _controller
+    if controller.schedule is not None and len(controller.schedule) and controller._claims is None:
+        import tempfile  # fault runs only: keeps the disarmed import light
+
+        controller._claims = tempfile.mkdtemp(prefix="repro-faults-")
+        controller._claims_owner = os.getpid()
     _controller = controller
+    os.environ[ENV_VAR] = controller.to_env()
     return controller
 
 
 def disarm() -> Optional[FaultController]:
-    """Remove the active controller; returns it (census is NOT flushed)."""
+    """Remove the active controller and withdraw ``REPRO_FAULTS``.
+
+    Returns the controller (census is NOT flushed).  A claims directory
+    this process created is deleted.
+    """
     global _controller
     previous = _controller
     _controller = None
+    os.environ.pop(ENV_VAR, None)
+    if previous is not None:
+        _release_claims(previous)
     return previous
+
+
+def _release_claims(controller: FaultController) -> None:
+    """Delete the controller's claims directory if this process created it."""
+    if controller._claims_owner == os.getpid():
+        import shutil
+
+        shutil.rmtree(controller._claims, ignore_errors=True)
+        controller._claims_owner = None
 
 
 def _arm_from_env() -> Optional[FaultController]:
@@ -180,6 +257,7 @@ def _arm_from_env() -> Optional[FaultController]:
 
         schedule = FaultSchedule.from_payload(triggers)
     controller = FaultController(schedule=schedule, census_path=spec.get("census"))
+    controller._claims = spec.get("claims")
     if controller.census_path is not None:
         atexit.register(controller.flush_census)
     flightrec_dir = spec.get("flightrec")
@@ -189,8 +267,11 @@ def _arm_from_env() -> Optional[FaultController]:
         # module through sys.modules, so there is no cycle at runtime.
         from ..obs import flightrec as _flightrec
 
+        controller._flightrec = flightrec_dir
         _flightrec.install(dump_dir=flightrec_dir, spill_every=32)
-    return arm(controller)
+    arm(controller)
+    atexit.register(_release_claims, controller)
+    return controller
 
 
 _arm_from_env()

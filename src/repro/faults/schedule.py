@@ -1,10 +1,10 @@
 """Deterministic fault schedules: ``(site, hit_index) -> action`` plans.
 
-A :class:`FaultSchedule` replaces the probability knobs of
-:class:`~repro.engine.chaos.ChaosPolicy` with enumeration: it names the
-exact arrival (the *k*-th hit of a named fault point) at which a fault
-fires, so a crash test is a point in a lattice rather than a dice roll,
-and any failure replays from its schedule alone.
+A :class:`FaultSchedule` names the exact arrival (the *k*-th hit of a
+named fault point) at which a fault fires, so a crash test is a point in
+a lattice rather than a dice roll, and any failure replays from its
+schedule alone.  Armed, each trigger fires once across every process the
+arming reaches (see :mod:`repro.faults.points`).
 
 Actions are small parsed strings so schedules survive JSON/env transport:
 
@@ -23,8 +23,9 @@ Actions are small parsed strings so schedules survive JSON/env transport:
     This simulates a torn write followed by power loss — the nastiest
     ordering the journal/registry readers must tolerate.
 ``delay:S``
-    Sleep ``S`` seconds — a scheduling perturbation, not a failure; used
-    to widen race windows in pairwise schedules.
+    Sleep ``S`` seconds — a scheduling perturbation used to widen race
+    windows, or, with ``S`` past a pool's ``trial_timeout``, a hang only
+    the watchdog can cut.
 """
 
 from __future__ import annotations
@@ -199,7 +200,6 @@ class FaultSchedule:
 
     def to_env(self, census_path: Optional[str] = None) -> str:
         """The ``REPRO_FAULTS`` value arming a subprocess with this schedule."""
-        spec: Dict = {"schedule": self.to_payload()}
-        if census_path is not None:
-            spec["census"] = str(census_path)
-        return json.dumps(spec, sort_keys=True)
+        from .points import FaultController
+
+        return FaultController(schedule=self, census_path=census_path).to_env()

@@ -1,9 +1,9 @@
 """Flight recorder: a bounded in-process ring of recent operational events.
 
 A :class:`FlightRecorder` keeps the last ``capacity`` events (span closes,
-guard trips, chaos injections, fault-point firings, job lifecycle marks)
-in a fixed-size ring with lock-free appends — one slot store plus one
-integer bump per event, cheap enough to leave armed in production paths.
+guard trips, fault-point firings, job lifecycle marks) in a fixed-size
+ring with lock-free appends — one slot store plus one integer bump per
+event, cheap enough to leave armed in production paths.
 When something kills the process, the ring is what the post-mortem reads:
 
 - :meth:`FlightRecorder.dump` writes the ring atomically to
@@ -257,6 +257,9 @@ class FlightRecorder:
 
     @staticmethod
     def _write_atomic(path: Path, payload: Dict[str, Any]) -> None:
+        # Not repro.engine.durability.atomic_publish: dumps run inside the
+        # fault observer (the hook every armed fault point calls), so a
+        # fault point on this path would recurse.
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(path.name + f".{os.getpid()}.tmp")
         tmp.write_text(json.dumps(payload, indent=1, sort_keys=False) + "\n")

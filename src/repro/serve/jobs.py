@@ -15,8 +15,8 @@ optimization; this module turns it into actual work:
   per-job :class:`~repro.telemetry.Telemetry` whose trial callback drives
   the live progress counter and the cooperative cancel check.
 - :func:`run_job_local` — the same spec run through plain
-  ``optimize()``; used by benches, tests and the chaos
-  suite as the bitwise reference twin of a daemon job.
+  ``optimize()``; used by benches and tests as the bitwise reference
+  twin of a daemon job.
 - :func:`incumbent_fingerprint` — a stable digest of a search result
   (best configuration, best score and every trial's scores; wall time
   and per-trial cost excluded), so "bitwise-equal incumbents" is a

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
+import shutil
 import threading
 import time
 import uuid
@@ -37,8 +37,7 @@ from typing import Any, Dict, List, Optional, Union
 from ..engine.cache import EvaluationCache
 from ..obs import flightrec as _flightrec
 from ..engine.checkpoint import CheckpointStore
-from ..engine.durability import fsync_dir
-from ..faults.points import fault_point
+from ..engine.durability import atomic_publish
 from ..telemetry import MetricsRegistry
 from .protocol import JobRecord, JobSpec, ProtocolError
 
@@ -94,34 +93,17 @@ class TenantStats:
 def _atomic_write_json(
     path: Path, payload: Dict[str, Any], site: str = "registry.record"
 ) -> None:
-    """Write JSON via temp-file-then-rename so readers never see a torn file.
+    """Durably publish ``payload`` as JSON at ``path`` (never a torn file).
 
-    The parent directory is fsync'd after the rename so the publish also
-    survives power-loss reordering (rename atomicity alone does not pin
-    the directory entry).  ``site`` names the fault-point prefix so the
-    crash-schedule explorer can distinguish spec-sidecar writes from
+    :func:`~repro.engine.durability.atomic_publish` does the work; its
+    ``<name>.*.tmp`` temp names are what :meth:`JobRegistry.load_all`
+    quarantines after a crash.  ``site`` names the fault-point prefix so
+    the crash-schedule explorer can distinguish spec-sidecar writes from
     job-record updates.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
-    fault_point(site + ".pre_write", path=str(path))
-    fd, tmp_name = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.flush()
-            fault_point(site + ".pre_fsync", handle=handle)
-            os.fsync(handle.fileno())
-            fault_point(site + ".pre_replace", handle=handle)
-        os.replace(tmp_name, str(path))
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-    fault_point(site + ".post_replace", path=str(path))
-    fsync_dir(path.parent)
-    fault_point(site + ".post_dirsync", path=str(path))
+    body = json.dumps(payload, indent=2).encode("utf-8")
+    atomic_publish(path, lambda handle: handle.write(body), site)
 
 
 class SharedEngineState:
@@ -259,8 +241,14 @@ class JobRegistry:
         """
         job_id = uuid.uuid4().hex[:12]
         record = JobRecord(job_id=job_id, spec=spec, created_at=self.clock())
-        _atomic_write_json(self.spec_path(job_id), spec.to_dict(), site="registry.spec")
-        _atomic_write_json(self.job_dir(job_id) / "job.json", record.to_dict())
+        try:
+            _atomic_write_json(self.spec_path(job_id), spec.to_dict(), site="registry.spec")
+            _atomic_write_json(self.job_dir(job_id) / "job.json", record.to_dict())
+        except OSError:
+            # The caller sheds this job; a spec sidecar left behind would be
+            # enough for load_all to revive it on the next start.
+            shutil.rmtree(self.job_dir(job_id), ignore_errors=True)
+            raise
         with self._lock:
             self._records[job_id] = record
             self.tenant(spec.tenant).submitted += 1

@@ -1,7 +1,7 @@
 """Unified telemetry: run tracing, metrics registry and profiling hooks.
 
 The package is zero-dependency (stdlib only) and threads through every
-layer of the repo — engine, searchers, evaluator, journal, guard, chaos,
+layer of the repo — engine, searchers, evaluator, journal, guard, faults,
 CLI — behind a single :class:`Telemetry` facade:
 
 >>> from repro.telemetry import Telemetry

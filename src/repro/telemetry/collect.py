@@ -8,8 +8,8 @@ this:
 1. The executor gives each evaluation a :class:`TrialCollector`, which
    :func:`install_collector` makes discoverable via
    :func:`current_collector` around every phase touching that trial.
-2. Instrumented code (evaluator folds, ``@profiled`` functions, chaos
-   injection) records spans/counters/timings into that collector with no
+2. Instrumented code (evaluator folds, ``@profiled`` functions)
+   records spans/counters/timings into that collector with no
    knowledge of where it runs.
 3. The executor attaches :meth:`TrialCollector.payload` to the result via
    :func:`attach_payload`; the payload is a plain JSON-able dict that
@@ -66,8 +66,7 @@ class TrialCollector:
     ----------
     flags:
         Bitmask of :data:`COLLECT_SPANS` / :data:`COLLECT_PROFILE`; a zero
-        mask still collects counters (they are nearly free and the chaos
-        layer always wants them).
+        mask still collects counters (they are nearly free).
     clock, cpu_clock:
         Injectable clocks, as everywhere else in the repo.
 

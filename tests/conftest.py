@@ -102,3 +102,19 @@ class SyntheticEvaluator:
 def synthetic_evaluator_factory():
     """Factory building :class:`SyntheticEvaluator` instances."""
     return SyntheticEvaluator
+
+
+@pytest.fixture
+def arm_fault():
+    """Arm one ``site#hit=action`` trigger for the test; disarmed afterwards.
+
+    The arming reaches every pool worker the test starts, forked or
+    spawned, and the trigger fires once across all of them.
+    """
+    from repro.faults import FaultController, FaultSchedule, arm, disarm
+
+    def _arm(site: str, action: str, hit: int = 0):
+        return arm(FaultController(schedule=FaultSchedule.single(site, hit, action)))
+
+    yield _arm
+    disarm()

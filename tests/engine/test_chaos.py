@@ -1,174 +1,88 @@
-"""ChaosExecutor fault injection: determinism, degradation, sanitization."""
+"""Degrade table: one scheduled fault per run, serial and on fork/spawn pools.
+
+Each row arms one :mod:`repro.faults` trigger, runs a small SHA search
+and checks the engine's degrade contract: the run completes, a real
+trial wins, and every degraded trial carries the sentinel (distinct
+sentinel ``(config, budget)`` pairs == ``stats.failures``).  A trigger
+fires once per arming across every worker, forked or spawned, so the
+one counter the fault should move moves exactly once:
+
+- ``ioerror`` at ``executor.evaluate`` is a failed width-1 call: one retry;
+- ``crash`` there, or at ``executor.worker.pre_send`` (the reply is lost
+  and the parent reads EOF), kills one worker: one respawn;
+- ``delay:60`` under ``trial_timeout=0.5`` is a hang: one watchdog kill.
+
+Non-finite scores are the evaluator doubles of ``test_engine.py``.  Pool
+rows start real processes and are ``faults``-marked.
+"""
 
 import math
+import multiprocessing
+import time
 
 import pytest
 
-from repro.bandit import HyperBand, SuccessiveHalving
+from repro.bandit import SuccessiveHalving
 from repro.bandit.base import EvaluationResult
-from repro.engine import (
-    ChaosError,
-    ChaosExecutor,
-    ChaosPolicy,
-    FAILURE_SCORE,
-    ParallelExecutor,
-    SerialExecutor,
-    TrialEngine,
-)
+from repro.engine import FAILURE_SCORE, ParallelExecutor, SerialExecutor, TrialEngine
 from repro.space import Categorical, SearchSpace
 
 SPACE = SearchSpace([Categorical("q", list(range(8)))])
 
 
 class QualityEvaluator:
-    """Picklable: score = quality + seeded noise; best config is q=7."""
+    """Picklable, so spawned workers can load it: the best configuration is q=7."""
 
     def evaluate(self, config, budget_fraction, rng):
         score = config["q"] / 10.0 + 0.001 * float(rng.standard_normal())
         return EvaluationResult(mean=score, std=0.0, score=score, gamma=100 * budget_fraction)
 
 
-def _search(policy, executor=None, max_retries=2, searcher_cls=SuccessiveHalving, seed=0):
-    executor = executor if executor is not None else SerialExecutor()
-    with TrialEngine(executor=ChaosExecutor(executor, policy), max_retries=max_retries,
-                     retry_backoff=0.0) as engine:
-        searcher = searcher_cls(SPACE, QualityEvaluator(), random_state=seed, engine=engine)
+def _row(executor, site, action, counter, **pool):
+    marks = () if executor == "serial" else (pytest.mark.faults,)
+    return pytest.param(
+        executor, site, action, counter, pool, marks=marks, id=f"{executor}-{site}={action}"
+    )
+
+
+DEGRADE_TABLE = [
+    _row("serial", "executor.evaluate", "ioerror", "retries"),
+    _row("fork", "executor.evaluate", "ioerror", "retries"),
+    _row("spawn", "executor.evaluate", "ioerror", "retries"),
+    _row("fork", "executor.evaluate", "crash", "respawns"),
+    _row("spawn", "executor.evaluate", "crash", "respawns"),
+    _row("fork", "executor.worker.pre_send", "crash", "respawns"),
+    _row("spawn", "executor.worker.pre_send", "crash", "respawns"),
+    _row("fork", "executor.evaluate", "delay:60", "timeouts", trial_timeout=0.5),
+    _row("spawn", "executor.evaluate", "delay:60", "timeouts", trial_timeout=0.5),
+]
+
+
+@pytest.mark.parametrize("executor, site, action, counter, pool", DEGRADE_TABLE)
+def test_one_scheduled_fault_degrades_once(arm_fault, executor, site, action, counter, pool):
+    if executor != "serial" and executor not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"{executor} start method unavailable on this platform")
+    arm_fault(site, action)
+    if executor == "serial":
+        runner = SerialExecutor()
+    else:
+        runner = ParallelExecutor(n_workers=2, start_method=executor, **pool)
+    start = time.monotonic()
+    with TrialEngine(executor=runner, max_retries=1, retry_backoff=0.0) as engine:
+        searcher = SuccessiveHalving(SPACE, QualityEvaluator(), random_state=7, engine=engine)
         result = searcher.fit(configurations=SPACE.grid())
-    return result, engine.stats
+    elapsed = time.monotonic() - start
+    stats = engine.stats
 
-
-class TestPolicyValidation:
-    def test_negative_rate_rejected(self):
-        with pytest.raises(ValueError):
-            ChaosPolicy(failure_rate=-0.1)
-
-    def test_rates_summing_past_one_rejected(self):
-        with pytest.raises(ValueError):
-            ChaosPolicy(failure_rate=0.6, nan_rate=0.6)
-
-    def test_zero_policy_is_passthrough(self):
-        calm, _ = _search(ChaosPolicy())
-        chaotic_free, stats = _search(ChaosPolicy(failure_rate=0.0))
-        assert calm.best_config == chaotic_free.best_config
-        assert stats.failures == 0
-
-
-class TestDeterminism:
-    def test_fault_pattern_is_reproducible(self):
-        policy = ChaosPolicy(failure_rate=0.3)
-        first, stats_a = _search(policy)
-        second, stats_b = _search(policy)
-        assert [t.result.score for t in first.trials] == [t.result.score for t in second.trials]
-        assert stats_a.failures == stats_b.failures
-        assert stats_a.retries == stats_b.retries
-
-    def test_fault_pattern_varies_with_seed(self):
-        policy = ChaosPolicy(failure_rate=0.3)
-        _, stats_a = _search(policy, seed=0)
-        _, stats_b = _search(policy, seed=1)
-        assert (stats_a.retries, stats_a.failures) != (stats_b.retries, stats_b.failures)
-
-
-class TestFailureInjection:
-    def test_search_completes_under_heavy_failures(self):
-        result, stats = _search(ChaosPolicy(failure_rate=0.4), max_retries=1)
-        assert stats.failures > 0
-        degraded = [t for t in result.trials if t.result.score == FAILURE_SCORE]
-        assert len(degraded) == stats.failures
-        assert result.best_score > FAILURE_SCORE  # a real trial still won
-
-    def test_retries_can_clear_transient_faults(self):
-        # More retries -> fresh fault draws -> strictly fewer degradations.
-        _, few = _search(ChaosPolicy(failure_rate=0.3), max_retries=0)
-        _, many = _search(ChaosPolicy(failure_rate=0.3), max_retries=4)
-        assert many.failures < few.failures
-
-    def test_exit_rate_downgrades_to_raise_in_serial(self):
-        # In-process (MainProcess) the exit fault must raise, not kill pytest.
-        result, stats = _search(ChaosPolicy(exit_rate=0.3), max_retries=1)
-        assert stats.failures > 0 or stats.retries > 0
-        assert result.best_score > FAILURE_SCORE
-
-
-class TestScoreSanitization:
-    def test_nan_scores_become_degraded_trials(self):
-        result, stats = _search(ChaosPolicy(nan_rate=0.3), max_retries=0)
-        assert stats.non_finite > 0
-        assert not any(math.isnan(t.result.score) for t in result.trials)
-        assert not math.isnan(result.best_score)
-
-    def test_corrupt_inf_score_never_wins(self):
-        result, stats = _search(ChaosPolicy(corrupt_rate=0.3), max_retries=0)
-        assert stats.non_finite > 0
-        assert math.isfinite(result.best_score)
-        assert not any(math.isinf(t.result.score) for t in result.trials)
-
-    def test_non_finite_errors_are_labelled(self):
-        with TrialEngine(executor=ChaosExecutor(SerialExecutor(), ChaosPolicy(nan_rate=1.0)),
-                         max_retries=0, retry_backoff=0.0) as engine:
-            searcher = SuccessiveHalving(SPACE, QualityEvaluator(), random_state=0, engine=engine)
-            searcher.fit(configurations=SPACE.grid()[:2])
-        assert engine.stats.non_finite == engine.stats.failures > 0
-
-
-class TestChaosErrorType:
-    def test_injected_failures_carry_chaos_error(self):
-        with TrialEngine(executor=ChaosExecutor(SerialExecutor(), ChaosPolicy(failure_rate=1.0)),
-                         max_retries=0, retry_backoff=0.0) as engine:
-            searcher = SuccessiveHalving(SPACE, QualityEvaluator(), random_state=0, engine=engine)
-            result = searcher.fit(configurations=SPACE.grid()[:2])
-        assert all(t.result.score == FAILURE_SCORE for t in result.trials)
-        assert ChaosError.__name__  # exported and importable
-
-
-@pytest.mark.chaos
-class TestParallelChaos:
-    def test_worker_exits_are_survived(self):
-        result, stats = _search(
-            ChaosPolicy(exit_rate=0.15),
-            executor=ParallelExecutor(n_workers=2),
-            max_retries=3,
-        )
-        assert result.best_score > FAILURE_SCORE
-
-    def test_hangs_are_cut_by_the_watchdog(self):
-        result, stats = _search(
-            ChaosPolicy(hang_rate=0.15, hang_seconds=60.0),
-            executor=ParallelExecutor(n_workers=2, trial_timeout=0.5),
-            max_retries=2,
-        )
-        assert stats.timeouts > 0
-        assert result.best_score > FAILURE_SCORE
-
-    def test_full_storm_under_hyperband(self):
-        policy = ChaosPolicy(exit_rate=0.05, hang_rate=0.05, failure_rate=0.1,
-                             nan_rate=0.05, corrupt_rate=0.05, hang_seconds=60.0)
-        result, stats = _search(
-            policy,
-            executor=ParallelExecutor(n_workers=2, trial_timeout=0.5),
-            max_retries=3, searcher_cls=HyperBand,
-        )
-        assert math.isfinite(result.best_score)
-        assert result.best_score > FAILURE_SCORE
-
-
-class TestPoolForwarding:
-    """ChaosExecutor forwards the pool's observability surface.
-
-    The engine reads ``pool_stats`` through the wrapper; if it swallowed
-    the lookup, a chaos-wrapped pool would report no pool gauges at all.
-    """
-
-    def test_pool_stats_and_counters_pass_through(self):
-        inner = ParallelExecutor(n_workers=3)  # no submit: no processes
-        chaos = ChaosExecutor(inner, ChaosPolicy())
-        assert chaos.capacity == 3
-        assert chaos.pool_stats() == inner.pool_stats()
-        assert (chaos.joins, chaos.leaves, chaos.respawns) == (0, 0, 0)
-
-    def test_missing_attributes_still_raise(self):
-        chaos = ChaosExecutor(SerialExecutor(), ChaosPolicy())
-        with pytest.raises(AttributeError):
-            chaos.no_such_member
-        with pytest.raises(AttributeError):
-            chaos._private_lookup  # never forwarded: keeps pickling safe
+    assert math.isfinite(result.best_score) and result.best_score > FAILURE_SCORE
+    degraded = {
+        (t.key, t.budget_fraction) for t in result.trials if t.result.score == FAILURE_SCORE
+    }
+    assert len(degraded) == stats.failures == 0
+    observed = {
+        "retries": stats.retries,
+        "timeouts": stats.timeouts,
+        "respawns": getattr(runner, "respawns", 0),
+    }
+    assert observed[counter] == 1, observed
+    assert elapsed < 30.0, "a scheduled hang outlived the watchdog"

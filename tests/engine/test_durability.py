@@ -2,9 +2,10 @@
 
 ``os.replace`` makes the rename atomic but does not make the new
 directory entry durable — power loss can still reorder it away.  Both
-durable writers (registry job records, checkpoint spills) therefore
-fsync the parent directory right after the rename; these tests pin that
-call without needing to actually cut the power.  The last test pins the
+durable writers (registry job records, checkpoint spills) publish through
+``atomic_publish``, which fsyncs the parent directory right after the
+rename; these tests pin that call without needing to actually cut the
+power.  The last test pins the
 whole rung-commit order the same way: segment data fsync, rename,
 directory fsync, and only then the journal's write and fsync.
 """
@@ -14,7 +15,7 @@ import os
 import numpy as np
 import pytest
 
-import repro.engine.checkpoint as checkpoint_mod
+import repro.engine.durability as durability_mod
 import repro.serve.registry as registry_mod
 from repro.engine import SerialExecutor, TrialEngine, TrialRequest
 from repro.engine.checkpoint import CheckpointStore, FoldCheckpoint
@@ -33,15 +34,14 @@ class TestFsyncDir:
 
 @pytest.fixture
 def dirsyncs(monkeypatch):
-    """Record every fsync_dir call made by the module under test."""
+    """Record every fsync_dir call ``atomic_publish`` makes."""
     calls = []
 
     def record(path):
         calls.append(str(path))
         return True
 
-    monkeypatch.setattr(registry_mod, "fsync_dir", record)
-    monkeypatch.setattr(checkpoint_mod, "fsync_dir", record)
+    monkeypatch.setattr(durability_mod, "fsync_dir", record)
     return calls
 
 
@@ -56,6 +56,18 @@ def test_checkpoint_spill_syncs_the_spill_directory(tmp_path, dirsyncs):
     state = FoldCheckpoint(coefs=[np.ones((2, 2))], intercepts=[np.zeros(2)])
     store.put(("k",), 0.5, [state])
     assert dirsyncs == [str(tmp_path / "ckpt")]
+
+
+def test_a_publish_that_fails_before_its_rename_leaves_the_old_file(tmp_path, arm_fault):
+    target = tmp_path / "record.json"
+    target.write_bytes(b"old")
+    arm_fault("test.publish.pre_replace", "ioerror")
+    with pytest.raises(OSError):
+        durability_mod.atomic_publish(target, lambda handle: handle.write(b"new"), "test.publish")
+    assert target.read_bytes() == b"old"
+    assert [path.name for path in tmp_path.iterdir()] == ["record.json"]  # no temp left
+    durability_mod.atomic_publish(target, lambda handle: handle.write(b"new"), "test.publish")
+    assert target.read_bytes() == b"new"
 
 
 def test_rung_commit_order_is_data_fsync_replace_dirsync_journal_fsync(tmp_path, monkeypatch):
@@ -88,7 +100,7 @@ def test_rung_commit_order_is_data_fsync_replace_dirsync_journal_fsync(tmp_path,
     monkeypatch.setattr(os, "fsync", fsync)
     monkeypatch.setattr(os, "replace", replace)
     monkeypatch.setattr(
-        checkpoint_mod, "fsync_dir", lambda path: events.append("dir fsync") or True
+        durability_mod, "fsync_dir", lambda path: events.append("dir fsync") or True
     )
 
     requests = [TrialRequest(config={"q": q}, budget_fraction=0.25) for q in range(4)]

@@ -1,7 +1,6 @@
 """Executor protocol: FIFO serial reference and the process-pool executor."""
 
 import multiprocessing
-import os
 
 import pytest
 
@@ -233,36 +232,23 @@ class TestSerialEqualsParallel:
         parallel = self._search(ParallelExecutor(n_workers=n_workers, start_method=start_method))
         assert parallel == serial
 
-    @pytest.mark.chaos
-    def test_worker_killed_mid_rung_on_a_fused_evaluator_still_equals_serial(self, tmp_path):
+    @pytest.mark.faults
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_worker_killed_mid_rung_on_a_fused_evaluator_still_equals_serial(
+        self, arm_fault, start_method
+    ):
         """The dead worker's share comes back failed; resubmitted verbatim it is
         re-dealt into different mega-batches, and the bits must not move."""
         import numpy as np
 
-        from repro.core import MLPModelFactory, SubsetCVEvaluator, vanilla_evaluator
+        from repro.core import MLPModelFactory, vanilla_evaluator
 
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("the dying evaluator is a local class: fork only")
-        marker = str(tmp_path / "died")
-
-        class DiesOnceMidRung(SubsetCVEvaluator):
-            """Kills the first pool worker that receives a fused share."""
-
-            def evaluate_many(self, specs):
-                if len(specs) > 1 and multiprocessing.parent_process() is not None:
-                    try:
-                        os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
-                    except FileExistsError:
-                        pass
-                    else:
-                        os._exit(1)
-                return super().evaluate_many(specs)
-
+        if start_method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"{start_method} start method unavailable on this platform")
         rng = np.random.default_rng(3)
         X = rng.normal(size=(120, 6))
         y = (X @ rng.normal(size=6) > 0).astype(int)
         evaluator = vanilla_evaluator(X, y, MLPModelFactory(task="classification", max_iter=5))
-        evaluator.__class__ = DiesOnceMidRung  # forked workers inherit it
         requests = {
             i: TrialRequest(
                 config={"learning_rate_init": 1e-3 * (1 + i % 3), "alpha": 1e-4},
@@ -290,7 +276,10 @@ class TestSerialEqualsParallel:
 
         reference, died = run(SerialExecutor())  # one rung-wide mega-batch
         assert died == 0
-        pool = ParallelExecutor(n_workers=2, start_method="fork")
+        # Each worker's first evaluator call is its fused share: the first
+        # worker to reach it dies, once, whichever start method made it.
+        arm_fault("executor.evaluate", "crash")
+        pool = ParallelExecutor(n_workers=2, start_method=start_method)
         wounded, died = run(pool)
         assert died in (3, 4) and pool.respawns == 1, "one worker's share died with it"
         assert wounded == reference

@@ -5,14 +5,20 @@ process), ride on :attr:`EvaluationResult.guard_events`, are counted into
 :class:`EngineStats` at settle/replay time, and are serialised into the
 run journal.  The guard policy is part of the journal's run identity, so
 resuming under a different policy refuses instead of mixing scores.
+On hostile data (NaN cells, a constant feature, flipped labels, drift)
+and a planted diverging learner, ``guard_policy="repair"`` still crowns a
+sane incumbent, serial == parallel.
 """
+
+import math
 
 import numpy as np
 import pytest
 
-from repro.bandit import SuccessiveHalving
+from repro.bandit import BOHB, HyperBand, SuccessiveHalving
 from repro.bandit.base import EvaluationResult
-from repro.core import MLPModelFactory, vanilla_evaluator
+from repro.core import MLPModelFactory, grouped_evaluator, vanilla_evaluator
+from repro.datasets import make_drifting_classification
 from repro.engine import (
     JournalError,
     ParallelExecutor,
@@ -170,3 +176,71 @@ class TestGuardPolicyIdentity:
             run_search(engine, evaluator=tiny_guarded_evaluator(None))
         header, _, _ = RunJournal.read(path)
         assert header["metadata"]["guard"] == "off"
+
+
+def corrupted_blobs():
+    """Two Gaussian blobs, then 5 % NaN cells, one constant feature, 2 % label flips."""
+    rng = np.random.default_rng(5)
+    X = np.vstack([rng.normal(-1.0, 0.7, size=(80, 6)), rng.normal(1.0, 0.7, size=(80, 6))])
+    y = np.array([0] * 80 + [1] * 80)
+    order = rng.permutation(len(y))
+    X, y = X[order], y[order]
+    noise = np.random.default_rng(11)
+    X[:, 0] = 1.0
+    X[noise.random(X.shape) < 0.05] = np.nan
+    flip = noise.random(len(y)) < 0.02
+    y[flip] = 1 - y[flip]
+    return X, y
+
+
+def drifting_blobs():
+    """Class structure translated and rotated along the rows, 5 % NaN cells."""
+    return make_drifting_classification(
+        n_samples=160, n_features=6, drift=2.0, drift_rotation=1.0,
+        nan_cell_rate=0.05, random_state=5, class_sep=1.5,
+    )
+
+
+class TestHostileData:
+    """Real learners on hostile data, with ``learning_rate_init=1e6`` planted."""
+
+    @pytest.mark.parametrize(
+        "data, searcher",
+        [
+            (corrupted_blobs, SuccessiveHalving),
+            (corrupted_blobs, HyperBand),
+            (corrupted_blobs, BOHB),
+            (drifting_blobs, SuccessiveHalving),
+        ],
+        ids=["corrupted-sha+", "corrupted-hb+", "corrupted-bohb+", "drifting-sha+"],
+    )
+    def test_repair_keeps_a_sane_incumbent(self, tmp_path, data, searcher):
+        X, y = data()
+        factory = MLPModelFactory(task="classification", max_iter=8,
+                                  solver="sgd", hidden_layer_sizes=(8,))
+        evaluator = grouped_evaluator(X, y, factory, guard_policy="repair",
+                                      n_groups=2, min_subset=20, random_state=3)
+        space = SearchSpace([Categorical("learning_rate_init", [0.001, 0.01, 1e6])])
+
+        def run(engine):
+            result = searcher(space, evaluator, random_state=7, engine=engine).fit(
+                configurations=space.grid()
+            )
+            return result, engine.stats
+
+        path = tmp_path / "run.wal"
+        with TrialEngine(executor=SerialExecutor(), journal=str(path),
+                         retry_backoff=0.0) as engine:
+            serial, serial_stats = run(engine)
+        assert math.isfinite(serial.best_score)
+        assert serial.best_config["learning_rate_init"] != 1e6, "the diverging learner won"
+        assert serial_stats.guard_events > 0
+        assert any(event["kind"] == "learner.diverged"
+                   for t in serial.trials for event in t.result.guard_events)
+        _, entries, _ = RunJournal.read(path)
+        assert sum(len(e.result.guard_events) for e in entries) == serial_stats.guard_events
+
+        with TrialEngine(executor=ParallelExecutor(n_workers=2), retry_backoff=0.0) as engine:
+            parallel, parallel_stats = run(engine)
+        assert fingerprint(parallel) == fingerprint(serial)
+        assert parallel_stats.guard_events == serial_stats.guard_events

@@ -5,7 +5,7 @@ The engine's derived seeds make every trial a pure function of
 and re-executing the tail must reproduce the uninterrupted run's trials,
 scores and incumbent exactly.  These tests interrupt runs two ways:
 truncating the journal to a durable prefix (what any crash leaves behind)
-and, in the chaos tier, SIGKILL-ing a live process mid-search.
+and, in the ``faults`` tier, SIGKILL-ing a live process mid-search.
 """
 
 import itertools
@@ -328,7 +328,7 @@ _CHILD_SCRIPT = textwrap.dedent(
 )
 
 
-@pytest.mark.chaos
+@pytest.mark.faults
 class TestSigkillResume:
     def test_sigkilled_run_resumes_bitwise(self, tmp_path):
         reference, _ = _run("hb", "serial")

@@ -154,6 +154,16 @@ def hb_par_reference(base_dir):
     return census_workload("hb-par", base_dir)
 
 
+def _dead_owner_segments():
+    """Arena segments in ``/dev/shm`` whose owning process is gone."""
+    from repro.engine.arena import _owner_pid, _pid_alive, list_segments
+
+    return [
+        name for name in list_segments()
+        if _owner_pid(name) is not None and not _pid_alive(_owner_pid(name))
+    ]
+
+
 class TestArenaLattice:
     """The parallel workload adds the shared-memory data plane to the sweep."""
 
@@ -182,6 +192,10 @@ class TestArenaLattice:
                 keep_failed=False,
             )
             assert outcome.passed, f"{plan.describe()}: {outcome.detail}"
+            # The resume leg reaps what the crashed leg left in /dev/shm and
+            # unlinks its own segments on shutdown: no orphan survives.
+            leaked = _dead_owner_segments()
+            assert not leaked, f"{plan.describe()}: leaked arena segments {leaked}"
 
 
 class TestRungProtocolLattice:

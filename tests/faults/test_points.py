@@ -30,10 +30,12 @@ def _disarm_after():
     points.disarm()
 
 
-def _child(code, env_spec=None):
+def _child(code, env_spec=None, claims=None):
     env = {**os.environ, "PYTHONPATH": SRC_ROOT + os.pathsep + os.environ.get("PYTHONPATH", "")}
     env.pop(points.ENV_VAR, None)
     if env_spec is not None:
+        if claims is not None:  # a crashing child cannot remove a claims dir it made
+            env_spec = json.dumps({**json.loads(env_spec), "claims": str(claims)})
         env[points.ENV_VAR] = env_spec
     return subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
@@ -103,28 +105,28 @@ class TestActions:
             points.fault_point("a.b")
         assert excinfo.value.errno == errno.ENOSPC
 
-    def test_crash_exits_with_the_crash_code(self):
+    def test_crash_exits_with_the_crash_code(self, tmp_path):
         proc = _child(
             "from repro.faults.points import fault_point; fault_point('x.y')",
             env_spec=FaultSchedule.single("x.y", 0).to_env(),
+            claims=tmp_path,
         )
         assert proc.returncode == CRASH_EXIT_CODE
 
     def test_truncate_shears_the_handle_then_crashes(self, tmp_path):
         target = tmp_path / "data.bin"
         code = (
-            "import sys\n"
             "from repro.faults.points import fault_point\n"
-            "with open(sys.argv[1], 'w') as handle:\n"
+            f"with open({str(target)!r}, 'w') as handle:\n"
             "    handle.write('0123456789')\n"
             "    handle.flush()\n"
             "    fault_point('x.y', handle=handle)\n"
         )
-        env = {**os.environ,
-               "PYTHONPATH": SRC_ROOT + os.pathsep + os.environ.get("PYTHONPATH", ""),
-               points.ENV_VAR: FaultSchedule.single("x.y", 0, "truncate:3").to_env()}
-        proc = subprocess.run([sys.executable, "-c", code, str(target)], env=env,
-                              capture_output=True, text=True, timeout=60)
+        proc = _child(
+            code,
+            env_spec=FaultSchedule.single("x.y", 0, "truncate:3").to_env(),
+            claims=tmp_path,
+        )
         assert proc.returncode == CRASH_EXIT_CODE
         assert target.read_text() == "0123456"
 
@@ -148,6 +150,7 @@ class TestEnvArming:
         proc = _child(
             "from repro.faults.points import fault_point; fault_point('x.y')",
             env_spec=FaultSchedule.single("x.y", 0).to_env(census_path=str(census)),
+            claims=tmp_path,
         )
         assert proc.returncode == CRASH_EXIT_CODE
         assert not census.exists()
@@ -156,6 +159,34 @@ class TestEnvArming:
         proc = _child("import repro.faults.points", env_spec="{not json")
         assert proc.returncode != 0
         assert "REPRO_FAULTS" in proc.stderr
+
+
+class TestOncePerArming:
+    def test_arm_exports_the_spec_and_disarm_withdraws_it(self):
+        controller = points.arm(
+            points.FaultController(schedule=FaultSchedule.single("a.b", 0, "ioerror"))
+        )
+        spec = json.loads(os.environ[points.ENV_VAR])
+        assert spec["schedule"] == [{"site": "a.b", "hit": 0, "action": "ioerror"}]
+        assert spec["claims"] == controller._claims and os.path.isdir(spec["claims"])
+        points.disarm()
+        assert points.ENV_VAR not in os.environ
+        assert not os.path.exists(spec["claims"])
+
+    def test_a_trigger_fires_once_across_the_processes_it_reaches(self):
+        # Hit indices count per process: both children and this process
+        # reach a.b#0, but only the first child to claim it raises.
+        points.arm(points.FaultController(schedule=FaultSchedule.single("a.b", 0, "ioerror")))
+        pythonpath = SRC_ROOT + os.pathsep + os.environ.get("PYTHONPATH", "")
+        env = {**os.environ, "PYTHONPATH": pythonpath}  # carries the arming
+        code = "from repro.faults.points import fault_point; fault_point('a.b')"
+        exits = [
+            subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, timeout=60).returncode
+            for _ in range(2)
+        ]
+        assert exits == [1, 0]
+        points.fault_point("a.b")  # claimed already: passes through
 
 
 class TestTelemetryMirror:

@@ -1,16 +1,24 @@
-"""Live observability end to end: /metrics under load, stitched traces.
+"""Live observability end to end: /metrics under load, stitched traces,
+and the flight-recorder spill a SIGKILLed daemon leaves behind.
 
 Marked ``obs`` (excluded from tier-1): these tests bind real sockets and
 run real MLP evaluations.  Run with ``pytest -m obs``.
 """
 
+import os
+import signal
+import subprocess
+import sys
 import threading
+import time
 import urllib.request
+from pathlib import Path
 
 import pytest
 
 from repro.core import optimize
 from repro.engine import ParallelExecutor, TrialEngine
+from repro.obs import flightrec
 from repro.obs.prom import CONTENT_TYPE, parse_prometheus
 from repro.obs.tracectx import TraceContext
 from repro.serve import JobSpec, ServeClient, ServeDaemon
@@ -203,3 +211,52 @@ class TestStitchedTrace:
         labels = [e["args"]["name"] for e in merged["traceEvents"]
                   if e["name"] == "process_name"]
         assert all(f"trace {job_id}" in label for label in labels)
+
+
+class TestSigkillSpill:
+    def test_surviving_live_spill_names_the_in_flight_jobs(self, tmp_path):
+        """SIGKILL is uncatchable, so the daemon cannot dump on the way down:
+        the evidence is the append-only ``flightrec-<pid>-live.jsonl`` spill
+        the recorder writes at every sticky event (job dispatch).  A job the
+        client saw ``running`` must be a ``job.start`` event in it."""
+        root = tmp_path / "serve"
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--root", str(root),
+             "--port", "0", "--workers", "2"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        )
+        try:
+            line = ""
+            while "serving on " not in line:
+                line = proc.stdout.readline()
+                assert line or proc.poll() is None, "serve daemon failed to start"
+            url = line.split("serving on ", 1)[1].split()[0]
+            slow = dict(FAST, scale=0.5, max_iter=40)
+            with ServeClient(url) as client:
+                job_ids = [
+                    client.submit(tenant=tenant, **dict(slow, seed=seed))["job_id"]
+                    for tenant in ("acme", "globex") for seed in range(2)
+                ]
+                deadline = time.monotonic() + 60.0
+                running = set()
+                while not running:
+                    assert time.monotonic() < deadline, "no job ever started running"
+                    running = {job_id for job_id in job_ids
+                               if client.job(job_id)["state"] == "running"}
+                    time.sleep(0.02)
+            time.sleep(0.3)  # the spill is forced just after the flip to running
+            os.kill(proc.pid, signal.SIGKILL)
+        finally:
+            proc.kill()
+            proc.wait(timeout=30)
+            proc.stdout.close()
+
+        spills = sorted((root / "obs").glob("flightrec-*-live.jsonl"))
+        assert spills, f"no flight-recorder live spill under {root / 'obs'}"
+        payload = flightrec.load(spills[-1])
+        assert payload["schema_version"] == flightrec.FLIGHTREC_SCHEMA_VERSION
+        started = {event.get("job") for event in payload["events"]
+                   if event.get("kind") == "job.start"}
+        assert running & started, f"spill names {sorted(started)}, in flight {sorted(running)}"

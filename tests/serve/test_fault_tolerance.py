@@ -8,9 +8,10 @@ import http.client
 import json
 import time
 
+import errno
+
 import pytest
 
-import repro.serve.registry as registry_module
 from repro.engine.core import backoff_delay
 from repro.serve import Degraded, JobSpec, ServeClient, ServeDaemon, ServeError
 
@@ -58,15 +59,13 @@ class TestReadiness:
         assert excinfo.value.status == 503
         assert any("drain" in reason for reason in excinfo.value.payload["reasons"])
 
-    def test_not_ready_while_registry_unwritable(self, daemon, client, monkeypatch):
-        def enospc(*args, **kwargs):
-            raise OSError(28, "No space left on device")
-
-        monkeypatch.setattr(registry_module, "_atomic_write_json", enospc)
+    def test_not_ready_while_registry_unwritable(self, daemon, client, arm_fault):
+        arm_fault("registry.probe.pre_write", "enospc")  # readiness writes a probe
         with pytest.raises(ServeError) as excinfo:
             client.readyz()
         assert excinfo.value.status == 503
         assert any("registry" in reason for reason in excinfo.value.payload["reasons"])
+        assert client.readyz()["ready"] is True  # the next probe write succeeds
 
 
 class TestDedup:
@@ -114,28 +113,23 @@ class TestDedup:
 
 
 class TestDegradedMode:
-    def test_admit_sheds_while_unwritable_then_recovers(self, daemon, monkeypatch):
-        real_write = registry_module._atomic_write_json
-
-        def enospc(*args, **kwargs):
-            raise OSError(28, "No space left on device")
-
-        monkeypatch.setattr(registry_module, "_atomic_write_json", enospc)
-        with pytest.raises(Degraded):
+    def test_admit_sheds_while_unwritable_then_recovers(self, daemon, arm_fault):
+        arm_fault("registry.record.pre_write", "enospc")
+        with pytest.raises(Degraded) as excinfo:
             daemon.admit(JobSpec(tenant="alice", **FAST))
+        assert excinfo.value.__cause__.errno == errno.ENOSPC
         stats = daemon.stats()["fault_tolerance"]
         assert stats["degraded"] is True and stats["shed_jobs"] >= 1
+        # The shed job's spec sidecar went with it: a restart cannot revive it.
+        assert list(daemon.registry.jobs_dir.glob("*/spec.json")) == []
 
-        monkeypatch.setattr(registry_module, "_atomic_write_json", real_write)
+        # The trigger fired once: the next admission's probe write succeeds.
         record = daemon.admit(JobSpec(tenant="alice", **{**FAST, "seed": 9}))
         assert record.state == "queued"
         assert daemon.stats()["fault_tolerance"]["degraded"] is False
 
-    def test_degraded_submit_maps_to_429_with_retry_after(self, daemon, monkeypatch):
-        def enospc(*args, **kwargs):
-            raise OSError(28, "No space left on device")
-
-        monkeypatch.setattr(registry_module, "_atomic_write_json", enospc)
+    def test_degraded_submit_maps_to_429_with_retry_after(self, daemon, arm_fault):
+        arm_fault("registry.record.pre_write", "enospc")
         host, port = _host_port(daemon)
         conn = http.client.HTTPConnection(host, port, timeout=30)
         conn.request("POST", "/jobs", body=json.dumps(dict(tenant="a", **FAST)),

@@ -162,7 +162,8 @@ class TestEndToEndRecovery:
             "sys.exit(f'survived the kill: {record.state}')\n"
         )
         schedule = FaultSchedule.single("registry.record.pre_write", 2, "crash")
-        env = dict(os.environ, **{ENV_VAR: json.dumps({"schedule": schedule.to_payload()})})
+        arming = {"schedule": schedule.to_payload(), "claims": str(tmp_path)}
+        env = dict(os.environ, **{ENV_VAR: json.dumps(arming)})
         proc = subprocess.run(
             [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
         )

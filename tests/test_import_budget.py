@@ -3,7 +3,7 @@
 Every case runs in a subprocess and checks two things.  The *set* of
 heavy modules that must not have been imported — it repeats exactly, so
 it is the real gate: a module-level ``import scipy.stats`` (or an eager
-``from .chaos import ...`` in a package ``__init__``) anywhere on the
+``from .smac import ...`` in a lazy package ``__init__``) anywhere on the
 path fails here, whatever the machine.  And a generous wall bound on the
 import itself, the best of three tries, so a loaded box does not flake.
 
@@ -60,7 +60,7 @@ def best_wall(body: str, bound: float, tries: int = 3) -> float:
     "statement, bound, also_absent",
     [
         ("import repro", 0.6, {"numpy", "repro.engine", "repro.core", "repro.bandit"}),
-        ("import repro.engine", 0.5, {"repro.engine.chaos", "repro.core", "repro.learners"}),
+        ("import repro.engine", 0.5, {"repro.faults.explore", "repro.core", "repro.learners"}),
     ],
 )
 def test_import_is_light(statement, bound, also_absent):
@@ -100,7 +100,7 @@ def test_hb_plus_search_with_adam_needs_no_heavy_scipy():
     unused = {
         "repro.bandit.smac", "repro.bandit.tpe", "repro.bandit.dehb", "repro.bandit.pasha",
         "repro.learners.forest", "repro.learners.tree", "repro.experiments.run_all",
-        "repro.experiments.significance", "repro.engine.chaos",
+        "repro.experiments.significance", "repro.faults.explore",
     }  # fmt: skip
     assert not unused & report["modules"]
 

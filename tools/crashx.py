@@ -20,7 +20,7 @@ Usage::
     PYTHONPATH=src python tools/crashx.py --workload toy       # quick check
     PYTHONPATH=src python tools/crashx.py --max-hits-per-site 2  # bounded (CI)
     PYTHONPATH=src python tools/crashx.py --pairwise 40 \\
-        --jobs 2 --out CRASHX_report.json                      # full artifact
+        --jobs 2 --out CRASHX_report.json                      # full report
 
 Exit code 0 iff every explored schedule passes.
 """
@@ -131,11 +131,13 @@ def main(argv=None) -> int:
                 continue
             sites = args.site
             if name == "hb-par" and sites is None:
-                # hb-par's census includes sites hit inside forked worker
-                # processes (executor.worker.*, executor.pre_megabatch); a
-                # crash scheduled there re-fires in every respawned worker
-                # at the same hit index — a crash loop, not a resumable
-                # schedule.  Sweep only the layers that live in the parent
+                # hb-par's census includes sites hit inside pool workers
+                # (executor.worker.*, executor.evaluate).  A crash there
+                # kills a worker, not the run: the engine retries its trials
+                # under a fresh attempt seed, so the result can never be
+                # bitwise the reference.  The degrade table
+                # (tests/engine/test_chaos.py) covers those sites under fork
+                # and spawn.  Sweep only the layers that live in the parent
                 # (the data plane, the rung's transport and its durable
                 # commit) by default; --site overrides.
                 sites = [s for s in reference.sites if s.startswith(HB_PAR_PARENT_LAYERS)]
