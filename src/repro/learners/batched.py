@@ -31,18 +31,24 @@ size and step schedule — and every stacked array in a lane is exactly
 shaped, never padded.  k-fold training splits differ by at most one row,
 so a trial typically yields one or two lanes; mismatched folds (e.g. a
 fold missing a class) fall into their own lane and degenerate to the
-sequential reference.  Per-fold *control flow* (loss curves, early
-stopping, the adaptive learning-rate schedule, divergence rollback)
-stays in Python with per-fold scalars, exactly mirroring
-``_BaseMLP._fit_stochastic``; a fold that stops is compacted out of the
-lane and the survivors keep training.
+sequential reference.  Per-fold *control flow* is a mask-based control
+plane: the accumulated loss, best loss, ``tol``, patience and
+no-improvement count are ``(A,)`` arrays, and the divergence,
+improvement and stall tests are elementwise comparisons — the IEEE
+operations ``_BaseMLP._fit_stochastic`` performs on Python floats, so
+each fold decides exactly as it would alone.  Epoch losses collect in
+one ``(max_iter, A)`` buffer and reach a fold's ``loss_curve_`` (as
+Python floats) once, when it finishes.  Python runs per fold only for
+its shuffle, the early-stopping validation score, the adaptive
+schedule's reaction to a stall and finalisation; a fold that stops is
+compacted out of the lane and the survivors keep training.
 
 The tensor arithmetic itself is not re-implemented here: a lane step is
 one call to :func:`repro.learners.mlp._loss_and_gradients`, the same
 rank-generic forward / head-loss / backward core that ``.fit`` runs on
 2-D operands for ``sgd``, ``adam`` and the L-BFGS objective.  This
 module owns only what stacking adds: lane formation, the ``(A, 1, 1)``
-per-fold factor columns and the per-fold control flow.
+per-fold factor columns and the control plane.
 
 One entry point, any width
 --------------------------
@@ -65,8 +71,9 @@ Only the stochastic solvers (``sgd`` / ``adam``) are batchable; L-BFGS
 is full-batch scipy and keeps the per-fold loop.  A lane of one fold
 gains nothing from stacking and finishes through the model's own
 ``_fit_stochastic`` (:func:`_run_lane`): routing it through a width-1
-``_fit_lane`` instead is bitwise-equal but measured 5-12 % slower
-(docs/PERFORMANCE.md), so both training loops stay, chosen by lane
+``_fit_lane`` instead is bitwise-equal but measured 8-20 % slower — the
+vector control plane's fixed per-epoch cost buys nothing at width one
+(docs/PERFORMANCE.md) — so both training loops stay, chosen by lane
 width.
 """
 
@@ -488,34 +495,6 @@ class _LaneAdam:
         return False
 
 
-class _FoldState:
-    """Per-fold bookkeeping that must stay scalar (and Python-exact).
-
-    Carries the fold's own stopping hyperparameters (``tol``,
-    ``n_iter_no_change``): they feed pure-Python comparisons, so folds
-    from trials with different values share a lane without ever mixing.
-    """
-
-    __slots__ = (
-        "plan",
-        "tol",
-        "n_iter_no_change",
-        "best_loss",
-        "best_val_score",
-        "best_params",
-        "no_improvement",
-    )
-
-    def __init__(self, plan: _FoldPlan) -> None:
-        self.plan = plan
-        self.tol = plan.model.tol
-        self.n_iter_no_change = plan.model.n_iter_no_change
-        self.best_loss = np.inf
-        self.best_val_score = -np.inf
-        self.best_params: Optional[Tuple[List[np.ndarray], List[np.ndarray]]] = None
-        self.no_improvement = 0
-
-
 # -- the lane trainer ---------------------------------------------------------
 
 
@@ -523,13 +502,18 @@ def _fit_lane(members: List[_FoldPlan]) -> None:
     """Train one lane of identically-shaped folds in lockstep.
 
     Mirrors ``_BaseMLP._fit_stochastic`` per fold while running every
-    tensor operation on ``(A, ...)`` stacks.  Folds that finish (early
-    stop, divergence, schedule collapse) are finalised and compacted out;
-    the loop ends when the lane is empty or ``max_iter`` is reached.
+    tensor operation on ``(A, ...)`` stacks and every per-fold test —
+    divergence, improvement, patience — as a mask over ``(A,)`` control
+    arrays.  Per-fold Python is left to each fold's shuffle, the
+    early-stopping validation score, the adaptive schedule's reaction to
+    a stall and a fold that finishes (divergence, early stop, schedule
+    collapse): it is finalised and compacted out, and the loop ends when
+    the lane is empty or ``max_iter`` is reached.
     """
     reference = members[0].model
     early_stopping = reference.early_stopping
-    shuffle = reference.shuffle
+    adaptive = reference.learning_rate == "adaptive"
+    models = [plan.model for plan in members]
 
     # Validation split per fold, consuming each fold's rng exactly as the
     # sequential path does.  Lane membership guarantees equal sizes.
@@ -556,14 +540,12 @@ def _fit_lane(members: List[_FoldPlan]) -> None:
     yv = np.stack(val_y) if has_val else None
 
     n_layers = len(reference.coefs_)
-    coefs = [np.stack([p.model.coefs_[l] for p in members]) for l in range(n_layers)]
+    coefs = [np.stack([model.coefs_[l] for model in models]) for l in range(n_layers)]
     # Intercepts ride as (A, 1, d) so they broadcast over the row axis.
     intercepts = [
-        np.stack([p.model.intercepts_[l] for p in members])[:, None, :] for l in range(n_layers)
+        np.stack([model.intercepts_[l] for model in models])[:, None, :] for l in range(n_layers)
     ]
     params = [*coefs, *intercepts]
-    grads = [np.empty_like(p) for p in params]
-    width = len(members)
     if reference.solver == "sgd":
         optimizer = _LaneSGD(params, members)
     else:
@@ -571,27 +553,39 @@ def _fit_lane(members: List[_FoldPlan]) -> None:
 
     n_samples = Xs.shape[1]
     batch_size = reference._resolve_batch_size(n_samples)
-    states = [_FoldState(plan) for plan in members]
-    for state in states:
-        state.plan.model.n_iter_ = 0
-
     kernel = reference._kernel()
-    alphas = [plan.model.alpha for plan in members]
+    samples = np.arange(n_samples)
+
+    # The control plane: one entry per live slot, ``columns`` mapping
+    # slots to members.  The tests below are the Python-float comparisons
+    # of ``_fit_stochastic`` done elementwise, so each slot decides
+    # exactly as its fold would alone; epoch losses land in ``curve``
+    # (one column per member) and reach ``loss_curve_`` when a fold ends.
+    width = len(members)
+    columns = np.arange(width)
+    rngs = [plan.rng for plan in members]
+    alphas = np.array([model.alpha for model in models], dtype=float)
+    tol = np.array([model.tol for model in models], dtype=float)
+    patience = np.array([model.n_iter_no_change for model in models], dtype=float)
+    best_loss = np.full(width, np.inf)
+    best_val_score = np.full(width, -np.inf)
+    no_improvement = np.zeros(width, dtype=int)
+    best_params: List[Optional[Tuple[List[np.ndarray], List[np.ndarray]]]] = [None] * width
+    curve = np.empty((reference.max_iter, width))
     ridges: Dict[int, Any] = {}  # batch rows -> alpha / rows factor; reset on compaction
-    adaptive = reference.learning_rate == "adaptive"
+    grads, snapshot, orders, lane_rows = _lane_buffers(params, samples, reference.shuffle)
 
-    lane_rows = np.arange(width)[:, None]
-
-    for _ in range(reference.max_iter):
-        if not states:
-            break
-        width = len(states)
-        epoch_start = [p.copy() for p in params]
-        if shuffle:
-            orders = np.stack([state.plan.rng.permutation(n_samples) for state in states])
-        else:
-            orders = np.broadcast_to(np.arange(n_samples), (width, n_samples))
-        accumulated = [0.0] * width
+    for epoch in range(reference.max_iter):
+        # The epoch's entry state produced a finite loss (or is the
+        # initialisation), so it is the divergence rollback target.
+        for saved, param in zip(snapshot, params):
+            np.copyto(saved, param)
+        if reference.shuffle:
+            # ``Generator.permutation(n)`` is ``arange(n)`` then ``shuffle``.
+            orders[...] = samples
+            for rng, order in zip(rngs, orders):
+                rng.shuffle(order)
+        accumulated = np.zeros(width)
 
         for start in range(0, n_samples, batch_size):
             idx = orders[:, start : start + batch_size]
@@ -601,62 +595,66 @@ def _fit_lane(members: List[_FoldPlan]) -> None:
 
             ridge = ridges.get(batch_n)
             if ridge is None:
-                ridge = ridges[batch_n] = _per_fold_factor([a / batch_n for a in alphas])
+                ridge = ridges[batch_n] = _per_fold_factor((alphas / batch_n).tolist())
             losses = _loss_and_gradients(Xb, yb, coefs, intercepts, alphas, ridge, kernel, grads)
-            for i in range(width):
-                accumulated[i] += losses[i] * batch_n
+            accumulated += losses * batch_n
             optimizer.update(grads)
 
-        val_out = _forward_pass(Xv, coefs, intercepts, kernel)[-1] if has_val else None
+        epoch_loss = accumulated / n_samples
+        curve[epoch, columns] = epoch_loss
+        # Losses are non-negative, so "non-finite or above the cap" is
+        # "not at most the cap" (NaN compares false).
+        diverged = ~(epoch_loss <= DIVERGENCE_LOSS_CAP)
 
-        finished: List[int] = []
-        for i, state in enumerate(states):
-            model = state.plan.model
-            epoch_loss = accumulated[i] / n_samples
-            model.loss_curve_.append(epoch_loss)
-            model.n_iter_ += 1
+        if early_stopping and has_val:
+            val_out = _forward_pass(Xv, coefs, intercepts, kernel)[-1]
+            scores = np.full(width, -np.inf)
+            for i in np.flatnonzero(~diverged):
+                model = models[columns[i]]
+                scores[i] = score = _validation_score_slice(model, val_out[i], yv[i])
+                model.validation_scores_.append(score)
+            improved = scores > best_val_score + tol
+            best_val_score = np.where(improved, scores, best_val_score)
+            for i in np.flatnonzero(improved):
+                best_params[columns[i]] = _fold_parameters(coefs, intercepts, i)
+        else:
+            improved = epoch_loss < best_loss - tol
+            best_loss = np.where(improved, epoch_loss, best_loss)
+        no_improvement += 1
+        no_improvement[improved] = 0
 
-            if not np.isfinite(epoch_loss) or epoch_loss > DIVERGENCE_LOSS_CAP:
-                model.diverged_ = True
-                model.coefs_, model.intercepts_ = _fold_parameters(
-                    epoch_start[:n_layers], epoch_start[n_layers:], i
-                )
-                model.loss_ = float("inf")
-                finished.append(i)
-                continue
+        # A diverged slot finishes whatever its other masks say, so they
+        # need not exclude it.
+        finished = diverged
+        stalled = no_improvement >= patience
+        if stalled.any():
+            no_improvement[stalled] = 0
+            if adaptive and not early_stopping:
+                # The schedule reacts to a stall; the fold stops only
+                # once it has collapsed.
+                for i in np.flatnonzero(stalled):
+                    optimizer.notify_no_improvement(i)
+                    stalled[i] = optimizer.should_stop(i)
+            finished = diverged | stalled
 
-            if early_stopping and has_val:
-                val_score = _validation_score_slice(model, val_out[i], yv[i])
-                model.validation_scores_.append(val_score)
-                if val_score > state.best_val_score + state.tol:
-                    state.best_val_score = val_score
-                    state.best_params = _fold_parameters(coefs, intercepts, i)
-                    state.no_improvement = 0
+        if finished.any():
+            for i in np.flatnonzero(finished):
+                column = columns[i]
+                if diverged[i]:
+                    models[column].diverged_ = True
+                    parameters = _fold_parameters(snapshot[:n_layers], snapshot[n_layers:], i)
                 else:
-                    state.no_improvement += 1
-            else:
-                if epoch_loss < state.best_loss - state.tol:
-                    state.best_loss = epoch_loss
-                    state.no_improvement = 0
-                else:
-                    state.no_improvement += 1
-
-            if state.no_improvement >= state.n_iter_no_change:
-                optimizer.notify_no_improvement(i)
-                state.no_improvement = 0
-                if optimizer.should_stop(i) or early_stopping or not adaptive:
-                    finished.append(i)
-
-        if finished:
-            finished_set = set(finished)
-            for i in finished:
-                if not states[i].plan.model.diverged_:
-                    _finalize_fold(states[i], coefs, intercepts, i)
-            keep = [i for i in range(len(states)) if i not in finished_set]
-            if not keep:
+                    parameters = best_params[column] or _fold_parameters(coefs, intercepts, i)
+                _finish_fold(models[column], parameters, curve[: epoch + 1, column])
+            keep = np.flatnonzero(~finished)
+            if not keep.size:
                 return
-            states = [states[i] for i in keep]
-            alphas = [alphas[i] for i in keep]
+            width = keep.size
+            columns = columns[keep]
+            rngs = [rngs[i] for i in keep]
+            alphas, tol, patience = alphas[keep], tol[keep], patience[keep]
+            best_loss, best_val_score = best_loss[keep], best_val_score[keep]
+            no_improvement = no_improvement[keep]
             Xs = Xs[keep]
             ys = ys[keep]
             if has_val:
@@ -665,14 +663,26 @@ def _fit_lane(members: List[_FoldPlan]) -> None:
             coefs = [c[keep] for c in coefs]
             intercepts = [b[keep] for b in intercepts]
             params = [*coefs, *intercepts]
-            grads = [np.empty_like(p) for p in params]
+            grads, snapshot, orders, lane_rows = _lane_buffers(params, samples, reference.shuffle)
             ridges.clear()
             optimizer.params = params
-            optimizer.compact(keep)
-            lane_rows = np.arange(len(states))[:, None]
+            optimizer.compact(keep.tolist())
 
-    for i, state in enumerate(states):
-        _finalize_fold(state, coefs, intercepts, i)
+    for i, column in enumerate(columns):
+        parameters = best_params[column] or _fold_parameters(coefs, intercepts, i)
+        _finish_fold(models[column], parameters, curve[:, column])
+
+
+def _lane_buffers(params: List[np.ndarray], samples: np.ndarray, shuffle: bool):
+    """Per-compaction scratch: gradients, rollback snapshot, epoch orders, row index."""
+    width = params[0].shape[0]
+    grads = [np.empty_like(p) for p in params]
+    snapshot = [np.empty_like(p) for p in params]
+    if shuffle:
+        orders = np.empty((width, samples.size), dtype=samples.dtype)
+    else:
+        orders = np.broadcast_to(samples, (width, samples.size))
+    return grads, snapshot, orders, np.arange(width)[:, None]
 
 
 def _fold_parameters(
@@ -682,16 +692,14 @@ def _fold_parameters(
     return [c[position].copy() for c in coefs], [b[position, 0].copy() for b in intercepts]
 
 
-def _finalize_fold(
-    state: _FoldState, coefs: List[np.ndarray], intercepts: List[np.ndarray], position: int
+def _finish_fold(
+    model, parameters: Tuple[List[np.ndarray], List[np.ndarray]], losses: np.ndarray
 ) -> None:
-    """Write the trained lane slice back onto the fold's estimator."""
-    model = state.plan.model
-    if state.best_params is not None:
-        model.coefs_, model.intercepts_ = state.best_params
-    else:
-        model.coefs_, model.intercepts_ = _fold_parameters(coefs, intercepts, position)
-    model.loss_ = model.loss_curve_[-1] if model.loss_curve_ else np.inf
+    """Write a finished fold back: parameters, loss curve as Python floats, ``n_iter_``, ``loss_``."""
+    model.coefs_, model.intercepts_ = parameters
+    model.loss_curve_ = losses.tolist()
+    model.n_iter_ = len(model.loss_curve_)
+    model.loss_ = float("inf") if model.diverged_ else model.loss_curve_[-1]
 
 
 def _validation_score_slice(model, proba: np.ndarray, y_val: np.ndarray) -> float:

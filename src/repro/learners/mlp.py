@@ -78,12 +78,14 @@ def _forward_pass(X, coefs, intercepts, kernel) -> List[np.ndarray]:
     return activations
 
 
-def _loss_and_gradients(X, y, coefs, intercepts, alphas, ridge, kernel, grads) -> List[float]:
+def _loss_and_gradients(X, y, coefs, intercepts, alphas, ridge, kernel, grads) -> np.ndarray:
     """Regularised mean loss per fold; gradients are written into ``grads``.
 
-    ``alphas`` holds one L2 strength per fold and ``ridge`` is
-    ``alpha / n`` as a scalar or per-fold column; ``grads`` lists one
-    buffer per coefficient tensor, then one per intercept.  For all three
+    ``alphas`` is the L2 strength — a float for a 2-D fold, an ``(A,)``
+    array for a stack — and ``ridge`` is ``alpha / n`` as a scalar or
+    per-fold column; ``grads`` lists one buffer per coefficient tensor,
+    then one per intercept.  The loss comes back in the same form: a 0-d
+    value for a 2-D fold, one ``(A,)`` array for a stack.  For all three
     heads (softmax + CE, logistic + BCE, identity + half-MSE) the output
     delta collapses to ``(prediction - target) / n``.
     """
@@ -103,13 +105,14 @@ def _loss_and_gradients(X, y, coefs, intercepts, alphas, ridge, kernel, grads) -
         if head == "logistic":
             per_sample += (1.0 - y) * np.log(1.0 - prob)
         data = -per_sample.sum(axis=(-2, -1)) / n_samples
-    # L2 penalty on weights only (biases excluded), as in scikit-learn;
-    # finished in Python floats so every path rounds identically.
-    squares = [(coef**2).sum(axis=(-2, -1)).reshape(-1).tolist() for coef in coefs]
-    losses = [
-        loss + (alpha / (2.0 * n_samples)) * sum(fold_squares)
-        for loss, alpha, fold_squares in zip(data.reshape(-1).tolist(), alphas, zip(*squares))
-    ]
+    # L2 penalty on weights only (biases excluded), as in scikit-learn.
+    # The per-layer squares are added in layer order: per fold that is
+    # the IEEE sum ``0 + s0 + s1 + ...`` (squares are never ``-0.0``), so
+    # a stack and a 2-D fold round identically.
+    squares = (coefs[0] ** 2).sum(axis=(-2, -1))
+    for coef in coefs[1:]:
+        squares = squares + (coef**2).sum(axis=(-2, -1))
+    losses = data + (alphas / (2.0 * n_samples)) * squares
 
     n_layers = len(coefs)
     delta /= n_samples
@@ -294,10 +297,10 @@ class _BaseMLP(BaseEstimator):
         if grads is None:
             grads = [np.empty_like(p) for p in (*self.coefs_, *self.intercepts_)]
         ridge = self.alpha / X.shape[0]
-        (loss,) = _loss_and_gradients(
-            X, y, self.coefs_, self.intercepts_, (self.alpha,), ridge, kernel or self._kernel(), grads
+        loss = _loss_and_gradients(
+            X, y, self.coefs_, self.intercepts_, self.alpha, ridge, kernel or self._kernel(), grads
         )
-        return loss, grads[:n_coefs], grads[n_coefs:]
+        return float(loss), grads[:n_coefs], grads[n_coefs:]
 
     # -- fitting ----------------------------------------------------------
 

@@ -172,7 +172,7 @@ def _check_core_matches_oracle(activation, head, width, hidden, n_rows, n_featur
     n_layers = len(units) - 1
     coefs = [np.stack([fold[0][l] for fold in folds]) for l in range(n_layers)]
     intercepts = [np.stack([fold[1][l] for fold in folds])[:, None, :] for l in range(n_layers)]
-    alphas = [fold[4] for fold in folds]
+    alphas = np.array([fold[4] for fold in folds])
     grads = [np.empty_like(p) for p in (*coefs, *intercepts)]
     losses = _loss_and_gradients(
         np.stack([fold[2] for fold in folds]),

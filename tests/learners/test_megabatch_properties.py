@@ -7,9 +7,9 @@ of per-trial numeric hyperparameters sharing one architecture (the case
 lanes fuse across trials), warm-started lanes, and arbitrary partitions
 of a rung's trials into separate mega-batches — the exact regrouping a
 different worker count, or a dead worker's re-dealt share, induces.  They run in the ``kernels`` tier
-(``pytest -m kernels``), outside tier-1 — except a bounded draw of the
-``.fit`` == ``fit_mlp_trials`` property (L-BFGS included), which tier-1
-keeps.
+(``pytest -m kernels``), outside tier-1 — except bounded draws of the
+``.fit`` == ``fit_mlp_trials`` property (L-BFGS included) and of the
+mixed-stopping lane property, which tier-1 keeps.
 """
 
 import numpy as np
@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.learners import MLPClassifier, MLPRegressor
 from repro.learners.batched import fit_mlp_trials
 
+from ._reference_kernel import assert_same_bits
 from .test_batched import assert_models_identical, make_data
 
 HIDDEN = st.sampled_from([(4,), (8,), (6, 4)])
@@ -234,3 +235,109 @@ class TestMidRungResize:
             if chunk:
                 fit_mlp_trials(chunk)
         _assert_trials_identical(parts, whole, "partitioned vs single mega-batch")
+
+
+# -- folds that stop at different epochs inside one lane ----------------------
+#
+# ``tol``, ``n_iter_no_change`` and ``learning_rate_init`` are per-fold
+# values the lane carries in its control arrays, so trials that differ in
+# them share one lane and their folds finish — stall out, collapse the
+# adaptive schedule, early-stop or diverge — at different epochs, each
+# compacting out while the rest train on.
+
+SCHEDULE_SOLVERS = st.sampled_from(
+    [("adam", "constant"), ("sgd", "constant"), ("sgd", "adaptive")]
+)
+STOPPING_CASE = dict(
+    cls=st.sampled_from([MLPClassifier, MLPRegressor]),
+    solver_schedule=SCHEDULE_SOLVERS,
+    early_stopping=st.booleans(),
+    tols=st.lists(st.sampled_from([0.0, 1e-4, 1e-2, 10.0]), min_size=2, max_size=4),
+    patiences=st.lists(st.integers(min_value=1, max_value=5), min_size=4, max_size=4),
+    lr_inits=st.lists(st.sampled_from([1e-3, 1e-2, 5e-2, 50.0]), min_size=4, max_size=4),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+
+
+def _check_mixed_stopping_lane(
+    cls, solver_schedule, early_stopping, tols, patiences, lr_inits, seed
+):
+    """One lane of trials that differ only in stopping knobs and step size.
+
+    Returns the lane's per-fold ``n_iter_`` values, so callers can check
+    that folds really did leave the lane at different epochs.
+    """
+    solver, schedule = solver_schedule
+    kwargs = [
+        dict(
+            hidden_layer_sizes=(6,),
+            solver=solver,
+            learning_rate=schedule,
+            early_stopping=early_stopping,
+            tol=tol,
+            n_iter_no_change=patience,
+            learning_rate_init=lr_init,
+            max_iter=15,
+        )
+        for tol, patience, lr_init in zip(tols, patiences, lr_inits)
+    ]
+    task = "reg" if cls is MLPRegressor else "bin"
+    seq, mega = _build_jobs(cls, task, kwargs, 3, n=90, d=5, k=2, seed=seed, copies=2)
+    for jobs in seq:
+        for model, Xf, yf in jobs:
+            model.fit(Xf, yf)
+    _, stats = fit_mlp_trials(mega)
+    assert stats.lanes == 1 and stats.batched_folds == stats.folds
+    n_iters = []
+    for t, (jobs_seq, jobs_mega) in enumerate(zip(seq, mega)):
+        for f, ((a, _, _), (b, _, _)) in enumerate(zip(jobs_mega, jobs_seq)):
+            tag = f"trial {t} fold {f}"
+            for ca, cb in zip(a.coefs_, b.coefs_):
+                assert_same_bits(ca, cb, f"{tag}: coefs")
+            for ia, ib in zip(a.intercepts_, b.intercepts_):
+                assert_same_bits(ia, ib, f"{tag}: intercepts")
+            assert_same_bits(a.loss_curve_, b.loss_curve_, f"{tag}: loss curve")
+            assert all(type(v) is float for v in a.loss_curve_), f"{tag}: loss curve types"
+            assert all(type(v) is float for v in b.loss_curve_), f"{tag}: .fit loss curve types"
+            assert a.validation_scores_ == b.validation_scores_, f"{tag}: validation scores"
+            assert a.n_iter_ == b.n_iter_, f"{tag}: n_iter"
+            assert a.diverged_ == b.diverged_, f"{tag}: diverged flag"
+            assert_same_bits(a.loss_, b.loss_, f"{tag}: loss")
+            n_iters.append(a.n_iter_)
+    return n_iters
+
+
+class TestMixedStoppingLaneBounded:
+    @given(**STOPPING_CASE)
+    @settings(max_examples=10, deadline=None)
+    def test_lane_equals_sequential_fit(self, **case):
+        _check_mixed_stopping_lane(**case)
+
+    @pytest.mark.parametrize(
+        "cls, solver_schedule, tols, patiences, lr_inits, n_exits",
+        [
+            # A stall-prone, a patient, a divergent and a slow trial: the
+            # lane compacts at three different epochs, then runs out.
+            (MLPRegressor, ("sgd", "constant"), [10.0, 10.0, 0.0, 1e-4], [1, 4, 5, 2],
+             [1e-2, 1e-2, 50.0, 1e-3], 3),
+            # The adaptive schedule: one trial collapses its rate and
+            # stops, one decays every third epoch and trains on.
+            (MLPClassifier, ("sgd", "adaptive"), [10.0, 10.0, 0.0], [1, 3, 3],
+             [1e-2, 5e-2, 1e-3], 2),
+        ],
+    )
+    def test_folds_leave_the_lane_at_different_epochs(
+        self, cls, solver_schedule, tols, patiences, lr_inits, n_exits
+    ):
+        n_iters = _check_mixed_stopping_lane(
+            cls, solver_schedule, False, tols, patiences, lr_inits, seed=3
+        )
+        assert len(set(n_iters)) >= n_exits
+
+
+@pytest.mark.kernels
+class TestMixedStoppingLaneSweep:
+    @given(**STOPPING_CASE)
+    @settings(max_examples=150, deadline=None)
+    def test_lane_equals_sequential_fit(self, **case):
+        _check_mixed_stopping_lane(**case)

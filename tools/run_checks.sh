@@ -13,8 +13,12 @@
 #      RunJournal.append or ParallelExecutor.submit, fails here before
 #      the benchmark does)
 #   3. kernels tier (exhaustive fit-kernel property sweeps: lean kernel
-#      vs the test oracle, batched vs sequential; kernel *speed* is
-#      bench/'s learners.probe.rung_*_ms and sha_fused_wide, not a gate here)
+#      vs the test oracle, batched vs sequential, and the mixed-stopping
+#      lane sweep — trials differing in tol / n_iter_no_change /
+#      learning_rate_init whose folds stall, early-stop, collapse the
+#      adaptive schedule or diverge at different epochs, compacting out
+#      of one lane, bitwise-equal to .fit; kernel *speed* is bench/'s
+#      learners.probe.rung_*_ms and sha_fused_wide, not a gate here)
 #   4. telemetry tier (trace-file tests; tracing overhead is bench/'s
 #      telemetry.emit_ms on serve_two_tenant)
 #   5. serve tier (service-daemon end-to-end tests, incl. the idle
