@@ -38,10 +38,14 @@ improvement and stall tests are elementwise comparisons — the IEEE
 operations ``_BaseMLP._fit_stochastic`` performs on Python floats, so
 each fold decides exactly as it would alone.  Epoch losses collect in
 one ``(max_iter, A)`` buffer and reach a fold's ``loss_curve_`` (as
-Python floats) once, when it finishes.  Python runs per fold only for
-its shuffle, the early-stopping validation score, the adaptive
+Python floats) once, when it finishes.  Each fold's shuffle orders are
+drawn eight epochs per generator call into one ``(A, 8, n)`` block
+(:func:`repro.learners.mlp._epoch_orders`, the same draw ``.fit``
+makes), so Python runs per fold once per block for the orders and
+otherwise only for the early-stopping validation score, the adaptive
 schedule's reaction to a stall and finalisation; a fold that stops is
-compacted out of the lane and the survivors keep training.
+compacted out of the lane, its rows of the order block with it, and
+the survivors keep training.
 
 The tensor arithmetic itself is not re-implemented here: a lane step is
 one call to :func:`repro.learners.mlp._loss_and_gradients`, the same
@@ -86,8 +90,10 @@ import numpy as np
 from .base import check_X_y
 from .losses import squared_loss
 from .mlp import (
+    _EPOCH_BLOCK,
     DIVERGENCE_LOSS_CAP,
     _BaseMLP,
+    _epoch_orders,
     _forward_pass,
     _loss_and_gradients,
     resolve_initial_parameters,
@@ -504,7 +510,8 @@ def _fit_lane(members: List[_FoldPlan]) -> None:
     Mirrors ``_BaseMLP._fit_stochastic`` per fold while running every
     tensor operation on ``(A, ...)`` stacks and every per-fold test —
     divergence, improvement, patience — as a mask over ``(A,)`` control
-    arrays.  Per-fold Python is left to each fold's shuffle, the
+    arrays.  Per-fold Python is left to each fold's block of epoch
+    orders (one generator call per ``_EPOCH_BLOCK`` epochs), the
     early-stopping validation score, the adaptive schedule's reaction to
     a stall and a fold that finishes (divergence, early stop, schedule
     collapse): it is finalised and compacted out, and the loop ends when
@@ -571,20 +578,27 @@ def _fit_lane(members: List[_FoldPlan]) -> None:
     best_val_score = np.full(width, -np.inf)
     no_improvement = np.zeros(width, dtype=int)
     best_params: List[Optional[Tuple[List[np.ndarray], List[np.ndarray]]]] = [None] * width
-    curve = np.empty((reference.max_iter, width))
+    max_iter = reference.max_iter
+    curve = np.empty((max_iter, width))
     ridges: Dict[int, Any] = {}  # batch rows -> alpha / rows factor; reset on compaction
-    grads, snapshot, orders, lane_rows = _lane_buffers(params, samples, reference.shuffle)
+    grads, snapshot, lane_rows = _lane_buffers(params)
+    if reference.shuffle:
+        # Epoch orders, refilled with one generator call per fold every
+        # ``_EPOCH_BLOCK`` epochs; the block compacts with the lane, so
+        # survivors keep the orders their generators already drew.
+        block = np.empty((width, min(_EPOCH_BLOCK, max_iter), n_samples), dtype=np.intp)
 
-    for epoch in range(reference.max_iter):
+    for epoch in range(max_iter):
         # The epoch's entry state produced a finite loss (or is the
         # initialisation), so it is the divergence rollback target.
         for saved, param in zip(snapshot, params):
             np.copyto(saved, param)
         if reference.shuffle:
-            # ``Generator.permutation(n)`` is ``arange(n)`` then ``shuffle``.
-            orders[...] = samples
-            for rng, order in zip(rngs, orders):
-                rng.shuffle(order)
+            if epoch % _EPOCH_BLOCK == 0:
+                _epoch_orders(rngs, block[:, : max_iter - epoch])
+            orders = block[:, epoch % _EPOCH_BLOCK]
+        else:
+            orders = np.broadcast_to(samples, (width, n_samples))
         accumulated = np.zeros(width)
 
         for start in range(0, n_samples, batch_size):
@@ -652,6 +666,8 @@ def _fit_lane(members: List[_FoldPlan]) -> None:
             width = keep.size
             columns = columns[keep]
             rngs = [rngs[i] for i in keep]
+            if reference.shuffle:
+                block = block[keep]
             alphas, tol, patience = alphas[keep], tol[keep], patience[keep]
             best_loss, best_val_score = best_loss[keep], best_val_score[keep]
             no_improvement = no_improvement[keep]
@@ -663,7 +679,7 @@ def _fit_lane(members: List[_FoldPlan]) -> None:
             coefs = [c[keep] for c in coefs]
             intercepts = [b[keep] for b in intercepts]
             params = [*coefs, *intercepts]
-            grads, snapshot, orders, lane_rows = _lane_buffers(params, samples, reference.shuffle)
+            grads, snapshot, lane_rows = _lane_buffers(params)
             ridges.clear()
             optimizer.params = params
             optimizer.compact(keep.tolist())
@@ -673,16 +689,11 @@ def _fit_lane(members: List[_FoldPlan]) -> None:
         _finish_fold(models[column], parameters, curve[:, column])
 
 
-def _lane_buffers(params: List[np.ndarray], samples: np.ndarray, shuffle: bool):
-    """Per-compaction scratch: gradients, rollback snapshot, epoch orders, row index."""
-    width = params[0].shape[0]
+def _lane_buffers(params: List[np.ndarray]):
+    """Per-compaction scratch: gradients, rollback snapshot, row index."""
     grads = [np.empty_like(p) for p in params]
     snapshot = [np.empty_like(p) for p in params]
-    if shuffle:
-        orders = np.empty((width, samples.size), dtype=samples.dtype)
-    else:
-        orders = np.broadcast_to(samples, (width, samples.size))
-    return grads, snapshot, orders, np.arange(width)[:, None]
+    return grads, snapshot, np.arange(params[0].shape[0])[:, None]
 
 
 def _fold_parameters(

@@ -51,6 +51,25 @@ DIVERGENCE_LOSS_CAP = 1e12
 #: detectable.
 _Z_CLIP = 1e8
 
+#: Epochs of shuffle orders a training loop draws per generator call.
+_EPOCH_BLOCK = 8
+
+
+def _epoch_orders(rngs: Sequence[np.random.Generator], block: np.ndarray) -> None:
+    """Refill ``block[i]``, ``(depth, n)`` intp, with fold ``i``'s next ``depth`` epoch orders.
+
+    Row ``e`` of ``Generator.permuted`` over ``arange(n)`` rows (``axis=1``)
+    is bitwise the ``e``-th successive ``rng.permutation(n)``, and the
+    generator ends in the same state, so one call per fold per block leaves
+    every fold's stream what one ``permutation`` per epoch made it.  After
+    the validation split a fit's generator draws nothing but these orders
+    and dies with the fit, so orders drawn past its last epoch are never
+    observed.  ``.fit`` and the lane trainer both draw through here.
+    """
+    block[...] = np.arange(block.shape[-1])
+    for rng, rows in zip(rngs, block):
+        rng.permuted(rows, axis=1, out=rows)
+
 
 # -- the fit kernel -----------------------------------------------------------
 #
@@ -419,6 +438,10 @@ class _BaseMLP(BaseEstimator):
         # The optimizer updates ``params`` in place, so ``coefs_`` /
         # ``intercepts_`` track it without re-binding.
         kernel, grads = self._kernel(), [np.empty_like(p) for p in params]
+        snapshot = [np.empty_like(p) for p in params]
+        order = np.arange(n_samples)
+        if self.shuffle:
+            orders = np.empty((1, min(_EPOCH_BLOCK, self.max_iter), n_samples), dtype=np.intp)
 
         best_loss = np.inf
         best_val_score = -np.inf
@@ -426,12 +449,17 @@ class _BaseMLP(BaseEstimator):
         no_improvement_count = 0
         self.n_iter_ = 0
 
-        for _ in range(self.max_iter):
+        for epoch in range(self.max_iter):
             # Snapshot the epoch's entry state: it produced a finite loss
             # (previous epoch passed the divergence check, and the Glorot
             # initialisation is finite), so it is the rollback target.
-            epoch_start_params = [p.copy() for p in optimizer.params]
-            order = rng.permutation(n_samples) if self.shuffle else np.arange(n_samples)
+            for saved, param in zip(snapshot, params):
+                np.copyto(saved, param)
+            if self.shuffle:
+                if epoch % _EPOCH_BLOCK == 0:
+                    # The last block is cut to the epochs left.
+                    _epoch_orders((rng,), orders[:, : self.max_iter - epoch])
+                order = orders[0, epoch % _EPOCH_BLOCK]
             accumulated_loss = 0.0
             for start in range(0, n_samples, batch_size):
                 batch = order[start : start + batch_size]
@@ -447,8 +475,8 @@ class _BaseMLP(BaseEstimator):
                 # Abort instead of burning the remaining epochs on garbage,
                 # and restore the last parameters known to behave.
                 self.diverged_ = True
-                self.coefs_ = epoch_start_params[:n_coefs]
-                self.intercepts_ = epoch_start_params[n_coefs:]
+                self.coefs_ = snapshot[:n_coefs]
+                self.intercepts_ = snapshot[n_coefs:]
                 self.loss_ = float("inf")
                 return
 

@@ -8,15 +8,26 @@ replaced.  This module is that replaced code — the mask-based
 the activations and head losses they called — copied without edits other
 than ``self.`` attributes becoming fields of :class:`ReferenceNet`.  It
 must never import the kernel under test; do not "tidy" it.
+
+:func:`reference_fit_stochastic` is the second oracle: the ``sgd`` /
+``adam`` training loop as it was when every epoch drew its order with
+one ``rng.permutation(n)``, copied verbatim (its divergence cap copied
+as a constant).  Assigned as an estimator's ``_fit_stochastic`` it pins
+the shuffle stream that ``.fit`` and the lane trainer now draw a block
+of epochs at a time; it drives the model's own ``_backprop``, which
+:class:`ReferenceNet` pins separately.
 """
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
+
+from repro.learners.solvers import make_optimizer
 
 _EPS = 1e-10
 _MAX_RESIDUAL = 1e150
 _Z_CLIP = 1e8
+DIVERGENCE_LOSS_CAP = 1e12
 
 
 def logistic(z: np.ndarray) -> np.ndarray:
@@ -135,6 +146,90 @@ class OracleKernelMixin:
             for buffer, grad in zip(grads, (*coef_grads, *intercept_grads)):
                 buffer[...] = grad
         return loss, coef_grads, intercept_grads
+
+
+def reference_fit_stochastic(self, X: np.ndarray, y: np.ndarray, rng: np.random.Generator) -> None:
+    if self.early_stopping and X.shape[0] > 1:
+        X_train, y_train, X_val, y_val = self._validation_split(X, y, rng)
+    else:
+        X_train, y_train, X_val, y_val = X, y, None, None
+
+    params = [*self.coefs_, *self.intercepts_]
+    optimizer = make_optimizer(
+        self.solver,
+        params,
+        learning_rate_init=self.learning_rate_init,
+        learning_rate=self.learning_rate,
+        momentum=self.momentum,
+        nesterov=self.nesterovs_momentum,
+        power_t=self.power_t,
+    )
+
+    n_samples = X_train.shape[0]
+    batch_size = self._resolve_batch_size(n_samples)
+    n_coefs = len(self.coefs_)
+    # The optimizer updates ``params`` in place, so ``coefs_`` /
+    # ``intercepts_`` track it without re-binding.
+    kernel, grads = self._kernel(), [np.empty_like(p) for p in params]
+
+    best_loss = np.inf
+    best_val_score = -np.inf
+    best_params: Optional[List[np.ndarray]] = None
+    no_improvement_count = 0
+    self.n_iter_ = 0
+
+    for _ in range(self.max_iter):
+        # Snapshot the epoch's entry state: it produced a finite loss
+        # (previous epoch passed the divergence check, and the Glorot
+        # initialisation is finite), so it is the rollback target.
+        epoch_start_params = [p.copy() for p in optimizer.params]
+        order = rng.permutation(n_samples) if self.shuffle else np.arange(n_samples)
+        accumulated_loss = 0.0
+        for start in range(0, n_samples, batch_size):
+            batch = order[start : start + batch_size]
+            loss, _, _ = self._backprop(X_train[batch], y_train[batch], kernel, grads)
+            accumulated_loss += loss * len(batch)
+            optimizer.update(grads)
+        epoch_loss = accumulated_loss / n_samples
+        self.loss_curve_.append(epoch_loss)
+        self.n_iter_ += 1
+
+        if not np.isfinite(epoch_loss) or epoch_loss > DIVERGENCE_LOSS_CAP:
+            # The learning rate (or data) blew the optimisation up.
+            # Abort instead of burning the remaining epochs on garbage,
+            # and restore the last parameters known to behave.
+            self.diverged_ = True
+            self.coefs_ = epoch_start_params[:n_coefs]
+            self.intercepts_ = epoch_start_params[n_coefs:]
+            self.loss_ = float("inf")
+            return
+
+        if self.early_stopping and X_val is not None:
+            val_score = self._validation_score(X_val, y_val)
+            self.validation_scores_.append(val_score)
+            if val_score > best_val_score + self.tol:
+                best_val_score = val_score
+                best_params = [p.copy() for p in optimizer.params]
+                no_improvement_count = 0
+            else:
+                no_improvement_count += 1
+        else:
+            if epoch_loss < best_loss - self.tol:
+                best_loss = epoch_loss
+                no_improvement_count = 0
+            else:
+                no_improvement_count += 1
+
+        if no_improvement_count >= self.n_iter_no_change:
+            optimizer.notify_no_improvement()
+            no_improvement_count = 0
+            if optimizer.should_stop() or self.early_stopping or self.learning_rate != "adaptive":
+                break
+
+    if best_params is not None:
+        self.coefs_ = best_params[:n_coefs]
+        self.intercepts_ = best_params[n_coefs:]
+    self.loss_ = self.loss_curve_[-1] if self.loss_curve_ else np.inf
 
 
 def assert_same_bits(actual, expected, tag: str = "") -> None:

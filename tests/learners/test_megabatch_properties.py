@@ -243,7 +243,10 @@ class TestMidRungResize:
 # values the lane carries in its control arrays, so trials that differ in
 # them share one lane and their folds finish — stall out, collapse the
 # adaptive schedule, early-stop or diverge — at different epochs, each
-# compacting out while the rest train on.
+# compacting out while the rest train on.  Epoch orders are drawn eight
+# epochs per generator call and the order block compacts with the lane,
+# so ``max_iter`` 9 and 17 with patiences up to 9 put exits before, at and
+# after a block boundary.
 
 SCHEDULE_SOLVERS = st.sampled_from(
     [("adam", "constant"), ("sgd", "constant"), ("sgd", "adaptive")]
@@ -253,14 +256,15 @@ STOPPING_CASE = dict(
     solver_schedule=SCHEDULE_SOLVERS,
     early_stopping=st.booleans(),
     tols=st.lists(st.sampled_from([0.0, 1e-4, 1e-2, 10.0]), min_size=2, max_size=4),
-    patiences=st.lists(st.integers(min_value=1, max_value=5), min_size=4, max_size=4),
+    patiences=st.lists(st.integers(min_value=1, max_value=9), min_size=4, max_size=4),
     lr_inits=st.lists(st.sampled_from([1e-3, 1e-2, 5e-2, 50.0]), min_size=4, max_size=4),
+    max_iter=st.sampled_from([9, 15, 17]),
     seed=st.integers(min_value=0, max_value=10_000),
 )
 
 
 def _check_mixed_stopping_lane(
-    cls, solver_schedule, early_stopping, tols, patiences, lr_inits, seed
+    cls, solver_schedule, early_stopping, tols, patiences, lr_inits, seed, max_iter=15
 ):
     """One lane of trials that differ only in stopping knobs and step size.
 
@@ -277,7 +281,7 @@ def _check_mixed_stopping_lane(
             tol=tol,
             n_iter_no_change=patience,
             learning_rate_init=lr_init,
-            max_iter=15,
+            max_iter=max_iter,
         )
         for tol, patience, lr_init in zip(tols, patiences, lr_inits)
     ]
@@ -333,6 +337,20 @@ class TestMixedStoppingLaneBounded:
             cls, solver_schedule, False, tols, patiences, lr_inits, seed=3
         )
         assert len(set(n_iters)) >= n_exits
+
+    @pytest.mark.parametrize("max_iter", [9, 17])
+    @pytest.mark.parametrize("solver_schedule", [("adam", "constant"), ("sgd", "constant")])
+    def test_folds_leave_before_at_and_after_a_block_boundary(self, solver_schedule, max_iter):
+        # tol 10 never improves after the first epoch, so a fold stops after
+        # exactly 1 + patience epochs: 4 (inside the first block), 8 (its
+        # last epoch) and 9 (one epoch into the second, so the survivors'
+        # orders come from the compacted block); tol 0 trains on.
+        n_iters = _check_mixed_stopping_lane(
+            MLPClassifier, solver_schedule, False, [10.0, 10.0, 10.0, 0.0], [3, 7, 8, 9],
+            [1e-2, 1e-2, 1e-2, 1e-3], seed=3, max_iter=max_iter,
+        )
+        assert n_iters[:9] == [4] * 3 + [8] * 3 + [9] * 3
+        assert min(n_iters[9:]) >= min(10, max_iter)
 
 
 @pytest.mark.kernels

@@ -13,11 +13,16 @@
 #      RunJournal.append or ParallelExecutor.submit, fails here before
 #      the benchmark does)
 #   3. kernels tier (exhaustive fit-kernel property sweeps: lean kernel
-#      vs the test oracle, batched vs sequential, and the mixed-stopping
+#      vs the test oracle, batched vs sequential, the mixed-stopping
 #      lane sweep — trials differing in tol / n_iter_no_change /
 #      learning_rate_init whose folds stall, early-stop, collapse the
-#      adaptive schedule or diverge at different epochs, compacting out
-#      of one lane, bitwise-equal to .fit; kernel *speed* is bench/'s
+#      adaptive schedule or diverge at different epochs, before, at and
+#      after an 8-epoch order-block boundary, compacting out of one
+#      lane, bitwise-equal to .fit — and the shuffle-stream oracle sweep:
+#      .fit and the lane, which draw epoch orders eight epochs per
+#      generator call, vs the per-epoch rng.permutation loop kept in
+#      tests/learners/_reference_kernel.py, plus numpy's permuted ==
+#      successive permutation contract; kernel *speed* is bench/'s
 #      learners.probe.rung_*_ms and sha_fused_wide, not a gate here)
 #   4. telemetry tier (trace-file tests; tracing overhead is bench/'s
 #      telemetry.emit_ms on serve_two_tenant)
