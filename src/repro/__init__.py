@@ -60,7 +60,7 @@ __getattr__, __dir__ = lazy_exports(
         ],
         ".results": ["load_result", "result_from_dict", "result_to_dict", "save_result"],
         ".space": ["Categorical", "Float", "Integer", "SearchSpace"],
-        ".telemetry": ["MetricsRegistry", "Telemetry", "TraceSink", "Tracer", "profiled"],
+        ".telemetry": ["MetricsRegistry", "Telemetry", "TraceSink", "Tracer"],
     },
 )
 
@@ -108,7 +108,6 @@ __all__ = [
     "Telemetry",
     "TraceSink",
     "Tracer",
-    "profiled",
     "beta_weight",
     "generate_groups",
     "grouped_evaluator",

@@ -14,7 +14,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..learners.base import BaseEstimator, check_array
-from ..telemetry.profiling import profiled
 
 __all__ = ["KMeans", "balanced_kmeans_labels"]
 
@@ -86,7 +85,6 @@ class KMeans(BaseEstimator):
         self.tol = tol
         self.random_state = random_state
 
-    @profiled("kmeans.fit")
     def fit(self, X: np.ndarray) -> "KMeans":
         """Cluster ``X``; sets ``cluster_centers_``, ``labels_``, ``inertia_``."""
         X = check_array(X)

@@ -40,7 +40,6 @@ from ..engine.arena import attach as arena_attach
 from ..engine.checkpoint import FoldCheckpoint, attach_checkpoints
 from ..guard import DataReport, GuardLog, validate_dataset
 from ..telemetry.collect import current_collector, install_collector
-from ..telemetry.profiling import profiled
 from ..learners.mlp import MLPClassifier, MLPRegressor
 from ..learners.batched import MegaBatchStats, batchable_model, fit_mlp_trials
 from ..metrics import accuracy_score, f1_score, r2_score
@@ -398,7 +397,7 @@ class SubsetCVEvaluator:
                 for plan, stats in zip(fused, per_trial_stats):
                     plan["batch_fitted"] = True
                     plan["fit_share"] = fit_elapsed * stats.folds / total_folds
-                    self._count_batch_stats(plan["collector"], stats, plan["fit_share"])
+                    self._count_batch_stats(plan["collector"], stats)
 
         results = []
         for plan in plans:
@@ -489,17 +488,13 @@ class SubsetCVEvaluator:
         return jobs, warm
 
     @staticmethod
-    def _count_batch_stats(collector, stats, fit_share: float) -> None:
+    def _count_batch_stats(collector, stats) -> None:
         """Fold one trial's lane-dispatch counters into its collector."""
         if collector is None:
             return
         collector.inc("evaluator.batched_folds", stats.batched_folds)
         if stats.warm_folds:
             collector.inc("evaluator.warm_folds", stats.warm_folds)
-        if collector.wants_profile:  # the row MLP.fit reports for un-fused folds
-            collector.inc("profile.mlp.fit.calls", stats.folds)
-            for _ in range(stats.folds):
-                collector.observe("profile.mlp.fit.s", fit_share / stats.folds)
 
     def _score_trial(
         self,
@@ -659,7 +654,6 @@ class SubsetCVEvaluator:
             return self.k_gen + self.k_spe
         return self.n_splits
 
-    @profiled("evaluator.draw_subset")
     def _draw_subset(self, n_subset: int, rng: np.random.Generator) -> np.ndarray:
         n_total = len(self.y)
         if n_subset >= n_total:

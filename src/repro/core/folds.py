@@ -23,7 +23,6 @@ from typing import Iterator, List, Optional, Tuple
 import numpy as np
 
 from ..guard.events import GuardLog
-from ..telemetry.profiling import profiled
 
 __all__ = ["GeneralSpecialFolds"]
 
@@ -164,7 +163,6 @@ class GeneralSpecialFolds:
         )
         return new_gen, new_spe
 
-    @profiled("folds.partition")
     def _partition(
         self,
         subset_indices: np.ndarray,

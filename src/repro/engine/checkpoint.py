@@ -14,7 +14,7 @@ the storage half of that idea:
   starting is combined with journal resume — replayed trials never
   execute, so only the spill can repopulate their checkpoints).  The
   spill's unit is the **segment**: one file per commit — a whole rung
-  from ``run_batch``, one entry for a lone :meth:`CheckpointStore.put`;
+  from ``run_batch``, one entry for a lone settled trial;
 - :func:`attach_checkpoints` / :func:`detach_checkpoints` — transport of
   captured fold states on an
   :class:`~repro.bandit.base.EvaluationResult`, mirroring the telemetry
@@ -267,22 +267,19 @@ class CheckpointStore:
         config_key: Tuple,
         budget_fraction: float,
         fold_states: List[Optional[FoldCheckpoint]],
-        batch: Optional[list] = None,
+        batch: list,
     ) -> None:
-        """Store one evaluation's per-fold states (write-through to spill).
+        """Stage one evaluation's per-fold states into ``batch``.
 
-        With ``batch`` (a list the caller owns; the engine always passes
-        one) the entry is only staged there, invisible to every reader
-        until :meth:`commit` publishes the whole batch as one segment.
+        ``batch`` is a list the caller owns; the entry is invisible to
+        every reader until :meth:`commit` publishes the whole batch as
+        one segment (write-through to the spill).
         """
         if not fold_states or all(state is None for state in fold_states):
             return
         fault_point("checkpoint.put.pre")
-        entry = ((_config_digest(config_key), _normalise_budget(budget_fraction)), fold_states)
-        if batch is None:
-            self.commit([entry])
-        else:
-            batch.append(entry)
+        key = (_config_digest(config_key), _normalise_budget(budget_fraction))
+        batch.append((key, fold_states))
 
     def commit(self, batch: list) -> bool:
         """Publish staged entries: one spill segment, then the memory map.

@@ -339,14 +339,13 @@ class RunJournal:
                     f"recorded {stored[key]!r}, run has {value!r}"
                 )
 
-    def append(self, outcome: TrialOutcome, batch: Optional[List[str]] = None) -> int:
-        """Log one executed terminal outcome (success or degraded).
+    def append(self, outcome: TrialOutcome, batch: List[str]) -> int:
+        """Stage one executed terminal outcome (success or degraded).
 
-        Without ``batch`` the record is durable on return.  With one (a
-        list the caller owns; the engine always passes one) its line is
-        only staged, and the caller must :meth:`commit` the batch *before*
-        releasing any staged outcome to the searcher — the write-ahead
-        ordering that makes every observed result recoverable.  Returns
+        The record's line goes into ``batch`` (a list the caller owns),
+        and the caller must :meth:`commit` the batch *before* releasing
+        any staged outcome to the searcher — the write-ahead ordering
+        that makes every observed result recoverable.  Returns
         the record's 1-based sequence number, which the telemetry layer
         stamps onto trial spans.
         """
@@ -354,10 +353,7 @@ class RunJournal:
             raise JournalError("journal not open; call open() before append()")
         line = json.dumps(_entry_to_dict(outcome), separators=(",", ":")) + "\n"
         self.last_seq += 1
-        if batch is None:
-            self.commit([line])
-        else:
-            batch.append(line)
+        batch.append(line)
         return self.last_seq
 
     def commit(self, lines: List[str]) -> None:

@@ -17,9 +17,9 @@ Workloads
     checkpoint, cache and engine fault point fires here, all in the main
     process, so any crash is resumable bitwise via journal replay.
 ``hb-par``
-    The same job through a 2-worker :class:`ParallelExecutor` with
-    ``transport="arena"``, prefixed by a shared-memory self-check in
-    the main process — adds the ``arena.*`` and ``executor.pool.*``
+    The same job through a 2-worker :class:`ParallelExecutor` (which
+    publishes the dataset into the shared-memory arena), prefixed by a
+    shared-memory self-check in the main process — adds the ``arena.*`` and ``executor.pool.*``
     fault points to the lattice while keeping every crash-swept arena
     site in the journaled parent.
 ``serve``
@@ -127,8 +127,8 @@ def _run_hb_par(run_dir: Path) -> Dict[str, Any]:
     """The ``hb`` job through a 2-worker pool on the shared-memory arena.
 
     Adds the data-plane lattice to the direct workload: the arena
-    self-check plus a :class:`~repro.engine.executors.ParallelExecutor`
-    with ``transport="arena"``, so ``arena.*`` and ``executor.pool.*``
+    self-check plus a :class:`~repro.engine.executors.ParallelExecutor`,
+    whose dataset publish makes ``arena.*`` and ``executor.pool.*``
     fault points fire in the journaled main process.  Resume over the
     same directory replays the journal bitwise, and a successor's
     publish reaps any segments a crashed leg leaked.
@@ -141,7 +141,7 @@ def _run_hb_par(run_dir: Path) -> Dict[str, Any]:
     _arena_self_check()
     spec = JobSpec(tenant="ref", seed=_HB_SEED, warm_start=True, **_JOB_BASE)
     engine = TrialEngine(
-        executor=ParallelExecutor(n_workers=2, transport="arena"),
+        executor=ParallelExecutor(n_workers=2),
         cache=True,
         journal=str(run_dir / "run.wal"),
         checkpoints=CheckpointStore(spill_dir=run_dir / "ckpt"),

@@ -23,7 +23,6 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..telemetry.profiling import profiled
 from .activations import get_activation, softmax
 from .base import BaseEstimator, check_X_y
 from .losses import _EPS, _MAX_RESIDUAL, squared_loss
@@ -323,7 +322,6 @@ class _BaseMLP(BaseEstimator):
 
     # -- fitting ----------------------------------------------------------
 
-    @profiled("mlp.fit")
     def fit(
         self,
         X: np.ndarray,

@@ -1,6 +1,5 @@
-"""Splitting and cross-validation substrate."""
+"""Splitting and subsampling substrate."""
 
-from .cross_validation import CrossValidationResult, cross_validate, fit_and_score
 from .splitters import (
     KFold,
     StratifiedKFold,
@@ -10,11 +9,8 @@ from .splitters import (
 )
 
 __all__ = [
-    "CrossValidationResult",
     "KFold",
     "StratifiedKFold",
-    "cross_validate",
-    "fit_and_score",
     "random_subsample",
     "stratified_subsample",
     "train_test_split",

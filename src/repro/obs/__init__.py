@@ -1,17 +1,14 @@
 """repro.obs — the operational observability plane.
 
-Three legs, one package:
+Two legs, one package:
 
 - :mod:`repro.obs.prom` — Prometheus-text rendering of the telemetry
   :class:`~repro.telemetry.metrics.MetricsRegistry` and of the serve
   daemon's live state (``GET /metrics``, ``repro obs snapshot``);
-- :mod:`repro.obs.tracectx` — :class:`TraceContext`, the cross-process
-  trace identity stitched through serve → engine → workers;
 - :mod:`repro.obs.flightrec` — the crash-dumping flight recorder ring.
 
 Everything is opt-in and bitwise-neutral on run outputs: the exporter
-only *reads* registries, contexts ride existing sidecars, and the
-flight recorder's hooks are ``None``-check no-ops until installed.
+only *reads* registries, and the flight recorder's hooks are ``None``-check no-ops until installed.
 """
 
 from .flightrec import (
@@ -33,7 +30,6 @@ from .prom import (
     render_registry,
     serve_families,
 )
-from .tracectx import TraceContext, current_context, mint, use_context
 
 __all__ = [
     "CONTENT_TYPE",
@@ -41,12 +37,9 @@ __all__ = [
     "FLIGHTREC_SCHEMA_VERSION",
     "Family",
     "FlightRecorder",
-    "TraceContext",
-    "current_context",
     "dump_now",
     "install",
     "installed",
-    "mint",
     "note",
     "parse_prometheus",
     "registry_families",
@@ -54,5 +47,4 @@ __all__ = [
     "render_registry",
     "serve_families",
     "uninstall",
-    "use_context",
 ]

@@ -42,7 +42,6 @@ from ..engine import TrialEngine
 from ..experiments import paper_search_space
 from ..faults.points import fault_point
 from ..obs import flightrec as _flightrec
-from ..obs.tracectx import TraceContext, use_context
 from ..results import result_to_dict, save_result
 from ..telemetry import Telemetry
 from .protocol import JobRecord, JobSpec, eval_context
@@ -157,9 +156,8 @@ def execute_job(
     incumbent summary and engine stats, ``cancelled`` or ``failed``
     otherwise.  Never raises: every exception becomes job state.
 
-    The job's trace (when ``spec.trace`` is on) is claimed by a
-    :class:`~repro.obs.tracectx.TraceContext` whose trace id *is* the job
-    id — deterministic, so a resumed job lands in the same logical trace
+    The job's trace (when ``spec.trace`` is on) carries the job id as its
+    header ``trace_id`` — deterministic, so a resumed job lands in the same logical trace
     — and opens with a ``serve.job`` root span the engine's run/bracket
     spans hang under.  ``live``, when given, is the daemon's live-job
     table (see :class:`~repro.serve.server.LiveJobs`): the job registers
@@ -180,11 +178,10 @@ def execute_job(
         if cancel_event is not None and cancel_event.is_set():
             raise JobCancelled(record.job_id)
 
-    trace_context = TraceContext(record.job_id)
     telemetry = Telemetry(
         trace=str(registry.trace_path(record.job_id)) if spec.trace else None,
         on_trial=_on_trial,
-        context=trace_context,
+        trace_id=record.job_id,
     )
     engine = TrialEngine(
         cache=shared.cache_for(context),
@@ -200,13 +197,10 @@ def execute_job(
     try:
         if cancel_event is not None and cancel_event.is_set():
             raise JobCancelled(record.job_id)
-        with use_context(trace_context):
-            with telemetry.span(
-                "serve.job", job_id=record.job_id, tenant=spec.tenant, method=spec.method
-            ):
-                outcome = optimize(
-                    **optimize_inputs(spec), engine=engine, telemetry=telemetry
-                )
+        with telemetry.span(
+            "serve.job", job_id=record.job_id, tenant=spec.tenant, method=spec.method
+        ):
+            outcome = optimize(**optimize_inputs(spec), engine=engine, telemetry=telemetry)
     except JobCancelled:
         state, fields = "cancelled", {"error": "cancelled by request"}
     except Exception as exc:  # job isolation: one bad job must not kill the daemon

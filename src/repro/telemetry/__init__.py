@@ -1,4 +1,4 @@
-"""Unified telemetry: run tracing, metrics registry and profiling hooks.
+"""Unified telemetry: run tracing and the metrics registry.
 
 The package is zero-dependency (stdlib only) and threads through every
 layer of the repo — engine, searchers, evaluator, journal, guard, faults,
@@ -9,7 +9,7 @@ CLI — behind a single :class:`Telemetry` facade:
 >>> outcome = optimize(..., telemetry=telemetry)      # doctest: +SKIP
 >>> telemetry.close()                                 # doctest: +SKIP
 
-Three cooperating pieces:
+Two cooperating pieces:
 
 - **Spans** (:mod:`.spans`): nested timed regions
   ``run > bracket > rung > trial > fold > fit`` streamed to a JSONL sink,
@@ -18,8 +18,6 @@ Three cooperating pieces:
 - **Metrics** (:mod:`.metrics`): counters/gauges/histograms that merge
   deterministically, so serial and parallel runs of the same seed produce
   identical counters.
-- **Profiling** (:mod:`.profiling`): the opt-in ``@profiled`` decorator on
-  hot paths (MLP fit, k-means, fold construction, subset sampling).
 
 Worker processes record into a per-trial collector (:mod:`.collect`)
 whose payload rides home on the evaluation result; the parent detaches
@@ -35,7 +33,6 @@ from pathlib import Path
 
 from .collect import (
     COLLECT_METRICS,
-    COLLECT_PROFILE,
     COLLECT_SPANS,
     TrialCollector,
     attach_payload,
@@ -44,9 +41,8 @@ from .collect import (
     install_collector,
 )
 from .export import merge_chrome_traces, to_chrome_trace
-from .formatting import format_count, format_overhead, format_percent, format_seconds
+from .formatting import format_percent, format_seconds
 from .metrics import METRICS_SCHEMA_VERSION, HistogramSummary, MetricsRegistry
-from .profiling import profiled
 from .spans import TRACE_VERSION, Span, TraceSink, Tracer
 
 __all__ = [
@@ -64,15 +60,11 @@ __all__ = [
     "attach_payload",
     "detach_payload",
     "COLLECT_SPANS",
-    "COLLECT_PROFILE",
     "COLLECT_METRICS",
-    "profiled",
     "to_chrome_trace",
     "merge_chrome_traces",
     "format_percent",
-    "format_overhead",
     "format_seconds",
-    "format_count",
 ]
 
 
@@ -87,15 +79,13 @@ class Telemetry:
     fsync:
         Force every trace record to stable storage (default off — see
         :class:`~repro.telemetry.spans.TraceSink`).
-    profile:
-        Enable ``@profiled`` hot-path timings (``profile.*`` metrics).
     on_trial:
         Optional callback ``f(telemetry, attrs)`` invoked after every
         trial is recorded — the CLI's live progress line hangs off this.
-    context:
-        Optional :class:`repro.obs.tracectx.TraceContext` stamped into
-        the trace file header, claiming every span in the file for one
-        cross-process trace (serve job id, CLI run digest).
+    trace_id:
+        Optional string stamped into the trace file header, claiming
+        every span in the file for one cross-process trace (the serve
+        daemon passes the job id).
     clock, cpu_clock:
         Injectable clocks for the tracer; the engine stamps trials with
         ``clock`` too.
@@ -113,19 +103,16 @@ class Telemetry:
         self,
         trace: Optional[Union[str, Path]] = None,
         fsync: bool = False,
-        profile: bool = False,
         on_trial: Optional[Callable[["Telemetry", Dict[str, Any]], None]] = None,
-        context: Optional[Any] = None,
+        trace_id: Optional[str] = None,
         clock: Callable[[], float] = time.monotonic,
         cpu_clock: Callable[[], float] = time.process_time,
     ) -> None:
-        self.context = context
         self.sink = (
-            TraceSink(trace, fsync=fsync, context=context) if trace is not None else None
+            TraceSink(trace, fsync=fsync, trace_id=trace_id) if trace is not None else None
         )
         self.tracer = Tracer(self.sink, clock=clock, cpu_clock=cpu_clock)
         self.registry = MetricsRegistry()
-        self.profile = profile
         self.on_trial = on_trial
         self.clock = clock
         self.trials_seen = 0
@@ -139,8 +126,6 @@ class Telemetry:
         flags = COLLECT_METRICS
         if self.tracer.enabled:
             flags |= COLLECT_SPANS
-        if self.profile:
-            flags |= COLLECT_PROFILE
         return flags
 
     def span(self, name: str, kind: Optional[str] = None, **attrs: Any):
@@ -204,6 +189,6 @@ class Telemetry:
     def __repr__(self) -> str:
         trace = self.sink.path if self.sink is not None else None
         return (
-            f"Telemetry(trace={str(trace)!r}, profile={self.profile}, "
+            f"Telemetry(trace={str(trace)!r}, "
             f"trials_seen={self.trials_seen}, metrics={len(self.registry)})"
         )

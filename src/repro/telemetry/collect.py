@@ -8,8 +8,8 @@ this:
 1. The executor gives each evaluation a :class:`TrialCollector`, which
    :func:`install_collector` makes discoverable via
    :func:`current_collector` around every phase touching that trial.
-2. Instrumented code (evaluator folds, ``@profiled`` functions)
-   records spans/counters/timings into that collector with no
+2. Instrumented code (the evaluator's folds and fits) records
+   spans/counters/timings into that collector with no
    knowledge of where it runs.
 3. The executor attaches :meth:`TrialCollector.payload` to the result via
    :func:`attach_payload`; the payload is a plain JSON-able dict that
@@ -33,7 +33,6 @@ from typing import Any, Callable, Dict, Iterator, List, Optional
 
 __all__ = [
     "COLLECT_SPANS",
-    "COLLECT_PROFILE",
     "COLLECT_METRICS",
     "TrialCollector",
     "current_collector",
@@ -44,8 +43,6 @@ __all__ = [
 
 #: Bit in the collection flags: record fold/fit spans.
 COLLECT_SPANS = 1
-#: Bit in the collection flags: record ``@profiled`` hot-path timings.
-COLLECT_PROFILE = 2
 #: Bit in the collection flags: install a collector at all (counters and
 #: fold-score timings).  Always set while a ``Telemetry`` object is active.
 COLLECT_METRICS = 4
@@ -65,7 +62,7 @@ class TrialCollector:
     Parameters
     ----------
     flags:
-        Bitmask of :data:`COLLECT_SPANS` / :data:`COLLECT_PROFILE`; a zero
+        Bitmask of :data:`COLLECT_SPANS` / :data:`COLLECT_METRICS`; a zero
         mask still collects counters (they are nearly free).
     clock, cpu_clock:
         Injectable clocks, as everywhere else in the repo.
@@ -98,10 +95,6 @@ class TrialCollector:
     @property
     def wants_spans(self) -> bool:
         return bool(self.flags & COLLECT_SPANS)
-
-    @property
-    def wants_profile(self) -> bool:
-        return bool(self.flags & COLLECT_PROFILE)
 
     # -- recording -------------------------------------------------------------
 

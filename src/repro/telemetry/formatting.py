@@ -1,6 +1,6 @@
 """Shared number formatting for CLI summaries and trace reports.
 
-One place to format rates, overheads and durations so the CLI's engine
+One place to format rates and durations so the CLI's engine
 summary and ``tools/trace_view.py`` print the same shapes — previously
 each call site interpolated raw floats with ad-hoc precision.
 """
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["format_percent", "format_overhead", "format_seconds", "format_count"]
+__all__ = ["format_percent", "format_seconds"]
 
 
 def format_percent(fraction: float, decimals: int = 1) -> str:
@@ -17,13 +17,6 @@ def format_percent(fraction: float, decimals: int = 1) -> str:
     if not math.isfinite(fraction):
         return "n/a"
     return f"{100.0 * fraction:.{decimals}f}%"
-
-
-def format_overhead(fraction: float, decimals: int = 1) -> str:
-    """A signed overhead fraction: ``0.038 -> '+3.8%'``, ``-0.002 -> '-0.2%'``."""
-    if not math.isfinite(fraction):
-        return "n/a"
-    return f"{100.0 * fraction:+.{decimals}f}%"
 
 
 def format_seconds(seconds: float) -> str:
@@ -40,8 +33,3 @@ def format_seconds(seconds: float) -> str:
         return f"{seconds:.2f}s"
     minutes, rest = divmod(seconds, 60.0)
     return f"{int(minutes)}m{rest:04.1f}s"
-
-
-def format_count(value: int) -> str:
-    """An integer with thousands separators: ``1234567 -> '1,234,567'``."""
-    return f"{int(value):,}"

@@ -21,7 +21,7 @@ temporal half).  Three design constraints shape it:
   observations, so a million-trial run costs the same as a ten-trial one.
 
 Metric names are dot-namespaced strings (``engine.cache_hits``,
-``trial.execute_s``, ``profile.mlp.fit``); the full vocabulary lives in
+``trial.execute_s``, ``fold.score_s``); the full vocabulary lives in
 ``docs/OBSERVABILITY.md``.
 """
 

@@ -89,11 +89,10 @@ class TraceSink:
         Force every record to stable storage (off by default — traces are
         observability, not the source of truth the run journal is; flip it
         on to trace the run that keeps crashing the machine).
-    context:
-        Optional :class:`repro.obs.tracectx.TraceContext` (or its
-        ``to_wire()`` dict).  Stamped into the header as ``trace_id`` /
-        ``parent_span``, which is how a whole file of spans is claimed by
-        one cross-process trace without per-span overhead.
+    trace_id:
+        Optional string stamped into the header as ``trace_id``, which is
+        how a whole file of spans is claimed by one cross-process trace
+        without per-span overhead.
 
     Notes
     -----
@@ -106,11 +105,11 @@ class TraceSink:
         self,
         path: Union[str, Path],
         fsync: bool = False,
-        context: Optional[Any] = None,
+        trace_id: Optional[str] = None,
     ) -> None:
         self.path = Path(path)
         self.fsync = fsync
-        self.context = context
+        self.trace_id = trace_id
         self._handle = None
         self.spans_written = 0
 
@@ -127,15 +126,8 @@ class TraceSink:
                 "created_unix": round(time.time(), 3),
                 "pid": os.getpid(),
             }
-            if self.context is not None:
-                wire = (
-                    self.context.to_wire()
-                    if hasattr(self.context, "to_wire")
-                    else dict(self.context)
-                )
-                header["trace_id"] = wire["trace_id"]
-                if wire.get("parent_span") is not None:
-                    header["parent_span"] = wire["parent_span"]
+            if self.trace_id is not None:
+                header["trace_id"] = self.trace_id
             self._write_line(header)
         if record.get("type") == "span":
             self.spans_written += 1
@@ -218,9 +210,6 @@ class Tracer:
     clock, cpu_clock:
         Injectable wall (monotonic) and CPU clocks; tests pass fakes to
         make span durations deterministic.
-    on_close:
-        Optional callback invoked with every closed span record — the
-        CLI's live progress line hangs off this.
 
     Notes
     -----
@@ -237,12 +226,10 @@ class Tracer:
         sink: Optional[TraceSink] = None,
         clock: Callable[[], float] = time.monotonic,
         cpu_clock: Callable[[], float] = time.process_time,
-        on_close: Optional[Callable[[Dict[str, Any]], None]] = None,
     ) -> None:
         self.sink = sink
         self.clock = clock
         self.cpu_clock = cpu_clock
-        self.on_close = on_close
         self._next_id = 1
         self._stack: List[int] = []
 
@@ -397,5 +384,3 @@ class Tracer:
             record["ann"] = annotations
         self.sink.write(record)
         _flightrec.note("span.close", name=name, span=span_id, dur=record["dur"])
-        if self.on_close is not None:
-            self.on_close(record)

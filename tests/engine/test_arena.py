@@ -202,20 +202,29 @@ class TestExecutorTransport:
                 pool = executor.pool_stats()
         return sorted(scores), pool
 
-    def test_arena_transport_matches_pickle_bitwise(self):
+    def test_default_pool_publishes_and_equals_serial(self):
         from repro.engine import ParallelExecutor, SerialExecutor
 
         serial, _ = self._run(SerialExecutor())
-        arena, pool_arena = self._run(ParallelExecutor(n_workers=2, transport="arena"))
-        pickled, pool_pickle = self._run(ParallelExecutor(n_workers=2, transport="pickle"))
-        assert arena == serial
-        assert pickled == serial
-        assert pool_arena["arena"] == 1
-        assert pool_pickle["arena"] == 0
+        pooled, pool = self._run(ParallelExecutor(n_workers=2))
+        assert pooled == serial
+        assert pool["arena"] == 1
         assert list_segments() == []  # shutdown unlinked everything
 
-    def test_invalid_transport_rejected(self):
+    def test_pickle_fallback_without_shared_memory_equals_serial(self, monkeypatch):
+        from repro.engine import ParallelExecutor, SerialExecutor
+        from repro.engine import executors
+
+        serial, _ = self._run(SerialExecutor())
+        monkeypatch.setattr(executors, "arena_available", lambda: False)
+        pooled, pool = self._run(ParallelExecutor(n_workers=2))
+        assert pooled == serial
+        assert pool["arena"] == 0
+        assert list_segments() == []
+
+    @pytest.mark.parametrize("transport", ["auto", "pickle", "carrier-pigeon"])
+    def test_only_arena_transport_accepted(self, transport):
         from repro.engine import ParallelExecutor
 
         with pytest.raises(ValueError):
-            ParallelExecutor(n_workers=2, transport="carrier-pigeon")
+            ParallelExecutor(n_workers=2, transport=transport)

@@ -33,6 +33,13 @@ def states(seed=0, n_folds=2):
     return [ckpt(seed + f) for f in range(n_folds)]
 
 
+def _store(store, key, budget, fold_states):
+    """Stage one entry and commit it as its own segment."""
+    batch = []
+    store.put(key, budget, fold_states, batch)
+    return store.commit(batch)
+
+
 def same_states(a, b):
     assert len(a) == len(b)
     for x, y in zip(a, b):
@@ -85,7 +92,7 @@ class TestStoreBasics:
     def test_put_get_exact_key(self):
         store = CheckpointStore()
         payload = states(0)
-        store.put(KEY_A, 0.25, payload)
+        _store(store, KEY_A, 0.25, payload)
         assert store.get(KEY_A, 0.25) is payload
         assert store.get(KEY_A, 0.5) is None
         assert store.get(KEY_B, 0.25) is None
@@ -93,13 +100,13 @@ class TestStoreBasics:
 
     def test_budget_normalisation_matches_cache(self):
         store = CheckpointStore()
-        store.put(KEY_A, 0.1, states(0))
+        _store(store, KEY_A, 0.1, states(0))
         assert store.get(KEY_A, 0.1 + 1e-15) is not None
 
     def test_all_none_states_are_not_stored(self):
         store = CheckpointStore()
-        store.put(KEY_A, 0.25, [None, None])
-        store.put(KEY_A, 0.25, [])
+        _store(store, KEY_A, 0.25, [None, None])
+        _store(store, KEY_A, 0.25, [])
         assert len(store) == 0 and store.stores == 0
 
     def test_not_durable_without_spill(self, tmp_path):
@@ -115,8 +122,8 @@ class TestBestSource:
     def test_largest_budget_strictly_below(self):
         store = CheckpointStore()
         low, mid = states(1), states(2)
-        store.put(KEY_A, 0.1, low)
-        store.put(KEY_A, 0.3, mid)
+        _store(store, KEY_A, 0.1, low)
+        _store(store, KEY_A, 0.3, mid)
         budget, got = store.best_source(KEY_A, 0.9)
         assert budget == 0.3 and got is mid
         budget, got = store.best_source(KEY_A, 0.3)  # strictly below: skips 0.3
@@ -126,9 +133,9 @@ class TestBestSource:
 
     def test_lru_eviction_without_spill_forgets_the_budget(self):
         store = CheckpointStore(max_entries=2)
-        store.put(KEY_A, 0.1, states(1))
-        store.put(KEY_A, 0.2, states(2))
-        store.put(KEY_A, 0.4, states(3))  # evicts 0.1
+        _store(store, KEY_A, 0.1, states(1))
+        _store(store, KEY_A, 0.2, states(2))
+        _store(store, KEY_A, 0.4, states(3))  # evicts 0.1
         assert len(store) == 2
         budget, _ = store.best_source(KEY_A, 0.3)
         assert budget == 0.2
@@ -137,9 +144,9 @@ class TestBestSource:
 
     def test_lru_eviction_with_spill_keeps_the_budget_loadable(self, tmp_path):
         store = CheckpointStore(max_entries=2, spill_dir=tmp_path / "ck")
-        store.put(KEY_A, 0.1, states(1))
-        store.put(KEY_A, 0.2, states(2))
-        store.put(KEY_A, 0.4, states(3))  # evicts 0.1 from memory only
+        _store(store, KEY_A, 0.1, states(1))
+        _store(store, KEY_A, 0.2, states(2))
+        _store(store, KEY_A, 0.4, states(3))  # evicts 0.1 from memory only
         budget, got = store.best_source(KEY_A, 0.15)
         assert budget == 0.1
         same_states(got, states(1))
@@ -150,8 +157,8 @@ class TestSpill:
     def test_fresh_store_rescans_spill_directory(self, tmp_path):
         spill = tmp_path / "ck"
         first = CheckpointStore(spill_dir=spill)
-        first.put(KEY_A, 0.25, states(7))
-        first.put(KEY_B, 0.5, states(8))
+        _store(first, KEY_A, 0.25, states(7))
+        _store(first, KEY_B, 0.5, states(8))
 
         second = CheckpointStore(spill_dir=spill)
         assert len(second) == 0  # nothing in memory yet
@@ -163,7 +170,7 @@ class TestSpill:
     def test_corrupt_spill_file_is_ignored(self, tmp_path):
         spill = tmp_path / "ck"
         store = CheckpointStore(spill_dir=spill)
-        store.put(KEY_A, 0.25, states(0))
+        _store(store, KEY_A, 0.25, states(0))
         path = next(spill.glob("*.seg"))
         path.write_bytes(b"not a pickle")
         fresh = CheckpointStore(spill_dir=spill)
@@ -171,7 +178,7 @@ class TestSpill:
 
     def test_entry_corrupted_after_indexing_is_ignored(self, tmp_path):
         spill = tmp_path / "ck"
-        CheckpointStore(spill_dir=spill).put(KEY_A, 0.25, states(0))
+        _store(CheckpointStore(spill_dir=spill), KEY_A, 0.25, states(0))
         fresh = CheckpointStore(spill_dir=spill)  # directory read, entry not yet
         path = next(spill.glob("*.seg"))
         path.write_bytes(path.read_bytes()[:-20])
@@ -189,14 +196,14 @@ class TestSpill:
 class TestClear:
     def test_clear_without_spill_drops_everything(self):
         store = CheckpointStore()
-        store.put(KEY_A, 0.25, states(0))
+        _store(store, KEY_A, 0.25, states(0))
         store.clear()
         assert len(store) == 0
         assert store.best_source(KEY_A, 0.9) is None
 
     def test_clear_with_spill_keeps_disk_entries_reachable(self, tmp_path):
         store = CheckpointStore(spill_dir=tmp_path / "ck")
-        store.put(KEY_A, 0.25, states(4))
+        _store(store, KEY_A, 0.25, states(4))
         store.clear()
         assert len(store) == 0
         budget, got = store.best_source(KEY_A, 0.9)
@@ -212,7 +219,7 @@ class TestSegments:
         store = CheckpointStore(spill_dir=spill)
         batch = []
         for seed in range(5):
-            store.put(KEY_A, 0.1 * (seed + 1), states(seed), batch=batch)
+            store.put(KEY_A, 0.1 * (seed + 1), states(seed), batch)
         # Staged only: no file, nothing in memory, no donor on offer.
         assert list(spill.iterdir()) == [] and len(store) == 0
         assert store.best_source(KEY_A, 0.9) is None
@@ -231,7 +238,7 @@ class TestSegments:
     def test_memory_only_store_commits_without_a_segment(self):
         store = CheckpointStore()
         batch = []
-        store.put(KEY_A, 0.25, states(1), batch=batch)
+        store.put(KEY_A, 0.25, states(1), batch)
         assert store.get(KEY_A, 0.25) is None
         assert store.commit(batch) is False
         same_states(store.get(KEY_A, 0.25), states(1))
@@ -240,8 +247,8 @@ class TestSegments:
         spill = tmp_path / "ck"
         for generation in range(3):  # each reopen models a resumed run
             store = CheckpointStore(spill_dir=spill)
-            store.put(KEY_A, 0.25, states(generation))
-            store.put(KEY_B, 0.5, states(10 + generation))
+            _store(store, KEY_A, 0.25, states(generation))
+            _store(store, KEY_B, 0.5, states(10 + generation))
         names = sorted(path.name for path in spill.glob("*.seg"))
         assert len(names) == 6
         assert [int(name.split("-")[0]) for name in names] == [1, 2, 3, 4, 5, 6]
@@ -252,8 +259,8 @@ class TestSegments:
     def test_two_stores_over_one_directory_never_collide(self, tmp_path):
         spill = tmp_path / "ck"
         first, second = CheckpointStore(spill_dir=spill), CheckpointStore(spill_dir=spill)
-        first.put(KEY_A, 0.25, states(1))
-        second.put(KEY_B, 0.25, states(2))  # same sequence number, distinct name
+        _store(first, KEY_A, 0.25, states(1))
+        _store(second, KEY_B, 0.25, states(2))  # same sequence number, distinct name
         assert len(list(spill.glob("*.seg"))) == 2
         fresh = CheckpointStore(spill_dir=spill)
         same_states(fresh.get(KEY_A, 0.25), states(1))
@@ -286,7 +293,7 @@ class TestLegacySpill:
     def test_segment_overrides_legacy_entry_of_the_same_key(self, tmp_path):
         spill = tmp_path / "ck"
         self._legacy_file(spill, KEY_A, 0.25, states(3))
-        CheckpointStore(spill_dir=spill).put(KEY_A, 0.25, states(4))
+        _store(CheckpointStore(spill_dir=spill), KEY_A, 0.25, states(4))
         same_states(CheckpointStore(spill_dir=spill).get(KEY_A, 0.25), states(4))
 
 
@@ -296,22 +303,22 @@ class TestAtomicSpill:
     def test_no_tmp_files_left_after_puts(self, tmp_path):
         store = CheckpointStore(spill_dir=tmp_path / "ck")
         for seed in range(5):
-            store.put(KEY_A, 0.1 * (seed + 1), states(seed))
+            _store(store, KEY_A, 0.1 * (seed + 1), states(seed))
         leftovers = list((tmp_path / "ck").glob("*.tmp"))
         assert leftovers == []
         assert len(list((tmp_path / "ck").glob("*.seg"))) == 5
 
     def test_overwrite_is_atomic_replace(self, tmp_path):
         store = CheckpointStore(spill_dir=tmp_path / "ck")
-        store.put(KEY_A, 0.25, states(1))
-        store.put(KEY_A, 0.25, states(2))  # same key+budget -> the later segment wins
+        _store(store, KEY_A, 0.25, states(1))
+        _store(store, KEY_A, 0.25, states(2))  # same key+budget -> the later segment wins
         fresh = CheckpointStore(spill_dir=tmp_path / "ck")
         _, got = fresh.best_source(KEY_A, 0.9)
         same_states(got, states(2))
 
     def test_interrupted_write_leaves_previous_spill_intact(self, tmp_path, monkeypatch):
         store = CheckpointStore(spill_dir=tmp_path / "ck")
-        store.put(KEY_A, 0.25, states(7))
+        _store(store, KEY_A, 0.25, states(7))
         import os
 
         def exploding_fsync(fd):
@@ -319,7 +326,7 @@ class TestAtomicSpill:
 
         monkeypatch.setattr(os, "fsync", exploding_fsync)
         with pytest.raises(RuntimeError):
-            store.put(KEY_A, 0.25, states(8))
+            _store(store, KEY_A, 0.25, states(8))
         monkeypatch.undo()
         assert list((tmp_path / "ck").glob("*.tmp")) == []
         fresh = CheckpointStore(spill_dir=tmp_path / "ck")
@@ -336,7 +343,7 @@ class TestAtomicSpill:
             try:
                 for i in range(10):
                     key = ((f"w{tid}", i),)
-                    store.put(key, 0.5, states(tid * 100 + i))
+                    _store(store, key, 0.5, states(tid * 100 + i))
                     assert store.best_source(key, 0.9) is not None
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
@@ -369,7 +376,7 @@ class TestSpillFailure:
 
     def test_put_survives_enospc_and_serves_from_memory(self, tmp_path, monkeypatch):
         store = self._failing_store(tmp_path, monkeypatch)
-        store.put((("a", 1),), 0.5, states(1))
+        _store(store, (("a", 1),), 0.5, states(1))
         assert store.spill_errors == 1
         same_states(store.get((("a", 1),), 0.5), states(1))
         # the spill index holds no phantom path for the failed write
@@ -377,8 +384,8 @@ class TestSpillFailure:
 
     def test_best_source_skips_dangling_budget(self, tmp_path, monkeypatch):
         store = self._failing_store(tmp_path, monkeypatch)
-        store.put((("a", 1),), 0.25, states(1))
-        store.put((("a", 1),), 0.5, states(2))
+        _store(store, (("a", 1),), 0.25, states(1))
+        _store(store, (("a", 1),), 0.5, states(2))
         budget, got = store.best_source((("a", 1),), 0.9)
         assert budget == 0.5
         same_states(got, states(2))
@@ -394,10 +401,10 @@ class TestSpillFailure:
             original(self, batch)
 
         monkeypatch.setattr(CheckpointStore, "_write_segment", flaky)
-        store.put((("a", 1),), 0.25, states(1))
+        _store(store, (("a", 1),), 0.25, states(1))
         assert store.spill_errors == 1
         broken["on"] = False
-        store.put((("a", 1),), 0.5, states(2))
+        _store(store, (("a", 1),), 0.5, states(2))
         fresh = CheckpointStore(spill_dir=tmp_path / "ck")
         budget, got = fresh.best_source((("a", 1),), 0.9)
         assert budget == 0.5  # only the post-recovery entry is durable

@@ -54,7 +54,9 @@ def test_registry_record_write_syncs_its_directory(tmp_path, dirsyncs):
 def test_checkpoint_spill_syncs_the_spill_directory(tmp_path, dirsyncs):
     store = CheckpointStore(spill_dir=tmp_path / "ckpt")
     state = FoldCheckpoint(coefs=[np.ones((2, 2))], intercepts=[np.zeros(2)])
-    store.put(("k",), 0.5, [state])
+    batch = []
+    store.put(("k",), 0.5, [state], batch)
+    store.commit(batch)
     assert dirsyncs == [str(tmp_path / "ckpt")]
 
 

@@ -31,14 +31,22 @@ def _outcome(config, budget=0.5, trial_id=0, seed=7, attempt=0, attempts=1,
                         failed=failed, error=error)
 
 
+def _log(journal, *outcomes):
+    """Stage ``outcomes`` as one batch and commit it; returns their sequence numbers."""
+    batch = []
+    seqs = [journal.append(outcome, batch) for outcome in outcomes]
+    journal.commit(batch)
+    return seqs
+
+
 class TestRoundTrip:
     def test_header_then_entries(self, tmp_path):
         path = tmp_path / "run.wal"
         with RunJournal(path) as journal:
             assert journal.open(root_seed=3, metadata={"searcher": "HB"}) == []
-            journal.append(_outcome({"q": 1}, trial_id=0))
-            journal.append(_outcome({"q": 2}, trial_id=1, failed=True,
-                                    error="RuntimeError: boom", score=-1e30))
+            _log(journal, _outcome({"q": 1}, trial_id=0))
+            _log(journal, _outcome({"q": 2}, trial_id=1, failed=True,
+                                   error="RuntimeError: boom", score=-1e30))
         header, entries, dropped = RunJournal.read(path)
         assert header["version"] == JOURNAL_VERSION
         assert header["root_seed"] == 3
@@ -53,7 +61,7 @@ class TestRoundTrip:
         path = tmp_path / "run.wal"
         with RunJournal(path) as journal:
             journal.open(root_seed=0)
-            journal.append(_outcome({"hidden_layer_sizes": (16, 8), "alpha": 1e-4}))
+            _log(journal, _outcome({"hidden_layer_sizes": (16, 8), "alpha": 1e-4}))
         _, entries, _ = RunJournal.read(path)
         assert entries[0].config == {"hidden_layer_sizes": (16, 8), "alpha": 1e-4}
         assert isinstance(entries[0].config["hidden_layer_sizes"], tuple)
@@ -62,11 +70,11 @@ class TestRoundTrip:
         path = tmp_path / "run.wal"
         with RunJournal(path) as journal:
             journal.open(root_seed=0)
-            journal.append(_outcome({"q": 1}))
+            _log(journal, _outcome({"q": 1}))
         with RunJournal(path) as journal:
             replayed = journal.open(root_seed=0)
             assert [e.config for e in replayed] == [{"q": 1}]
-            journal.append(_outcome({"q": 2}, trial_id=1))
+            _log(journal, _outcome({"q": 2}, trial_id=1))
         _, entries, _ = RunJournal.read(path)
         assert [e.config for e in entries] == [{"q": 1}, {"q": 2}]
 
@@ -74,7 +82,7 @@ class TestRoundTrip:
         path = tmp_path / "run.wal"
         with RunJournal(path, fsync=False) as journal:
             journal.open(root_seed=0)
-            journal.append(_outcome({"q": 1}))
+            _log(journal, _outcome({"q": 1}))
         _, entries, _ = RunJournal.read(path)
         assert len(entries) == 1
 
@@ -84,8 +92,8 @@ class TestTornTail:
         path = tmp_path / "run.wal"
         with RunJournal(path) as journal:
             journal.open(root_seed=0)
-            journal.append(_outcome({"q": 1}))
-            journal.append(_outcome({"q": 2}, trial_id=1))
+            _log(journal, _outcome({"q": 1}))
+            _log(journal, _outcome({"q": 2}, trial_id=1))
         lines = path.read_text().splitlines(True)
         path.write_text("".join(lines[:2]) + lines[2][:10])  # tear mid-record
         header, entries, dropped = RunJournal.read(path)
@@ -96,14 +104,14 @@ class TestTornTail:
         path = tmp_path / "run.wal"
         with RunJournal(path) as journal:
             journal.open(root_seed=0)
-            journal.append(_outcome({"q": 1}))
+            _log(journal, _outcome({"q": 1}))
         with path.open("a") as handle:
             handle.write('{"type":"outcome","trunc')  # crash mid-append
         with RunJournal(path) as journal:
             replayed = journal.open(root_seed=0)
             assert [e.config for e in replayed] == [{"q": 1}]
             assert journal.dropped_records == 1
-            journal.append(_outcome({"q": 3}, trial_id=1))
+            _log(journal, _outcome({"q": 3}, trial_id=1))
         # The torn fragment was cut off before appending: the new record is
         # not glued onto it, so a second resume sees both records.
         _, entries, dropped = RunJournal.read(path)
@@ -113,11 +121,11 @@ class TestTornTail:
         path = tmp_path / "run.wal"
         with RunJournal(path) as journal:
             journal.open(root_seed=0)
-            journal.append(_outcome({"q": 1}))
+            _log(journal, _outcome({"q": 1}))
         path.write_bytes(path.read_bytes()[:-1])  # crash between record and newline
         with RunJournal(path) as journal:
             assert [e.config for e in journal.open(root_seed=0)] == [{"q": 1}]
-            journal.append(_outcome({"q": 2}, trial_id=1))
+            _log(journal, _outcome({"q": 2}, trial_id=1))
         _, entries, dropped = RunJournal.read(path)
         assert [e.config for e in entries] == [{"q": 1}, {"q": 2}] and dropped == 0
 
@@ -127,10 +135,10 @@ class TestTornTail:
             journal.open(root_seed=0)
             size = path.stat().st_size
             batch = []
-            seqs = [journal.append(_outcome({"q": q}, trial_id=q), batch=batch) for q in range(3)]
+            seqs = [journal.append(_outcome({"q": q}, trial_id=q), batch) for q in range(3)]
             assert seqs == [1, 2, 3] and path.stat().st_size == size  # staged only
             journal.commit(batch)
-            assert journal.append(_outcome({"q": 9}, trial_id=3)) == 4  # immediate
+            assert _log(journal, _outcome({"q": 9}, trial_id=3)) == [4]  # the next batch
         _, entries, dropped = RunJournal.read(path)
         assert [e.config["q"] for e in entries] == [0, 1, 2, 9] and dropped == 0
         assert [e.seq for e in entries] == [1, 2, 3, 4]
@@ -175,7 +183,7 @@ class TestRejection:
     def test_append_before_open_raises(self, tmp_path):
         journal = RunJournal(tmp_path / "run.wal")
         with pytest.raises(JournalError, match="open"):
-            journal.append(_outcome({"q": 1}))
+            journal.append(_outcome({"q": 1}), [])
 
 
 class TestIdentityHelpers:
@@ -193,7 +201,7 @@ class TestIdentityHelpers:
         path = tmp_path / "run.wal"
         with RunJournal(path) as journal:
             journal.open(root_seed=5)
-            journal.append(_outcome({"q": 1}, budget=0.25, seed=999, attempt=2, attempts=3))
+            _log(journal, _outcome({"q": 1}, budget=0.25, seed=999, attempt=2, attempts=3))
         _, entries, _ = RunJournal.read(path)
         from repro.engine import EvaluationCache, derive_seed
         from repro.space import config_key

@@ -20,7 +20,6 @@ from repro.core import optimize
 from repro.engine import ParallelExecutor, TrialEngine
 from repro.obs import flightrec
 from repro.obs.prom import CONTENT_TYPE, parse_prometheus
-from repro.obs.tracectx import TraceContext
 from repro.serve import JobSpec, ServeClient, ServeDaemon
 from repro.serve.jobs import optimize_inputs
 from repro.serve.server import STATS_SCHEMA_VERSION
@@ -176,12 +175,9 @@ class TestStitchedTrace:
         assert any(s["kind"] == "run" and s["parent"] == root["id"] for s in serve_spans)
 
         # A second process tier: the same spec through a parallel engine,
-        # its trace claiming the job's trace id re-rooted under the root.
+        # its trace claiming the job's trace id.
         engine_trace = tmp_path / "engine.trace"
-        telemetry = Telemetry(
-            trace=engine_trace,
-            context=TraceContext(job_id).child(root["id"]),
-        )
+        telemetry = Telemetry(trace=engine_trace, trace_id=job_id)
         spec = JobSpec(tenant="alice", **FAST)
         engine = TrialEngine(executor=ParallelExecutor(n_workers=2), telemetry=telemetry)
         try:
@@ -191,7 +187,6 @@ class TestStitchedTrace:
             telemetry.close()
         engine_header, engine_records, _ = TraceSink.read(engine_trace)
         assert engine_header["trace_id"] == job_id
-        assert engine_header["parent_span"] == root["id"]
         worker_spans = [
             r for r in engine_records
             if r.get("type") == "span" and (r.get("attrs") or {}).get("pid")

@@ -5,7 +5,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.obs.tracectx import TraceContext
 from repro.telemetry import TraceSink, merge_chrome_traces
 
 TOOL = Path(__file__).resolve().parents[2] / "tools" / "trace_view.py"
@@ -13,7 +12,7 @@ TOOL = Path(__file__).resolve().parents[2] / "tools" / "trace_view.py"
 
 def write_trace(path, trace_id, pid, spans, torn_tail=False):
     """A minimal valid trace file: header + span records (+ optional torn line)."""
-    sink = TraceSink(path, context=TraceContext(trace_id))
+    sink = TraceSink(path, trace_id=trace_id)
     for span in spans:
         sink.write({"type": "span", **span})
     sink.close()

@@ -1,17 +1,15 @@
-"""TrialCollector / install_collector / payload transport / @profiled units."""
+"""TrialCollector / install_collector / payload transport units."""
 
 import pickle
 
 from repro.telemetry import (
     COLLECT_METRICS,
-    COLLECT_PROFILE,
     COLLECT_SPANS,
     TrialCollector,
     attach_payload,
     current_collector,
     detach_payload,
     install_collector,
-    profiled,
 )
 
 
@@ -125,57 +123,3 @@ class TestPayloadTransport:
         detach_payload(traced)
         assert pickle.dumps(traced) == plain
 
-
-class TestProfiled:
-    def test_noop_without_collector(self):
-        calls = []
-
-        @profiled("unit.f")
-        def f(x):
-            calls.append(x)
-            return x * 2
-
-        assert f(3) == 6
-        assert calls == [3]
-
-    def test_noop_without_profile_bit(self):
-        @profiled("unit.g")
-        def g():
-            return 1
-
-        with install_collector(TrialCollector(flags=COLLECT_METRICS)) as collector:
-            assert g() == 1
-        assert collector.payload() is None
-
-    def test_records_with_profile_bit(self):
-        @profiled("unit.h")
-        def h():
-            return "ok"
-
-        with install_collector(TrialCollector(flags=COLLECT_METRICS | COLLECT_PROFILE)) as collector:
-            h()
-            h()
-        payload = collector.payload()
-        assert payload["counters"]["profile.unit.h.calls"] == 2
-        assert payload["timings"]["profile.unit.h.s"][0] == 2
-        assert payload["timings"]["profile.unit.h.cpu_s"][0] == 2
-
-    def test_records_even_when_function_raises(self):
-        @profiled("unit.boom")
-        def boom():
-            raise ValueError("x")
-
-        with install_collector(TrialCollector(flags=COLLECT_PROFILE)) as collector:
-            try:
-                boom()
-            except ValueError:
-                pass
-        assert collector.payload()["counters"]["profile.unit.boom.calls"] == 1
-
-    def test_wrapped_attribute_exposes_original(self):
-        def original():
-            pass
-
-        wrapper = profiled("unit.w")(original)
-        assert wrapper.__wrapped__ is original
-        assert wrapper.__name__ == "original"

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.telemetry import format_count, format_overhead, format_percent, format_seconds
+from repro.telemetry import format_percent, format_seconds
 
 
 class TestFormatPercent:
@@ -21,16 +21,6 @@ class TestFormatPercent:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite(self, bad):
         assert format_percent(bad) == "n/a"
-
-
-class TestFormatOverhead:
-    def test_signed_both_ways(self):
-        assert format_overhead(0.038) == "+3.8%"
-        assert format_overhead(-0.002) == "-0.2%"
-        assert format_overhead(0.0) == "+0.0%"
-
-    def test_non_finite(self):
-        assert format_overhead(math.nan) == "n/a"
 
 
 class TestFormatSeconds:
@@ -54,10 +44,3 @@ class TestFormatSeconds:
 
     def test_non_finite(self):
         assert format_seconds(math.inf) == "n/a"
-
-
-class TestFormatCount:
-    def test_thousands_separators(self):
-        assert format_count(1234567) == "1,234,567"
-        assert format_count(7) == "7"
-        assert format_count(-1234) == "-1,234"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.telemetry import TRACE_VERSION, TraceSink, Tracer
+from repro.telemetry import TRACE_VERSION, Telemetry, TraceSink, Tracer
 
 
 class FakeClock:
@@ -66,6 +66,25 @@ class TestTraceSink:
         header, records, dropped = TraceSink.read(path)
         assert dropped == 1
         assert [r["name"] for r in records] == ["trial"]
+
+
+class TestTraceIdHeader:
+    @staticmethod
+    def _header(path, **kwargs):
+        with Telemetry(trace=path, **kwargs) as telemetry:
+            with telemetry.span("run"):
+                pass
+        return TraceSink.read(path)[0]
+
+    def test_trace_id_is_the_only_identity_key(self, tmp_path):
+        header = self._header(tmp_path / "job.jsonl", trace_id="job-1")
+        assert header["trace_id"] == "job-1"
+        assert set(header) == {"type", "version", "created_unix", "pid", "trace_id"}
+
+    def test_no_trace_id_no_key(self, tmp_path):
+        header = self._header(tmp_path / "run.jsonl")
+        assert "trace_id" not in header
+        assert set(header) == {"type", "version", "created_unix", "pid"}
 
 
 class TestTracer:

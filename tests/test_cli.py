@@ -192,7 +192,6 @@ class TestTelemetryFlags:
         args = build_parser().parse_args(["tune", "--dataset", "australian"])
         assert args.trace is None
         assert args.metrics is False
-        assert args.profile is False
 
     def test_trace_writes_file_and_prints_span_count(self, capsys, tmp_path):
         trace = tmp_path / "run.trace.jsonl"
@@ -211,12 +210,10 @@ class TestTelemetryFlags:
         printed = capsys.readouterr().out
         assert "telemetry metrics" in printed
 
-    def test_profile_flag_reports_hot_paths(self, capsys):
-        for workers in ([], ["--n-workers", "2"]):  # the fused fit kernel, in and out of process
-            assert main(self.BASE + ["--profile"] + workers) == 0
-            printed = capsys.readouterr().out
-            assert "profile.mlp.fit.calls" in printed
-            assert "profile.mlp.fit.s" in printed
+    def test_profile_flag_is_unrecognized(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["tune", "--dataset", "australian", "--profile"])
+        assert "unrecognized arguments: --profile" in capsys.readouterr().err
 
     def test_no_flags_prints_no_telemetry_lines(self, capsys):
         assert main(self.BASE) == 0

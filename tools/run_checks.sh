@@ -24,8 +24,10 @@
 #      tests/learners/_reference_kernel.py, plus numpy's permuted ==
 #      successive permutation contract; kernel *speed* is bench/'s
 #      learners.probe.rung_*_ms and sha_fused_wide, not a gate here)
-#   4. telemetry tier (trace-file tests; tracing overhead is bench/'s
-#      telemetry.emit_ms on serve_two_tenant)
+#   4. telemetry tier (trace-file tests: span nesting, Chrome-trace
+#      conversion, serial == parallel counters; there is no in-tree
+#      profiler — hot-path timing is bench/layers.py's traced run, and
+#      tracing overhead is bench/'s telemetry.emit_ms on serve_two_tenant)
 #   5. serve tier (service-daemon end-to-end tests, incl. the idle
 #      keep-alive request bound, the long-poll semantics and disk-full
 #      degraded mode; latency is bench/'s serve.job_overhead_ms /
@@ -33,13 +35,17 @@
 #   6. faults tier (every repro.faults-driven test: the degrade table's
 #      fork and spawn pool rows, worker kills, SIGKILL resume, the crashx
 #      explorer tests incl. the arena leak check; then a bounded
-#      crash-schedule sweep over the toy, HB+ and 2-worker HB+ workloads.
+#      crash-schedule sweep over the toy, HB+ and 2-worker HB+ workloads;
+#      the pool publishes its dataset to the arena, so hb-par keeps the
+#      arena.* sites.
 #      The full sweep is `python tools/crashx.py --pairwise 40 --jobs 2
 #      --out CRASHX_report.json`; --out writes the report, which is not
 #      committed)
-#   7. obs tier (obs-marked observability tests, incl. the SIGKILLed
-#      daemon whose append-only flight-recorder spill is read back
-#      through flightrec.load)
+#   7. obs tier (obs-marked observability tests, incl. the stitched
+#      serve + engine trace whose engine half is claimed with
+#      Telemetry(trace_id=job_id), and the SIGKILLed daemon whose
+#      append-only flight-recorder spill is read back through
+#      flightrec.load)
 #
 # Usage: bash tools/run_checks.sh
 set -euo pipefail
