@@ -29,9 +29,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
+from ..engine.protocol import TrialRequest
 from ..space import config_key
 from .base import BaseSearcher, SearchResult
-from ..engine.protocol import TrialRequest  # after .base: the engine imports it
 
 __all__ = ["ASHA"]
 
@@ -129,9 +129,8 @@ class ASHA(BaseSearcher):
         n_workers: int = 4,
         max_started: int = 32,
         engine=None,
-        telemetry=None,
     ) -> None:
-        super().__init__(space, evaluator, random_state, engine=engine, telemetry=telemetry)
+        super().__init__(space, evaluator, random_state, engine=engine)
         if eta <= 1.0:
             raise ValueError(f"eta must be > 1, got {eta}")
         if not 0.0 < min_budget_fraction <= 1.0:

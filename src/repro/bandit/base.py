@@ -14,6 +14,9 @@ from typing import Any, Dict, List, Optional, Protocol, Sequence
 
 import numpy as np
 
+from ..engine.core import TrialEngine
+from ..engine.journal import space_fingerprint
+from ..engine.protocol import EvaluationResult, TrialRequest
 from ..space import SearchSpace, config_key
 
 __all__ = [
@@ -24,46 +27,6 @@ __all__ = [
     "BaseSearcher",
     "top_k_indices",
 ]
-
-
-@dataclass
-class EvaluationResult:
-    """Outcome of evaluating one configuration under a partial budget.
-
-    Attributes
-    ----------
-    mean:
-        Average cross-validation score ``mu`` (the vanilla metric).
-    std:
-        Standard deviation ``sigma`` across folds.
-    score:
-        Ranking score used for halving; equals ``mean`` for vanilla
-        evaluators and ``mu + alpha * beta(gamma) * sigma`` (Equation 3) for
-        the enhanced evaluator.
-    gamma:
-        Subset size as a percentage of the full budget (``gamma`` in the
-        paper).
-    fold_scores:
-        Per-fold validation scores.
-    n_instances:
-        Number of training instances actually used.
-    cost:
-        Wall-clock seconds spent on this evaluation.
-    guard_events:
-        Data-integrity degradations recorded while evaluating, as
-        JSON-able dicts (see :mod:`repro.guard.events`).  Kept as plain
-        data so the events survive worker-process boundaries and journal
-        round-trips; empty when no guard is active.
-    """
-
-    mean: float
-    std: float
-    score: float
-    gamma: float
-    fold_scores: List[float] = field(default_factory=list)
-    n_instances: int = 0
-    cost: float = 0.0
-    guard_events: List[Dict[str, Any]] = field(default_factory=list)
 
 
 class ConfigurationEvaluator(Protocol):
@@ -173,14 +136,13 @@ class BaseSearcher:
         ``engine.stats.failures``, text in ``outcome.error``) instead of
         aborting the search; and a ``(config, budget)`` pair repeated
         across Hyperband brackets is served from the engine's cache.
-    telemetry:
-        Optional :class:`~repro.telemetry.Telemetry`.  When set, every
-        ``fit()`` is wrapped in a ``run`` span, rung batches get ``rung``
-        spans, and the engine records each evaluation as a ``trial`` span
-        with its fold/fit children and metrics (the engine inherits this
-        telemetry if it has none of its own).  Recording never touches
-        the search's random streams, so results stay bit-for-bit
-        identical to an uninstrumented run.
+        Telemetry is attached to the engine
+        (``TrialEngine(telemetry=...)``): every ``fit()`` is then wrapped
+        in a ``run`` span, rung batches get ``rung`` spans, and the engine
+        records each evaluation as a ``trial`` span with its fold/fit
+        children and metrics.  Recording never touches the search's
+        random streams, so results stay bit-for-bit identical to an
+        uninstrumented run.
     """
 
     method_name = "base"
@@ -191,13 +153,11 @@ class BaseSearcher:
         evaluator: ConfigurationEvaluator,
         random_state: Optional[int] = None,
         engine=None,
-        telemetry=None,
     ) -> None:
         self.space = space
         self.evaluator = evaluator
         self.random_state = random_state
         self.engine = engine
-        self.telemetry = telemetry
         self._rng = np.random.default_rng(random_state)
         self._trials: List[Trial] = []
 
@@ -209,8 +169,6 @@ class BaseSearcher:
     @engine.setter
     def engine(self, value) -> None:
         if value is None:  # "no engine" means the default one, never no engine
-            from ..engine.core import TrialEngine  # local import avoids a cycle
-
             value = TrialEngine()
         self._engine = value
 
@@ -223,24 +181,12 @@ class BaseSearcher:
             metadata=self._run_identity(),
         )
 
-    def _sync_telemetry(self) -> None:
-        """Reconcile searcher- and engine-attached telemetry (either way).
-
-        A telemetry object may arrive on the searcher (``optimize(...,
-        telemetry=...)``) or on the engine (``TrialEngine(...,
-        telemetry=...)``); whichever side has one shares it with the
-        other so spans and metrics land in a single place.
-        """
-        if self.telemetry is None:
-            self.telemetry = self.engine.telemetry
-        elif self.engine.telemetry is None:
-            self.engine.telemetry = self.telemetry
-
     def _span(self, name: str, **attrs):
         """A structural tracer span, or an inert context when telemetry is off."""
-        if self.telemetry is None:
+        telemetry = self.engine.telemetry
+        if telemetry is None:
             return nullcontext(None)
-        return self.telemetry.span(name, **attrs)
+        return telemetry.span(name, **attrs)
 
     def _run_identity(self) -> Dict[str, Any]:
         """Identity recorded in (and verified against) a run-journal header.
@@ -252,8 +198,6 @@ class BaseSearcher:
         change scores, so mixing policies would silently corrupt a run.
         Journals from before the guard key simply lack it and still resume.
         """
-        from ..engine.journal import space_fingerprint  # local import avoids a cycle
-
         guard_policy = getattr(self.evaluator, "guard_policy", None)
         return {
             "searcher": self.method_name,
@@ -307,8 +251,6 @@ class BaseSearcher:
         recorded trials keep the same ordering under every executor.  The
         batch is wrapped in a ``rung`` span when telemetry is on.
         """
-        from ..engine.protocol import TrialRequest  # local import avoids a cycle
-
         with self._span(
             "rung",
             budget_fraction=budget_fraction,
@@ -367,11 +309,10 @@ class BaseSearcher:
     ) -> SearchResult:
         """Run the search and return its :class:`SearchResult`.
 
-        Template method: syncs telemetry between searcher and engine,
-        opens the ``run`` span, and delegates the actual search to the
-        subclass's :meth:`_fit`.
+        Template method: opens the ``run`` span (when the engine carries
+        telemetry) and delegates the actual search to the subclass's
+        :meth:`_fit`.
         """
-        self._sync_telemetry()
         with self._span(
             "run",
             searcher=self.method_name,

@@ -99,7 +99,6 @@ class BOHB(HyperBand):
         n_candidates: int = 24,
         min_points_in_model: Optional[int] = None,
         engine=None,
-        telemetry=None,
     ) -> None:
         super().__init__(
             space,
@@ -108,7 +107,6 @@ class BOHB(HyperBand):
             eta=eta,
             min_budget_fraction=min_budget_fraction,
             engine=engine,
-            telemetry=telemetry,
         )
         if not 0.0 <= random_fraction <= 1.0:
             raise ValueError(f"random_fraction must be in [0, 1], got {random_fraction}")

@@ -58,9 +58,8 @@ class SuccessiveHalving(BaseSearcher):
         eta: float = 2.0,
         min_budget_fraction: float = 0.01,
         engine=None,
-        telemetry=None,
     ) -> None:
-        super().__init__(space, evaluator, random_state, engine=engine, telemetry=telemetry)
+        super().__init__(space, evaluator, random_state, engine=engine)
         if eta <= 1.0:
             raise ValueError(f"eta must be > 1, got {eta}")
         if not 0.0 < min_budget_fraction <= 1.0:

@@ -264,7 +264,8 @@ def _command_datasets(args: argparse.Namespace) -> int:
 
 
 def _build_engine(args: argparse.Namespace):
-    """Engine from the CLI flags (a plain ``repro tune`` gets the serial one).
+    """Engine from the CLI flags (a plain ``repro tune`` gets the serial one),
+    carrying the run's telemetry when ``--trace``/``--metrics`` asked for it.
 
     ``--trial-timeout`` needs a preemptable evaluation, so it selects the
     (watchdog-equipped) parallel executor even at one worker.
@@ -302,6 +303,7 @@ def _build_engine(args: argparse.Namespace):
         max_retries=args.max_retries,
         journal=args.journal,
         checkpoints=checkpoints,
+        telemetry=_build_telemetry(args),
     )
 
 
@@ -324,7 +326,7 @@ def _build_telemetry(args: argparse.Namespace):
 
 
 def _command_tune(args: argparse.Namespace) -> int:
-    from .core import MLPModelFactory, make_scorer, optimize
+    from .core import MLPModelFactory, grid_pool, make_scorer, optimize
     from .experiments import paper_search_space
     from .results import save_result
     from .telemetry.formatting import format_percent
@@ -334,7 +336,7 @@ def _command_tune(args: argparse.Namespace) -> int:
     space = paper_search_space(args.hps)
     factory = MLPModelFactory(task=task, max_iter=args.max_iter)
     engine = _build_engine(args)
-    telemetry = _build_telemetry(args)
+    telemetry = engine.telemetry
     extras = []
     if args.trial_timeout is not None:
         extras.append(f"trial_timeout {args.trial_timeout}s")
@@ -360,11 +362,10 @@ def _command_tune(args: argparse.Namespace) -> int:
         task=task,
         model_factory=factory,
         random_state=args.seed,
-        configurations=space.grid() if space.is_finite and not args.method.startswith(("bohb", "dehb", "tpe", "smac")) else None,
+        configurations=grid_pool(space, args.method),
         n_configurations=None,
         engine=engine,
         guard=args.guard,
-        telemetry=telemetry,
     )
     if telemetry is not None and telemetry.on_trial is not None:
         sys.stderr.write("\r" + " " * 40 + "\r")  # clear the progress ticker

@@ -6,7 +6,7 @@ high-level :func:`~repro.core.enhanced.optimize` entry point.
 
 from .cv import ConfigurationRanking, CrossValidationStudy
 from .diagnostics import StabilityResult, compare_stability, evaluation_stability
-from .enhanced import METHODS, OptimizationOutcome, make_searcher, optimize
+from .enhanced import METHODS, OptimizationOutcome, grid_pool, make_searcher, optimize
 from .evaluator import (
     FOLD_FLOOR,
     MLPModelFactory,
@@ -46,6 +46,7 @@ __all__ = [
     "beta_weight",
     "gamma_bounds",
     "generate_groups",
+    "grid_pool",
     "grouped_evaluator",
     "label_categories",
     "make_scorer",

@@ -16,7 +16,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..bandit.base import EvaluationResult
+from ..engine.protocol import EvaluationResult
 from ..metrics import ndcg_score
 from .evaluator import SubsetCVEvaluator
 
@@ -30,7 +30,7 @@ class ConfigurationRanking:
     Attributes
     ----------
     results:
-        Per-configuration :class:`~repro.bandit.EvaluationResult`.
+        Per-configuration :class:`~repro.engine.protocol.EvaluationResult`.
     scores:
         The ranking scores (``result.score``) in candidate order.
     recommended_index:

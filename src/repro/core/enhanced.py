@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from ..engine.checkpoint import CheckpointStore
 from ..space import SearchSpace
 from .evaluator import MLPModelFactory, SubsetCVEvaluator, grouped_evaluator, vanilla_evaluator
 
-__all__ = ["METHODS", "make_searcher", "optimize", "OptimizationOutcome"]
+__all__ = ["METHODS", "grid_pool", "make_searcher", "optimize", "OptimizationOutcome"]
 
 #: method name -> (searcher class in :mod:`repro.bandit`, uses enhanced evaluator).
 #: Classes are named, not held: a search imports only the searcher it runs.
@@ -46,6 +46,21 @@ METHODS = {
     "smac": ("SMACSearch", False),
 }
 
+#: Method prefixes that sample their own candidates (no finite grid pool).
+_SAMPLING_METHODS = ("bohb", "dehb", "tpe", "smac")
+
+
+def grid_pool(space: SearchSpace, method: str) -> Optional[List[Dict[str, Any]]]:
+    """The candidate pool ``repro tune`` and a serve job hand the searcher.
+
+    The full grid of a finite space, or ``None`` — the searcher samples —
+    for an infinite space or a method that samples its own candidates.
+    One rule, so the CLI and the daemon run the same search for a spec.
+    """
+    if space.is_finite and not method.lower().startswith(_SAMPLING_METHODS):
+        return space.grid()
+    return None
+
 
 def make_searcher(
     method: str,
@@ -60,9 +75,7 @@ def make_searcher(
     searcher_kwargs: Optional[Dict[str, Any]] = None,
     engine=None,
     guard: Optional[str] = None,
-    telemetry=None,
     warm_start: bool = False,
-    checkpoint_dir=None,
 ) -> BaseSearcher:
     """Construct a searcher by paper name (``"sha"``, ``"sha+"``, ...).
 
@@ -89,27 +102,20 @@ def make_searcher(
         executor, journal, shared cache, ...); ``None`` means the default
         serial engine (see :class:`~repro.bandit.base.BaseSearcher`).
         Works with any method since all searchers evaluate through the
-        same seam.
+        same seam.  Telemetry, a journal and a durable checkpoint store
+        are all attached to the engine.
     guard:
         Data-integrity guard policy (``"strict"``, ``"repair"``,
         ``"warn"``, ``"off"`` or ``None``); forwarded to the evaluator
         factory as ``guard_policy``.  See :mod:`repro.guard`.
-    telemetry:
-        Optional :class:`~repro.telemetry.Telemetry` recording run/rung/
-        trial spans and metrics for this search.  Shared with the engine
-        (see :meth:`~repro.bandit.base.BaseSearcher._sync_telemetry`).
     warm_start:
         Opt in to cross-rung warm starting: every evaluation's per-fold
         trained parameters are checkpointed, and a promoted configuration
         resumes training from its lower-rung checkpoint instead of a fresh
-        Glorot initialisation.  Gives the engine a
+        Glorot initialisation.  Gives the engine an in-memory
         :class:`~repro.engine.checkpoint.CheckpointStore` unless it
-        already carries one.
-    checkpoint_dir:
-        Spill directory making the checkpoints durable (required when the
-        engine journals; see
-        :class:`~repro.engine.checkpoint.CheckpointStore`).  Implies
-        ``warm_start``.
+        already carries one (a journaling engine needs a durable one:
+        ``TrialEngine(checkpoints="ckpts/")``).
     """
     key = method.lower()
     if key not in METHODS:
@@ -130,10 +136,8 @@ def make_searcher(
         space, evaluator, random_state=random_state, **(searcher_kwargs or {})
     )
     searcher.engine = engine  # not every searcher class takes engine=; None -> default
-    if (warm_start or checkpoint_dir is not None) and searcher.engine.checkpoints is None:
-        searcher.engine.checkpoints = CheckpointStore(spill_dir=checkpoint_dir)
-    if telemetry is not None:
-        searcher.telemetry = telemetry
+    if warm_start and searcher.engine.checkpoints is None:
+        searcher.engine.checkpoints = CheckpointStore()
     searcher.method_name = _display_name(key)
     return searcher
 
@@ -195,9 +199,7 @@ def optimize(
     searcher_kwargs: Optional[Dict[str, Any]] = None,
     engine=None,
     guard: Optional[str] = None,
-    telemetry=None,
     warm_start: bool = False,
-    checkpoint_dir=None,
 ) -> OptimizationOutcome:
     """Run hyperparameter optimization end to end.
 
@@ -205,13 +207,15 @@ def optimize(
     configurations on a process pool with memoization and fault tolerance;
     the fixed-seed search result is identical to the serial one.
 
-    Pass ``telemetry=Telemetry(trace="run.trace.jsonl")`` to record a
-    structured trace and metrics; recording is observational only, so the
-    returned outcome is bitwise identical with telemetry on or off.
+    Pass ``engine=TrialEngine(telemetry=Telemetry(trace="run.trace.jsonl"))``
+    to record a structured trace and metrics; recording is observational
+    only, so the returned outcome is bitwise identical with telemetry on or
+    off.
 
     Pass ``warm_start=True`` to resume each promoted configuration's
-    training from its lower-rung checkpoint (``checkpoint_dir=`` makes the
-    checkpoints durable across restarts); scores then reflect the extra
+    training from its lower-rung checkpoint
+    (``engine=TrialEngine(checkpoints="ckpts/")`` makes the checkpoints
+    durable across restarts); scores then reflect the extra
     optimisation steps, so warm and cold runs are two *different* —
     individually deterministic — experiments.
 
@@ -240,9 +244,7 @@ def optimize(
         searcher_kwargs=searcher_kwargs,
         engine=engine,
         guard=guard,
-        telemetry=telemetry,
         warm_start=warm_start,
-        checkpoint_dir=checkpoint_dir,
     )
     result = searcher.fit(configurations=configurations, n_configurations=n_configurations)
     model = None

@@ -34,7 +34,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..bandit.base import EvaluationResult
+from ..engine.protocol import EvaluationResult
 from ..engine.arena import ArenaRef, SharedArena
 from ..engine.arena import attach as arena_attach
 from ..engine.checkpoint import FoldCheckpoint, attach_checkpoints

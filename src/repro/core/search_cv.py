@@ -9,13 +9,13 @@ API underneath stays the source of truth.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from ..learners.base import BaseEstimator
 from ..space import SearchSpace
-from .enhanced import METHODS, optimize
+from .enhanced import METHODS, grid_pool, optimize
 from .evaluator import MLPModelFactory, make_scorer
 
 __all__ = ["EnhancedSearchCV"]
@@ -83,10 +83,9 @@ class EnhancedSearchCV(BaseEstimator):
         if self.method.lower() not in METHODS:
             raise ValueError(f"Unknown method {self.method!r}; available: {sorted(METHODS)}")
         factory = self.model_factory or MLPModelFactory(task=self.task, max_iter=self.max_iter)
-        configurations: Optional[Sequence[Dict[str, Any]]] = None
-        model_based = self.method.lower().startswith(("bohb", "dehb", "tpe", "smac"))
-        if self.space.is_finite and self.n_configurations is None and not model_based:
-            configurations = self.space.grid()
+        configurations = None
+        if self.n_configurations is None:
+            configurations = grid_pool(self.space, self.method)
         outcome = optimize(
             X,
             y,

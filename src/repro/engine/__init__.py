@@ -1,7 +1,11 @@
 """Execution engine: parallel, memoized, fault-tolerant, crash-safe dispatch.
 
 This package decouples *what a searcher wants evaluated* from *how the
-evaluations run*.  Searchers describe work as
+evaluations run*.  It is a layer below the searchers and imports none of
+them: it owns the trial record
+(:class:`~repro.engine.protocol.EvaluationResult`) and its wire format,
+and it is the one place a run's telemetry is attached.  Searchers
+describe work as
 :class:`~repro.engine.protocol.TrialRequest` objects; a
 :class:`~repro.engine.core.TrialEngine` derives a deterministic per-trial
 seed for each, memoizes repeated ``(config, budget)`` pairs, retries
@@ -40,8 +44,8 @@ from .cache import EvaluationCache
 from .checkpoint import CheckpointStore, FoldCheckpoint
 from .core import FAILURE_SCORE, STATS_SCHEMA_VERSION, EngineStats, TrialEngine, backoff_delay
 from .executors import ParallelExecutor, SerialExecutor, TrialExecutor
-from .journal import JOURNAL_VERSION, JournalEntry, JournalError, RunJournal, space_fingerprint
-from .protocol import TrialOutcome, TrialRequest, derive_seed
+from .journal import JOURNAL_VERSION, JournalError, RunJournal, space_fingerprint
+from .protocol import EvaluationResult, TrialOutcome, TrialRequest, derive_seed
 
 __all__ = [
     "ArenaError",
@@ -54,10 +58,10 @@ __all__ = [
     "CheckpointStore",
     "EvaluationCache",
     "EngineStats",
+    "EvaluationResult",
     "FAILURE_SCORE",
     "FoldCheckpoint",
     "JOURNAL_VERSION",
-    "JournalEntry",
     "JournalError",
     "ParallelExecutor",
     "RunJournal",

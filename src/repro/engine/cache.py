@@ -28,7 +28,7 @@ import threading
 from collections import OrderedDict
 from typing import Optional, Tuple
 
-from ..bandit.base import EvaluationResult
+from .protocol import EvaluationResult
 
 __all__ = ["EvaluationCache"]
 

@@ -17,7 +17,7 @@ the storage half of that idea:
   from ``run_batch``, one entry for a lone settled trial;
 - :func:`attach_checkpoints` / :func:`detach_checkpoints` — transport of
   captured fold states on an
-  :class:`~repro.bandit.base.EvaluationResult`, mirroring the telemetry
+  :class:`~repro.engine.protocol.EvaluationResult`, mirroring the telemetry
   payload pattern: the states ride the instance ``__dict__`` (surviving
   the worker pipe's pickle) and the engine strips them in ``_settle``
   before the result reaches the cache, the journal or the searcher.

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -43,7 +43,6 @@ from collections import deque
 
 import numpy as np
 
-from ..bandit.base import EvaluationResult
 from ..faults.points import active_controller, fault_point
 from ..obs import flightrec as _flightrec
 from ..telemetry import Telemetry
@@ -56,8 +55,8 @@ from .executors import (
     TrialExecutor,
     WORKER_HUNG_PREFIX,
 )
-from .journal import JournalEntry, RunJournal, replay_key
-from .protocol import TrialOutcome, TrialRequest, derive_seed
+from .journal import RunJournal, replay_key
+from .protocol import EvaluationResult, TrialOutcome, TrialRequest, derive_seed
 
 __all__ = [
     "TrialEngine",
@@ -189,12 +188,12 @@ class EngineStats:
         }
 
 
-def _sentinel_result(budget_fraction: float, failure_score: float) -> EvaluationResult:
+def _sentinel_result(budget_fraction: float) -> EvaluationResult:
     """Worst-score placeholder for a trial whose every attempt raised."""
     return EvaluationResult(
-        mean=failure_score,
+        mean=FAILURE_SCORE,
         std=0.0,
-        score=failure_score,
+        score=FAILURE_SCORE,
         gamma=100.0 * budget_fraction,
         fold_scores=[],
         n_instances=0,
@@ -229,9 +228,8 @@ class TrialEngine:
         :class:`~repro.engine.cache.EvaluationCache`; pass an instance to
         share or bound one, or ``False``/``None`` to disable memoization.
     max_retries:
-        Failed-trial re-executions before degradation (0 disables retry).
-    failure_score:
-        Score of the sentinel outcome for permanently-failing trials.
+        Failed-trial re-executions before degradation (0 disables retry);
+        a trial that exhausts them settles at :data:`FAILURE_SCORE`.
     root_seed:
         Root of per-trial seed derivation; usually supplied later by the
         searcher through :meth:`bind` (its ``random_state``).
@@ -288,7 +286,6 @@ class TrialEngine:
         executor: Optional[TrialExecutor] = None,
         cache: Union[EvaluationCache, bool, None] = True,
         max_retries: int = 1,
-        failure_score: float = FAILURE_SCORE,
         root_seed: Optional[int] = None,
         journal: Union[RunJournal, str, Path, None] = None,
         retry_backoff: float = 0.05,
@@ -309,7 +306,6 @@ class TrialEngine:
         else:
             self.cache = cache
         self.max_retries = max_retries
-        self.failure_score = failure_score
         self.root_seed = root_seed
         if journal is not None and not isinstance(journal, RunJournal):
             journal = RunJournal(journal)
@@ -333,9 +329,9 @@ class TrialEngine:
         self._evaluator = None
         self._next_trial_id = 0
         self._journal_open = False
-        #: Journal entries keyed by the attempt-0 lookup key, consulted
+        #: Journaled outcomes keyed by the attempt-0 lookup key, consulted
         #: before the cache so failed (sentinel) outcomes also replay.
-        self._replayed: Dict[Tuple, JournalEntry] = {}
+        self._replayed: Dict[Tuple, TrialOutcome] = {}
         # Async bookkeeping: outcomes ready for pickup, in-flight requests,
         # and followers piggy-backing on an identical in-flight request.
         self._ready: Deque[TrialOutcome] = deque()
@@ -376,8 +372,7 @@ class TrialEngine:
             metadata["warm"] = True
         if self.journal is not None:
             if not self._journal_open:
-                entries = self.journal.open(self.root_seed, metadata=metadata)
-                for entry in entries:
+                for entry in self.journal.open(self.root_seed, metadata=metadata):
                     self._replayed[replay_key(entry, self.root_seed)] = entry
                 self._journal_open = True
             else:
@@ -526,10 +521,7 @@ class TrialEngine:
         bracket = request.bracket if request.bracket is not None else 0
         rung = request.iteration if request.iteration is not None else 0
         telemetry.registry.inc(f"engine.rung_trials.b{bracket}.r{rung}")
-        annotations = [
-            event.as_dict() if hasattr(event, "as_dict") else dict(event)
-            for event in (getattr(result, "guard_events", None) or [])
-        ]
+        annotations = [dict(event) for event in result.guard_events]
         if payload is not None and not outcome.cache_hit and not outcome.resumed:
             timings = payload.get("timings") or {}
             execute = timings.get("trial.execute_s")
@@ -561,16 +553,8 @@ class TrialEngine:
             if entry is not None:
                 fault_point("engine.replay.pre_serve")
                 self._count("resumed")
-                self._count("guard_events", len(getattr(entry.result, "guard_events", []) or []))
-                outcome = TrialOutcome(
-                    request=request,
-                    result=entry.result,
-                    attempts=entry.attempts,
-                    failed=entry.failed,
-                    error=entry.error,
-                    resumed=True,
-                    journal_seq=entry.seq or None,
-                )
+                self._count("guard_events", len(entry.result.guard_events))
+                outcome = replace(entry, request=request)
                 self._ready.append(outcome)
                 self._emit_trial(outcome)
                 return request
@@ -643,22 +627,11 @@ class TrialEngine:
                 self._count("timeouts")
             if request.attempt < self.max_retries:
                 self._count("retries")
-                retry = TrialRequest(
-                    config=request.config,
-                    budget_fraction=request.budget_fraction,
-                    iteration=request.iteration,
-                    bracket=request.bracket,
-                    trial_id=request.trial_id,
-                    key=request.key,
-                    attempt=request.attempt + 1,
-                    telemetry=request.telemetry,
-                    warm_source=request.warm_source,
-                    warm_states=request.warm_states,
-                    capture=request.capture,
+                attempt = request.attempt + 1
+                seed = derive_seed(
+                    self.root_seed, request.resolved_key(), request.budget_fraction, attempt
                 )
-                retry.seed = derive_seed(
-                    self.root_seed, retry.resolved_key(), retry.budget_fraction, retry.attempt
-                )
+                retry = replace(request, attempt=attempt, seed=seed)
                 delay = self._retry_delay(retry)
                 if delay > 0.0:
                     self._sleep(delay)
@@ -667,7 +640,7 @@ class TrialEngine:
                 self._count("executed")
                 continue
             self._count("failures")
-            sentinel = _sentinel_result(request.budget_fraction, self.failure_score)
+            sentinel = _sentinel_result(request.budget_fraction)
             self._settle(request, sentinel, failed=True, error=error)
 
     def _retry_delay(self, retry: TrialRequest) -> float:
@@ -710,7 +683,7 @@ class TrialEngine:
                 request.resolved_key(), request.budget_fraction, fold_states, batch=staged[0]
             )
             self._count("checkpoints_stored")
-        self._count("guard_events", len(getattr(result, "guard_events", []) or []))
+        self._count("guard_events", len(result.guard_events))
         outcome = TrialOutcome(
             request=request, result=result, attempts=attempts, failed=failed, error=error
         )

@@ -61,7 +61,7 @@ import numpy as np
 # it here, before any fork.
 import numpy.ma  # noqa: F401
 
-from ..bandit.base import EvaluationResult
+from .protocol import EvaluationResult
 from ..faults.points import fault_point
 from ..obs import flightrec as _flightrec
 from .arena import ArenaError, SharedArena, arena_available, reap_stale
@@ -86,6 +86,11 @@ __all__ = [
 TIMEOUT_ERROR_PREFIX = "TrialTimeout"
 WORKER_DIED_PREFIX = "WorkerDied"
 WORKER_HUNG_PREFIX = "WorkerHung"
+
+#: Parent-side supervision granularity under a watchdog: how often (in
+#: seconds) ``wait_one`` wakes to run watchdog checks while no completion
+#: is ready.
+POLL_INTERVAL = 0.05
 
 #: Set inside worker processes: the id stamped on telemetry sidecars.
 #: ``None`` in the parent process and under :class:`SerialExecutor`.
@@ -424,9 +429,6 @@ class ParallelExecutor(TrialExecutor):
         many seconds while it runs a trial (the worker is killed and
         respawned like a timeout).  ``None`` (default) disables the check
         and the workers' heartbeat threads with it.
-    poll_interval:
-        Parent-side supervision granularity: how often ``wait_one`` wakes
-        to run watchdog checks while no completion is ready.
     transport:
         How the evaluator's dataset reaches workers; ``"arena"`` is the
         only accepted value.  The pool publishes the dataset once into a
@@ -459,8 +461,8 @@ class ParallelExecutor(TrialExecutor):
       the heartbeat thread and ``wait_one`` blocks on the pipes.
     - **watchdog**: the depth is 1 — every idle worker gets one task, at
       submit time and after every completion — so per-trial deadlines
-      stay meaningful, and ``wait_one`` wakes every ``poll_interval`` to
-      run the watchdog.
+      stay meaningful, and ``wait_one`` wakes every :data:`POLL_INTERVAL`
+      seconds to run the watchdog.
     """
 
     def __init__(
@@ -470,7 +472,6 @@ class ParallelExecutor(TrialExecutor):
         trial_timeout: Optional[float] = None,
         heartbeat_interval: float = 0.2,
         heartbeat_timeout: Optional[float] = None,
-        poll_interval: float = 0.05,
         transport: str = "arena",
     ) -> None:
         if transport != "arena":
@@ -490,7 +491,6 @@ class ParallelExecutor(TrialExecutor):
         self.trial_timeout = trial_timeout
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = heartbeat_timeout
-        self.poll_interval = poll_interval
         #: Tasks a worker may hold at once: 1 under a watchdog (deadlines are
         #: per trial), ``None`` — a rung's whole share — without one.
         self._lane_depth = (
@@ -700,7 +700,7 @@ class ParallelExecutor(TrialExecutor):
             self._deal()  # async callers never flush themselves
             # Without a watchdog there is nothing to periodically check:
             # block on the pipes (a dead worker's EOF wakes the wait too).
-            self._pump(None if self._lane_depth is None else self.poll_interval)
+            self._pump(None if self._lane_depth is None else POLL_INTERVAL)
             if not self._completed:
                 self._run_watchdog()
         if self._lane_depth is not None:

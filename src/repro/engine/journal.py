@@ -34,20 +34,17 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from ..bandit.base import EvaluationResult
+from .._jsonl import read_log
 from ..faults.points import fault_point
-from ..results import config_from_jsonable, config_to_jsonable
-from ..space import config_key
+from ..space import config_from_jsonable, config_to_jsonable
 from .cache import EvaluationCache
-from .protocol import TrialOutcome, derive_seed
+from .protocol import EvaluationResult, TrialOutcome, TrialRequest, derive_seed
 
 __all__ = [
     "JOURNAL_VERSION",
-    "JournalEntry",
     "JournalError",
     "RunJournal",
     "replay_key",
@@ -74,54 +71,14 @@ def space_fingerprint(space) -> str:
     return hashlib.blake2b(payload, digest_size=8).hexdigest()
 
 
-@dataclass
-class JournalEntry:
-    """One durable trial outcome, as reconstructed from a journal line.
+def _outcome_to_dict(outcome: TrialOutcome) -> Dict[str, Any]:
+    """Serialise an executed terminal outcome to a journal record.
 
-    Attributes
-    ----------
-    config, budget_fraction, iteration, bracket, trial_id, seed, attempt:
-        The originating request's fields (``seed``/``attempt`` are those
-        of the final attempt that settled the trial).
-    attempts:
-        Number of executions the original run performed for this trial.
-    failed:
-        True when the trial was degraded to the sentinel result.
-    error:
-        ``"ExcType: message"`` of the last failure, if any.
-    warm:
-        Donor budget fraction the trial warm-started from, or ``None``
-        for a cold evaluation.  Part of the replay identity: a warm
-        outcome only replays for a submission warm-starting from the same
-        source.
-    result:
-        The terminal :class:`~repro.bandit.base.EvaluationResult`
-        (the sentinel for degraded trials).
-    seq:
-        1-based position of this record in the journal (assigned by
-        :meth:`RunJournal.read`); replayed outcomes carry it into trace
-        spans so traces reference the write-ahead log.
+    ``seed``/``attempt`` are those of the final attempt that settled the
+    trial; ``warm`` is the donor budget it warm-started from (``None``
+    when cold).
     """
-
-    config: Dict[str, Any]
-    budget_fraction: float
-    iteration: int
-    bracket: int
-    trial_id: int
-    seed: Optional[int]
-    attempt: int
-    attempts: int
-    failed: bool
-    error: Optional[str]
-    result: EvaluationResult
-    seq: int = 0
-    warm: Optional[float] = None
-
-
-def _entry_to_dict(outcome: TrialOutcome) -> Dict[str, Any]:
-    """Serialise an executed terminal outcome to a journal record."""
     request = outcome.request
-    result = outcome.result
     return {
         "type": "outcome",
         "trial_id": request.trial_id,
@@ -135,22 +92,14 @@ def _entry_to_dict(outcome: TrialOutcome) -> Dict[str, Any]:
         "failed": outcome.failed,
         "error": outcome.error,
         "warm": request.warm_source,
-        "result": {
-            "mean": result.mean,
-            "std": result.std,
-            "score": result.score,
-            "gamma": result.gamma,
-            "fold_scores": list(result.fold_scores),
-            "n_instances": result.n_instances,
-            "cost": result.cost,
-            "guard_events": list(getattr(result, "guard_events", []) or []),
-        },
+        "result": outcome.result.to_dict(),
     }
 
 
-def _entry_from_dict(data: Dict[str, Any]) -> JournalEntry:
-    """Inverse of :func:`_entry_to_dict`; raises ``KeyError`` when malformed."""
-    return JournalEntry(
+def _outcome_from_dict(data: Dict[str, Any], seq: int) -> TrialOutcome:
+    """Inverse of :func:`_outcome_to_dict`: the outcome, marked replayed
+    (``resumed=True``, ``journal_seq=seq``); raises ``KeyError`` when malformed."""
+    request = TrialRequest(
         config=config_from_jsonable(data["config"]),
         budget_fraction=float(data["budget_fraction"]),
         iteration=int(data.get("iteration", 0)),
@@ -158,15 +107,20 @@ def _entry_from_dict(data: Dict[str, Any]) -> JournalEntry:
         trial_id=int(data.get("trial_id", -1)),
         seed=data.get("seed"),
         attempt=int(data.get("attempt", 0)),
+        warm_source=data.get("warm"),
+    )
+    return TrialOutcome(
+        request=request,
+        result=EvaluationResult.from_dict(data["result"]),
         attempts=int(data.get("attempts", 1)),
         failed=bool(data.get("failed", False)),
         error=data.get("error"),
-        result=EvaluationResult(**data["result"]),
-        warm=data.get("warm"),
+        resumed=True,
+        journal_seq=seq,
     )
 
 
-def replay_key(entry: JournalEntry, root_seed: Optional[int]) -> Tuple:
+def replay_key(outcome: TrialOutcome, root_seed: Optional[int]) -> Tuple:
     """The engine lookup key a fresh submission of this trial would use.
 
     Fresh submissions always carry ``attempt=0``, so the key is built from
@@ -176,9 +130,10 @@ def replay_key(entry: JournalEntry, root_seed: Optional[int]) -> Tuple:
     :meth:`~repro.engine.cache.EvaluationCache.make_key` — so it only
     replays for a resubmission that would warm-start from the same source.
     """
-    key = config_key(entry.config)
-    seed = derive_seed(root_seed, key, entry.budget_fraction, 0)
-    return EvaluationCache.make_key(key, entry.budget_fraction, seed, entry.warm)
+    request = outcome.request
+    key = request.resolved_key()
+    seed = derive_seed(root_seed, key, request.budget_fraction, 0)
+    return EvaluationCache.make_key(key, request.budget_fraction, seed, request.warm_source)
 
 
 def _normalise_root(root_seed: Optional[int]) -> int:
@@ -224,48 +179,23 @@ class RunJournal:
     # -- reading ---------------------------------------------------------------
 
     @staticmethod
-    def read(path: Union[str, Path]) -> Tuple[Dict[str, Any], List[JournalEntry], int]:
-        """Parse a journal file into ``(header, entries, n_dropped)``.
+    def read(path: Union[str, Path]) -> Tuple[Dict[str, Any], List[TrialOutcome], int]:
+        """Parse a journal file into ``(header, outcomes, n_dropped)``.
 
-        A crash can only ever truncate the file mid-line, so parsing stops
-        at the first undecodable or incomplete record and reports how many
-        trailing lines were dropped; everything before it is trusted.  A
-        missing/invalid header or an unsupported version raises
-        :class:`JournalError` — that is corruption of a different kind and
-        must not be silently "resumed" from.
+        Each outcome is the one the engine journaled, with its request
+        fields restored, ``resumed=True`` and ``journal_seq`` its 1-based
+        record position.  A crash can only ever truncate the file
+        mid-line, so parsing stops at the first undecodable or incomplete
+        record and reports how many trailing lines were dropped;
+        everything before it is trusted.  A missing/invalid header or an
+        unsupported version raises :class:`JournalError` — that is
+        corruption of a different kind and must not be silently
+        "resumed" from.
         """
-        path = Path(path)
-        raw = path.read_text()
-        lines = raw.split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
-        if not lines:
-            raise JournalError(f"journal {path} is empty")
-        try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError as exc:
-            raise JournalError(f"journal {path} has an unreadable header: {exc}") from exc
-        if not isinstance(header, dict) or header.get("type") != "header":
-            raise JournalError(f"journal {path} does not start with a header record")
-        version = header.get("version")
-        if version != JOURNAL_VERSION:
-            raise JournalError(
-                f"journal {path} has version {version!r}; this build reads {JOURNAL_VERSION}"
-            )
-        entries: List[JournalEntry] = []
-        dropped = 0
-        for index, line in enumerate(lines[1:]):
-            try:
-                data = json.loads(line)
-                if data.get("type") != "outcome":
-                    raise KeyError("type")
-                entry = _entry_from_dict(data)
-                entry.seq = len(entries) + 1
-                entries.append(entry)
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                dropped = len(lines) - 1 - index
-                break
-        return header, entries, dropped
+        return read_log(
+            path, "journal", JOURNAL_VERSION, JournalError, kind="outcome",
+            decode=_outcome_from_dict,
+        )
 
     # -- writing ---------------------------------------------------------------
 
@@ -273,8 +203,8 @@ class RunJournal:
         self,
         root_seed: Optional[int],
         metadata: Optional[Dict[str, Any]] = None,
-    ) -> List[JournalEntry]:
-        """Open for appending, returning every already-durable entry.
+    ) -> List[TrialOutcome]:
+        """Open for appending, returning every already-durable outcome.
 
         A fresh file gets a header recording ``root_seed`` and
         ``metadata``; an existing file is replayed and its header verified
@@ -285,7 +215,7 @@ class RunJournal:
         if self._handle is not None:
             self.check_identity(root_seed, metadata)
             return []
-        entries: List[JournalEntry] = []
+        entries: List[TrialOutcome] = []
         if self.path.exists() and self.path.stat().st_size > 0:
             fault_point("journal.open.pre_replay", path=str(self.path))
             self.header, entries, self.dropped_records = self.read(self.path)
@@ -351,7 +281,7 @@ class RunJournal:
         """
         if self._handle is None:
             raise JournalError("journal not open; call open() before append()")
-        line = json.dumps(_entry_to_dict(outcome), separators=(",", ":")) + "\n"
+        line = json.dumps(_outcome_to_dict(outcome), separators=(",", ":")) + "\n"
         self.last_seq += 1
         batch.append(line)
         return self.last_seq

@@ -1,4 +1,11 @@
-"""Trial protocol: stable identities and deterministic per-trial seeds.
+"""Trial protocol: the trial record, its identities and per-trial seeds.
+
+:class:`EvaluationResult` is the one record every trial produces — the
+paper's ``mu``, ``sigma``, ``gamma`` and Equation 3 score — and its
+:meth:`~EvaluationResult.to_dict` / :meth:`~EvaluationResult.from_dict`
+pair is the one codec the run journal and ``result.json`` both write it
+through.  It lives here, at the bottom of the engine, so the engine never
+imports the searchers that consume it.
 
 The engine decouples *what to evaluate* (a :class:`TrialRequest`) from *how
 it runs* (an executor).  For the decoupling to be safe the randomness of an
@@ -18,16 +25,75 @@ the retry attempt — via a keyed BLAKE2b digest.  Two consequences:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Optional, Tuple
 
-from ..bandit.base import EvaluationResult
 from ..space import config_key
 
-__all__ = ["TrialRequest", "TrialOutcome", "derive_seed"]
+__all__ = ["EvaluationResult", "TrialRequest", "TrialOutcome", "derive_seed"]
 
 #: Digest size (bytes) of the derived seed; 8 bytes -> uint64 seeds.
 _SEED_BYTES = 8
+
+
+@dataclass
+class EvaluationResult:
+    """Outcome of evaluating one configuration under a partial budget.
+
+    Attributes
+    ----------
+    mean:
+        Average cross-validation score ``mu`` (the vanilla metric).
+    std:
+        Standard deviation ``sigma`` across folds.
+    score:
+        Ranking score used for halving; equals ``mean`` for vanilla
+        evaluators and ``mu + alpha * beta(gamma) * sigma`` (Equation 3) for
+        the enhanced evaluator.
+    gamma:
+        Subset size as a percentage of the full budget (``gamma`` in the
+        paper).
+    fold_scores:
+        Per-fold validation scores.
+    n_instances:
+        Number of training instances actually used.
+    cost:
+        Wall-clock seconds spent on this evaluation.
+    guard_events:
+        Data-integrity degradations recorded while evaluating, as
+        JSON-able dicts (see :mod:`repro.guard.events`).  Kept as plain
+        data so the events survive worker-process boundaries and journal
+        round-trips; empty when no guard is active.
+    """
+
+    mean: float
+    std: float
+    score: float
+    gamma: float
+    fold_scores: List[float] = field(default_factory=list)
+    n_instances: int = 0
+    cost: float = 0.0
+    guard_events: List[Dict[str, Any]] = field(default_factory=list)
+
+    def to_dict(self) -> Dict[str, Any]:
+        """JSON-able record, keys in field order (journal lines and
+        ``result.json`` are written without ``sort_keys``, so the order is
+        part of the on-disk format)."""
+        return {
+            "mean": self.mean,
+            "std": self.std,
+            "score": self.score,
+            "gamma": self.gamma,
+            "fold_scores": list(self.fold_scores),
+            "n_instances": self.n_instances,
+            "cost": self.cost,
+            "guard_events": list(self.guard_events),
+        }
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any]) -> "EvaluationResult":
+        """Inverse of :meth:`to_dict`; raises ``TypeError`` on missing or unknown keys."""
+        return cls(**data)
 
 
 def derive_seed(
@@ -82,8 +148,8 @@ class TrialRequest:
     budget_fraction:
         Fraction of the instance budget, in ``(0, 1]``.
     iteration, bracket:
-        Bookkeeping copied onto the resulting
-        :class:`~repro.bandit.base.Trial` (rung index / bracket id).
+        Bookkeeping the searcher copies onto its trial record (rung index /
+        bracket id).
     trial_id:
         Stable submission index assigned by the engine; outcomes are
         matched back to requests through it, so batch results can be

@@ -16,7 +16,7 @@ single place those pathologies are detected, repaired (or refused) and
   empty clusters, clamped scores, aborted diverging fits — so nothing
   degrades silently;
 - events ride on each
-  :class:`~repro.bandit.base.EvaluationResult` into the engine, where
+  :class:`~repro.engine.protocol.EvaluationResult` into the engine, where
   they are counted in :class:`~repro.engine.EngineStats` and persisted
   by the run journal.
 

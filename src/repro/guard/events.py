@@ -5,7 +5,7 @@ instead of crashing, it records a :class:`GuardEvent` into a
 :class:`GuardLog`.  Events are plain data (kind + human detail + JSON-able
 context), so they serialise into the run journal and survive process
 boundaries by riding on
-:attr:`~repro.bandit.base.EvaluationResult.guard_events`.
+:attr:`~repro.engine.protocol.EvaluationResult.guard_events`.
 
 The ``kind`` vocabulary is dot-namespaced by pipeline stage:
 

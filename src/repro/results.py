@@ -11,79 +11,32 @@ import json
 from pathlib import Path
 from typing import Any, Dict, Union
 
-from .bandit.base import EvaluationResult, SearchResult, Trial
+from .bandit.base import SearchResult, Trial
+from .engine.protocol import EvaluationResult
+from .space import config_from_jsonable, config_to_jsonable
 
 __all__ = [
     "result_to_dict",
     "result_from_dict",
     "save_result",
     "load_result",
-    "config_to_jsonable",
-    "config_from_jsonable",
 ]
-
-
-def _jsonable(value: Any) -> Any:
-    """Coerce config values (tuples, numpy scalars) to JSON-safe types."""
-    if isinstance(value, tuple):
-        return {"__tuple__": [_jsonable(v) for v in value]}
-    if isinstance(value, (list,)):
-        return [_jsonable(v) for v in value]
-    if hasattr(value, "item"):  # numpy scalar
-        return value.item()
-    return value
-
-
-def _from_jsonable(value: Any) -> Any:
-    if isinstance(value, dict) and "__tuple__" in value:
-        return tuple(_from_jsonable(v) for v in value["__tuple__"])
-    if isinstance(value, list):
-        return [_from_jsonable(v) for v in value]
-    return value
-
-
-def config_to_jsonable(config: Dict[str, Any]) -> Dict[str, Any]:
-    """JSON-safe copy of a configuration (tuples and numpy scalars coerced).
-
-    The engine's run journal and the result files share this encoding, so
-    a configuration round-trips identically through either.
-    """
-    return {key: _jsonable(value) for key, value in config.items()}
-
-
-def config_from_jsonable(data: Dict[str, Any]) -> Dict[str, Any]:
-    """Inverse of :func:`config_to_jsonable`."""
-    return {key: _from_jsonable(value) for key, value in data.items()}
-
-
-# Backwards-compatible private aliases (pre-journal internal names).
-_config_to_dict = config_to_jsonable
-_config_from_dict = config_from_jsonable
 
 
 def result_to_dict(result: SearchResult) -> Dict[str, Any]:
     """Serialise a search result (including all trials) to a plain dict."""
     return {
         "method": result.method,
-        "best_config": _config_to_dict(result.best_config),
+        "best_config": config_to_jsonable(result.best_config),
         "best_score": result.best_score,
         "wall_time": result.wall_time,
         "trials": [
             {
-                "config": _config_to_dict(trial.config),
+                "config": config_to_jsonable(trial.config),
                 "budget_fraction": trial.budget_fraction,
                 "iteration": trial.iteration,
                 "bracket": trial.bracket,
-                "result": {
-                    "mean": trial.result.mean,
-                    "std": trial.result.std,
-                    "score": trial.result.score,
-                    "gamma": trial.result.gamma,
-                    "fold_scores": list(trial.result.fold_scores),
-                    "n_instances": trial.result.n_instances,
-                    "cost": trial.result.cost,
-                    "guard_events": list(getattr(trial.result, "guard_events", []) or []),
-                },
+                "result": trial.result.to_dict(),
             }
             for trial in result.trials
         ],
@@ -95,16 +48,16 @@ def result_from_dict(data: Dict[str, Any]) -> SearchResult:
     try:
         trials = [
             Trial(
-                config=_config_from_dict(raw["config"]),
+                config=config_from_jsonable(raw["config"]),
                 budget_fraction=raw["budget_fraction"],
                 iteration=raw.get("iteration", 0),
                 bracket=raw.get("bracket", 0),
-                result=EvaluationResult(**raw["result"]),
+                result=EvaluationResult.from_dict(raw["result"]),
             )
             for raw in data.get("trials", [])
         ]
         return SearchResult(
-            best_config=_config_from_dict(data["best_config"]),
+            best_config=config_from_jsonable(data["best_config"]),
             best_score=data["best_score"],
             trials=trials,
             wall_time=data.get("wall_time", 0.0),

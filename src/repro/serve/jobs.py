@@ -36,13 +36,14 @@ import json
 import threading
 from typing import Any, Callable, Dict, Optional
 
-from ..core import MLPModelFactory, optimize
+from ..core import MLPModelFactory, grid_pool, optimize
 from ..datasets import load_dataset
 from ..engine import TrialEngine
 from ..experiments import paper_search_space
 from ..faults.points import fault_point
 from ..obs import flightrec as _flightrec
-from ..results import result_to_dict, save_result
+from ..results import result_to_dict
+from ..space import config_to_jsonable
 from ..telemetry import Telemetry
 from .protocol import JobRecord, JobSpec, eval_context
 from .registry import JobRegistry, SharedEngineState
@@ -55,10 +56,6 @@ __all__ = [
     "incumbent_fingerprint",
 ]
 
-#: Method prefixes that sample their own candidates (no finite grid pool).
-_SAMPLING_METHODS = ("bohb", "dehb", "tpe", "smac")
-
-
 class JobCancelled(Exception):
     """Raised inside a running job once its cancel event is set."""
 
@@ -67,14 +64,13 @@ def optimize_inputs(spec: JobSpec) -> Dict[str, Any]:
     """Translate a spec into :func:`repro.optimize` keyword arguments.
 
     Mirrors the ``repro tune`` CLI: registry dataset, Table III search
-    space, MLP factory with the spec's iteration budget, and a full grid
-    pool for finite spaces under non-sampling searchers.  Deterministic:
-    equal specs produce equal inputs, bit for bit.
+    space, MLP factory with the spec's iteration budget, and the candidate
+    pool of :func:`~repro.core.grid_pool` (the rule ``repro tune`` uses).
+    Deterministic: equal specs produce equal inputs, bit for bit.
     """
     dataset = load_dataset(spec.dataset, scale=spec.scale, random_state=spec.seed)
     task = "regression" if dataset.task == "regression" else "classification"
     space = paper_search_space(spec.hps)
-    use_grid = space.is_finite and not spec.method.lower().startswith(_SAMPLING_METHODS)
     return {
         "X": dataset.X_train,
         "y": dataset.y_train,
@@ -84,7 +80,7 @@ def optimize_inputs(spec: JobSpec) -> Dict[str, Any]:
         "task": task,
         "model_factory": MLPModelFactory(task=task, max_iter=spec.max_iter),
         "random_state": spec.seed,
-        "configurations": space.grid() if use_grid else None,
+        "configurations": grid_pool(space, spec.method),
         "n_configurations": spec.n_configurations,
         "guard": spec.guard,
         "refit": spec.refit,
@@ -113,8 +109,6 @@ def incumbent_fingerprint(result) -> str:
 
 def _incumbent_summary(outcome, spec: JobSpec) -> Dict[str, Any]:
     """JSON-safe incumbent payload stored on the job record."""
-    from ..results import config_to_jsonable
-
     summary = {
         "best_config": config_to_jsonable(outcome.result.best_config),
         "best_score": outcome.result.best_score,
@@ -200,7 +194,7 @@ def execute_job(
         with telemetry.span(
             "serve.job", job_id=record.job_id, tenant=spec.tenant, method=spec.method
         ):
-            outcome = optimize(**optimize_inputs(spec), engine=engine, telemetry=telemetry)
+            outcome = optimize(**optimize_inputs(spec), engine=engine)
     except JobCancelled:
         state, fields = "cancelled", {"error": "cancelled by request"}
     except Exception as exc:  # job isolation: one bad job must not kill the daemon
@@ -216,7 +210,8 @@ def execute_job(
             on_settled()
     if state == "done":
         fault_point("serve.job.pre_result_write")
-        save_result(outcome.result, registry.result_path(record.job_id))
+        body = json.dumps(result_to_dict(outcome.result), indent=2).encode("utf-8")
+        registry.publish_result(record.job_id, body)
         fields["incumbent"] = _incumbent_summary(outcome, spec)
         fault_point("serve.job.pre_mark_finished")
     # The terminal state is the last thing a job writes: whoever has seen it

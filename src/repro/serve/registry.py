@@ -116,19 +116,18 @@ class SharedEngineState:
         ``root/checkpoints/<context>/``.
     cache_entries:
         Optional LRU bound per context cache (``None`` = unbounded).
-    checkpoint_entries:
-        In-memory LRU bound per context checkpoint store.
+        Each context's checkpoint store keeps
+        :class:`~repro.engine.checkpoint.CheckpointStore`'s default
+        in-memory bound.
     """
 
     def __init__(
         self,
         root: Union[str, Path],
         cache_entries: Optional[int] = None,
-        checkpoint_entries: int = 256,
     ) -> None:
         self.root = Path(root)
         self.cache_entries = cache_entries
-        self.checkpoint_entries = checkpoint_entries
         self._lock = threading.Lock()
         self._caches: Dict[str, EvaluationCache] = {}
         self._checkpoints: Dict[str, CheckpointStore] = {}
@@ -147,10 +146,7 @@ class SharedEngineState:
         with self._lock:
             store = self._checkpoints.get(context)
             if store is None:
-                store = CheckpointStore(
-                    max_entries=self.checkpoint_entries,
-                    spill_dir=self.root / "checkpoints" / context,
-                )
+                store = CheckpointStore(spill_dir=self.root / "checkpoints" / context)
                 self._checkpoints[context] = store
             return store
 
@@ -228,6 +224,16 @@ class JobRegistry:
     def result_path(self, job_id: str) -> Path:
         """The job's full search-record location (written when done)."""
         return self.job_dir(job_id) / "result.json"
+
+    def publish_result(self, job_id: str, body: bytes) -> None:
+        """Durably write the job's ``result.json`` (fault sites ``serve.result.*``).
+
+        Called before the terminal record is published, so a durable
+        ``done`` never points at a result file that could be empty or
+        torn after a power cut; a stray ``result.json.*.tmp`` from a crash
+        mid-write is quarantined by :meth:`load_all`.
+        """
+        atomic_publish(self.result_path(job_id), lambda handle: handle.write(body), "serve.result")
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -396,8 +402,8 @@ class JobRegistry:
         :attr:`quarantined` and moved under ``<root>/quarantine/`` for
         post-mortems:
 
-        - stray ``job.json.*.tmp`` files (a write that crashed before its
-          rename) are moved aside;
+        - stray ``job.json.*.tmp`` and ``result.json.*.tmp`` files (a write
+          that crashed before its rename) are moved aside;
         - a truncated/corrupt/unparseable ``job.json`` is moved aside and
           the record is rebuilt ``queued`` from the immutable ``spec.json``
           sidecar — the job's journal then replays the already-durable

@@ -16,7 +16,7 @@ import numpy as np
 
 from .params import Parameter
 
-__all__ = ["SearchSpace", "config_key"]
+__all__ = ["SearchSpace", "config_from_jsonable", "config_key", "config_to_jsonable"]
 
 
 def config_key(config: Dict[str, Any]) -> Tuple:
@@ -30,6 +30,39 @@ def config_key(config: Dict[str, Any]) -> Tuple:
         return value
 
     return tuple(sorted((name, _freeze(value)) for name, value in config.items()))
+
+
+def _jsonable(value: Any) -> Any:
+    """Coerce config values (tuples, numpy scalars) to JSON-safe types."""
+    if isinstance(value, tuple):
+        return {"__tuple__": [_jsonable(v) for v in value]}
+    if isinstance(value, list):
+        return [_jsonable(v) for v in value]
+    if hasattr(value, "item"):  # numpy scalar
+        return value.item()
+    return value
+
+
+def _from_jsonable(value: Any) -> Any:
+    if isinstance(value, dict) and "__tuple__" in value:
+        return tuple(_from_jsonable(v) for v in value["__tuple__"])
+    if isinstance(value, list):
+        return [_from_jsonable(v) for v in value]
+    return value
+
+
+def config_to_jsonable(config: Dict[str, Any]) -> Dict[str, Any]:
+    """JSON-safe copy of a configuration (tuples and numpy scalars coerced).
+
+    The engine's run journal and the result files share this encoding, so
+    a configuration round-trips identically through either.
+    """
+    return {key: _jsonable(value) for key, value in config.items()}
+
+
+def config_from_jsonable(data: Dict[str, Any]) -> Dict[str, Any]:
+    """Inverse of :func:`config_to_jsonable`."""
+    return {key: _from_jsonable(value) for key, value in data.items()}
 
 
 class SearchSpace:

@@ -2,11 +2,13 @@
 
 The package is zero-dependency (stdlib only) and threads through every
 layer of the repo — engine, searchers, evaluator, journal, guard, faults,
-CLI — behind a single :class:`Telemetry` facade:
+CLI — behind a single :class:`Telemetry` facade, attached to the engine
+(the one place a run's telemetry lives):
 
 >>> from repro.telemetry import Telemetry
 >>> telemetry = Telemetry(trace="run.trace")          # doctest: +SKIP
->>> outcome = optimize(..., telemetry=telemetry)      # doctest: +SKIP
+>>> engine = TrialEngine(telemetry=telemetry)         # doctest: +SKIP
+>>> outcome = optimize(..., engine=engine)            # doctest: +SKIP
 >>> telemetry.close()                                 # doctest: +SKIP
 
 Two cooperating pieces:

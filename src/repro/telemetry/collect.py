@@ -2,7 +2,7 @@
 
 Worker processes cannot write to the parent's tracer or registry, and the
 executor pipes already carry exactly one object per trial: the
-:class:`~repro.bandit.base.EvaluationResult`.  So collection works like
+:class:`~repro.engine.protocol.EvaluationResult`.  So collection works like
 this:
 
 1. The executor gives each evaluation a :class:`TrialCollector`, which

@@ -25,6 +25,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
+from .._jsonl import read_log
 from ..obs import flightrec as _flightrec
 
 __all__ = ["TRACE_VERSION", "Span", "TraceSink", "Tracer"]
@@ -153,41 +154,12 @@ class TraceSink:
     ) -> Tuple[Dict[str, Any], List[Dict[str, Any]], int]:
         """Parse a trace file into ``(header, records, n_dropped)``.
 
-        Mirrors :meth:`repro.engine.journal.RunJournal.read`: a crash can
-        only truncate the file mid-line, so parsing stops at the first
+        The same reader as :meth:`repro.engine.journal.RunJournal.read`
+        (:func:`repro._jsonl.read_log`): parsing stops at the first
         undecodable record and reports how many trailing lines were
-        dropped.  A missing or wrong-version header raises ``ValueError``
-        — that is corruption of a different kind.
+        dropped; a missing or wrong-version header raises ``ValueError``.
         """
-        path = Path(path)
-        lines = path.read_text().split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
-        if not lines:
-            raise ValueError(f"trace {path} is empty")
-        try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"trace {path} has an unreadable header: {exc}") from exc
-        if not isinstance(header, dict) or header.get("type") != "header":
-            raise ValueError(f"trace {path} does not start with a header record")
-        if header.get("version") != TRACE_VERSION:
-            raise ValueError(
-                f"trace {path} has version {header.get('version')!r}; "
-                f"this build reads {TRACE_VERSION}"
-            )
-        records: List[Dict[str, Any]] = []
-        dropped = 0
-        for index, line in enumerate(lines[1:]):
-            try:
-                record = json.loads(line)
-                if not isinstance(record, dict) or "type" not in record:
-                    raise KeyError("type")
-                records.append(record)
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                dropped = len(lines) - 1 - index
-                break
-        return header, records, dropped
+        return read_log(path, "trace", TRACE_VERSION, ValueError)
 
     # -- context manager -------------------------------------------------------
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.bandit import EvaluationResult, SearchResult, SuccessiveHalving, Trial, top_k_indices
 from repro.bandit.base import BaseSearcher
-from repro.engine import FAILURE_SCORE
+from repro.engine import FAILURE_SCORE, TrialEngine
 from repro.telemetry import Telemetry
 from repro.space import Categorical, SearchSpace
 
@@ -91,15 +91,15 @@ class TestBaseSearcher:
         assert searcher._trials == [trial]
 
     def test_raising_evaluator_degrades_instead_of_aborting(self, tiny_space):
-        # No engine passed: the default engine turns errors into sentinel trials.
+        # The engine turns errors into sentinel trials; its telemetry sees each one.
         class Broken:
             def evaluate(self, config, budget_fraction, rng):
                 raise RuntimeError("boom")
 
         errors = []
         telemetry = Telemetry(on_trial=lambda _, attrs: errors.append(attrs.get("error")))
-        searcher = SuccessiveHalving(tiny_space, Broken(), random_state=0, telemetry=telemetry)
-        searcher.engine.retry_backoff = 0.0
+        engine = TrialEngine(retry_backoff=0.0, telemetry=telemetry)
+        searcher = SuccessiveHalving(tiny_space, Broken(), random_state=0, engine=engine)
         result = searcher.fit(configurations=tiny_space.grid())
         assert result.n_trials > 0
         assert all(t.result.score == FAILURE_SCORE for t in result.trials)

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from repro.bandit.base import EvaluationResult
 from repro.engine import (
+    EvaluationResult,
     JOURNAL_VERSION,
     JournalError,
     RunJournal,
@@ -52,10 +52,27 @@ class TestRoundTrip:
         assert header["root_seed"] == 3
         assert header["metadata"] == {"searcher": "HB"}
         assert dropped == 0
-        assert [e.config for e in entries] == [{"q": 1}, {"q": 2}]
-        assert entries[0].iteration == 1 and entries[0].bracket == 2
+        assert [e.request.config for e in entries] == [{"q": 1}, {"q": 2}]
+        assert entries[0].request.iteration == 1 and entries[0].request.bracket == 2
         assert entries[0].result.fold_scores == [0.89, 0.91]
         assert entries[1].failed and "RuntimeError" in entries[1].error
+
+    def test_read_returns_the_outcome_the_engine_journaled(self, tmp_path):
+        path = tmp_path / "run.wal"
+        written = _outcome({"q": 1}, trial_id=4, seed=11, attempt=1, attempts=2,
+                           error="RuntimeError: flaky")
+        written.request.warm_source = 0.25
+        written.result.guard_events = [{"kind": "clipped", "count": 1}]
+        with RunJournal(path) as journal:
+            journal.open(root_seed=0)
+            _log(journal, written)
+        (read,) = RunJournal.read(path)[1]
+        assert read.resumed and read.journal_seq == 1
+        assert read.result == written.result
+        assert (read.attempts, read.failed, read.error, read.cache_hit) == (2, False, "RuntimeError: flaky", False)
+        fields = ("config", "budget_fraction", "iteration", "bracket", "trial_id", "seed",
+                  "attempt", "warm_source")
+        assert [getattr(read.request, f) for f in fields] == [getattr(written.request, f) for f in fields]
 
     def test_tuple_configs_survive_json(self, tmp_path):
         path = tmp_path / "run.wal"
@@ -63,8 +80,8 @@ class TestRoundTrip:
             journal.open(root_seed=0)
             _log(journal, _outcome({"hidden_layer_sizes": (16, 8), "alpha": 1e-4}))
         _, entries, _ = RunJournal.read(path)
-        assert entries[0].config == {"hidden_layer_sizes": (16, 8), "alpha": 1e-4}
-        assert isinstance(entries[0].config["hidden_layer_sizes"], tuple)
+        assert entries[0].request.config == {"hidden_layer_sizes": (16, 8), "alpha": 1e-4}
+        assert isinstance(entries[0].request.config["hidden_layer_sizes"], tuple)
 
     def test_reopen_replays_and_appends(self, tmp_path):
         path = tmp_path / "run.wal"
@@ -73,10 +90,10 @@ class TestRoundTrip:
             _log(journal, _outcome({"q": 1}))
         with RunJournal(path) as journal:
             replayed = journal.open(root_seed=0)
-            assert [e.config for e in replayed] == [{"q": 1}]
+            assert [e.request.config for e in replayed] == [{"q": 1}]
             _log(journal, _outcome({"q": 2}, trial_id=1))
         _, entries, _ = RunJournal.read(path)
-        assert [e.config for e in entries] == [{"q": 1}, {"q": 2}]
+        assert [e.request.config for e in entries] == [{"q": 1}, {"q": 2}]
 
     def test_fsync_off_still_round_trips(self, tmp_path):
         path = tmp_path / "run.wal"
@@ -98,7 +115,7 @@ class TestTornTail:
         path.write_text("".join(lines[:2]) + lines[2][:10])  # tear mid-record
         header, entries, dropped = RunJournal.read(path)
         assert dropped >= 1
-        assert [e.config for e in entries] == [{"q": 1}]
+        assert [e.request.config for e in entries] == [{"q": 1}]
 
     def test_resume_after_tear_continues(self, tmp_path):
         path = tmp_path / "run.wal"
@@ -109,13 +126,13 @@ class TestTornTail:
             handle.write('{"type":"outcome","trunc')  # crash mid-append
         with RunJournal(path) as journal:
             replayed = journal.open(root_seed=0)
-            assert [e.config for e in replayed] == [{"q": 1}]
+            assert [e.request.config for e in replayed] == [{"q": 1}]
             assert journal.dropped_records == 1
             _log(journal, _outcome({"q": 3}, trial_id=1))
         # The torn fragment was cut off before appending: the new record is
         # not glued onto it, so a second resume sees both records.
         _, entries, dropped = RunJournal.read(path)
-        assert [e.config for e in entries] == [{"q": 1}, {"q": 3}] and dropped == 0
+        assert [e.request.config for e in entries] == [{"q": 1}, {"q": 3}] and dropped == 0
 
     def test_last_record_without_its_newline_is_kept_and_terminated(self, tmp_path):
         path = tmp_path / "run.wal"
@@ -124,10 +141,10 @@ class TestTornTail:
             _log(journal, _outcome({"q": 1}))
         path.write_bytes(path.read_bytes()[:-1])  # crash between record and newline
         with RunJournal(path) as journal:
-            assert [e.config for e in journal.open(root_seed=0)] == [{"q": 1}]
+            assert [e.request.config for e in journal.open(root_seed=0)] == [{"q": 1}]
             _log(journal, _outcome({"q": 2}, trial_id=1))
         _, entries, dropped = RunJournal.read(path)
-        assert [e.config for e in entries] == [{"q": 1}, {"q": 2}] and dropped == 0
+        assert [e.request.config for e in entries] == [{"q": 1}, {"q": 2}] and dropped == 0
 
     def test_batch_is_staged_until_commit_then_one_write(self, tmp_path):
         path = tmp_path / "run.wal"
@@ -140,8 +157,8 @@ class TestTornTail:
             journal.commit(batch)
             assert _log(journal, _outcome({"q": 9}, trial_id=3)) == [4]  # the next batch
         _, entries, dropped = RunJournal.read(path)
-        assert [e.config["q"] for e in entries] == [0, 1, 2, 9] and dropped == 0
-        assert [e.seq for e in entries] == [1, 2, 3, 4]
+        assert [e.request.config["q"] for e in entries] == [0, 1, 2, 9] and dropped == 0
+        assert [e.journal_seq for e in entries] == [1, 2, 3, 4]
 
 
 class TestRejection:

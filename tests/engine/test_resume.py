@@ -207,7 +207,7 @@ class TestGroupCommitResume:
         _, entries, _ = RunJournal.read(run_dir / "run.wal")
         rungs = []  # record count of each commit, in order
         for entry in entries:
-            tag = (entry.bracket, entry.iteration)
+            tag = (entry.request.bracket, entry.request.iteration)
             if rungs and rungs[-1][0] == tag:
                 rungs[-1][1] += 1
             else:

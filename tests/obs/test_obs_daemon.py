@@ -181,7 +181,7 @@ class TestStitchedTrace:
         spec = JobSpec(tenant="alice", **FAST)
         engine = TrialEngine(executor=ParallelExecutor(n_workers=2), telemetry=telemetry)
         try:
-            optimize(**optimize_inputs(spec), engine=engine, telemetry=telemetry)
+            optimize(**optimize_inputs(spec), engine=engine)
         finally:
             engine.shutdown()
             telemetry.close()

@@ -79,6 +79,32 @@ class TestDedup:
                 == finals[first["job_id"]]["incumbent"]["fingerprint"])
         assert daemon.stats()["fault_tolerance"]["deduped_jobs"] == 1
 
+    def test_result_file_is_durable_before_the_terminal_record(self, tmp_path, monkeypatch):
+        """A ``done`` record never points at a result.json that was not fsync'd."""
+        import repro.serve.registry as registry_module
+
+        published = []
+        publish = registry_module.atomic_publish
+
+        def recording(path, write, site):
+            publish(path, write, site)
+            published.append((path.parent.name, path.name))
+
+        monkeypatch.setattr(registry_module, "atomic_publish", recording)
+        with ServeDaemon(root=tmp_path / "serve", port=0, n_workers=2) as daemon:
+            with ServeClient(daemon.address) as client:
+                first = client.submit(tenant="alice", **SLOW)
+                second = client.submit(tenant="bob", **SLOW)
+                assert second["deduped_from"] == first["job_id"]
+                finals = client.wait_all([first["job_id"], second["job_id"]], timeout=120)
+        assert all(r["state"] == "done" for r in finals.values())
+        for job_id in (first["job_id"], second["job_id"]):
+            result_at = published.index((job_id, "result.json"))  # raises if never published
+            last_record_at = max(
+                i for i, entry in enumerate(published) if entry == (job_id, "job.json")
+            )
+            assert result_at < last_record_at
+
     def test_distinct_specs_not_deduped(self, client):
         first = client.submit(tenant="alice", **FAST)
         second = client.submit(tenant="alice", **{**FAST, "seed": 1})

@@ -181,7 +181,7 @@ class TestFullTracedRun:
         factory = MLPModelFactory(task="classification", max_iter=3)
         trace = tmp / "hb.trace.jsonl"
         telemetry = Telemetry(trace=trace)
-        with TrialEngine(executor=SerialExecutor()) as engine:
+        with TrialEngine(executor=SerialExecutor(), telemetry=telemetry) as engine:
             outcome = optimize(
                 X,
                 y,
@@ -191,7 +191,6 @@ class TestFullTracedRun:
                 random_state=3,
                 refit=False,
                 engine=engine,
-                telemetry=telemetry,
             )
         telemetry.close()
         return trace, telemetry, outcome.result
@@ -251,10 +250,10 @@ class TestFullTracedRun:
         factory = MLPModelFactory(task="classification", max_iter=3, solver="lbfgs")
         trace = tmp_path / "seq.trace.jsonl"
         telemetry = Telemetry(trace=trace)
-        with TrialEngine(executor=SerialExecutor()) as engine:
+        with TrialEngine(executor=SerialExecutor(), telemetry=telemetry) as engine:
             optimize(
                 X, y, space, method="hb+", model_factory=factory,
-                random_state=3, refit=False, engine=engine, telemetry=telemetry,
+                random_state=3, refit=False, engine=engine,
             )
         telemetry.close()
         chains = self._span_chains(trace)

@@ -35,9 +35,11 @@
 #   6. faults tier (every repro.faults-driven test: the degrade table's
 #      fork and spawn pool rows, worker kills, SIGKILL resume, the crashx
 #      explorer tests incl. the arena leak check; then a bounded
-#      crash-schedule sweep over the toy, HB+ and 2-worker HB+ workloads;
-#      the pool publishes its dataset to the arena, so hb-par keeps the
-#      arena.* sites.
+#      crash-schedule sweep over the toy, HB+, 2-worker HB+ and serve
+#      workloads; the pool publishes its dataset to the arena, so hb-par
+#      keeps the arena.* sites, and serve sweeps the daemon's durable
+#      writes (registry records and spec sidecars, serve.result.*
+#      result files published before their terminal record).
 #      The full sweep is `python tools/crashx.py --pairwise 40 --jobs 2
 #      --out CRASHX_report.json`; --out writes the report, which is not
 #      committed)
@@ -75,7 +77,7 @@ echo
 echo "== faults tier: pytest -m faults + bounded schedule sweep =="
 python -m pytest -q -m faults
 python tools/crashx.py --workload toy --workload hb --workload hb-par \
-    --max-hits-per-site 2 --jobs 2
+    --workload serve --max-hits-per-site 2 --jobs 2
 
 echo
 echo "== obs tier: pytest -m obs =="
