@@ -34,10 +34,10 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..engine.protocol import EvaluationResult
 from ..engine.arena import ArenaRef, SharedArena
 from ..engine.arena import attach as arena_attach
 from ..engine.checkpoint import FoldCheckpoint, attach_checkpoints
+from ..engine.protocol import EvaluationResult
 from ..guard import DataReport, GuardLog, validate_dataset
 from ..telemetry.collect import current_collector, install_collector
 from ..learners.mlp import MLPClassifier, MLPRegressor

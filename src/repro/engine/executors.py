@@ -61,10 +61,10 @@ import numpy as np
 # it here, before any fork.
 import numpy.ma  # noqa: F401
 
-from .protocol import EvaluationResult
 from ..faults.points import fault_point
 from ..obs import flightrec as _flightrec
 from .arena import ArenaError, SharedArena, arena_available, reap_stale
+from .protocol import EvaluationResult
 from ..telemetry.collect import (
     PAYLOAD_ATTR,
     TrialCollector,

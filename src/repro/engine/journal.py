@@ -215,7 +215,6 @@ class RunJournal:
         if self._handle is not None:
             self.check_identity(root_seed, metadata)
             return []
-        entries: List[TrialOutcome] = []
         if self.path.exists() and self.path.stat().st_size > 0:
             fault_point("journal.open.pre_replay", path=str(self.path))
             self.header, entries, self.dropped_records = self.read(self.path)
