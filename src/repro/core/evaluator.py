@@ -36,7 +36,7 @@ import numpy as np
 
 from ..engine.arena import ArenaRef, SharedArena
 from ..engine.arena import attach as arena_attach
-from ..engine.checkpoint import FoldCheckpoint, attach_checkpoints
+from ..engine.checkpoint import FoldCheckpoint
 from ..engine.protocol import EvaluationResult
 from ..guard import DataReport, GuardLog, validate_dataset
 from ..telemetry.collect import current_collector, install_collector
@@ -303,8 +303,8 @@ class SubsetCVEvaluator:
         fold from a lower-budget evaluation of the same configuration; a
         shape-compatible entry replaces the Glorot initialisation of the
         matching fold.  With ``capture_checkpoints`` the fitted per-fold
-        parameters are attached to the returned result for the engine's
-        :class:`~repro.engine.checkpoint.CheckpointStore`.
+        parameters are set as the returned result's ``fold_states``, for
+        the engine's :class:`~repro.engine.checkpoint.CheckpointStore`.
         """
         spec = (config, budget_fraction, rng, warm_states, capture_checkpoints, current_collector())
         return self.evaluate_many([spec])[0][0]
@@ -492,9 +492,9 @@ class SubsetCVEvaluator:
         """Fold one trial's lane-dispatch counters into its collector."""
         if collector is None:
             return
-        collector.inc("evaluator.batched_folds", stats.batched_folds)
+        collector.registry.inc("evaluator.batched_folds", stats.batched_folds)
         if stats.warm_folds:
-            collector.inc("evaluator.warm_folds", stats.warm_folds)
+            collector.registry.inc("evaluator.warm_folds", stats.warm_folds)
 
     def _score_trial(
         self,
@@ -509,7 +509,7 @@ class SubsetCVEvaluator:
         fold_scores = []
         for fold_index, (train_idx, val_idx) in enumerate(folds):
             span = (
-                collector.span(
+                collector.tracer.span(
                     "fold",
                     fold=fold_index,
                     n_train=int(len(train_idx)),
@@ -523,9 +523,9 @@ class SubsetCVEvaluator:
                     fold_index, train_idx, val_idx, models, warm_map, batch_fitted, guard
                 )
                 if record is not None:
-                    record["attrs"]["score"] = round(float(fold_score), 6)
+                    record.attrs["score"] = round(float(fold_score), 6)
             if collector is not None:
-                collector.observe("evaluator.fold_score", float(fold_score))
+                collector.registry.observe("evaluator.fold_score", float(fold_score))
             fold_scores.append(fold_score)
         return fold_scores
 
@@ -539,7 +539,7 @@ class SubsetCVEvaluator:
         cost: float,
         capture_checkpoints: bool,
     ) -> EvaluationResult:
-        """Assemble the trial's result (and attach captured checkpoints)."""
+        """Assemble the trial's result (with any captured fold states)."""
         gamma = 100.0 * len(subset) / len(self.y)
         mean = float(np.mean(fold_scores))
         std = float(np.std(fold_scores))
@@ -560,7 +560,7 @@ class SubsetCVEvaluator:
                 for index in range(len(folds))
             ]
             if any(state is not None for state in checkpoints):
-                attach_checkpoints(result, checkpoints)
+                result.fold_states = checkpoints
         return result
 
     def _subset_and_folds(
@@ -609,7 +609,7 @@ class SubsetCVEvaluator:
             X_train, y_train = self.X[train_idx], self.y[train_idx]
             collector = current_collector()
             span = (
-                collector.span("fit", n_train=int(len(train_idx)))
+                collector.tracer.span("fit", n_train=int(len(train_idx)))
                 if collector is not None
                 else nullcontext(None)
             )

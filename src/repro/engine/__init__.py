@@ -45,7 +45,7 @@ from .checkpoint import CheckpointStore, FoldCheckpoint
 from .core import FAILURE_SCORE, STATS_SCHEMA_VERSION, EngineStats, TrialEngine, backoff_delay
 from .executors import ParallelExecutor, SerialExecutor, TrialExecutor
 from .journal import JOURNAL_VERSION, JournalError, RunJournal, space_fingerprint
-from .protocol import EvaluationResult, TrialOutcome, TrialRequest, derive_seed
+from .protocol import Completion, EvaluationResult, TrialOutcome, TrialRequest, derive_seed
 
 __all__ = [
     "ArenaError",
@@ -56,6 +56,7 @@ __all__ = [
     "list_segments",
     "reap_stale",
     "CheckpointStore",
+    "Completion",
     "EvaluationCache",
     "EngineStats",
     "EvaluationResult",

@@ -14,13 +14,14 @@ the storage half of that idea:
   starting is combined with journal resume — replayed trials never
   execute, so only the spill can repopulate their checkpoints).  The
   spill's unit is the **segment**: one file per commit — a whole rung
-  from ``run_batch``, one entry for a lone settled trial;
-- :func:`attach_checkpoints` / :func:`detach_checkpoints` — transport of
-  captured fold states on an
-  :class:`~repro.engine.protocol.EvaluationResult`, mirroring the telemetry
-  payload pattern: the states ride the instance ``__dict__`` (surviving
-  the worker pipe's pickle) and the engine strips them in ``_settle``
-  before the result reaches the cache, the journal or the searcher.
+  from ``run_batch``, one entry for a lone settled trial.
+
+Captured fold states travel as a declared field of the result,
+:attr:`EvaluationResult.fold_states <repro.engine.protocol.EvaluationResult>`:
+the evaluator sets it, it crosses the worker pipe with the result, and the
+engine takes it (clearing the field) in ``_settle`` before the result
+reaches the cache, the journal or the searcher.  The result's codec never
+writes it.
 
 Warm-start selection (:meth:`CheckpointStore.best_source`) is the
 *largest stored budget strictly below* the requested one — deterministic
@@ -45,16 +46,7 @@ import numpy as np
 from ..faults.points import fault_point
 from .durability import atomic_publish
 
-__all__ = [
-    "CHECKPOINT_ATTR",
-    "CheckpointStore",
-    "FoldCheckpoint",
-    "attach_checkpoints",
-    "detach_checkpoints",
-]
-
-#: Attribute name carrying captured fold states on an EvaluationResult.
-CHECKPOINT_ATTR = "_checkpoints"
+__all__ = ["CheckpointStore", "FoldCheckpoint"]
 
 #: Spill-segment suffix.  A segment is ``pickle(directory)`` followed by one
 #: pickle per entry; ``directory`` lists ``((digest, budget), offset)`` with
@@ -120,18 +112,6 @@ class FoldCheckpoint:
 
     def __setstate__(self, state):
         self.layer_units, self.coefs, self.intercepts = state
-
-
-def attach_checkpoints(result, fold_states: List[Optional[FoldCheckpoint]]) -> None:
-    """Hang captured fold states onto a result for transport to the engine."""
-    result.__dict__[CHECKPOINT_ATTR] = fold_states
-
-
-def detach_checkpoints(result) -> Optional[List[Optional[FoldCheckpoint]]]:
-    """Remove and return the fold states a worker attached, if any."""
-    if result is None:
-        return None
-    return result.__dict__.pop(CHECKPOINT_ATTR, None)
 
 
 class CheckpointStore:

@@ -46,9 +46,8 @@ import numpy as np
 from ..faults.points import active_controller, fault_point
 from ..obs import flightrec as _flightrec
 from ..telemetry import Telemetry
-from ..telemetry.collect import detach_payload
 from .cache import EvaluationCache
-from .checkpoint import CheckpointStore, detach_checkpoints
+from .checkpoint import CheckpointStore
 from .executors import (
     SerialExecutor,
     TIMEOUT_ERROR_PREFIX,
@@ -523,12 +522,11 @@ class TrialEngine:
         telemetry.registry.inc(f"engine.rung_trials.b{bracket}.r{rung}")
         annotations = [dict(event) for event in result.guard_events]
         if payload is not None and not outcome.cache_hit and not outcome.resumed:
-            timings = payload.get("timings") or {}
-            execute = timings.get("trial.execute_s")
+            execute = payload["registry"].histograms().get("trial.execute_s")
             if execute is not None:
-                telemetry.registry.observe("engine.execute_s", float(execute[1]))
+                telemetry.registry.observe("engine.execute_s", execute.total)
                 telemetry.registry.observe(
-                    "engine.queue_wait_s", max(0.0, duration - float(execute[1]))
+                    "engine.queue_wait_s", max(0.0, duration - execute.total)
                 )
         telemetry.emit_trial(
             t0, duration, attrs=attrs, annotations=annotations, payload=payload
@@ -600,21 +598,18 @@ class TrialEngine:
                 return self._ready.popleft()
             if not self._in_flight:
                 raise RuntimeError("wait_one called with no pending trials")
-            trial_id, ok, result, error = self.executor.wait_one()
-            request = self._in_flight.pop(trial_id)
-            payload = detach_payload(result) if ok else None
-            if payload is not None:
-                mega = payload.pop("megabatch", None)
-                if mega:
-                    # Worker-side fusion: the first fused trial carries
-                    # the rung's mega-batch summary on its sidecar.
-                    self._note_megabatch(request, mega)
+            completion = self.executor.wait_one()
+            request = self._in_flight.pop(completion.trial_id)
+            ok, result, error = completion.ok, completion.result, completion.error
+            payload = completion.telemetry
+            if completion.megabatch is not None:
+                self._note_megabatch(request, completion.megabatch)
             if ok and not _result_is_finite(result):
                 self._count("non_finite")
                 if payload is not None and self.telemetry is not None:
                     # The result is discarded, but what happened inside it
                     # (counters, timings) still counts.
-                    self.telemetry.registry.merge_payload(payload)
+                    self.telemetry.registry.merge(payload["registry"])
                     payload = None
                 ok, result, error = False, None, (
                     f"NonFiniteScore: evaluation returned a non-finite result "
@@ -670,14 +665,16 @@ class TrialEngine:
         *before* the outcome can reach the searcher — right here, or with
         the rest of the rung :meth:`run_batch` is collecting — the
         write-ahead ordering that guarantees any result a searcher has
-        observed is recoverable after a crash.  The telemetry payload
-        (already detached from the result, so neither the cache nor the
-        journal ever sees it) is recorded here, once per executed trial;
-        followers get their own cache-hit spans.
+        observed is recoverable after a crash.  The result's captured
+        ``fold_states`` are taken (and the field cleared) first, so the
+        cache, the journal and the searcher never see them.  The telemetry
+        payload (from the completion, never on the result) is recorded
+        here, once per executed trial; followers get their own cache-hit
+        spans.
         """
         attempts = request.attempt + 1
         staged = self._rung or ([], [])
-        fold_states = detach_checkpoints(result)
+        fold_states, result.fold_states = result.fold_states, None
         if fold_states is not None and self.checkpoints is not None and not failed:
             self.checkpoints.put(
                 request.resolved_key(), request.budget_fraction, fold_states, batch=staged[0]
@@ -720,26 +717,37 @@ class TrialEngine:
             self.journal.commit(lines)
             self._count("journal_commits")
 
-    def _note_megabatch(self, request: TrialRequest, mega: Dict) -> None:
-        """Account one rung-level mega-batch (serial flush or worker fusion).
+    def _note_megabatch(self, request: TrialRequest, summary: Dict) -> None:
+        """Account one mega-batch: an evaluator call that fused trials.
 
-        ``mega`` is a :meth:`~repro.learners.batched.MegaBatchStats.as_dict`
-        payload.  Stats counters accumulate over the run; the occupancy
-        gauge is keyed per (bracket, rung) — lanes filled over lane
-        capacity for the rung that just fused — which is what the
-        ``/metrics`` exporter surfaces as ``repro_job_rung_occupancy``.
+        ``summary`` is what the call's first completion carried —
+        :meth:`~repro.learners.batched.MegaBatchStats.as_dict` plus the
+        call's ``wall_s`` — whether the call ran here (serial
+        ``flush_batch``) or in a worker, with telemetry or without.
+        Stats counters accumulate over the run; the occupancy gauge is
+        keyed per (bracket, rung) — lanes filled over lane capacity for
+        the rung that just fused — which is what the ``/metrics``
+        exporter surfaces as ``repro_job_rung_occupancy``; and a
+        ``megabatch`` span, as long as the call, lands under the open
+        rung span.
         """
-        trials = int(mega.get("trials", 0))
-        fused_folds = int(mega.get("fused_folds", 0))
-        self._count("megabatch_trials", trials)
-        self._count("megabatch_folds", fused_folds)
-        if self.telemetry is not None:
-            bracket = request.bracket if request.bracket is not None else 0
-            rung = request.iteration if request.iteration is not None else 0
-            self.telemetry.registry.set_gauge(
-                f"engine.rung_occupancy.b{bracket}.r{rung}",
-                float(mega.get("occupancy", 0.0)),
-            )
+        attrs = dict(summary)
+        wall = attrs.pop("wall_s")
+        self._count("megabatch_trials", attrs["trials"])
+        self._count("megabatch_folds", attrs["fused_folds"])
+        telemetry = self.telemetry
+        if telemetry is None:
+            return
+        bracket = request.bracket if request.bracket is not None else 0
+        rung = request.iteration if request.iteration is not None else 0
+        telemetry.registry.set_gauge(f"engine.rung_occupancy.b{bracket}.r{rung}", attrs["occupancy"])
+        telemetry.tracer.emit(
+            "megabatch",
+            "megabatch",
+            telemetry.clock() - wall,
+            wall,
+            attrs={**attrs, "bracket": request.bracket, "rung": request.iteration},
+        )
 
     # -- batch protocol --------------------------------------------------------
 
@@ -755,7 +763,8 @@ class TrialEngine:
         After the whole rung is submitted the executor gets one
         :meth:`~repro.engine.executors.TrialExecutor.flush_batch` call —
         its chance to fuse the queued trials into a rung-level mega-batch
-        (shape-matched fold lanes stacked across trials).  Fusion changes
+        (shape-matched fold lanes stacked across trials), whose summary
+        :meth:`wait_one` reads off the completions.  Fusion changes
         scheduling only: results, cache keys and journal records are
         bitwise-identical to per-trial execution.
 
@@ -770,26 +779,7 @@ class TrialEngine:
         try:
             submitted = [self.submit(request) for request in requests]
             if submitted:
-                t0 = self.telemetry.clock() if self.telemetry is not None else 0.0
-                mega = self.executor.flush_batch()
-                if mega is not None and getattr(mega, "trials", 0):
-                    attrs = mega.as_dict()
-                    head = submitted[0]
-                    self._note_megabatch(head, attrs)
-                    if self.telemetry is not None:
-                        # rung > megabatch: one span for the fused fit, nested
-                        # under the searcher's open rung span.
-                        self.telemetry.tracer.emit(
-                            "megabatch",
-                            "megabatch",
-                            t0,
-                            self.telemetry.clock() - t0,
-                            attrs={
-                                **attrs,
-                                "bracket": head.bracket,
-                                "rung": head.iteration,
-                            },
-                        )
+                self.executor.flush_batch()
             outcomes: Dict[int, TrialOutcome] = {}
             wanted = {request.trial_id for request in submitted}
             spillover: List[TrialOutcome] = []

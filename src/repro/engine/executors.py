@@ -6,9 +6,9 @@ Both executors implement the same tiny submit/wait protocol consumed by
 - :meth:`TrialExecutor.submit` schedules a prepared
   :class:`~repro.engine.protocol.TrialRequest`;
 - :meth:`TrialExecutor.wait_one` blocks for the next completion and
-  returns ``(trial_id, ok, result, error)`` — exceptions raised by the
-  evaluator are *returned*, never propagated, so the engine's retry policy
-  sees worker failures as data.
+  returns a :class:`~repro.engine.protocol.Completion` — exceptions raised
+  by the evaluator are *returned*, never propagated, so the engine's retry
+  policy sees worker failures as data.
 
 :class:`SerialExecutor` runs requests inline in FIFO order and is the
 bitwise reference implementation.  :class:`ParallelExecutor` owns a pool
@@ -17,14 +17,16 @@ them behind ``concurrent.futures``), which is what makes a real watchdog
 possible:
 
 - every worker gets the evaluator **once** at spawn (copy-on-write under
-  the ``fork`` start method), so a task's payload is just
-  ``(trial_id, config, budget_fraction, seed, telemetry_flags)``;
+  the ``fork`` start method), so a task's payload is just the request's
+  fields (:func:`_task`) and its reply a list of completions;
 - each worker runs a heartbeat thread, letting the parent distinguish
   *alive-but-slow* from *wedged in native code*;
 - a per-trial deadline (``trial_timeout``) bounds how long any single
-  evaluation may run; on expiry the worker is killed, **respawned**, and
-  the trial surfaced as a failed completion for the engine to retry with
-  backoff or degrade — a hung trial can never stall ``wait_one`` forever;
+  evaluation may run — counted from the worker's ``ready`` message, so an
+  interpreter start-up under ``spawn`` never eats into it; on expiry the
+  worker is killed, **respawned**, and the trial surfaced as a failed
+  completion for the engine to retry with backoff or degrade — a hung
+  trial can never stall ``wait_one`` forever;
 - a worker that dies mid-trial (segfault, ``os._exit``, OOM-kill) is
   detected the same way: respawn plus a failed completion, never a
   deadlock.
@@ -51,7 +53,7 @@ import threading
 import time
 from collections import deque
 from multiprocessing import connection as mp_connection
-from typing import Deque, Dict, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -64,13 +66,8 @@ import numpy.ma  # noqa: F401
 from ..faults.points import fault_point
 from ..obs import flightrec as _flightrec
 from .arena import ArenaError, SharedArena, arena_available, reap_stale
-from .protocol import EvaluationResult
-from ..telemetry.collect import (
-    PAYLOAD_ATTR,
-    TrialCollector,
-    attach_payload,
-    install_collector,
-)
+from .protocol import Completion
+from ..telemetry.collect import TrialCollector, install_collector
 
 __all__ = [
     "TrialExecutor",
@@ -92,8 +89,14 @@ WORKER_HUNG_PREFIX = "WorkerHung"
 #: is ready.
 POLL_INTERVAL = 0.05
 
-#: Set inside worker processes: the id stamped on telemetry sidecars.
-#: ``None`` in the parent process and under :class:`SerialExecutor`.
+#: Under a watchdog, how long (seconds) a worker may take from process
+#: start to its ``ready`` message before it is retired as hung.  Trial
+#: deadlines and the heartbeat window only start at ``ready``.
+STARTUP_TIMEOUT = 30.0
+
+#: Set inside worker processes: the id stamped on telemetry payloads as
+#: their ``origin``.  ``None`` in the parent process and under
+#: :class:`SerialExecutor`.
 _WORKER_ID: Optional[int] = None
 
 
@@ -122,25 +125,22 @@ def _rung_wide(evaluator) -> bool:
     return getattr(type(evaluator), "evaluate_many", None) is not None
 
 
-def _evaluate_tasks(evaluator, tasks):
-    """Evaluate task tuples; exceptions come back as failed completions.
+def _evaluate_tasks(evaluator, tasks) -> List[Completion]:
+    """Evaluate task tuples into completions, in task order.
 
-    Returns ``(payloads, mega)``: per-task ``(trial_id, ok, result,
-    error)`` in task order, plus the call's
-    :class:`~repro.learners.batched.MegaBatchStats` when two or more
-    tasks went through one ``evaluate_many`` call (else ``None``).
-
-    Every task runs under a generator rebuilt from its own seed.  A
-    non-zero telemetry bitmask gives the task a collector (fold/fit
-    spans, counters, timings) whose payload rides home on the
-    result, stamped with the worker it ran on; the engine detaches it
-    before the result is cached or journaled.  A :func:`_rung_wide`
-    evaluator gets one call at whatever width arrived; if that raises
-    at width > 1 every task is re-run alone through this same function
-    (bitwise the same results — seeds are per task), which is what keeps
-    guard degradation and error reporting per trial.  Any other
-    evaluator is looped over its ``evaluate``, passed the warm-start
-    keywords only when set so evaluators predating them keep working.
+    Exceptions come back as failed completions.  Every task runs under a
+    generator rebuilt from its own seed.  A non-zero telemetry bitmask
+    gives the task a collector (fold/fit spans, counters, timings) whose
+    payload goes on the task's completion, stamped with the worker it ran
+    on.  A :func:`_rung_wide` evaluator gets one call at whatever width
+    arrived; the first completion of a call that fused two or more tasks
+    carries the call's mega-batch summary and wall time, telemetry or
+    not.  If that call raises at width > 1 every task is re-run alone
+    through this same function (bitwise the same results — seeds are per
+    task), which is what keeps guard degradation and error reporting per
+    trial.  Any other evaluator is looped over its ``evaluate``, passed
+    the warm-start keywords only when set so evaluators predating them
+    keep working.
 
     Every evaluator call passes the ``executor.evaluate`` fault point
     first: a raise there is a failed trial at width 1 and a rung retry
@@ -176,36 +176,42 @@ def _evaluate_tasks(evaluator, tasks):
                 with install_collector(collector):
                     results = [evaluator.evaluate(config, budget_fraction, rng, **kwargs)]
             elapsed = time.monotonic() - t0
-            for spec, result in zip(specs, results):
+            completions = []
+            for task, spec, result in zip(tasks, specs, results):
+                payload = None
                 collector = spec[5]
-                if collector is None:
-                    continue
-                # A lone trial owns the call's wall time; in a wider call the
-                # evaluator's apportioned cost is the only per-trial figure.
-                collector.observe("trial.execute_s", elapsed if alone else float(result.cost))
-                attach_payload(result, collector)
-                sidecar = result.__dict__.get(PAYLOAD_ATTR)
-                if sidecar is not None and _WORKER_ID is not None:
-                    # Stamp where the evaluation physically ran; rides the same
-                    # sidecar and is stripped with it before caching/journaling,
-                    # so stored results stay byte-identical to an untraced run.
-                    sidecar["origin"] = {"pid": os.getpid(), "worker": _WORKER_ID}
-            payloads = [(task[1], True, result, None) for task, result in zip(tasks, results)]
-            return payloads, (None if alone else mega)
+                if collector is not None:
+                    # A lone trial owns the call's wall time; in a wider call the
+                    # evaluator's apportioned cost is the only per-trial figure.
+                    collector.registry.observe(
+                        "trial.execute_s", elapsed if alone else float(result.cost)
+                    )
+                    payload = collector.payload()
+                    if _WORKER_ID is not None:
+                        payload["origin"] = {"pid": os.getpid(), "worker": _WORKER_ID}
+                completions.append(Completion(task[1], True, result, telemetry=payload))
+            if not alone and mega is not None and mega.trials:
+                summary = {**mega.as_dict(), "wall_s": elapsed}
+                completions[0] = completions[0]._replace(megabatch=summary)
+            return completions
         except Exception as exc:  # noqa: BLE001 — fault tolerance is the point
             if alone:
-                return [(tasks[0][1], False, None, f"{type(exc).__name__}: {exc}")], None
+                return [Completion(tasks[0][1], False, error=f"{type(exc).__name__}: {exc}")]
             # Retried below, one task at a time; leave a trace of why.
             _flightrec.note("executor.rung_retry", error=type(exc).__name__, tasks=len(tasks))
-    return [_evaluate_tasks(evaluator, [task])[0][0] for task in tasks], None
+    return [_evaluate_tasks(evaluator, [task])[0] for task in tasks]
 
 
 def _watchdog_worker_main(evaluator, conn, worker_id: int, heartbeat_interval: float) -> None:
-    """Worker process loop: recv a batch, evaluate it, send one reply, heartbeat.
+    """Worker process loop: say ready, then recv a batch, evaluate it, reply.
 
     The duplex pipe carries batches — lists of task tuples — parent→worker
-    and ``("hb",)`` / ``("done", [(token, payload), ...])`` messages
-    worker→parent: one reply per batch, in task order.  When
+    and ``("ready",)`` / ``("hb",)`` / ``("done", [(token, completion),
+    ...])`` messages worker→parent: ``ready`` once, as soon as the worker
+    runs (the evaluator unpickled, every import done), then one reply per
+    batch, in task order.  The parent starts a worker's trial deadline
+    and heartbeat window at ``ready``; it may send batches before it,
+    since the pipe buffers them.  When
     ``heartbeat_interval`` is positive a background thread emits
     heartbeats even while an evaluation is running, so the parent can tell
     a long evaluation (heartbeats flowing) from a process wedged in
@@ -218,6 +224,10 @@ def _watchdog_worker_main(evaluator, conn, worker_id: int, heartbeat_interval: f
     _flightrec.note("worker.start", worker=worker_id)
     stop = threading.Event()
     send_lock = threading.Lock()
+    try:
+        conn.send(("ready",))
+    except (BrokenPipeError, OSError):
+        return
 
     def _beat() -> None:
         while not stop.wait(heartbeat_interval):
@@ -247,18 +257,11 @@ def _watchdog_worker_main(evaluator, conn, worker_id: int, heartbeat_interval: f
             if tasks is None:
                 break
             fault_point("executor.worker.post_recv")
-            payloads, mega = _evaluate_tasks(evaluator, tasks)
-            if mega is not None and mega.trials:
-                sidecar = payloads[0][2].__dict__.get(PAYLOAD_ATTR)
-                if sidecar is not None:
-                    # The mega-batch summary rides home on the first
-                    # trial's sidecar; the engine pops it before the
-                    # result is cached or journaled.
-                    sidecar["megabatch"] = mega.as_dict()
+            completions = _evaluate_tasks(evaluator, tasks)
             try:
                 fault_point("executor.worker.pre_send")
                 with send_lock:
-                    conn.send(("done", [(task[0], out) for task, out in zip(tasks, payloads)]))
+                    conn.send(("done", [(task[0], done) for task, done in zip(tasks, completions)]))
             except (BrokenPipeError, OSError):
                 break
     finally:
@@ -285,7 +288,7 @@ class TrialExecutor:
         """Schedule a prepared request (``trial_id`` and ``seed`` set)."""
         raise NotImplementedError
 
-    def wait_one(self) -> Tuple[int, bool, Optional[EvaluationResult], Optional[str]]:
+    def wait_one(self) -> Completion:
         """Block until one submission finishes; never raises evaluator errors."""
         raise NotImplementedError
 
@@ -293,18 +296,16 @@ class TrialExecutor:
         """Number of submitted-but-uncollected trials."""
         raise NotImplementedError
 
-    def flush_batch(self):
+    def flush_batch(self) -> None:
         """Run what :meth:`submit` queued as one rung, if the executor can.
 
         The engine calls this once per :meth:`~repro.engine.core.TrialEngine.run_batch`
         after submitting the whole rung.  The serial executor evaluates
-        the queue in one ``evaluate_many`` call and returns its
-        :class:`~repro.learners.batched.MegaBatchStats`; the default
-        no-op returns ``None`` and trials run one by one.  Only
+        the queue in one ``evaluate_many`` call (its completions carry the
+        mega-batch summary); by default trials run one by one.  Only
         scheduling changes: results are bitwise those of one-by-one
         execution.
         """
-        return None
 
     def shutdown(self) -> None:
         """Release any resources (idempotent)."""
@@ -348,25 +349,22 @@ class SerialExecutor(TrialExecutor):
             raise RuntimeError("SerialExecutor.submit called before bind()")
         self._queue.append(request)
 
-    def flush_batch(self):
+    def flush_batch(self) -> None:
         """Evaluate the queued rung in one ``evaluate_many`` call.
 
-        Completions queue up for :meth:`wait_one` in request order.
-        Returns ``None`` with the queue untouched — :meth:`wait_one` then
-        runs the requests one by one, bitwise-identically — when fewer
-        than two requests are queued or the evaluator only has
-        ``evaluate``.
+        Completions queue up for :meth:`wait_one` in request order.  The
+        queue is left untouched — :meth:`wait_one` then runs the requests
+        one by one, bitwise-identically — when fewer than two requests are
+        queued or the evaluator only has ``evaluate``.
         """
         if len(self._queue) < 2 or not _rung_wide(self._evaluator):
-            return None
-        payloads, mega = _evaluate_tasks(
-            self._evaluator, [_task(0, request) for request in self._queue]
+            return
+        self._completed.extend(
+            _evaluate_tasks(self._evaluator, [_task(0, request) for request in self._queue])
         )
         self._queue.clear()
-        self._completed.extend(payloads)
-        return mega
 
-    def wait_one(self) -> Tuple[int, bool, Optional[EvaluationResult], Optional[str]]:
+    def wait_one(self) -> Completion:
         """Return the next flushed completion, else execute the oldest request."""
         if self._completed:
             return self._completed.popleft()
@@ -374,7 +372,7 @@ class SerialExecutor(TrialExecutor):
             raise RuntimeError("wait_one called with no pending trials")
         request = self._queue.popleft()
         fault_point("executor.serial.pre_execute")
-        return _evaluate_tasks(self._evaluator, [_task(0, request)])[0][0]
+        return _evaluate_tasks(self._evaluator, [_task(0, request)])[0]
 
     def pending(self) -> int:
         """Queued requests plus fused completions awaiting pickup."""
@@ -384,7 +382,9 @@ class SerialExecutor(TrialExecutor):
 class _WorkerHandle:
     """Parent-side view of one worker process: pipe, queued tasks, deadlines."""
 
-    __slots__ = ("worker_id", "process", "conn", "tasks", "deadline", "last_heartbeat")
+    __slots__ = (
+        "worker_id", "process", "conn", "tasks", "deadline", "last_heartbeat", "started", "ready"
+    )
 
     def __init__(self, worker_id: int, process, conn) -> None:
         self.worker_id = worker_id
@@ -395,7 +395,10 @@ class _WorkerHandle:
         #: whole share otherwise.
         self.tasks: Deque[Tuple[int, int]] = deque()
         self.deadline: Optional[float] = None
-        self.last_heartbeat = time.monotonic()
+        self.last_heartbeat = self.started = time.monotonic()
+        #: Whether the worker's ``ready`` message has arrived; until then
+        #: only :data:`STARTUP_TIMEOUT` bounds it.
+        self.ready = False
 
     @property
     def idle(self) -> bool:
@@ -418,7 +421,8 @@ class ParallelExecutor(TrialExecutor):
         ``SubsetCVEvaluator.__getstate__``).
     trial_timeout:
         Per-trial wall-clock deadline in seconds, measured from dispatch
-        to a worker.  On expiry the worker is killed and respawned and the
+        to a worker, or from the worker's start-up when it was dispatched
+        to before it was ready.  On expiry the worker is killed and respawned and the
         trial surfaces as a failed completion with a
         ``"TrialTimeout: ..."`` error, which the engine retries (with
         backoff) or degrades.  ``None`` (default) disables the deadline.
@@ -503,7 +507,7 @@ class ParallelExecutor(TrialExecutor):
         self._evaluator = None
         self._workers: Dict[int, _WorkerHandle] = {}
         self._backlog: Deque[Tuple] = deque()
-        self._completed: Deque[Tuple[int, bool, Optional[EvaluationResult], Optional[str]]] = deque()
+        self._completed: Deque[Completion] = deque()
         self._next_token = 0
         self._next_worker_id = 0
         #: Lifetime counts of watchdog interventions and pool membership
@@ -635,14 +639,13 @@ class ParallelExecutor(TrialExecutor):
         if self._lane_depth is not None:
             self._deal()
 
-    def flush_batch(self):
+    def flush_batch(self) -> None:
         """Deal the submitted rung out; see :meth:`_deal`.
 
-        Returns ``None``: workers fuse, and their summaries ride home on
-        telemetry sidecars.
+        Workers fuse their shares; each share's summary comes home on its
+        first completion.
         """
         self._deal()
-        return None
 
     def _deal(self) -> None:
         """The one sender: move the backlog onto workers, up to the lane depth.
@@ -673,12 +676,14 @@ class ParallelExecutor(TrialExecutor):
                 self._dispatch(handle, shares[handle.worker_id])
 
     def _dispatch(self, handle: _WorkerHandle, tasks: list) -> None:
-        """Send ``tasks`` to one worker as a single message."""
-        now = time.monotonic()
-        if self.trial_timeout:
-            handle.deadline = now + self.trial_timeout  # lane depth is 1
+        """Send ``tasks`` to one worker as a single message.
+
+        A worker still starting gets its deadline and heartbeat window
+        when its ``ready`` arrives (:meth:`_drain`), not here.
+        """
         handle.tasks.extend((task[0], task[1]) for task in tasks)
-        handle.last_heartbeat = now
+        if handle.ready:
+            self._start_clocks(handle)
         try:
             fault_point("executor.pool.pre_send")
             handle.conn.send(tasks)
@@ -692,7 +697,7 @@ class ParallelExecutor(TrialExecutor):
         in_flight = sum(len(handle.tasks) for handle in self._workers.values())
         return in_flight + len(self._backlog) + len(self._completed)
 
-    def wait_one(self) -> Tuple[int, bool, Optional[EvaluationResult], Optional[str]]:
+    def wait_one(self) -> Completion:
         """Next completion in any order; watchdog failures count as completions."""
         while not self._completed:
             if not self.pending():
@@ -733,15 +738,25 @@ class ParallelExecutor(TrialExecutor):
             kind = message[0]
             if kind == "hb":
                 handle.last_heartbeat = time.monotonic()
+            elif kind == "ready":
+                handle.ready = True
+                self._start_clocks(handle)
             elif kind == "done":
-                for token, payload in message[1]:
+                for token, completion in message[1]:
                     if not (handle.tasks and handle.tasks[0][0] == token):
                         # A completion the watchdog already resolved as a
                         # failure; drop it — the retry owns the trial.
                         continue
                     handle.tasks.popleft()
                     handle.deadline = None  # only ever set at lane depth 1
-                    self._completed.append(payload)
+                    self._completed.append(completion)
+
+    def _start_clocks(self, handle: _WorkerHandle) -> None:
+        """Open a ready worker's heartbeat window and, if it holds a trial, its deadline."""
+        now = time.monotonic()
+        handle.last_heartbeat = now
+        if self.trial_timeout and handle.tasks:
+            handle.deadline = now + self.trial_timeout  # lane depth is 1
 
     def _run_watchdog(self) -> None:
         """Kill/respawn dead, overdue or silent workers; surface their trials."""
@@ -759,6 +774,14 @@ class ParallelExecutor(TrialExecutor):
                 continue
             if handle.conn.poll():
                 continue  # a completion is waiting; let the next pump collect it
+            if not handle.ready:
+                if self._lane_depth is not None and now - handle.started > STARTUP_TIMEOUT:
+                    self.timeouts += 1
+                    self._retire(
+                        handle,
+                        f"{WORKER_HUNG_PREFIX}: worker not ready within {STARTUP_TIMEOUT}s",
+                    )
+                continue
             if handle.deadline is not None and now > handle.deadline:
                 self.timeouts += 1
                 self._retire(
@@ -801,7 +824,7 @@ class ParallelExecutor(TrialExecutor):
                 trials=[trial_id for _, trial_id in tasks],
             )
             recorder.dump("watchdog-kill")
-        self._completed.extend((trial_id, False, None, error) for _, trial_id in tasks)
+        self._completed.extend(Completion(trial_id, False, error=error) for _, trial_id in tasks)
         if self._evaluator is not None:
             self.respawns += self._ensure_workers()
 

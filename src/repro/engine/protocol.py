@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from ..space import config_key
 
-__all__ = ["EvaluationResult", "TrialRequest", "TrialOutcome", "derive_seed"]
+__all__ = ["Completion", "EvaluationResult", "TrialRequest", "TrialOutcome", "derive_seed"]
 
 #: Digest size (bytes) of the derived seed; 8 bytes -> uint64 seeds.
 _SEED_BYTES = 8
@@ -64,6 +64,13 @@ class EvaluationResult:
         JSON-able dicts (see :mod:`repro.guard.events`).  Kept as plain
         data so the events survive worker-process boundaries and journal
         round-trips; empty when no guard is active.
+    fold_states:
+        Per-fold :class:`~repro.engine.checkpoint.FoldCheckpoint` list the
+        evaluator captured for warm starting, or ``None``.  It crosses the
+        worker pipe with the result and nothing else: :meth:`to_dict`
+        leaves it out, it takes no part in equality, and the engine takes
+        it (clearing the field) before the cache, the journal or the
+        searcher sees the result.
     """
 
     mean: float
@@ -74,11 +81,12 @@ class EvaluationResult:
     n_instances: int = 0
     cost: float = 0.0
     guard_events: List[Dict[str, Any]] = field(default_factory=list)
+    fold_states: Optional[list] = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-able record, keys in field order (journal lines and
         ``result.json`` are written without ``sort_keys``, so the order is
-        part of the on-disk format)."""
+        part of the on-disk format); ``fold_states`` is never written."""
         return {
             "mean": self.mean,
             "std": self.std,
@@ -199,6 +207,43 @@ class TrialRequest:
         if self.key is None:
             self.key = config_key(self.config)
         return self.key
+
+
+class Completion(NamedTuple):
+    """One finished execution, as an executor's ``wait_one`` hands it back.
+
+    The return trip of a :class:`TrialRequest`: a pool worker's reply
+    carries one per task over the pipe, unchanged, and the serial
+    executor hands back the same record.
+
+    Attributes
+    ----------
+    trial_id:
+        The request's ``trial_id``.
+    ok:
+        False when the evaluation raised or the watchdog gave up on it.
+    result:
+        The evaluation result (``None`` when not ``ok``).
+    error:
+        ``"ExcType: message"`` of the failure (``None`` when ``ok``).
+    telemetry:
+        What the trial's :class:`~repro.telemetry.collect.TrialCollector`
+        recorded — ``{"registry": MetricsRegistry, "spans": [...]}`` —
+        plus ``"origin"`` (``{"pid", "worker"}``) when it ran in a
+        worker; ``None`` when the request carried no telemetry flags.
+    megabatch:
+        On the first completion of an evaluator call that fused two or
+        more trials: the call's
+        :meth:`~repro.learners.batched.MegaBatchStats.as_dict` plus
+        ``"wall_s"``, the call's wall time.  ``None`` otherwise.
+    """
+
+    trial_id: int
+    ok: bool
+    result: Optional[EvaluationResult] = None
+    error: Optional[str] = None
+    telemetry: Optional[Dict[str, Any]] = None
+    megabatch: Optional[Dict[str, Any]] = None
 
 
 @dataclass

@@ -268,7 +268,7 @@ def _arm_from_env() -> Optional[FaultController]:
         from ..obs import flightrec as _flightrec
 
         controller._flightrec = flightrec_dir
-        _flightrec.install(dump_dir=flightrec_dir, spill_every=32)
+        _flightrec.install(dump_dir=flightrec_dir)
     arm(controller)
     atexit.register(_release_claims, controller)
     return controller

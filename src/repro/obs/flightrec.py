@@ -58,6 +58,9 @@ FLIGHTREC_SCHEMA_VERSION = 1
 #: Default ring capacity (events retained).
 DEFAULT_CAPACITY = 512
 
+#: Periodic spill interval (events) of the recorder :func:`install` builds.
+SPILL_EVERY = 32
+
 #: The live file is rewritten down to the ring once it holds this many
 #: times ``capacity`` event lines: it never grows without bound, and
 #: rewriting costs a third of what appending did since the last rewrite.
@@ -353,11 +356,12 @@ def _fault_observer(site: str, index: int, action: Optional[str]) -> None:
 def install(
     recorder: Optional[FlightRecorder] = None,
     dump_dir: Optional[Union[str, Path]] = None,
-    capacity: int = DEFAULT_CAPACITY,
-    spill_every: int = 0,
     hook_exceptions: bool = True,
 ) -> FlightRecorder:
     """Install a process-wide flight recorder and wire its crash hooks.
+
+    Without a ``recorder`` it builds one of :data:`DEFAULT_CAPACITY`
+    events spilling every :data:`SPILL_EVERY` to ``dump_dir``.
 
     Idempotent in spirit: installing over an existing recorder replaces
     it (the daemon owns the process; tests install fresh ones per case).
@@ -374,9 +378,7 @@ def install(
     """
     global _recorder, _previous_excepthook
     if recorder is None:
-        recorder = FlightRecorder(
-            capacity=capacity, dump_dir=dump_dir, spill_every=spill_every
-        )
+        recorder = FlightRecorder(dump_dir=dump_dir, spill_every=SPILL_EVERY)
     elif dump_dir is not None:
         recorder.dump_dir = Path(dump_dir)
     if _recorder is not None and _recorder is not recorder:

@@ -144,51 +144,43 @@ def render(families: Sequence[Family]) -> str:
 # -- registry rendering --------------------------------------------------------
 
 
-def registry_families(
-    registry,
-    prefix: str = "repro",
-    labels: Optional[Dict[str, Any]] = None,
-) -> List[Family]:
-    """A :class:`MetricsRegistry` as counter/gauge/summary families.
+def registry_families(registry) -> List[Family]:
+    """A :class:`MetricsRegistry` as unlabelled ``repro_`` counter/gauge/summary families.
 
     Counters get the conventional ``_total`` suffix; histograms render as
     summaries (``_count``/``_sum``) plus ``_min``/``_max`` gauge
     families, which round-trips everything
     :class:`~repro.telemetry.metrics.HistogramSummary` keeps.
     """
-    labels = labels or {}
     families: List[Family] = []
     for raw, value in registry.counters().items():
-        name = metric_name(raw, prefix) + "_total"
         families.append(
-            Family(name, "counter", f"Counter {prefix}.{raw}").add(labels, value)
+            Family(metric_name(raw) + "_total", "counter", f"Counter repro.{raw}").add({}, value)
         )
     for raw, value in registry.gauges().items():
-        families.append(
-            Family(metric_name(raw, prefix), "gauge", f"Gauge {prefix}.{raw}").add(labels, value)
-        )
+        families.append(Family(metric_name(raw), "gauge", f"Gauge repro.{raw}").add({}, value))
     for raw, histogram in registry.histograms().items():
-        base = metric_name(raw, prefix)
-        summary = Family(base, "summary", f"Summary {prefix}.{raw}")
-        summary.add(labels, histogram.count, suffix="_count")
-        summary.add(labels, histogram.total, suffix="_sum")
+        base = metric_name(raw)
+        summary = Family(base, "summary", f"Summary repro.{raw}")
+        summary.add({}, histogram.count, suffix="_count")
+        summary.add({}, histogram.total, suffix="_sum")
         families.append(summary)
         families.append(
-            Family(base + "_min", "gauge", f"Minimum observed {prefix}.{raw}").add(
-                labels, histogram.minimum
+            Family(base + "_min", "gauge", f"Minimum observed repro.{raw}").add(
+                {}, histogram.minimum
             )
         )
         families.append(
-            Family(base + "_max", "gauge", f"Maximum observed {prefix}.{raw}").add(
-                labels, histogram.maximum
+            Family(base + "_max", "gauge", f"Maximum observed repro.{raw}").add(
+                {}, histogram.maximum
             )
         )
     return families
 
 
-def render_registry(registry, prefix: str = "repro", labels: Optional[Dict[str, Any]] = None) -> str:
+def render_registry(registry) -> str:
     """One registry straight to scrape text (the ``obs snapshot`` body)."""
-    return render(registry_families(registry, prefix=prefix, labels=labels))
+    return render(registry_families(registry))
 
 
 # -- live serve state ----------------------------------------------------------

@@ -413,7 +413,7 @@ class ServeDaemon:
         dispatch), so even a SIGKILL leaves a ``flightrec-<pid>-live.jsonl``
         naming what was in flight.
         """
-        _flightrec.install(dump_dir=self.obs_dir, spill_every=32)
+        _flightrec.install(dump_dir=self.obs_dir)
         self._recover()
         self.started_at = time.monotonic()
         for index in range(self.n_workers):

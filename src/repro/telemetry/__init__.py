@@ -21,10 +21,11 @@ Two cooperating pieces:
   deterministically, so serial and parallel runs of the same seed produce
   identical counters.
 
-Worker processes record into a per-trial collector (:mod:`.collect`)
-whose payload rides home on the evaluation result; the parent detaches
-it before caching/journaling, so telemetry is bit-for-bit neutral on run
-outputs and on everything persisted.
+Each evaluation records into a per-trial collector (:mod:`.collect`) — a
+tracer and a registry of the same two classes — whose payload travels
+home on the executor's completion record, beside the evaluation result
+and never on it, so telemetry is bit-for-bit neutral on run outputs and
+on everything persisted.
 """
 
 from __future__ import annotations
@@ -37,9 +38,7 @@ from .collect import (
     COLLECT_METRICS,
     COLLECT_SPANS,
     TrialCollector,
-    attach_payload,
     current_collector,
-    detach_payload,
     install_collector,
 )
 from .export import merge_chrome_traces, to_chrome_trace
@@ -59,8 +58,6 @@ __all__ = [
     "TrialCollector",
     "install_collector",
     "current_collector",
-    "attach_payload",
-    "detach_payload",
     "COLLECT_SPANS",
     "COLLECT_METRICS",
     "to_chrome_trace",
@@ -78,9 +75,6 @@ class Telemetry:
     trace:
         Path for the JSONL span trace; ``None`` disables span recording
         (the registry still collects metrics).
-    fsync:
-        Force every trace record to stable storage (default off — see
-        :class:`~repro.telemetry.spans.TraceSink`).
     on_trial:
         Optional callback ``f(telemetry, attrs)`` invoked after every
         trial is recorded — the CLI's live progress line hangs off this.
@@ -104,14 +98,13 @@ class Telemetry:
     def __init__(
         self,
         trace: Optional[Union[str, Path]] = None,
-        fsync: bool = False,
         on_trial: Optional[Callable[["Telemetry", Dict[str, Any]], None]] = None,
         trace_id: Optional[str] = None,
         clock: Callable[[], float] = time.monotonic,
         cpu_clock: Callable[[], float] = time.process_time,
     ) -> None:
         self.sink = (
-            TraceSink(trace, fsync=fsync, trace_id=trace_id) if trace is not None else None
+            TraceSink(trace, trace_id=trace_id) if trace is not None else None
         )
         self.tracer = Tracer(self.sink, clock=clock, cpu_clock=cpu_clock)
         self.registry = MetricsRegistry()
@@ -147,9 +140,11 @@ class Telemetry:
         """Record one finished trial: metrics merge + trial span + children.
 
         The engine calls it per settled outcome, with the collector
-        payload detached from the result.
+        payload its executor completion carried (``None`` for cache hits
+        and replays).
         """
-        self.registry.merge_payload(payload)
+        if payload is not None:
+            self.registry.merge(payload["registry"])
         self.tracer.emit(
             "trial",
             "trial",

@@ -1,27 +1,28 @@
-"""Worker-side telemetry collection that rides evaluation results home.
+"""Per-trial telemetry collection, wherever the trial runs.
 
-Worker processes cannot write to the parent's tracer or registry, and the
-executor pipes already carry exactly one object per trial: the
-:class:`~repro.engine.protocol.EvaluationResult`.  So collection works like
-this:
+Worker processes cannot write to the parent's tracer or registry, so each
+evaluation records into its own :class:`TrialCollector` — a
+:class:`~repro.telemetry.spans.Tracer` over an in-memory list and a
+:class:`~repro.telemetry.metrics.MetricsRegistry`, the same two classes
+the parent records into.  Collection works like this:
 
-1. The executor gives each evaluation a :class:`TrialCollector`, which
+1. The executor gives each evaluation a collector, which
    :func:`install_collector` makes discoverable via
    :func:`current_collector` around every phase touching that trial.
-2. Instrumented code (the evaluator's folds and fits) records
-   spans/counters/timings into that collector with no
-   knowledge of where it runs.
-3. The executor attaches :meth:`TrialCollector.payload` to the result via
-   :func:`attach_payload`; the payload is a plain JSON-able dict that
-   pickles over the pipe for free.
-4. The engine detaches it with :func:`detach_payload` *before* the result
-   is cached or journaled (cached results must stay byte-identical to an
-   untraced run) and merges it into the run's registry/tracer.
+2. Instrumented code (the evaluator's folds and fits) calls the
+   collector's ``tracer`` and ``registry`` directly, with no knowledge of
+   where it runs.
+3. The executor puts :meth:`TrialCollector.payload` on the trial's
+   :class:`~repro.engine.protocol.Completion` — never on the result, so
+   the result the cache and the journal see is the untraced one.
+4. The engine folds the payload's registry into the run's registry
+   (:meth:`~repro.telemetry.metrics.MetricsRegistry.merge`) and grafts its
+   span records under the trial span
+   (:meth:`~repro.telemetry.spans.Tracer.emit`).
 
 Span times inside a collector are **relative** to the collector's start —
 worker monotonic clocks are not comparable to the parent's, so the parent
-grafts the records into the tail of the trial span instead
-(:meth:`repro.telemetry.spans.Tracer.emit`).
+lays the records out in the tail of the trial span instead.
 """
 
 from __future__ import annotations
@@ -31,14 +32,15 @@ import time
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
+from .metrics import MetricsRegistry
+from .spans import Tracer
+
 __all__ = [
     "COLLECT_SPANS",
     "COLLECT_METRICS",
     "TrialCollector",
     "current_collector",
     "install_collector",
-    "attach_payload",
-    "detach_payload",
 ]
 
 #: Bit in the collection flags: record fold/fit spans.
@@ -47,34 +49,51 @@ COLLECT_SPANS = 1
 #: fold-score timings).  Always set while a ``Telemetry`` object is active.
 COLLECT_METRICS = 4
 
-#: Attribute name the payload rides under on ``EvaluationResult.__dict__``.
-PAYLOAD_ATTR = "_telemetry"
-
 #: The installed collector, tracked per *thread*: the serve daemon runs
 #: several jobs concurrently in worker threads, each with its own serial
 #: engine, and one job's collector must never see another's folds.
 _local = threading.local()
 
 
+class _SpanList:
+    """In-memory span sink: keeps the records a :class:`Tracer` writes.
+
+    Deliberately not a :class:`~repro.telemetry.spans.TraceSink`: a
+    collected span is written to the run's sink once, when the parent
+    grafts it, and counts (and reaches the flight recorder) only then.
+    """
+
+    __slots__ = ("records",)
+
+    def __init__(self) -> None:
+        self.records: List[Dict[str, Any]] = []
+
+    def write(self, record: Dict[str, Any]) -> None:
+        self.records.append(record)
+
+
 class TrialCollector:
-    """Accumulates one trial's spans, counters and timings in-process.
+    """One trial's spans and metrics, recorded in-process.
 
     Parameters
     ----------
     flags:
-        Bitmask of :data:`COLLECT_SPANS` / :data:`COLLECT_METRICS`; a zero
-        mask still collects counters (they are nearly free).
+        Bitmask of :data:`COLLECT_SPANS` / :data:`COLLECT_METRICS`; without
+        :data:`COLLECT_SPANS` the tracer has no sink and its spans are
+        no-ops, while the registry always records (it is nearly free).
     clock, cpu_clock:
         Injectable clocks, as everywhere else in the repo.
 
-    Notes
-    -----
-    Span records use local sequential ids and ``rel0`` offsets from the
-    collector's construction time; the parent remaps both when grafting.
+    Attributes
+    ----------
+    tracer:
+        Records spans with sequential local ids and ``t0`` offsets from
+        the collector's construction; the parent remaps both when grafting.
+    registry:
+        The trial's counters and histograms.
     """
 
-    __slots__ = ("flags", "clock", "cpu_clock", "_t0", "_spans", "_stack",
-                 "_counters", "_timings", "_next_id")
+    __slots__ = ("tracer", "registry")
 
     def __init__(
         self,
@@ -82,85 +101,20 @@ class TrialCollector:
         clock: Callable[[], float] = time.monotonic,
         cpu_clock: Callable[[], float] = time.process_time,
     ) -> None:
-        self.flags = flags
-        self.clock = clock
-        self.cpu_clock = cpu_clock
-        self._t0 = clock()
-        self._spans: List[Dict[str, Any]] = []
-        self._stack: List[int] = []
-        self._counters: Dict[str, int] = {}
-        self._timings: Dict[str, List[float]] = {}
-        self._next_id = 1
-
-    @property
-    def wants_spans(self) -> bool:
-        return bool(self.flags & COLLECT_SPANS)
-
-    # -- recording -------------------------------------------------------------
-
-    @contextmanager
-    def span(self, name: str, kind: Optional[str] = None, **attrs: Any) -> Iterator[Optional[Dict[str, Any]]]:
-        """Record one relative span (no-op context when spans are off).
-
-        Yields the mutable record so the caller can attach attributes
-        discovered mid-span (``record["attrs"]["score"] = ...``); yields
-        ``None`` when span collection is disabled.
-        """
-        if not self.wants_spans:
-            yield None
-            return
-        span_id = self._next_id
-        self._next_id += 1
-        record: Dict[str, Any] = {
-            "id": span_id,
-            "parent": self._stack[-1] if self._stack else None,
-            "name": name,
-            "kind": kind if kind is not None else name,
-            "attrs": dict(attrs),
-        }
-        t0, cpu0 = self.clock(), self.cpu_clock()
-        self._stack.append(span_id)
-        try:
-            yield record
-        finally:
-            self._stack.pop()
-            record["rel0"] = round(t0 - self._t0, 6)
-            record["dur"] = round(self.clock() - t0, 6)
-            record["cpu_dur"] = round(self.cpu_clock() - cpu0, 6)
-            if not record["attrs"]:
-                del record["attrs"]
-            self._spans.append(record)
-
-    def inc(self, name: str, value: int = 1) -> None:
-        """Add to an integer counter (always collected, flags or not)."""
-        self._counters[name] = self._counters.get(name, 0) + int(value)
-
-    def observe(self, name: str, value: float) -> None:
-        """Fold one value into a ``[count, total, min, max]`` timing."""
-        value = float(value)
-        wire = self._timings.get(name)
-        if wire is None:
-            self._timings[name] = [1, value, value, value]
-        else:
-            wire[0] += 1
-            wire[1] += value
-            if value < wire[2]:
-                wire[2] = value
-            if value > wire[3]:
-                wire[3] = value
-
-    # -- export ----------------------------------------------------------------
+        start = clock()
+        self.tracer = Tracer(
+            _SpanList() if flags & COLLECT_SPANS else None,
+            clock=lambda: clock() - start,
+            cpu_clock=cpu_clock,
+        )
+        self.registry = MetricsRegistry()
 
     def payload(self) -> Optional[Dict[str, Any]]:
-        """JSON-able dict to ship home, or ``None`` when nothing was recorded."""
-        out: Dict[str, Any] = {}
-        if self._spans:
-            out["spans"] = self._spans
-        if self._counters:
-            out["counters"] = self._counters
-        if self._timings:
-            out["timings"] = self._timings
-        return out or None
+        """``{"registry", "spans"}`` to ship home, or ``None`` when nothing was recorded."""
+        spans = self.tracer.sink.records if self.tracer.sink is not None else []
+        if not spans and not len(self.registry):
+            return None
+        return {"registry": self.registry, "spans": spans}
 
 
 def current_collector() -> Optional[TrialCollector]:
@@ -194,27 +148,3 @@ def install_collector(collector: Optional[TrialCollector]) -> Iterator[Optional[
         yield collector
     finally:
         _local.collector = previous
-
-
-def attach_payload(result: Any, collector: Optional[TrialCollector]) -> None:
-    """Stash the collector's payload on the result (if there is anything).
-
-    Uses ``__dict__`` directly so plain dataclass results carry it across
-    pickling without schema changes — the wire format of an untelemetered
-    result is untouched.
-    """
-    if collector is None:
-        return
-    payload = collector.payload()
-    if payload is not None:
-        result.__dict__[PAYLOAD_ATTR] = payload
-
-
-def detach_payload(result: Any) -> Optional[Dict[str, Any]]:
-    """Remove and return the payload (``None`` when absent).
-
-    The engine calls this before caching or journaling a result so stored
-    results stay byte-identical to a telemetry-off run.
-    """
-    payload = result.__dict__.pop(PAYLOAD_ATTR, None) if hasattr(result, "__dict__") else None
-    return payload

@@ -4,10 +4,10 @@ The registry is the numeric half of the telemetry layer (spans being the
 temporal half).  Three design constraints shape it:
 
 - **Zero dependencies and process safety.**  Worker processes never touch
-  a shared registry; they record into a per-trial
-  :class:`~repro.telemetry.collect.TrialCollector` whose payload rides
-  back to the parent on the evaluation result (over the executor's
-  existing pipes) and is merged here.  Nothing is locked because nothing
+  a shared registry; each trial records into a registry of its own (a
+  :class:`~repro.telemetry.collect.TrialCollector`'s), which travels back
+  to the parent on the executor's completion record and is folded in
+  with :meth:`MetricsRegistry.merge`.  Nothing is locked because nothing
   is shared.
 - **Deterministic merge.**  Counters are plain integers, so merging is
   commutative and associative: a serial run and a parallel run of the
@@ -28,7 +28,7 @@ Metric names are dot-namespaced strings (``engine.cache_hits``,
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 __all__ = ["METRICS_SCHEMA_VERSION", "HistogramSummary", "MetricsRegistry"]
 
@@ -73,24 +73,10 @@ class HistogramSummary:
         if other.maximum > self.maximum:
             self.maximum = other.maximum
 
-    def merge_wire(self, wire: List[float]) -> None:
-        """Fold a ``[count, total, min, max]`` wire quadruple into this one."""
-        count, total, minimum, maximum = wire
-        self.count += int(count)
-        self.total += float(total)
-        if minimum < self.minimum:
-            self.minimum = float(minimum)
-        if maximum > self.maximum:
-            self.maximum = float(maximum)
-
     @property
     def mean(self) -> float:
         """Average observation (0.0 when empty)."""
         return self.total / self.count if self.count else 0.0
-
-    def as_wire(self) -> List[float]:
-        """The ``[count, total, min, max]`` quadruple used on the wire."""
-        return [self.count, self.total, self.minimum, self.maximum]
 
     def as_dict(self) -> Dict[str, float]:
         """JSON-able summary including the derived mean."""
@@ -113,9 +99,9 @@ class MetricsRegistry:
     """Process-local registry of counters, gauges and histogram summaries.
 
     One registry lives on each :class:`~repro.telemetry.Telemetry`
-    instance (i.e. one per run, in the parent process).  Worker-side
-    observations arrive as collector payloads and are merged via
-    :meth:`merge_payload`; two registries merge via :meth:`merge`.
+    instance (i.e. one per run, in the parent process) and one on each
+    trial's collector; the engine folds the latter into the former with
+    :meth:`merge`.
 
     Examples
     --------
@@ -149,22 +135,6 @@ class MetricsRegistry:
         histogram.observe(value)
 
     # -- merging ---------------------------------------------------------------
-
-    def merge_payload(self, payload: Optional[Dict[str, Any]]) -> None:
-        """Fold a :meth:`TrialCollector.payload` dict into the registry.
-
-        Tolerates ``None`` and missing keys so callers can pass whatever
-        came off the wire without pre-validation.
-        """
-        if not payload:
-            return
-        for name, value in (payload.get("counters") or {}).items():
-            self.inc(name, value)
-        for name, wire in (payload.get("timings") or {}).items():
-            histogram = self._histograms.get(name)
-            if histogram is None:
-                histogram = self._histograms[name] = HistogramSummary()
-            histogram.merge_wire(wire)
 
     def merge(self, other: "MetricsRegistry") -> None:
         """Fold another registry into this one (counters sum, gauges last-write)."""
@@ -206,11 +176,11 @@ class MetricsRegistry:
             registry._gauges[name] = float(value)
         for name, summary in (payload.get("histograms") or {}).items():
             if summary.get("count"):
-                histogram = HistogramSummary()
-                histogram.merge_wire(
-                    [summary["count"], summary["total"], summary["min"], summary["max"]]
-                )
-                registry._histograms[name] = histogram
+                histogram = registry._histograms[name] = HistogramSummary()
+                histogram.count = int(summary["count"])
+                histogram.total = float(summary["total"])
+                histogram.minimum = float(summary["min"])
+                histogram.maximum = float(summary["max"])
         return registry
 
     def as_dict(self) -> Dict[str, Any]:
@@ -224,25 +194,25 @@ class MetricsRegistry:
             },
         }
 
-    def render_lines(self, indent: str = "  ") -> List[str]:
+    def render_lines(self) -> List[str]:
         """Human-readable dump for CLI summaries (sorted, aligned)."""
         lines: List[str] = []
         if self._counters:
             lines.append("counters:")
             width = max(len(name) for name in self._counters)
             for name, value in self.counters().items():
-                lines.append(f"{indent}{name:<{width}}  {value}")
+                lines.append(f"  {name:<{width}}  {value}")
         if self._gauges:
             lines.append("gauges:")
             width = max(len(name) for name in self._gauges)
             for name in sorted(self._gauges):
-                lines.append(f"{indent}{name:<{width}}  {self._gauges[name]:.6g}")
+                lines.append(f"  {name:<{width}}  {self._gauges[name]:.6g}")
         if self._histograms:
             lines.append("histograms (count / mean / max seconds-or-units):")
             width = max(len(name) for name in self._histograms)
             for name, histogram in self.histograms().items():
                 lines.append(
-                    f"{indent}{name:<{width}}  n={histogram.count}"
+                    f"  {name:<{width}}  n={histogram.count}"
                     f"  mean={histogram.mean:.6g}  max={histogram.maximum:.6g}"
                 )
         return lines

@@ -86,10 +86,6 @@ class TraceSink:
     ----------
     path:
         Trace file location; parents are created on first write.
-    fsync:
-        Force every record to stable storage (off by default — traces are
-        observability, not the source of truth the run journal is; flip it
-        on to trace the run that keeps crashing the machine).
     trace_id:
         Optional string stamped into the header as ``trace_id``, which is
         how a whole file of spans is claimed by one cross-process trace
@@ -99,17 +95,16 @@ class TraceSink:
     -----
     The writer is lazy: the file (and its ``header`` line) is only created
     when the first span closes, so constructing a telemetry object is free
-    until something actually happens.
+    until something actually happens.  Records are flushed, never fsync'd:
+    a trace is observability, not the source of truth the run journal is.
     """
 
     def __init__(
         self,
         path: Union[str, Path],
-        fsync: bool = False,
         trace_id: Optional[str] = None,
     ) -> None:
         self.path = Path(path)
-        self.fsync = fsync
         self.trace_id = trace_id
         self._handle = None
         self.spans_written = 0
@@ -117,7 +112,11 @@ class TraceSink:
     # -- writing ---------------------------------------------------------------
 
     def write(self, record: Dict[str, Any]) -> None:
-        """Append one record as a compact JSON line (header auto-written)."""
+        """Append one record as a compact JSON line (header auto-written).
+
+        Every span written here is also noted in the flight recorder as
+        ``span.close`` — the one place a span leaves the process.
+        """
         if self._handle is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._handle = self.path.open("w")
@@ -130,15 +129,14 @@ class TraceSink:
             if self.trace_id is not None:
                 header["trace_id"] = self.trace_id
             self._write_line(header)
+        self._write_line(record)
         if record.get("type") == "span":
             self.spans_written += 1
-        self._write_line(record)
+            _flightrec.note("span.close", name=record["name"], span=record["id"], dur=record["dur"])
 
     def _write_line(self, record: Dict[str, Any]) -> None:
         self._handle.write(json.dumps(record, separators=(",", ":")) + "\n")
         self._handle.flush()
-        if self.fsync:
-            os.fsync(self._handle.fileno())
 
     def close(self) -> None:
         """Close the file (idempotent); an unopened sink leaves no file."""
@@ -176,9 +174,11 @@ class Tracer:
     Parameters
     ----------
     sink:
-        The :class:`TraceSink` closed spans are written to.  ``None``
-        disables span recording entirely — :meth:`span` then returns a
-        no-op context so call sites stay branch-free.
+        Where closed spans are written: a :class:`TraceSink`, or anything
+        else with a ``write(record)`` method (a trial collector's
+        in-memory list).  ``None`` disables span recording entirely —
+        :meth:`span` then returns a no-op context so call sites stay
+        branch-free.
     clock, cpu_clock:
         Injectable wall (monotonic) and CPU clocks; tests pass fakes to
         make span durations deterministic.
@@ -189,8 +189,9 @@ class Tracer:
     ids are deterministic for a deterministic schedule even though the
     file holds spans in close order.  The tracer is intentionally
     single-threaded: the engine settles all trials in the parent process,
-    and worker-side (fold/fit) spans arrive as relative records that
-    :meth:`emit` grafts under their trial span.
+    and worker-side (fold/fit) spans arrive as records of a collector's
+    own tracer, timed relative to its start, that :meth:`emit` grafts
+    under their trial span.
     """
 
     def __init__(
@@ -276,11 +277,11 @@ class Tracer:
         """Write one already-timed span (plus optional collected children).
 
         This is the grafting entry point for spans whose timing happened
-        elsewhere — a trial measured by the engine, or fold/fit spans a
-        worker process collected as *relative* records
-        (``{"id", "parent", "name", "kind", "rel0", "dur", ...}``).
+        elsewhere — a trial measured by the engine, or the fold/fit span
+        records a :class:`~repro.telemetry.collect.TrialCollector`'s tracer
+        wrote, whose ``t0`` is relative to the collector's start.
         Children are re-rooted under the new span: their local ids are
-        remapped to fresh tracer ids and their ``rel0`` offsets are laid
+        remapped to fresh tracer ids and their ``t0`` offsets are laid
         out inside the tail of the parent span's window (the evaluation
         itself runs at the end of a trial span; the head is queue wait).
         When ``origin`` (``{"pid": ..., "worker": ...}``, stamped by the
@@ -301,30 +302,28 @@ class Tracer:
         if children:
             # Worker-relative records are offsets from the collection start;
             # the collection window is the last `window` seconds of the span.
-            window = max((child.get("rel0", 0.0) + child.get("dur", 0.0) for child in children),
-                         default=0.0)
+            window = max((child["t0"] + child["dur"] for child in children), default=0.0)
             base = t0 + max(0.0, dur - window)
             # Children arrive in *close* order — a fold closes after its fit
             # spans — so allocate every id before resolving parent links.
-            id_map: Dict[int, int] = {int(child["id"]): self._allocate() for child in children}
+            id_map: Dict[int, int] = {child["id"]: self._allocate() for child in children}
             for child in children:
-                local_parent = child.get("parent")
-                mapped_parent = id_map.get(int(local_parent)) if local_parent is not None else span_id
+                mapped_parent = id_map.get(child["parent"], span_id)
                 child_attrs = dict(child.get("attrs") or {})
                 if origin:
                     child_attrs.setdefault("pid", origin.get("pid"))
                     if origin.get("worker") is not None:
                         child_attrs.setdefault("worker", origin.get("worker"))
                 self._write_span(
-                    id_map[int(child["id"])],
-                    mapped_parent if mapped_parent is not None else span_id,
-                    str(child.get("name", "span")),
-                    str(child.get("kind", child.get("name", "span"))),
-                    base + float(child.get("rel0", 0.0)),
-                    float(child.get("dur", 0.0)),
-                    float(child.get("cpu_dur", 0.0)),
+                    id_map[child["id"]],
+                    mapped_parent,
+                    child["name"],
+                    child["kind"],
+                    base + child["t0"],
+                    child["dur"],
+                    child["cpu_dur"],
                     child_attrs,
-                    list(child.get("ann") or []),
+                    child.get("ann") or [],
                 )
         return span_id
 
@@ -355,4 +354,3 @@ class Tracer:
         if annotations:
             record["ann"] = annotations
         self.sink.write(record)
-        _flightrec.note("span.close", name=name, span=span_id, dur=record["dur"])

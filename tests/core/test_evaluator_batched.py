@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from repro.core import MLPModelFactory, vanilla_evaluator
-from repro.engine.checkpoint import detach_checkpoints
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +31,7 @@ class TestCheckpointCaptureAndWarm:
         X, y = data
         evaluator = vanilla_evaluator(X, y, factory)
         cold = evaluator.evaluate({}, 0.2, np.random.default_rng(9), capture_checkpoints=True)
-        checkpoints = detach_checkpoints(cold)
+        checkpoints = cold.fold_states
         assert checkpoints and any(c is not None for c in checkpoints)
 
         warm = evaluator.evaluate(
@@ -45,4 +44,4 @@ class TestCheckpointCaptureAndWarm:
         X, y = data
         evaluator = vanilla_evaluator(X, y, factory)
         result = evaluator.evaluate({}, 0.2, np.random.default_rng(9))
-        assert "_checkpoints" not in result.__dict__
+        assert result.fold_states is None

@@ -16,7 +16,6 @@ from repro.core import (
     vanilla_evaluator,
 )
 from repro.datasets import make_classification
-from repro.engine.checkpoint import detach_checkpoints
 from repro.guard import GuardLog
 
 CONFIG = {"hidden_layer_sizes": (4,), "activation": "relu"}
@@ -120,7 +119,7 @@ def oracle_evaluate(evaluator, config, budget, seed, warm_states=None):
 
 def observed(result):
     """The same tuple, read off an :class:`EvaluationResult`."""
-    checkpoints = detach_checkpoints(result)
+    checkpoints = result.fold_states
     return (
         result.fold_scores,
         result.mean,
@@ -182,7 +181,7 @@ class TestEvaluateManyOracle:
                 donor = evaluator.evaluate(
                     config, 0.2, np.random.default_rng(seed + 1), capture_checkpoints=True
                 )
-                warm_states = detach_checkpoints(donor)
+                warm_states = donor.fold_states
             specs.append((config, budget, seed, warm_states))
             expected.append(oracle_evaluate(evaluator, config, budget, seed, warm_states))
 

@@ -86,3 +86,28 @@ def test_one_scheduled_fault_degrades_once(arm_fault, executor, site, action, co
     }
     assert observed[counter] == 1, observed
     assert elapsed < 30.0, "a scheduled hang outlived the watchdog"
+
+
+class SlowToStartEvaluator(QualityEvaluator):
+    """Takes a second to unpickle: a spawned worker's start-up outlasts ``trial_timeout``."""
+
+    def __init__(self):
+        self.startup_s = 1.0
+
+    def __setstate__(self, state):
+        time.sleep(state["startup_s"])
+        self.__dict__.update(state)
+
+
+@pytest.mark.faults
+def test_spawn_start_up_does_not_count_against_the_trial_timeout():
+    """Deadlines start when a worker reports ready, not at dispatch."""
+    if "spawn" not in multiprocessing.get_all_start_methods():
+        pytest.skip("spawn start method unavailable on this platform")
+    runner = ParallelExecutor(n_workers=2, start_method="spawn", trial_timeout=0.5)
+    with TrialEngine(executor=runner, max_retries=1, retry_backoff=0.0) as engine:
+        searcher = SuccessiveHalving(SPACE, SlowToStartEvaluator(), random_state=7, engine=engine)
+        result = searcher.fit(configurations=SPACE.grid())
+    assert engine.stats.timeouts == 0 and engine.stats.failures == 0
+    assert result.best_config == {"q": 7}
+    assert math.isfinite(result.best_score) and result.best_score > FAILURE_SCORE

@@ -12,13 +12,7 @@ import numpy as np
 import pytest
 
 from repro.bandit.base import EvaluationResult
-from repro.engine.checkpoint import (
-    CHECKPOINT_ATTR,
-    CheckpointStore,
-    FoldCheckpoint,
-    attach_checkpoints,
-    detach_checkpoints,
-)
+from repro.engine.checkpoint import CheckpointStore, FoldCheckpoint
 
 KEY_A = (("alpha", 0.001), ("units", 16))
 KEY_B = (("alpha", 0.01), ("units", 32))
@@ -74,18 +68,24 @@ class TestFoldCheckpoint:
         same_states([fc], [clone])
 
 
-class TestAttachDetach:
-    def test_round_trip_strips_the_attribute(self):
-        result = EvaluationResult(mean=0.5, std=0.0, score=0.5, gamma=10.0)
-        payload = states(1)
-        attach_checkpoints(result, payload)
-        assert CHECKPOINT_ATTR in result.__dict__
-        assert detach_checkpoints(result) is payload
-        assert CHECKPOINT_ATTR not in result.__dict__
-        assert detach_checkpoints(result) is None
+class TestFoldStatesField:
+    """Captured states are a declared result field that only the pipe carries."""
 
-    def test_detach_none_result(self):
-        assert detach_checkpoints(None) is None
+    def test_field_crosses_pickle_but_not_the_codec(self):
+        plain = EvaluationResult(mean=0.5, std=0.0, score=0.5, gamma=10.0)
+        result = EvaluationResult(mean=0.5, std=0.0, score=0.5, gamma=10.0)
+        result.fold_states = states(1)
+        same_states(pickle.loads(pickle.dumps(result)).fold_states, result.fold_states)
+        assert result.to_dict() == plain.to_dict()
+        assert "fold_states" not in result.to_dict()
+        assert EvaluationResult.from_dict(result.to_dict()).fold_states is None
+
+    def test_field_takes_no_part_in_equality_or_repr(self):
+        plain = EvaluationResult(mean=0.5, std=0.0, score=0.5, gamma=10.0)
+        result = EvaluationResult(mean=0.5, std=0.0, score=0.5, gamma=10.0)
+        result.fold_states = states(1)
+        assert result == plain
+        assert repr(result) == repr(plain)
 
 
 class TestStoreBasics:

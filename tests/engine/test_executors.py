@@ -43,7 +43,7 @@ class TestSerialExecutor:
         executor = SerialExecutor()
         executor.bind(SeedEchoEvaluator())
         executor.submit(_request(0, explode=True))
-        trial_id, ok, result, error = executor.wait_one()
+        trial_id, ok, result, error = executor.wait_one()[:4]
         assert (trial_id, ok, result) == (0, False, None)
         assert "ValueError" in error
 
@@ -63,12 +63,12 @@ class TestParallelExecutor:
         serial = SerialExecutor()
         serial.bind(SeedEchoEvaluator())
         serial.submit(_request(0, q=3, seed=999))
-        _, _, serial_result, _ = serial.wait_one()
+        serial_result = serial.wait_one().result
 
         with ParallelExecutor(n_workers=2) as parallel:
             parallel.bind(SeedEchoEvaluator())
             parallel.submit(_request(0, q=3, seed=999))
-            _, ok, parallel_result, _ = parallel.wait_one()
+            ok, parallel_result = parallel.wait_one()[1:3]
         assert ok
         assert parallel_result.score == serial_result.score
 
@@ -84,7 +84,7 @@ class TestParallelExecutor:
         with ParallelExecutor(n_workers=1) as executor:
             executor.bind(SeedEchoEvaluator())
             executor.submit(_request(0, explode=True))
-            trial_id, ok, result, error = executor.wait_one()
+            trial_id, ok, result, error = executor.wait_one()[:4]
         assert (trial_id, ok, result) == (0, False, None)
         assert "ValueError" in error
 
@@ -105,7 +105,7 @@ class TestParallelExecutor:
         executor.wait_one()
         executor.bind(SeedEchoEvaluator())  # different instance -> pool restart
         executor.submit(_request(1, q=2, seed=5))
-        trial_id, ok, result, _ = executor.wait_one()
+        trial_id, ok, result = executor.wait_one()[:3]
         assert ok and trial_id == 1
         executor.shutdown()
 
@@ -265,7 +265,7 @@ class TestSerialEqualsParallel:
                     executor.submit(request)
                 executor.flush_batch()
                 while executor.pending():
-                    trial_id, ok, result, error = executor.wait_one()
+                    trial_id, ok, result, error = executor.wait_one()[:4]
                     if ok:
                         scores[trial_id] = (result.score, tuple(result.fold_scores))
                     else:

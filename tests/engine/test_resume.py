@@ -33,7 +33,7 @@ from repro.engine import (
     SerialExecutor,
     TrialEngine,
 )
-from repro.engine.checkpoint import FoldCheckpoint, attach_checkpoints
+from repro.engine.checkpoint import FoldCheckpoint
 from repro.space import Categorical, SearchSpace
 
 
@@ -170,7 +170,7 @@ class WarmQualityEvaluator:
         result = EvaluationResult(mean=score, std=0.0, score=score, gamma=100 * budget_fraction)
         if capture_checkpoints:
             value = config["q"] + budget_fraction
-            attach_checkpoints(result, [FoldCheckpoint([[[value]]], [[0.0]])])
+            result.fold_states = [FoldCheckpoint([[[value]]], [[0.0]])]
         return result
 
 

@@ -25,7 +25,7 @@ from repro.engine import (
     TrialEngine,
     TrialRequest,
 )
-from repro.engine.checkpoint import FoldCheckpoint, attach_checkpoints
+from repro.engine.checkpoint import FoldCheckpoint
 from repro.space import Categorical, SearchSpace
 
 
@@ -44,9 +44,7 @@ class WarmAwareEvaluator:
         result = EvaluationResult(mean=score, std=0.0, score=score, gamma=100 * budget_fraction)
         if capture_checkpoints:
             r = np.random.default_rng(config["q"])
-            attach_checkpoints(
-                result, [FoldCheckpoint([r.normal(size=(3, 2))], [r.normal(size=2)])]
-            )
+            result.fold_states = [FoldCheckpoint([r.normal(size=(3, 2))], [r.normal(size=2)])]
         return result
 
 
@@ -83,7 +81,9 @@ class TestEnginePlumbing:
     def test_checkpoints_are_stripped_before_results_escape(self):
         engine = warm_engine()
         outcome = run_one(engine, 0.2)
-        assert "_checkpoints" not in outcome.result.__dict__
+        assert engine.stats.checkpoints_stored == 1
+        assert outcome.result.fold_states is None
+        assert "fold_states" not in outcome.result.to_dict()
 
     def test_stats_schema_exports_warm_counters(self):
         engine = warm_engine()

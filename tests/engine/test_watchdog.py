@@ -139,7 +139,7 @@ class TestTrialTimeout:
             ) as executor:
                 executor.bind(Slow())
                 executor.submit(_request({"q": 1}))
-                trial_id, ok, result, error = executor.wait_one()
+                trial_id, ok, result, error = executor.wait_one()[:4]
         assert ok and result.score == 1.0
         assert executor.timeouts == 0
 
@@ -169,7 +169,7 @@ class TestWorkerDeath:
             with ParallelExecutor(n_workers=1) as executor:
                 executor.bind(evaluator)
                 executor.submit(_request({"q": 1, "die": True}))
-                trial_id, ok, result, error = executor.wait_one()
+                trial_id, ok, result, error = executor.wait_one()[:4]
         assert not ok
         assert error.startswith("WorkerDied")
 

@@ -115,15 +115,6 @@ class TestRegistryFamilies:
         assert parsed["repro_trial_execute_s_min"] == [({}, 0.25)]
         assert parsed["repro_trial_execute_s_max"] == [({}, 0.75)]
 
-    def test_extra_labels_stamped_on_every_sample(self):
-        families = registry_families(self.make_registry(), labels={"job": "j1"})
-        parsed = parse_prometheus(render(families))
-        assert all(
-            labels == {"job": "j1"}
-            for samples in parsed.values()
-            for labels, _ in samples
-        )
-
 
 class TestParsePrometheus:
     def test_parses_labels_and_values(self):

@@ -2,22 +2,35 @@
 
 import pickle
 
+import numpy as np
+
+from repro.engine.executors import _evaluate_tasks
+from repro.engine.protocol import EvaluationResult
 from repro.telemetry import (
     COLLECT_METRICS,
     COLLECT_SPANS,
+    MetricsRegistry,
     TrialCollector,
-    attach_payload,
     current_collector,
-    detach_payload,
     install_collector,
 )
 
 
-class Result:
-    """Stand-in for an EvaluationResult: plain object with a __dict__."""
+class SpanningEvaluator:
+    """Records one span and one counter into whatever collector is installed."""
 
-    def __init__(self, score=0.5):
-        self.score = score
+    def evaluate(self, config, budget_fraction, rng):
+        collector = current_collector()
+        if collector is not None:
+            with collector.tracer.span("fold", fold=0):
+                collector.registry.inc("n")
+        score = float(rng.random())
+        return EvaluationResult(mean=score, std=0.0, score=score, gamma=100.0 * budget_fraction)
+
+
+def task(flags):
+    """One executor task tuple: token, trial id, config, budget, seed, flags, warm, capture."""
+    return (0, 3, {"q": 1}, 0.5, 11, flags, None, False)
 
 
 class TestTrialCollection:
@@ -44,28 +57,30 @@ class TestTrialCollection:
 class TestTrialCollector:
     def test_counters_collected_regardless_of_flags(self):
         collector = TrialCollector(flags=COLLECT_METRICS)
-        collector.inc("hits")
-        collector.inc("hits", 2)
-        assert collector.payload() == {"counters": {"hits": 3}}
+        collector.registry.inc("hits")
+        collector.registry.inc("hits", 2)
+        payload = collector.payload()
+        assert payload["registry"].counters() == {"hits": 3}
+        assert payload["spans"] == []
 
-    def test_observe_wire_shape(self):
+    def test_observe_lands_in_the_registry_histogram(self):
         collector = TrialCollector(flags=COLLECT_METRICS)
         for v in (0.2, 0.8, 0.5):
-            collector.observe("t.s", v)
-        wire = collector.payload()["timings"]["t.s"]
-        assert wire[0] == 3
-        assert wire[1] == 1.5
-        assert wire[2] == 0.2 and wire[3] == 0.8
+            collector.registry.observe("t.s", v)
+        histogram = collector.payload()["registry"].histograms()["t.s"]
+        assert histogram.count == 3
+        assert histogram.total == 1.5
+        assert histogram.minimum == 0.2 and histogram.maximum == 0.8
 
     def test_span_records_relative_offsets_and_nesting(self):
         clock = iter(range(100))
         collector = TrialCollector(
             flags=COLLECT_SPANS, clock=lambda: float(next(clock)), cpu_clock=lambda: 0.0
         )
-        with collector.span("fold", fold=0) as fold:
-            with collector.span("fit"):
+        with collector.tracer.span("fold", fold=0) as fold:
+            with collector.tracer.span("fit"):
                 pass
-            fold["attrs"]["score"] = 0.9
+            fold.attrs["score"] = 0.9
         spans = collector.payload()["spans"]
         # close order: fit first, then fold
         assert [s["name"] for s in spans] == ["fit", "fold"]
@@ -74,11 +89,11 @@ class TestTrialCollector:
         assert fit["parent"] == fold["id"]
         assert fold["attrs"] == {"fold": 0, "score": 0.9}
         assert "attrs" not in fit  # empty attrs dropped from the wire
-        assert fit["rel0"] >= fold["rel0"]
+        assert fold["t0"] == 1.0 and fit["t0"] == 2.0  # offsets from the collector's start
 
     def test_span_noop_when_spans_disabled(self):
         collector = TrialCollector(flags=COLLECT_METRICS)
-        with collector.span("fold") as record:
+        with collector.tracer.span("fold") as record:
             assert record is None
         assert collector.payload() is None
 
@@ -87,39 +102,36 @@ class TestTrialCollector:
 
     def test_payload_pickles(self):
         collector = TrialCollector(flags=COLLECT_SPANS)
-        with collector.span("fold"):
-            collector.inc("n")
-            collector.observe("t", 0.1)
+        with collector.tracer.span("fold"):
+            collector.registry.inc("n")
+            collector.registry.observe("t", 0.1)
         payload = collector.payload()
-        assert pickle.loads(pickle.dumps(payload)) == payload
+        clone = pickle.loads(pickle.dumps(payload))
+        assert clone["spans"] == payload["spans"]
+        assert isinstance(clone["registry"], MetricsRegistry)
+        assert clone["registry"].as_dict() == payload["registry"].as_dict()
 
 
 class TestPayloadTransport:
-    def test_attach_detach_round_trip(self):
-        collector = TrialCollector(flags=COLLECT_METRICS)
-        collector.inc("n")
-        result = Result()
-        attach_payload(result, collector)
-        assert "_telemetry" in result.__dict__
-        payload = detach_payload(result)
-        assert payload == {"counters": {"n": 1}}
-        # detaching restores the untelemetered shape, and is idempotent
-        assert "_telemetry" not in result.__dict__
-        assert detach_payload(result) is None
+    def test_payload_rides_the_completion(self):
+        (completion,) = _evaluate_tasks(SpanningEvaluator(), [task(COLLECT_METRICS | COLLECT_SPANS)])
+        assert completion.ok and completion.trial_id == 3
+        payload = completion.telemetry
+        assert payload["registry"].counters() == {"n": 1}
+        assert payload["registry"].histograms()["trial.execute_s"].count == 1
+        assert [span["name"] for span in payload["spans"]] == ["fold"]
+        assert "origin" not in payload  # stamped in pool workers only
 
-    def test_attach_skips_empty_collector_and_none(self):
-        result = Result()
-        attach_payload(result, None)
-        attach_payload(result, TrialCollector(flags=COLLECT_METRICS))
-        assert "_telemetry" not in result.__dict__
+    def test_no_flags_means_no_payload(self):
+        (completion,) = _evaluate_tasks(SpanningEvaluator(), [task(0)])
+        assert completion.ok and completion.telemetry is None
 
     def test_detached_result_pickles_identically(self):
         """The bitwise-neutrality invariant at the object level."""
-        plain = pickle.dumps(Result(0.7))
-        traced = Result(0.7)
-        collector = TrialCollector(flags=COLLECT_METRICS)
-        collector.inc("n")
-        attach_payload(traced, collector)
-        detach_payload(traced)
-        assert pickle.dumps(traced) == plain
-
+        (plain,) = _evaluate_tasks(SpanningEvaluator(), [task(0)])
+        (traced,) = _evaluate_tasks(SpanningEvaluator(), [task(COLLECT_METRICS | COLLECT_SPANS)])
+        assert traced.telemetry is not None
+        assert pickle.dumps(traced.result) == pickle.dumps(plain.result)
+        assert traced.result.score == plain.result.score == float(
+            np.random.default_rng(11).random()
+        )

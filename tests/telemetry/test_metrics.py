@@ -35,14 +35,6 @@ class TestHistogramSummary:
         assert left.maximum == pooled.maximum
         assert left.total == pytest.approx(pooled.total)
 
-    def test_wire_round_trip(self):
-        h = HistogramSummary()
-        h.observe(0.25)
-        h.observe(0.75)
-        other = HistogramSummary()
-        other.merge_wire(h.as_wire())
-        assert other.as_wire() == h.as_wire()
-
     def test_as_dict_empty_has_finite_bounds(self):
         d = HistogramSummary().as_dict()
         assert d["min"] == 0.0 and d["max"] == 0.0 and d["count"] == 0
@@ -63,14 +55,22 @@ class TestMetricsRegistry:
         r.set_gauge("queue.depth", 1)
         assert r.as_dict()["gauges"]["queue.depth"] == 1.0
 
-    def test_merge_payload_tolerates_none_and_partial(self):
+    def test_merge_of_an_empty_registry_is_a_no_op(self):
         r = MetricsRegistry()
-        r.merge_payload(None)
-        r.merge_payload({})
-        r.merge_payload({"counters": {"hits": 2}})
-        r.merge_payload({"timings": {"t.s": [2, 0.5, 0.1, 0.4]}})
-        assert r.counters() == {"hits": 2}
-        assert r.histograms()["t.s"].count == 2
+        r.inc("hits", 2)
+        r.observe("t.s", 0.5)
+        before = r.as_dict()
+        r.merge(MetricsRegistry())
+        assert r.as_dict() == before
+
+    def test_from_dict_round_trip(self):
+        r = MetricsRegistry()
+        r.inc("hits", 2)
+        r.set_gauge("depth", 3.0)
+        r.observe("t.s", 0.25)
+        r.observe("t.s", 0.75)
+        snapshot = r.as_dict()
+        assert MetricsRegistry.from_dict(snapshot).as_dict() == snapshot
 
     def test_merge_registries(self):
         a, b = MetricsRegistry(), MetricsRegistry()
@@ -83,17 +83,18 @@ class TestMetricsRegistry:
 
     def test_counter_merge_is_order_independent(self):
         """The serial==parallel comparator: integer counters commute."""
-        payloads = [
-            {"counters": {"x": 1, "y": 2}},
-            {"counters": {"x": 4}},
-            {"counters": {"y": 1, "z": 7}},
-        ]
+        registries = []
+        for counts in ({"x": 1, "y": 2}, {"x": 4}, {"y": 1, "z": 7}):
+            registry = MetricsRegistry()
+            for name, value in counts.items():
+                registry.inc(name, value)
+            registries.append(registry)
         forward, backward = MetricsRegistry(), MetricsRegistry()
-        for p in payloads:
-            forward.merge_payload(p)
-        for p in reversed(payloads):
-            backward.merge_payload(p)
-        assert forward.counters() == backward.counters()
+        for registry in registries:
+            forward.merge(registry)
+        for registry in reversed(registries):
+            backward.merge(registry)
+        assert forward.counters() == backward.counters() == {"x": 5, "y": 3, "z": 7}
 
     def test_as_dict_schema(self):
         r = MetricsRegistry()

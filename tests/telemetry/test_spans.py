@@ -127,9 +127,9 @@ class TestTracer:
         children = [
             # close order: fit (child of fold 2) then fold (local id 2)
             {"id": 3, "parent": 2, "name": "fit", "kind": "fit",
-             "rel0": 0.2, "dur": 0.5, "cpu_dur": 0.1},
+             "t0": 0.2, "dur": 0.5, "cpu_dur": 0.1},
             {"id": 2, "parent": None, "name": "fold", "kind": "fold",
-             "rel0": 0.1, "dur": 0.7, "cpu_dur": 0.2},
+             "t0": 0.1, "dur": 0.7, "cpu_dur": 0.2},
         ]
         trial_id = tracer.emit("trial", "trial", 10.0, 2.0, children=children)
         sink.close()
@@ -141,7 +141,7 @@ class TestTracer:
     def test_emit_lays_children_into_span_tail(self, tmp_path):
         tracer, sink = make_tracer(tmp_path)
         children = [{"id": 1, "parent": None, "name": "fold", "kind": "fold",
-                     "rel0": 0.0, "dur": 0.5, "cpu_dur": 0.0}]
+                     "t0": 0.0, "dur": 0.5, "cpu_dur": 0.0}]
         # trial spans 10.0..12.0; collection window is 0.5s -> child at 11.5
         tracer.emit("trial", "trial", 10.0, 2.0, children=children)
         sink.close()
@@ -154,7 +154,7 @@ class TestTracer:
     def test_emit_unknown_child_parent_falls_back_to_span(self, tmp_path):
         tracer, sink = make_tracer(tmp_path)
         children = [{"id": 5, "parent": 99, "name": "orphan", "kind": "fold",
-                     "rel0": 0.0, "dur": 0.1, "cpu_dur": 0.0}]
+                     "t0": 0.0, "dur": 0.1, "cpu_dur": 0.0}]
         trial_id = tracer.emit("trial", "trial", 0.0, 1.0, children=children)
         sink.close()
         _, records, _ = TraceSink.read(sink.path)

@@ -27,7 +27,11 @@
 #   4. telemetry tier (trace-file tests: span nesting, Chrome-trace
 #      conversion, serial == parallel counters; there is no in-tree
 #      profiler — hot-path timing is bench/layers.py's traced run, and
-#      tracing overhead is bench/'s telemetry.emit_ms on serve_two_tenant)
+#      tracing overhead is bench/'s telemetry.emit_ms on serve_two_tenant.
+#      The trace pin — tests/telemetry/test_trace_pin.py, a deterministic
+#      traced HB+ run against tests/telemetry/data/pinned_run.trace.json,
+#      ids, parents, names, kinds, attrs, annotations and the final
+#      metrics line bar timings — is fast and runs in tier-1)
 #   5. serve tier (service-daemon end-to-end tests, incl. the idle
 #      keep-alive request bound, the long-poll semantics and disk-full
 #      degraded mode; latency is bench/'s serve.job_overhead_ms /

@@ -54,14 +54,7 @@ def summarize(header, records, dropped) -> None:
         print(f"  {kind:<10} x{count:<5} total {format_seconds(total)}")
     metrics = [r for r in records if r.get("type") == "metrics"]
     if metrics:
-        registry = MetricsRegistry()
-        registry.merge_payload({
-            "counters": metrics[-1].get("counters", {}),
-            "timings": {
-                name: [h["count"], h["total"], h["min"], h["max"]]
-                for name, h in metrics[-1].get("histograms", {}).items()
-            },
-        })
+        registry = MetricsRegistry.from_dict(metrics[-1])
         print("embedded metrics snapshot:")
         for line in registry.render_lines():
             print(f"  {line}")
