@@ -15,12 +15,12 @@ the ablation experiments toggle):
   variance- and size-aware score of Equation 3.
 
 There is one evaluation procedure, :meth:`SubsetCVEvaluator.evaluate_many`:
-plan every trial of a rung (subset, folds, model seeds), fit what can be
-stacked in one :func:`~repro.learners.batched.fit_mlp_trials` call, then
-score trial by trial — fitting fold by fold there whatever the lanes do
-not take (non-MLP models, L-BFGS, single folds).  ``evaluate`` is that
-call at width one.  Which folds stack is decided by what the code can
-observe (model type, solver, lane width), not by an option.
+plan every trial of a rung (subset, folds, seeds), fit and predict what
+stacks in one :func:`~repro.learners.batched.fit_mlp_trials` and one
+:func:`~repro.learners.batched.predict_folds` call, then score fold by
+fold, fitting there what the lanes do not take (non-MLP, L-BFGS, single
+folds).  ``evaluate`` is that call at width one.  What stacks follows
+from model type, solver and lane width, never from an option.
 
 Factory helpers :func:`vanilla_evaluator` and :func:`grouped_evaluator`
 build the two configurations the paper compares.
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import time
 from contextlib import nullcontext
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -41,7 +42,7 @@ from ..engine.protocol import EvaluationResult
 from ..guard import DataReport, GuardLog, validate_dataset
 from ..telemetry.collect import current_collector, install_collector
 from ..learners.mlp import MLPClassifier, MLPRegressor
-from ..learners.batched import MegaBatchStats, batchable_model, fit_mlp_trials
+from ..learners.batched import MegaBatchStats, batchable_model, fit_mlp_trials, predict_folds
 from ..metrics import accuracy_score, f1_score, r2_score
 from ..model_selection import KFold, StratifiedKFold, random_subsample, stratified_subsample
 from .folds import GeneralSpecialFolds
@@ -64,27 +65,34 @@ __all__ = [
 FOLD_FLOOR = -1e6
 
 
-def make_scorer(metric: str) -> Callable:
+def _fold_metric(metric: str, n_classes: int) -> Callable:
+    """Metric ``(y_true, y_pred) -> float``.  F1 is binary (class 1, the paper's
+    minority) when the *dataset* has at most two classes, else macro-averaged,
+    whatever labels one fold holds."""
+    if metric == "f1":
+        return partial(f1_score, average="binary" if n_classes <= 2 else "macro")
+    if metric in ("accuracy", "r2"):
+        return accuracy_score if metric == "accuracy" else r2_score
+    raise ValueError(f"Unknown metric {metric!r}; expected 'accuracy', 'f1' or 'r2'")
+
+
+def make_scorer(metric: str, n_classes: Optional[int] = None) -> Callable:
     """Scoring function ``(model, X, y) -> float`` for a metric name.
 
-    ``"accuracy"`` and ``"r2"`` are the obvious ones; ``"f1"`` scores the
-    positive class for binary problems (the paper's imbalanced datasets
-    encode the minority as class 1) and macro-averages otherwise.
+    ``n_classes`` is the dataset's class count; without it the labels of
+    the scored ``y`` are counted (right for a test set, not for a fold).
     """
-    if metric == "accuracy":
-        return lambda model, X, y: accuracy_score(y, model.predict(X))
-    if metric == "f1":
+    _fold_metric(metric, 2)  # an unknown name fails here, not at the first score
+    return lambda model, X, y: _fold_metric(metric, n_classes or len(np.unique(y)))(
+        y, model.predict(X)
+    )
 
-        def f1(model, X, y):
-            predictions = model.predict(X)
-            if len(np.unique(y)) <= 2:
-                return f1_score(y, predictions, average="binary", pos_label=1)
-            return f1_score(y, predictions, average="macro")
 
-        return f1
-    if metric == "r2":
-        return lambda model, X, y: r2_score(y, model.predict(X))
-    raise ValueError(f"Unknown metric {metric!r}; expected 'accuracy', 'f1' or 'r2'")
+def _label_index(labels: np.ndarray) -> Tuple[int, np.ndarray, List[np.ndarray]]:
+    """``(n_labels, codes, members)``, ``members[c]`` being ``np.flatnonzero(codes == c)``."""
+    classes, codes = np.unique(labels, return_inverse=True)
+    members = np.split(np.argsort(codes, kind="stable"), np.cumsum(np.bincount(codes))[:-1])
+    return len(classes), codes, members
 
 
 class _ConstantClassifier:
@@ -213,7 +221,6 @@ class SubsetCVEvaluator:
         self.setup_guard_events: list = []
         self.model_factory = model_factory
         self.metric = metric
-        self.scorer = make_scorer(metric)
         self.task = task
         self.sampling = sampling
         self.folding = folding
@@ -228,6 +235,20 @@ class SubsetCVEvaluator:
         #: ``{"X": ArenaRef, "y": ArenaRef}`` once :meth:`share_memory`
         #: published the dataset; ``None`` keeps plain pickle transport.
         self._arena_refs: Optional[Dict[str, ArenaRef]] = None
+        self._index_labels()
+
+    #: What :meth:`_index_labels` derives from the data; never pickled.
+    _DERIVED = ("_n_classes", "_codes", "_class_members", "_group_members", "_metric", "scorer")
+
+    def _index_labels(self) -> None:
+        """Label codes, class count and per-class / per-group member indices, once."""
+        self._n_classes = self._codes = self._class_members = self._group_members = None
+        if self.task == "classification":
+            self._n_classes, self._codes, self._class_members = _label_index(self.y)
+        if self.grouping is not None:
+            self._group_members = _label_index(self.grouping.group_labels)[2]
+        self._metric = _fold_metric(self.metric, self._n_classes or 2)
+        self.scorer = make_scorer(self.metric, self._n_classes)
 
     @property
     def guard_active(self) -> bool:
@@ -257,16 +278,16 @@ class SubsetCVEvaluator:
         self._arena_refs = None
 
     def __getstate__(self):
-        """Drop the (possibly lambda-built) scorer so the evaluator pickles.
+        """Drop what :meth:`_index_labels` derives; it is rebuilt on load.
 
         :class:`~repro.engine.ParallelExecutor` ships the evaluator to
-        worker processes once via the pool initializer; the scorer is
-        rebuilt from ``metric`` on the other side.  With
+        worker processes once via the pool initializer.  With
         :meth:`share_memory` active, the dataset arrays travel as arena
         refs instead of bytes.
         """
         state = dict(self.__dict__)
-        state.pop("scorer", None)
+        for name in self._DERIVED:
+            state.pop(name, None)
         refs = state.get("_arena_refs")
         if refs:
             state["X"] = refs["X"]
@@ -274,14 +295,14 @@ class SubsetCVEvaluator:
         return state
 
     def __setstate__(self, state):
-        """Restore attributes, rebuild the scorer, attach any arena refs."""
+        """Restore attributes, attach any arena refs, re-derive the rest."""
         self.__dict__.update(state)
-        self.scorer = make_scorer(self.metric)
         self.__dict__.setdefault("_arena_refs", None)
         if isinstance(self.X, ArenaRef):
             self.X = arena_attach(self.X)
         if isinstance(self.y, ArenaRef):
             self.y = arena_attach(self.y)
+        self._index_labels()
 
     # -- protocol ------------------------------------------------------------
 
@@ -327,10 +348,10 @@ class SubsetCVEvaluator:
         and model seeds, consuming only its own rng.  *Fit*: the folds of
         every trial whose models all qualify (MLP, sgd/adam, at least two
         folds) go to :func:`~repro.learners.batched.fit_mlp_trials` in one
-        call, which stacks shape-matched folds into lanes — bitwise-equal
-        per fold to ``model.fit``.  *Score*: each trial is scored; trials
-        the fit phase skipped (non-MLP, lbfgs, single fold) fit fold by
-        fold here.
+        call, which stacks shape-matched folds into lanes bitwise-equal to
+        ``model.fit``, then predicts them in one ``predict_folds`` call timed
+        with the fit.  *Score*: each fold is scored; trials the fit phase
+        skipped (non-MLP, lbfgs, single fold) fit and predict fold by fold.
 
         A fit-phase error propagates — the executor then re-runs each
         task alone — except in a single-trial call under an active guard
@@ -361,19 +382,14 @@ class SubsetCVEvaluator:
                     "capture": capture,
                     "own": self.clock() - start,
                     "fit_share": 0.0,
-                    "batch_fitted": False,
+                    "predictions": None,
                 }
             )
 
         fused = [plan for plan in plans if self._batch_eligible(plan["models"])]
         mega = MegaBatchStats()
         if fused:
-            trial_jobs = []
-            warms = []
-            for plan in fused:
-                jobs, warm = self._fold_jobs(plan["folds"], plan["models"], plan["warm_map"])
-                trial_jobs.append(jobs)
-                warms.append(warm or None)
+            trial_jobs, warms = zip(*(self._fold_jobs(plan) for plan in fused))
             fit_start = self.clock()
             try:
                 per_trial_stats, mega = fit_mlp_trials(trial_jobs, warms)
@@ -392,10 +408,11 @@ class SubsetCVEvaluator:
                 # degrade broken folds one at a time.
                 plan["models"] = self._build_models(plan["config"], plan["seeds"])
             else:
+                del trial_jobs, warms  # the training-row copies go before the stacks come
+                self._predict_stacked(fused)
                 fit_elapsed = self.clock() - fit_start
                 total_folds = sum(stats.folds for stats in per_trial_stats) or 1
                 for plan, stats in zip(fused, per_trial_stats):
-                    plan["batch_fitted"] = True
                     plan["fit_share"] = fit_elapsed * stats.folds / total_folds
                     self._count_batch_stats(plan["collector"], stats)
 
@@ -403,14 +420,7 @@ class SubsetCVEvaluator:
         for plan in plans:
             score_start = self.clock()
             with install_collector(plan["collector"]) as collector:
-                fold_scores = self._score_trial(
-                    plan["folds"],
-                    plan["models"],
-                    plan["warm_map"],
-                    plan["batch_fitted"],
-                    plan["guard"],
-                    collector,
-                )
+                fold_scores = self._score_trial(plan, collector)
             cost = plan["own"] + plan["fit_share"] + (self.clock() - score_start)
             results.append(
                 self._assemble_result(
@@ -443,7 +453,7 @@ class SubsetCVEvaluator:
         """
         seeds: List[Optional[int]] = []
         for train_idx, _ in folds:
-            if self.task == "classification" and len(np.unique(self.y[train_idx])) < 2:
+            if self._codes is not None and np.count_nonzero(np.bincount(self._codes[train_idx])) < 2:
                 seeds.append(None)
             else:
                 seeds.append(int(rng.integers(2**31)))
@@ -471,13 +481,9 @@ class SubsetCVEvaluator:
         """Whether a trial's folds can go through the lane kernels."""
         return len(models) >= 2 and all(batchable_model(model) for model in models.values())
 
-    def _fold_jobs(
-        self,
-        folds: List[Tuple[np.ndarray, np.ndarray]],
-        models: Dict[int, Any],
-        warm_map: Dict[int, Any],
-    ) -> Tuple[List[Tuple], Dict[int, Tuple]]:
-        """Build the lane-kernel job list (and positional warm dict)."""
+    def _fold_jobs(self, plan: Dict[str, Any]) -> Tuple[List[Tuple], Optional[Dict[int, Tuple]]]:
+        """Build a trial's lane-kernel job list (and positional warm dict, if any)."""
+        folds, models, warm_map = plan["folds"], plan["models"], plan["warm_map"]
         order = sorted(models)
         jobs = [(models[i], self.X[folds[i][0]], self.y[folds[i][0]]) for i in order]
         warm = {
@@ -485,7 +491,7 @@ class SubsetCVEvaluator:
             for position, i in enumerate(order)
             if i in warm_map
         }
-        return jobs, warm
+        return jobs, warm or None
 
     @staticmethod
     def _count_batch_stats(collector, stats) -> None:
@@ -496,18 +502,23 @@ class SubsetCVEvaluator:
         if stats.warm_folds:
             collector.registry.inc("evaluator.warm_folds", stats.warm_folds)
 
-    def _score_trial(
-        self,
-        folds: List[Tuple[np.ndarray, np.ndarray]],
-        models: Dict[int, Any],
-        warm_map: Dict[int, Any],
-        batch_fitted: bool,
-        guard: Optional[GuardLog],
-        collector,
-    ) -> List[float]:
-        """Score phase (fits here too when the batched kernel didn't run)."""
+    def _predict_stacked(self, plans: List[Dict[str, Any]]) -> None:
+        """Predict every fold of the fused trials in one stacked call."""
+        models, X_vals = [], []
+        for plan in plans:
+            for index, (train_idx, val_idx) in enumerate(plan["folds"]):
+                model = plan["models"].get(index)
+                models.append(model if model is not None else _ConstantClassifier(self.y[train_idx[0]]))
+                X_vals.append(self.X[val_idx])
+        predictions = iter(predict_folds(models, X_vals))
+        for plan in plans:
+            plan["predictions"] = [next(predictions) for _ in plan["folds"]]
+
+    def _score_trial(self, plan: Dict[str, Any], collector) -> List[float]:
+        """Score phase (fits and predicts here too when the batched kernel didn't run)."""
         fold_scores = []
-        for fold_index, (train_idx, val_idx) in enumerate(folds):
+        predictions = plan["predictions"] or [None] * len(plan["folds"])
+        for fold_index, (train_idx, val_idx) in enumerate(plan["folds"]):
             span = (
                 collector.tracer.span(
                     "fold",
@@ -519,9 +530,7 @@ class SubsetCVEvaluator:
                 else nullcontext(None)
             )
             with span as record:
-                fold_score = self._score_fold(
-                    fold_index, train_idx, val_idx, models, warm_map, batch_fitted, guard
-                )
+                fold_score = self._score_fold(plan, fold_index, predictions[fold_index])
                 if record is not None:
                     record.attrs["score"] = round(float(fold_score), 6)
             if collector is not None:
@@ -577,28 +586,19 @@ class SubsetCVEvaluator:
         subset = self._draw_subset(n_subset, rng)
         return subset, list(self._folds(subset, rng, guard))
 
-    def _score_fold(
-        self,
-        fold_index: int,
-        train_idx: np.ndarray,
-        val_idx: np.ndarray,
-        models: Dict[int, Any],
-        warm_map: Dict[int, Any],
-        batch_fitted: bool,
-        guard: Optional[GuardLog],
-    ) -> float:
-        """Fit (unless already batch-fitted) and score one fold's model."""
-        model = models.get(fold_index)
+    def _score_fold(self, plan: Dict[str, Any], fold_index: int, prediction) -> float:
+        """Score one fold; fit and predict it first unless the fit phase did."""
+        (train_idx, val_idx), guard = plan["folds"][fold_index], plan["guard"]
+        model = plan["models"].get(fold_index)
         if model is None:
-            y_train = self.y[train_idx]
             if guard is not None:
                 guard.record(
                     "folds.single_class_train",
                     "training fold holds a single class; scored a constant predictor",
                     n_train=int(len(train_idx)),
                 )
-            model = _ConstantClassifier(y_train[0])
-        elif batch_fitted:
+            model = _ConstantClassifier(self.y[train_idx[0]])
+        elif plan["predictions"] is not None:
             if guard is not None and getattr(model, "diverged_", False):
                 guard.record(
                     "learner.diverged",
@@ -613,7 +613,7 @@ class SubsetCVEvaluator:
                 if collector is not None
                 else nullcontext(None)
             )
-            warm = warm_map.get(fold_index)
+            warm = plan["warm_map"].get(fold_index)
             fit_kwargs = (
                 {"coefs_init": warm.coefs, "intercepts_init": warm.intercepts}
                 if warm is not None
@@ -639,7 +639,9 @@ class SubsetCVEvaluator:
                             "fit aborted on exploding loss; parameters rolled back "
                             "to the last finite state",
                         )
-        score = float(self.scorer(model, self.X[val_idx], self.y[val_idx]))
+        if prediction is None:
+            prediction = predict_folds([model], [self.X[val_idx]])[0]
+        score = float(self._metric(self.y[val_idx], prediction))
         if guard is not None and not np.isfinite(score):
             guard.record(
                 "scoring.nonfinite_fold",
@@ -659,9 +661,11 @@ class SubsetCVEvaluator:
         if n_subset >= n_total:
             return np.arange(n_total)
         if self.sampling == "grouped":
-            return stratified_subsample(self.grouping.group_labels, n_subset, rng=rng)
+            return stratified_subsample(
+                self.grouping.group_labels, n_subset, rng=rng, members=self._group_members
+            )
         if self.sampling == "stratified" and self.task == "classification":
-            return stratified_subsample(self.y, n_subset, rng=rng)
+            return stratified_subsample(self.y, n_subset, rng=rng, members=self._class_members)
         return random_subsample(n_total, n_subset, rng=rng)
 
     def _folds(

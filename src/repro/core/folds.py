@@ -199,14 +199,10 @@ class GeneralSpecialFolds:
 
         # General folds: group-stratified split of everything left.
         leftover_positions = np.flatnonzero(remaining)
+        # Without general folds the leftovers stay in every fold's training side.
         if k_gen:
             general = self._stratified_partition(leftover_positions, groups, k_gen, rng)
             blocks.extend(subset_indices[part] for part in general)
-        elif len(leftover_positions):
-            # No general folds: distribute leftovers round-robin into the
-            # special blocks' *training* side by simply ignoring them — they
-            # remain in every fold's training split by construction.
-            pass
         return blocks
 
     def _pick_special_groups(
@@ -271,14 +267,13 @@ class GeneralSpecialFolds:
     def _stratified_partition(
         positions: np.ndarray, groups: np.ndarray, k: int, rng: np.random.Generator
     ) -> List[np.ndarray]:
-        """Split positions into ``k`` group-stratified, size-balanced parts."""
-        parts: List[List[int]] = [[] for _ in range(k)]
+        """Split positions into ``k`` group-stratified, size-balanced (sorted) parts."""
         member_groups = groups[positions]
-        offset = 0
+        dealt = [positions[:0]]
         for group in np.unique(member_groups):
-            members = positions[member_groups == group].copy()
+            members = positions[member_groups == group]
             rng.shuffle(members)
-            for i, position in enumerate(members):
-                parts[(offset + i) % k].append(int(position))
-            offset = (offset + len(members)) % k
-        return [np.array(sorted(part), dtype=int) for part in parts]
+            dealt.append(members)
+        order = np.concatenate(dealt).astype(int, copy=False)
+        part_of = np.arange(len(order)) % k
+        return [np.sort(order[part_of == part]) for part in range(k)]

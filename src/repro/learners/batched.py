@@ -88,14 +88,15 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .base import check_X_y
-from .losses import squared_loss
 from .mlp import (
     _EPOCH_BLOCK,
     DIVERGENCE_LOSS_CAP,
+    MLPClassifier,
     _BaseMLP,
     _epoch_orders,
     _forward_pass,
     _loss_and_gradients,
+    _validation_score,
     resolve_initial_parameters,
     warm_start_matches,
 )
@@ -107,6 +108,7 @@ __all__ = [
     "batchable_model",
     "fit_mlp_folds",
     "fit_mlp_trials",
+    "predict_folds",
 ]
 
 
@@ -255,6 +257,7 @@ def fit_mlp_trials(
     mega.trials = len(trial_jobs)
     plans: List[_FoldPlan] = []
     owner: List[int] = []
+    encodings = _label_codes(trial_jobs)
     for t, jobs in enumerate(trial_jobs):
         warm = warms[t] if warms is not None else None
         stats = per_trial[t]
@@ -263,11 +266,12 @@ def fit_mlp_trials(
             coefs_init = intercepts_init = None
             if warm is not None and index in warm:
                 coefs_init, intercepts_init = warm[index]
-            plan = _prepare_fold(model, X, y, coefs_init, intercepts_init)
+            plan = _prepare_fold(model, X, y, coefs_init, intercepts_init, next(encodings))
             if warm_start_matches(plan.layer_units, coefs_init, intercepts_init):
                 stats.warm_folds += 1
             plans.append(plan)
             owner.append(t)
+    del encodings  # frees the call's label codes before the lanes train
 
     lanes: Dict[Tuple, List[int]] = {}
     for position, plan in enumerate(plans):
@@ -305,9 +309,31 @@ def _run_lane(members: List[_FoldPlan]) -> bool:
     return True
 
 
-def _prepare_fold(model, X, y, coefs_init, intercepts_init) -> _FoldPlan:
+def _label_codes(trial_jobs):
+    """Yield ``(classes, codes)`` per classifier fold job (``None`` per regressor) from
+    one ``np.unique``; a fold keeps, re-indexed, the labels it holds, as a
+    ``LabelEncoder`` fitted on it would."""
+    jobs = [(model, np.ravel(y)) for fold_jobs in trial_jobs for model, _, y in fold_jobs]
+    labels = [y for model, y in jobs if isinstance(model, MLPClassifier)]
+    if labels:
+        classes, inverse = np.unique(np.concatenate(labels), return_inverse=True)
+        pieces = iter(np.split(inverse, np.cumsum([len(y) for y in labels])[:-1]))
+    for model, _ in jobs:
+        if not isinstance(model, MLPClassifier):
+            yield None
+            continue
+        codes = next(pieces)
+        present = np.bincount(codes, minlength=len(classes)) > 0
+        if present.all():
+            yield classes, codes
+        else:
+            yield classes[present], (np.cumsum(present) - 1)[codes]
+
+
+def _prepare_fold(model, X, y, coefs_init, intercepts_init, encoding) -> _FoldPlan:
     """Replicate the ``fit()`` preamble: validate, encode, initialise.
 
+    Targets come from the fold's ``encoding`` (:func:`_label_codes`).
     Consumes the model's random stream exactly as ``fit`` does (Glorot
     draws unless a matching warm start suppresses them), so the batched
     and sequential paths see identical generator states at the start of
@@ -315,7 +341,7 @@ def _prepare_fold(model, X, y, coefs_init, intercepts_init) -> _FoldPlan:
     """
     model._validate_hyperparameters()
     X, y = check_X_y(X, y)
-    y_encoded = model._encode_targets(y)
+    y_encoded = model._encode_targets(y) if encoding is None else model._encode_codes(*encoding)
     layer_units = [X.shape[1], *model._hidden_layers(), model._n_outputs(y_encoded)]
     rng = np.random.default_rng(model.random_state)
     model.coefs_, model.intercepts_ = resolve_initial_parameters(
@@ -380,6 +406,15 @@ def _fit_sequential(plan: _FoldPlan) -> None:
 
 
 # -- lane optimisers ----------------------------------------------------------
+# Each runs its per-fold optimiser's operations in order, writing temporaries
+# into a scratch buffer (rebuilt on compaction) and into each gradient once
+# it is spent, instead of allocating new arrays every step.
+
+
+def _scratch(params: List[np.ndarray]) -> List[np.ndarray]:
+    """A buffer per parameter, all views of one: parameters update in turn."""
+    flat = np.empty(max(p.size for p in params))
+    return [flat[: p.size].reshape(p.shape) for p in params]
 
 
 def _per_fold_factor(values: List):
@@ -419,6 +454,7 @@ class _LaneSGD:
         self.rates = list(self.rate_inits)
         self.momenta = [plan.model.momentum for plan in members]
         self._velocities = [np.zeros_like(p) for p in params]
+        self._scratch = _scratch(params)
         self._t = 0
         self._refresh_factors()
 
@@ -429,6 +465,7 @@ class _LaneSGD:
 
     def compact(self, keep: List[int]) -> None:
         self._velocities = [v[keep] for v in self._velocities]
+        self._scratch = _scratch(self.params)
         self.rates = [self.rates[i] for i in keep]
         self.rate_inits = [self.rate_inits[i] for i in keep]
         self.momenta = [self.momenta[i] for i in keep]
@@ -439,11 +476,14 @@ class _LaneSGD:
         if self.schedule == "invscaling":
             self._rate = self._rate_init / (self._t**self.power_t)
         lr, momentum = self._rate, self._momentum
-        for param, grad, velocity in zip(self.params, grads, self._velocities):
+        for param, grad, velocity, step in zip(self.params, grads, self._velocities, self._scratch):
             velocity *= momentum
-            velocity -= lr * grad
+            np.multiply(lr, grad, out=step)
+            velocity -= step
             if self.nesterov:
-                param += momentum * velocity - lr * grad
+                np.multiply(momentum, velocity, out=grad)
+                grad -= step
+                param += grad
             else:
                 param += velocity
 
@@ -477,22 +517,31 @@ class _LaneAdam:
         self._t = 0
         self._ms = [np.zeros_like(p) for p in params]
         self._vs = [np.zeros_like(p) for p in params]
+        self._scratch = _scratch(params)
 
     def compact(self, keep: List[int]) -> None:
         self._ms = [m[keep] for m in self._ms]
         self._vs = [v[keep] for v in self._vs]
+        self._scratch = _scratch(self.params)
         self.rate_inits = [self.rate_inits[i] for i in keep]
         self._rate_init = _per_fold_factor(self.rate_inits)
 
     def update(self, grads: List[np.ndarray]) -> None:
         self._t += 1
         step = self._rate_init * np.sqrt(1.0 - self.beta_2**self._t) / (1.0 - self.beta_1**self._t)
-        for param, grad, m, v in zip(self.params, grads, self._ms, self._vs):
+        for param, grad, m, v, update in zip(self.params, grads, self._ms, self._vs, self._scratch):
             m *= self.beta_1
-            m += (1.0 - self.beta_1) * grad
+            np.multiply(1.0 - self.beta_1, grad, out=update)
+            m += update
             v *= self.beta_2
-            v += (1.0 - self.beta_2) * grad**2
-            param -= step * m / (np.sqrt(v) + self.epsilon)
+            np.square(grad, out=update)
+            update *= 1.0 - self.beta_2
+            v += update
+            np.multiply(step, m, out=update)
+            np.sqrt(v, out=grad)
+            grad += self.epsilon
+            update /= grad
+            param -= update
 
     def notify_no_improvement(self, position: int) -> None:
         """Adam has no schedule reaction; kept for interface symmetry."""
@@ -581,7 +630,7 @@ def _fit_lane(members: List[_FoldPlan]) -> None:
     max_iter = reference.max_iter
     curve = np.empty((max_iter, width))
     ridges: Dict[int, Any] = {}  # batch rows -> alpha / rows factor; reset on compaction
-    grads, snapshot, lane_rows = _lane_buffers(params)
+    grads, snapshot, first_rows = _lane_buffers(params, n_samples)
     if reference.shuffle:
         # Epoch orders, refilled with one generator call per fold every
         # ``_EPOCH_BLOCK`` epochs; the block compacts with the lane, so
@@ -604,8 +653,10 @@ def _fit_lane(members: List[_FoldPlan]) -> None:
         for start in range(0, n_samples, batch_size):
             idx = orders[:, start : start + batch_size]
             batch_n = idx.shape[1]
-            Xb = Xs[lane_rows, idx]
-            yb = ys[lane_rows, idx]
+            # One take over the flattened rows: half the cost of a 2-D fancy index.
+            rows = idx + first_rows
+            Xb = np.take(Xs.reshape(-1, Xs.shape[-1]), rows, axis=0)
+            yb = np.take(ys.reshape(-1, ys.shape[-1]), rows, axis=0)
 
             ridge = ridges.get(batch_n)
             if ridge is None:
@@ -625,7 +676,7 @@ def _fit_lane(members: List[_FoldPlan]) -> None:
             scores = np.full(width, -np.inf)
             for i in np.flatnonzero(~diverged):
                 model = models[columns[i]]
-                scores[i] = score = _validation_score_slice(model, val_out[i], yv[i])
+                scores[i] = score = _validation_score(model, val_out[i], yv[i])
                 model.validation_scores_.append(score)
             improved = scores > best_val_score + tol
             best_val_score = np.where(improved, scores, best_val_score)
@@ -679,7 +730,7 @@ def _fit_lane(members: List[_FoldPlan]) -> None:
             coefs = [c[keep] for c in coefs]
             intercepts = [b[keep] for b in intercepts]
             params = [*coefs, *intercepts]
-            grads, snapshot, lane_rows = _lane_buffers(params)
+            grads, snapshot, first_rows = _lane_buffers(params, n_samples)
             ridges.clear()
             optimizer.params = params
             optimizer.compact(keep.tolist())
@@ -689,11 +740,11 @@ def _fit_lane(members: List[_FoldPlan]) -> None:
         _finish_fold(models[column], parameters, curve[:, column])
 
 
-def _lane_buffers(params: List[np.ndarray]):
-    """Per-compaction scratch: gradients, rollback snapshot, row index."""
+def _lane_buffers(params: List[np.ndarray], n_samples: int):
+    """Per-compaction scratch: gradients, rollback snapshot, each slot's first stacked row."""
     grads = [np.empty_like(p) for p in params]
     snapshot = [np.empty_like(p) for p in params]
-    return grads, snapshot, np.arange(params[0].shape[0])[:, None]
+    return grads, snapshot, np.arange(params[0].shape[0])[:, None] * n_samples
 
 
 def _fold_parameters(
@@ -713,15 +764,35 @@ def _finish_fold(
     model.loss_ = float("inf") if model.diverged_ else model.loss_curve_[-1]
 
 
-def _validation_score_slice(model, proba: np.ndarray, y_val: np.ndarray) -> float:
-    """Per-fold early-stopping score from an already-computed forward pass.
+# -- stacked scoring ----------------------------------------------------------
 
-    Mirrors ``MLPClassifier._validation_score`` / ``MLPRegressor._validation_score``
-    without re-running the forward pass per fold.
+
+def predict_folds(models: Sequence[Any], Xs: Sequence[np.ndarray]) -> List[np.ndarray]:
+    """``[model.predict(X) for model, X in zip(models, Xs)]``, bit for bit, at any width.
+
+    MLPs of one type, activation, parameter shapes and row count share one
+    stacked :func:`_forward_pass`; other models (a constant predictor) ``predict``.
     """
-    if hasattr(model, "classes_"):
-        if len(model.classes_) == 2:
-            predicted = (proba[:, 0] >= 0.5).astype(float)
-            return float((predicted == y_val[:, 0]).mean())
-        return float((proba.argmax(axis=1) == y_val.argmax(axis=1)).mean())
-    return -squared_loss(y_val, proba)
+    predictions: List[Any] = [None] * len(models)
+    groups: Dict[Tuple, List[int]] = {}
+    for index, (model, X) in enumerate(zip(models, Xs)):
+        if isinstance(model, _BaseMLP):
+            model._check_fitted()
+            key = (type(model), model.activation, len(X), *(c.shape for c in model.coefs_))
+            groups.setdefault(key, []).append(index)
+        else:
+            predictions[index] = model.predict(X)
+    for members in groups.values():
+        stack = [models[i] for i in members]
+        join = np.stack if len(stack) > 1 else lambda arrays: arrays[0][None]  # a view at width 1
+        X = join([np.asarray(Xs[i], dtype=float) for i in members])
+        coefs = [join(layer) for layer in zip(*(m.coefs_ for m in stack))]
+        intercepts = [join(layer)[:, None, :] for layer in zip(*(m.intercepts_ for m in stack))]
+        out = _forward_pass(X, coefs, intercepts, stack[0]._kernel())[-1]
+        if isinstance(stack[0], MLPClassifier):
+            if out.shape[-1] == 1:  # predict_proba's two columns
+                out = np.stack([1.0 - out[..., 0], out[..., 0]], axis=-1)
+            out = out.argmax(axis=-1)
+        for index, model, rows in zip(members, stack, out):
+            predictions[index] = model.classes_[rows] if out.ndim == 2 else rows.ravel()
+    return predictions

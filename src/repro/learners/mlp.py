@@ -140,9 +140,25 @@ def _loss_and_gradients(X, y, coefs, intercepts, alphas, ridge, kernel, grads) -
         bias_grad = grads[n_layers + layer]
         delta.sum(axis=-2, out=bias_grad, keepdims=bias_grad.ndim == delta.ndim)
         if layer > 0:
-            delta = np.matmul(delta, coefs[layer].swapaxes(-1, -2))
+            if delta.shape[-1] == 1:
+                # Inner dimension 1: one product per element.  GEMM turns a
+                # -0.0 product into +0.0, but every use of delta below sums
+                # from +0.0, so the gradients keep their bytes either way.
+                delta = delta * coefs[layer].swapaxes(-1, -2)
+            else:
+                delta = np.matmul(delta, coefs[layer].swapaxes(-1, -2))
             delta *= hidden_derivative(activations[layer])
     return losses
+
+
+def _validation_score(model, proba: np.ndarray, y_val: np.ndarray) -> float:
+    """Early-stopping score of one fold (``.fit`` and the lane) from its output ``proba``."""
+    if hasattr(model, "classes_"):
+        if len(model.classes_) == 2:
+            predicted = (proba[:, 0] >= 0.5).astype(float)
+            return float((predicted == y_val[:, 0]).mean())
+        return float((proba.argmax(axis=1) == y_val.argmax(axis=1)).mean())
+    return -squared_loss(y_val, proba)
 
 
 def _init_coefficients(
@@ -506,7 +522,7 @@ class _BaseMLP(BaseEstimator):
         self.loss_ = self.loss_curve_[-1] if self.loss_curve_ else np.inf
 
     def _validation_score(self, X_val: np.ndarray, y_val: np.ndarray) -> float:
-        raise NotImplementedError
+        return _validation_score(self, self._forward(X_val)[-1], y_val)
 
     def _check_fitted(self) -> None:
         if not hasattr(self, "coefs_"):
@@ -531,27 +547,21 @@ class MLPClassifier(_BaseMLP):
     """
 
     def _encode_targets(self, y: np.ndarray) -> np.ndarray:
-        self._label_encoder = LabelEncoder().fit(y)
-        self.classes_ = self._label_encoder.classes_
-        codes = self._label_encoder.transform(y)
-        if len(self.classes_) < 2:
-            raise ValueError("MLPClassifier requires at least 2 classes in y")
-        if len(self.classes_) == 2:
-            return codes.reshape(-1, 1).astype(float)
-        return one_hot(codes, n_classes=len(self.classes_))
+        encoder = LabelEncoder().fit(y)
+        return self._encode_codes(encoder.classes_, encoder.transform(y))
 
-    def _n_outputs(self, y_encoded: np.ndarray) -> int:
-        return y_encoded.shape[1]
+    def _encode_codes(self, classes: np.ndarray, codes: np.ndarray) -> np.ndarray:
+        """Adopt ``classes`` (sorted labels) and encode ``codes``, their indices."""
+        self._label_encoder = LabelEncoder()
+        self._label_encoder.classes_ = self.classes_ = classes
+        if len(classes) < 2:
+            raise ValueError("MLPClassifier requires at least 2 classes in y")
+        if len(classes) == 2:
+            return codes.reshape(-1, 1).astype(float)
+        return one_hot(codes, n_classes=len(classes))
 
     def _output_activation(self) -> str:
         return "logistic" if len(self.classes_) == 2 else "softmax"
-
-    def _validation_score(self, X_val: np.ndarray, y_val: np.ndarray) -> float:
-        proba = self._forward(X_val)[-1]
-        if len(self.classes_) == 2:
-            predicted = (proba[:, 0] >= 0.5).astype(float)
-            return float((predicted == y_val[:, 0]).mean())
-        return float((proba.argmax(axis=1) == y_val.argmax(axis=1)).mean())
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Class membership probabilities, shape ``(n_samples, n_classes)``."""
@@ -586,10 +596,6 @@ class MLPRegressor(_BaseMLP):
 
     def _output_activation(self) -> str:
         return "identity"
-
-    def _validation_score(self, X_val: np.ndarray, y_val: np.ndarray) -> float:
-        prediction = self._forward(X_val)[-1]
-        return -squared_loss(y_val, prediction)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Predicted target values, shape ``(n_samples,)``."""

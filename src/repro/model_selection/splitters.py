@@ -8,7 +8,7 @@ method allocates an instance budget to a configuration.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -98,8 +98,7 @@ class StratifiedKFold:
                 rng.shuffle(members)
             # Continue the round-robin across classes so small classes do
             # not all land in fold 0.
-            for offset, idx in enumerate(members):
-                fold_of[idx] = (next_fold + offset) % self.n_splits
+            fold_of[members] = (next_fold + np.arange(len(members))) % self.n_splits
             next_fold = (next_fold + len(members)) % self.n_splits
         all_indices = np.arange(n_samples)
         for fold in range(self.n_splits):
@@ -174,12 +173,15 @@ def stratified_subsample(
     n_select: int,
     rng: Optional[np.random.Generator] = None,
     random_state: Optional[int] = None,
+    members: Optional[Sequence[np.ndarray]] = None,
 ) -> np.ndarray:
     """Sample ``n_select`` indices preserving the label proportions.
 
     Every label present receives at least one slot when capacity allows;
     fractional remainders are resolved by largest-remainder rounding, then
     leftover slots are assigned to random labels with spare instances.
+    ``members`` may supply ``np.flatnonzero(labels == label)`` per sorted
+    label, precomputed; the draws are the same either way.
     """
     if rng is None:
         rng = np.random.default_rng(random_state)
@@ -187,7 +189,10 @@ def stratified_subsample(
     n_samples = len(labels)
     if not 0 < n_select <= n_samples:
         raise ValueError(f"n_select must be in [1, {n_samples}], got {n_select}")
-    classes, counts = np.unique(labels, return_counts=True)
+    if members is None:
+        classes = np.unique(labels)
+        members = [np.flatnonzero(labels == cls) for cls in classes]
+    counts = np.array([len(indices) for indices in members])
     exact = counts * (n_select / n_samples)
     allocation = np.floor(exact).astype(int)
     # Largest-remainder rounding up to the requested size.
@@ -206,11 +211,10 @@ def stratified_subsample(
         allocation[pick] += 1
         shortfall -= 1
     selected = []
-    for cls, take in zip(classes, allocation):
+    for indices, take in zip(members, allocation):
         if take == 0:
             continue
-        members = np.flatnonzero(labels == cls)
-        selected.append(rng.choice(members, size=take, replace=False))
+        selected.append(rng.choice(indices, size=take, replace=False))
     result = np.concatenate(selected) if selected else np.empty(0, dtype=int)
     rng.shuffle(result)
     return result

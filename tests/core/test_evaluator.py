@@ -50,6 +50,37 @@ class TestMakeScorer:
         with pytest.raises(ValueError, match="Unknown metric"):
             make_scorer("auc")
 
+    def test_f1_mode_follows_the_dataset_not_the_fold(self):
+        """A 3-class evaluation whose validation fold holds two classes is macro F1.
+
+        Deciding binary vs macro from the fold's own labels scored such a
+        fold as binary F1 of class 1.
+        """
+        from repro.metrics import f1_score
+
+        rng = np.random.default_rng(1)
+        y = np.array([0] * 28 + [1] * 28 + [2] * 4)
+        X = rng.normal(size=(60, 4)) + y[:, None]
+        factory = MLPModelFactory(task="classification", max_iter=20, solver="lbfgs")
+        evaluator = vanilla_evaluator(X, y, factory, metric="f1", n_splits=5)
+        config = {"hidden_layer_sizes": (6,)}
+        result = evaluator.evaluate(config, 1.0, np.random.default_rng(3))
+
+        # Replay the plan and fit each fold by hand.
+        rng = np.random.default_rng(3)
+        _, folds = evaluator._subset_and_folds(1.0, rng, None)
+        _, models, _ = evaluator._plan_models(config, folds, rng, None)
+        binary_would_differ = 0
+        for index, (train, val) in enumerate(folds):
+            predictions = models[index].fit(X[train], y[train]).predict(X[val])
+            macro = f1_score(y[val], predictions, average="macro")
+            assert result.fold_scores[index] == macro
+            assert evaluator.scorer(models[index], X[val], y[val]) == macro
+            if len(np.unique(y[val])) == 2:
+                binary = f1_score(y[val], predictions, average="binary", pos_label=1)
+                binary_would_differ += binary != macro
+        assert binary_would_differ >= 1
+
 
 class TestModelFactory:
     def test_builds_classifier(self):

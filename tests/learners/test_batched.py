@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.learners import MLPClassifier, MLPRegressor
-from repro.learners.batched import BatchedFitStats, batchable_model, fit_mlp_folds
+from repro.learners.batched import BatchedFitStats, batchable_model, fit_mlp_folds, fit_mlp_trials
 
 
 def make_data(task, n, d, k, seed):
@@ -86,6 +86,32 @@ class TestEquivalence:
             assert stats.batched_folds == n_folds
         for i, (a, b) in enumerate(zip(jobs_seq, jobs_bat)):
             assert_models_identical(a[0], b[0], f"{case} fold {i}")
+
+    def test_folds_holding_different_labels_in_one_call(self):
+        """One label encoding per call: each fold keeps the labels it holds."""
+        X, y = make_data("multi", 120, 5, 4, seed=4)
+        y = np.array(["a", "b", "c", "d"])[y]
+        subsets = [("a", "b", "c", "d"), ("a", "c"), ("b", "c", "d"), ("a", "b", "d"), ("b", "c", "d")]
+        kwargs = dict(hidden_layer_sizes=(6,), solver="adam", max_iter=8)
+        trials = {"seq": [], "bat": []}
+        for side in trials:
+            jobs = []
+            for f, labels in enumerate(subsets):
+                rows = np.flatnonzero(np.isin(y, labels))[:40]
+                jobs.append((MLPClassifier(random_state=f, **kwargs), X[rows], y[rows]))
+            regressor = MLPRegressor(random_state=9, **kwargs)
+            trials[side] = [jobs[:2], [(regressor, X[:40], X[:40, 0])], jobs[2:]]
+        for jobs in trials["seq"]:
+            for model, X_fold, y_fold in jobs:
+                model.fit(X_fold, y_fold)
+        fit_mlp_trials(trials["bat"])
+        for seq_jobs, bat_jobs in zip(trials["seq"], trials["bat"]):
+            for (a, _, _), (b, _, _) in zip(seq_jobs, bat_jobs):
+                assert_models_identical(a, b, "label subset")
+                if isinstance(a, MLPClassifier):
+                    assert a.classes_.dtype == b.classes_.dtype
+                    assert a.classes_.tolist() == b.classes_.tolist()
+                    assert b.predict(X).tolist() == a.predict(X).tolist()
 
     def test_unequal_fold_sizes_split_into_lanes(self):
         cls, task, n_folds, kwargs, extra = CASES["adam-unequal-folds"]

@@ -249,3 +249,57 @@ class TestSharedCoreAgainstOracle:
     @settings(max_examples=300, deadline=None)
     def test_fit_bitwise_equal_to_oracle_driven_fit_exhaustive(self, **case):
         _check_fit_matches_oracle_fit(**case)
+
+
+class TestFirstBackwardStep:
+    """Binary and regression heads: the first backward step is a broadcast multiply.
+
+    Its inner dimension is 1, so it replaces ``delta @ W.T`` with a product
+    per element, which is ``-0.0`` where GEMM gives ``+0.0``.  The gradients
+    must keep the oracle's bytes, signed zeros included: the output deltas
+    are exactly zero on most rows (on every row of the first fold) and the
+    last layer has negative weights, so such products occur.
+    """
+
+    @pytest.mark.parametrize("head", ["logistic", "identity"])
+    @pytest.mark.parametrize("width, n_rows, hidden", [(1, 400, 50), (5, 400, 50), (4, 7, 3)])
+    def test_gradients_keep_the_oracle_bytes(self, head, width, n_rows, hidden):
+        rng = np.random.default_rng(width * n_rows + hidden)
+        cls, n_classes = HEADS[head]
+        model = cls(activation="tanh")
+        model.classes_ = np.arange(n_classes)
+        folds = []
+        for fold in range(width):
+            coefs = [rng.normal(size=(6, hidden)) * 3.0, rng.normal(size=(hidden, 1)) * 30.0]
+            intercepts = [rng.normal(size=hidden), rng.normal(size=1)]
+            X = rng.normal(size=(n_rows, 6))
+            out = ReferenceNet(coefs, intercepts, "tanh", head, 1e-4)._forward(X)[-1]
+            # Targets equal to the output on most rows: exact zero deltas.
+            y = np.where(rng.random((n_rows, 1)) < (0.7 if fold else 1.0), out, 1.0 - out)
+            if head == "logistic":
+                y = y.round()
+            folds.append((coefs, intercepts, X, y))
+        expected = []
+        for coefs, intercepts, X, y in folds:
+            _, coef_grads, intercept_grads = ReferenceNet(
+                coefs, intercepts, "tanh", head, 1e-4
+            )._backprop(X, y)
+            expected.append(_flat([*coef_grads, *intercept_grads]))
+            model.coefs_, model.intercepts_, model.alpha = coefs, intercepts, 1e-4
+            _, coef_grads, intercept_grads = model._backprop(X, y)
+            assert _flat([*coef_grads, *intercept_grads]).tobytes() == expected[-1].tobytes()
+        coefs = [np.stack([fold[0][l] for fold in folds]) for l in range(2)]
+        intercepts = [np.stack([fold[1][l] for fold in folds])[:, None, :] for l in range(2)]
+        grads = [np.empty_like(p) for p in (*coefs, *intercepts)]
+        _loss_and_gradients(
+            np.stack([fold[2] for fold in folds]),
+            np.stack([fold[3] for fold in folds]),
+            coefs,
+            intercepts,
+            np.full(width, 1e-4),
+            1e-4 / n_rows,
+            model._kernel(),
+            grads,
+        )
+        for i, gradient in enumerate(expected):
+            assert _flat([g[i] for g in grads]).tobytes() == gradient.tobytes(), f"fold {i}"

@@ -22,8 +22,16 @@
 #      .fit and the lane, which draw epoch orders eight epochs per
 #      generator call, vs the per-epoch rng.permutation loop kept in
 #      tests/learners/_reference_kernel.py, plus numpy's permuted ==
-#      successive permutation contract; kernel *speed* is bench/'s
-#      learners.probe.rung_*_ms and sha_fused_wide, not a gate here)
+#      successive permutation contract; the stacked-scoring sweep:
+#      predict_folds + the fold metric vs per-fold make_scorer(metric) on
+#      binary, 3-class and regression heads, mixed architectures, widths
+#      1..16, constant, guard-shrunk, diverged and non-finite folds
+#      (tests/learners/test_stacked_scoring.py); the buffered lane
+#      optimisers vs solvers.SGDOptimizer / AdamOptimizer slice by slice,
+#      across compaction (tests/learners/test_lane_optimizers.py); and the
+#      vectorised splitters vs their per-sample loops kept in
+#      tests/model_selection/_reference_splitters.py; kernel *speed* is
+#      bench/'s learners.probe.rung_*_ms and sha_fused_wide, not a gate here)
 #   4. telemetry tier (trace-file tests: span nesting, Chrome-trace
 #      conversion, serial == parallel counters; there is no in-tree
 #      profiler — hot-path timing is bench/layers.py's traced run, and
