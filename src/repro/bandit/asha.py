@@ -2,7 +2,9 @@
 
 One scheduler (greedy promotion of any configuration in the top ``1/eta``
 of its rung, bottom-rung backfill otherwise) keeps up to ``n_workers``
-trials in flight on the searcher's :class:`~repro.engine.TrialEngine`.  On
+trials in flight on the searcher's :class:`~repro.engine.TrialEngine`,
+through the one asynchronous loop (``submit``/``wait_one``) in the package;
+PASHA runs on the same scheduler and loop with one worker.  On
 the default serial engine completions arrive in submission order, so the
 run is deterministic and ``simulated_makespan_`` — a greedy list-scheduling
 estimate over the measured costs — answers "how long on ``n_workers``
@@ -24,14 +26,13 @@ deployment.
 from __future__ import annotations
 
 import heapq
-import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..engine.protocol import TrialRequest
 from ..space import config_key
-from .base import BaseSearcher, SearchResult
+from .base import BaseSearcher, SearchResult, deepest_rung
 
 __all__ = ["ASHA"]
 
@@ -45,42 +46,44 @@ class _Rung:
 
 
 class _Scheduler:
-    """ASHA's promote-else-grow job source."""
+    """The promote-else-grow job source ASHA and PASHA share.
 
-    def __init__(self, pool: List[Dict[str, Any]], eta: float, max_rung: int) -> None:
-        self.pool = pool
+    Promotes from rungs below ``ceiling`` only (ASHA's ceiling is the top
+    rung; PASHA raises its own), ranking each rung's ``(score,
+    config_id)`` completions by ``rank``.
+    """
+
+    def __init__(
+        self, pool: List[Dict[str, Any]], eta: float, max_rung: int, ceiling: int, rank
+    ) -> None:
+        self._unstarted = iter(pool)
         self.eta = eta
+        self.ceiling = ceiling
+        self.rank = rank
         self.rungs: Dict[int, _Rung] = {k: _Rung() for k in range(max_rung + 1)}
         self.configs_by_id: Dict[int, Dict[str, Any]] = {}
         self._key_to_id: Dict[Tuple, int] = {}
-        self._next_new = 0
-        self._max_rung = max_rung
 
     def _register(self, config: Dict[str, Any]) -> int:
-        key = config_key(config)
-        if key not in self._key_to_id:
-            new_id = len(self._key_to_id)
-            self._key_to_id[key] = new_id
-            self.configs_by_id[new_id] = config
-        return self._key_to_id[key]
+        config_id = self._key_to_id.setdefault(config_key(config), len(self._key_to_id))
+        self.configs_by_id.setdefault(config_id, config)
+        return config_id
+
+    def top(self, rung_index: int, k: int) -> List[int]:
+        """Config ids of the ``k`` best completions at ``rung_index``."""
+        ranked = sorted(self.rungs[rung_index].completed, key=self.rank)
+        return [config_id for _, config_id in ranked[:k]]
 
     def next_job(self) -> Optional[Tuple[int, int]]:
         """(config_id, rung): promote from the highest promotable rung, else grow."""
-        for rung_index in range(self._max_rung - 1, -1, -1):
+        for rung_index in range(self.ceiling - 1, -1, -1):
             rung = self.rungs[rung_index]
-            if not rung.completed:
-                continue
-            n_promotable = int(len(rung.completed) / self.eta)
-            ranked = sorted(rung.completed, key=lambda item: -item[0])
-            for _, config_id in ranked[:n_promotable]:
+            for config_id in self.top(rung_index, int(len(rung.completed) / self.eta)):
                 if config_id not in rung.promoted:
                     rung.promoted.add(config_id)
                     return config_id, rung_index + 1
-        if self._next_new < len(self.pool):
-            config_id = self._register(self.pool[self._next_new])
-            self._next_new += 1
-            return config_id, 0
-        return None
+        config = next(self._unstarted, None)
+        return None if config is None else (self._register(config), 0)
 
     def complete(self, config_id: int, rung_index: int, score: float) -> None:
         """Make a finished evaluation visible to future scheduling decisions."""
@@ -131,14 +134,9 @@ class ASHA(BaseSearcher):
         engine=None,
     ) -> None:
         super().__init__(space, evaluator, random_state, engine=engine)
-        if eta <= 1.0:
-            raise ValueError(f"eta must be > 1, got {eta}")
-        if not 0.0 < min_budget_fraction <= 1.0:
-            raise ValueError(f"min_budget_fraction must be in (0, 1], got {min_budget_fraction}")
+        self._set_budgets(eta, min_budget_fraction)
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        self.eta = eta
-        self.min_budget_fraction = min_budget_fraction
         self.n_workers = n_workers
         self.max_started = max_started
         self.simulated_makespan_: float = 0.0
@@ -147,25 +145,24 @@ class ASHA(BaseSearcher):
     @property
     def max_rung(self) -> int:
         """Highest rung index (budget fraction capped at 1.0)."""
-        return int(math.floor(math.log(1.0 / self.min_budget_fraction, self.eta)))
+        return deepest_rung(self.eta, self.min_budget_fraction)
 
     def _budget_at(self, rung: int) -> float:
         return min(1.0, self.min_budget_fraction * self.eta**rung)
 
-    def _resolve_pool(
-        self,
-        configurations: Optional[Sequence[Dict[str, Any]]],
-        n_configurations: Optional[int],
-    ) -> List[Dict[str, Any]]:
-        if configurations is not None or n_configurations is not None:
-            return list(self._initial_configurations(configurations, n_configurations))
-        return list(self.space.sample_batch(self.max_started, rng=self._rng))
+    @staticmethod
+    def _rank(item: Tuple[float, int]):
+        """Promotion order within a rung: best score first, ties by arrival."""
+        return -item[0]
 
-    def _fit(
-        self,
-        configurations: Optional[Sequence[Dict[str, Any]]] = None,
-        n_configurations: Optional[int] = None,
-    ) -> SearchResult:
+    def _scheduler(self, pool: List[Dict[str, Any]]) -> _Scheduler:
+        return _Scheduler(pool, self.eta, self.max_rung, self.max_rung, self._rank)
+
+    def _unlock(self, scheduler: _Scheduler) -> bool:
+        """Whether a drained scheduler gets another rung (PASHA's hook; never here)."""
+        return False
+
+    def _fit(self, configurations, n_configurations) -> SearchResult:
         """Keep up to ``n_workers`` trials in flight on the engine.
 
         Scheduling decisions consume *actual* completion order, so with a
@@ -176,9 +173,9 @@ class ASHA(BaseSearcher):
         """
         self._reset()
         start = time.perf_counter()
-        pool = self._resolve_pool(configurations, n_configurations)
-        scheduler = _Scheduler(pool, self.eta, self.max_rung)
-        best = None  # (budget, rung, config, score)
+        pool = self._initial_configurations(configurations, n_configurations, self.max_started)
+        scheduler = self._scheduler(pool)
+        best = None
         in_flight: Dict[int, Tuple[int, int]] = {}  # trial_id -> (config_id, rung)
         durations: List[float] = []
         while True:
@@ -187,42 +184,29 @@ class ASHA(BaseSearcher):
                 if job is None:
                     break
                 config_id, rung_index = job
-                request = self.engine.submit(
-                    TrialRequest(
-                        config=scheduler.configs_by_id[config_id],
-                        budget_fraction=self._budget_at(rung_index),
-                        iteration=rung_index,
-                    )
-                )
+                config, budget = scheduler.configs_by_id[config_id], self._budget_at(rung_index)
+                request = self.engine.submit(TrialRequest(config, budget, iteration=rung_index))
                 in_flight[request.trial_id] = (config_id, rung_index)
             if not in_flight:
+                if self._unlock(scheduler):
+                    continue
                 break
             outcome = self.engine.wait_one()
             config_id, rung_index = in_flight.pop(outcome.request.trial_id)
             trial = self._record_outcome(outcome)
             scheduler.complete(config_id, rung_index, trial.result.score)
             durations.append(max(trial.result.cost, 1e-9))
-            candidate = (self._budget_at(rung_index), rung_index, trial.config, trial.result.score)
-            if best is None or (candidate[0], candidate[3]) > (best[0], best[3]):
-                best = candidate
+            if best is None or self._incumbent_key(trial) > self._incumbent_key(best):
+                best = trial
 
         self.simulated_makespan_ = self._list_schedule_makespan(durations)
         self.measured_makespan_ = time.perf_counter() - start
         assert best is not None  # the pool is never empty
-        return SearchResult(
-            best_config=best[2],
-            best_score=best[3],
-            trials=list(self._trials),
-            wall_time=time.perf_counter() - start,
-            method=self.method_name,
-        )
+        return self._result(best, start)
 
     def _list_schedule_makespan(self, durations: List[float]) -> float:
         """Greedy ``n_workers``-machine makespan estimate over observed costs."""
-        if not durations:
-            return 0.0
-        worker_free = [0.0] * self.n_workers
-        heapq.heapify(worker_free)
+        worker_free = [0.0] * self.n_workers  # all equal: already a heap
         for duration in durations:
             heapq.heappush(worker_free, heapq.heappop(worker_free) + duration)
         return max(worker_free)

@@ -8,9 +8,11 @@ searchers into SHA+ / HB+ / BOHB+ without touching their logic.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
+import math
+import time
+from contextlib import closing, nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Protocol, Sequence
+from typing import Any, Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -25,6 +27,7 @@ __all__ = [
     "Trial",
     "SearchResult",
     "BaseSearcher",
+    "deepest_rung",
     "top_k_indices",
 ]
 
@@ -112,6 +115,25 @@ def top_k_indices(scores: Sequence[float], k: int) -> List[int]:
     return order[: min(k, len(scores))].tolist()
 
 
+def deepest_rung(eta: float, min_budget_fraction: float) -> int:
+    """``floor(log_eta(1 / min_budget_fraction))``: Hyperband's ``s_max``.
+
+    The index of the deepest bracket (HB) or the highest rung (ASHA,
+    PASHA).  A float ``log`` lands a hair below the integer for some exact
+    powers (``log_3 243`` is 4.999...), so the floor is taken after a
+    ``1e-9`` nudge: exact for every ``eta**-k``.
+    """
+    return int(math.floor(math.log(1.0 / min_budget_fraction, eta) + 1e-9))
+
+
+def trial_count(n_configurations: Optional[int], default: int) -> int:
+    """``n_configurations``, or ``default`` when it is ``None``; must be positive."""
+    n = default if n_configurations is None else n_configurations
+    if n <= 0:
+        raise ValueError(f"n must be positive, got {n}")
+    return n
+
+
 class BaseSearcher:
     """Common plumbing for all searchers.
 
@@ -172,6 +194,15 @@ class BaseSearcher:
             value = TrialEngine()
         self._engine = value
 
+    def _set_budgets(self, eta: float, min_budget_fraction: float) -> None:
+        """Validate and store a halving rate and a smallest budget fraction."""
+        if eta <= 1.0:
+            raise ValueError(f"eta must be > 1, got {eta}")
+        if not 0.0 < min_budget_fraction <= 1.0:
+            raise ValueError(f"min_budget_fraction must be in (0, 1], got {min_budget_fraction}")
+        self.eta = eta
+        self.min_budget_fraction = min_budget_fraction
+
     def _reset(self) -> None:
         self._rng = np.random.default_rng(self.random_state)
         self._trials = []
@@ -227,16 +258,6 @@ class BaseSearcher:
             )
         return self.fit(configurations=configurations, n_configurations=n_configurations)
 
-    def _evaluate(
-        self,
-        config: Dict[str, Any],
-        budget_fraction: float,
-        iteration: int = 0,
-        bracket: int = 0,
-    ) -> Trial:
-        """Evaluate one configuration: a rung of one."""
-        return self._evaluate_batch([config], budget_fraction, iteration, bracket)[0]
-
     def _evaluate_batch(
         self,
         configs: Sequence[Dict[str, Any]],
@@ -252,19 +273,11 @@ class BaseSearcher:
         batch is wrapped in a ``rung`` span when telemetry is on.
         """
         with self._span(
-            "rung",
-            budget_fraction=budget_fraction,
-            iteration=iteration,
-            bracket=bracket,
+            "rung", budget_fraction=budget_fraction, iteration=iteration, bracket=bracket,
             n_configs=len(configs),
         ):
             requests = [
-                TrialRequest(
-                    config=config,
-                    budget_fraction=budget_fraction,
-                    iteration=iteration,
-                    bracket=bracket,
-                )
+                TrialRequest(config, budget_fraction, iteration=iteration, bracket=bracket)
                 for config in configs
             ]
             outcomes = self.engine.run_batch(requests)
@@ -284,9 +297,15 @@ class BaseSearcher:
         return trial
 
     def _initial_configurations(
-        self, configurations: Optional[Sequence[Dict[str, Any]]], n_configurations: Optional[int]
+        self,
+        configurations: Optional[Sequence[Dict[str, Any]]],
+        n_configurations: Optional[int],
+        n_default: Optional[int] = None,
     ) -> List[Dict[str, Any]]:
-        """Resolve the candidate set: explicit list, sample, or full grid."""
+        """Resolve the candidate set: explicit list, a sample of ``n_configurations``
+        (``n_default`` when both are ``None``), or the full grid."""
+        if n_configurations is None:
+            n_configurations = n_default
         if configurations is not None:
             configs = [dict(c) for c in configurations]
             if not configs:
@@ -310,24 +329,69 @@ class BaseSearcher:
         """Run the search and return its :class:`SearchResult`.
 
         Template method: opens the ``run`` span (when the engine carries
-        telemetry) and delegates the actual search to the subclass's
-        :meth:`_fit`.
+        telemetry) and runs :meth:`_fit` inside it — the rung loop over
+        the subclass's :meth:`_schedule` (ASHA keeps its own asynchronous
+        loop).
         """
-        with self._span(
-            "run",
-            searcher=self.method_name,
-            root_seed=self.random_state,
-        ) as span:
+        with self._span("run", searcher=self.method_name, root_seed=self.random_state) as span:
             result = self._fit(configurations, n_configurations)
             if span is not None:
                 span.attrs["best_score"] = float(result.best_score)
                 span.attrs["n_trials"] = result.n_trials
             return result
 
-    def _fit(
-        self,
-        configurations: Optional[Sequence[Dict[str, Any]]],
-        n_configurations: Optional[int],
-    ) -> SearchResult:
-        """Subclass hook: the actual search, run inside the ``run`` span."""
+    def _fit(self, configurations, n_configurations) -> SearchResult:
+        """The one synchronous rung loop, run inside the ``run`` span.
+
+        Takes each rung from :meth:`_schedule`, evaluates it as one engine
+        batch, hands every trial to :meth:`_observe` and sends the trials
+        back to the schedule.  The incumbent is Hyperband's: a larger
+        budget wins, and at equal budget a strictly higher score — which
+        is also SHA's last survivor and the first best of a full-budget
+        search (:meth:`_incumbent_key`).
+        """
+        self._reset()
+        start = time.perf_counter()
+        best: Optional[Trial] = None
+        trials: Optional[List[Trial]] = None
+        # closing(): a failed rung still shuts the schedule's open spans first
+        with closing(self._schedule(configurations, n_configurations)) as schedule:
+            while True:
+                try:
+                    rung = schedule.send(trials)
+                except StopIteration:
+                    break
+                trials = self._evaluate_batch(*rung)
+                for trial in trials:
+                    self._observe(trial)
+                    if best is None or self._incumbent_key(trial) > self._incumbent_key(best):
+                        best = trial
+        assert best is not None  # every schedule yields at least one rung
+        return self._result(best, start)
+
+    @staticmethod
+    def _incumbent_key(trial: Trial) -> Tuple[float, float]:
+        """Hyperband's incumbent order: larger budget, then higher score.
+
+        A score measured on a larger subset is more reliable, so only a
+        strictly better score at an equal budget displaces the incumbent.
+        """
+        return trial.budget_fraction, trial.result.score
+
+    def _result(self, best: Trial, start: float) -> SearchResult:
+        """The run's :class:`SearchResult` around incumbent ``best``."""
+        return SearchResult(
+            best_config=best.config,
+            best_score=float(best.result.score),
+            trials=list(self._trials),
+            wall_time=time.perf_counter() - start,
+            method=self.method_name,
+        )
+
+    def _schedule(self, configurations, n_configurations):
+        """Subclass hook: a generator of rungs ``(configs, budget_fraction,
+        iteration, bracket)``; each ``yield`` returns that rung's trials."""
         raise NotImplementedError
+
+    def _observe(self, trial: Trial) -> None:
+        """Notification hook after every evaluation (a no-op by default)."""

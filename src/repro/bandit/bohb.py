@@ -28,7 +28,7 @@ import numpy as np
 from .base import Trial
 from .hyperband import HyperBand
 
-__all__ = ["BOHB", "DensityEstimator"]
+__all__ = ["BOHB", "DensityEstimator", "density_ratio_proposal"]
 
 
 class DensityEstimator:
@@ -66,6 +66,36 @@ class DensityEstimator:
         return np.clip(draw, 0.0, 1.0)
 
 
+def density_ratio_proposal(
+    observations, top_n_percent, min_good, n_candidates, rng
+) -> Optional[np.ndarray]:
+    """The TPE step BOHB and TPE share: the draw that maximises ``l(x) / g(x)``.
+
+    Splits ``(encoded config, score)`` observations into the best
+    ``max(min_good, ceil(top_n_percent %))`` (at most all but one) and the
+    rest, fits a :class:`DensityEstimator` to each, draws ``n_candidates``
+    points from the good density and returns the one with the highest
+    density ratio — or ``None`` when no good set can be formed.
+    """
+    points = np.array([obs[0] for obs in observations])
+    scores = np.array([obs[1] for obs in observations])
+    n_good = max(min_good, int(np.ceil(len(scores) * top_n_percent / 100.0)))
+    n_good = min(n_good, len(scores) - 1)
+    if n_good < 1:
+        return None
+    order = np.argsort(-scores, kind="stable")
+    good = DensityEstimator(points[order[:n_good]])
+    bad = DensityEstimator(points[order[n_good:]])
+
+    best_vector, best_ratio = None, -np.inf
+    for _ in range(n_candidates):
+        candidate = good.sample(rng)
+        ratio = good.pdf(candidate) / max(bad.pdf(candidate), 1e-32)
+        if ratio > best_ratio:
+            best_ratio, best_vector = ratio, candidate
+    return best_vector
+
+
 class BOHB(HyperBand):
     """HyperBand with TPE-style model-based configuration proposals.
 
@@ -101,11 +131,7 @@ class BOHB(HyperBand):
         engine=None,
     ) -> None:
         super().__init__(
-            space,
-            evaluator,
-            random_state=random_state,
-            eta=eta,
-            min_budget_fraction=min_budget_fraction,
+            space, evaluator, random_state, eta=eta, min_budget_fraction=min_budget_fraction,
             engine=engine,
         )
         if not 0.0 <= random_fraction <= 1.0:
@@ -126,10 +152,8 @@ class BOHB(HyperBand):
 
     def _observe(self, trial: Trial) -> None:
         """Record (encoded config, score) under the trial's budget."""
-        encoded = self.space.encode(trial.config)
-        self._observations[round(trial.budget_fraction, 6)].append(
-            (encoded, trial.result.score)
-        )
+        observation = (self.space.encode(trial.config), trial.result.score)
+        self._observations[round(trial.budget_fraction, 6)].append(observation)
 
     def _propose_configs(self, n: int, budget_fraction: float) -> List[Dict[str, Any]]:
         """Mix of random and density-ratio proposals."""
@@ -157,27 +181,8 @@ class BOHB(HyperBand):
         budget = self._model_budget()
         if budget is None:
             return None
-        observations = self._observations[budget]
-        points = np.array([obs[0] for obs in observations])
-        scores = np.array([obs[1] for obs in observations])
-        n_good = max(self.min_points_in_model, int(np.ceil(len(scores) * self.top_n_percent / 100.0)))
-        n_good = min(n_good, len(scores) - 1)
-        if n_good < 1:
-            return None
-        order = np.argsort(-scores, kind="stable")
-        good = DensityEstimator(points[order[:n_good]])
-        bad = DensityEstimator(points[order[n_good:]])
-
-        best_vector: Optional[np.ndarray] = None
-        best_ratio = -np.inf
-        for _ in range(self.n_candidates):
-            candidate = good.sample(self._rng)
-            g_density = bad.pdf(candidate)
-            l_density = good.pdf(candidate)
-            ratio = l_density / max(g_density, 1e-32)
-            if ratio > best_ratio:
-                best_ratio = ratio
-                best_vector = candidate
-        if best_vector is None:
-            return None
-        return self.space.decode(best_vector)
+        vector = density_ratio_proposal(
+            self._observations[budget], self.top_n_percent, self.min_points_in_model,
+            self.n_candidates, self._rng,
+        )
+        return None if vector is None else self.space.decode(vector)

@@ -5,9 +5,13 @@ configurations against their starting budget ("exploration-exploitation"
 over resource allocation).  Bracket ``s`` starts ``n_s`` configurations at
 fraction ``eta^-s`` of the instance budget and halves ``s`` times.
 
-The configuration-proposal step is isolated in :meth:`_propose_configs` so
-that BOHB can subclass and replace random sampling with its model-based
-sampler while inheriting the bracket machinery unchanged.
+HyperBand is a schedule: :meth:`_schedule` yields every bracket's rungs
+and :meth:`~repro.bandit.base.BaseSearcher._fit` — the rung loop every
+synchronous searcher shares — evaluates them and keeps the incumbent.  The
+configuration-proposal step is isolated in :meth:`_propose_configs` (and
+the per-trial notification in ``_observe``) so that BOHB and DEHB replace
+random sampling with their model-based samplers while inheriting the
+bracket machinery unchanged.
 
 HyperBand runs are the expensive restarts the engine's run journal exists
 for: with ``engine=TrialEngine(..., journal=path)`` every completed rung
@@ -19,10 +23,9 @@ completed brackets from disk and continues from the first lost trial.
 from __future__ import annotations
 
 import math
-import time
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List
 
-from .base import BaseSearcher, SearchResult, Trial, top_k_indices
+from .base import BaseSearcher, deepest_rung, top_k_indices
 
 __all__ = ["HyperBand"]
 
@@ -55,17 +58,12 @@ class HyperBand(BaseSearcher):
         engine=None,
     ) -> None:
         super().__init__(space, evaluator, random_state, engine=engine)
-        if eta <= 1.0:
-            raise ValueError(f"eta must be > 1, got {eta}")
-        if not 0.0 < min_budget_fraction <= 1.0:
-            raise ValueError(f"min_budget_fraction must be in (0, 1], got {min_budget_fraction}")
-        self.eta = eta
-        self.min_budget_fraction = min_budget_fraction
+        self._set_budgets(eta, min_budget_fraction)
 
     @property
     def s_max(self) -> int:
         """Deepest bracket index."""
-        return int(math.floor(math.log(1.0 / self.min_budget_fraction, self.eta)))
+        return deepest_rung(self.eta, self.min_budget_fraction)
 
     def bracket_plan(self) -> List[Dict[str, float]]:
         """The (n_configs, starting fraction) of every bracket, deep first."""
@@ -76,36 +74,22 @@ class HyperBand(BaseSearcher):
             plan.append({"s": s, "n_configs": n, "budget_fraction": r})
         return plan
 
-    # -- hook for BOHB -------------------------------------------------------
-
     def _propose_configs(self, n: int, budget_fraction: float) -> List[Dict[str, Any]]:
-        """Candidate configurations for a new bracket (random here)."""
+        """Candidates for a new bracket: random here; BOHB and DEHB override it."""
         return self.space.sample_batch(n, rng=self._rng, unique=False)
 
-    def _observe(self, trial: Trial) -> None:
-        """Notification hook after every evaluation (no-op for HB)."""
+    def _schedule(self, configurations, n_configurations):
+        """Every bracket's rungs, deep bracket first.
 
-    # -- main loop ------------------------------------------------------------
-
-    def _fit(
-        self,
-        configurations: Optional[Sequence[Dict[str, Any]]] = None,
-        n_configurations: Optional[int] = None,
-    ) -> SearchResult:
-        """Run every bracket and return the best configuration found.
-
-        When an explicit candidate list is given (the paper's fixed-grid
-        comparison), brackets draw from that pool instead of sampling the
-        space, cycling when a bracket wants more configurations than the
-        pool holds.
+        When candidates are given (the paper's fixed-grid comparison),
+        brackets draw from that pool instead of sampling the space,
+        cycling when a bracket wants more configurations than the pool
+        holds.  Each bracket's ``bracket`` span stays open around its rungs.
         """
-        self._reset()
-        start = time.perf_counter()
-        pool: Optional[List[Dict[str, Any]]] = None
+        pool = None
         if configurations is not None or n_configurations is not None:
             pool = self._initial_configurations(configurations, n_configurations)
             pool_order = list(self._rng.permutation(len(pool)))
-        best_trial: Optional[Trial] = None
 
         for bracket in self.bracket_plan():
             s = int(bracket["s"])
@@ -117,49 +101,15 @@ class HyperBand(BaseSearcher):
                     if not pool_order:
                         pool_order = list(self._rng.permutation(len(pool)))
                     candidates.append(dict(pool[pool_order.pop()]))
-                candidates = candidates[:n]
             else:
                 candidates = self._propose_configs(n, budget_fraction)
 
-            with self._span(
-                "bracket", s=s, n_configs=n, budget_fraction=budget_fraction
-            ):
+            with self._span("bracket", s=s, n_configs=n, budget_fraction=budget_fraction):
                 survivors = candidates
                 rung_budget = budget_fraction
                 for rung in range(s + 1):
-                    trials = self._evaluate_batch(
-                        survivors, min(rung_budget, 1.0), iteration=rung, bracket=s
-                    )
-                    for trial in trials:
-                        self._observe(trial)
-                        if best_trial is None or self._is_better(trial, best_trial):
-                            best_trial = trial
+                    trials = yield survivors, min(rung_budget, 1.0), rung, s
                     n_keep = max(1, int(len(survivors) / self.eta))
                     keep = top_k_indices([t.result.score for t in trials], n_keep)
                     survivors = [trials[i].config for i in keep]
                     rung_budget *= self.eta
-                    if len(survivors) == 1 and rung == s:
-                        break
-
-        assert best_trial is not None  # at least one bracket always runs
-        return SearchResult(
-            best_config=best_trial.config,
-            best_score=best_trial.result.score,
-            trials=list(self._trials),
-            wall_time=time.perf_counter() - start,
-            method=self.method_name,
-        )
-
-    @staticmethod
-    def _is_better(candidate: Trial, incumbent: Trial) -> bool:
-        """Prefer larger budgets; break ties on score.
-
-        A score measured on a larger subset is more reliable, so the
-        incumbent is only displaced by an equal-or-larger-budget trial with
-        a better score, or by any strictly-larger-budget trial.
-        """
-        if candidate.budget_fraction > incumbent.budget_fraction:
-            return True
-        if candidate.budget_fraction == incumbent.budget_fraction:
-            return candidate.result.score > incumbent.result.score
-        return False

@@ -7,10 +7,7 @@ bandit methods are compared against in Table IV.
 
 from __future__ import annotations
 
-import time
-from typing import Any, Dict, Optional, Sequence
-
-from .base import BaseSearcher, SearchResult, top_k_indices
+from .base import BaseSearcher
 
 __all__ = ["RandomSearch"]
 
@@ -33,23 +30,8 @@ class RandomSearch(BaseSearcher):
         super().__init__(space, evaluator, random_state)
         self.n_configurations = n_configurations
 
-    def _fit(
-        self,
-        configurations: Optional[Sequence[Dict[str, Any]]] = None,
-        n_configurations: Optional[int] = None,
-    ) -> SearchResult:
-        """Evaluate the candidates at full budget; return the best."""
-        self._reset()
-        start = time.perf_counter()
-        if configurations is None and n_configurations is None:
-            n_configurations = self.n_configurations
-        candidates = self._initial_configurations(configurations, n_configurations)
-        trials = [self._evaluate(config, 1.0) for config in candidates]
-        best = top_k_indices([t.result.score for t in trials], 1)[0]
-        return SearchResult(
-            best_config=trials[best].config,
-            best_score=trials[best].result.score,
-            trials=list(self._trials),
-            wall_time=time.perf_counter() - start,
-            method=self.method_name,
-        )
+    def _schedule(self, configurations, n_configurations):
+        """Each candidate as a full-budget rung of one."""
+        pool = self._initial_configurations(configurations, n_configurations, self.n_configurations)
+        for config in pool:
+            yield [config], 1.0, 0, 0

@@ -11,12 +11,11 @@ accepted configuration at full budget like the paper's comparison did.
 from __future__ import annotations
 
 import math
-import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .base import BaseSearcher, SearchResult, top_k_indices
+from .base import BaseSearcher, trial_count
 
 __all__ = ["SMACSearch", "expected_improvement"]
 
@@ -122,47 +121,23 @@ class SMACSearch(BaseSearcher):
         acquisition = expected_improvement(mean, std, best=float(y.max()))
         return candidates[int(acquisition.argmax())]
 
-    def _fit(
-        self,
-        configurations: Optional[Sequence[Dict[str, Any]]] = None,
-        n_configurations: Optional[int] = None,
-    ) -> SearchResult:
-        """Run the sequential optimization."""
-        self._reset()
-        start = time.perf_counter()
-        pool: Optional[List[Dict[str, Any]]] = None
-        pool_vectors: Optional[np.ndarray] = None
+    def _schedule(self, configurations, n_configurations):
+        """One full-budget rung of one configuration per trial."""
+        pool = pool_vectors = None
         if configurations is not None:
             pool = self._initial_configurations(configurations, None)
             pool_vectors = np.array([self.space.encode(c) for c in pool])
-        n_total = n_configurations or self.n_trials
+            remaining = list(range(len(pool)))  # unevaluated pool indices, ascending
 
         observations: List[Tuple[np.ndarray, float]] = []
-        evaluated_pool_ids: set = set()
-        for _ in range(n_total):
-            if pool is not None and len(evaluated_pool_ids) >= len(pool):
-                break
-            remaining_vectors = pool_vectors
-            if pool is not None:
-                remaining = [i for i in range(len(pool)) if i not in evaluated_pool_ids]
-                remaining_vectors = pool_vectors[remaining]
-            vector = self._propose(observations, remaining_vectors)
-            if pool is not None:
-                distances = ((pool_vectors - vector) ** 2).sum(axis=1)
-                distances[list(evaluated_pool_ids)] = np.inf
-                index = int(distances.argmin())
-                evaluated_pool_ids.add(index)
-                config = pool[index]
+        for _ in range(trial_count(n_configurations, self.n_trials)):
+            if pool is None:
+                config = self.space.decode(self._propose(observations, None))
             else:
-                config = self.space.decode(vector)
-            trial = self._evaluate(config, 1.0)
+                if not remaining:
+                    break
+                vectors = pool_vectors[remaining]
+                vector = self._propose(observations, vectors)
+                config = pool[remaining.pop(int(((vectors - vector) ** 2).sum(axis=1).argmin()))]
+            (trial,) = yield [config], 1.0, 0, 0
             observations.append((self.space.encode(config), trial.result.score))
-
-        best = top_k_indices([t.result.score for t in self._trials], 1)[0]
-        return SearchResult(
-            best_config=self._trials[best].config,
-            best_score=self._trials[best].result.score,
-            trials=list(self._trials),
-            wall_time=time.perf_counter() - start,
-            method=self.method_name,
-        )

@@ -14,10 +14,8 @@ seed, so a journal-backed engine makes interrupted runs resumable: see
 from __future__ import annotations
 
 import math
-import time
-from typing import Any, Dict, List, Optional, Sequence
 
-from .base import BaseSearcher, SearchResult, Trial, top_k_indices
+from .base import BaseSearcher, top_k_indices
 
 __all__ = ["SuccessiveHalving"]
 
@@ -60,44 +58,21 @@ class SuccessiveHalving(BaseSearcher):
         engine=None,
     ) -> None:
         super().__init__(space, evaluator, random_state, engine=engine)
-        if eta <= 1.0:
-            raise ValueError(f"eta must be > 1, got {eta}")
-        if not 0.0 < min_budget_fraction <= 1.0:
-            raise ValueError(f"min_budget_fraction must be in (0, 1], got {min_budget_fraction}")
-        self.eta = eta
-        self.min_budget_fraction = min_budget_fraction
+        self._set_budgets(eta, min_budget_fraction)
 
-    def _fit(
-        self,
-        configurations: Optional[Sequence[Dict[str, Any]]] = None,
-        n_configurations: Optional[int] = None,
-    ) -> SearchResult:
-        """Run halving until a single configuration survives."""
-        self._reset()
-        start = time.perf_counter()
+    def _schedule(self, configurations, n_configurations):
+        """Halve until a single configuration survives.
+
+        A lone candidate is evaluated once at full budget for a score.
+        """
         survivors = self._initial_configurations(configurations, n_configurations)
-        last_trials: List[Trial] = []
+        if len(survivors) == 1:
+            yield survivors, 1.0, 0, 0
         iteration = 0
         while len(survivors) > 1:
-            budget_fraction = max(1.0 / len(survivors), self.min_budget_fraction)
-            budget_fraction = min(budget_fraction, 1.0)
-            last_trials = self._evaluate_batch(survivors, budget_fraction, iteration=iteration)
+            budget_fraction = min(max(1.0 / len(survivors), self.min_budget_fraction), 1.0)
+            trials = yield survivors, budget_fraction, iteration, 0
             n_keep = max(1, math.ceil(len(survivors) / self.eta))
-            keep = top_k_indices([t.result.score for t in last_trials], n_keep)
-            survivors = [last_trials[i].config for i in keep]
+            keep = top_k_indices([t.result.score for t in trials], n_keep)
+            survivors = [trials[i].config for i in keep]
             iteration += 1
-
-        if last_trials:
-            scores = {id(t.config): t.result.score for t in last_trials}
-            best_score = scores.get(id(survivors[0]), last_trials[0].result.score)
-        else:
-            # Single candidate: evaluate once at full budget for a score.
-            trial = self._evaluate(survivors[0], 1.0, iteration=0)
-            best_score = trial.result.score
-        return SearchResult(
-            best_config=survivors[0],
-            best_score=float(best_score),
-            trials=list(self._trials),
-            wall_time=time.perf_counter() - start,
-            method=self.method_name,
-        )

@@ -11,13 +11,12 @@ uses, without multi-fidelity budgets).
 
 from __future__ import annotations
 
-import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
-from .base import BaseSearcher, SearchResult, top_k_indices
-from .bohb import DensityEstimator
+from .base import BaseSearcher, trial_count
+from .bohb import density_ratio_proposal
 
 __all__ = ["TPESearch"]
 
@@ -66,57 +65,31 @@ class TPESearch(BaseSearcher):
     def _propose(self, observations: List[Tuple[np.ndarray, float]]) -> Dict[str, Any]:
         if len(observations) < max(self.n_startup, 3):
             return self.space.sample(self._rng)
-        points = np.array([obs[0] for obs in observations])
-        scores = np.array([obs[1] for obs in observations])
-        n_good = max(1, int(np.ceil(len(scores) * self.top_n_percent / 100.0)))
-        n_good = min(n_good, len(scores) - 1)
-        order = np.argsort(-scores, kind="stable")
-        good = DensityEstimator(points[order[:n_good]])
-        bad = DensityEstimator(points[order[n_good:]])
-        best_vector, best_ratio = None, -np.inf
-        for _ in range(self.n_candidates):
-            candidate = good.sample(self._rng)
-            ratio = good.pdf(candidate) / max(bad.pdf(candidate), 1e-32)
-            if ratio > best_ratio:
-                best_ratio, best_vector = ratio, candidate
-        return self.space.decode(best_vector)
+        return self.space.decode(
+            density_ratio_proposal(
+                observations, self.top_n_percent, 1, self.n_candidates, self._rng
+            )
+        )
 
-    def _fit(
-        self,
-        configurations: Optional[Sequence[Dict[str, Any]]] = None,
-        n_configurations: Optional[int] = None,
-    ) -> SearchResult:
-        """Run the sequential search.
+    def _schedule(self, configurations, n_configurations):
+        """One full-budget rung of one configuration per trial.
 
         When an explicit candidate pool is given, proposals are snapped to
         the nearest unevaluated pool member (grid-restricted TPE).
         """
-        self._reset()
-        start = time.perf_counter()
-        pool: Optional[List[Dict[str, Any]]] = None
+        pool = None
         if configurations is not None:
             pool = self._initial_configurations(configurations, None)
-        n_total = n_configurations or self.n_trials
+            remaining = list(range(len(pool)))
 
         observations: List[Tuple[np.ndarray, float]] = []
-        remaining = list(range(len(pool))) if pool is not None else None
-        for _ in range(n_total):
+        for _ in range(trial_count(n_configurations, self.n_trials)):
             proposal = self._propose(observations)
             if pool is not None:
                 if not remaining:
                     break
-                encoded = self.space.encode(proposal)
-                pool_vectors = np.array([self.space.encode(pool[i]) for i in remaining])
-                nearest = int(((pool_vectors - encoded) ** 2).sum(axis=1).argmin())
+                vectors = np.array([self.space.encode(pool[i]) for i in remaining])
+                nearest = int(((vectors - self.space.encode(proposal)) ** 2).sum(axis=1).argmin())
                 proposal = pool[remaining.pop(nearest)]
-            trial = self._evaluate(proposal, 1.0)
+            (trial,) = yield [proposal], 1.0, 0, 0
             observations.append((self.space.encode(proposal), trial.result.score))
-
-        best = top_k_indices([t.result.score for t in self._trials], 1)[0]
-        return SearchResult(
-            best_config=self._trials[best].config,
-            best_score=self._trials[best].result.score,
-            trials=list(self._trials),
-            wall_time=time.perf_counter() - start,
-            method=self.method_name,
-        )

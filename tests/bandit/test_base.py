@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.bandit import EvaluationResult, SearchResult, SuccessiveHalving, Trial, top_k_indices
-from repro.bandit.base import BaseSearcher
+from repro.bandit.base import BaseSearcher, deepest_rung
 from repro.engine import FAILURE_SCORE, TrialEngine
 from repro.telemetry import Telemetry
 from repro.space import Categorical, SearchSpace
@@ -31,6 +31,30 @@ class TestTopK:
     def test_invalid_k(self):
         with pytest.raises(ValueError, match="positive"):
             top_k_indices([1.0], 0)
+
+
+class TestDeepestRung:
+    @pytest.mark.parametrize("eta", [1.5, 2, 3, 4, 5, 10])
+    @pytest.mark.parametrize("k", range(13))
+    def test_exact_for_every_power(self, eta, k):
+        assert deepest_rung(eta, eta**-k) == k
+        assert deepest_rung(eta, 1.0 / eta**k) == k
+
+    def test_searchers_count_every_rung(self, tiny_space, synthetic_evaluator_factory):
+        # A float log gives 4 for log_3(243) and 2 for log_10(1000).
+        from repro.bandit import ASHA, PASHA, HyperBand
+
+        evaluator = synthetic_evaluator_factory(lambda c: 0.5)
+        assert HyperBand(tiny_space, evaluator, eta=3, min_budget_fraction=1 / 243).s_max == 5
+        assert ASHA(tiny_space, evaluator, eta=10, min_budget_fraction=1 / 1000).max_rung == 3
+        assert PASHA(tiny_space, evaluator, eta=10, min_budget_fraction=1 / 1000).max_rung == 3
+
+    @pytest.mark.parametrize("eta,fraction,expected", [
+        (3, 1 / 27, 3), (3, 1 / 9, 2), (2, 1 / 8, 3), (2, 1 / 16, 4), (2, 1 / 64, 6),
+        (3, 0.01, 4), (2, 0.3, 1), (2, 1.0, 0),
+    ])
+    def test_pairs_in_use_unchanged(self, eta, fraction, expected):
+        assert deepest_rung(eta, fraction) == expected
 
 
 class TestSearchResult:
@@ -85,7 +109,7 @@ class TestBaseSearcher:
     def test_evaluate_records_trial(self, tiny_space, synthetic_evaluator_factory):
         searcher = BaseSearcher(tiny_space, synthetic_evaluator_factory(lambda c: c["a"] / 10))
         searcher._reset()  # what every _fit does first: binds the engine
-        trial = searcher._evaluate({"a": 3, "b": "x"}, 0.25, iteration=2)
+        (trial,) = searcher._evaluate_batch([{"a": 3, "b": "x"}], 0.25, iteration=2)
         assert trial.budget_fraction == 0.25
         assert trial.iteration == 2
         assert searcher._trials == [trial]

@@ -65,7 +65,7 @@ class TestBohbSearch:
         rng = np.random.default_rng(0)
         bohb._reset()
         for q in range(27):
-            trial = bohb._evaluate({"q": q}, 1.0)
+            (trial,) = bohb._evaluate_batch([{"q": q}], 1.0)
             bohb._observe(trial)
         proposals = [bohb._model_based_proposal() for _ in range(20)]
         values = [p["q"] for p in proposals if p is not None]

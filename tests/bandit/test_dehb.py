@@ -35,7 +35,7 @@ class TestDehbSearch:
         rng = np.random.default_rng(0)
         for _ in range(8):
             config = space.sample(rng)
-            trial = dehb._evaluate(config, 1.0 / 27.0)
+            (trial,) = dehb._evaluate_batch([config], 1.0 / 27.0)
             dehb._observe(trial)
         proposals = dehb._propose_configs(10, 1.0 / 27.0)
         for proposal in proposals:
@@ -53,7 +53,7 @@ class TestDehbSearch:
         dehb._reset()  # what _fit does first: binds the engine
         rng = np.random.default_rng(0)
         for _ in range(6):
-            trial = dehb._evaluate(quality_space.sample(rng), 1.0)
+            (trial,) = dehb._evaluate_batch([quality_space.sample(rng)], 1.0)
             dehb._observe(trial)
         pool = dehb._parent_pool(1.0 / 27.0)  # empty budget, backfilled
         assert len(pool) >= dehb.min_population

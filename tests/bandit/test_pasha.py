@@ -95,6 +95,7 @@ class TestValidation:
         {"eta": 1.0},
         {"min_budget_fraction": 0.0},
         {"initial_rungs": 0},
+        {"initial_rungs": 1},  # the stability test needs two rungs to compare
     ])
     def test_invalid_parameters(self, bad, quality_space, synthetic_evaluator_factory):
         with pytest.raises(ValueError):

@@ -53,6 +53,13 @@ class TestSearcherContract:
         assert result.wall_time > 0.0
         assert result.n_trials >= 1
 
+    def test_zero_configurations_rejected(self, name, cls, kwargs, space, synthetic_evaluator_factory):
+        # n_configurations=0 is an error everywhere, never "use the default".
+        searcher = cls(space, synthetic_evaluator_factory(lambda c: 0.5), random_state=0, **kwargs)
+        with pytest.raises(ValueError, match="n must be positive, got 0"):
+            searcher.fit(n_configurations=0)
+        assert searcher._trials == []
+
     def test_deterministic_under_seed(self, name, cls, kwargs, space, synthetic_evaluator_factory):
         a = self._run(cls, kwargs, space, synthetic_evaluator_factory, seed=5)
         b = self._run(cls, kwargs, space, synthetic_evaluator_factory, seed=5)

@@ -5,8 +5,13 @@
 #      a TrialEngine (engine=None is the serial default; no inline path):
 #      tests/engine/test_engine.py pins no-engine == serial == parallel.
 #      It includes tests/guard and the hostile-data guard tests, the
-#      cold-start budget (tests/test_import_budget.py) and the serial
-#      rows of the degrade table (tests/engine/test_chaos.py).
+#      cold-start budget (tests/test_import_budget.py), the serial
+#      rows of the degrade table (tests/engine/test_chaos.py) and two
+#      pins: the trace pin (tests/telemetry/test_trace_pin.py, see tier 4)
+#      and the searcher pin (tests/bandit/test_searcher_pin.py: every
+#      repro.core.METHODS name's seeded runs -- trial-list sha256,
+#      incumbent, PASHA's final ceiling -- against
+#      tests/bandit/data/searchers.json, never regenerated to pass).
 #   2. bench smoke (bench/test_smoke.py: every bench/ workload once at
 #      --quick size, untraced and traced — read-only use of bench/; a
 #      change that breaks a name bench/layers.py patches, e.g.
