@@ -79,10 +79,31 @@ gains nothing from stacking and finishes through the model's own
 vector control plane's fixed per-epoch cost buys nothing at width one
 (docs/PERFORMANCE.md) — so both training loops stay, chosen by lane
 width.
+
+Two cores, one lane
+-------------------
+A stochastic lane wide enough that each half stacks at least
+:data:`_SPLIT_MIN_ROWS` training rows trains as two contiguous halves of
+two or more folds each, dealt largest-first between the calling thread
+and **one** long-lived helper thread; the call returns (or raises) only
+once both are done.  Folds are independent and lane membership is
+bit-neutral from width two up, so a half is an ordinary ``_fit_lane``
+call on disjoint folds and every fold trains bitwise as before; a half
+is never width one, whose ``_fit_stochastic`` reductions differ.  Numpy
+drops the GIL inside each stacked operation, which is where a wide lane
+spends its time.  Narrower lanes, width-one lanes and ``lbfgs`` stay on
+the calling thread, and :class:`MegaBatchStats` still counts the logical
+lanes.  The helper never starts on one CPU or in a process that
+``multiprocessing`` started, such as a pool worker (the pool already
+fills the cores); a forked child forgets the one it inherited, and a
+second caller that finds it busy trains its own lanes whole, inline,
+rather than queueing (docs/PERFORMANCE.md section 17).
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -278,14 +299,16 @@ def fit_mlp_trials(
         lanes.setdefault(plan.lane_key, []).append(position)
     mega.lanes = len(lanes)
     mega.folds = len(plans)
+    lane_members = []
     for positions in lanes.values():
         members = [plans[i] for i in positions]
+        lane_members.append(members)
         lane_trials = {owner[i] for i in positions}
         if len(lane_trials) > 1:
             mega.fused_lanes += 1
             mega.fused_folds += len(members)
         mega.max_lane_width = max(mega.max_lane_width, len(members))
-        batched = _run_lane(members)
+        batched = _stacks(members)
         for i in positions:
             if batched:
                 per_trial[owner[i]].batched_folds += 1
@@ -296,17 +319,133 @@ def fit_mlp_trials(
     mega.batched_folds = sum(s.batched_folds for s in per_trial)
     mega.sequential_folds = sum(s.sequential_folds for s in per_trial)
     mega.warm_folds = sum(s.warm_folds for s in per_trial)
+    _train(lane_members)
     return per_trial, mega
 
 
-def _run_lane(members: List[_FoldPlan]) -> bool:
-    """Train one lane; True iff it ran stacked (not member-by-member)."""
-    if len(members) == 1 or members[0].model.solver == "lbfgs":
+def _stacks(members: List[_FoldPlan]) -> bool:
+    """Whether a lane trains stacked (``_fit_lane``) rather than member by member."""
+    return len(members) > 1 and members[0].model.solver != "lbfgs"
+
+
+def _run_lane(members: List[_FoldPlan]) -> None:
+    """Train one lane, stacked or member by member."""
+    if _stacks(members):
+        _fit_lane(members)
+    else:
         for plan in members:
             _fit_sequential(plan)
-        return False
-    _fit_lane(members)
-    return True
+
+
+# -- two cores, one lane --------------------------------------------------------
+# Only ``_fit_lane`` on disjoint members runs off the calling thread: no
+# collector, fault point or flight-recorder note is reached from a half.
+
+#: Stacked training rows (folds x rows) each half of a lane needs before the
+#: lane is split.  Measured per lane: halves of 11 520 rows ran 1.4-2.1x
+#: faster split, of 4 800-5 760 rows 1.05-1.13x, and below 3 000 rows the
+#: split lost (docs/PERFORMANCE.md section 17).
+_SPLIT_MIN_ROWS = 8192
+
+
+def _halves(members: List[_FoldPlan]) -> Optional[Tuple[List[_FoldPlan], List[_FoldPlan]]]:
+    """Two contiguous halves of a lane wide enough to share, else ``None``."""
+    half = len(members) // 2
+    if half < 2 or not _stacks(members) or half * members[0].X.shape[0] < _SPLIT_MIN_ROWS:
+        return None
+    return members[:half], members[half:]
+
+
+def _rows(members: List[_FoldPlan]) -> int:
+    """Stacked training rows of a lane: the work it brings."""
+    return len(members) * members[0].X.shape[0]
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _Helper:
+    """The one long-lived thread that trains lane halves beside the calling thread.
+
+    One call owns it at a time: :meth:`claim` is a non-blocking
+    try-acquire, so a second caller trains its lanes inline rather than
+    queueing behind another's.  A process started by ``multiprocessing``
+    (a pool worker, under ``fork`` or ``spawn``) never claims it: the pool
+    already occupies the cores.
+    """
+
+    def __init__(self) -> None:
+        self.forget()
+
+    def forget(self) -> None:
+        """Start over without a thread: a forked child inherits this object, not the thread."""
+        self._lock = threading.Lock()
+        self._executor = None
+
+    def claim(self) -> bool:
+        """Own the helper until :meth:`release`; False when it is busy or should not run."""
+        import multiprocessing
+
+        if _cpus() < 2 or multiprocessing.parent_process() is not None:
+            return False
+        return self._lock.acquire(blocking=False)
+
+    def release(self) -> None:
+        self._lock.release()
+
+    def submit(self, lanes: List[List[_FoldPlan]]):
+        """Start training ``lanes`` on the helper thread; a future of the outcome."""
+        if self._executor is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            self._executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-lane-helper")
+        return self._executor.submit(_run_lanes, lanes)
+
+
+_HELPER = _Helper()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_HELPER.forget)
+
+
+def _train(lanes: List[List[_FoldPlan]]) -> None:
+    """Train every lane; with the helper free, wide lanes share it half and half.
+
+    Halves are dealt largest-first to whichever thread has fewer stacked
+    rows so far, the calling thread starting with the lanes it keeps
+    whole.  Both threads finish before this returns or raises; a half that
+    raised on the helper raises here.
+    """
+    split = [_halves(members) for members in lanes]
+    if not any(split) or not _HELPER.claim():
+        _run_lanes(lanes)
+        return
+    try:
+        own = [members for members, halves in zip(lanes, split) if halves is None]
+        shares: Tuple[List, List] = (own, [])  # (calling thread, helper)
+        loads = [sum(map(_rows, own)), 0]
+        chunks = [half for halves in split if halves is not None for half in halves]
+        for chunk in sorted(chunks, key=_rows, reverse=True):
+            side = 1 if loads[1] <= loads[0] else 0
+            shares[side].append(chunk)
+            loads[side] += _rows(chunk)
+        future = _HELPER.submit(shares[1])
+        try:
+            _run_lanes(own)
+        except BaseException:
+            future.exception()  # the helper's half finishes before this unwinds
+            raise
+        future.result()
+    finally:
+        _HELPER.release()
+
+
+def _run_lanes(lanes: List[List[_FoldPlan]]) -> None:
+    for members in lanes:
+        _run_lane(members)
 
 
 def _label_codes(trial_jobs):

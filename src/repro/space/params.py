@@ -136,11 +136,18 @@ class Float(Parameter):
         return (value - self.low) / (self.high - self.low)
 
     def decode(self, unit: float) -> float:
-        """Inverse of :meth:`encode`, clipping to the bounds."""
+        """Inverse of :meth:`encode`, clipping to the bounds.
+
+        The log-scale round trip can land an ulp outside the range at
+        either end (``exp(log(1e-5))`` is below ``1e-5``), so the value
+        is clamped as well as the unit; in-range values keep their bits.
+        """
         unit = min(max(float(unit), 0.0), 1.0)
         if self.log:
-            return float(math.exp(math.log(self.low) + unit * (math.log(self.high) - math.log(self.low))))
-        return self.low + unit * (self.high - self.low)
+            value = math.exp(math.log(self.low) + unit * (math.log(self.high) - math.log(self.low)))
+        else:
+            value = self.low + unit * (self.high - self.low)
+        return min(max(value, self.low), self.high)
 
     def grid_values(self, n_points: Optional[int] = None) -> List[float]:
         """Evenly spaced grid of ``n_points`` values (default 5)."""

@@ -1,5 +1,7 @@
 """Tests for hyperparameter types."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -76,6 +78,28 @@ class TestFloat:
         param = Float("x", 0.0, 1.0)
         assert param.decode(-0.5) == 0.0
         assert param.decode(1.5) == 1.0
+
+    @pytest.mark.parametrize("low, high", [(1e-5, 1e-1), (1e-4, 1.0), (0.01, 100.0), (3e-3, 7.0)])
+    def test_log_decode_stays_in_bounds_at_the_corners(self, low, high):
+        # exp(log(1e-5)) is 9.999999999999997e-06: the round trip lands an
+        # ulp outside the range unless decode clamps the value.
+        param = Float("alpha", low, high, log=True)
+        for unit in (-1.0, 0.0, 1.0, 2.0):
+            value = param.decode(unit)
+            assert value in param
+            assert param.decode(param.encode(value)) in param
+
+    def test_log_decode_clamps_to_the_bounds(self):
+        param = Float("alpha", 1e-5, 1e-1, log=True)
+        assert param.decode(0.0) == 1e-5
+        assert param.decode(1.0) == 1e-1
+
+    def test_in_bound_decodes_keep_their_bits(self):
+        param = Float("alpha", 1e-5, 1e-1, log=True)
+        log_low, log_high = math.log(1e-5), math.log(1e-1)
+        for unit in np.linspace(0.0, 1.0, 101)[1:-1]:
+            expected = math.exp(log_low + float(unit) * (log_high - log_low))
+            assert param.decode(unit) == expected
 
     def test_not_finite(self):
         assert not Float("x", 0.0, 1.0).is_finite

@@ -117,6 +117,19 @@ class TestEncoding:
         assert decoded["i"] == config["i"]
         assert decoded["f"] == pytest.approx(config["f"])
 
+    @pytest.mark.parametrize("corner", [0.0, 1.0])
+    def test_corner_proposal_of_a_log_space_validates(self, corner):
+        # A model-based proposal clipped to a hypercube corner must decode
+        # to a configuration the space accepts (and can encode again).
+        space = SearchSpace([
+            Float("alpha", 1e-5, 1e-1, log=True),
+            Float("learning_rate_init", 1e-4, 1.0, log=True),
+            Integer("units", 4, 64, log=True),
+        ])
+        config = space.decode(np.full(3, corner))
+        space.validate(config)
+        np.testing.assert_allclose(space.encode(config), corner, atol=1e-12)
+
 
 class TestValidate:
     def test_missing_parameter(self, tiny_space):

@@ -35,7 +35,16 @@
 #      optimisers vs solvers.SGDOptimizer / AdamOptimizer slice by slice,
 #      across compaction (tests/learners/test_lane_optimizers.py); and the
 #      vectorised splitters vs their per-sample loops kept in
-#      tests/model_selection/_reference_splitters.py; kernel *speed* is
+#      tests/model_selection/_reference_splitters.py; the split-lane
+#      sweep: wide lanes trained as two halves on the calling thread and
+#      the lane-helper thread, bitwise-equal to the unsplit lane and to
+#      .fit through the per-epoch oracle (odd widths, sgd with nesterov,
+#      invscaling and adaptive schedules, adam, early stopping, warm
+#      starts, folds stopping either side of the 8-epoch order block),
+#      plus the helper's lifecycle: its exceptions reach the caller and
+#      the per-trial retry, fork and spawn pool workers never claim it,
+#      a forked child forgets it, and 20 searches leak no thread
+#      (tests/learners/test_split_lanes.py); kernel *speed* is
 #      bench/'s learners.probe.rung_*_ms and sha_fused_wide, not a gate here)
 #   4. telemetry tier (trace-file tests: span nesting, Chrome-trace
 #      conversion, serial == parallel counters; there is no in-tree
