@@ -16,9 +16,9 @@ the ablation experiments toggle):
 
 There is one evaluation procedure, :meth:`SubsetCVEvaluator.evaluate_many`:
 plan every trial of a rung (subset, folds, seeds), fit and predict what
-stacks in one :func:`~repro.learners.batched.fit_mlp_trials` and one
+MLP trial in one :func:`~repro.learners.batched.fit_mlp_trials` and one
 :func:`~repro.learners.batched.predict_folds` call, then score fold by
-fold, fitting there what the lanes do not take (non-MLP, L-BFGS, single
+fold, fitting there what that call does not take (non-MLP, single
 folds).  ``evaluate`` is that call at width one.  What stacks follows
 from model type, solver and lane width, never from an option.
 
@@ -346,18 +346,18 @@ class SubsetCVEvaluator:
         Three phases, none of which moves an rng draw relative to a
         fold-by-fold loop.  *Plan*: every trial draws its subset, folds
         and model seeds, consuming only its own rng.  *Fit*: the folds of
-        every trial whose models all qualify (MLP, sgd/adam, at least two
+        every trial whose models are all MLPs (any solver, at least two
         folds) go to :func:`~repro.learners.batched.fit_mlp_trials` in one
         call, which stacks shape-matched folds into lanes bitwise-equal to
         ``model.fit``, then predicts them in one ``predict_folds`` call timed
         with the fit.  *Score*: each fold is scored; trials the fit phase
-        skipped (non-MLP, lbfgs, single fold) fit and predict fold by fold.
+        skipped (non-MLP, single fold) fit and predict fold by fold.
 
         A fit-phase error propagates — the executor then re-runs each
         task alone — except in a single-trial call under an active guard
-        policy, where it is recorded as ``learner.batch_fallback`` and
-        the trial degrades fold by fold in its score phase.  Returns the
-        per-trial results (spec order) and the fit phase's
+        policy, where the trial degrades fold by fold in its score phase
+        (a ``learner.batch_fallback`` if it had ``sgd``/``adam`` folds).
+        Returns the per-trial results (spec order) and the fit phase's
         :class:`MegaBatchStats`.
         """
         plans: List[Dict[str, Any]] = []
@@ -397,12 +397,13 @@ class SubsetCVEvaluator:
                 if len(plans) > 1 or plans[0]["guard"] is None:
                     raise
                 plan = plans[0]
-                plan["guard"].record(
-                    "learner.batch_fallback",
-                    f"batched fit raised {type(exc).__name__}: {exc}; "
-                    "re-fitting folds sequentially",
-                    error=type(exc).__name__,
-                )
+                if any(map(batchable_model, plan["models"].values())):
+                    plan["guard"].record(
+                        "learner.batch_fallback",
+                        f"batched fit raised {type(exc).__name__}: {exc}; "
+                        "re-fitting folds sequentially",
+                        error=type(exc).__name__,
+                    )
                 # The lane may have left partial state behind; rebuild the
                 # models from their planned seeds and let the score phase
                 # degrade broken folds one at a time.
@@ -478,8 +479,9 @@ class SubsetCVEvaluator:
         }
 
     def _batch_eligible(self, models: Dict[int, Any]) -> bool:
-        """Whether a trial's folds can go through the lane kernels."""
-        return len(models) >= 2 and all(batchable_model(model) for model in models.values())
+        """Whether a trial's folds go through the lane call: two or more, all MLPs."""
+        mlp = (MLPClassifier, MLPRegressor)
+        return len(models) >= 2 and all(isinstance(model, mlp) for model in models.values())
 
     def _fold_jobs(self, plan: Dict[str, Any]) -> Tuple[List[Tuple], Optional[Dict[int, Tuple]]]:
         """Build a trial's lane-kernel job list (and positional warm dict, if any)."""
@@ -515,7 +517,7 @@ class SubsetCVEvaluator:
             plan["predictions"] = [next(predictions) for _ in plan["folds"]]
 
     def _score_trial(self, plan: Dict[str, Any], collector) -> List[float]:
-        """Score phase (fits and predicts here too when the batched kernel didn't run)."""
+        """Score phase (fits and predicts here too when the lane call did not run)."""
         fold_scores = []
         predictions = plan["predictions"] or [None] * len(plan["folds"])
         for fold_index, (train_idx, val_idx) in enumerate(plan["folds"]):

@@ -71,8 +71,9 @@ those knobs train in one stack and still produce bitwise-identical
 models.  Fold results never depend on lane grouping, which is what
 keeps cache keys, journal records and incumbent fingerprints untouched.
 
-Only the stochastic solvers (``sgd`` / ``adam``) are batchable; L-BFGS
-is full-batch scipy and keeps the per-fold loop.  A lane of one fold
+Only the stochastic solvers (``sgd`` / ``adam``) stack; an L-BFGS fold
+is full-batch scipy and trains alone, through the model's own
+``_fit_lbfgs``.  A lane of one fold
 gains nothing from stacking and finishes through the model's own
 ``_fit_stochastic`` (:func:`_run_lane`): routing it through a width-1
 ``_fit_lane`` instead is bitwise-equal but measured 8-20 % slower — the
@@ -80,29 +81,36 @@ vector control plane's fixed per-epoch cost buys nothing at width one
 (docs/PERFORMANCE.md) — so both training loops stay, chosen by lane
 width.
 
-Two cores, one lane
+Two cores, one call
 -------------------
-A stochastic lane wide enough that each half stacks at least
-:data:`_SPLIT_MIN_ROWS` training rows trains as two contiguous halves of
-two or more folds each, dealt largest-first between the calling thread
-and **one** long-lived helper thread; the call returns (or raises) only
-once both are done.  Folds are independent and lane membership is
-bit-neutral from width two up, so a half is an ordinary ``_fit_lane``
-call on disjoint folds and every fold trains bitwise as before; a half
-is never width one, whose ``_fit_stochastic`` reductions differ.  Numpy
-drops the GIL inside each stacked operation, which is where a wide lane
-spends its time.  Narrower lanes, width-one lanes and ``lbfgs`` stay on
-the calling thread, and :class:`MegaBatchStats` still counts the logical
-lanes.  The helper never starts on one CPU or in a process that
-``multiprocessing`` started, such as a pool worker (the pool already
-fills the cores); a forked child forgets the one it inherited, and a
-second caller that finds it busy trains its own lanes whole, inline,
-rather than queueing (docs/PERFORMANCE.md section 17).
+:func:`fit_mlp_trials` deals its call's units — a stacked lane, the two
+halves (two or more folds each) of a lane heavier than all other units
+together, a single ``lbfgs`` or width-one fold — largest-first by
+estimated work (folds x rows x sum of fan_in x fan_out x ``max_iter``)
+onto the lighter of the calling thread and **one** long-lived
+lane-helper process, which takes only units above a measured work
+threshold.  A unit crosses the pipe as data (row stacks, stacked
+parameters, per-fold knobs, generator states, and back: stacked
+parameters, curves, ``n_iter_``, ``diverged_``) and trains there through
+the same :func:`_run_lane`, so every fold stays bitwise what ``.fit``
+gives.  Both sides finish before the call returns or raises the helper's
+exception; a helper that dies costs nothing, its share retrained here
+from the untouched fold plans.  The helper (``subprocess``, used once it
+reports ready) is claimed only with two CPUs and a one-thread BLAS,
+never in a pool worker or inside itself; a forked child forgets it, and
+a second caller that finds it busy trains inline (docs/PERFORMANCE.md
+section 18).
 """
 
 from __future__ import annotations
 
+import atexit
+import contextlib
 import os
+import pickle
+import select
+import signal
+import sys
 import threading
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -113,6 +121,7 @@ from .mlp import (
     _EPOCH_BLOCK,
     DIVERGENCE_LOSS_CAP,
     MLPClassifier,
+    MLPRegressor,
     _BaseMLP,
     _epoch_orders,
     _forward_pass,
@@ -134,11 +143,7 @@ __all__ = [
 
 
 def batchable_model(model: Any) -> bool:
-    """Whether ``model`` can be trained by the batched fold kernels.
-
-    True for the repo's MLPs with a stochastic solver; L-BFGS and
-    non-MLP estimators take the sequential per-fold path.
-    """
+    """Whether ``model``'s folds stack into lanes: an MLP with a stochastic solver."""
     return isinstance(model, _BaseMLP) and getattr(model, "solver", None) in ("sgd", "adam")
 
 
@@ -252,9 +257,9 @@ def fit_mlp_trials(
     ----------
     trial_jobs:
         One entry per trial, each a sequence of ``(model, X_train,
-        y_train)`` fold jobs in fold order.  Every model must satisfy
-        :func:`batchable_model` and is fitted in place exactly as
-        ``model.fit`` would have; models from *different* trials may
+        y_train)`` fold jobs in fold order.  Every model must be an
+        MLP (``lbfgs`` folds train alone) and is fitted in place exactly
+        as ``model.fit`` would have; models from *different* trials may
         carry different hyperparameter configurations.
     warms:
         Optional per-trial warm starts aligned with ``trial_jobs``
@@ -337,28 +342,42 @@ def _run_lane(members: List[_FoldPlan]) -> None:
             _fit_sequential(plan)
 
 
-# -- two cores, one lane --------------------------------------------------------
-# Only ``_fit_lane`` on disjoint members runs off the calling thread: no
-# collector, fault point or flight-recorder note is reached from a half.
+# -- two cores, one call --------------------------------------------------------
+# Units cross to the helper as data and train through ``_run_lane``: nothing
+# there opens a collector, passes a fault point or writes a flight-recorder note.
 
-#: Stacked training rows (folds x rows) each half of a lane needs before the
-#: lane is split.  Measured per lane: halves of 11 520 rows ran 1.4-2.1x
-#: faster split, of 4 800-5 760 rows 1.05-1.13x, and below 3 000 rows the
-#: split lost (docs/PERFORMANCE.md section 17).
-_SPLIT_MIN_ROWS = 8192
-
-
-def _halves(members: List[_FoldPlan]) -> Optional[Tuple[List[_FoldPlan], List[_FoldPlan]]]:
-    """Two contiguous halves of a lane wide enough to share, else ``None``."""
-    half = len(members) // 2
-    if half < 2 or not _stacks(members) or half * members[0].X.shape[0] < _SPLIT_MIN_ROWS:
-        return None
-    return members[:half], members[half:]
+#: Work (:func:`_work`) a unit needs before the helper takes it: below it the round
+#: trip costs more than the second core saves (docs/PERFORMANCE.md section 18).
+_HELPER_MIN_WORK = 100_000
+#: The numeric knobs a lane carries per fold (the rest is in ``_lane_key``).
+_FOLD_KNOBS = ("alpha", "learning_rate_init", "momentum", "tol", "n_iter_no_change")
+#: What a fitted fold sends back besides its parameters.
+_FINALS = ("loss_curve_", "validation_scores_", "n_iter_", "loss_", "diverged_")
+_WIRE_TYPES = {cls.__name__: cls for cls in (MLPClassifier, MLPRegressor)}
+_HELPER_CODE = "from repro.learners.batched import _serve; _serve()"
+#: Thread counts of OpenBLAS, OpenMP and MKL, in the order OpenBLAS reads them.
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _rows(members: List[_FoldPlan]) -> int:
-    """Stacked training rows of a lane: the work it brings."""
-    return len(members) * members[0].X.shape[0]
+def _work(unit: List[_FoldPlan]) -> int:
+    """Estimated work: folds x rows x sum of fan_in * fan_out x ``max_iter``."""
+    plan = unit[0]
+    weights = sum(a * b for a, b in zip(plan.layer_units, plan.layer_units[1:]))
+    return len(unit) * plan.X.shape[0] * weights * plan.model.max_iter
+
+
+def _units(lanes: List[List[_FoldPlan]]) -> List[List[_FoldPlan]]:
+    """A call's units, heaviest first: stacked lanes whole, other folds alone,
+    and a lane heavier than every other unit together as two halves."""
+    units = []
+    for members in lanes:
+        units.extend([members] if _stacks(members) else [[plan] for plan in members])
+    units.sort(key=_work, reverse=True)
+    if units and len(units[0]) >= 4 and 2 * _work(units[0]) > sum(map(_work, units)):
+        half = len(units[0]) // 2
+        units[:1] = [units[0][:half], units[0][half:]]
+        units.sort(key=_work, reverse=True)
+    return units
 
 
 def _cpus() -> int:
@@ -368,77 +387,21 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-class _Helper:
-    """The one long-lived thread that trains lane halves beside the calling thread.
-
-    One call owns it at a time: :meth:`claim` is a non-blocking
-    try-acquire, so a second caller trains its lanes inline rather than
-    queueing behind another's.  A process started by ``multiprocessing``
-    (a pool worker, under ``fork`` or ``spawn``) never claims it: the pool
-    already occupies the cores.
-    """
-
-    def __init__(self) -> None:
-        self.forget()
-
-    def forget(self) -> None:
-        """Start over without a thread: a forked child inherits this object, not the thread."""
-        self._lock = threading.Lock()
-        self._executor = None
-
-    def claim(self) -> bool:
-        """Own the helper until :meth:`release`; False when it is busy or should not run."""
-        import multiprocessing
-
-        if _cpus() < 2 or multiprocessing.parent_process() is not None:
-            return False
-        return self._lock.acquire(blocking=False)
-
-    def release(self) -> None:
-        self._lock.release()
-
-    def submit(self, lanes: List[List[_FoldPlan]]):
-        """Start training ``lanes`` on the helper thread; a future of the outcome."""
-        if self._executor is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-lane-helper")
-        return self._executor.submit(_run_lanes, lanes)
-
-
-_HELPER = _Helper()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_HELPER.forget)
-
-
 def _train(lanes: List[List[_FoldPlan]]) -> None:
-    """Train every lane; with the helper free, wide lanes share it half and half.
-
-    Halves are dealt largest-first to whichever thread has fewer stacked
-    rows so far, the calling thread starting with the lanes it keeps
-    whole.  Both threads finish before this returns or raises; a half that
-    raised on the helper raises here.
-    """
-    split = [_halves(members) for members in lanes]
-    if not any(split) or not _HELPER.claim():
+    """Train every lane; with the helper free, deal the call's units largest-first
+    onto the lighter side, the helper taking only units worth the round trip."""
+    units = _units(lanes)
+    if len(units) < 2 or _work(units[0]) < _HELPER_MIN_WORK or not _HELPER.claim():
         _run_lanes(lanes)
         return
     try:
-        own = [members for members, halves in zip(lanes, split) if halves is None]
-        shares: Tuple[List, List] = (own, [])  # (calling thread, helper)
-        loads = [sum(map(_rows, own)), 0]
-        chunks = [half for halves in split if halves is not None for half in halves]
-        for chunk in sorted(chunks, key=_rows, reverse=True):
-            side = 1 if loads[1] <= loads[0] else 0
-            shares[side].append(chunk)
-            loads[side] += _rows(chunk)
-        future = _HELPER.submit(shares[1])
-        try:
-            _run_lanes(own)
-        except BaseException:
-            future.exception()  # the helper's half finishes before this unwinds
-            raise
-        future.result()
+        shares, loads = ([], []), [0, 0]  # (calling thread, helper)
+        for unit, work in zip(units, map(_work, units)):
+            wire = type(unit[0].model) in _WIRE_TYPES.values()
+            side = int(loads[1] <= loads[0] and work >= _HELPER_MIN_WORK and wire)
+            shares[side].append(unit)
+            loads[side] += work
+        _HELPER.train(*shares)  # with two units or more, this thread always has a share
     finally:
         _HELPER.release()
 
@@ -446,6 +409,189 @@ def _train(lanes: List[List[_FoldPlan]]) -> None:
 def _run_lanes(lanes: List[List[_FoldPlan]]) -> None:
     for members in lanes:
         _run_lane(members)
+
+
+class _LaneHelper:
+    """The one long-lived process that trains units beside the calling thread; one
+    call owns it at a time (:meth:`claim` is a non-blocking try-acquire).  ``_off``:
+    never to be claimed (it could not start, or this process is the helper)."""
+
+    def __init__(self) -> None:
+        self._process = None
+        self.forget()
+        atexit.register(self.close)
+
+    def forget(self) -> None:
+        """Start over without a process; a forked child closes the pipe ends it inherited."""
+        if self._process is not None:
+            self._process.stdin.close()
+            self._process.stdout.close()
+        self._lock, self._process, self._ready, self._off = threading.Lock(), None, False, False
+
+    def claim(self) -> bool:
+        """Own the ready helper until :meth:`release`; False when busy, starting or unwanted."""
+        import multiprocessing
+
+        # BLAS threads spin on the core a helper would use: only a one-thread BLAS leaves it.
+        blas = next((os.environ[name] for name in _BLAS_THREADS if os.environ.get(name)), None)
+        if self._off or blas != "1" or _cpus() < 2 or multiprocessing.parent_process() is not None:
+            return False
+        if self._lock.acquire(blocking=False):
+            if self.ready():
+                return True
+            self._lock.release()
+        return False
+
+    def release(self) -> None:
+        self._lock.release()
+
+    def ready(self, timeout: float = 0.0) -> bool:
+        """Whether the helper has reported ready, waiting up to ``timeout``; starts one."""
+        if self._process is None:
+            self._start()
+        if self._process and not self._ready:
+            if select.select([self._process.stdout], [], [], timeout)[0]:
+                self._ready = self._reply() == "ready"
+                self._off = not self._ready
+        return self._ready
+
+    def _start(self) -> None:
+        from subprocess import PIPE, Popen
+
+        root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=root + os.pathsep + path if path else root)
+        command = [sys.executable, "-c", _HELPER_CODE]
+        try:
+            self._process = Popen(command, stdin=PIPE, stdout=PIPE, env=env)
+        except OSError:  # no interpreter to start: this process trains inline
+            self._off = True
+
+    def close(self, kill: bool = False) -> None:
+        """End the helper (EOF on its stdin, or ``kill``) and reap it."""
+        process, self._process, self._ready = self._process, None, False
+        if process is not None:
+            with contextlib.suppress(OSError):  # the pipe of a helper that died
+                process.stdin.close()
+            process.stdout.close()
+            with contextlib.suppress(Exception):  # one that will not exit is killed
+                process.wait(timeout=0.0 if kill else 10.0)
+            process.kill()
+            process.wait()
+
+    def train(self, own: List[List[_FoldPlan]], theirs: List[List[_FoldPlan]]) -> None:
+        """Train ``theirs`` in the helper while this thread trains ``own``, then
+        adopt them; retrain them here if the helper died, or raise its exception."""
+        try:
+            _send(self._process.stdin.fileno(), [_pack(unit) for unit in theirs])
+        except BaseException as error:
+            self.close(kill=True)
+            if not isinstance(error, OSError):  # OSError: it died since its last answer
+                raise
+        try:
+            _run_lanes(own)
+        finally:
+            reply = self._reply() if self._process else None  # the pipe stays in step
+        if isinstance(reply, BaseException):
+            raise reply
+        if reply is None:
+            _run_lanes(theirs)
+        for unit, (coefs, intercepts, finals) in zip(theirs, reply or ()):
+            for index, (plan, final) in enumerate(zip(unit, finals)):
+                vars(plan.model).update(zip(_FINALS, final))
+                plan.model.coefs_ = [c[index] for c in coefs]
+                plan.model.intercepts_ = [b[index] for b in intercepts]
+
+    def _reply(self):
+        """The helper's next message; ``None`` once it has died (it is then reaped)."""
+        try:
+            return _receive(self._process.stdout)
+        except BaseException as error:
+            self.close(kill=True)  # dead, or interrupted mid-message: out of step either way
+            if isinstance(error, (EOFError, OSError)):
+                return None
+            raise
+
+
+_HELPER = _LaneHelper()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_HELPER.forget)
+
+
+def _send(fd: int, message) -> None:
+    """Write ``message`` as one length-prefixed pickle, past any file buffer: a
+    forked child that closes its copy of the pipe must have nothing to flush."""
+    data = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+    view = memoryview(len(data).to_bytes(8, "little") + data)
+    while view:
+        view = view[os.write(fd, view) :]
+
+
+def _receive(pipe):
+    """Read one message :func:`_send` wrote; ``EOFError`` if the pipe closes first."""
+    header = pipe.read(8)
+    size = int.from_bytes(header, "little")
+    data = pipe.read(size) if len(header) == 8 else b""
+    if len(header) < 8 or len(data) < size:
+        raise EOFError("lane helper pipe closed")
+    return pickle.loads(data)
+
+
+def _pack(unit: List[_FoldPlan]) -> Tuple:
+    """A unit as data.  Rows go before the validation split, so the helper pays
+    for it and the fold plans stay untouched for a retrain here."""
+    model = unit[0].model
+    return (
+        type(model).__name__,
+        # The constructor's parameters: fitted state ends in ``_``.
+        {k: v for k, v in vars(model).items() if not (k.startswith("_") or k.endswith("_"))},
+        len(getattr(model, "classes_", ())),
+        np.stack([plan.X for plan in unit]),
+        np.stack([plan.y_encoded for plan in unit]),
+        [np.stack(layer) for layer in zip(*(plan.model.coefs_ for plan in unit))],
+        [np.stack(layer) for layer in zip(*(plan.model.intercepts_ for plan in unit))],
+        [[getattr(plan.model, knob) for knob in _FOLD_KNOBS] for plan in unit],
+        [plan.rng.bit_generator.state for plan in unit],
+    )
+
+
+def _serve() -> None:
+    """The helper process: train each request's units and answer, until stdin closes."""
+    _HELPER._off = True  # a helper never claims a helper
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles ^C; EOF ends this
+    requests, answers = sys.stdin.buffer, os.dup(1)
+    os.dup2(2, 1)  # a stray print must not land in the answers
+    generators: List[np.random.Generator] = []  # one per lane slot: each fold sets its state
+    _send(answers, "ready")
+    while True:
+        try:
+            units = _receive(requests)
+        except EOFError:
+            return
+        try:
+            reply = []
+            for name, params, n_classes, X, y, coefs, intercepts, knobs, states in units:
+                generators += [np.random.default_rng() for _ in states[len(generators) :]]
+                plans = []
+                for index, (values, state, rng) in enumerate(zip(knobs, states, generators)):
+                    model = object.__new__(_WIRE_TYPES[name])
+                    vars(model).update(params, **dict(zip(_FOLD_KNOBS, values)))
+                    if n_classes:
+                        model.classes_ = np.arange(n_classes)
+                    model.coefs_ = [c[index] for c in coefs]
+                    model.intercepts_ = [b[index] for b in intercepts]
+                    model.loss_curve_, model.validation_scores_, model.diverged_ = [], [], False
+                    rng.bit_generator.state = state
+                    plans.append(_FoldPlan(model, X[index], y[index], rng, None, None))
+                _run_lane(plans)
+                models = [plan.model for plan in plans]
+                finals = [[getattr(model, attr) for attr in _FINALS] for model in models]
+                coefs = [np.stack(layer) for layer in zip(*(m.coefs_ for m in models))]
+                intercepts = [np.stack(layer) for layer in zip(*(m.intercepts_ for m in models))]
+                reply.append((coefs, intercepts, finals))
+        except Exception as error:  # noqa: BLE001 - raised again on the caller
+            reply = error  # one that will not pickle ends this helper: the caller retrains
+        _send(answers, reply)
 
 
 def _label_codes(trial_jobs):

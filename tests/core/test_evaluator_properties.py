@@ -17,6 +17,7 @@ from repro.core import (
 )
 from repro.datasets import make_classification
 from repro.guard import GuardLog
+from repro.learners import MLPClassifier
 
 CONFIG = {"hidden_layer_sizes": (4,), "activation": "relu"}
 
@@ -141,6 +142,20 @@ def assert_same_trial(got, want):
                 assert all(np.array_equal(a, b) for a, b in zip(arrays_got, arrays_want))
 
 
+class FailingLbfgs(MLPClassifier):
+    """An ``lbfgs`` MLP whose fit raises for every third seed."""
+
+    def _fit_lbfgs(self, X, y):
+        if self.random_state % 3 == 0:
+            raise FloatingPointError("injected lbfgs failure")
+        super()._fit_lbfgs(X, y)
+
+
+class FailingLbfgsFactory(MLPModelFactory):
+    def __call__(self, config, random_state=None):
+        return FailingLbfgs(**{**self.defaults, **config}, random_state=random_state)
+
+
 class TestEvaluateManyOracle:
     """``evaluate_many`` — any width, order and partition — equals the oracle."""
 
@@ -228,6 +243,26 @@ class TestEvaluateManyOracle:
             self._evaluator(vanilla_evaluator, None, "adam").evaluate(
                 config, 0.5, np.random.default_rng(7)
             )
+
+    def test_failing_lbfgs_fold_of_a_lone_guarded_trial_records_only_its_fit_error(self):
+        """Each ``lbfgs`` fold that raises floors, with one ``learner.fit_error``.
+
+        No ``learner.batch_fallback``: an ``lbfgs`` trial stacks nothing,
+        whether its folds fit in the score phase or in the lane call.
+        """
+
+        X, y = make_classification(n_samples=140, n_features=5, random_state=3)
+        factory = FailingLbfgsFactory(task="classification", solver="lbfgs", max_iter=5)
+        evaluator = vanilla_evaluator(X, y, factory, n_splits=5, guard_policy="repair")
+        result = evaluator.evaluate({"hidden_layer_sizes": (4,)}, 0.5, np.random.default_rng(11))
+        failure = {
+            "kind": "learner.fit_error",
+            "detail": "fit raised FloatingPointError: injected lbfgs failure",
+            "context": {"error": "FloatingPointError", "floor": FOLD_FLOOR},
+        }
+        events = [{key: e.get(key) for key in failure} for e in result.guard_events]
+        assert events == [failure, failure]
+        assert result.fold_scores.count(FOLD_FLOOR) == 2
 
 
 class TestFailureInjection:

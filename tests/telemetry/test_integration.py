@@ -18,6 +18,7 @@ from repro.bandit.base import EvaluationResult
 from repro.core import MLPModelFactory, optimize, vanilla_evaluator
 from repro.datasets import make_classification
 from repro.engine import ParallelExecutor, SerialExecutor, TrialEngine
+from repro.learners import LogisticRegression
 from repro.space import Categorical, SearchSpace
 from repro.telemetry import Telemetry, TraceSink, to_chrome_trace
 
@@ -242,13 +243,9 @@ class TestFullTracedRun:
             for trial in executed:
                 assert {s["kind"] for s in children.get(trial["id"], [])} == {"fold"}
 
-    def test_sequential_path_keeps_per_fold_fit_spans(self, tmp_path):
-        # What the lanes cannot stack (here: L-BFGS) fits fold by fold — a
-        # fit span nested in every fold.
+    def _hb_plus_chains(self, trace, factory):
         X, y = make_classification(n_samples=120, n_features=5, random_state=0)
         space = SearchSpace([Categorical("alpha", [1e-4, 1e-2])])
-        factory = MLPModelFactory(task="classification", max_iter=3, solver="lbfgs")
-        trace = tmp_path / "seq.trace.jsonl"
         telemetry = Telemetry(trace=trace)
         with TrialEngine(executor=SerialExecutor(), telemetry=telemetry) as engine:
             optimize(
@@ -256,7 +253,23 @@ class TestFullTracedRun:
                 random_state=3, refit=False, engine=engine,
             )
         telemetry.close()
-        chains = self._span_chains(trace)
+        return self._span_chains(trace)
+
+    def test_lbfgs_folds_fit_in_the_lane_call(self, tmp_path):
+        # L-BFGS folds do not stack, but they train inside the rung's lane
+        # call with the rest: a megabatch span, no per-fold fit span.
+        factory = MLPModelFactory(task="classification", max_iter=3, solver="lbfgs")
+        chains = self._hb_plus_chains(tmp_path / "lbfgs.trace.jsonl", factory)
+        assert ("run", "bracket", "rung", "megabatch") in chains
+        assert not any(chain[-1] == "fit" for chain in chains)
+
+    def test_sequential_path_keeps_per_fold_fit_spans(self, tmp_path):
+        # What the lane call does not take (here: a non-MLP model) fits fold
+        # by fold — a fit span nested in every fold.
+        def factory(config, random_state=None):
+            return LogisticRegression(C=1.0 / config["alpha"], max_iter=20)
+
+        chains = self._hb_plus_chains(tmp_path / "seq.trace.jsonl", factory)
         assert ("run", "bracket", "rung", "trial", "fold", "fit") in chains
 
     def test_batched_folds_counted(self, traced_hyperband):

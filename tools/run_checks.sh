@@ -16,7 +16,8 @@
 #      --quick size, untraced and traced — read-only use of bench/; a
 #      change that breaks a name bench/layers.py patches, e.g.
 #      RunJournal.append or ParallelExecutor.submit, fails here before
-#      the benchmark does)
+#      the benchmark does; so does a lane-helper process that outlives
+#      bench/run.py's teardown, through the smoke's no-process-left check)
 #   3. kernels tier (exhaustive fit-kernel property sweeps: lean kernel
 #      vs the test oracle, batched vs sequential, the mixed-stopping
 #      lane sweep — trials differing in tol / n_iter_no_change /
@@ -35,16 +36,21 @@
 #      optimisers vs solvers.SGDOptimizer / AdamOptimizer slice by slice,
 #      across compaction (tests/learners/test_lane_optimizers.py); and the
 #      vectorised splitters vs their per-sample loops kept in
-#      tests/model_selection/_reference_splitters.py; the split-lane
-#      sweep: wide lanes trained as two halves on the calling thread and
-#      the lane-helper thread, bitwise-equal to the unsplit lane and to
-#      .fit through the per-epoch oracle (odd widths, sgd with nesterov,
-#      invscaling and adaptive schedules, adam, early stopping, warm
-#      starts, folds stopping either side of the 8-epoch order block),
-#      plus the helper's lifecycle: its exceptions reach the caller and
-#      the per-trial retry, fork and spawn pool workers never claim it,
-#      a forked child forgets it, and 20 searches leak no thread
-#      (tests/learners/test_split_lanes.py); kernel *speed* is
+#      tests/model_selection/_reference_splitters.py; the dealt-unit
+#      sweep: a call's units (lanes, lane halves, lbfgs folds) trained
+#      half on the calling thread and half in the lane-helper process,
+#      bitwise-equal to the inline fit and to .fit through the per-epoch
+#      oracle (odd widths, sgd with nesterov, invscaling and adaptive
+#      schedules, adam, early stopping, warm starts, folds stopping
+#      either side of the 8-epoch order block; lbfgs with warm starts
+#      and divergence rollback), plus the helper's lifecycle: SIGKILLed
+#      mid-call the call finishes inline with the same bits, its
+#      exceptions reach the caller and the per-rung retry, fork and
+#      spawn pool workers and the helper itself never start a helper, a
+#      forked child forgets it, a busy helper means inline, and 20
+#      searches leave at most one helper
+#      (tests/learners/test_split_lanes.py; its odd-lane case and two
+#      exit-path cases run in tier-1); kernel *speed* is
 #      bench/'s learners.probe.rung_*_ms and sha_fused_wide, not a gate here)
 #   4. telemetry tier (trace-file tests: span nesting, Chrome-trace
 #      conversion, serial == parallel counters; there is no in-tree
