@@ -126,6 +126,20 @@ def deepest_rung(eta: float, min_budget_fraction: float) -> int:
     return int(math.floor(math.log(1.0 / min_budget_fraction, eta) + 1e-9))
 
 
+def take_nearest(
+    pool: Sequence[Dict[str, Any]], vectors: np.ndarray, remaining: List[int], vector: np.ndarray
+) -> Dict[str, Any]:
+    """Pop from ``remaining`` the pool member whose encoding is nearest ``vector``.
+
+    ``vectors`` holds every member's encoding and ``remaining`` the
+    indices of the unevaluated ones, ascending; the first of equally near
+    members wins.  TPE and SMAC restricted to a candidate pool snap each
+    proposal to the pool this way.
+    """
+    nearest = int(((vectors[remaining] - vector) ** 2).sum(axis=1).argmin())
+    return pool[remaining.pop(nearest)]
+
+
 def trial_count(n_configurations: Optional[int], default: int) -> int:
     """``n_configurations``, or ``default`` when it is ``None``; must be positive."""
     n = default if n_configurations is None else n_configurations

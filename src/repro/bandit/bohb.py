@@ -20,13 +20,11 @@ the uninterrupted one.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from .base import Trial
-from .hyperband import HyperBand
+from .hyperband import ModelBasedHyperBand
 
 __all__ = ["BOHB", "DensityEstimator", "density_ratio_proposal"]
 
@@ -96,7 +94,7 @@ def density_ratio_proposal(
     return best_vector
 
 
-class BOHB(HyperBand):
+class BOHB(ModelBasedHyperBand):
     """HyperBand with TPE-style model-based configuration proposals.
 
     Parameters
@@ -142,18 +140,8 @@ class BOHB(HyperBand):
         self.top_n_percent = top_n_percent
         self.n_candidates = n_candidates
         self.min_points_in_model = min_points_in_model or (len(space) + 2)
-        self._observations: Dict[float, List[Tuple[np.ndarray, float]]] = defaultdict(list)
-
-    def _reset(self) -> None:
-        super()._reset()
-        self._observations = defaultdict(list)
 
     # -- HyperBand hooks ----------------------------------------------------
-
-    def _observe(self, trial: Trial) -> None:
-        """Record (encoded config, score) under the trial's budget."""
-        observation = (self.space.encode(trial.config), trial.result.score)
-        self._observations[round(trial.budget_fraction, 6)].append(observation)
 
     def _propose_configs(self, n: int, budget_fraction: float) -> List[Dict[str, Any]]:
         """Mix of random and density-ratio proposals."""
@@ -172,7 +160,7 @@ class BOHB(HyperBand):
         """Largest budget whose observation count supports a model."""
         eligible = [
             budget
-            for budget, obs in self._observations.items()
+            for budget, obs in self._history.items()
             if len(obs) >= self.min_points_in_model + 2
         ]
         return max(eligible) if eligible else None
@@ -182,7 +170,7 @@ class BOHB(HyperBand):
         if budget is None:
             return None
         vector = density_ratio_proposal(
-            self._observations[budget], self.top_n_percent, self.min_points_in_model,
+            self._history[budget], self.top_n_percent, self.min_points_in_model,
             self.n_candidates, self._rng,
         )
         return None if vector is None else self.space.decode(vector)

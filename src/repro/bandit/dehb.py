@@ -12,18 +12,16 @@ sampling until enough parents exist).
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
-from .base import Trial
-from .hyperband import HyperBand
+from .hyperband import ModelBasedHyperBand
 
 __all__ = ["DEHB"]
 
 
-class DEHB(HyperBand):
+class DEHB(ModelBasedHyperBand):
     """HyperBand with differential-evolution proposals.
 
     Parameters
@@ -64,27 +62,17 @@ class DEHB(HyperBand):
         self.mutation_factor = mutation_factor
         self.crossover_prob = crossover_prob
         self.min_population = min_population
-        self._populations: Dict[float, List[Tuple[np.ndarray, float]]] = defaultdict(list)
-
-    def _reset(self) -> None:
-        super()._reset()
-        self._populations = defaultdict(list)
 
     # -- HyperBand hooks -----------------------------------------------------
 
-    def _observe(self, trial: Trial) -> None:
-        """Add the evaluated vector to its budget's population."""
-        budget = round(trial.budget_fraction, 6)
-        self._populations[budget].append((self.space.encode(trial.config), trial.result.score))
-
     def _parent_pool(self, budget: float) -> List[Tuple[np.ndarray, float]]:
         """Population at this budget, backfilled from neighbouring budgets."""
-        pool = list(self._populations[round(budget, 6)])
+        pool = list(self._history[round(budget, 6)])
         if len(pool) < self.min_population:
-            for other_budget in sorted(self._populations, reverse=True):
+            for other_budget in sorted(self._history, reverse=True):
                 if round(budget, 6) == other_budget:
                     continue
-                pool.extend(self._populations[other_budget])
+                pool.extend(self._history[other_budget])
                 if len(pool) >= self.min_population:
                     break
         return pool

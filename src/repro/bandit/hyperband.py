@@ -23,9 +23,12 @@ completed brackets from disk and continues from the first lost trial.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List
+from collections import defaultdict
+from typing import Any, Dict, List, Tuple
 
-from .base import BaseSearcher, deepest_rung, top_k_indices
+import numpy as np
+
+from .base import BaseSearcher, Trial, deepest_rung, top_k_indices
 
 __all__ = ["HyperBand"]
 
@@ -113,3 +116,26 @@ class HyperBand(BaseSearcher):
                     keep = top_k_indices([t.result.score for t in trials], n_keep)
                     survivors = [trials[i].config for i in keep]
                     rung_budget *= self.eta
+
+
+class ModelBasedHyperBand(HyperBand):
+    """A HyperBand whose proposals learn from what it has evaluated.
+
+    ``_history`` maps each budget fraction (rounded to 6 places) to the
+    ``(encoded config, score)`` of every trial run at it, in evaluation
+    order: BOHB fits its densities to one budget's list, DEHB draws its
+    parents from them.  A fresh run starts it empty.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._history: Dict[float, List[Tuple[np.ndarray, float]]] = defaultdict(list)
+
+    def _reset(self) -> None:
+        super()._reset()
+        self._history = defaultdict(list)
+
+    def _observe(self, trial: Trial) -> None:
+        """Record (encoded config, score) under the trial's budget."""
+        observation = (self.space.encode(trial.config), trial.result.score)
+        self._history[round(trial.budget_fraction, 6)].append(observation)

@@ -15,7 +15,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .base import BaseSearcher, trial_count
+from .base import BaseSearcher, take_nearest, trial_count
 
 __all__ = ["SMACSearch", "expected_improvement"]
 
@@ -136,8 +136,7 @@ class SMACSearch(BaseSearcher):
             else:
                 if not remaining:
                     break
-                vectors = pool_vectors[remaining]
-                vector = self._propose(observations, vectors)
-                config = pool[remaining.pop(int(((vectors - vector) ** 2).sum(axis=1).argmin()))]
+                vector = self._propose(observations, pool_vectors[remaining])
+                config = take_nearest(pool, pool_vectors, remaining, vector)
             (trial,) = yield [config], 1.0, 0, 0
             observations.append((self.space.encode(config), trial.result.score))

@@ -15,7 +15,7 @@ from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
-from .base import BaseSearcher, trial_count
+from .base import BaseSearcher, take_nearest, trial_count
 from .bohb import density_ratio_proposal
 
 __all__ = ["TPESearch"]
@@ -80,6 +80,7 @@ class TPESearch(BaseSearcher):
         pool = None
         if configurations is not None:
             pool = self._initial_configurations(configurations, None)
+            vectors = np.array([self.space.encode(c) for c in pool])
             remaining = list(range(len(pool)))
 
         observations: List[Tuple[np.ndarray, float]] = []
@@ -88,8 +89,6 @@ class TPESearch(BaseSearcher):
             if pool is not None:
                 if not remaining:
                     break
-                vectors = np.array([self.space.encode(pool[i]) for i in remaining])
-                nearest = int(((vectors - self.space.encode(proposal)) ** 2).sum(axis=1).argmin())
-                proposal = pool[remaining.pop(nearest)]
+                proposal = take_nearest(pool, vectors, remaining, self.space.encode(proposal))
             (trial,) = yield [proposal], 1.0, 0, 0
             observations.append((self.space.encode(proposal), trial.result.score))

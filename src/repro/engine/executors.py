@@ -63,6 +63,7 @@ import numpy as np
 # it here, before any fork.
 import numpy.ma  # noqa: F401
 
+from .._cpus import available_cpus
 from ..faults.points import fault_point
 from ..obs import flightrec as _flightrec
 from .arena import ArenaError, SharedArena, arena_available, reap_stale
@@ -411,7 +412,8 @@ class ParallelExecutor(TrialExecutor):
     Parameters
     ----------
     n_workers:
-        Worker process count; defaults to ``os.cpu_count()`` (min 1).
+        Worker process count; defaults to the CPUs this process may run
+        on (its affinity mask, :func:`repro._cpus.available_cpus`).
     start_method:
         ``multiprocessing`` start method.  Defaults to ``"fork"`` where
         available (Linux), which inherits the evaluator's data arrays
@@ -489,7 +491,7 @@ class ParallelExecutor(TrialExecutor):
         if heartbeat_interval <= 0:
             raise ValueError(f"heartbeat_interval must be > 0, got {heartbeat_interval}")
         if n_workers is None:
-            n_workers = max(1, os.cpu_count() or 1)
+            n_workers = available_cpus()
         self.n_workers = n_workers
         self.capacity = n_workers
         self.trial_timeout = trial_timeout

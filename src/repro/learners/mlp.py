@@ -15,11 +15,23 @@ The implementation purposely follows scikit-learn's structure (coefficient
 lists per layer, loss curves, early stopping on a held-out fraction) so that
 behaviours the paper's experiments depend on — e.g. large slow
 configurations versus small fast ones — carry over.
+
+Every MLP fold trains through one preamble and, for ``sgd`` / ``adam``,
+one training loop.  :func:`_prepare_fold` validates, encodes the targets
+and initialises the parameters; :func:`_fit_lane` then trains a *lane*
+of identically shaped folds in lockstep, every tensor stacked ``(A,
+...)`` and every per-fold decision (divergence, improvement, patience)
+a mask over ``(A,)`` arrays.  ``.fit`` is a lane of one;
+:func:`repro.learners.batched.fit_mlp_trials` groups a rung's folds into
+wider lanes and gets, fold by fold, the bits ``.fit`` gives.  An
+``lbfgs`` fold is full-batch scipy and trains alone through
+``_fit_lbfgs``.  The lane is pinned to an independent per-fold loop, the
+oracle in ``tests/learners/_reference_kernel.py``, not to itself.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -27,7 +39,7 @@ from .activations import get_activation, softmax
 from .base import BaseEstimator, check_X_y
 from .losses import _EPS, _MAX_RESIDUAL, squared_loss
 from .preprocessing import LabelEncoder, one_hot
-from .solvers import make_optimizer
+from .solvers import AdamOptimizer
 
 __all__ = [
     "DIVERGENCE_LOSS_CAP",
@@ -63,7 +75,7 @@ def _epoch_orders(rngs: Sequence[np.random.Generator], block: np.ndarray) -> Non
     every fold's stream what one ``permutation`` per epoch made it.  After
     the validation split a fit's generator draws nothing but these orders
     and dies with the fit, so orders drawn past its last epoch are never
-    observed.  ``.fit`` and the lane trainer both draw through here.
+    observed.  The lane trainer draws every fold's orders through here.
     """
     block[...] = np.arange(block.shape[-1])
     for rng, rows in zip(rngs, block):
@@ -72,11 +84,11 @@ def _epoch_orders(rngs: Sequence[np.random.Generator], block: np.ndarray) -> Non
 
 # -- the fit kernel -----------------------------------------------------------
 #
-# One forward pass and one loss/backward pass serve ``.fit`` (sgd, adam and
-# the L-BFGS objective) and ``fit_mlp_trials``.  Both are
-# rank-generic: 2-D operands are one fold, 3-D ``(A, ...)`` operands a lane
-# stack (intercepts ``(A, 1, d)``, per-fold scalars as ``(A, 1, 1)`` columns),
-# and slice ``i`` of a stacked result is bitwise the 2-D result for fold ``i``.
+# One forward pass and one loss/backward pass serve the lane trainer and
+# the L-BFGS objective.  Both are rank-generic: 2-D operands are one fold,
+# 3-D ``(A, ...)`` operands a lane stack (intercepts ``(A, 1, d)``, per-fold
+# scalars as ``(A, 1, 1)`` columns), and slice ``i`` of a stacked result is
+# bitwise the 2-D result for fold ``i``.
 
 
 def _forward_pass(X, coefs, intercepts, kernel) -> List[np.ndarray]:
@@ -152,7 +164,7 @@ def _loss_and_gradients(X, y, coefs, intercepts, alphas, ridge, kernel, grads) -
 
 
 def _validation_score(model, proba: np.ndarray, y_val: np.ndarray) -> float:
-    """Early-stopping score of one fold (``.fit`` and the lane) from its output ``proba``."""
+    """Early-stopping score of one fold from its output ``proba``."""
     if hasattr(model, "classes_"):
         if len(model.classes_) == 2:
             predicted = (proba[:, 0] >= 0.5).astype(float)
@@ -219,6 +231,421 @@ def resolve_initial_parameters(
         intercepts = [np.array(b, dtype=float).ravel() for b in intercepts_init]
         return coefs, intercepts
     return _init_coefficients(layer_units, activation, rng)
+
+
+# -- one fold: the preamble and the training loop ---------------------------
+#
+# ``.fit`` is a lane of one: :func:`_prepare_fold` then :func:`_run_lane`.
+# ``fit_mlp_trials`` prepares every fold of a rung the same way and runs
+# lanes of many, so a fold trains through the same code at any width.
+
+
+class _FoldPlan:
+    """One fold's prepared state between the fit preamble and training."""
+
+    __slots__ = ("model", "X", "y_encoded", "rng", "layer_units")
+
+    def __init__(self, model, X, y_encoded, rng, layer_units) -> None:
+        self.model = model
+        self.X = X
+        self.y_encoded = y_encoded
+        self.rng = rng
+        self.layer_units = layer_units
+
+
+def _prepare_fold(model, X, y, coefs_init=None, intercepts_init=None, encoding=None) -> _FoldPlan:
+    """The fit preamble: validate, encode, initialise.
+
+    Targets come from ``encoding``, a ``(classes, codes)`` pair, when one
+    is given (``fit_mlp_trials`` encodes a rung's labels at once), else
+    from the model's own encoder.  The model's generator draws the Glorot
+    initialisation unless a matching warm start replaces it; training
+    draws the rest of its stream.
+    """
+    model._validate_hyperparameters()
+    X, y = check_X_y(X, y)
+    y_encoded = model._encode_targets(y) if encoding is None else model._encode_codes(*encoding)
+    layer_units = [X.shape[1], *model._hidden_layers(), model._n_outputs(y_encoded)]
+    rng = np.random.default_rng(model.random_state)
+    model.coefs_, model.intercepts_ = resolve_initial_parameters(
+        layer_units, model.activation, rng, coefs_init, intercepts_init
+    )
+    model.n_layers_ = len(layer_units)
+    model.loss_curve_ = []
+    model.validation_scores_ = []
+    model.diverged_ = False
+    return _FoldPlan(model, X, y_encoded, rng, layer_units)
+
+
+def _run_lane(members: List[_FoldPlan]) -> None:
+    """Train one lane of prepared folds: ``lbfgs`` members one by one, any
+    other lane in lockstep through :func:`_fit_lane`, whatever its width."""
+    if members[0].model.solver == "lbfgs":
+        for plan in members:
+            plan.model._fit_lbfgs(plan.X, plan.y_encoded)
+    else:
+        _fit_lane(members)
+
+
+# -- lane optimisers ----------------------------------------------------------
+# Each runs its per-fold optimiser's operations in order, writing temporaries
+# into a scratch buffer (rebuilt on compaction) and into each gradient once
+# it is spent, instead of allocating new arrays every step.
+
+
+def _scratch(params: List[np.ndarray]) -> List[np.ndarray]:
+    """A buffer per parameter, all views of one: parameters update in turn."""
+    flat = np.empty(max(p.size for p in params))
+    return [flat[: p.size].reshape(p.shape) for p in params]
+
+
+def _per_fold_factor(values: List):
+    """A scalar while every fold agrees, else an ``(A, 1, 1)`` column.
+
+    Broadcasting the column applies each fold's scalar to its slice with
+    the same elementwise arithmetic as the scalar it replaces, keeping
+    heterogeneous lanes bitwise-equal to the per-fold reference loop.
+    Every lane tensor is 3-D (intercepts are ``(A, 1, d)``), so one
+    column serves all of them; callers rebuild it only when a value
+    changes or the lane compacts, not per step.
+    """
+    first = values[0]
+    if all(value == first for value in values):
+        return first
+    return np.asarray(values, dtype=float).reshape(-1, 1, 1)
+
+
+class _LaneSGD:
+    """Stacked-tensor mirror of :class:`~repro.learners.solvers.SGDOptimizer`.
+
+    Parameters are ``(A, ...)`` stacks; the update applies the exact
+    arithmetic of the per-fold optimizer to every lane slice.  The
+    learning rate and momentum come from each member's own model, so
+    folds from different trials may carry different values: factors stay
+    scalar while all folds agree and become per-fold broadcast columns
+    otherwise.
+    """
+
+    def __init__(self, params: List[np.ndarray], members: List[_FoldPlan]) -> None:
+        reference = members[0].model
+        self.params = params
+        self.schedule = reference.learning_rate
+        self.nesterov = reference.nesterovs_momentum
+        self.power_t = reference.power_t
+        self.rate_inits = [plan.model.learning_rate_init for plan in members]
+        self.rates = list(self.rate_inits)
+        self.momenta = [plan.model.momentum for plan in members]
+        self._velocities = [np.zeros_like(p) for p in params]
+        self._scratch = _scratch(params)
+        self._t = 0
+        self._refresh_factors()
+
+    def _refresh_factors(self) -> None:
+        self._rate_init = _per_fold_factor(self.rate_inits)
+        self._rate = _per_fold_factor(self.rates)
+        self._momentum = _per_fold_factor(self.momenta)
+
+    def compact(self, keep: List[int]) -> None:
+        self._velocities = [v[keep] for v in self._velocities]
+        self._scratch = _scratch(self.params)
+        self.rates = [self.rates[i] for i in keep]
+        self.rate_inits = [self.rate_inits[i] for i in keep]
+        self.momenta = [self.momenta[i] for i in keep]
+        self._refresh_factors()
+
+    def update(self, grads: List[np.ndarray]) -> None:
+        self._t += 1
+        if self.schedule == "invscaling":
+            self._rate = self._rate_init / (self._t**self.power_t)
+        lr, momentum = self._rate, self._momentum
+        for param, grad, velocity, step in zip(self.params, grads, self._velocities, self._scratch):
+            velocity *= momentum
+            np.multiply(lr, grad, out=step)
+            velocity -= step
+            if self.nesterov:
+                np.multiply(momentum, velocity, out=grad)
+                grad -= step
+                param += grad
+            else:
+                param += velocity
+
+    def notify_no_improvement(self, position: int) -> None:
+        if self.schedule == "adaptive":
+            self.rates[position] = max(self.rates[position] / 5.0, 1e-6)
+            self._rate = _per_fold_factor(self.rates)
+
+    def should_stop(self, position: int, tol: float = 1e-6) -> bool:
+        return self.schedule == "adaptive" and self.rates[position] <= tol
+
+
+class _LaneAdam:
+    """Stacked-tensor mirror of :class:`~repro.learners.solvers.AdamOptimizer`.
+
+    Every active fold in a lane has taken the same number of steps, so
+    the bias-correction terms are shared; the per-fold step size is the
+    float chain of the per-fold optimizer (``init * sqrt / denom``)
+    applied to one scalar while all folds share a ``learning_rate_init``
+    and to a broadcast column otherwise.
+    """
+
+    def __init__(self, params: List[np.ndarray], members: List[_FoldPlan]) -> None:
+        template = AdamOptimizer([], learning_rate_init=members[0].model.learning_rate_init)
+        self.params = params
+        self.rate_inits = [plan.model.learning_rate_init for plan in members]
+        self._rate_init = _per_fold_factor(self.rate_inits)
+        self.beta_1 = template.beta_1
+        self.beta_2 = template.beta_2
+        self.epsilon = template.epsilon
+        self._t = 0
+        self._ms = [np.zeros_like(p) for p in params]
+        self._vs = [np.zeros_like(p) for p in params]
+        self._scratch = _scratch(params)
+
+    def compact(self, keep: List[int]) -> None:
+        self._ms = [m[keep] for m in self._ms]
+        self._vs = [v[keep] for v in self._vs]
+        self._scratch = _scratch(self.params)
+        self.rate_inits = [self.rate_inits[i] for i in keep]
+        self._rate_init = _per_fold_factor(self.rate_inits)
+
+    def update(self, grads: List[np.ndarray]) -> None:
+        self._t += 1
+        step = self._rate_init * np.sqrt(1.0 - self.beta_2**self._t) / (1.0 - self.beta_1**self._t)
+        for param, grad, m, v, update in zip(self.params, grads, self._ms, self._vs, self._scratch):
+            m *= self.beta_1
+            np.multiply(1.0 - self.beta_1, grad, out=update)
+            m += update
+            v *= self.beta_2
+            np.square(grad, out=update)
+            update *= 1.0 - self.beta_2
+            v += update
+            np.multiply(step, m, out=update)
+            np.sqrt(v, out=grad)
+            grad += self.epsilon
+            update /= grad
+            param -= update
+
+    def notify_no_improvement(self, position: int) -> None:
+        """Adam has no schedule reaction; kept for interface symmetry."""
+
+    def should_stop(self, position: int, tol: float = 1e-6) -> bool:
+        return False
+
+
+# -- the lane trainer ---------------------------------------------------------
+
+
+def _fit_lane(members: List[_FoldPlan]) -> None:
+    """Train one lane of identically-shaped folds in lockstep.
+
+    The one ``sgd`` / ``adam`` loop, at any width down to one: every
+    tensor operation runs on ``(A, ...)`` stacks and every per-fold test —
+    divergence, improvement, patience — as a mask over ``(A,)`` control
+    arrays, the IEEE operations one fold alone would make on its own
+    floats, so a fold's bits do not depend on the lane it shares.
+    Per-fold Python is left to each fold's block of epoch orders (one
+    generator call per ``_EPOCH_BLOCK`` epochs), the
+    early-stopping validation score, the adaptive schedule's reaction to
+    a stall and a fold that finishes (divergence, early stop, schedule
+    collapse): it is finalised and compacted out, and the loop ends when
+    the lane is empty or ``max_iter`` is reached.
+    """
+    reference = members[0].model
+    early_stopping = reference.early_stopping
+    adaptive = reference.learning_rate == "adaptive"
+    models = [plan.model for plan in members]
+
+    # Validation split per fold, from each fold's own generator.  Lane
+    # membership guarantees equal sizes.
+    train_X: List[np.ndarray] = []
+    train_y: List[np.ndarray] = []
+    val_X: List[np.ndarray] = []
+    val_y: List[np.ndarray] = []
+    for plan in members:
+        if early_stopping and plan.X.shape[0] > 1:
+            X_train, y_train, X_val, y_val = plan.model._validation_split(
+                plan.X, plan.y_encoded, plan.rng
+            )
+        else:
+            X_train, y_train, X_val, y_val = plan.X, plan.y_encoded, None, None
+        train_X.append(X_train)
+        train_y.append(y_train)
+        val_X.append(X_val)
+        val_y.append(y_val)
+    has_val = val_X[0] is not None
+
+    Xs = np.stack(train_X)  # (A, n, D)
+    ys = np.stack(train_y)  # (A, n, k)
+    Xv = np.stack(val_X) if has_val else None
+    yv = np.stack(val_y) if has_val else None
+
+    n_layers = len(reference.coefs_)
+    coefs = [np.stack([model.coefs_[l] for model in models]) for l in range(n_layers)]
+    # Intercepts ride as (A, 1, d) so they broadcast over the row axis.
+    intercepts = [
+        np.stack([model.intercepts_[l] for model in models])[:, None, :] for l in range(n_layers)
+    ]
+    params = [*coefs, *intercepts]
+    if reference.solver == "sgd":
+        optimizer = _LaneSGD(params, members)
+    else:
+        optimizer = _LaneAdam(params, members)
+
+    n_samples = Xs.shape[1]
+    batch_size = reference._resolve_batch_size(n_samples)
+    kernel = reference._kernel()
+    samples = np.arange(n_samples)
+
+    # The control plane: one entry per live slot, ``columns`` mapping
+    # slots to members.  The tests below are per-fold float comparisons
+    # done elementwise, so each slot decides exactly as its fold would
+    # alone; epoch losses land in ``curve``
+    # (one column per member) and reach ``loss_curve_`` when a fold ends.
+    width = len(members)
+    columns = np.arange(width)
+    rngs = [plan.rng for plan in members]
+    alphas = np.array([model.alpha for model in models], dtype=float)
+    tol = np.array([model.tol for model in models], dtype=float)
+    patience = np.array([model.n_iter_no_change for model in models], dtype=float)
+    best_loss = np.full(width, np.inf)
+    best_val_score = np.full(width, -np.inf)
+    no_improvement = np.zeros(width, dtype=int)
+    best_params: List[Optional[Tuple[List[np.ndarray], List[np.ndarray]]]] = [None] * width
+    max_iter = reference.max_iter
+    curve = np.empty((max_iter, width))
+    ridges: Dict[int, Any] = {}  # batch rows -> alpha / rows factor; reset on compaction
+    grads, snapshot, first_rows = _lane_buffers(params, n_samples)
+    if reference.shuffle:
+        # Epoch orders, refilled with one generator call per fold every
+        # ``_EPOCH_BLOCK`` epochs; the block compacts with the lane, so
+        # survivors keep the orders their generators already drew.
+        block = np.empty((width, min(_EPOCH_BLOCK, max_iter), n_samples), dtype=np.intp)
+
+    for epoch in range(max_iter):
+        # The epoch's entry state produced a finite loss (or is the
+        # initialisation), so it is the divergence rollback target.
+        for saved, param in zip(snapshot, params):
+            np.copyto(saved, param)
+        if reference.shuffle:
+            if epoch % _EPOCH_BLOCK == 0:
+                _epoch_orders(rngs, block[:, : max_iter - epoch])
+            orders = block[:, epoch % _EPOCH_BLOCK]
+        else:
+            orders = np.broadcast_to(samples, (width, n_samples))
+        accumulated = np.zeros(width)
+
+        for start in range(0, n_samples, batch_size):
+            idx = orders[:, start : start + batch_size]
+            batch_n = idx.shape[1]
+            # One take over the flattened rows: half the cost of a 2-D fancy index.
+            rows = idx + first_rows
+            Xb = np.take(Xs.reshape(-1, Xs.shape[-1]), rows, axis=0)
+            yb = np.take(ys.reshape(-1, ys.shape[-1]), rows, axis=0)
+
+            ridge = ridges.get(batch_n)
+            if ridge is None:
+                ridge = ridges[batch_n] = _per_fold_factor((alphas / batch_n).tolist())
+            losses = _loss_and_gradients(Xb, yb, coefs, intercepts, alphas, ridge, kernel, grads)
+            accumulated += losses * batch_n
+            optimizer.update(grads)
+
+        epoch_loss = accumulated / n_samples
+        curve[epoch, columns] = epoch_loss
+        # Losses are non-negative, so "non-finite or above the cap" is
+        # "not at most the cap" (NaN compares false).
+        diverged = ~(epoch_loss <= DIVERGENCE_LOSS_CAP)
+
+        if early_stopping and has_val:
+            val_out = _forward_pass(Xv, coefs, intercepts, kernel)[-1]
+            scores = np.full(width, -np.inf)
+            for i in np.flatnonzero(~diverged):
+                model = models[columns[i]]
+                scores[i] = score = _validation_score(model, val_out[i], yv[i])
+                model.validation_scores_.append(score)
+            improved = scores > best_val_score + tol
+            best_val_score = np.where(improved, scores, best_val_score)
+            for i in np.flatnonzero(improved):
+                best_params[columns[i]] = _fold_parameters(coefs, intercepts, i)
+        else:
+            improved = epoch_loss < best_loss - tol
+            best_loss = np.where(improved, epoch_loss, best_loss)
+        no_improvement += 1
+        no_improvement[improved] = 0
+
+        # A diverged slot finishes whatever its other masks say, so they
+        # need not exclude it.
+        finished = diverged
+        stalled = no_improvement >= patience
+        if stalled.any():
+            no_improvement[stalled] = 0
+            if adaptive and not early_stopping:
+                # The schedule reacts to a stall; the fold stops only
+                # once it has collapsed.
+                for i in np.flatnonzero(stalled):
+                    optimizer.notify_no_improvement(i)
+                    stalled[i] = optimizer.should_stop(i)
+            finished = diverged | stalled
+
+        if finished.any():
+            for i in np.flatnonzero(finished):
+                column = columns[i]
+                if diverged[i]:
+                    models[column].diverged_ = True
+                    parameters = _fold_parameters(snapshot[:n_layers], snapshot[n_layers:], i)
+                else:
+                    parameters = best_params[column] or _fold_parameters(coefs, intercepts, i)
+                _finish_fold(models[column], parameters, curve[: epoch + 1, column])
+            keep = np.flatnonzero(~finished)
+            if not keep.size:
+                return
+            width = keep.size
+            columns = columns[keep]
+            rngs = [rngs[i] for i in keep]
+            if reference.shuffle:
+                block = block[keep]
+            alphas, tol, patience = alphas[keep], tol[keep], patience[keep]
+            best_loss, best_val_score = best_loss[keep], best_val_score[keep]
+            no_improvement = no_improvement[keep]
+            Xs = Xs[keep]
+            ys = ys[keep]
+            if has_val:
+                Xv = Xv[keep]
+                yv = yv[keep]
+            coefs = [c[keep] for c in coefs]
+            intercepts = [b[keep] for b in intercepts]
+            params = [*coefs, *intercepts]
+            grads, snapshot, first_rows = _lane_buffers(params, n_samples)
+            ridges.clear()
+            optimizer.params = params
+            optimizer.compact(keep.tolist())
+
+    for i, column in enumerate(columns):
+        parameters = best_params[column] or _fold_parameters(coefs, intercepts, i)
+        _finish_fold(models[column], parameters, curve[:, column])
+
+
+def _lane_buffers(params: List[np.ndarray], n_samples: int):
+    """Per-compaction scratch: gradients, rollback snapshot, each slot's first stacked row."""
+    grads = [np.empty_like(p) for p in params]
+    snapshot = [np.empty_like(p) for p in params]
+    return grads, snapshot, np.arange(params[0].shape[0])[:, None] * n_samples
+
+
+def _fold_parameters(
+    coefs: List[np.ndarray], intercepts: List[np.ndarray], position: int
+) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    """Copy one fold's ``(coefs, intercepts)`` out of the lane stacks."""
+    return [c[position].copy() for c in coefs], [b[position, 0].copy() for b in intercepts]
+
+
+def _finish_fold(
+    model, parameters: Tuple[List[np.ndarray], List[np.ndarray]], losses: np.ndarray
+) -> None:
+    """Write a finished fold back: parameters, loss curve as Python floats, ``n_iter_``, ``loss_``."""
+    model.coefs_, model.intercepts_ = parameters
+    model.loss_curve_ = losses.tolist()
+    model.n_iter_ = len(model.loss_curve_)
+    model.loss_ = float("inf") if model.diverged_ else model.loss_curve_[-1]
 
 
 class _BaseMLP(BaseEstimator):
@@ -325,7 +752,7 @@ class _BaseMLP(BaseEstimator):
     ) -> Tuple[float, List[np.ndarray], List[np.ndarray]]:
         """Loss plus gradients w.r.t. every coefficient and intercept.
 
-        Fit loops pass their per-fit ``kernel`` and reusable ``grads`` buffers.
+        The L-BFGS objective passes its per-fit ``kernel`` and reusable ``grads`` buffers.
         """
         n_coefs = len(self.coefs_)
         if grads is None:
@@ -355,24 +782,7 @@ class _BaseMLP(BaseEstimator):
         cold.  Optimizer state (momentum/Adam moments) always starts
         fresh.
         """
-        self._validate_hyperparameters()
-        X, y = check_X_y(X, y)
-        y_encoded = self._encode_targets(y)
-
-        layer_units = [X.shape[1], *self._hidden_layers(), self._n_outputs(y_encoded)]
-        rng = np.random.default_rng(self.random_state)
-        self.coefs_, self.intercepts_ = resolve_initial_parameters(
-            layer_units, self.activation, rng, coefs_init, intercepts_init
-        )
-        self.n_layers_ = len(layer_units)
-        self.loss_curve_: List[float] = []
-        self.validation_scores_: List[float] = []
-        self.diverged_ = False
-
-        if self.solver == "lbfgs":
-            self._fit_lbfgs(X, y_encoded)
-        else:
-            self._fit_stochastic(X, y_encoded, rng)
+        _run_lane([_prepare_fold(self, X, y, coefs_init, intercepts_init)])
         return self
 
     def _fit_lbfgs(self, X: np.ndarray, y: np.ndarray) -> None:
@@ -428,101 +838,6 @@ class _BaseMLP(BaseEstimator):
         order = rng.permutation(n_samples)
         val_idx, train_idx = order[:n_val], order[n_val:]
         return X[train_idx], y[train_idx], X[val_idx], y[val_idx]
-
-    def _fit_stochastic(self, X: np.ndarray, y: np.ndarray, rng: np.random.Generator) -> None:
-        if self.early_stopping and X.shape[0] > 1:
-            X_train, y_train, X_val, y_val = self._validation_split(X, y, rng)
-        else:
-            X_train, y_train, X_val, y_val = X, y, None, None
-
-        params = [*self.coefs_, *self.intercepts_]
-        optimizer = make_optimizer(
-            self.solver,
-            params,
-            learning_rate_init=self.learning_rate_init,
-            learning_rate=self.learning_rate,
-            momentum=self.momentum,
-            nesterov=self.nesterovs_momentum,
-            power_t=self.power_t,
-        )
-
-        n_samples = X_train.shape[0]
-        batch_size = self._resolve_batch_size(n_samples)
-        n_coefs = len(self.coefs_)
-        # The optimizer updates ``params`` in place, so ``coefs_`` /
-        # ``intercepts_`` track it without re-binding.
-        kernel, grads = self._kernel(), [np.empty_like(p) for p in params]
-        snapshot = [np.empty_like(p) for p in params]
-        order = np.arange(n_samples)
-        if self.shuffle:
-            orders = np.empty((1, min(_EPOCH_BLOCK, self.max_iter), n_samples), dtype=np.intp)
-
-        best_loss = np.inf
-        best_val_score = -np.inf
-        best_params: Optional[List[np.ndarray]] = None
-        no_improvement_count = 0
-        self.n_iter_ = 0
-
-        for epoch in range(self.max_iter):
-            # Snapshot the epoch's entry state: it produced a finite loss
-            # (previous epoch passed the divergence check, and the Glorot
-            # initialisation is finite), so it is the rollback target.
-            for saved, param in zip(snapshot, params):
-                np.copyto(saved, param)
-            if self.shuffle:
-                if epoch % _EPOCH_BLOCK == 0:
-                    # The last block is cut to the epochs left.
-                    _epoch_orders((rng,), orders[:, : self.max_iter - epoch])
-                order = orders[0, epoch % _EPOCH_BLOCK]
-            accumulated_loss = 0.0
-            for start in range(0, n_samples, batch_size):
-                batch = order[start : start + batch_size]
-                loss, _, _ = self._backprop(X_train[batch], y_train[batch], kernel, grads)
-                accumulated_loss += loss * len(batch)
-                optimizer.update(grads)
-            epoch_loss = accumulated_loss / n_samples
-            self.loss_curve_.append(epoch_loss)
-            self.n_iter_ += 1
-
-            if not np.isfinite(epoch_loss) or epoch_loss > DIVERGENCE_LOSS_CAP:
-                # The learning rate (or data) blew the optimisation up.
-                # Abort instead of burning the remaining epochs on garbage,
-                # and restore the last parameters known to behave.
-                self.diverged_ = True
-                self.coefs_ = snapshot[:n_coefs]
-                self.intercepts_ = snapshot[n_coefs:]
-                self.loss_ = float("inf")
-                return
-
-            if self.early_stopping and X_val is not None:
-                val_score = self._validation_score(X_val, y_val)
-                self.validation_scores_.append(val_score)
-                if val_score > best_val_score + self.tol:
-                    best_val_score = val_score
-                    best_params = [p.copy() for p in optimizer.params]
-                    no_improvement_count = 0
-                else:
-                    no_improvement_count += 1
-            else:
-                if epoch_loss < best_loss - self.tol:
-                    best_loss = epoch_loss
-                    no_improvement_count = 0
-                else:
-                    no_improvement_count += 1
-
-            if no_improvement_count >= self.n_iter_no_change:
-                optimizer.notify_no_improvement()
-                no_improvement_count = 0
-                if optimizer.should_stop() or self.early_stopping or self.learning_rate != "adaptive":
-                    break
-
-        if best_params is not None:
-            self.coefs_ = best_params[:n_coefs]
-            self.intercepts_ = best_params[n_coefs:]
-        self.loss_ = self.loss_curve_[-1] if self.loss_curve_ else np.inf
-
-    def _validation_score(self, X_val: np.ndarray, y_val: np.ndarray) -> float:
-        return _validation_score(self, self._forward(X_val)[-1], y_val)
 
     def _check_fitted(self) -> None:
         if not hasattr(self, "coefs_"):

@@ -55,7 +55,7 @@ class TestBohbSearch:
         evaluator = synthetic_evaluator_factory(lambda c: c["q"] / 100, noise=0.0)
         bohb = BOHB(quality_space, evaluator, random_state=0)
         bohb.fit()
-        total = sum(len(v) for v in bohb._observations.values())
+        total = sum(len(v) for v in bohb._history.values())
         assert total == len(bohb._trials)
 
     def test_model_based_proposals_prefer_good_region(self, quality_space, synthetic_evaluator_factory):
@@ -81,9 +81,9 @@ class TestBohbSearch:
         evaluator = synthetic_evaluator_factory(lambda c: c["q"] / 100, noise=0.0)
         bohb = BOHB(quality_space, evaluator, random_state=0)
         bohb.fit()
-        assert bohb._observations
+        assert bohb._history
         bohb._reset()
-        assert not bohb._observations
+        assert not bohb._history
 
     def test_deterministic_with_seed(self, quality_space):
         from tests.conftest import SyntheticEvaluator

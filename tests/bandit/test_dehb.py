@@ -22,9 +22,9 @@ class TestDehbSearch:
         evaluator = synthetic_evaluator_factory(lambda c: c["q"] / 100, noise=0.0)
         dehb = DEHB(quality_space, evaluator, random_state=0)
         dehb.fit()
-        total = sum(len(p) for p in dehb._populations.values())
+        total = sum(len(p) for p in dehb._history.values())
         assert total == len(dehb._trials)
-        assert len(dehb._populations) > 1  # several budget levels
+        assert len(dehb._history) > 1  # several budget levels
 
     def test_de_proposals_within_space(self, synthetic_evaluator_factory):
         space = SearchSpace([Float("x", 0.0, 1.0), Float("y", -5.0, 5.0)])

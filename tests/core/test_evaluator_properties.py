@@ -18,6 +18,7 @@ from repro.core import (
 from repro.datasets import make_classification
 from repro.guard import GuardLog
 from repro.learners import MLPClassifier
+from tests.learners._reference_kernel import reference_fit
 
 CONFIG = {"hidden_layer_sizes": (4,), "activation": "relu"}
 
@@ -76,7 +77,8 @@ class TestEvaluatorProperties:
 
 
 def oracle_evaluate(evaluator, config, budget, seed, warm_states=None):
-    """Fold-by-fold reference for one trial: plan, then ``.fit`` + score per fold.
+    """Fold-by-fold reference for one trial: plan, then fit through the oracle
+    loop (``reference_fit``) + score per fold.
 
     Returns what a result must carry — ``(fold_scores, mean, std, score,
     gamma, guard events as (kind, context), per-fold (coefs, intercepts))``.
@@ -98,7 +100,7 @@ def oracle_evaluate(evaluator, config, budget, seed, warm_states=None):
         kwargs = (
             {"coefs_init": warm.coefs, "intercepts_init": warm.intercepts} if warm else {}
         )
-        model.fit(evaluator.X[train], evaluator.y[train], **kwargs)
+        reference_fit(model, evaluator.X[train], evaluator.y[train], **kwargs)
         if guard is not None and model.diverged_:
             guard.record("learner.diverged")
         fold_scores.append(float(evaluator.scorer(model, evaluator.X[val], evaluator.y[val])))

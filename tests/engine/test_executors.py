@@ -1,6 +1,7 @@
 """Executor protocol: FIFO serial reference and the process-pool executor."""
 
 import multiprocessing
+import os
 
 import pytest
 
@@ -59,6 +60,12 @@ class TestSerialExecutor:
 
 
 class TestParallelExecutor:
+    def test_default_worker_count_is_the_cpus_this_process_may_run_on(self, monkeypatch):
+        # A process pinned to one CPU of an eight-CPU machine gets one worker.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert ParallelExecutor().n_workers == 1
+
     def test_same_seed_same_result_as_serial(self):
         serial = SerialExecutor()
         serial.bind(SeedEchoEvaluator())

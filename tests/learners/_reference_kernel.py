@@ -9,19 +9,28 @@ the activations and head losses they called — copied without edits other
 than ``self.`` attributes becoming fields of :class:`ReferenceNet`.  It
 must never import the kernel under test; do not "tidy" it.
 
-:func:`reference_fit_stochastic` is the second oracle: the ``sgd`` /
-``adam`` training loop as it was when every epoch drew its order with
-one ``rng.permutation(n)``, copied verbatim (its divergence cap copied
-as a constant).  Assigned as an estimator's ``_fit_stochastic`` it pins
-the shuffle stream that ``.fit`` and the lane trainer now draw a block
-of epochs at a time; it drives the model's own ``_backprop``, which
-:class:`ReferenceNet` pins separately.
+:func:`reference_fit` is the second oracle: ``_BaseMLP.fit`` as it was
+before it trained through the lane — its preamble copied verbatim,
+driving :func:`reference_fit_stochastic`, the per-fold ``sgd`` /
+``adam`` loop as it was when every epoch drew its order with one
+``rng.permutation(n)`` (copied verbatim, its divergence cap copied as a
+constant; its early-stopping score is :func:`reference_validation_score`,
+the scorer it called).  ``reference_fit(model, X, y)`` fits any MLP
+estimator through that loop, and :class:`OracleKernelMixin` makes it
+the estimator's ``fit``: the lane trainer, which ``.fit`` and
+``fit_mlp_trials`` both run, is pinned to it, never to itself.  The
+loop drives the model's own ``_backprop`` (the lean kernel, or
+:class:`ReferenceNet` under the mixin), which is pinned separately.
+The preamble borrows the package's input check and parameter
+initialisation, not its training code.
 """
 
 from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.learners.base import check_X_y
+from repro.learners.mlp import resolve_initial_parameters
 from repro.learners.solvers import make_optimizer
 
 _EPS = 1e-10
@@ -125,17 +134,21 @@ class ReferenceNet:
 
 
 class OracleKernelMixin:
-    """Mix into an MLP estimator to drive its ``fit`` with the oracle kernel.
+    """Mix into an MLP estimator to fit it with both oracles.
 
-    ``class Oracle(OracleKernelMixin, MLPClassifier)`` keeps the estimator's
-    training loops but computes every forward pass, loss and gradient with
-    :class:`ReferenceNet`, so ``Oracle(...).fit`` is the pre-PR-16 fit.
+    ``class Oracle(OracleKernelMixin, MLPClassifier)`` fits through
+    :func:`reference_fit` (``lbfgs`` through the estimator's own
+    ``_fit_lbfgs``) and computes every forward pass, loss and gradient
+    with :class:`ReferenceNet`: the fit as it was before the lean kernel.
     """
 
     def _reference_net(self) -> ReferenceNet:
         return ReferenceNet(
             self.coefs_, self.intercepts_, self.activation, self._output_activation(), self.alpha
         )
+
+    def fit(self, X, y, coefs_init=None, intercepts_init=None):
+        return reference_fit(self, X, y, coefs_init, intercepts_init)
 
     def _forward(self, X):
         return self._reference_net()._forward(X)
@@ -146,6 +159,38 @@ class OracleKernelMixin:
             for buffer, grad in zip(grads, (*coef_grads, *intercept_grads)):
                 buffer[...] = grad
         return loss, coef_grads, intercept_grads
+
+
+def reference_fit(self, X, y, coefs_init=None, intercepts_init=None):
+    self._validate_hyperparameters()
+    X, y = check_X_y(X, y)
+    y_encoded = self._encode_targets(y)
+
+    layer_units = [X.shape[1], *self._hidden_layers(), self._n_outputs(y_encoded)]
+    rng = np.random.default_rng(self.random_state)
+    self.coefs_, self.intercepts_ = resolve_initial_parameters(
+        layer_units, self.activation, rng, coefs_init, intercepts_init
+    )
+    self.n_layers_ = len(layer_units)
+    self.loss_curve_: List[float] = []
+    self.validation_scores_: List[float] = []
+    self.diverged_ = False
+
+    if self.solver == "lbfgs":
+        self._fit_lbfgs(X, y_encoded)
+    else:
+        reference_fit_stochastic(self, X, y_encoded, rng)
+    return self
+
+
+def reference_validation_score(self, X_val: np.ndarray, y_val: np.ndarray) -> float:
+    proba = self._forward(X_val)[-1]
+    if hasattr(self, "classes_"):
+        if len(self.classes_) == 2:
+            predicted = (proba[:, 0] >= 0.5).astype(float)
+            return float((predicted == y_val[:, 0]).mean())
+        return float((proba.argmax(axis=1) == y_val.argmax(axis=1)).mean())
+    return -squared_loss(y_val, proba)
 
 
 def reference_fit_stochastic(self, X: np.ndarray, y: np.ndarray, rng: np.random.Generator) -> None:
@@ -205,7 +250,7 @@ def reference_fit_stochastic(self, X: np.ndarray, y: np.ndarray, rng: np.random.
             return
 
         if self.early_stopping and X_val is not None:
-            val_score = self._validation_score(X_val, y_val)
+            val_score = reference_validation_score(self, X_val, y_val)
             self.validation_scores_.append(val_score)
             if val_score > best_val_score + self.tol:
                 best_val_score = val_score

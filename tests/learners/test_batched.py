@@ -1,14 +1,16 @@
-"""Batched fold kernels: bitwise equivalence with the sequential loop.
+"""Batched fold kernels: bitwise equivalence with the per-fold oracle loop.
 
 :func:`repro.learners.batched.fit_mlp_folds` stacks the per-fold weight
 tensors of equal-shape folds into 3-D arrays and trains every lane with
 one set of batched matmuls per step.  Because equal-shape stacked matmul
 produces bit-identical slices (unlike padded GEMM, which does not — see
-docs/PERFORMANCE.md), the batched path must match the per-fold
-``model.fit`` loop *exactly*: coefficients, intercepts, loss curves,
-iteration counts, divergence flags, validation scores.  These tests pin
-that contract across solvers, tasks, learning-rate schedules, early
-stopping, divergence and unequal fold sizes.
+docs/PERFORMANCE.md), the batched path must match a per-fold loop
+*exactly*: coefficients, intercepts, loss curves, iteration counts,
+divergence flags, validation scores.  ``.fit`` is itself a lane of one,
+so the per-fold side is :func:`reference_fit`, the independent loop
+kept in ``_reference_kernel.py``.  These tests pin that contract across
+solvers, tasks, learning-rate schedules, early stopping, divergence and
+unequal fold sizes.
 """
 
 import numpy as np
@@ -16,6 +18,8 @@ import pytest
 
 from repro.learners import MLPClassifier, MLPRegressor
 from repro.learners.batched import BatchedFitStats, batchable_model, fit_mlp_folds, fit_mlp_trials
+
+from ._reference_kernel import reference_fit
 
 
 def make_data(task, n, d, k, seed):
@@ -79,7 +83,7 @@ class TestEquivalence:
         cls, task, n_folds, kwargs, extra = CASES[case]
         jobs_seq, jobs_bat = build_jobs(cls, task, n_folds, kwargs, seed=abs(hash(case)) % 2**32, **extra)
         for model, X, y in jobs_seq:
-            model.fit(X, y)
+            reference_fit(model, X, y)
         stats = fit_mlp_folds(jobs_bat)
         assert stats.batched_folds + stats.sequential_folds == n_folds
         if not extra.get("unequal"):
@@ -103,7 +107,7 @@ class TestEquivalence:
             trials[side] = [jobs[:2], [(regressor, X[:40], X[:40, 0])], jobs[2:]]
         for jobs in trials["seq"]:
             for model, X_fold, y_fold in jobs:
-                model.fit(X_fold, y_fold)
+                reference_fit(model, X_fold, y_fold)
         fit_mlp_trials(trials["bat"])
         for seq_jobs, bat_jobs in zip(trials["seq"], trials["bat"]):
             for (a, _, _), (b, _, _) in zip(seq_jobs, bat_jobs):
@@ -118,7 +122,7 @@ class TestEquivalence:
         _, jobs = build_jobs(cls, task, n_folds, kwargs, seed=1, **extra)
         stats = fit_mlp_folds(jobs)
         # fold 0 has one extra row, so it trains in its own (singleton) lane
-        # — never padded.  Singleton lanes take the sequential path.
+        # — never padded.  A lane of one counts as sequential, not stacked.
         assert stats.lanes == 2
         assert stats.batched_folds == n_folds - 1
         assert stats.sequential_folds == 1
@@ -127,7 +131,7 @@ class TestEquivalence:
         cls, task, n_folds, kwargs, extra = CASES["sgd-divergence"]
         jobs_seq, jobs_bat = build_jobs(cls, task, n_folds, kwargs, seed=2, **extra)
         for model, X, y in jobs_seq:
-            model.fit(X, y)
+            reference_fit(model, X, y)
         fit_mlp_folds(jobs_bat)
         assert any(j[0].diverged_ for j in jobs_seq), "case must actually diverge"
         for i, (a, b) in enumerate(zip(jobs_seq, jobs_bat)):
@@ -140,7 +144,7 @@ class TestFallbacks:
             MLPClassifier, "multi", 3, dict(hidden_layer_sizes=(6,), solver="lbfgs", max_iter=30), seed=3
         )
         for model, X, y in jobs_seq:
-            model.fit(X, y)
+            reference_fit(model, X, y)
         stats = fit_mlp_folds(jobs_bat)
         assert stats.batched_folds == 0
         assert stats.sequential_folds == 3
@@ -175,7 +179,7 @@ class TestWarmStart:
             jobs_seq.append((MLPClassifier(**kwargs), X[idx], y[idx]))
             jobs_bat.append((MLPClassifier(**kwargs), X[idx], y[idx]))
         for f, (model, Xf, yf) in enumerate(jobs_seq):
-            model.fit(Xf, yf, coefs_init=warm[f][0], intercepts_init=warm[f][1])
+            reference_fit(model, Xf, yf, coefs_init=warm[f][0], intercepts_init=warm[f][1])
         stats = fit_mlp_folds(jobs_bat, warm=warm)
         assert stats.warm_folds == 3
         for i, (a, b) in enumerate(zip(jobs_seq, jobs_bat)):
@@ -187,7 +191,7 @@ class TestWarmStart:
         warm = {0: ([c.copy() for c in donor.coefs_], [b.copy() for b in donor.intercepts_])}
         cold = MLPClassifier(hidden_layer_sizes=(8,), solver="adam", max_iter=10, random_state=1)
         warm_model = MLPClassifier(hidden_layer_sizes=(8,), solver="adam", max_iter=10, random_state=1)
-        cold.fit(X, y)
+        reference_fit(cold, X, y)
         fit_mlp_folds([(warm_model, X, y)], warm=warm)
         assert_models_identical(cold, warm_model, "shape-mismatched warm")
 

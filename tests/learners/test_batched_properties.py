@@ -2,14 +2,16 @@
 
 The unit tests in ``test_batched.py`` pin hand-picked corners; these
 hypothesis sweeps hammer random (architecture, solver, schedule, fold
-layout) combinations and require *bitwise* agreement with the sequential
-per-fold ``fit`` loop every time.  They are exhaustive by design and run
-in the ``kernels`` tier (``pytest -m kernels``), outside tier-1.
+layout) combinations and require *bitwise* agreement with the per-fold
+oracle loop (``reference_fit`` in ``_reference_kernel.py``) every time.
+They are exhaustive by design and run in the ``kernels`` tier
+(``pytest -m kernels``), outside tier-1.
 
 ``TestSharedCoreAgainstOracle`` is the exception: it holds the one
-forward/backward/loss core that all three fit paths share to the
-pre-PR-16 kernel kept in ``_reference_kernel.py`` — bounded in tier-1,
-exhaustive in the ``kernels`` tier.
+forward/backward/loss core that the lane trainer and the L-BFGS
+objective share to the kernel it replaced, kept in
+``_reference_kernel.py``, and ``.fit`` to both oracles at once — bounded
+in tier-1, exhaustive in the ``kernels`` tier.
 """
 
 import numpy as np
@@ -18,10 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.learners import MLPClassifier, MLPRegressor
-from repro.learners.batched import _per_fold_factor, fit_mlp_folds
-from repro.learners.mlp import _loss_and_gradients
+from repro.learners.batched import fit_mlp_folds
+from repro.learners.mlp import _loss_and_gradients, _per_fold_factor
 
-from ._reference_kernel import OracleKernelMixin, ReferenceNet, assert_same_bits
+from ._reference_kernel import OracleKernelMixin, ReferenceNet, assert_same_bits, reference_fit
 from .test_batched import assert_models_identical, make_data
 
 HIDDEN = st.sampled_from([(4,), (8,), (6, 4), (12,), (5, 5)])
@@ -39,7 +41,7 @@ def _run_both(cls, task, n_folds, kwargs, n, d, k, seed, sizes=None):
         jobs_seq.append((cls(random_state=seed + f, **kwargs), X[idx], y[idx]))
         jobs_bat.append((cls(random_state=seed + f, **kwargs), X[idx], y[idx]))
     for model, Xf, yf in jobs_seq:
-        model.fit(Xf, yf)
+        reference_fit(model, Xf, yf)
     fit_mlp_folds(jobs_bat)
     for i, (a, b) in enumerate(zip(jobs_seq, jobs_bat)):
         assert_models_identical(a[0], b[0], f"fold {i}")
@@ -162,7 +164,7 @@ def _check_core_matches_oracle(activation, head, width, hidden, n_rows, n_featur
             coefs, intercepts, activation, head, alpha
         )._backprop(X, y)
         expected.append((loss, _flat([*coef_grads, *intercept_grads])))
-        # The 2-D entry the sequential solvers use.
+        # The 2-D entry the L-BFGS objective uses.
         model.coefs_, model.intercepts_, model.alpha = coefs, intercepts, alpha
         loss_2d, coef_grads, intercept_grads = model._backprop(X, y)
         assert_same_bits(loss_2d, loss, "2-D loss")
@@ -208,7 +210,8 @@ FIT_CASE = dict(
 
 
 def _check_fit_matches_oracle_fit(head, solver, activation, hidden, early_stopping, seed):
-    """``.fit`` on the shared core == the same loops driven by the oracle kernel."""
+    """``.fit`` (a lane of one, or L-BFGS) on the shared core == the oracle loop
+    driven by the oracle kernel."""
     cls, n_classes = HEADS[head]
     oracle_cls = _OracleRegressor if cls is MLPRegressor else _OracleClassifier
     task = {"logistic": "bin", "softmax": "multi", "identity": "reg"}[head]

@@ -1,10 +1,9 @@
 """The shuffle stream, pinned against an oracle that does not move with it.
 
-``.fit`` and ``fit_mlp_trials`` draw their epoch orders through one
-helper, ``_epoch_orders``, eight epochs per generator call.  The
-lane-vs-``.fit`` properties cannot see a change to that stream, because
-both sides move together.  These properties hold both to
-``reference_fit_stochastic`` — the training loop with one
+The lane trainer, which ``.fit`` and ``fit_mlp_trials`` both run, draws
+its epoch orders through one helper, ``_epoch_orders``, eight epochs per
+generator call.  These properties hold ``.fit`` and a stacked lane to
+``reference_fit`` — the fit preamble driving the training loop with one
 ``rng.permutation(n)`` per epoch, kept verbatim in
 ``_reference_kernel.py`` — and state the numpy contract the block draw
 rests on directly, so a numpy release that breaks it fails here and not
@@ -21,16 +20,16 @@ from repro.learners import MLPClassifier, MLPRegressor
 from repro.learners.batched import fit_mlp_trials
 from repro.learners.mlp import _EPOCH_BLOCK, _epoch_orders
 
-from ._reference_kernel import assert_same_bits, reference_fit_stochastic
+from ._reference_kernel import assert_same_bits, reference_fit
 from .test_batched import make_data
 
 
 class _StreamOracleClassifier(MLPClassifier):
-    _fit_stochastic = reference_fit_stochastic
+    fit = reference_fit
 
 
 class _StreamOracleRegressor(MLPRegressor):
-    _fit_stochastic = reference_fit_stochastic
+    fit = reference_fit
 
 
 ORACLES = {MLPClassifier: _StreamOracleClassifier, MLPRegressor: _StreamOracleRegressor}

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.learners import MLPClassifier
-from repro.learners.batched import _LaneAdam, _LaneSGD
+from repro.learners.mlp import _LaneAdam, _LaneSGD
 from repro.learners.solvers import make_optimizer
 
 SHAPES = [(3, 4), (4, 1), (1, 4), (1, 1)]

@@ -2,13 +2,15 @@
 
 These sweeps prove ``fit_mlp_trials`` at any width — one trial
 (``test_batched_properties.py`` covers that width in depth) up to a
-rung — is bitwise-equal to ``.fit`` run fold by fold, for random mixes
+rung — is bitwise-equal to the per-fold oracle loop (``reference_fit``
+in ``_reference_kernel.py``; ``.fit`` is itself a lane of one) run fold
+by fold, for random mixes
 of per-trial numeric hyperparameters sharing one architecture (the case
 lanes fuse across trials), warm-started lanes, and arbitrary partitions
 of a rung's trials into separate mega-batches — the exact regrouping a
 different worker count, or a dead worker's re-dealt share, induces.  They run in the ``kernels`` tier
 (``pytest -m kernels``), outside tier-1 — except bounded draws of the
-``.fit`` == ``fit_mlp_trials`` property (L-BFGS included) and of the
+oracle == ``fit_mlp_trials`` property (L-BFGS included) and of the
 mixed-stopping lane property, which tier-1 keeps.
 """
 
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 from repro.learners import MLPClassifier, MLPRegressor
 from repro.learners.batched import fit_mlp_trials
 
-from ._reference_kernel import assert_same_bits
+from ._reference_kernel import assert_same_bits, reference_fit
 from .test_batched import assert_models_identical, make_data
 
 HIDDEN = st.sampled_from([(4,), (8,), (6, 4)])
@@ -90,7 +92,7 @@ def _check_trials_equal_sequential_fit(hidden, solver, activation, n_trials, n_f
     )
     for jobs in seq:
         for model, Xf, yf in jobs:
-            model.fit(Xf, yf)
+            reference_fit(model, Xf, yf)
     per_trial_stats, stats = fit_mlp_trials(mega)
     _assert_trials_identical(mega, seq, "mega vs sequential")
     assert stats.trials == n_trials
@@ -138,7 +140,7 @@ class TestMegaBatchSweep:
         )
         for jobs in seq:
             for model, Xf, yf in jobs:
-                model.fit(Xf, yf)
+                reference_fit(model, Xf, yf)
         fit_mlp_trials(mega)
         _assert_trials_identical(mega, seq, "mega vs sequential")
 
@@ -193,9 +195,9 @@ class TestWarmStartedLanes:
             for f, (model, Xf, yf) in enumerate(jobs):
                 if (t, f) in warm_cells:
                     coefs, intercepts = donors[(t, f)]
-                    model.fit(Xf, yf, coefs_init=coefs, intercepts_init=intercepts)
+                    reference_fit(model, Xf, yf, coefs_init=coefs, intercepts_init=intercepts)
                 else:
-                    model.fit(Xf, yf)
+                    reference_fit(model, Xf, yf)
         _, stats = fit_mlp_trials(mega, warms=warms)
         _assert_trials_identical(mega, seq, "warm mega vs sequential")
         assert stats.warm_folds == len(warm_cells)
@@ -289,7 +291,7 @@ def _check_mixed_stopping_lane(
     seq, mega = _build_jobs(cls, task, kwargs, 3, n=90, d=5, k=2, seed=seed, copies=2)
     for jobs in seq:
         for model, Xf, yf in jobs:
-            model.fit(Xf, yf)
+            reference_fit(model, Xf, yf)
     _, stats = fit_mlp_trials(mega)
     assert stats.lanes == 1 and stats.batched_folds == stats.folds
     n_iters = []
@@ -302,7 +304,7 @@ def _check_mixed_stopping_lane(
                 assert_same_bits(ia, ib, f"{tag}: intercepts")
             assert_same_bits(a.loss_curve_, b.loss_curve_, f"{tag}: loss curve")
             assert all(type(v) is float for v in a.loss_curve_), f"{tag}: loss curve types"
-            assert all(type(v) is float for v in b.loss_curve_), f"{tag}: .fit loss curve types"
+            assert all(type(v) is float for v in b.loss_curve_), f"{tag}: oracle loss curve types"
             assert a.validation_scores_ == b.validation_scores_, f"{tag}: validation scores"
             assert a.n_iter_ == b.n_iter_, f"{tag}: n_iter"
             assert a.diverged_ == b.diverged_, f"{tag}: diverged flag"

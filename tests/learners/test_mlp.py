@@ -6,6 +6,9 @@ import pytest
 from repro.datasets import make_classification, make_regression
 from repro.learners import MLPClassifier, MLPRegressor, clone
 
+from ._reference_kernel import OracleKernelMixin
+from .test_batched import assert_models_identical, make_data
+
 
 class TestClassifierLearning:
     def test_learns_separable_binary(self, small_classification):
@@ -203,3 +206,74 @@ class TestRegressor:
             learning_rate_init=0.01, max_iter=40, random_state=0,
         )
         assert np.isfinite(reg.fit(X, y).loss_)
+
+
+class _OracleClassifier(OracleKernelMixin, MLPClassifier):
+    pass
+
+
+class _OracleRegressor(OracleKernelMixin, MLPRegressor):
+    pass
+
+
+HEADS = {
+    "binary": (MLPClassifier, "bin"),
+    "3class": (MLPClassifier, "multi"),
+    "regressor": (MLPRegressor, "reg"),
+}
+SGD, ADAM = dict(solver="sgd", learning_rate_init=0.05), dict(solver="adam", learning_rate_init=0.01)
+STOP_EARLY = dict(early_stopping=True, n_iter_no_change=3, max_iter=60)
+INVSCALING, ADAPTIVE = dict(learning_rate="invscaling"), dict(learning_rate="adaptive")
+
+#: ``(head, hyperparameters, warm start)``: every branch of the lane
+#: trainer that ``.fit`` reaches at width one.
+ORACLE_CASES = {
+    "sgd-constant-nesterov-binary": ("binary", SGD, False),
+    "sgd-constant-plain-3class": ("3class", dict(SGD, nesterovs_momentum=False), False),
+    "sgd-invscaling-nesterov-regressor": ("regressor", dict(SGD, **INVSCALING), False),
+    "sgd-invscaling-plain-binary": (
+        "binary", dict(SGD, **INVSCALING, nesterovs_momentum=False, learning_rate_init=0.1), False
+    ),
+    # tol 10 stalls every epoch: the rate decays every third until it collapses.
+    "sgd-adaptive-regressor": (
+        "regressor", dict(SGD, **ADAPTIVE, tol=10.0, n_iter_no_change=3, max_iter=60), False
+    ),
+    "adam-3class": ("3class", ADAM, False),
+    "adam-early-stopping-binary": ("binary", dict(ADAM, learning_rate_init=0.05, **STOP_EARLY), False),
+    "sgd-adaptive-early-stopping-3class": ("3class", dict(SGD, **ADAPTIVE, **STOP_EARLY), False),
+    "adam-warm-regressor": ("regressor", ADAM, True),
+    "sgd-warm-3class": ("3class", SGD, True),
+    "sgd-divergent-regressor": ("regressor", dict(SGD, learning_rate_init=50.0), False),
+    "adam-divergent-regressor": ("regressor", dict(ADAM, learning_rate_init=1e6, max_iter=40), False),
+}
+
+
+class TestFitAgainstOracle:
+    """``.fit`` — a lane of one — is bitwise the independent per-fold loop.
+
+    The other side is ``OracleKernelMixin``: the fit preamble and the
+    ``sgd`` / ``adam`` loop as they were before ``.fit`` trained through
+    the lane, on the oracle kernel, kept in ``_reference_kernel.py``.
+    """
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_fit_bitwise_equal_to_oracle(self, case):
+        head, params, warm = ORACLE_CASES[case]
+        cls, task = HEADS[head]
+        X, y = make_data(task, 90, 5, 3, seed=len(case))
+        kwargs = dict(hidden_layer_sizes=(6,), batch_size=16, max_iter=25, random_state=3)
+        kwargs.update(params)
+        fit_kwargs = {}
+        if warm:
+            donor = cls(**{**kwargs, "max_iter": 3, "random_state": 4}).fit(X[:40], y[:40])
+            fit_kwargs = dict(coefs_init=donor.coefs_, intercepts_init=donor.intercepts_)
+        oracle_cls = _OracleRegressor if cls is MLPRegressor else _OracleClassifier
+        fitted = cls(**kwargs).fit(X, y, **fit_kwargs)
+        oracle = oracle_cls(**kwargs).fit(X, y, **fit_kwargs)
+        assert_models_identical(fitted, oracle, case)
+        # The case reaches the branch it names.
+        assert fitted.diverged_ == ("divergent" in case)
+        if "early-stopping" in case:
+            assert fitted.validation_scores_ and fitted.n_iter_ < kwargs["max_iter"]
+        if "adaptive" in case and "early-stopping" not in case:
+            assert fitted.n_iter_ < kwargs["max_iter"]

@@ -41,21 +41,10 @@ from repro.learners.batched import fit_mlp_trials
 from repro.obs import flightrec
 from repro.space import Categorical, SearchSpace
 
-from ._reference_kernel import reference_fit_stochastic
+from ._reference_kernel import reference_fit
 from .test_batched import assert_models_identical, make_data
 
 SRC = str(Path(batched.__file__).resolve().parents[2])
-
-
-class _OracleClassifier(MLPClassifier):
-    _fit_stochastic = reference_fit_stochastic
-
-
-class _OracleRegressor(MLPRegressor):
-    _fit_stochastic = reference_fit_stochastic
-
-
-ORACLES = {MLPClassifier: _OracleClassifier, MLPRegressor: _OracleRegressor}
 
 
 @contextlib.contextmanager
@@ -75,7 +64,7 @@ def _dealing_every_call(helper_code=None):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(batched, "_HELPER_MIN_WORK", 0)
-        mp.setattr(batched, "_cpus", lambda: 2)
+        mp.setattr(batched, "available_cpus", lambda: 2)
         mp.setenv("OPENBLAS_NUM_THREADS", "1")
         mp.setattr(batched._LaneHelper, "train", spy)
         if helper_code is not None:
@@ -102,7 +91,7 @@ def _inline():
         yield
 
 
-def _jobs(cls, kwargs_per_trial, widths, n_rows, seed, model_cls=None):
+def _jobs(cls, kwargs_per_trial, widths, n_rows, seed):
     """One trial per kwargs, ``widths[t]`` folds of ``n_rows`` rows each."""
     X, y = make_data("reg" if cls is MLPRegressor else "bin", 4 * n_rows, 5, 2, seed)
     rng = np.random.default_rng(seed)
@@ -110,7 +99,7 @@ def _jobs(cls, kwargs_per_trial, widths, n_rows, seed, model_cls=None):
     for t, (kwargs, width) in enumerate(zip(kwargs_per_trial, widths)):
         folds = [rng.choice(len(X), size=n_rows, replace=False) for _ in range(width)]
         trials.append(
-            [((model_cls or cls)(random_state=seed + 100 * t + f, **kwargs), X[idx], y[idx])
+            [(cls(random_state=seed + 100 * t + f, **kwargs), X[idx], y[idx])
              for f, idx in enumerate(folds)]
         )
     return trials
@@ -134,7 +123,7 @@ def _fit_with_oracle(trials, warms):
     for t, jobs in enumerate(trials):
         for f, (model, Xf, yf) in enumerate(jobs):
             coefs, intercepts = (warms[t] or {}).get(f, (None, None))
-            model.fit(Xf, yf, coefs_init=coefs, intercepts_init=intercepts)
+            reference_fit(model, Xf, yf, coefs_init=coefs, intercepts_init=intercepts)
 
 
 def _assert_trials_identical(got, want, what):
@@ -170,8 +159,8 @@ def _check_dealt_equals_inline_equals_fit(
         for tol, patience, lr_init in zip(tols, patiences, lr_inits)
     ]
     widths = widths[: len(kwargs)]
-    build = lambda model_cls=None: _jobs(cls, kwargs, widths, 40, seed, model_cls)  # noqa: E731
-    dealt, inline, oracle = build(), build(), build(ORACLES[cls])
+    build = lambda: _jobs(cls, kwargs, widths, 40, seed)  # noqa: E731
+    dealt, inline, oracle = build(), build(), build()
     warms = _warms(build(), warm_seed) if warm_seed is not None else [None] * len(kwargs)
 
     _, dealt_stats = fit_mlp_trials(dealt, warms)
@@ -247,7 +236,7 @@ class TestSplitLaneBounded:
             import repro.learners.batched as batched
             from repro.learners import MLPClassifier
 
-            batched._HELPER_MIN_WORK, batched._cpus = 0, lambda: 2
+            batched._HELPER_MIN_WORK, batched.available_cpus = 0, lambda: 2
             assert batched._HELPER.ready(timeout=60)
             X = np.random.default_rng(0).normal(size=(60, 4))
             y = (X[:, 0] > 0).astype(int)
@@ -276,7 +265,7 @@ class TestSplitLaneBounded:
             import time
             import repro.learners.batched as batched
 
-            batched._cpus = lambda: 2
+            batched.available_cpus = lambda: 2
             assert batched._HELPER.ready(timeout=60)
             print(batched._HELPER._process.pid, flush=True)
             time.sleep(60)
@@ -345,7 +334,7 @@ class TestSplitLaneSweep:
             fit_mlp_trials(inline, warms)
         _fit_with_oracle(oracle, warms)
         _assert_trials_identical(dealt, inline, "dealt vs inline")
-        _assert_trials_identical(dealt, oracle, "dealt vs .fit")
+        _assert_trials_identical(dealt, oracle, "dealt vs oracle .fit")
         assert [model.diverged_ for model, _, _ in dealt[1]] == [False, True, False]
         if warm_seed is not None:
             assert any(warms)
@@ -435,7 +424,7 @@ class TestSplitLaneSweep:
             import repro.learners.batched as batched
 
             run = batched._run_lane
-            batched._HELPER_MIN_WORK, batched._cpus = 0, lambda: 2
+            batched._HELPER_MIN_WORK, batched.available_cpus = 0, lambda: 2
 
             def claim_then_run(members):
                 assert not batched._HELPER.claim(), "the helper claimed a helper"
@@ -462,7 +451,7 @@ class TestSplitLaneSweep:
     def test_no_helper_on_one_cpu_or_beside_blas_threads(self, monkeypatch, cpus, blas):
         # A BLAS of several threads spins on the core the helper would use.
         monkeypatch.setattr(batched, "_HELPER_MIN_WORK", 0)
-        monkeypatch.setattr(batched, "_cpus", lambda: cpus)
+        monkeypatch.setattr(batched, "available_cpus", lambda: cpus)
         for name in batched._BLAS_THREADS:
             monkeypatch.delenv(name, raising=False)
         if blas is not None:

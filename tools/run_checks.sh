@@ -19,13 +19,14 @@
 #      the benchmark does; so does a lane-helper process that outlives
 #      bench/run.py's teardown, through the smoke's no-process-left check)
 #   3. kernels tier (exhaustive fit-kernel property sweeps: lean kernel
-#      vs the test oracle, batched vs sequential, the mixed-stopping
+#      vs the test oracle, lanes vs the per-fold oracle loop, the mixed-stopping
 #      lane sweep — trials differing in tol / n_iter_no_change /
 #      learning_rate_init whose folds stall, early-stop, collapse the
 #      adaptive schedule or diverge at different epochs, before, at and
 #      after an 8-epoch order-block boundary, compacting out of one
-#      lane, bitwise-equal to .fit — and the shuffle-stream oracle sweep:
-#      .fit and the lane, which draw epoch orders eight epochs per
+#      lane, bitwise-equal to the _reference_kernel oracle — and the
+#      shuffle-stream oracle sweep: .fit (a lane of one) and a wider
+#      lane, which draw epoch orders eight epochs per
 #      generator call, vs the per-epoch rng.permutation loop kept in
 #      tests/learners/_reference_kernel.py, plus numpy's permuted ==
 #      successive permutation contract; the stacked-scoring sweep:
@@ -39,7 +40,7 @@
 #      tests/model_selection/_reference_splitters.py; the dealt-unit
 #      sweep: a call's units (lanes, lane halves, lbfgs folds) trained
 #      half on the calling thread and half in the lane-helper process,
-#      bitwise-equal to the inline fit and to .fit through the per-epoch
+#      bitwise-equal to the inline fit and to the _reference_kernel
 #      oracle (odd widths, sgd with nesterov, invscaling and adaptive
 #      schedules, adam, early stopping, warm starts, folds stopping
 #      either side of the 8-epoch order block; lbfgs with warm starts
