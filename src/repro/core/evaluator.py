@@ -40,7 +40,7 @@ from ..engine.arena import attach as arena_attach
 from ..engine.checkpoint import FoldCheckpoint
 from ..engine.protocol import EvaluationResult
 from ..guard import DataReport, GuardLog, validate_dataset
-from ..telemetry.collect import current_collector, install_collector
+from ..telemetry.collect import current_collector
 from ..learners.mlp import MLPClassifier, MLPRegressor
 from ..learners.batched import MegaBatchStats, batchable_model, fit_mlp_trials, predict_folds
 from ..metrics import accuracy_score, f1_score, r2_score
@@ -339,8 +339,8 @@ class SubsetCVEvaluator:
         Each spec is ``(config, budget_fraction, rng, warm_states,
         capture_checkpoints, collector)`` — one trial as :meth:`evaluate`
         takes it, plus an optional
-        :class:`~repro.telemetry.TrialCollector` that is installed around
-        every phase touching that trial (the phases of different trials
+        :class:`~repro.telemetry.TrialCollector` that the trial's counters
+        and fold spans are recorded into (the phases of different trials
         interleave, so a single ambient collector cannot attribute work).
 
         Three phases, none of which moves an rng draw relative to a
@@ -366,9 +366,8 @@ class SubsetCVEvaluator:
                 raise ValueError(f"budget_fraction must be in (0, 1], got {budget_fraction}")
             start = self.clock()
             guard = GuardLog(self.guard_policy) if self.guard_active else None
-            with install_collector(collector):
-                subset, folds = self._subset_and_folds(budget_fraction, rng, guard)
-                seeds, models, warm_map = self._plan_models(config, folds, rng, warm_states)
+            subset, folds = self._subset_and_folds(budget_fraction, rng, guard)
+            seeds, models, warm_map = self._plan_models(config, folds, rng, warm_states)
             plans.append(
                 {
                     "config": config,
@@ -420,8 +419,7 @@ class SubsetCVEvaluator:
         results = []
         for plan in plans:
             score_start = self.clock()
-            with install_collector(plan["collector"]) as collector:
-                fold_scores = self._score_trial(plan, collector)
+            fold_scores = self._score_trial(plan)
             cost = plan["own"] + plan["fit_share"] + (self.clock() - score_start)
             results.append(
                 self._assemble_result(
@@ -516,8 +514,9 @@ class SubsetCVEvaluator:
         for plan in plans:
             plan["predictions"] = [next(predictions) for _ in plan["folds"]]
 
-    def _score_trial(self, plan: Dict[str, Any], collector) -> List[float]:
+    def _score_trial(self, plan: Dict[str, Any]) -> List[float]:
         """Score phase (fits and predicts here too when the lane call did not run)."""
+        collector = plan["collector"]
         fold_scores = []
         predictions = plan["predictions"] or [None] * len(plan["folds"])
         for fold_index, (train_idx, val_idx) in enumerate(plan["folds"]):
@@ -609,7 +608,7 @@ class SubsetCVEvaluator:
                 )
         else:
             X_train, y_train = self.X[train_idx], self.y[train_idx]
-            collector = current_collector()
+            collector = plan["collector"]
             span = (
                 collector.tracer.span("fit", n_train=int(len(train_idx)))
                 if collector is not None

@@ -28,14 +28,9 @@ import threading
 from collections import OrderedDict
 from typing import Optional, Tuple
 
-from .protocol import EvaluationResult
+from .protocol import EvaluationResult, budget_key
 
 __all__ = ["EvaluationCache"]
-
-
-def _normalise_budget(budget_fraction: float) -> float:
-    """Round the budget the same way seed derivation does."""
-    return round(float(budget_fraction), 12)
 
 
 class EvaluationCache:
@@ -79,9 +74,9 @@ class EvaluationCache:
         the cold evaluation of the same ``(config, budget, seed)``.  Cold
         keys stay 3-tuples, keeping existing journals and tests valid.
         """
-        key = (config_key, _normalise_budget(budget_fraction), int(seed))
+        key = (config_key, budget_key(budget_fraction), int(seed))
         if warm_source is not None:
-            key = key + (_normalise_budget(warm_source),)
+            key = key + (budget_key(warm_source),)
         return key
 
     def get(

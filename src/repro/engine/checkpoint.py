@@ -45,6 +45,7 @@ import numpy as np
 
 from ..faults.points import fault_point
 from .durability import atomic_publish
+from .protocol import budget_key
 
 __all__ = ["CheckpointStore", "FoldCheckpoint"]
 
@@ -57,11 +58,6 @@ _SEGMENT_SUFFIX = ".seg"
 #: One-entry-per-file spills (``<digest>_<budget>.ckpt``, a bare pickle) of
 #: versions before segments: still read, never written.
 _LEGACY_SUFFIX = ".ckpt"
-
-
-def _normalise_budget(budget_fraction: float) -> float:
-    """Round the budget the same way seed derivation and the cache do."""
-    return round(float(budget_fraction), 12)
 
 
 def _config_digest(config_key: Tuple) -> str:
@@ -258,7 +254,7 @@ class CheckpointStore:
         if not fold_states or all(state is None for state in fold_states):
             return
         fault_point("checkpoint.put.pre")
-        key = (_config_digest(config_key), _normalise_budget(budget_fraction))
+        key = (_config_digest(config_key), budget_key(budget_fraction))
         batch.append((key, fold_states))
 
     def commit(self, batch: list) -> bool:
@@ -300,7 +296,7 @@ class CheckpointStore:
         self, config_key: Tuple, budget_fraction: float
     ) -> Optional[List[Optional[FoldCheckpoint]]]:
         """The stored states for an exact ``(config, budget)``, or ``None``."""
-        budget = _normalise_budget(budget_fraction)
+        budget = budget_key(budget_fraction)
         digest = _config_digest(config_key)
         key = (digest, budget)
         with self._lock:
@@ -331,7 +327,7 @@ class CheckpointStore:
         Returns ``(source_budget, fold_states)`` or ``None`` when the
         configuration has no lower-budget checkpoint.
         """
-        budget = _normalise_budget(budget_fraction)
+        budget = budget_key(budget_fraction)
         digest = _config_digest(config_key)
         with self._lock:
             for candidate in reversed(list(self._budgets.get(digest, []))):

@@ -41,7 +41,7 @@ from .._jsonl import read_log
 from ..faults.points import fault_point
 from ..space import config_from_jsonable, config_to_jsonable
 from .cache import EvaluationCache
-from .protocol import EvaluationResult, TrialOutcome, TrialRequest, derive_seed
+from .protocol import EvaluationResult, TrialOutcome, TrialRequest, derive_seed, root_seed_key
 
 __all__ = [
     "JOURNAL_VERSION",
@@ -136,11 +136,6 @@ def replay_key(outcome: TrialOutcome, root_seed: Optional[int]) -> Tuple:
     return EvaluationCache.make_key(key, request.budget_fraction, seed, request.warm_source)
 
 
-def _normalise_root(root_seed: Optional[int]) -> int:
-    """Match :func:`~repro.engine.protocol.derive_seed`'s None-is-zero rule."""
-    return int(root_seed) if root_seed is not None else 0
-
-
 class RunJournal:
     """Append-only fsync'd JSONL log of a run's executed trial outcomes.
 
@@ -225,7 +220,7 @@ class RunJournal:
             self.header = {
                 "type": "header",
                 "version": JOURNAL_VERSION,
-                "root_seed": _normalise_root(root_seed),
+                "root_seed": root_seed_key(root_seed),
                 "metadata": dict(metadata or {}),
             }
             self._handle = self.path.open("w")
@@ -255,10 +250,10 @@ class RunJournal:
         if self.header is None:
             raise JournalError("journal has no header; call open() first")
         recorded = self.header.get("root_seed")
-        if recorded != _normalise_root(root_seed):
+        if recorded != root_seed_key(root_seed):
             raise JournalError(
                 f"journal {self.path} was recorded with root_seed={recorded}, "
-                f"cannot resume with root_seed={_normalise_root(root_seed)}"
+                f"cannot resume with root_seed={root_seed_key(root_seed)}"
             )
         stored = self.header.get("metadata") or {}
         for key, value in (metadata or {}).items():

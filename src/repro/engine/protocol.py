@@ -104,6 +104,16 @@ class EvaluationResult:
         return cls(**data)
 
 
+def budget_key(budget_fraction: float) -> float:
+    """A budget as seed, cache, checkpoint and replay keys hold it: 12 decimals."""
+    return round(float(budget_fraction), 12)
+
+
+def root_seed_key(root_seed: Optional[int]) -> int:
+    """A root seed as seeds and the journal header hold it: ``None`` is 0."""
+    return int(root_seed) if root_seed is not None else 0
+
+
 def derive_seed(
     root_seed: Optional[int],
     key: Tuple,
@@ -139,7 +149,7 @@ def derive_seed(
     across worker processes and across runs.
     """
     payload = repr(
-        (int(root_seed) if root_seed is not None else 0, key, round(float(budget_fraction), 12), int(attempt))
+        (root_seed_key(root_seed), key, budget_key(budget_fraction), int(attempt))
     ).encode("utf-8")
     digest = hashlib.blake2b(payload, digest_size=_SEED_BYTES).digest()
     return int.from_bytes(digest, "little")

@@ -22,6 +22,9 @@ Workloads
     shared-memory self-check in the main process — adds the ``arena.*`` and ``executor.pool.*``
     fault points to the lattice while keeping every crash-swept arena
     site in the journaled parent.
+``hb-par-spawn``
+    ``hb-par`` with a ``spawn`` pool: its workers are fresh interpreters
+    that attach the arena by name instead of inheriting the parent.
 ``serve``
     A six-job burst (five distinct specs across two tenants plus one
     duplicate that exercises dedup-subscribe) against an in-process
@@ -50,7 +53,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict
+from typing import Any, Callable, Dict, Optional
 
 from .points import fault_point
 
@@ -123,7 +126,7 @@ def _arena_self_check() -> None:
         detach_all()
 
 
-def _run_hb_par(run_dir: Path) -> Dict[str, Any]:
+def _run_hb_par(run_dir: Path, start_method: Optional[str] = None) -> Dict[str, Any]:
     """The ``hb`` job through a 2-worker pool on the shared-memory arena.
 
     Adds the data-plane lattice to the direct workload: the arena
@@ -141,7 +144,7 @@ def _run_hb_par(run_dir: Path) -> Dict[str, Any]:
     _arena_self_check()
     spec = JobSpec(tenant="ref", seed=_HB_SEED, warm_start=True, **_JOB_BASE)
     engine = TrialEngine(
-        executor=ParallelExecutor(n_workers=2),
+        executor=ParallelExecutor(n_workers=2, start_method=start_method),
         cache=True,
         journal=str(run_dir / "run.wal"),
         checkpoints=CheckpointStore(spill_dir=run_dir / "ckpt"),
@@ -287,6 +290,7 @@ def _run_toy(run_dir: Path, buggy: bool) -> Dict[str, Any]:
 _WORKLOADS: Dict[str, Callable[[Path], Dict[str, Any]]] = {
     "hb": _run_hb,
     "hb-par": _run_hb_par,
+    "hb-par-spawn": lambda run_dir: _run_hb_par(run_dir, start_method="spawn"),
     "serve": _run_serve,
     "toy": lambda run_dir: _run_toy(run_dir, buggy=False),
     "toy-buggy": lambda run_dir: _run_toy(run_dir, buggy=True),

@@ -14,11 +14,11 @@ an evaluator whose scores take three values, so the tie-breaking orders
 to make this pass: a change to what a searcher evaluates, in what order,
 or which incumbent it returns, must fail here.
 
-``python tests/bandit/test_searcher_pin.py --write`` rewrites the file;
-that is for a deliberate change of behaviour, named as such.
+``PYTHONPATH=src python -m tests.bandit.test_searcher_pin --write``
+rewrites the file; that is for a deliberate change of behaviour, named
+as such.
 """
 
-import hashlib
 import json
 import sys
 from pathlib import Path
@@ -26,42 +26,22 @@ from pathlib import Path
 import pytest
 
 from repro import bandit
-from repro.core import METHODS, MLPModelFactory
-from repro.core.enhanced import make_searcher
-from repro.datasets import make_classification
+from repro.core import METHODS
 from repro.engine import EvaluationResult
 from repro.results import result_to_dict
-from repro.space import Categorical, Float, SearchSpace
+
+from .._tiny_problem import (
+    GRID_SPACE,
+    SAMPLED_SPACE,
+    SEED,
+    SMALL,
+    reference_run,
+    tiny_searcher,
+    trials_sha256,
+)
 
 PINNED = Path(__file__).parent / "data" / "searchers.json"
 
-GRID_SPACE = SearchSpace(
-    [
-        Categorical("hidden_layer_sizes", [(3,), (5,)]),
-        Categorical("alpha", [1e-4, 1e-2]),
-        Categorical("solver", ["adam", "sgd"]),
-    ]
-)
-SAMPLED_SPACE = SearchSpace(
-    [
-        Categorical("hidden_layer_sizes", [(3,), (5,)]),
-        Float("alpha", 0.0, 0.01),
-        Float("learning_rate_init", 0.001, 0.1),
-    ]
-)
-
-#: Searcher arguments that keep every run small; the budgets still give
-#: HB-family runs three brackets and ASHA/PASHA four rungs.
-SMALL = {
-    "hb": {"min_budget_fraction": 1.0 / 9.0},
-    "bohb": {"min_budget_fraction": 1.0 / 9.0, "n_candidates": 8},
-    "dehb": {"min_budget_fraction": 1.0 / 9.0},
-    "asha": {"max_started": 8},
-    "pasha": {"max_started": 8},
-    "random": {"n_configurations": 5},
-    "tpe": {"n_trials": 7, "n_startup": 3, "n_candidates": 8},
-    "smac": {"n_trials": 6, "n_startup": 3, "n_candidates": 8, "n_estimators": 3},
-}
 
 #: name -> (method, searcher kwargs, candidates mode).
 VARIANTS = {
@@ -91,27 +71,12 @@ class ThreeValueEvaluator:
         )
 
 
-class TickingClock:
-    """Deterministic stand-in for ``time.perf_counter``."""
-
-    def __init__(self, step=0.0125):
-        self.step = step
-        self.ticks = 0
-
-    def __call__(self):
-        self.ticks += 1
-        return self.ticks * self.step
-
-
-def _data():
-    return make_classification(n_samples=48, n_features=4, random_state=3)
-
-
 def _cases():
     cases = {}
     for method in METHODS:
         kwargs = SMALL.get(method.rstrip("+"), {})
-        for mode in ("grid", "sampled", "default"):
+        cases[f"{method}/grid"] = (method, None, "grid")  # the determinism reference
+        for mode in ("sampled", "default"):
             cases[f"{method}/{mode}"] = (method, kwargs, mode)
         if not method.endswith("+"):
             cases[f"ties/{method}"] = (method, kwargs, "ties")
@@ -120,22 +85,17 @@ def _cases():
     return cases
 
 
-def pinned_run(method, kwargs, mode):
-    """One pinned run; returns its record (or its error)."""
-    X, y = _data()
+def _fit(method, kwargs, mode):
+    """``(searcher, result)`` of one case; ``kwargs=None`` is the shared reference run."""
+    if kwargs is None:
+        return reference_run(method, False)
     space = GRID_SPACE if mode in ("grid", "ties") else SAMPLED_SPACE
     if mode.startswith("ties"):
         searcher_class = getattr(bandit, METHODS[method][0])
-        kwargs = {"random_state": 11, **kwargs}
+        kwargs = {"random_state": SEED, **kwargs}
         searcher = searcher_class(space, ThreeValueEvaluator(), **kwargs)
     else:
-        searcher = make_searcher(
-            method, space, X, y,
-            model_factory=MLPModelFactory(max_iter=3),
-            random_state=11,
-            evaluator_kwargs={"clock": TickingClock()},
-            searcher_kwargs=kwargs,
-        )
+        searcher = tiny_searcher(method, space, kwargs)
     fit_kwargs = {
         "grid": {"configurations": GRID_SPACE.grid()},
         "ties": {"configurations": GRID_SPACE.grid()},
@@ -144,18 +104,21 @@ def pinned_run(method, kwargs, mode):
         "ties-wide": {"n_configurations": 16},
         "default": {},
     }[mode]
+    return searcher, searcher.fit(**fit_kwargs)
+
+
+def pinned_run(method, kwargs, mode):
+    """One pinned run; returns its record (or its error)."""
     try:
-        result = searcher.fit(**fit_kwargs)
+        searcher, result = _fit(method, kwargs, mode)
     except ValueError as exc:
         return {"error": str(exc)}
     record = result_to_dict(result)
-    record.pop("wall_time")
-    canonical = json.dumps(record["trials"], sort_keys=True).encode()
     out = {
         "n_trials": result.n_trials,
         "best_config": record["best_config"],
         "best_score": record["best_score"],
-        "trials_sha256": hashlib.sha256(canonical).hexdigest(),
+        "trials_sha256": trials_sha256(result),
     }
     if hasattr(searcher, "final_ceiling_"):
         out["final_ceiling_"] = searcher.final_ceiling_

@@ -1,11 +1,15 @@
-"""TrialEngine integration: determinism, memoization, fault tolerance."""
+"""TrialEngine integration: memoization, fault tolerance, clocks.
+
+That every searcher is bitwise the same on any engine is
+``tests/test_determinism.py``.
+"""
 
 import numpy as np
 import pytest
 
 from repro.bandit import ASHA, HyperBand, SuccessiveHalving
 from repro.bandit.base import EvaluationResult
-from repro.core import MLPModelFactory, optimize, vanilla_evaluator
+from repro.core import MLPModelFactory, vanilla_evaluator
 from repro.datasets import make_classification
 from repro.engine import (
     FAILURE_SCORE,
@@ -73,59 +77,6 @@ def tiny_problem():
     )
     factory = MLPModelFactory(task="classification", max_iter=4)
     return X, y, space, factory
-
-
-def _trial_fingerprint(result):
-    return [
-        (t.key, t.budget_fraction, t.result.score, tuple(t.result.fold_scores))
-        for t in result.trials
-    ]
-
-
-def _three_engine_legs(fit):
-    """``fit(engine)`` with no engine passed, a serial and a 2-worker engine."""
-    results = {"default": fit(None)}
-    for name, executor in (("serial", SerialExecutor()), ("parallel", ParallelExecutor(n_workers=2))):
-        with TrialEngine(executor=executor) as engine:
-            results[name] = fit(engine)
-    return results
-
-
-def _assert_legs_bitwise_equal(results):
-    reference = results["serial"]
-    for name in ("default", "parallel"):
-        assert _trial_fingerprint(results[name]) == _trial_fingerprint(reference), name
-        assert results[name].best_config == reference.best_config, name
-        assert results[name].best_score == reference.best_score, name
-
-
-class TestBitwiseDeterminism:
-    def test_sha_serial_equals_parallel(self, tiny_problem):
-        X, y, space, factory = tiny_problem
-        _assert_legs_bitwise_equal(_three_engine_legs(
-            lambda engine: SuccessiveHalving(
-                space, vanilla_evaluator(X, y, factory), random_state=7, engine=engine
-            ).fit(configurations=space.grid())
-        ))
-
-    def test_hyperband_serial_equals_parallel(self, tiny_problem):
-        X, y, space, factory = tiny_problem
-        _assert_legs_bitwise_equal(_three_engine_legs(
-            lambda engine: HyperBand(
-                space, vanilla_evaluator(X, y, factory), random_state=3, engine=engine
-            ).fit(configurations=space.grid())
-        ))
-
-    @pytest.mark.parametrize("method", ["sha+", "hb+", "bohb+"])
-    def test_enhanced_default_equals_serial_equals_parallel(self, tiny_problem, method):
-        # One determinism regime: passing no engine is the serial engine.
-        X, y, space, factory = tiny_problem
-        _assert_legs_bitwise_equal(_three_engine_legs(
-            lambda engine: optimize(
-                X, y, space, method=method, model_factory=factory,
-                random_state=5, refit=False, engine=engine,
-            ).result
-        ))
 
 
 class TestMemoization:

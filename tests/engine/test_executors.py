@@ -66,19 +66,6 @@ class TestParallelExecutor:
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         assert ParallelExecutor().n_workers == 1
 
-    def test_same_seed_same_result_as_serial(self):
-        serial = SerialExecutor()
-        serial.bind(SeedEchoEvaluator())
-        serial.submit(_request(0, q=3, seed=999))
-        serial_result = serial.wait_one().result
-
-        with ParallelExecutor(n_workers=2) as parallel:
-            parallel.bind(SeedEchoEvaluator())
-            parallel.submit(_request(0, q=3, seed=999))
-            ok, parallel_result = parallel.wait_one()[1:3]
-        assert ok
-        assert parallel_result.score == serial_result.score
-
     def test_all_submissions_complete_any_order(self):
         with ParallelExecutor(n_workers=2) as executor:
             executor.bind(SeedEchoEvaluator())

@@ -20,6 +20,8 @@ from repro.engine import RunJournal, SerialExecutor, TrialEngine
 from repro.results import save_result
 from repro.space import Categorical, SearchSpace
 
+from .._tiny_problem import TickingClock
+
 DATA = Path(__file__).parent / "data"
 WAL = DATA / "compat_run.wal"
 RESULT = DATA / "compat_run.result.json"
@@ -30,18 +32,6 @@ SPACE = SearchSpace(
         Categorical("alpha", [0.1, 0.5, 1.0]),
     ]
 )
-
-
-class TickingClock:
-    """Deterministic stand-in for ``time.perf_counter``."""
-
-    def __init__(self, step=0.0375):
-        self.step = step
-        self.ticks = 0
-
-    def __call__(self):
-        self.ticks += 1
-        return self.ticks * self.step
 
 
 class ClockedEvaluator:
@@ -74,7 +64,7 @@ def run(journal_path):
     )
     with engine:
         searcher = HyperBand(
-            SPACE, ClockedEvaluator(TickingClock()), random_state=7,
+            SPACE, ClockedEvaluator(TickingClock(step=0.0375)), random_state=7,
             min_budget_fraction=1.0 / 9.0, engine=engine,
         )
         result = searcher.fit(configurations=SPACE.grid())

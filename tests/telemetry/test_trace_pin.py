@@ -23,6 +23,8 @@ from repro.engine import SerialExecutor, TrialEngine
 from repro.space import Categorical, SearchSpace
 from repro.telemetry import Telemetry, TraceSink
 
+from .._tiny_problem import TickingClock
+
 PINNED = Path(__file__).parent / "data" / "pinned_run.trace.json"
 
 SPACE = SearchSpace(
@@ -32,18 +34,6 @@ SPACE = SearchSpace(
         Categorical("solver", ["adam", "lbfgs"]),
     ]
 )
-
-
-class TickingClock:
-    """Deterministic stand-in for ``time.perf_counter``."""
-
-    def __init__(self, step=0.0125):
-        self.step = step
-        self.ticks = 0
-
-    def __call__(self):
-        self.ticks += 1
-        return self.ticks * self.step
 
 
 def traced_run(trace_path):

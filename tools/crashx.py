@@ -50,7 +50,7 @@ from repro.faults.explore import (  # noqa: E402
 from repro.faults.workloads import WORKLOAD_NAMES  # noqa: E402
 
 
-#: Site prefixes of the hb-par workload that only ever fire in the parent.
+#: Site prefixes of the hb-par workloads that only ever fire in the parent.
 HB_PAR_PARENT_LAYERS = ("arena.", "journal.", "checkpoint.", "executor.pool.")
 
 
@@ -130,7 +130,7 @@ def main(argv=None) -> int:
                 sections.append(summarize(reference, []))
                 continue
             sites = args.site
-            if name == "hb-par" and sites is None:
+            if name.startswith("hb-par") and sites is None:
                 # hb-par's census includes sites hit inside pool workers
                 # (executor.worker.*, executor.evaluate).  A crash there
                 # kills a worker, not the run: the engine retries its trials

@@ -3,8 +3,10 @@
 #   1. tier-1 test suite (fast; telemetry, kernels, serve, faults and obs
 #      tests deselected by pyproject addopts).  Every search in it runs on
 #      a TrialEngine (engine=None is the serial default; no inline path):
-#      tests/engine/test_engine.py pins no-engine == serial == parallel.
-#      It includes tests/guard and the hostile-data guard tests, the
+#      tests/test_determinism.py holds every repro.core.METHODS name's
+#      serial default-engine run (the searcher pin's <name>/grid record)
+#      bitwise equal to the same run on a forked 2-worker pool (its
+#      other legs run in the faults tier).  It includes tests/guard and the hostile-data guard tests, the
 #      cold-start budget (tests/test_import_budget.py), the serial
 #      rows of the degrade table (tests/engine/test_chaos.py) and two
 #      pins: the trace pin (tests/telemetry/test_trace_pin.py, see tier 4)
@@ -67,10 +69,16 @@
 #      serve.submit_ms)
 #   6. faults tier (every repro.faults-driven test: the degrade table's
 #      fork and spawn pool rows, worker kills, SIGKILL resume, the crashx
-#      explorer tests incl. the arena leak check; then a bounded
-#      crash-schedule sweep over the toy, HB+, 2-worker HB+ and serve
-#      workloads; the pool publishes its dataset to the arena, so hb-par
-#      keeps the arena.* sites, and serve sweeps the daemon's durable
+#      explorer tests incl. the arena leak check, and the determinism
+#      legs outside tier-1's wall: cache off, telemetry on, guard repair,
+#      a forked 3-worker pool, the spawn legs (a spawned 2-worker pool,
+#      cold and warm), warm with the cache off, warm on a forked 2-worker
+#      pool, and the crash chains, cold and warm: a run that dies after
+#      every journal commit in turn and is resumed each time; then
+#      a bounded crash-schedule sweep over the toy, HB+, 2-worker HB+ on
+#      fork and on spawn, and serve workloads; the pool publishes its
+#      dataset to the arena, so hb-par and hb-par-spawn keep the arena.*
+#      sites, and serve sweeps the daemon's durable
 #      writes (registry records and spec sidecars, serve.result.*
 #      result files published before their terminal record).
 #      The full sweep is `python tools/crashx.py --pairwise 40 --jobs 2
@@ -110,7 +118,7 @@ echo
 echo "== faults tier: pytest -m faults + bounded schedule sweep =="
 python -m pytest -q -m faults
 python tools/crashx.py --workload toy --workload hb --workload hb-par \
-    --workload serve --max-hits-per-site 2 --jobs 2
+    --workload hb-par-spawn --workload serve --max-hits-per-site 2 --jobs 2
 
 echo
 echo "== obs tier: pytest -m obs =="
