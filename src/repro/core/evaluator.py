@@ -772,7 +772,7 @@ def grouped_evaluator(
     itself runs under a guard log whose events land on the data report's
     side of the audit trail.
     """
-    data_report = None
+    data_report = setup_guard = None
     if guard_policy not in (None, "off"):
         setup_guard = GuardLog(guard_policy)
         X, y, data_report = validate_dataset(
@@ -782,16 +782,6 @@ def grouped_evaluator(
             task="regression" if task == "regression" else "classification",
             guard=setup_guard,
         )
-        if grouping is None:
-            grouping = generate_groups(
-                X,
-                y,
-                n_groups=n_groups,
-                task="regression" if task == "regression" else "classification",
-                r_group=r_group,
-                random_state=random_state,
-                guard=setup_guard,
-            )
     if grouping is None:
         grouping = generate_groups(
             X,
@@ -800,6 +790,7 @@ def grouped_evaluator(
             task="regression" if task == "regression" else "classification",
             r_group=r_group,
             random_state=random_state,
+            guard=setup_guard,
         )
     evaluator = SubsetCVEvaluator(
         X,

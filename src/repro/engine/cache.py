@@ -13,7 +13,7 @@ behaviour-preserving, not an approximation.
 ``(config_key, budget_fraction, seed)`` with hit/miss counters that the
 CLI and the benchmark report as a hit rate.
 
-The cache is **thread-safe**: every operation (lookup, store, clear,
+The cache is **thread-safe**: every operation (lookup, store and
 length) holds an internal :class:`threading.RLock`, and LRU eviction
 happens atomically inside :meth:`EvaluationCache.put`.  This is what lets
 the multi-tenant service daemon (:mod:`repro.serve`) hand one
@@ -119,10 +119,3 @@ class EvaluationCache:
         with self._lock:
             total = self.hits + self.misses
             return self.hits / total if total else 0.0
-
-    def clear(self) -> None:
-        """Drop every entry and reset the hit/miss counters."""
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0

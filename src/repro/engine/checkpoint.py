@@ -8,7 +8,7 @@ the storage half of that idea:
 
 - :class:`FoldCheckpoint` — the per-fold trained parameters of one
   evaluation (one entry per CV fold);
-- :class:`CheckpointStore` — an LRU-bounded in-memory map, keyed by
+- :class:`CheckpointStore` — an in-memory map, keyed by
   ``(configuration key, budget fraction)``, with an optional write-through
   **spill directory** that makes checkpoints durable (required when warm
   starting is combined with journal resume — replayed trials never
@@ -27,7 +27,10 @@ Warm-start selection (:meth:`CheckpointStore.best_source`) is the
 *largest stored budget strictly below* the requested one — deterministic
 for rung-barrier searchers because the store's content at submit time is
 a pure function of the completed rungs, which is what keeps the
-serial == parallel bitwise invariant intact among warm-start runs.
+serial == parallel bitwise invariant intact among warm-start runs.  The
+store evicts only what comes back bitwise (a spilled entry), so a cache
+hit, which stores nothing, leaves every donor where executing the trial
+would have: the search is the same with the cache on or off.
 """
 
 from __future__ import annotations
@@ -58,6 +61,10 @@ _SEGMENT_SUFFIX = ".seg"
 #: One-entry-per-file spills (``<digest>_<budget>.ckpt``, a bare pickle) of
 #: versions before segments: still read, never written.
 _LEGACY_SUFFIX = ".ckpt"
+
+#: In-memory entries a spill-backed store keeps; past it the least
+#: recently used entries the spill can reload are dropped from memory.
+_MEMORY_ENTRIES = 256
 
 
 def _config_digest(config_key: Tuple) -> str:
@@ -111,17 +118,16 @@ class FoldCheckpoint:
 
 
 class CheckpointStore:
-    """LRU-bounded map ``(config_key, budget) -> per-fold checkpoints``.
+    """Map ``(config_key, budget) -> per-fold checkpoints``.
+
+    An entry leaves memory only if it comes back bitwise: without a spill
+    directory the map is the only copy and never evicts, so it lives as
+    long as its engine; with one, memory holds ``_MEMORY_ENTRIES`` (256)
+    entries, the least recently used reloadable one out first, and only
+    entries whose segment write failed can hold it above that.
 
     Parameters
     ----------
-    max_entries:
-        In-memory capacity; the least-recently-used entry is dropped once
-        exceeded.  With a spill directory an evicted entry remains
-        loadable from disk; without one it is gone (a later
-        :meth:`best_source` then falls back to the next-best budget —
-        still deterministic, but a smaller reuse win; size the store to
-        the rung width to avoid this).
     spill_dir:
         Optional directory receiving a write-through segment file per
         commit.  Existing segments (and per-entry files left by older
@@ -142,19 +148,12 @@ class CheckpointStore:
     concurrently-running jobs.
     """
 
-    def __init__(
-        self,
-        max_entries: int = 256,
-        spill_dir: Union[str, Path, None] = None,
-    ) -> None:
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self.max_entries = max_entries
+    def __init__(self, spill_dir: Union[str, Path, None] = None) -> None:
         self.spill_dir = Path(spill_dir) if spill_dir is not None else None
         self._lock = threading.RLock()
         self._entries: "OrderedDict[Tuple, List[Optional[FoldCheckpoint]]]" = OrderedDict()
         #: ``config digest -> {budget: (file, offset of the entry's pickle)}``
-        #: for everything on disk.
+        #: for everything on disk that reloads as the entry held in memory.
         self._spill_index: Dict[str, Dict[float, Tuple[Path, int]]] = {}
         #: Sequence number of the newest segment seen or written; segment
         #: names lead with it so a name sort is a commit-order sort.
@@ -262,8 +261,10 @@ class CheckpointStore:
 
         Returns whether a segment was written.  A failed write (disk
         full, permissions) degrades the batch to memory-only rather than
-        failing its trials: nothing is indexed, so readers never see a
-        phantom path, and durability resumes with the next commit.
+        failing its trials: nothing is indexed, an older segment's copy of
+        a key is unindexed too, so readers never see a phantom or stale
+        path and the entries stay in memory; durability resumes with the
+        next commit.
         """
         if not batch:
             return False
@@ -275,6 +276,8 @@ class CheckpointStore:
                 except OSError:
                     self.spill_errors += 1
                     spilled = False
+                    for (digest, budget), _ in batch:
+                        self._spill_index.get(digest, {}).pop(budget, None)
             for key, fold_states in batch:
                 self._remember(key, fold_states)
                 self._register_budget(*key)
@@ -282,15 +285,15 @@ class CheckpointStore:
             return spilled
 
     def _remember(self, key: Tuple, fold_states) -> None:
-        """Insert into the memory map as most recent, evicting the oldest."""
+        """Insert into the memory map as most recent, evicting what reloads."""
         self._entries[key] = fold_states
         self._entries.move_to_end(key)
-        if len(self._entries) > self.max_entries:
-            (digest, budget), _ = self._entries.popitem(last=False)
-            if self.spill_dir is None and budget in self._budgets.get(digest, []):
-                # Without a spill the budget is genuinely gone; keep the
-                # budget index honest so best_source never dangles.
-                self._budgets[digest].remove(budget)
+        excess = len(self._entries) - _MEMORY_ENTRIES
+        if self.spill_dir is None or excess <= 0:
+            return
+        reloadable = (old for old in self._entries if old[1] in self._spill_index.get(old[0], ()))
+        for old in list(itertools.islice(reloadable, excess)):
+            del self._entries[old]
 
     def get(
         self, config_key: Tuple, budget_fraction: float
@@ -336,14 +339,3 @@ class CheckpointStore:
                     if states is not None:
                         return candidate, states
             return None
-
-    def clear(self) -> None:
-        """Drop the in-memory entries (spill segments are left untouched)."""
-        with self._lock:
-            self._entries.clear()
-            if self.spill_dir is None:
-                self._budgets.clear()
-            else:
-                self._budgets = {
-                    digest: sorted(index) for digest, index in self._spill_index.items()
-                }

@@ -116,9 +116,9 @@ class SharedEngineState:
         ``root/checkpoints/<context>/``.
     cache_entries:
         Optional LRU bound per context cache (``None`` = unbounded).
-        Each context's checkpoint store keeps
-        :class:`~repro.engine.checkpoint.CheckpointStore`'s default
-        in-memory bound.
+        Each context's checkpoint store is spill-backed, so its memory
+        stays within :class:`~repro.engine.checkpoint.CheckpointStore`'s
+        bound for spill-backed stores.
     """
 
     def __init__(

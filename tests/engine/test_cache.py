@@ -39,14 +39,6 @@ class TestLookups:
     def test_hit_rate_zero_when_untouched(self):
         assert EvaluationCache().hit_rate == 0.0
 
-    def test_clear_resets_everything(self):
-        cache = EvaluationCache()
-        cache.put(KEY_A, 0.5, 7, _result(0.9))
-        cache.get(KEY_A, 0.5, 7)
-        cache.clear()
-        assert len(cache) == 0
-        assert (cache.hits, cache.misses) == (0, 0)
-
 
 class TestEviction:
     def test_lru_eviction(self):

@@ -17,6 +17,9 @@ from repro.engine.checkpoint import CheckpointStore, FoldCheckpoint
 KEY_A = (("alpha", 0.001), ("units", 16))
 KEY_B = (("alpha", 0.01), ("units", 32))
 
+#: More entries than a spill-backed store keeps in memory (256).
+N_PAST_BOUND = 300
+
 
 def ckpt(seed=0, shape=(4, 3)):
     r = np.random.default_rng(seed)
@@ -113,10 +116,6 @@ class TestStoreBasics:
         assert not CheckpointStore().durable
         assert CheckpointStore(spill_dir=tmp_path / "ck").durable
 
-    def test_max_entries_validation(self):
-        with pytest.raises(ValueError):
-            CheckpointStore(max_entries=0)
-
 
 class TestBestSource:
     def test_largest_budget_strictly_below(self):
@@ -131,25 +130,26 @@ class TestBestSource:
         assert store.best_source(KEY_A, 0.1) is None
         assert store.best_source(KEY_B, 0.9) is None
 
-    def test_lru_eviction_without_spill_forgets_the_budget(self):
-        store = CheckpointStore(max_entries=2)
-        _store(store, KEY_A, 0.1, states(1))
-        _store(store, KEY_A, 0.2, states(2))
-        _store(store, KEY_A, 0.4, states(3))  # evicts 0.1
-        assert len(store) == 2
-        budget, _ = store.best_source(KEY_A, 0.3)
-        assert budget == 0.2
-        # the evicted budget is not offered as a donor
-        assert store.best_source(KEY_A, 0.15) is None
+    def test_memory_only_store_keeps_every_budget(self):
+        # 300 entries outgrow a spill-backed store's memory bound; without
+        # a spill the map is the only copy, so none may leave it.
+        store = CheckpointStore()
+        payloads = [states(i, n_folds=1) for i in range(N_PAST_BOUND)]
+        for i, payload in enumerate(payloads):
+            _store(store, KEY_A, (i + 1) / 1000, payload)
+        assert len(store) == N_PAST_BOUND
+        for i in range(1, N_PAST_BOUND):
+            budget, got = store.best_source(KEY_A, (i + 1) / 1000)
+            assert budget == i / 1000 and got is payloads[i - 1]
 
     def test_lru_eviction_with_spill_keeps_the_budget_loadable(self, tmp_path):
-        store = CheckpointStore(max_entries=2, spill_dir=tmp_path / "ck")
-        _store(store, KEY_A, 0.1, states(1))
-        _store(store, KEY_A, 0.2, states(2))
-        _store(store, KEY_A, 0.4, states(3))  # evicts 0.1 from memory only
-        budget, got = store.best_source(KEY_A, 0.15)
-        assert budget == 0.1
-        same_states(got, states(1))
+        store = CheckpointStore(spill_dir=tmp_path / "ck")
+        for i in range(N_PAST_BOUND):
+            _store(store, KEY_A, (i + 1) / 1000, states(i, n_folds=1))
+        assert len(store) < N_PAST_BOUND  # the oldest left memory only
+        budget, got = store.best_source(KEY_A, 0.0015)
+        assert budget == 0.001
+        same_states(got, states(0, n_folds=1))
         assert store.spill_loads == 1
 
 
@@ -191,24 +191,6 @@ class TestSpill:
         (spill / "abc_notafloat.ckpt").write_text("nope")
         store = CheckpointStore(spill_dir=spill)
         assert len(store) == 0 and store.best_source(KEY_A, 1.0) is None
-
-
-class TestClear:
-    def test_clear_without_spill_drops_everything(self):
-        store = CheckpointStore()
-        _store(store, KEY_A, 0.25, states(0))
-        store.clear()
-        assert len(store) == 0
-        assert store.best_source(KEY_A, 0.9) is None
-
-    def test_clear_with_spill_keeps_disk_entries_reachable(self, tmp_path):
-        store = CheckpointStore(spill_dir=tmp_path / "ck")
-        _store(store, KEY_A, 0.25, states(4))
-        store.clear()
-        assert len(store) == 0
-        budget, got = store.best_source(KEY_A, 0.9)
-        assert budget == 0.25
-        same_states(got, states(4))
 
 
 class TestSegments:
@@ -381,6 +363,28 @@ class TestSpillFailure:
         same_states(store.get((("a", 1),), 0.5), states(1))
         # the spill index holds no phantom path for the failed write
         assert store._spill_index == {}
+
+    def test_entry_whose_segment_failed_is_never_evicted(self, tmp_path, monkeypatch):
+        store = CheckpointStore(spill_dir=tmp_path / "ck")
+        _store(store, KEY_A, 0.5, states(0))  # on disk: a copy that goes stale
+        original = CheckpointStore._write_segment
+        failing = {"on": True}
+
+        def first_fails(self, batch):
+            if failing.pop("on", False):
+                raise OSError(28, "No space left on device")
+            original(self, batch)
+
+        monkeypatch.setattr(CheckpointStore, "_write_segment", first_fails)
+        _store(store, KEY_A, 0.5, states(1))
+        assert store.spill_errors == 1
+        for i in range(N_PAST_BOUND):  # push it far past the memory bound
+            _store(store, KEY_B, (i + 1) / 1000, states(i, n_folds=1))
+        assert store.spill_errors == 1
+        budget, got = store.best_source(KEY_A, 0.9)
+        assert budget == 0.5
+        same_states(got, states(1))
+        assert store.spill_loads == 0  # served from memory: it never left
 
     def test_best_source_skips_dangling_budget(self, tmp_path, monkeypatch):
         store = self._failing_store(tmp_path, monkeypatch)

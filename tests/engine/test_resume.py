@@ -3,9 +3,13 @@
 The engine's derived seeds make every trial a pure function of
 ``(root_seed, config, budget, attempt)``, so replaying a journal prefix
 and re-executing the tail must reproduce the uninterrupted run's trials,
-scores and incumbent exactly.  These tests interrupt runs two ways:
-truncating the journal to a durable prefix (what any crash leaves behind)
-and, in the ``faults`` tier, SIGKILL-ing a live process mid-search.
+scores and incumbent exactly.  A serial run cut after any journal
+commit is ``tests/test_determinism.py``'s crash chain; these tests add
+what it does not reach: a truncated journal resumed on a process pool,
+degraded trials that replay, a crash *inside* a rung's commit (a torn
+journal, a lost checkpoint segment), the refusals of a journal from
+another search, and, in the ``faults`` tier, a live process SIGKILLed
+mid-search.
 """
 
 import itertools
@@ -117,25 +121,6 @@ class TestKillAndResume:
         assert stats.resumed > 0
         # Only the lost tail was re-executed.
         assert stats.executed <= len(entries) - n_keep
-
-    def test_fully_complete_journal_executes_nothing(self, tmp_path):
-        path = tmp_path / "run.wal"
-        reference, _ = _run("hb", "serial", journal=str(path))
-        resumed, stats = _run("hb", "serial", journal=str(path))
-        assert stats.executed == 0
-        assert _fingerprint(resumed) == _fingerprint(reference)
-
-    @settings(max_examples=8, deadline=None)
-    @given(st.integers(min_value=1, max_value=21))
-    def test_any_cut_point_resumes_bitwise(self, tmp_path_factory, n_keep):
-        tmp_path = tmp_path_factory.mktemp("resume")
-        path = tmp_path / "run.wal"
-        reference, _ = _run("hb", "serial", journal=str(path))
-        _, entries, _ = RunJournal.read(path)
-        _truncate_journal(path, min(n_keep, len(entries)))
-        resumed, stats = _run("hb", "serial", journal=str(path))
-        assert _fingerprint(resumed) == _fingerprint(reference)
-        assert resumed.best_config == reference.best_config
 
     def test_degraded_trials_replay_without_reexecution(self, tmp_path):
         path = tmp_path / "run.wal"

@@ -17,7 +17,7 @@ the per-trial ``cost`` (:func:`repro.serve.jobs.incumbent_fingerprint`).
 leg                 how the run differs from the reference     tier
 ==================  =========================================  ========
 ``fork-2``          a forked pool of 2 workers deals the rungs  tier-1
-``crash-chain``     dies right after every journal commit in    faults
+``crash-chain``     dies right after every journal commit in    tier-1
                     turn, resumed each time, cache off
 ``cache-off``       ``TrialEngine(cache=False)``                faults
 ``telemetry``       ``TrialEngine(telemetry=Telemetry())``      faults
@@ -29,6 +29,17 @@ leg                 how the run differs from the reference     tier
 Warm starting changes what a promoted trial computes, so the warm legs
 (``warm-cache-off``, ``warm-fork-2``, ``warm-spawn-2`` and the warm
 crash chain, all ``faults`` tier) are held to a *warm* serial reference.
+
+Warm starting also must not make the cache visible: a cache hit stores
+no checkpoint, so the search is the same with the cache on or off only
+while the checkpoint store keeps every entry it cannot reload.
+``test_cache_is_transparent_when_checkpoints_outgrow_memory`` runs a
+problem that commits more entries than a spill-backed store keeps in
+memory (256), cache on against cache off: every HB-family name on a
+memory-only store (``sha`` and ``sha+``, the names that hit the cache,
+in tier-1), ``sha`` and ``sha+`` on a spill-backed store, and ``sha+``
+on a spill-backed store behind a 4-entry cache, as ``repro serve
+--cache-entries 4`` builds them.
 
 One exclusion, shown as a named skip: ASHA and ASHA+ on more than one
 worker.  Their promotions react to completion order, which a pool
@@ -44,11 +55,18 @@ from pathlib import Path
 import pytest
 
 from repro.core import METHODS
-from repro.engine import CheckpointStore, ParallelExecutor, RunJournal, TrialEngine
+from repro.engine import (
+    CheckpointStore,
+    EvaluationCache,
+    ParallelExecutor,
+    RunJournal,
+    TrialEngine,
+)
+from repro.engine.protocol import budget_key
 from repro.serve import incumbent_fingerprint
 from repro.telemetry import Telemetry
 
-from ._tiny_problem import GRID_SPACE, reference_run, tiny_searcher, trials_sha256
+from ._tiny_problem import GRID_SPACE, SAMPLED_SPACE, reference_run, tiny_searcher, trials_sha256
 
 PINNED = Path(__file__).parent / "bandit" / "data" / "searchers.json"
 
@@ -75,10 +93,10 @@ LEGS = {
     "warm-spawn-2": (_pool(2, "spawn"), WARM, 2),
 }
 
-#: The legs tier-1 runs, with the pinned reference: it catches a broken
-#: seed or rung order.  The rest, the crash chains included, run in the
-#: ``faults`` tier, so tier-1 stays within its wall while the example
-#: tests these legs cover (``tests/engine/test_resume.py``, ...) remain.
+#: The legs tier-1 runs, with the pinned reference and the cold crash
+#: chain: they catch a broken seed, rung order or resume.  The rest, the
+#: warm crash chain included, run in the ``faults`` tier, so tier-1 stays
+#: within its wall.
 TIER_1 = {"fork-2"}
 
 
@@ -136,8 +154,9 @@ class _CrashAfterCommit(RunJournal):
         raise _Crash
 
 
-@pytest.mark.faults
-@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize(
+    "warm", [False, pytest.param(True, marks=pytest.mark.faults)], ids=["cold", "warm"]
+)
 @pytest.mark.parametrize("method", list(METHODS))
 def test_crash_chain_reproduces_the_reference(method, warm, tmp_path):
     """Die after every commit in turn; each resume runs one dispatch, the last none.
@@ -166,3 +185,43 @@ def test_crash_chain_reproduces_the_reference(method, warm, tmp_path):
         assert len(commits) == 1 and commits[0] <= executed <= max(commits[0], in_flight)
     assert (engine.stats.executed, engine.stats.resumed) == (0, reference.n_trials)
     assert incumbent_fingerprint(result) == incumbent_fingerprint(reference)
+
+
+#: Successive halving (eta 2) from 1/64 of the data over 300 sampled
+#: configurations: ``sha`` and ``sha+`` commit 377 distinct checkpoint
+#: entries and hit the cache 225 times; the other HB-family names commit
+#: 301-645 entries and never hit.
+OUTGROW_KWARGS = {"eta": 2.0, "min_budget_fraction": 1.0 / 64.0}
+HB_FAMILY = [n for n, (cls, _) in METHODS.items() if cls not in {"RandomSearch", "TPESearch", "SMACSearch"}]
+STORES = {
+    "memory": lambda path: CheckpointStore(),
+    "spill": lambda path: CheckpointStore(spill_dir=path),
+}
+
+
+def _outgrow_cells():
+    """(store, cache bound of the cache-on run, method); tier-1 takes the hitting names."""
+    for method in HB_FAMILY:
+        marks = [] if method in ("sha", "sha+") else [pytest.mark.faults]
+        yield pytest.param("memory", None, method, marks=marks, id=f"memory-{method}")
+    for method in ("sha", "sha+"):
+        yield pytest.param("spill", None, method, marks=[pytest.mark.faults], id=f"spill-{method}")
+    yield pytest.param("spill", 4, "sha+", marks=[pytest.mark.faults], id="spill-cache-4-sha+")
+
+
+@pytest.mark.parametrize("store,cache_entries,method", _outgrow_cells())
+def test_cache_is_transparent_when_checkpoints_outgrow_memory(store, cache_entries, method, tmp_path):
+    pool = SAMPLED_SPACE.sample_batch(300, random_state=0)
+    runs = []
+    for leg, cache in (("on", EvaluationCache(cache_entries)), ("off", False)):
+        with TrialEngine(cache=cache, checkpoints=STORES[store](tmp_path / leg)) as engine:
+            searcher = tiny_searcher(
+                method, SAMPLED_SPACE, kwargs=OUTGROW_KWARGS, engine=engine, warm_start=True
+            )
+            runs.append((searcher.fit(configurations=pool), engine))
+    (cache_on, engine), (cache_off, _) = runs
+    entries = {(trial.key, budget_key(trial.budget_fraction)) for trial in cache_on.trials}
+    assert len(entries) > 256, "the problem no longer outgrows a spill-backed store's memory"
+    if store == "spill" and cache_entries is None:
+        assert engine.checkpoints.spill_loads > 0, "no evicted checkpoint was reloaded"
+    assert incumbent_fingerprint(cache_on) == incumbent_fingerprint(cache_off)

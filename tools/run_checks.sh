@@ -5,8 +5,14 @@
 #      a TrialEngine (engine=None is the serial default; no inline path):
 #      tests/test_determinism.py holds every repro.core.METHODS name's
 #      serial default-engine run (the searcher pin's <name>/grid record)
-#      bitwise equal to the same run on a forked 2-worker pool (its
-#      other legs run in the faults tier).  It includes tests/guard and the hostile-data guard tests, the
+#      bitwise equal to the same run on a forked 2-worker pool and through
+#      the cold crash chain (a run that dies after every journal commit
+#      in turn and is resumed each time; its other legs run in the faults
+#      tier), and its memory-only sha/sha+ rows of
+#      test_cache_is_transparent_when_checkpoints_outgrow_memory hold a
+#      warm search that commits more checkpoints than a spill-backed
+#      store keeps in memory (256) equal with the cache on and off.
+#      It includes tests/guard and the hostile-data guard tests, the
 #      cold-start budget (tests/test_import_budget.py), the serial
 #      rows of the degrade table (tests/engine/test_chaos.py) and two
 #      pins: the trace pin (tests/telemetry/test_trace_pin.py, see tier 4)
@@ -73,8 +79,12 @@
 #      legs outside tier-1's wall: cache off, telemetry on, guard repair,
 #      a forked 3-worker pool, the spawn legs (a spawned 2-worker pool,
 #      cold and warm), warm with the cache off, warm on a forked 2-worker
-#      pool, and the crash chains, cold and warm: a run that dies after
-#      every journal commit in turn and is resumed each time; then
+#      pool, the warm crash chain, and the other rows of
+#      test_cache_is_transparent_when_checkpoints_outgrow_memory: the
+#      other HB-family names on a memory-only store, sha and sha+ on a
+#      spill-backed store (which must reload an evicted checkpoint), and
+#      sha+ behind a 4-entry cache, as `repro serve --cache-entries 4`
+#      builds it; then
 #      a bounded crash-schedule sweep over the toy, HB+, 2-worker HB+ on
 #      fork and on spawn, and serve workloads; the pool publishes its
 #      dataset to the arena, so hb-par and hb-par-spawn keep the arena.*
