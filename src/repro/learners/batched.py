@@ -6,10 +6,11 @@ per-call numpy overhead, not by FLOPs — so this module advances **all
 folds at once**: fold data is stacked into
 ``(F, N, D)`` tensors, per-fold parameters into ``(F, d_in, d_out)``
 tensors per layer, and one ``np.matmul`` per layer moves every fold one
-step forward.  The training loop itself is
-:func:`repro.learners.mlp._fit_lane`, the one ``sgd`` / ``adam`` loop,
-which ``.fit`` runs on a lane of one; this module forms the lanes,
-counts them and deals them between two cores.
+step forward.  The training loops themselves are in
+:mod:`repro.learners.mlp` (:func:`~repro.learners.mlp._run_lane`: the
+``sgd`` / ``adam`` loop, or one L-BFGS-B run per ``lbfgs`` fold
+evaluated together), which ``.fit`` runs on a lane of one; this module
+forms the lanes, counts them and deals them between two cores.
 
 Bitwise equivalence at any width
 --------------------------------
@@ -51,15 +52,14 @@ slice as the scalar it replaces, so two trials that differ only in
 those knobs train in one stack and still produce bitwise-identical
 models.  Fold results never depend on lane grouping, which is what
 keeps cache keys, journal records and incumbent fingerprints untouched.
-Only the stochastic solvers (``sgd`` / ``adam``) stack; an L-BFGS fold
-is full-batch scipy and trains alone, through the model's own
-``_fit_lbfgs``.
+All three solvers stack; an ``lbfgs`` lane also carries ``max_fun`` per
+fold.
 
 Two cores, one call
 -------------------
-:func:`fit_mlp_trials` deals its call's units — a stacked lane, the two
-halves (two or more folds each) of a lane heavier than all other units
-together, a single ``lbfgs`` or width-one fold — largest-first by
+:func:`fit_mlp_trials` deals its call's units — every lane whole, or
+the two halves (two or more folds each) of a lane heavier than all other
+units together — largest-first by
 estimated work (folds x rows x sum of fan_in x fan_out x ``max_iter``)
 onto the lighter of the calling thread and **one** long-lived
 lane-helper process, which takes only units above a measured work
@@ -113,7 +113,12 @@ __all__ = [
 
 
 def batchable_model(model: Any) -> bool:
-    """Whether ``model``'s folds stack into lanes: an MLP with a stochastic solver."""
+    """Whether ``model`` is an MLP with a stochastic solver (``sgd`` / ``adam``).
+
+    The evaluator records a lane failure of such a trial as a
+    ``learner.batch_fallback``; ``lbfgs`` folds stack too, but a trial of
+    them records only its folds' own fit errors.
+    """
     return isinstance(model, _BaseMLP) and getattr(model, "solver", None) in ("sgd", "adam")
 
 
@@ -145,8 +150,10 @@ class MegaBatchStats:
 
     ``lane occupancy`` is ``batched_folds / folds``: every fold is one
     lane slot, and a slot counts as *filled* when its fold trained
-    inside a stacked lane (two or more ``sgd`` / ``adam`` folds) rather
-    than alone (``sequential_folds``: a lane of one, or ``lbfgs``).
+    inside a stacked lane of two or more ``sgd`` / ``adam`` folds
+    (``sequential_folds``: a lane of one, or an ``lbfgs`` fold).
+    ``lbfgs`` lanes stack too, but count as they did before they
+    stacked, so these counters mean the same in every recorded trace.
     ``fused_lanes`` / ``fused_folds`` count lanes (and their folds) that
     mixed folds from two or more distinct trials — the cross-trial work
     that per-trial batching could not reach.
@@ -215,7 +222,7 @@ def fit_mlp_trials(
     trial_jobs:
         One entry per trial, each a sequence of ``(model, X_train,
         y_train)`` fold jobs in fold order.  Every model must be an
-        MLP (``lbfgs`` folds train alone) and is fitted in place exactly
+        MLP (any solver) and is fitted in place exactly
         as ``model.fit`` would have; models from *different* trials may
         carry different hyperparameter configurations.
     warms:
@@ -270,7 +277,7 @@ def fit_mlp_trials(
             mega.fused_lanes += 1
             mega.fused_folds += len(members)
         mega.max_lane_width = max(mega.max_lane_width, len(members))
-        batched = _stacks(members)
+        batched = len(members) > 1 and members[0].model.solver != "lbfgs"  # see MegaBatchStats
         for i in positions:
             if batched:
                 per_trial[owner[i]].batched_folds += 1
@@ -285,11 +292,6 @@ def fit_mlp_trials(
     return per_trial, mega
 
 
-def _stacks(members: List[_FoldPlan]) -> bool:
-    """Whether a lane's folds count as stacked: two or more, not ``lbfgs``."""
-    return len(members) > 1 and members[0].model.solver != "lbfgs"
-
-
 # -- two cores, one call --------------------------------------------------------
 # Units cross to the helper as data and train through ``_run_lane``: nothing
 # there opens a collector, passes a fault point or writes a flight-recorder note.
@@ -298,7 +300,7 @@ def _stacks(members: List[_FoldPlan]) -> bool:
 #: trip costs more than the second core saves (docs/PERFORMANCE.md section 18).
 _HELPER_MIN_WORK = 100_000
 #: The numeric knobs a lane carries per fold (the rest is in ``_lane_key``).
-_FOLD_KNOBS = ("alpha", "learning_rate_init", "momentum", "tol", "n_iter_no_change")
+_FOLD_KNOBS = ("alpha", "learning_rate_init", "momentum", "tol", "n_iter_no_change", "max_fun")
 #: What a fitted fold sends back besides its parameters.
 _FINALS = ("loss_curve_", "validation_scores_", "n_iter_", "loss_", "diverged_")
 _WIRE_TYPES = {cls.__name__: cls for cls in (MLPClassifier, MLPRegressor)}
@@ -315,12 +317,9 @@ def _work(unit: List[_FoldPlan]) -> int:
 
 
 def _units(lanes: List[List[_FoldPlan]]) -> List[List[_FoldPlan]]:
-    """A call's units, heaviest first: stacked lanes whole, other folds alone,
-    and a lane heavier than every other unit together as two halves."""
-    units = []
-    for members in lanes:
-        units.extend([members] if _stacks(members) else [[plan] for plan in members])
-    units.sort(key=_work, reverse=True)
+    """A call's units, heaviest first: every lane whole, and a lane heavier
+    than every other unit together as two halves."""
+    units = sorted(lanes, key=_work, reverse=True)
     if units and len(units[0]) >= 4 and 2 * _work(units[0]) > sum(map(_work, units)):
         half = len(units[0]) // 2
         units[:1] = [units[0][:half], units[0][half:]]
@@ -562,10 +561,10 @@ def _lane_key(plan: _FoldPlan) -> Tuple:
     Two folds with equal keys run the same tensor shapes, the same batch
     schedule and the same branch structure for every epoch, so they can
     share a lane.  The purely numeric knobs — ``alpha``,
-    ``learning_rate_init``, ``momentum``, ``tol``, ``n_iter_no_change``
-    — are deliberately *absent*: the lane carries them per fold (scalar
-    or broadcast column, bitwise-equal either way), which is what lets
-    trials that differ only in those values fuse into one stack.
+    ``learning_rate_init``, ``momentum``, ``tol``, ``n_iter_no_change``,
+    ``max_fun`` — are deliberately *absent*: the lane carries them per
+    fold (scalar or broadcast column, bitwise-equal either way), which is
+    what lets trials that differ only in those values fuse into one stack.
     """
     model = plan.model
     if model.solver == "sgd":

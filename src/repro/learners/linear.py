@@ -15,6 +15,7 @@ import numpy as np
 from .activations import logistic, softmax
 from .base import BaseEstimator, check_X_y
 from .preprocessing import LabelEncoder, one_hot
+from .solvers import LBFGSB
 
 __all__ = ["LogisticRegression", "Ridge"]
 
@@ -49,8 +50,6 @@ class LogisticRegression(BaseEstimator):
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "LogisticRegression":
         """Fit the model by minimizing regularized cross-entropy."""
-        import scipy.optimize  # on first fit, like the MLP's L-BFGS
-
         if self.C <= 0:
             raise ValueError(f"C must be positive, got {self.C}")
         X, y = check_X_y(X, y)
@@ -90,16 +89,15 @@ class LogisticRegression(BaseEstimator):
             return loss, grad.ravel()
 
         x0 = np.zeros((n_features + bias_cols) * n_outputs)
-        result = scipy.optimize.minimize(
-            objective, x0, jac=True, method="L-BFGS-B",
-            options={"maxiter": self.max_iter, "gtol": self.tol},
-        )
-        W = result.x.reshape(n_features + bias_cols, n_outputs)
+        run = LBFGSB(x0, self.max_iter, gtol=self.tol)
+        while run.ask():
+            run.tell(*objective(run.x.copy()))
+        W = run.x.reshape(n_features + bias_cols, n_outputs)
         if self.fit_intercept:
             self.coef_, self.intercept_ = W[:-1], W[-1]
         else:
             self.coef_, self.intercept_ = W, np.zeros(n_outputs)
-        self.n_iter_ = int(result.nit)
+        self.n_iter_ = int(run.nit)
         return self
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:

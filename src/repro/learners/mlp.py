@@ -6,7 +6,7 @@ hyperparameter surface of the paper's Table III search space:
 
 - ``hidden_layer_sizes`` — any tuple of layer widths;
 - ``activation`` — ``logistic`` / ``tanh`` / ``relu`` (plus ``identity``);
-- ``solver`` — ``lbfgs`` (full batch, via scipy), ``sgd`` (with momentum
+- ``solver`` — ``lbfgs`` (full batch, L-BFGS-B), ``sgd`` (with momentum
   and the three learning-rate schedules) and ``adam``;
 - ``learning_rate_init``, ``batch_size``, ``learning_rate`` schedule,
   ``momentum`` and ``early_stopping``.
@@ -16,17 +16,18 @@ lists per layer, loss curves, early stopping on a held-out fraction) so that
 behaviours the paper's experiments depend on — e.g. large slow
 configurations versus small fast ones — carry over.
 
-Every MLP fold trains through one preamble and, for ``sgd`` / ``adam``,
-one training loop.  :func:`_prepare_fold` validates, encodes the targets
-and initialises the parameters; :func:`_fit_lane` then trains a *lane*
-of identically shaped folds in lockstep, every tensor stacked ``(A,
-...)`` and every per-fold decision (divergence, improvement, patience)
-a mask over ``(A,)`` arrays.  ``.fit`` is a lane of one;
-:func:`repro.learners.batched.fit_mlp_trials` groups a rung's folds into
-wider lanes and gets, fold by fold, the bits ``.fit`` gives.  An
-``lbfgs`` fold is full-batch scipy and trains alone through
-``_fit_lbfgs``.  The lane is pinned to an independent per-fold loop, the
-oracle in ``tests/learners/_reference_kernel.py``, not to itself.
+Every MLP fold trains through one preamble and one training loop per
+solver family.  :func:`_prepare_fold` validates, encodes the targets and
+initialises the parameters; a *lane* of identically shaped folds then
+trains together, every tensor stacked ``(A, ...)``: :func:`_fit_lane`
+runs ``sgd`` / ``adam`` lanes in lockstep, every per-fold decision
+(divergence, improvement, patience) a mask over ``(A,)`` arrays, and
+:func:`_fit_lbfgs_lane` runs one L-BFGS-B problem per ``lbfgs`` fold,
+evaluating every fold that asks in one stacked pass.  ``.fit`` is a lane
+of one; :func:`repro.learners.batched.fit_mlp_trials` groups a rung's
+folds into wider lanes and gets, fold by fold, the bits ``.fit`` gives.
+The lanes are pinned to independent per-fold loops, the oracles in
+``tests/learners/_reference_kernel.py``, not to themselves.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .activations import get_activation, softmax
 from .base import BaseEstimator, check_X_y
 from .losses import _EPS, _MAX_RESIDUAL, squared_loss
 from .preprocessing import LabelEncoder, one_hot
-from .solvers import AdamOptimizer
+from .solvers import LBFGSB, AdamOptimizer
 
 __all__ = [
     "DIVERGENCE_LOSS_CAP",
@@ -84,9 +85,9 @@ def _epoch_orders(rngs: Sequence[np.random.Generator], block: np.ndarray) -> Non
 
 # -- the fit kernel -----------------------------------------------------------
 #
-# One forward pass and one loss/backward pass serve the lane trainer and
-# the L-BFGS objective.  Both are rank-generic: 2-D operands are one fold,
-# 3-D ``(A, ...)`` operands a lane stack (intercepts ``(A, 1, d)``, per-fold
+# One forward pass and one loss/backward pass serve both lane trainers.
+# Both are rank-generic: 2-D operands are one fold, 3-D ``(A, ...)``
+# operands a lane stack (intercepts ``(A, 1, d)``, per-fold
 # scalars as ``(A, 1, 1)`` columns), and slice ``i`` of a stacked result is
 # bitwise the 2-D result for fold ``i``.
 
@@ -278,13 +279,8 @@ def _prepare_fold(model, X, y, coefs_init=None, intercepts_init=None, encoding=N
 
 
 def _run_lane(members: List[_FoldPlan]) -> None:
-    """Train one lane of prepared folds: ``lbfgs`` members one by one, any
-    other lane in lockstep through :func:`_fit_lane`, whatever its width."""
-    if members[0].model.solver == "lbfgs":
-        for plan in members:
-            plan.model._fit_lbfgs(plan.X, plan.y_encoded)
-    else:
-        _fit_lane(members)
+    """Train one lane of prepared folds, whatever its width."""
+    (_fit_lbfgs_lane if members[0].model.solver == "lbfgs" else _fit_lane)(members)
 
 
 # -- lane optimisers ----------------------------------------------------------
@@ -624,6 +620,81 @@ def _fit_lane(members: List[_FoldPlan]) -> None:
         _finish_fold(models[column], parameters, curve[:, column])
 
 
+def _fit_lbfgs_lane(members: List[_FoldPlan]) -> None:
+    """Train one lane of identically shaped ``lbfgs`` folds, evaluated together.
+
+    Each fold runs its own L-BFGS-B problem (its model's
+    :meth:`~_BaseMLP._lbfgs_run`) over its parameters flattened,
+    coefficients first, then intercepts.  A round drives every run until
+    it asks for the loss and gradient at its point or stops; one stacked
+    :func:`_loss_and_gradients` over the full training folds, with
+    per-fold ``alpha`` and ridge as in :func:`_fit_lane`, answers every
+    run that asked, and a finished fold is written back and compacted
+    out.  The loss curve records each evaluation, twice for a point that
+    holds NaN, which ``scipy.optimize.minimize`` evaluates twice.  A
+    result that is non-finite or past :data:`DIVERGENCE_LOSS_CAP` rolls
+    the fold back to its initial parameters with ``diverged_`` set.
+    """
+    models = [plan.model for plan in members]
+    reference = models[0]
+    shapes = [p.shape for p in (*reference.coefs_, *reference.intercepts_)]
+    bounds = np.cumsum([0, *(int(np.prod(shape)) for shape in shapes)])
+    x0s = [np.concatenate([p.ravel() for p in (*m.coefs_, *m.intercepts_)]) for m in models]
+    runs = [model._lbfgs_run(x0) for model, x0 in zip(models, x0s)]
+    kernel = reference._kernel()
+    n_samples = members[0].X.shape[0]
+    Xs = np.stack([plan.X for plan in members])
+    ys = np.stack([plan.y_encoded for plan in members])
+    alphas = np.array([model.alpha for model in models], dtype=float)
+    n_coefs = len(shapes) // 2
+    live = list(range(len(members)))  # slot -> member
+    asking = [run.ask() for run in runs]  # every run first asks at its x0
+    params = None
+    while True:
+        if not all(asking):
+            for i, asks in zip(live, asking):
+                if not asks:
+                    _finish_lbfgs(models[i], runs[i], x0s[i], shapes, bounds)
+            keep = [slot for slot, asks in enumerate(asking) if asks]
+            if not keep:
+                return
+            live = [live[slot] for slot in keep]
+            Xs, ys, alphas = Xs[keep], ys[keep], alphas[keep]
+            params = None
+        if params is None:  # (re)built when the lane changes width
+            width = len(live)
+            params = [np.empty((width, *(s if len(s) == 2 else (1, *s)))) for s in shapes]
+            grads = [np.empty_like(p) for p in params]
+            flat_grads = np.empty((width, bounds[-1]))
+            ridge = _per_fold_factor((alphas / n_samples).tolist())
+        theta = np.stack([runs[i].x for i in live])
+        for param, lo, hi in zip(params, bounds, bounds[1:]):
+            param.reshape(width, -1)[...] = theta[:, lo:hi]
+        losses = _loss_and_gradients(
+            Xs, ys, params[:n_coefs], params[n_coefs:], alphas, ridge, kernel, grads
+        )
+        for grad, lo, hi in zip(grads, bounds, bounds[1:]):
+            flat_grads[:, lo:hi] = grad.reshape(width, -1)
+        twice = np.isnan(theta).any(axis=1)
+        for slot, (i, loss) in enumerate(zip(live, losses.tolist())):
+            models[i].loss_curve_.extend((loss, loss) if twice[slot] else (loss,))
+            runs[i].tell(loss, flat_grads[slot])
+        asking = [runs[i].ask() for i in live]
+
+
+def _finish_lbfgs(model, run: LBFGSB, x0: np.ndarray, shapes, bounds) -> None:
+    """Write a finished ``lbfgs`` fold back: its last point, or ``x0`` once diverged."""
+    final, loss = run.x, float(run.f)
+    if not np.isfinite(final).all() or not np.isfinite(loss) or loss > DIVERGENCE_LOSS_CAP:
+        model.diverged_ = True
+        final, loss = x0, np.inf
+    params = [final[lo:hi].reshape(shape) for shape, lo, hi in zip(shapes, bounds, bounds[1:])]
+    n_coefs = len(shapes) // 2
+    model.coefs_, model.intercepts_ = params[:n_coefs], params[n_coefs:]
+    model.loss_ = loss
+    model.n_iter_ = run.nit
+
+
 def _lane_buffers(params: List[np.ndarray], n_samples: int):
     """Per-compaction scratch: gradients, rollback snapshot, each slot's first stacked row."""
     grads = [np.empty_like(p) for p in params]
@@ -750,9 +821,9 @@ class _BaseMLP(BaseEstimator):
     def _backprop(
         self, X: np.ndarray, y: np.ndarray, kernel: Optional[tuple] = None, grads=None
     ) -> Tuple[float, List[np.ndarray], List[np.ndarray]]:
-        """Loss plus gradients w.r.t. every coefficient and intercept.
+        """Loss plus gradients w.r.t. every coefficient and intercept, for one fold.
 
-        The L-BFGS objective passes its per-fit ``kernel`` and reusable ``grads`` buffers.
+        A caller evaluating many times may pass its ``kernel`` and reusable ``grads`` buffers.
         """
         n_coefs = len(self.coefs_)
         if grads is None:
@@ -785,48 +856,9 @@ class _BaseMLP(BaseEstimator):
         _run_lane([_prepare_fold(self, X, y, coefs_init, intercepts_init)])
         return self
 
-    def _fit_lbfgs(self, X: np.ndarray, y: np.ndarray) -> None:
-        import scipy.optimize  # on first use: half a second an adam/sgd search never owes
-
-        params = [*self.coefs_, *self.intercepts_]
-        n_coefs = len(self.coefs_)
-        x0 = np.concatenate([p.ravel() for p in params])
-        # Parameters and gradients live in two flat vectors for the whole
-        # fit, the per-layer arrays being views of them: an evaluation
-        # copies scipy's iterate in and returns the gradient already packed
-        # (scipy copies it before the next evaluation overwrites it).
-        theta, grad = x0.copy(), np.empty_like(x0)
-        bounds = np.cumsum([0, *(p.size for p in params)])
-
-        def views(flat: np.ndarray) -> List[np.ndarray]:
-            return [flat[lo:hi].reshape(p.shape) for lo, hi, p in zip(bounds, bounds[1:], params)]
-
-        unpacked, grads, kernel = views(theta), views(grad), self._kernel()
-        self.coefs_, self.intercepts_ = unpacked[:n_coefs], unpacked[n_coefs:]
-
-        def objective(flat: np.ndarray) -> Tuple[float, np.ndarray]:
-            theta[:] = flat
-            loss, _, _ = self._backprop(X, y, kernel, grads)
-            self.loss_curve_.append(loss)
-            return loss, grad
-
-        result = scipy.optimize.minimize(
-            objective,
-            x0,
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": self.max_iter, "maxfun": self.max_fun, "gtol": self.tol},
-        )
-        final = np.asarray(result.x, dtype=float)
-        loss = float(result.fun)
-        if not np.isfinite(final).all() or not np.isfinite(loss) or loss > DIVERGENCE_LOSS_CAP:
-            # Roll back to the (finite) initial parameters rather than keep
-            # a non-finite optimum; the caller can see it via ``diverged_``.
-            self.diverged_ = True
-            final, loss = x0, np.inf
-        theta[:] = final
-        self.loss_ = loss
-        self.n_iter_ = int(result.nit)
+    def _lbfgs_run(self, x0: np.ndarray) -> LBFGSB:
+        """This fold's L-BFGS-B problem from ``x0``; the ``lbfgs`` lane builds one per fold."""
+        return LBFGSB(x0, self.max_iter, self.max_fun, self.tol)
 
     def _validation_split(
         self, X: np.ndarray, y: np.ndarray, rng: np.random.Generator

@@ -145,12 +145,16 @@ def assert_same_trial(got, want):
 
 
 class FailingLbfgs(MLPClassifier):
-    """An ``lbfgs`` MLP whose fit raises for every third seed."""
+    """An ``lbfgs`` MLP whose fit raises for every third seed.
 
-    def _fit_lbfgs(self, X, y):
+    The ``lbfgs`` lane builds each member's L-BFGS-B run through this hook,
+    so a fold fails in a lane call and in ``.fit`` alike.
+    """
+
+    def _lbfgs_run(self, x0):
         if self.random_state % 3 == 0:
             raise FloatingPointError("injected lbfgs failure")
-        super()._fit_lbfgs(X, y)
+        return super()._lbfgs_run(x0)
 
 
 class FailingLbfgsFactory(MLPModelFactory):
@@ -249,8 +253,9 @@ class TestEvaluateManyOracle:
     def test_failing_lbfgs_fold_of_a_lone_guarded_trial_records_only_its_fit_error(self):
         """Each ``lbfgs`` fold that raises floors, with one ``learner.fit_error``.
 
-        No ``learner.batch_fallback``: an ``lbfgs`` trial stacks nothing,
-        whether its folds fit in the score phase or in the lane call.
+        No ``learner.batch_fallback``: that event names ``sgd`` / ``adam``
+        trials, so an ``lbfgs`` trial whose lane call raises records only
+        the fit errors of the folds the score phase then fits one by one.
         """
 
         X, y = make_classification(n_samples=140, n_features=5, random_state=3)

@@ -15,7 +15,10 @@ driving :func:`reference_fit_stochastic`, the per-fold ``sgd`` /
 ``adam`` loop as it was when every epoch drew its order with one
 ``rng.permutation(n)`` (copied verbatim, its divergence cap copied as a
 constant; its early-stopping score is :func:`reference_validation_score`,
-the scorer it called).  ``reference_fit(model, X, y)`` fits any MLP
+the scorer it called), or :func:`reference_fit_lbfgs`, the per-fold
+``scipy.optimize.minimize`` call an ``lbfgs`` fold made before its lane
+drove ``setulb`` itself (``_BaseMLP._fit_lbfgs``, copied verbatim; this
+file is the only place that imports ``scipy.optimize``).  ``reference_fit(model, X, y)`` fits any MLP
 estimator through that loop, and :class:`OracleKernelMixin` makes it
 the estimator's ``fit``: the lane trainer, which ``.fit`` and
 ``fit_mlp_trials`` both run, is pinned to it, never to itself.  The
@@ -137,8 +140,8 @@ class OracleKernelMixin:
     """Mix into an MLP estimator to fit it with both oracles.
 
     ``class Oracle(OracleKernelMixin, MLPClassifier)`` fits through
-    :func:`reference_fit` (``lbfgs`` through the estimator's own
-    ``_fit_lbfgs``) and computes every forward pass, loss and gradient
+    :func:`reference_fit` (``lbfgs`` through :func:`reference_fit_lbfgs`)
+    and computes every forward pass, loss and gradient
     with :class:`ReferenceNet`: the fit as it was before the lean kernel.
     """
 
@@ -177,10 +180,54 @@ def reference_fit(self, X, y, coefs_init=None, intercepts_init=None):
     self.diverged_ = False
 
     if self.solver == "lbfgs":
-        self._fit_lbfgs(X, y_encoded)
+        reference_fit_lbfgs(self, X, y_encoded)
     else:
         reference_fit_stochastic(self, X, y_encoded, rng)
     return self
+
+
+def reference_fit_lbfgs(self, X: np.ndarray, y: np.ndarray) -> None:
+    import scipy.optimize  # on first use: half a second an adam/sgd search never owes
+
+    params = [*self.coefs_, *self.intercepts_]
+    n_coefs = len(self.coefs_)
+    x0 = np.concatenate([p.ravel() for p in params])
+    # Parameters and gradients live in two flat vectors for the whole
+    # fit, the per-layer arrays being views of them: an evaluation
+    # copies scipy's iterate in and returns the gradient already packed
+    # (scipy copies it before the next evaluation overwrites it).
+    theta, grad = x0.copy(), np.empty_like(x0)
+    bounds = np.cumsum([0, *(p.size for p in params)])
+
+    def views(flat: np.ndarray) -> List[np.ndarray]:
+        return [flat[lo:hi].reshape(p.shape) for lo, hi, p in zip(bounds, bounds[1:], params)]
+
+    unpacked, grads, kernel = views(theta), views(grad), self._kernel()
+    self.coefs_, self.intercepts_ = unpacked[:n_coefs], unpacked[n_coefs:]
+
+    def objective(flat: np.ndarray) -> Tuple[float, np.ndarray]:
+        theta[:] = flat
+        loss, _, _ = self._backprop(X, y, kernel, grads)
+        self.loss_curve_.append(loss)
+        return loss, grad
+
+    result = scipy.optimize.minimize(
+        objective,
+        x0,
+        jac=True,
+        method="L-BFGS-B",
+        options={"maxiter": self.max_iter, "maxfun": self.max_fun, "gtol": self.tol},
+    )
+    final = np.asarray(result.x, dtype=float)
+    loss = float(result.fun)
+    if not np.isfinite(final).all() or not np.isfinite(loss) or loss > DIVERGENCE_LOSS_CAP:
+        # Roll back to the (finite) initial parameters rather than keep
+        # a non-finite optimum; the caller can see it via ``diverged_``.
+        self.diverged_ = True
+        final, loss = x0, np.inf
+    theta[:] = final
+    self.loss_ = loss
+    self.n_iter_ = int(result.nit)
 
 
 def reference_validation_score(self, X_val: np.ndarray, y_val: np.ndarray) -> float:

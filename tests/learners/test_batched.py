@@ -146,6 +146,9 @@ class TestFallbacks:
         for model, X, y in jobs_seq:
             reference_fit(model, X, y)
         stats = fit_mlp_folds(jobs_bat)
+        # The three folds train as one lane, counted as they were before
+        # lbfgs lanes stacked (``MegaBatchStats``).
+        assert stats.lanes == 1
         assert stats.batched_folds == 0
         assert stats.sequential_folds == 3
         for i, (a, b) in enumerate(zip(jobs_seq, jobs_bat)):

@@ -4,6 +4,74 @@ import numpy as np
 import pytest
 
 from repro.learners import LogisticRegression, Ridge, clone
+from repro.learners.activations import logistic, softmax
+from repro.learners.base import check_X_y
+from repro.learners.preprocessing import LabelEncoder, one_hot
+
+
+def scipy_logistic_fit(model, X, y):
+    """``LogisticRegression.fit`` as it ran on ``scipy.optimize.minimize``: ``(W, nit)``."""
+    import scipy.optimize
+
+    X, y = check_X_y(X, y)
+    encoder = LabelEncoder().fit(y)
+    n_classes = len(encoder.classes_)
+    codes = encoder.transform(y)
+    targets = one_hot(codes, n_classes) if n_classes > 2 else codes.reshape(-1, 1).astype(float)
+
+    n_features = X.shape[1]
+    n_outputs = targets.shape[1]
+    n_samples = X.shape[0]
+    bias_cols = 1 if model.fit_intercept else 0
+
+    def objective(flat):
+        W = flat.reshape(n_features + bias_cols, n_outputs)
+        weights, bias = (W[:-1], W[-1]) if model.fit_intercept else (W, 0.0)
+        z = X @ weights + bias
+        if n_outputs == 1:
+            probabilities = logistic(z)
+        else:
+            probabilities = softmax(z)
+        clipped = np.clip(probabilities, 1e-12, 1 - 1e-12)
+        if n_outputs == 1:
+            loss = -(targets * np.log(clipped) + (1 - targets) * np.log(1 - clipped)).sum() / n_samples
+        else:
+            loss = -(targets * np.log(clipped)).sum() / n_samples
+        loss += (weights**2).sum() / (2.0 * model.C * n_samples)
+        delta = (probabilities - targets) / n_samples
+        grad_w = X.T @ delta + weights / (model.C * n_samples)
+        if model.fit_intercept:
+            grad = np.vstack([grad_w, delta.sum(axis=0)])
+        else:
+            grad = grad_w
+        return loss, grad.ravel()
+
+    x0 = np.zeros((n_features + bias_cols) * n_outputs)
+    result = scipy.optimize.minimize(
+        objective, x0, jac=True, method="L-BFGS-B",
+        options={"maxiter": model.max_iter, "gtol": model.tol},
+    )
+    return result.x.reshape(n_features + bias_cols, n_outputs), int(result.nit)
+
+
+class TestLogisticRegressionDriver:
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    @pytest.mark.parametrize("C", [1e-3, 1.0, 1e4])
+    @pytest.mark.parametrize("fit_intercept", [True, False])
+    @pytest.mark.parametrize("max_iter", [1, 5, 100])
+    def test_fit_equals_scipy_minimize_bitwise(self, n_classes, C, fit_intercept, max_iter):
+        rng = np.random.default_rng(n_classes * 10 + max_iter)
+        X = rng.normal(size=(60, 4))
+        y = rng.integers(0, n_classes, size=60) if n_classes > 2 else (X[:, 0] > 0).astype(int)
+        model = LogisticRegression(C=C, fit_intercept=fit_intercept, max_iter=max_iter).fit(X, y)
+        W, nit = scipy_logistic_fit(model, X, y)
+        if fit_intercept:
+            coef, intercept = W[:-1], W[-1]
+        else:
+            coef, intercept = W, np.zeros(W.shape[1])
+        assert model.n_iter_ == nit
+        assert coef.tobytes() == model.coef_.tobytes()
+        assert intercept.tobytes() == model.intercept_.tobytes()
 
 
 class TestLogisticRegressionBinary:

@@ -100,7 +100,8 @@ def _check_trials_equal_sequential_fit(hidden, solver, activation, n_trials, n_f
     assert sum(s.folds for s in per_trial_stats) == stats.folds
     # Shared architecture + shared fold shapes: every lane stacks (and,
     # past one trial, fuses across trials), so occupancy is total
-    # whenever lanes stack (L-BFGS lanes never do).
+    # whenever lanes count as stacked (L-BFGS lanes stack but count as
+    # sequential folds, as they did before they stacked).
     assert bool(stats.batched_folds) == (solver != "lbfgs")
     if stats.batched_folds:
         assert stats.fused_folds == (stats.batched_folds if n_trials > 1 else 0)

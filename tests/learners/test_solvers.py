@@ -1,9 +1,13 @@
-"""Tests for the SGD and Adam optimizers."""
+"""Tests for the SGD, Adam and L-BFGS-B optimizers."""
+
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from repro.learners.solvers import AdamOptimizer, SGDOptimizer, make_optimizer
+import repro.learners.solvers as solvers
+from repro.learners.solvers import LBFGSB, AdamOptimizer, SGDOptimizer, make_optimizer
 
 
 def quadratic_grad(params):
@@ -117,3 +121,57 @@ class TestFactory:
         opt.update([np.ones((2, 3)), np.ones(3)])
         assert (opt.params[0] < 0).all()
         assert (opt.params[1] < 0).all()
+
+
+def _problem(kind, seed):
+    """A smooth objective (loss, gradient) that records every point it is called at."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 12))
+    A = rng.normal(size=(n, n))
+    H, b = A @ A.T + 0.1 * np.eye(n), rng.normal(size=n)
+    calls = []
+
+    def fun(x):
+        calls.append(x.copy())
+        if kind == "quadratic":
+            return float(x @ H @ x / 2 - b @ x), H @ x - b
+        if kind == "rosenbrock":
+            g = np.zeros_like(x)
+            g[:-1] = -400 * x[:-1] * (x[1:] - x[:-1] ** 2) - 2 * (1 - x[:-1])
+            g[1:] += 200 * (x[1:] - x[:-1] ** 2)
+            return float(np.sum(100 * (x[1:] - x[:-1] ** 2) ** 2 + (1 - x[:-1]) ** 2)), g
+        if np.abs(x).max() > 1.5:  # "nan": undefined away from the start
+            return float("nan"), np.full_like(x, np.nan)
+        return float(np.sum(x**4) / 100 - np.sum(x**2)), x**3 / 25 - 2 * x
+
+    return fun, rng.normal(size=n), calls
+
+
+class TestLBFGSB:
+    @pytest.mark.parametrize("kind", ["quadratic", "rosenbrock", "nan"])
+    @pytest.mark.parametrize("max_iter, max_fun, gtol", [(15000, 15000, 1e-5), (3, 15000, 0.0), (50, 4, 1e-5)])
+    def test_equals_scipy_minimize_bitwise(self, kind, max_iter, max_fun, gtol):
+        import scipy.optimize
+
+        for seed in range(4):
+            fun, x0, calls = _problem(kind, seed)
+            options = {"maxiter": max_iter, "maxfun": max_fun, "gtol": gtol}
+            with warnings.catch_warnings(), np.errstate(all="ignore"):
+                warnings.simplefilter("ignore", RuntimeWarning)
+                want = scipy.optimize.minimize(fun, x0, jac=True, method="L-BFGS-B", options=options)
+                want_calls, calls[:] = list(calls), []
+                got = LBFGSB(x0, max_iter, max_fun, gtol)
+                while got.ask():
+                    got.tell(*fun(got.x.copy()))
+            assert got.x.tobytes() == want.x.tobytes()
+            assert np.array_equal([got.f], [want.fun], equal_nan=True)
+            assert (got.nit, got.nfev) == (want.nit, want.nfev)
+            # minimize evaluates a point that holds NaN twice; the driver once.
+            twice = sum(bool(np.isnan(x).any()) for x in calls)
+            assert len(calls) + twice == len(want_calls)
+
+    def test_missing_setulb_raises_import_error(self, monkeypatch):
+        monkeypatch.setattr(solvers, "_setulb", None)
+        monkeypatch.setitem(sys.modules, solvers._LBFGSB_MODULE, object())
+        with pytest.raises(ImportError, match="scipy>=1.15"):
+            solvers.LBFGSB(np.zeros(2), max_iter=5)

@@ -1,8 +1,8 @@
 """Dealt units: folds trained in the lane-helper process keep every bit.
 
-``fit_mlp_trials`` deals the units of a call — whole stacked lanes, the
-two halves of a lane heavier than the rest together, single ``lbfgs``
-and width-one folds — between the calling thread and one lane-helper
+``fit_mlp_trials`` deals the units of a call — whole stacked lanes
+(``lbfgs`` lanes too), the two halves of a lane heavier than the rest
+together, and width-one folds — between the calling thread and one lane-helper
 process, which receives them as data.  These tests drop the work
 threshold to zero (and report two CPUs and a one-thread BLAS) so that
 the helper takes a unit of every call, then hold what comes back to the inline fit and to
@@ -329,7 +329,7 @@ class TestSplitLaneSweep:
         oracle, _ = _lbfgs_trials(warm_seed)
         fit_mlp_trials(dealt, warms)
         (own, theirs), = deal_every_call
-        assert theirs and sorted(own + theirs) == [1] * 6  # six single-fold units
+        assert theirs and sorted(own + theirs) == [3, 3]  # a classifier and a regressor lane
         with _inline():
             fit_mlp_trials(inline, warms)
         _fit_with_oracle(oracle, warms)

@@ -45,8 +45,16 @@
 #      optimisers vs solvers.SGDOptimizer / AdamOptimizer slice by slice,
 #      across compaction (tests/learners/test_lane_optimizers.py); and the
 #      vectorised splitters vs their per-sample loops kept in
-#      tests/model_selection/_reference_splitters.py; the dealt-unit
-#      sweep: a call's units (lanes, lane halves, lbfgs folds) trained
+#      tests/model_selection/_reference_splitters.py; the lbfgs oracle
+#      sweep: lbfgs lanes (one L-BFGS-B run per fold over scipy's setulb,
+#      every fold that asks evaluated in one stacked pass), for any
+#      grouping of folds into calls, inline or dealt to the lane helper,
+#      bitwise-equal to the per-fold scipy.optimize.minimize oracle in
+#      _reference_kernel.py on binary, multiclass and regressor heads,
+#      max_iter 1, tol 0, warm starts, the max_fun stop and NaN iterates
+#      (tests/learners/test_lbfgs_lanes.py; its bounded cases and the
+#      hb+ lbfgs-grid fingerprint guard run in tier-1); the dealt-unit
+#      sweep: a call's units (lanes, lbfgs lanes, lane halves) trained
 #      half on the calling thread and half in the lane-helper process,
 #      bitwise-equal to the inline fit and to the _reference_kernel
 #      oracle (odd widths, sgd with nesterov, invscaling and adaptive
