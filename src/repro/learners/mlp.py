@@ -32,7 +32,7 @@ The lanes are pinned to independent per-fold loops, the oracles in
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -278,9 +278,13 @@ def _prepare_fold(model, X, y, coefs_init=None, intercepts_init=None, encoding=N
     return _FoldPlan(model, X, y_encoded, rng, layer_units)
 
 
-def _run_lane(members: List[_FoldPlan]) -> None:
-    """Train one lane of prepared folds, whatever its width."""
-    (_fit_lbfgs_lane if members[0].model.solver == "lbfgs" else _fit_lane)(members)
+def _run_lane(members: List[_FoldPlan], poll: Optional[Callable[[], None]] = None) -> None:
+    """Train one lane of prepared folds, whatever its width.
+
+    ``poll``, if given, is called between epochs (between evaluation
+    rounds for ``lbfgs``); it must leave this lane's folds alone.
+    """
+    (_fit_lbfgs_lane if members[0].model.solver == "lbfgs" else _fit_lane)(members, poll)
 
 
 # -- lane optimisers ----------------------------------------------------------
@@ -431,7 +435,7 @@ class _LaneAdam:
 # -- the lane trainer ---------------------------------------------------------
 
 
-def _fit_lane(members: List[_FoldPlan]) -> None:
+def _fit_lane(members: List[_FoldPlan], poll: Optional[Callable[[], None]] = None) -> None:
     """Train one lane of identically-shaped folds in lockstep.
 
     The one ``sgd`` / ``adam`` loop, at any width down to one: every
@@ -518,6 +522,8 @@ def _fit_lane(members: List[_FoldPlan]) -> None:
         block = np.empty((width, min(_EPOCH_BLOCK, max_iter), n_samples), dtype=np.intp)
 
     for epoch in range(max_iter):
+        if poll is not None:
+            poll()
         # The epoch's entry state produced a finite loss (or is the
         # initialisation), so it is the divergence rollback target.
         for saved, param in zip(snapshot, params):
@@ -620,7 +626,7 @@ def _fit_lane(members: List[_FoldPlan]) -> None:
         _finish_fold(models[column], parameters, curve[:, column])
 
 
-def _fit_lbfgs_lane(members: List[_FoldPlan]) -> None:
+def _fit_lbfgs_lane(members: List[_FoldPlan], poll: Optional[Callable[[], None]] = None) -> None:
     """Train one lane of identically shaped ``lbfgs`` folds, evaluated together.
 
     Each fold runs its own L-BFGS-B problem (its model's
@@ -651,6 +657,8 @@ def _fit_lbfgs_lane(members: List[_FoldPlan]) -> None:
     asking = [run.ask() for run in runs]  # every run first asks at its x0
     params = None
     while True:
+        if poll is not None:
+            poll()
         if not all(asking):
             for i, asks in zip(live, asking):
                 if not asks:

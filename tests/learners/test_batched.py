@@ -139,18 +139,18 @@ class TestEquivalence:
 
 
 class TestFallbacks:
-    def test_lbfgs_falls_back_to_sequential(self):
+    def test_lbfgs_lane_counts_as_stacked(self):
         jobs_seq, jobs_bat = build_jobs(
             MLPClassifier, "multi", 3, dict(hidden_layer_sizes=(6,), solver="lbfgs", max_iter=30), seed=3
         )
         for model, X, y in jobs_seq:
             reference_fit(model, X, y)
         stats = fit_mlp_folds(jobs_bat)
-        # The three folds train as one lane, counted as they were before
-        # lbfgs lanes stacked (``MegaBatchStats``).
+        # The three folds train as one stacked lane and count as such
+        # (``MegaBatchStats``), like sgd / adam folds.
         assert stats.lanes == 1
-        assert stats.batched_folds == 0
-        assert stats.sequential_folds == 3
+        assert stats.batched_folds == 3
+        assert stats.sequential_folds == 0
         for i, (a, b) in enumerate(zip(jobs_seq, jobs_bat)):
             assert_models_identical(a[0], b[0], f"lbfgs fold {i}")
 

@@ -147,7 +147,8 @@ class TestLbfgsLanesBounded:
         assert np.isfinite(curve[0]) and np.isnan(curve[1:]).all() and len(curve) % 2 == 1
 
     def test_dealt_lanes_equal_oracle(self):
-        # A lane of four heavier than the rest is halved; one half goes to the helper.
+        # Tiles of three of these folds: the lane of four is two tiles of two,
+        # the lane of three one tile; the helper takes one of the three.
         trials = [((4,), 1e-4, 1e-4, 15000, PLAIN + ((True, False),)), ((3, 2), 0.0, 1.0, 3, PLAIN)]
         _, _, calls = _check_lanes_equal_oracle("multi", "relu", 15, trials, 1, [0, 1], [], True)
         (own, theirs), = calls
@@ -223,9 +224,9 @@ def test_hb_plus_over_an_lbfgs_grid_matches_the_oracle(monkeypatch):
     lanes = []
     real = mlp._fit_lbfgs_lane
 
-    def counted(members):
+    def counted(members, poll=None):
         lanes.append(len(members))
-        real(members)
+        real(members, poll)
 
     monkeypatch.setattr(mlp, "_fit_lbfgs_lane", counted)
     fused = _hb_plus_fingerprint()
@@ -233,12 +234,12 @@ def test_hb_plus_over_an_lbfgs_grid_matches_the_oracle(monkeypatch):
 
     oracle_folds = []
 
-    def oracle_lane(members):
+    def oracle_lane(members, poll=None):
         for plan in members:
             oracle_folds.append(plan)
             reference_fit_lbfgs(plan.model, plan.X, plan.y_encoded)
 
     monkeypatch.setattr(mlp, "_fit_lbfgs_lane", oracle_lane)
-    monkeypatch.setattr(batched, "_HELPER_MIN_WORK", float("inf"))  # no unit leaves this process
+    monkeypatch.setattr(batched, "_HELPER_MIN_WORK", float("inf"))  # no tile leaves this process
     assert _hb_plus_fingerprint() == fused
     assert len(oracle_folds) == sum(lanes)

@@ -99,13 +99,11 @@ def _check_trials_equal_sequential_fit(hidden, solver, activation, n_trials, n_f
     assert stats.folds == n_trials * n_folds
     assert sum(s.folds for s in per_trial_stats) == stats.folds
     # Shared architecture + shared fold shapes: every lane stacks (and,
-    # past one trial, fuses across trials), so occupancy is total
-    # whenever lanes count as stacked (L-BFGS lanes stack but count as
-    # sequential folds, as they did before they stacked).
-    assert bool(stats.batched_folds) == (solver != "lbfgs")
-    if stats.batched_folds:
-        assert stats.fused_folds == (stats.batched_folds if n_trials > 1 else 0)
-        assert stats.occupancy == 1.0
+    # past one trial, fuses across trials), L-BFGS lanes too, so
+    # occupancy is total.
+    assert stats.batched_folds == stats.folds and stats.sequential_folds == 0
+    assert stats.fused_folds == (stats.batched_folds if n_trials > 1 else 0)
+    assert stats.occupancy == 1.0
 
 
 class TestThreePathsBounded:
